@@ -50,16 +50,8 @@ from .harness import (
     rational_orlicz_check,
     tail_check,
 )
-from .norms import (
-    NormContext,
-    NormSpec,
-    equivalence_constants,
-    g_norm_info,
-    lorentz_norm,
-    luxemburg_norm,
-    v_quasinorm_info,
-)
-from .quadrature import QuadratureConfig, lp_quasinorm
+from .norms import NormContext, NormSpec, equivalence_constants, evaluate_norm_info
+from .quadrature import QuadratureConfig
 
 COMMANDS = ("norm", "transform", "markov-sweep", "equivalence", "rational", "tail", "extremal")
 
@@ -352,21 +344,8 @@ def _constants_block(phi, ctx: NormContext) -> dict:
 def _run_norm(cfg: ExperimentConfig, phi, ctx: NormContext):
     f = _build_function(cfg)
     spec = _norm_spec(cfg, phi)
-    dom = f.natural_domain
-    p_star = None
-    tolerance_met = True
-    if spec.kind == "lp":
-        value = lp_quasinorm(f, spec.p, dom, ctx.cfg)
-    elif spec.kind == "orlicz":
-        value = luxemburg_norm(f, ctx.orlicz(phi), dom, ctx.cfg)
-    elif spec.kind == "gnorm":
-        info = g_norm_info(f, phi, dom, ctx.cfg, cache=ctx.conjugates(phi))
-        value, p_star, tolerance_met = info.value, info.p_star, info.tolerance_met
-    elif spec.kind == "vnorm":
-        info = v_quasinorm_info(f, phi, spec.r, dom, ctx.cfg, cache=ctx.conjugates(phi, p_lo=4.0))
-        value, p_star, tolerance_met = info.value, info.p_star, info.tolerance_met
-    else:
-        value = lorentz_norm(f, spec.p, spec.b, dom, ctx.cfg)
+    info = evaluate_norm_info(f, spec, ctx=ctx)
+    value, p_star, tolerance_met = info.value, info.p_star, info.tolerance_met
     result = {
         "norm_kind": spec.kind,
         "label": spec.label,

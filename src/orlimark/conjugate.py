@@ -231,7 +231,12 @@ def phi_membership_check(
     return MembershipReport(monotone, convex, summable, partial, tail_bound, detail)
 
 
-def _golden_max(obj, a, b, tol=1e-12, iters=200):
+def golden_max(obj, a, b, tol=1e-12, iters=200):
+    """Golden-section search for a maximum of a unimodal obj on [a, b].
+
+    Stops after iters steps or once the bracket is below tol relative to
+    its ends; returns the better final probe as (x, obj(x)).
+    """
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1 = obj(x1)
@@ -315,7 +320,7 @@ def young_fenchel(
             break
     if falling_left:
         lo = yl - step
-    _y, val = _golden_max(obj, lo, hi, tol=tol)
+    _y, val = golden_max(obj, lo, hi, tol=tol)
     best = max(val, fr, fl, f0)
     return best
 
@@ -418,7 +423,7 @@ def fenchel_moreau_check(phi: PhiSpec, ys, p_lo: float = 1e-6, p_hi: float = 409
             hi_p *= 256.0
         lo = ts[max(0, k - 1)]
         hi = ts[min(len(ts) - 1, k + 1)]
-        _t, biconj = _golden_max(obj, lo, hi, tol=1e-13)
+        _t, biconj = golden_max(obj, lo, hi, tol=1e-13)
         biconj = max(biconj, float(np.max(vals)))
         dev = abs(biconj - hv) / max(abs(hv), 1e-12)
         worst = max(worst, dev)

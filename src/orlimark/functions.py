@@ -346,11 +346,6 @@ class GapDerivative:
         return self.rep(xs) * s
 
 
-def eval_rep(rep, x):
-    """Evaluate any representation at scalar or array x."""
-    return rep(x)
-
-
 def derivative(rep, order: int = 1):
     """Derivative within the same family; GapRep gets the log-derivative object."""
     if isinstance(rep, GapRep):

@@ -21,9 +21,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
-from .conjugate import ConjugateCache, PhiSpec, power_log, psi
+from .conjugate import ConjugateCache, PhiSpec, golden_max, power_log, psi
 from .errors import DegenerateInputError, RejectedInputError
 from .functions import (
     GapRep,
@@ -154,7 +154,7 @@ def _fit_loglog(ns, ratios) -> tuple[float, tuple[float, float]]:
     dof = x.size - 2
     sxx = float(np.sum((x - x.mean()) ** 2))
     se = math.sqrt(float(np.sum(resid**2)) / dof / sxx)
-    tq = float(stats.t.ppf(0.975, dof))
+    tq = float(stdtrit(dof, 0.975))
     return float(slope), (float(slope - tq * se), float(slope + tq * se))
 
 
@@ -500,37 +500,21 @@ def extremal_search(
     for _ in range(max(0, restarts - 1)):
         seeds.append(unit(rng.standard_normal(n + 1)))
 
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
     best_c, best_val = seeds[0], -math.inf
     for start in seeds:
         c = start.copy()
         val = score(c, search_ctx)
         for _sweep in range(2):
             for j in range(n + 1):
-                a, b = -1.5, 1.5
 
-                def line(t):
+                def moved(t):
                     cand = c.copy()
                     cand[j] += t
-                    cand = unit(cand)
-                    return score(cand, search_ctx), cand
+                    return unit(cand)
 
-                x1 = b - golden * (b - a)
-                x2 = a + golden * (b - a)
-                f1, c1 = line(x1)
-                f2, c2 = line(x2)
-                for _ in range(8):
-                    if f1 < f2:
-                        a, x1, f1, c1 = x1, x2, f2, c2
-                        x2 = a + golden * (b - a)
-                        f2, c2 = line(x2)
-                    else:
-                        b, x2, f2, c2 = x2, x1, f1, c1
-                        x1 = b - golden * (b - a)
-                        f1, c1 = line(x1)
-                cand_val, cand_c = (f1, c1) if f1 >= f2 else (f2, c2)
+                t, cand_val = golden_max(lambda t: score(moved(t), search_ctx), -1.5, 1.5, tol=0.0, iters=8)
                 if cand_val > val:
-                    val, c = cand_val, cand_c
+                    val, c = cand_val, moved(t)
         if val > best_val:
             best_val, best_c = val, c
 

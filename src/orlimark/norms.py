@@ -10,19 +10,23 @@ Three norm families ride on top:
 * ``luxemburg_norm``: inf of l > 0 with integral of N(|f|/l) at most one,
   solved as a root problem in log l with a Jensen-derived bracket.
 * ``g_norm`` / ``v_quasinorm`` / ``weighted_lorentz_g``: suprema over an
-  exponent grid of ||f||_p (or a Lorentz norm) divided by the conjugate
-  weight psi(p).  Grids are geometric with 64 points per decade; a maximizer
-  at the right edge triggers two fourfold extensions before the scan is
-  declared divergent.  The winning grid point is polished by golden section
-  and re-validated with a fully adaptive quadrature.
+  exponent grid of ||f||_p, ||f||_beta(p) or a Lorentz norm divided by the
+  conjugate weight psi(p), all computed by the one engine ``_sup_over_p``.
+  Grids are geometric with 64 points per decade; a maximizer at the right
+  edge triggers two fourfold extensions before the scan is declared
+  divergent.  The winning grid point is polished by golden section and
+  re-validated with the exact norm and an exact weight.
 * ``lorentz_norm``: distribution-function based two-parameter norms,
   including the sup form at the second index equal to infinity.
+
+``evaluate_norm_info`` is the one dispatch from a ``NormSpec`` to these
+norms, for the harness and the command line alike.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -31,7 +35,6 @@ from .conjugate import ConjugateCache, PhiSpec, psi_log as _psi_log_exact, young
 from .errors import (
     ConstructionError,
     ConvergenceFailureError,
-    DegenerateInputError,
     LuxemburgBracketError,
     ScanDivergenceError,
     SummabilityError,
@@ -42,10 +45,12 @@ from .quadrature import (
     LevelSampler,
     PowerNormEvaluator,
     QuadratureConfig,
+    composite_nodes,
     integrate_log,
     integrate_unnormalized,
     log_abs_of,
     lp_quasinorm,
+    panel_edges,
     sup_norm,
 )
 
@@ -151,10 +156,6 @@ def construct_N(phi: PhiSpec, u_lo: float = 1e-3, u_hi: float = 1e3) -> OrliczN:
     return n
 
 
-def n_eval(n: OrliczN, u):
-    return n.n_eval(u)
-
-
 # ---------------------------------------------------------------------------
 # Luxemburg norm
 
@@ -216,22 +217,26 @@ def luxemburg_norm(f, n: OrliczN, domain: Domain | None = None, cfg: QuadratureC
 @dataclass
 class ScanResult:
     value: float
-    p_star: float
+    p_star: float | None
     tolerance_met: bool
     extensions: int
 
 
-def _scan_sup(ratio_log_on_grid, refine_obj, cache: ConjugateCache, p_lo: float, rebuild):
-    """Grid scan with right-edge extension and golden polish.
+def _sup_over_p(make_log_norm, exact_norm, phi: PhiSpec, cache: ConjugateCache, p_lo: float) -> ScanResult:
+    """sup over grid p >= p_lo of exp(log_norm(p) - psi_log(p)), certified.
 
-    ratio_log_on_grid(grid) -> array of log ratios; refine_obj(p) -> exact
-    log ratio used during polish; rebuild() is called after each cache
-    extension so evaluators can re-panelize for the larger exponents.
+    make_log_norm() returns a cached-node p -> log norm; it is called again
+    after each fourfold extension of the grid, so evaluators can re-panelize
+    for the larger exponents.  The grid winner is polished by golden section
+    in log p and re-validated with exact_norm(p) and an exact weight; the
+    fast value counts only if the two agree to 1e-6.
     """
+    log_norm = make_log_norm()
     extensions = 0
     while True:
         grid = cache.grid[cache.grid >= p_lo * (1.0 - 1e-12)]
-        vals = ratio_log_on_grid(grid)
+        # grid is a suffix of cache.grid, so an offset slice lines up exactly
+        vals = log_norm(grid) - cache.psi_log_grid[cache.grid.size - grid.size :]
         k = int(np.nanargmax(vals))
         if k < len(grid) - 2 or not math.isfinite(vals[k]):
             break
@@ -241,39 +246,53 @@ def _scan_sup(ratio_log_on_grid, refine_obj, cache: ConjugateCache, p_lo: float,
                 "the ratio appears unbounded in p"
             )
         cache.extend(4.0)
-        rebuild()
+        log_norm = make_log_norm()
         extensions += 1
-    lo = math.log(grid[max(k - 1, 0)])
-    hi = math.log(grid[min(k + 1, len(grid) - 1)])
-    a, b = lo, hi
+
+    def ratio(x):
+        p = math.exp(x)
+        return log_norm(p) - young_fenchel_or_inf(phi, p) / p
+
+    a = math.log(grid[max(k - 1, 0)])
+    b = math.log(grid[min(k + 1, len(grid) - 1)])
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1 = refine_obj(math.exp(x1))
-    f2 = refine_obj(math.exp(x2))
+    f1 = ratio(x1)
+    f2 = ratio(x2)
     for _ in range(70):
         if b - a < 1e-11:
             break
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
-            f2 = refine_obj(math.exp(x2))
+            f2 = ratio(x2)
         else:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
-            f1 = refine_obj(math.exp(x1))
-    best_log, best_p = float(vals[k]), float(grid[k])
-    for cand_log, cand_p in ((f1, math.exp(x1)), (f2, math.exp(x2))):
+            f1 = ratio(x1)
+    best_log, p_star = float(vals[k]), float(grid[k])
+    for cand_log, cand_x in ((f1, x1), (f2, x2)):
         if cand_log > best_log:
-            best_log, best_p = cand_log, cand_p
-    return best_log, best_p, extensions
+            best_log, p_star = cand_log, math.exp(cand_x)
+    value = exact_norm(p_star) * math.exp(-_psi_log_exact(phi, p_star))
+    fast = math.exp(best_log)
+    ok = abs(value - fast) <= 1e-6 * max(value, fast, 1e-300)
+    return ScanResult(max(value, fast) if ok else value, p_star, ok, extensions)
 
 
-def _g_norm_scan(f, phi: PhiSpec, domain: Domain, cfg: QuadratureConfig, cache: ConjugateCache, p_lo: float) -> ScanResult:
+def _g_scan(f, phi: PhiSpec, domain: Domain | None, cfg: QuadratureConfig, cache: ConjugateCache | None, p_lo: float) -> ScanResult:
+    dom = domain if domain is not None else f.natural_domain
+    c = cache if cache is not None else ConjugateCache(phi)
+
+    def make_log_norm():
+        yardsticks = (p_lo, math.sqrt(p_lo * c.p_hi), c.p_hi)
+        return PowerNormEvaluator(f, dom, cfg, yardsticks=yardsticks).log_norm
+
     # f identically zero needs no special case: every log ratio is -inf and
     # the scan collapses to value 0; this also keeps unbounded f (integrable
     # singularities) out of sup_norm, which samples closed endpoints.
     try:
-        return _g_norm_scan_inner(f, phi, domain, cfg, cache, p_lo)
+        return _sup_over_p(make_log_norm, lambda p: lp_quasinorm(f, p, dom, cfg), phi, c, p_lo)
     except ConvergenceFailureError as err:
         # an L_p member that the adaptive integrator cannot settle means the
         # scanned ratio has no certified finite supremum
@@ -283,54 +302,18 @@ def _g_norm_scan(f, phi: PhiSpec, domain: Domain, cfg: QuadratureConfig, cache: 
         ) from err
 
 
-def _g_norm_scan_inner(f, phi: PhiSpec, domain: Domain, cfg: QuadratureConfig, cache: ConjugateCache, p_lo: float) -> ScanResult:
-    state = {}
-
-    def rebuild():
-        p_hi = cache.p_hi
-        state["ev"] = PowerNormEvaluator(
-            f, domain, cfg, yardsticks=(p_lo, math.sqrt(p_lo * p_hi), p_hi)
-        )
-
-    rebuild()
-
-    def on_grid(grid):
-        log_norms = state["ev"].log_norm(grid)
-        # grid is a suffix of cache.grid, so an offset slice lines up exactly
-        psl = cache.psi_log_grid[cache.grid.size - grid.size :]
-        return log_norms - psl
-
-    def refine(p):
-        return state["ev"].log_norm(p) - young_fenchel_or_inf(phi, p) / p
-
-    best_log, p_star, ext = _scan_sup(on_grid, refine, cache, p_lo, rebuild)
-    # re-validate the winner with a fully adaptive norm and an exact weight
-    exact = lp_quasinorm(f, p_star, domain, cfg)
-    weight = _psi_log_exact(phi, p_star)
-    value = exact * math.exp(-weight)
-    fast = math.exp(best_log)
-    ok = abs(value - fast) <= 1e-6 * max(value, fast, 1e-300)
-    return ScanResult(max(value, fast if ok else value), p_star, ok, ext)
-
-
 def g_norm(f, phi: PhiSpec, domain: Domain | None = None, cfg: QuadratureConfig = DEFAULT_CONFIG, cache: ConjugateCache | None = None) -> float:
     """sup over p >= 1 of ||f||_p / psi(p)."""
-    dom = domain if domain is not None else f.natural_domain
-    c = cache if cache is not None else ConjugateCache(phi)
-    return _g_norm_scan(f, phi, dom, cfg, c, p_lo=1.0).value
+    return _g_scan(f, phi, domain, cfg, cache, p_lo=1.0).value
 
 
 def g_norm_info(f, phi: PhiSpec, domain: Domain | None = None, cfg: QuadratureConfig = DEFAULT_CONFIG, cache: ConjugateCache | None = None) -> ScanResult:
-    dom = domain if domain is not None else f.natural_domain
-    c = cache if cache is not None else ConjugateCache(phi)
-    return _g_norm_scan(f, phi, dom, cfg, c, p_lo=1.0)
+    return _g_scan(f, phi, domain, cfg, cache, p_lo=1.0)
 
 
 def sup_ratio_from(f, phi: PhiSpec, p_lo: float, domain: Domain | None = None, cfg: QuadratureConfig = DEFAULT_CONFIG, cache: ConjugateCache | None = None) -> float:
     """sup over p >= p_lo of ||f||_p / psi(p); used by comparison checks."""
-    dom = domain if domain is not None else f.natural_domain
-    c = cache if cache is not None else ConjugateCache(phi)
-    return _g_norm_scan(f, phi, dom, cfg, c, p_lo=p_lo).value
+    return _g_scan(f, phi, domain, cfg, cache, p_lo=p_lo).value
 
 
 def v_quasinorm(
@@ -347,14 +330,10 @@ def v_quasinorm(
     beta = p / (p r + 1), which sweeps (4/(4r+1), 1/r), and the ratio
     ||f||_beta / psi(p) is maximized over the standard grid.
     """
-    return _v_scan(f, phi, r, domain, cfg, cache).value
+    return v_quasinorm_info(f, phi, r, domain, cfg, cache).value
 
 
 def v_quasinorm_info(f, phi, r, domain=None, cfg=DEFAULT_CONFIG, cache=None) -> ScanResult:
-    return _v_scan(f, phi, r, domain, cfg, cache)
-
-
-def _v_scan(f, phi, r, domain, cfg, cache) -> ScanResult:
     if not (r >= 1.0):
         raise ValueError("derivative order r must be at least 1")
     dom = domain if domain is not None else f.natural_domain
@@ -365,31 +344,12 @@ def _v_scan(f, phi, r, domain, cfg, cache) -> ScanResult:
     def beta(p):
         return p / (p * r + 1.0)
 
-    state = {}
+    def make_log_norm():
+        b_lo, b_hi = beta(4.0), beta(c.p_hi)
+        ev = PowerNormEvaluator(f, dom, cfg, yardsticks=(b_lo, 0.5 * (b_lo + b_hi), b_hi))
+        return lambda p: ev.log_norm(beta(p))
 
-    def rebuild():
-        b_lo = beta(4.0)
-        b_hi = beta(c.p_hi)
-        state["ev"] = PowerNormEvaluator(
-            f, dom, cfg, yardsticks=(b_lo, 0.5 * (b_lo + b_hi), b_hi)
-        )
-
-    rebuild()
-
-    def on_grid(grid):
-        log_norms = state["ev"].log_norm(beta(grid))
-        psl = c.psi_log_grid[c.grid.size - grid.size :]
-        return log_norms - psl
-
-    def refine(p):
-        return state["ev"].log_norm(beta(p)) - young_fenchel_or_inf(phi, p) / p
-
-    best_log, p_star, ext = _scan_sup(on_grid, refine, c, 4.0, rebuild)
-    exact = lp_quasinorm(f, beta(p_star), dom, cfg)
-    value = exact * math.exp(-_psi_log_exact(phi, p_star))
-    fast = math.exp(best_log)
-    ok = abs(value - fast) <= 1e-6 * max(value, fast, 1e-300)
-    return ScanResult(max(value, fast if ok else value), p_star, ok, ext)
+    return _sup_over_p(make_log_norm, lambda p: lp_quasinorm(f, beta(p), dom, cfg), phi, c, 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -458,41 +418,27 @@ def lorentz_norm(
 class _LorentzEvaluator:
     """Cached-node evaluator of p -> ||f||_{p,b} for scans at fixed b."""
 
-    def __init__(self, f, domain: Domain, b: float, cfg: QuadratureConfig, p_hi: float):
+    def __init__(self, sampler: LevelSampler, b: float, cfg: QuadratureConfig, p_hi: float):
         self.b = b
-        self.sampler = LevelSampler(f, domain)
-        self.xmax = self.sampler.sup_estimate
+        xmax = sampler.sup_estimate
         if math.isinf(b):
-            xs = np.linspace(0.0, self.xmax, 8193)[1:]
-            self._xs = xs
-            self._t = self.sampler.measure_above_batch(xs)
+            self._xs = np.linspace(0.0, xmax, 8193)[1:]
+            self._t = sampler.measure_above_batch(self._xs)
             return
-        from .quadrature import _adaptive, _gl_rule, _panel_nodes
+
+        def log_integrand(xs, p):
+            t = sampler.measure_above_batch(np.clip(xs, 0.0, None))
+            with np.errstate(divide="ignore"):
+                lt = np.log(t)
+                x_part = (b - 1.0) * np.log(np.maximum(xs, 1e-300))
+            return (p / b) * lt + x_part
 
         # panelize for a sweep of p values; the kink structure of T dominates
-        edges = set()
-        for p in (1.0, 32.0, p_hi):
-
-            def g(xs, _p=p):
-                t = self.sampler.measure_above_batch(np.clip(xs, 0.0, None))
-                with np.errstate(divide="ignore"):
-                    lt = np.log(t)
-                    x_part = (b - 1.0) * np.log(np.maximum(xs, 1e-300))
-                return (_p / b) * lt + x_part
-
-            _v, _e, panels = _adaptive(
-                g, 0.0, self.xmax * (1.0 + 1e-12), cfg, log_mode=True, collect_panels=True
-            )
-            for a_, b_ in panels:
-                edges.add(float(a_))
-                edges.add(float(b_))
-        edges = np.array(sorted(edges))
-        nodes, weights = _gl_rule(cfg.nodes_per_panel)
-        xs, half = _panel_nodes(edges[:-1], edges[1:], nodes)
-        flat = xs.ravel()
-        self._xs = flat
+        edges = panel_edges(log_integrand, 0.0, xmax * (1.0 + 1e-12), (1.0, 32.0, p_hi), cfg)
+        xs, weights, half = composite_nodes(edges, cfg)
+        self._xs = xs.ravel()
         self._w = (weights[None, :] * half[:, None]).ravel()
-        self._t = self.sampler.measure_above_batch(flat)
+        self._t = sampler.measure_above_batch(self._xs)
 
     def log_value(self, p):
         p_arr = np.atleast_1d(np.asarray(p, dtype=float))
@@ -528,30 +474,17 @@ def weighted_lorentz_g(
     """sup over p >= 1 of ||f||_{p,b} / psi(p)."""
     dom = domain if domain is not None else f.natural_domain
     c = cache if cache is not None else ConjugateCache(phi)
-    state = {}
-
-    def rebuild():
-        state["ev"] = _LorentzEvaluator(f, dom, b, cfg, c.p_hi)
-
-    rebuild()
-    if state["ev"].sampler.sup_estimate == 0.0:
+    sampler = LevelSampler(f, dom)
+    if sampler.sup_estimate == 0.0:
         return 0.0
 
-    def on_grid(grid):
-        log_norms = state["ev"].log_value(grid)
-        psl = c.psi_log_grid[c.grid.size - grid.size :]
-        return log_norms - psl
+    def make_log_norm():
+        return _LorentzEvaluator(sampler, b, cfg, c.p_hi).log_value
 
-    def refine(p):
-        return state["ev"].log_value(p) - young_fenchel_or_inf(phi, p) / p
+    def exact_norm(p):
+        return lorentz_norm(f, p, b, dom, cfg, sampler=sampler)
 
-    best_log, p_star, _ext = _scan_sup(on_grid, refine, c, 1.0, rebuild)
-    exact = lorentz_norm(f, p_star, b, dom, cfg, sampler=state["ev"].sampler)
-    value = exact * math.exp(-_psi_log_exact(phi, p_star))
-    fast = math.exp(best_log)
-    if abs(value - fast) <= 1e-6 * max(value, fast, 1e-300):
-        return max(value, fast)
-    return value
+    return _sup_over_p(make_log_norm, exact_norm, phi, c, 1.0).value
 
 
 # ---------------------------------------------------------------------------
@@ -707,18 +640,25 @@ class NormContext:
         return self._cache[key]
 
 
-def evaluate_norm(f, spec: NormSpec, domain: Domain | None = None, ctx: NormContext | None = None) -> float:
+def evaluate_norm_info(f, spec: NormSpec, domain: Domain | None = None, ctx: NormContext | None = None) -> ScanResult:
+    """The norm ``spec`` selects; kinds without a p scan report p_star None."""
     dom = domain if domain is not None else f.natural_domain
     context = ctx if ctx is not None else NormContext()
     cfg = context.cfg
-    if spec.kind == "lp":
-        return lp_quasinorm(f, spec.p, dom, cfg)
-    if spec.kind == "orlicz":
-        return luxemburg_norm(f, context.orlicz(spec.phi), dom, cfg)
     if spec.kind == "gnorm":
-        return g_norm(f, spec.phi, dom, cfg, cache=context.conjugates(spec.phi))
-    if spec.kind == "lorentz":
-        return lorentz_norm(f, spec.p, spec.b, dom, cfg)
+        return g_norm_info(f, spec.phi, dom, cfg, cache=context.conjugates(spec.phi))
     if spec.kind == "vnorm":
-        return v_quasinorm(f, spec.phi, spec.r, dom, cfg, cache=context.conjugates(spec.phi, p_lo=4.0))
-    raise ValueError(f"unknown norm kind {spec.kind!r}")
+        return v_quasinorm_info(f, spec.phi, spec.r, dom, cfg, cache=context.conjugates(spec.phi, p_lo=4.0))
+    if spec.kind == "lp":
+        value = lp_quasinorm(f, spec.p, dom, cfg)
+    elif spec.kind == "orlicz":
+        value = luxemburg_norm(f, context.orlicz(spec.phi), dom, cfg)
+    elif spec.kind == "lorentz":
+        value = lorentz_norm(f, spec.p, spec.b, dom, cfg)
+    else:
+        raise ValueError(f"unknown norm kind {spec.kind!r}")
+    return ScanResult(value, None, True, 0)
+
+
+def evaluate_norm(f, spec: NormSpec, domain: Domain | None = None, ctx: NormContext | None = None) -> float:
+    return evaluate_norm_info(f, spec, domain, ctx).value

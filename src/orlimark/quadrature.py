@@ -293,26 +293,34 @@ def integrate_log(log_f, domain: Domain, cfg: QuadratureConfig = DEFAULT_CONFIG)
     return value + math.log(domain.density)
 
 
-def log_panelize(log_f, domain: Domain, cfg: QuadratureConfig, exponents) -> np.ndarray:
-    """Merged panel edges refined for exp(e * log_f) at each yardstick e.
+def panel_edges(log_integrand, lo: float, hi: float, exponents, cfg: QuadratureConfig) -> np.ndarray:
+    """Merged panel edges refined for exp(log_integrand(xs, e)) at each e.
 
-    The union of the per-yardstick panelizations gives a fixed composite rule
-    that is then accurate across the whole exponent range in between, which
-    is what the sup-over-p scans want: one set of cached nodes, many p.
+    The union of the per-exponent adaptive panelizations of [lo, hi] gives a
+    fixed composite rule that is then accurate across the whole exponent
+    range in between, which is what the sup-over-p scans want: one set of
+    cached nodes, many p.
     """
-    g = as_vectorized(log_f)
-    edge_set = {domain.lo, domain.hi}
+    edge_set = {float(lo), float(hi)}
     for e in exponents:
-        def scaled(xs, _e=float(e)):
-            return _e * g(xs)
-
         _val, _err, panels = _adaptive(
-            scaled, domain.lo, domain.hi, cfg, log_mode=True, collect_panels=True
+            lambda xs, _e=float(e): log_integrand(xs, _e), lo, hi, cfg, log_mode=True, collect_panels=True
         )
         for a, b in panels:
             edge_set.add(float(a))
             edge_set.add(float(b))
     return np.array(sorted(edge_set))
+
+
+def composite_nodes(edges: np.ndarray, cfg: QuadratureConfig):
+    """Gauss-Legendre nodes of the composite rule with the given panel edges.
+
+    Returns (xs, weights, half): xs has one row per panel, and the weight of
+    xs[i, j] is weights[j] * half[i].
+    """
+    nodes, weights = _gl_rule(cfg.nodes_per_panel)
+    xs, half = _panel_nodes(edges[:-1], edges[1:], nodes)
+    return xs, weights, half
 
 
 class PowerNormEvaluator:
@@ -327,11 +335,8 @@ class PowerNormEvaluator:
         self.domain = domain
         self.cfg = cfg
         log_f = log_abs_of(f)
-        edges = log_panelize(log_f, domain, cfg, yardsticks)
-        nodes, weights = _gl_rule(cfg.nodes_per_panel)
-        lo = edges[:-1]
-        hi = edges[1:]
-        xs, half = _panel_nodes(lo, hi, nodes)
+        edges = panel_edges(lambda xs, e: e * log_f(xs), domain.lo, domain.hi, yardsticks, cfg)
+        xs, weights, half = composite_nodes(edges, cfg)
         # same open-interval clamp as the adaptive loop: a rounded node must
         # not land on a singular endpoint
         xs = np.clip(xs, np.nextafter(domain.lo, domain.hi), np.nextafter(domain.hi, domain.lo))

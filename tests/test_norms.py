@@ -14,6 +14,7 @@ from orlimark.norms import (
     construct_N,
     equivalence_constants,
     evaluate_norm,
+    evaluate_norm_info,
     g_norm,
     g_norm_info,
     gnorm_spec,
@@ -131,6 +132,22 @@ class TestGNorm:
         with pytest.raises(ScanDivergenceError):
             g_norm(InversePowerRep(0.3), phi2, cache=ctx.conjugates(phi2))
 
+    @pytest.mark.parametrize(
+        "m, value, p_star, extensions",
+        [
+            (200.0, 0.988057896166384, 2000.4739732549451, 1),
+            (1000.0, 0.9974523520414863, 11774.930833972616, 2),
+        ],
+    )
+    def test_grid_extension(self, m, value, p_star, extensions):
+        # x^30 against a steep weight peaks beyond the initial grid, so the
+        # scan has to extend the grid once or twice before it stops rising
+        info = g_norm_info(PolynomialRep([0.0] * 30 + [1.0]), power_log(m))
+        assert info.extensions == extensions
+        assert info.tolerance_met
+        assert info.value == pytest.approx(value, rel=1e-12)
+        assert info.p_star == pytest.approx(p_star, rel=1e-9)
+
 
 class TestVQuasinorm:
     def test_constant_value(self, phi2, ctx):
@@ -233,6 +250,22 @@ class TestDispatch:
         ]
         for spec, direct in pairs:
             assert evaluate_norm(f, spec, ctx=ctx) == pytest.approx(direct, rel=1e-9)
+
+    def test_info_reports_scan_maximizer(self, phi2, ctx):
+        f = PolynomialRep([0.2, 1.0])
+        for spec in (lp_spec(2.0), orlicz_spec(phi2), lorentz_spec(2.0, 2.0)):
+            info = evaluate_norm_info(f, spec, ctx=ctx)
+            assert info.p_star is None
+            assert info.tolerance_met
+            assert info.extensions == 0
+        scans = [
+            (gnorm_spec(phi2), g_norm_info(f, phi2, cache=ctx.conjugates(phi2))),
+            (vnorm_spec(phi2, 1.0), v_quasinorm_info(f, phi2, 1.0, cache=ctx.conjugates(phi2, p_lo=4.0))),
+        ]
+        for spec, direct in scans:
+            info = evaluate_norm_info(f, spec, ctx=ctx)
+            assert info.p_star == direct.p_star
+            assert info.value == direct.value
 
     def test_labels_are_informative(self, phi2):
         assert "2" in lp_spec(2.0).label
