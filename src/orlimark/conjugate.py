@@ -66,17 +66,39 @@ class PhiSpec:
     def h(self, y):
         """phi(e^y), evaluated in a way that stays stable for large |y|."""
         ys = np.asarray(y, dtype=float)
+        if self.family in ("power-log", "custom"):
+            with np.errstate(over="ignore"):
+                return self._h(ys)
+        return self._h(ys)
+
+    def _h(self, ys):
+        """h on an ndarray or a float, with no overflow guard of its own.
+
+        numpy ufuncs give the same bits on a float as on a one-element
+        array, so the float path matches h exactly.
+        """
         if self.family == "power-log":
             lg = np.logaddexp(self.m + abs(self.r), ys)  # log(e^(m+|r|) + e^y)
-            with np.errstate(over="ignore"):
-                return np.exp(self.m * ys - self.m * self.r * np.log(lg))
+            return np.exp(self.m * ys - self.m * self.r * np.log(lg))
         if self.family == "log-power":
             soft = np.where(ys > 30.0, ys, np.log1p(np.exp(np.minimum(ys, 30.0))))
             return soft ** (1.0 + self.nu)
         if self.family == "custom":
-            with np.errstate(over="ignore"):
-                return np.asarray(self.fn(np.exp(ys)), dtype=float)
+            return np.asarray(self.fn(np.exp(ys)), dtype=float)
         return self._table_h(ys)
+
+    def _h_at(self, y: float) -> float:
+        """h(y) as a float for pointwise loops, which guard overflow once.
+
+        A custom callable still receives an ndarray (of one element).
+        """
+        if self.family == "log-power":
+            # _h's operations without its array-wide where/minimum
+            soft = np.asarray(y if y > 30.0 else np.log1p(np.exp(y)))
+            return float(soft ** (1.0 + self.nu))
+        if self.family == "custom":
+            return float(self._h(np.array([y]))[0])
+        return float(self._h(y))
 
     def _table_h(self, ys):
         ys = np.asarray(ys, dtype=float)
@@ -203,21 +225,22 @@ def phi_membership_check(
     summable = False
     tail_bound = math.inf
     detail = ""
-    for k in range(3, k_max + 1):
-        hk = float(phi.h(np.array([float(k)]))[0])
-        hk1 = float(phi.h(np.array([float(k + 1)]))[0])
-        if not (math.isfinite(hk) and math.isfinite(hk1)):
-            gap = -math.inf  # h overflowed: gaps this deep dwarf the float range
-        else:
-            gap = hk - hk1
-        term = math.exp(gap) if gap > -745.0 else 0.0
-        partial += term
-        terms.append(term)
-        if term < 1e-300:
-            summable = True
-            tail_bound = 0.0
-            detail = f"terms vanish beyond k = {k}"
-            break
+    with np.errstate(over="ignore"):
+        hk1 = phi._h_at(3.0)
+        for k in range(3, k_max + 1):
+            hk, hk1 = hk1, phi._h_at(float(k + 1))
+            if not (math.isfinite(hk) and math.isfinite(hk1)):
+                gap = -math.inf  # h overflowed: gaps this deep dwarf the float range
+            else:
+                gap = hk - hk1
+            term = math.exp(gap) if gap > -745.0 else 0.0
+            partial += term
+            terms.append(term)
+            if term < 1e-300:
+                summable = True
+                tail_bound = 0.0
+                detail = f"terms vanish beyond k = {k}"
+                break
     if not summable and len(terms) >= 21:
         last = terms[-20:]
         ratios = [last[i + 1] / last[i] if last[i] > 0 else 0.0 for i in range(19)]
@@ -270,59 +293,62 @@ def young_fenchel(
     The objective is concave, so doubling steps away from y0 until the value
     drops on both sides encloses the maximum.  If the objective is still
     rising after the expansion cap, the supremum sits at infinity for this p
-    and a divergence error names the offending phi.
+    and a divergence error names the offending phi.  The whole solve runs
+    under one overflow guard and evaluates h on floats.
     """
     if not (p >= p_min):
         raise ValueError(f"p = {p!r} below the allowed minimum {p_min!r}")
+    with np.errstate(over="ignore"):
+        h_at = phi._h_at
 
-    def obj(y: float) -> float:
-        hv = float(phi.h(np.array([y]))[0])
-        if math.isnan(hv):
-            return -math.inf
-        return p * y - hv
+        def obj(y: float) -> float:
+            hv = h_at(y)
+            if math.isnan(hv):
+                return -math.inf
+            return p * y - hv
 
-    f0 = obj(y0)
-    # expand right
-    step = step0
-    yr, fr = y0, f0
-    rising = True
-    for _ in range(200):
-        cand = yr + step
-        fc = obj(cand)
-        if fc > fr:
-            yr, fr = cand, fc
-            step *= 2.0
-        else:
-            rising = False
-            hi = cand
-            break
-        if abs(cand) > 1e9:
-            break
-    if rising:
-        raise ConjugateDivergenceError(
-            f"conjugate supremum for {phi.label} diverges at p = {p!r}"
-        )
-    # expand left
-    step = step0
-    yl, fl = y0, f0
-    falling_left = True
-    for _ in range(200):
-        cand = yl - step
-        fc = obj(cand)
-        if fc > fl:
-            yl, fl = cand, fc
-            step *= 2.0
-        else:
-            falling_left = False
-            lo = cand
-            break
-        if abs(cand) > 1e9:
-            break
-    if falling_left:
-        lo = yl - step
-    _y, val = golden_max(obj, lo, hi, tol=tol)
-    best = max(val, fr, fl, f0)
-    return best
+        f0 = obj(y0)
+        # expand right
+        step = step0
+        yr, fr = y0, f0
+        rising = True
+        for _ in range(200):
+            cand = yr + step
+            fc = obj(cand)
+            if fc > fr:
+                yr, fr = cand, fc
+                step *= 2.0
+            else:
+                rising = False
+                hi = cand
+                break
+            if abs(cand) > 1e9:
+                break
+        if rising:
+            raise ConjugateDivergenceError(
+                f"conjugate supremum for {phi.label} diverges at p = {p!r}"
+            )
+        # expand left
+        step = step0
+        yl, fl = y0, f0
+        falling_left = True
+        for _ in range(200):
+            cand = yl - step
+            fc = obj(cand)
+            if fc > fl:
+                yl, fl = cand, fc
+                step *= 2.0
+            else:
+                falling_left = False
+                lo = cand
+                break
+            if abs(cand) > 1e9:
+                break
+        if falling_left:
+            lo = yl - step
+        _y, val = golden_max(obj, lo, hi, tol=tol)
+        best = max(val, fr, fl, f0)
+        return best
 
 
 def young_fenchel_or_inf(phi: PhiSpec, p: float, **kw) -> float:
@@ -405,7 +431,8 @@ def fenchel_moreau_check(phi: PhiSpec, ys, p_lo: float = 1e-6, p_hi: float = 409
     """
     worst = 0.0
     for y in np.asarray(ys, dtype=float):
-        hv = float(phi.h(np.array([y]))[0])
+        with np.errstate(over="ignore"):
+            hv = phi._h_at(float(y))
 
         def obj(t: float) -> float:
             p = math.exp(t)

@@ -527,21 +527,22 @@ def _gap_series(phi: PhiSpec, k_start: int, shift: int, max_terms: int = 500) ->
     total = 0.0
     prev = None
     k = k_start
-    for _ in range(max_terms):
-        hk = float(phi.h(np.array([float(k - shift)]))[0])
-        hk1 = float(phi.h(np.array([float(k + 1 - shift)]))[0])
-        if math.isfinite(hk) and math.isfinite(hk1):
-            gap = hk - hk1
-        else:
-            gap = -math.inf  # beyond float range the gaps dwarf anything summable
-        term = math.exp(gap) if gap > -745.0 else 0.0
-        total += term
-        if term == 0.0:
-            return total
-        if prev is not None and term <= 0.5 * prev and term <= 1e-12:
-            return total + term  # ratio <= 1/2 bounds the tail by the last term
-        prev = term
-        k += 1
+    with np.errstate(over="ignore"):
+        hk1 = phi._h_at(float(k - shift))
+        for _ in range(max_terms):
+            hk, hk1 = hk1, phi._h_at(float(k + 1 - shift))
+            if math.isfinite(hk) and math.isfinite(hk1):
+                gap = hk - hk1
+            else:
+                gap = -math.inf  # beyond float range the gaps dwarf anything summable
+            term = math.exp(gap) if gap > -745.0 else 0.0
+            total += term
+            if term == 0.0:
+                return total
+            if prev is not None and term <= 0.5 * prev and term <= 1e-12:
+                return total + term  # ratio <= 1/2 bounds the tail by the last term
+            prev = term
+            k += 1
     raise SummabilityError(
         f"gap series for {phi.label} did not certify convergence in {max_terms} terms"
     )

@@ -7,7 +7,10 @@ reduces to three primitives implemented here:
   bisection refinement and a parent-versus-children error estimate.  The log
   variant integrates ``exp(g)`` for a supplied ``g = log(integrand)`` and
   carries everything through log-sum-exp, which keeps steep exponential
-  integrands representable.
+  integrands representable.  The log-sum-exp is computed here, row by row,
+  with ``scipy.special.logsumexp``'s real-input operations in the same
+  order, so it returns the same bits without that function's per-call
+  overhead.
 * ``lp_quasinorm``: ``(integral of |f|^p dmu)^(1/p)`` for any p > 0, valid
   below p = 1 as a quasinorm.
 * ``LevelSampler`` / ``distribution``: the distribution function
@@ -24,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ConvergenceFailureError, DomainEvaluationError
 
@@ -125,6 +127,33 @@ def _check_finite(values: np.ndarray, xs: np.ndarray, allow_neg_inf: bool):
         )
 
 
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) for a 2-d float array, row by row.
+
+    The operations and their order are those of scipy.special.logsumexp on
+    real input: the row maximum is taken out, its m copies are counted and
+    set to -inf, the rest is summed shifted by the maximum, and
+    log1p(s / m) + log(m) + max is returned.  Rows whose result is not
+    finite (an infinite or NaN maximum, overflow) fall back to the direct
+    log(sum(exp(row))).
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max(axis=1, keepdims=True)
+        at_max = a == a_max
+        m = at_max.sum(axis=1, keepdims=True, dtype=float)
+        shifted = np.where(at_max, -np.inf, a)
+        np.subtract(shifted, a_max, out=shifted)
+        np.exp(shifted, out=shifted)
+        s = shifted.sum(axis=1, keepdims=True)
+        np.divide(s, m, out=s, where=s != 0)
+        out = (np.log1p(s) + np.log(m) + a_max)[:, 0]
+        finite = np.isfinite(out)
+        if not finite.all():
+            bad = ~finite
+            out[bad] = np.log(np.exp(a[bad]).sum(axis=1))
+    return out
+
+
 def _panel_nodes(lo, hi, nodes):
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
@@ -157,7 +186,7 @@ def _adaptive(f, lo, hi, cfg, log_mode, collect_panels=False):
             g = f(xs.ravel()).reshape(xs.shape)
             _check_finite(g, xs, allow_neg_inf=True)
             with np.errstate(divide="ignore"):
-                return logsumexp(g + logw[None, :], axis=1) + np.log(half)
+                return _logsumexp(g + logw[None, :]) + np.log(half)
 
     else:
 
@@ -353,7 +382,7 @@ class PowerNormEvaluator:
         p_arr = np.atleast_1d(np.asarray(p, dtype=float))
         with np.errstate(invalid="ignore"):
             a = p_arr[:, None] * self._g[None, :] + self._logw[None, :]
-        log_i = logsumexp(a, axis=1) + self._log_density
+        log_i = _logsumexp(a) + self._log_density
         out = log_i / p_arr
         if np.isscalar(p) or np.ndim(p) == 0:
             return float(out[0])

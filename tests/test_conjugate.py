@@ -1,6 +1,7 @@
 """Convex transform layer: h, Young-Fenchel conjugate, psi, admissibility."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -151,3 +152,57 @@ def test_cache_rejects_nonconvex(phi2):
 
     with pytest.raises(SummabilityError):
         ConjugateCache(custom_phi(wavy))
+
+
+def _power_2_5(z):
+    # a custom phi's callable receives an ndarray, never a bare float
+    assert isinstance(z, np.ndarray)
+    return z ** 2.5
+
+
+# young_fenchel_or_inf at p = 0.5, 1, 3.7, 64, 1000, 2e4 as the solve that
+# evaluated h on one-element arrays computed it; every bit must repeat
+PINNED_CONJUGATES = [
+    (
+        power_log(1.0),
+        [-0.8465735902799727, -1.0, 1.140831432705662, 202.168517335019, 5907.7552789821375, 178069.75105072255],
+    ),
+    (
+        power_log(2.0),
+        [-0.5965735902799727, -0.8465735902799727, -0.711906567683068, 78.90354888959125, 2607.304049211096, 82103.40371976182],
+    ),
+    (
+        power_log(3.0, r=1.0),
+        [0.23282630484402034, 0.6992427012413046, 4.225403022149592, 135.71288564855354, 3096.740695932409, 84297.8794290435],
+    ),
+    (
+        log_power(1.0),
+        [-0.4566921947964248, -0.4297656981966681, 2.876725368205384, 1024.0, 250000.0, 100000000.0],
+    ),
+    (
+        tabulated_phi([0.5, 1.0, 2.0, 4.0, 8.0], [0.05, 0.2, 0.9, 4.0, 20.0]),
+        [-0.2, -0.2, 1.6646445680715765, math.inf, math.inf, math.inf],
+    ),
+    (
+        custom_phi(_power_2_5),
+        [-0.5218875824868201, -0.766516292749662, -0.8997777100914846, 57.41036419802923, 1996.5858188431928, 63897.574565295785],
+    ),
+]
+PINNED_IDS = [phi.label for phi, _ in PINNED_CONJUGATES]
+
+
+@pytest.mark.parametrize("phi, expected", PINNED_CONJUGATES, ids=PINNED_IDS)
+def test_conjugate_bits_pinned(phi, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [young_fenchel_or_inf(phi, p) for p in (0.5, 1.0, 3.7, 64.0, 1000.0, 2e4)]
+    assert got == expected
+
+
+@pytest.mark.parametrize("phi", [phi for phi, _ in PINNED_CONJUGATES], ids=PINNED_IDS)
+def test_point_kernel_matches_h(phi):
+    # the float path behind the conjugate solve returns h's bits exactly
+    ys = np.concatenate([np.linspace(-60.0, 80.0, 2801), [-0.0, 30.0, np.nextafter(30.0, 31.0), 700.0, 1e9]])
+    with np.errstate(over="ignore"):
+        got = np.array([phi._h_at(float(y)) for y in ys])
+    assert np.array_equal(got, phi.h(ys))

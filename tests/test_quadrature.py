@@ -1,9 +1,11 @@
 """Quadrature layer: integration, log-mode accumulation, norms, level sets."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from orlimark.errors import ConvergenceFailureError, DomainEvaluationError
 from orlimark.functions import InversePowerRep, PolynomialRep, chebyshev_t
@@ -14,6 +16,7 @@ from orlimark.quadrature import (
     Domain,
     LevelSampler,
     QuadratureConfig,
+    _logsumexp,
     as_vectorized,
     distribution,
     integrate,
@@ -209,3 +212,23 @@ def test_config_budget_is_respected():
     a = integrate(f, INTERVAL, loose)
     b = integrate(f, INTERVAL, DEFAULT_CONFIG)
     assert a == pytest.approx(b, rel=1e-4)
+
+
+@pytest.mark.parametrize("shape", [(1, 16), (400, 16), (3, 5000)])
+def test_logsumexp_matches_scipy_bit_for_bit(shape):
+    # scipy's logsumexp is the reference: same bits on random rows, ties at
+    # the maximum and rows holding -inf only, +inf or NaN
+    rng = np.random.default_rng(sum(shape))
+    a = rng.uniform(-1e4, 1e4, shape)
+    ties = rng.uniform(-1.0, 1.0, shape)
+    ties[:, 1::3] = ties.max(axis=1, keepdims=True)
+    special = rng.uniform(-30.0, 30.0, (3, shape[1]))
+    special[0] = -np.inf
+    special[1, -1] = np.inf
+    special[2, 0] = np.nan
+    draws = [rng.uniform(-scale, scale, shape) for scale in (1.0, 30.0) for _ in range(4)]
+    for rows in (a, ties, special, *draws):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _logsumexp(rows)
+        assert np.array_equal(got, logsumexp(rows, axis=1), equal_nan=True)

@@ -1,0 +1,155 @@
+"""Print orlimark outputs to one file so two source trees can be compared bit for bit.
+
+Run it once per tree and compare the two files with ``cmp``:
+
+    PYTHONPATH=<tree>/src python3 tools/bit_identity.py out.txt [--quick]
+
+Every float is written with ``repr`` (17 significant digits), and an
+exception is written as its type and message, so any change in any output
+bit, or in which inputs fail, shows as a difference.  The last line counts
+the records of each group.  ``--quick`` drops the ``band`` items, the
+slowest group.  Covered:
+
+* ``band``: the value of every item of the benchmark's ``band`` workload
+  (``perfbench/workloads.py``) on seeds 1 and 11, in workload order;
+* on the members of ``build_corpus(7)``: ``v_quasinorm_info`` of the first
+  derivative (r = 1) and ``sup_ratio_from(p_lo=4)`` for three phi, and
+  ``weighted_lorentz_g`` with power_log(2) at b = 2 and b = inf;
+* ``fenchel_moreau_check``, ``phi_membership_check`` and
+  ``equivalence_constants`` for the three phi;
+* ``young_fenchel_or_inf`` over 400 exponents for six phi families;
+* the CLI's ``.json`` (minus ``timestamp``) and ``.csv`` for ``norm`` (all
+  five kinds), ``markov-sweep``, ``equivalence`` and ``transform``.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from orlimark import (  # noqa: E402
+    NormContext,
+    build_corpus,
+    custom_phi,
+    equivalence_constants,
+    fenchel_moreau_check,
+    log_power,
+    phi_membership_check,
+    power_log,
+    tabulated_phi,
+    weighted_lorentz_g,
+)
+from orlimark.conjugate import young_fenchel_or_inf  # noqa: E402
+from orlimark.functions import derivative  # noqa: E402
+from orlimark.norms import sup_ratio_from, v_quasinorm_info  # noqa: E402
+
+PHIS = [power_log(1.0), power_log(2.0), log_power(1.0)]
+CLI_RUNS = {
+    "norm-lp": ("norm", "[norm]\nkind = lp\np = 3\n"),
+    "norm-orlicz": ("norm", "[norm]\nkind = orlicz\n"),
+    "norm-gnorm": ("norm", "[norm]\nkind = gnorm\n"),
+    "norm-vnorm": ("norm", "[norm]\nkind = vnorm\n"),
+    "norm-lorentz": ("norm", "[norm]\nkind = lorentz\np = 2\nb = 3\n"),
+    "markov-sweep": ("markov-sweep", "[sweep]\nfamily = chebyshev\nn_lo = 2\nn_hi = 6\n"),
+    "equivalence": ("equivalence", ""),
+    "transform": ("transform", ""),
+}
+FUNCTION = "[function]\ntext = poly:0.3,-1.2,0.5,0.9,-0.4\n"
+
+
+def attempt(fn):
+    try:
+        return repr(fn())
+    except Exception as exc:  # a failure is an output too
+        return f"{type(exc).__name__}: {exc}"
+
+
+def band_records():
+    from workloads import Band
+
+    for seed in (1, 11):
+        band = Band(seed)
+        for item in band.items():
+            yield "band", f"{seed} {item.label}", attempt(lambda: Band.value(item.call()))
+
+
+def corpus_records():
+    corpus = build_corpus(7)
+    ctx = NormContext()
+    for label, f in corpus:
+        for phi in PHIS:
+            cache4 = ctx.conjugates(phi, p_lo=4.0)
+            yield "v_quasinorm_info", f"{label} {phi.label}", attempt(
+                lambda: v_quasinorm_info(derivative(f, 1), phi, 1.0, cache=cache4)
+            )
+            yield "sup_ratio_from", f"{label} {phi.label}", attempt(
+                lambda: sup_ratio_from(f, phi, 4.0, cache=ctx.conjugates(phi))
+            )
+        phi2 = PHIS[1]
+        for b in (2.0, float("inf")):
+            yield "weighted_lorentz_g", f"{label} b={b}", attempt(
+                lambda: weighted_lorentz_g(f, phi2, b, cache=ctx.conjugates(phi2))
+            )
+
+
+def conjugate_records():
+    ys = np.linspace(-2.0, 3.0, 21)
+    for phi in PHIS:
+        yield "fenchel_moreau_check", phi.label, attempt(lambda: fenchel_moreau_check(phi, ys))
+        yield "phi_membership_check", phi.label, attempt(lambda: phi_membership_check(phi))
+        yield "equivalence_constants", phi.label, attempt(lambda: equivalence_constants(NormContext().orlicz(phi)))
+    families = PHIS + [
+        power_log(3.0, r=1.0),
+        tabulated_phi([0.5, 1.0, 2.0, 4.0, 8.0], [0.05, 0.2, 0.9, 4.0, 20.0]),
+        custom_phi(lambda z: np.asarray(z) ** 2.5),
+    ]
+    ps = np.concatenate([np.geomspace(0.5, 2e4, 394), [0.5, 1.0, 3.7, 64.0, 1000.0, 2e4]])
+    for phi in families:
+        for p in ps:
+            yield "young_fenchel_or_inf", f"{phi.label} {p!r}", attempt(lambda: young_fenchel_or_inf(phi, float(p)))
+
+
+def cli_records():
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (command, body) in CLI_RUNS.items():
+            cfg = Path(tmp) / f"{name}.cfg"
+            cfg.write_text((FUNCTION if command == "norm" else "") + body)
+            base = Path(tmp) / name
+            argv = [command, "--config", str(cfg), "--seed", "7", "--out", str(base), "--format", "both"]
+            code = "import sys; from orlimark.cli import main; sys.exit(main(sys.argv[1:]))"
+            proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+            yield "cli", f"{name} exit", f"{proc.returncode} {proc.stdout!r} {proc.stderr!r}".replace(tmp, "<tmp>")
+            if proc.returncode not in (0, 2):
+                continue
+            envelope = json.loads(base.with_suffix(".json").read_text())
+            envelope.pop("timestamp", None)
+            yield "cli", f"{name} json", json.dumps(envelope, sort_keys=True).replace(tmp, "<tmp>")
+            yield "cli", f"{name} csv", repr(base.with_suffix(".csv").read_text()).replace(tmp, "<tmp>")
+
+
+def main(argv):
+    out_path = argv[0]
+    groups = [conjugate_records, corpus_records, cli_records]
+    if "--quick" not in argv:
+        groups.insert(0, band_records)
+    counts = Counter()
+    with open(out_path, "w", encoding="utf-8") as fh:
+        for group in groups:
+            for kind, key, value in group():
+                counts[kind] += 1
+                fh.write(f"{kind} | {key} | {value}\n")
+        fh.write(f"counts {json.dumps(dict(counts), sort_keys=True)}\n")
+    print(dict(counts))
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
