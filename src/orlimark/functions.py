@@ -9,9 +9,6 @@ trips exactly ("repr" floats).
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
 import numpy as np
 
 from .errors import (
@@ -45,10 +42,13 @@ class PolynomialRep:
     """Algebraic polynomial in monomial coefficients, low degree first.
 
     Large cancelling monomial coefficients (orthogonal families, Chebyshev
-    products) make Horner evaluation lose digits in proportion to the
-    coefficient magnitude.  Constructors that know an accurate Chebyshev
-    expansion pass it as ``cheb``; evaluation then runs through Clenshaw,
-    which is backward stable on the interval.
+    polynomials) make Horner evaluation lose digits in proportion to the
+    coefficient magnitude.  Constructors that build an accurate Chebyshev
+    expansion (``jacobi22``, ``chebyshev_t``) pass it as ``cheb`` and derive
+    the monomial ``coeffs`` from it with ``cheb2poly``; evaluation then runs
+    through Clenshaw (``chebval``), which is backward stable on the
+    interval.  Monomial input without ``cheb`` evaluates by Horner
+    (``polyval``) at every degree.
     """
 
     kind = "polynomial"
@@ -76,23 +76,7 @@ class PolynomialRep:
             return np.zeros(xs.shape)
         if self._cheb is not None:
             return np.polynomial.chebyshev.chebval(xs, self._cheb)
-        if self.degree > 60:
-            return self._eval_mixed(xs)
         return _poly.polyval(xs, np.asarray(self.coeffs))
-
-    def _eval_mixed(self, xs):
-        # Monomial Horner loses digits near the interval ends at high degree;
-        # switch to a Chebyshev-basis Clenshaw evaluation for |x| > 0.8.  The
-        # float-converted expansion inherits whatever cancellation the
-        # monomial coefficients carry, so this is best effort only.
-        cheb = np.polynomial.chebyshev.poly2cheb(np.asarray(self.coeffs))
-        out = np.empty(xs.shape)
-        near = np.abs(xs) > 0.8
-        if near.any():
-            out[near] = np.polynomial.chebyshev.chebval(xs[near], cheb)
-        if (~near).any():
-            out[~near] = _poly.polyval(xs[~near], np.asarray(self.coeffs))
-        return out
 
     def derivative(self, order: int = 1) -> "PolynomialRep":
         if order < 0:
@@ -160,6 +144,8 @@ class TrigPolynomialRep:
         return out
 
     def derivative(self, order: int = 1) -> "TrigPolynomialRep":
+        if order < 0:
+            raise ValueError("derivative order must be nonnegative")
         a = list(self.cos_coeffs)
         b = list(self.sin_coeffs)
         for _ in range(order):
@@ -216,6 +202,8 @@ class RationalRep:
         return self.num(xs) / dv
 
     def derivative(self, order: int = 1) -> "RationalRep":
+        if order < 0:
+            raise ValueError("derivative order must be nonnegative")
         num = np.asarray(self.num.coeffs) if self.num.coeffs else np.zeros(1)
         den = np.asarray(self.den.coeffs)
         for _ in range(order):
@@ -355,88 +343,33 @@ def derivative(rep, order: int = 1):
     return rep.derivative(order)
 
 
-def _jacobi22_exact(n: int) -> list[Fraction]:
-    # n-th derivative of (1 - x^2)^(n+2), then exact division by (1 - x^2)^2.
-    top = [Fraction(0)] * (2 * (n + 2) + 1)
-    for k in range(n + 2 + 1):
-        top[2 * k] = Fraction((-1) ** k * math.comb(n + 2, k))
-    deriv = [Fraction(0)] * (len(top) - n)
-    for j in range(len(top)):
-        if j >= n and top[j] != 0:
-            fall = Fraction(1)
-            for t in range(n):
-                fall *= j - t
-            deriv[j - n] = top[j] * fall
-    # divide by (x^2 - 1)^2 = x^4 - 2x^2 + 1; monic so the quotient is exact
-    divisor = [Fraction(1), Fraction(0), Fraction(-2), Fraction(0), Fraction(1)]
-    rem = list(deriv)
-    q = [Fraction(0)] * (len(rem) - 4)
-    for i in range(len(rem) - 1, 3, -1):
-        c = rem[i]
-        q[i - 4] = c
-        if c != 0:
-            for j, d in enumerate(divisor):
-                rem[i - 4 + j] -= c * d
-    if any(r != 0 for r in rem[:4]):
-        raise ArithmeticError("exact division failed; construction is inconsistent")
-    scale = Fraction((-1) ** n, 2**n * math.factorial(n))
-    return [c * scale for c in q]
-
-
-def _cheb_from_monomial(fracs: list[Fraction]) -> list[Fraction]:
-    # Exact change of basis: triangular back-substitution against the integer
-    # monomial expansions of T_k.  Keeps the conversion free of the
-    # cancellation that a float poly2cheb on large coefficients would inherit.
-    n = len(fracs) - 1
-    table: list[list[Fraction]] = [[Fraction(1)]]
-    if n >= 1:
-        table.append([Fraction(0), Fraction(1)])
-    for k in range(2, n + 1):
-        row = [Fraction(0)] * (k + 1)
-        for j, c in enumerate(table[k - 1]):
-            row[j + 1] += 2 * c
-        for j, c in enumerate(table[k - 2]):
-            row[j] -= c
-        table.append(row)
-    work = list(fracs)
-    out = [Fraction(0)] * (n + 1)
-    for k in range(n, -1, -1):
-        c = work[k] / table[k][k]
-        out[k] = c
-        if c != 0:
-            for j, t in enumerate(table[k]):
-                work[j] -= c * t
-    return out
-
-
 def _jacobi22_next(pm1: np.ndarray, pm2: np.ndarray, n: int) -> np.ndarray:
-    # three-term recurrence for weight (1-x^2)^2, i.e. both exponents equal 2
+    # three-term recurrence for weight (1-x^2)^2, i.e. both exponents equal 2,
+    # on Chebyshev coefficients: x T_k = (T_{k+1} + T_{k-1}) / 2
     a = 2.0 * n * (n + 4) * (2 * n + 2)
     b = (2 * n + 3) * (2 * n + 4) * (2 * n + 2)
     c = 2.0 * (n + 1) * (n + 1) * (2 * n + 4)
-    out = np.zeros(n + 1)
-    out[1:] += b * pm1
+    out = b * np.polynomial.chebyshev.chebmulx(pm1)
     out[: len(pm2)] -= c * pm2
     return out / a
 
 
 def jacobi22(n: int) -> PolynomialRep:
-    """Ultraspherical polynomial with both weight exponents 2, degree n.
+    """Ultraspherical polynomial with both weight exponents 2, degree n <= 200.
 
-    Exact rational arithmetic up to degree 40; floating-point recurrence
-    beyond that, capped at 200.
+    One three-term recurrence run on Chebyshev coefficients for every
+    degree; it is backward stable on the interval, so evaluation (Clenshaw)
+    stays at roundoff level.  The monomial ``coeffs`` are derived from the
+    Chebyshev expansion by ``cheb2poly``.
     """
+    if int(n) != n:
+        raise ValueError(f"degree must be an integer: {n!r}")
     if not (0 <= n <= 200):
         raise ValueError(f"degree out of range [0, 200]: {n!r}")
-    if n <= 40:
-        exact = _jacobi22_exact(n)
-        cheb = [float(c) for c in _cheb_from_monomial(exact)]
-        return PolynomialRep([float(c) for c in exact], cheb=cheb)
-    pm2 = np.array([1.0])
-    pm1 = np.array([0.0, 3.0])
-    for k in range(2, n + 1):
+    pm2, pm1 = np.zeros(0), np.array([1.0])
+    for k in range(1, int(n) + 1):
         pm2, pm1 = pm1, _jacobi22_next(pm1, pm2, k)
-    return PolynomialRep(pm1)
+    return PolynomialRep(np.polynomial.chebyshev.cheb2poly(pm1), cheb=pm1)
 
 
 def chebyshev_t(n: int) -> PolynomialRep:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .conjugate import golden_max
 from .errors import ConvergenceFailureError, DomainEvaluationError
 
 _TWO_PI = 2.0 * math.pi
@@ -426,25 +427,13 @@ def sup_norm(f, domain: Domain, samples: int = 2**14) -> float:
     cand = np.flatnonzero(interior) + 1
     order = np.argsort(vals[cand])[::-1]
     cand = cand[order[:8]]
-    phi_ratio = (math.sqrt(5.0) - 1.0) / 2.0
+
+    def abs_at(x):
+        return abs(float(fv(np.array([x]))[0]))
+
     for i in cand:
-        a, b = xs[i - 1], xs[i + 1]
-        x1 = b - phi_ratio * (b - a)
-        x2 = a + phi_ratio * (b - a)
-        f1 = abs(float(fv(np.array([x1]))[0]))
-        f2 = abs(float(fv(np.array([x2]))[0]))
-        for _ in range(60):
-            if f1 < f2:
-                a = x1
-                x1, f1 = x2, f2
-                x2 = a + phi_ratio * (b - a)
-                f2 = abs(float(fv(np.array([x2]))[0]))
-            else:
-                b = x2
-                x2, f2 = x1, f1
-                x1 = b - phi_ratio * (b - a)
-                f1 = abs(float(fv(np.array([x1]))[0]))
-        best = max(best, f1, f2)
+        _x, value = golden_max(abs_at, xs[i - 1], xs[i + 1], tol=0.0, iters=60)
+        best = max(best, value)
     return best
 
 

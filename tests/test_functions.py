@@ -13,7 +13,6 @@ from orlimark.functions import (
     PolynomialRep,
     RationalRep,
     TrigPolynomialRep,
-    _jacobi22_exact,
     chebyshev_t,
     check_no_poles,
     derivative,
@@ -23,6 +22,34 @@ from orlimark.functions import (
     to_text,
 )
 from orlimark.quadrature import Domain, integrate
+
+
+def _jacobi22_exact(n: int) -> list[Fraction]:
+    """Reference P_n^(2,2) in exact monomial coefficients (Rodrigues formula).
+
+    The n-th derivative of (1 - x^2)^(n+2), divided exactly by (1 - x^2)^2
+    and scaled by (-1)^n / (2^n n!).
+    """
+    top = [Fraction(0)] * (2 * (n + 2) + 1)
+    for k in range(n + 2 + 1):
+        top[2 * k] = Fraction((-1) ** k * math.comb(n + 2, k))
+    deriv = [Fraction(0)] * (len(top) - n)
+    for j in range(n, len(top)):
+        if top[j] != 0:
+            deriv[j - n] = top[j] * math.perm(j, n)
+    # divide by (x^2 - 1)^2 = x^4 - 2x^2 + 1; monic so the quotient is exact
+    divisor = [Fraction(1), Fraction(0), Fraction(-2), Fraction(0), Fraction(1)]
+    rem = list(deriv)
+    q = [Fraction(0)] * (len(rem) - 4)
+    for i in range(len(rem) - 1, 3, -1):
+        c = rem[i]
+        q[i - 4] = c
+        if c != 0:
+            for j, d in enumerate(divisor):
+                rem[i - 4 + j] -= c * d
+    assert not any(rem[:4]), "exact division failed"
+    scale = Fraction((-1) ** n, 2**n * math.factorial(n))
+    return [c * scale for c in q]
 
 
 class TestPolynomial:
@@ -56,7 +83,7 @@ class TestPolynomial:
 class TestJacobi:
     def test_value_at_one_is_binomial(self):
         # P_n^{(2,2)}(1) = C(n+2, 2)
-        for n in (1, 3, 7, 15, 40):
+        for n in (1, 3, 7, 15, 40, 80, 200):
             expect = (n + 1) * (n + 2) / 2
             assert float(jacobi22(n)(1.0)) == pytest.approx(expect, rel=1e-12)
 
@@ -77,17 +104,27 @@ class TestJacobi:
             assert abs(val) < 1e-10
 
     def test_recurrence_agrees_with_exact(self):
-        # degree 41 takes the float-recurrence path; its coefficients must
-        # match the exact Rodrigues construction to near machine precision
+        # the monomial coefficients derived from the Chebyshev recurrence
+        # must match the exact Rodrigues construction to near machine precision
         p41 = jacobi22(41)
         exact = [float(c) for c in _jacobi22_exact(41)]
         assert np.allclose(p41.coeffs, exact, rtol=1e-10, atol=0.0)
 
+    def test_high_degree_matches_mpmath(self):
+        # 50-digit reference values of P_n^(2,2) on 41 points
+        import mpmath
+
+        xs = np.linspace(-1.0, 1.0, 41)
+        with mpmath.workdps(50):
+            for n in (80, 150, 200):
+                want = np.array([float(mpmath.jacobi(n, 2, 2, mpmath.mpf(float(x)))) for x in xs])
+                err = np.max(np.abs(jacobi22(n)(xs) - want)) / np.max(np.abs(want))
+                assert err <= 1e-12, (n, err)
+
     def test_degree_bounds(self):
-        with pytest.raises(ValueError):
-            jacobi22(-1)
-        with pytest.raises(ValueError):
-            jacobi22(201)
+        for bad in (-1, 201, 3.5):
+            with pytest.raises(ValueError):
+                jacobi22(bad)
 
 
 def test_chebyshev_matches_cosine():
@@ -202,6 +239,16 @@ class TestGap:
     def test_exponent_below_one_rejected(self):
         with pytest.raises(ValueError):
             GapRep([(0.0, 1.0, 0.5)])
+
+
+def test_negative_derivative_order_rejected():
+    trig = TrigPolynomialRep([0.5, 1.0], [2.0])
+    rat = RationalRep(PolynomialRep([1.0, 2.0]), PolynomialRep([3.0, 0.0, 1.0]))
+    for rep, order in ((trig, -1), (rat, -2), (PolynomialRep([1.0, 2.0]), -1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            rep.derivative(order)
+        with pytest.raises(ValueError, match="nonnegative"):
+            derivative(rep, order)
 
 
 def test_polynomial_derivative_total_degree_drop():

@@ -90,6 +90,16 @@ class TestMarkovRatio:
         with pytest.raises(DegenerateInputError):
             markov_ratio(PolynomialRep([0.0]), lp_spec(2.0), ctx=ctx)
 
+    def test_l4_jacobi_high_degree(self, ctx):
+        # the L4 Markov ratio of P_n^(2,2) grows with n and stays below the
+        # sharp bound k(4) n^2; a degree-80 value below the degree-40 one
+        # means the polynomial itself is wrong
+        spec = lp_spec(4.0)
+        at_40 = markov_ratio(jacobi22(40), spec, ctx=ctx)
+        for n in (80, 200):
+            got = markov_ratio(jacobi22(n), spec, ctx=ctx)
+            assert at_40 < got < k_constant(4.0) * n**2, (n, got)
+
 
 class TestMarkovSweep:
     def test_l4_jacobi_small(self, phi2, ctx):
