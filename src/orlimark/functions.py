@@ -5,9 +5,15 @@ trigonometric polynomials on the circle, pole-free rational functions, and
 products of absolute powers |x - z_j|^(r_j) with complex nodes.  All evaluate
 vectorized over numpy arrays and serialize to a plain text form that round
 trips exactly ("repr" floats).
+
+Each of them (and ``GapDerivative``) reports its ``break_points``: the domain
+ends and the real zeros of f and f', found as polynomial roots, between which
+|f| is monotone.  The distribution function and the sup norm use these.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -36,6 +42,47 @@ def _check_coeffs(coeffs):
     if arr.size and np.max(np.abs(arr)) > 1e300:
         raise CoefficientOverflowError("coefficient magnitude exceeds 1e300")
     return arr
+
+
+# A root within this distance of the real axis (of the unit circle, for
+# trigonometric polynomials) counts as a real zero: an extra break point only
+# splits a monotone piece, while a missed one leaves a piece not monotone.
+_ROOT_SLACK = 1e-4
+
+
+def _top(c: np.ndarray) -> int:
+    """Index of the last entry above rounding of the largest, or 0.  Terms past
+    it move f by less than its evaluation error on the domain, yet a tiny
+    leading coefficient would ruin the companion matrix and its roots."""
+    keep = np.flatnonzero(np.abs(c) > np.finfo(float).eps * np.max(np.abs(c), initial=0.0))
+    return int(keep[-1]) if keep.size else 0
+
+
+def _real_zeros(series) -> np.ndarray:
+    """Real zeros of a numpy Polynomial or Chebyshev series, from the
+    colleague matrix of its Chebyshev form."""
+    c = series.coef
+    if isinstance(series, np.polynomial.Polynomial):
+        c = np.polynomial.chebyshev.poly2cheb(c)
+    roots = np.polynomial.chebyshev.chebroots(c[: _top(c) + 1]) if _top(c) else np.zeros(0)
+    return roots.real[np.abs(roots.imag) <= _ROOT_SLACK]
+
+
+def _circle_zeros(t) -> np.ndarray:
+    """Angles of the real zeros of a trigonometric polynomial t: with
+    z = e^(ix), the roots on the unit circle of the polynomial z^n t."""
+    a = np.asarray(t.cos_coeffs)
+    b = np.concatenate([[0.0], t.sin_coeffs])
+    n = _top(np.maximum(np.abs(a), np.abs(b)))
+    half = (a[1 : n + 1] - 1j * b[1 : n + 1]) / 2.0
+    z = _poly.polyroots(np.concatenate([np.conj(half)[::-1], a[:1], half])) if n else np.zeros(0)
+    return np.angle(z[np.abs(np.abs(z) - 1.0) <= _ROOT_SLACK])
+
+
+def _breaks(domain: Domain, *zeros) -> np.ndarray:
+    """The domain ends and the given points inside, sorted and distinct."""
+    inner = np.concatenate([np.zeros(0), *zeros])
+    return np.unique(np.concatenate([[domain.lo, domain.hi], inner[(inner > domain.lo) & (inner < domain.hi)]]))
 
 
 class PolynomialRep:
@@ -88,6 +135,12 @@ class PolynomialRep:
             if cheb is not None:
                 cheb = np.polynomial.chebyshev.chebder(cheb) if cheb.size > 1 else np.zeros(1)
         return PolynomialRep(_check_coeffs(c), cheb=cheb)
+
+    def break_points(self, domain: Domain) -> np.ndarray:
+        """Domain ends and the real zeros of f and f' inside; |f| is monotone between."""
+        cheb = self._cheb if self._cheb is not None else np.polynomial.chebyshev.poly2cheb(self.coeffs or (0.0,))
+        g = np.polynomial.Chebyshev(cheb)
+        return _breaks(domain, _real_zeros(g), _real_zeros(g.deriv()))
 
     def __eq__(self, other):
         return isinstance(other, PolynomialRep) and self.coeffs == other.coeffs
@@ -155,6 +208,11 @@ class TrigPolynomialRep:
             a, b = new_a, new_b
         return TrigPolynomialRep(a, b)
 
+    def break_points(self, domain: Domain) -> np.ndarray:
+        """Domain ends and the real zeros of f and f' inside; |f| is monotone between."""
+        angles = np.concatenate([_circle_zeros(self), _circle_zeros(self.derivative())])
+        return _breaks(domain, domain.lo + np.mod(angles - domain.lo, 2.0 * np.pi))
+
     def __eq__(self, other):
         return (
             isinstance(other, TrigPolynomialRep)
@@ -215,6 +273,11 @@ class RationalRep:
             _check_coeffs(den)
         return RationalRep(PolynomialRep(num), PolynomialRep(den))
 
+    def break_points(self, domain: Domain) -> np.ndarray:
+        """Domain ends and the real zeros of p and of p'q - pq' inside, for f = p/q."""
+        p, q = np.polynomial.Polynomial(self.num.coeffs or (0.0,)), np.polynomial.Polynomial(self.den.coeffs)
+        return _breaks(domain, _real_zeros(p), _real_zeros(p.deriv() * q - p * q.deriv()))
+
     def __eq__(self, other):
         return (
             isinstance(other, RationalRep)
@@ -224,6 +287,16 @@ class RationalRep:
 
     def __repr__(self):
         return f"RationalRep({self.num!r}, {self.den!r})"
+
+
+def _log_derivative(factors):
+    """Polynomials N and D with sum_j r_j (x - a_j) / |x - z_j|^2 = N / D."""
+    quads = [np.polynomial.Polynomial([a * a + b * b, -2.0 * a, 1.0]) for a, b, _r in factors]
+    num = sum(
+        r * np.polynomial.Polynomial([-a, 1.0]) * math.prod(quads[:j] + quads[j + 1 :])
+        for j, (a, _b, r) in enumerate(factors)
+    )
+    return num, math.prod(quads)
 
 
 class GapRep:
@@ -262,6 +335,11 @@ class GapRep:
     def __call__(self, x):
         return np.exp(self.log_abs(x))
 
+    def break_points(self, domain: Domain) -> np.ndarray:
+        """Domain ends, real nodes and the real zeros of the log-derivative inside."""
+        nodes = [a for a, b, _r in self.factors if b == 0.0]
+        return _breaks(domain, nodes, _real_zeros(_log_derivative(self.factors)[0]))
+
     def __eq__(self, other):
         return isinstance(other, GapRep) and self.factors == other.factors
 
@@ -273,9 +351,10 @@ class InversePowerRep:
     """(1 - x)^(-q) on [-1, 1]: the model integrable singularity.
 
     Unbounded at the right endpoint, so only quadrature that keeps its nodes
-    interior (Gauss rules) may touch it; sup-based routines must cap it
-    first.  ||f||_beta is finite exactly when q * beta < 1; enforcing that is
-    the caller's job since it depends on the exponent in play.
+    interior (Gauss rules) may integrate it, and ``sup_norm`` rejects it;
+    its distribution function is finite at every level.  ||f||_beta is
+    finite exactly when q * beta < 1; enforcing that is the caller's job
+    since it depends on the exponent in play.
     """
 
     kind = "inverse-power"
@@ -297,6 +376,10 @@ class InversePowerRep:
 
     def __call__(self, x):
         return np.exp(self.log_abs(x))
+
+    def break_points(self, domain: Domain) -> np.ndarray:
+        """The domain ends: f increases on the whole interval."""
+        return _breaks(domain)
 
     def __eq__(self, other):
         return isinstance(other, InversePowerRep) and self.q == other.q
@@ -329,9 +412,24 @@ class GapDerivative:
     def __call__(self, x):
         xs = np.asarray(x, dtype=float)
         s = np.zeros(xs.shape)
-        for a, b, r in self.rep.factors:
-            s = s + r * (xs - a) / ((xs - a) ** 2 + b * b)
-        return self.rep(xs) * s
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for a, b, r in self.rep.factors:
+                s = s + r * (xs - a) / ((xs - a) ** 2 + b * b)
+        q = self.rep(xs)
+        # Q vanishes only at a real node, where its exponent r > 1 takes Q'
+        # to 0 while the node's term of the sum is 0/0
+        return np.where(q == 0.0, 0.0, q * s)
+
+    def break_points(self, domain: Domain) -> np.ndarray:
+        """Domain ends, real nodes, and the real zeros of S and S^2 + S' inside.
+
+        With S = N / D the log-derivative of Q, f = Q S and f' = Q (S^2 + S'),
+        and S^2 + S' = (N^2 + N'D - N D') / D^2.
+        """
+        num, den = _log_derivative(self.rep.factors)
+        crit = num * num + num.deriv() * den - num * den.deriv()
+        nodes = [a for a, b, _r in self.rep.factors if b == 0.0]
+        return _breaks(domain, nodes, _real_zeros(num), _real_zeros(crit))
 
 
 def derivative(rep, order: int = 1):
@@ -391,35 +489,20 @@ class PoleCheck:
         return self.pole_free
 
 
-def check_no_poles(rat: RationalRep, grid: int = 4096) -> PoleCheck:
+def check_no_poles(rat: RationalRep) -> PoleCheck:
     """Certify that the denominator stays away from zero on [-1, 1].
 
-    Subdivision with a global derivative bound: on a cell of width h the
-    denominator cannot drop more than L*h/2 below its midpoint sample, where
-    L = sum k |d_k| bounds |den'| on the interval.  Threshold combines the
+    |den| is monotone between its break points, so its minimum over the
+    interval is its least value at one of them.  The threshold combines the
     coefficient-scaled floor with an absolute floor of 1e-7.
     """
     den = rat.den
-    coeffs = np.asarray(den.coeffs)
-    max_coeff = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
-    threshold = max(1e-9 * (1.0 + max_coeff), 1e-7)
-    lipschitz = float(sum(k * abs(c) for k, c in enumerate(den.coeffs)))
-    n = grid
-    for _round in range(24):
-        xs = np.linspace(-1.0, 1.0, n + 1)
-        vals = np.abs(den(xs))
-        h = 2.0 / n
-        lower = vals - 0.5 * lipschitz * h
-        i = int(np.argmin(vals))
-        if float(vals[i]) <= threshold:
-            return PoleCheck(False, float(vals[i]), float(xs[i]))
-        if float(np.min(lower)) > threshold:
-            return PoleCheck(True, float(np.min(lower)), None)
-        n *= 2
-        if n > 2**22:
-            break
+    threshold = max(1e-9 * (1.0 + float(np.max(np.abs(den.coeffs)))), 1e-7)
+    xs = den.break_points(Domain.interval())
+    vals = np.abs(den(xs))
     i = int(np.argmin(vals))
-    return PoleCheck(False, float(vals[i]), float(xs[i]))
+    ok = bool(vals[i] > threshold)
+    return PoleCheck(ok, float(vals[i]), None if ok else float(xs[i]))
 
 
 def random_family(kind: str, n: int, seed: int):

@@ -373,23 +373,6 @@ def gap_check(base: GapRep, p: float, n_range, cfg: QuadratureConfig = DEFAULT_C
 # tail characterization
 
 
-class _CappedAbs:
-    """|f| clipped at a finite cap so dense samplers accept unbounded f.
-
-    Superlevel measures below the cap are unchanged, which is all the tail
-    analysis reads.
-    """
-
-    def __init__(self, f, cap: float):
-        self._f = f
-        self.cap = float(cap)
-        self.natural_domain = f.natural_domain
-
-    def __call__(self, x):
-        with np.errstate(over="ignore"):
-            return np.minimum(np.abs(self._f(x)), self.cap)
-
-
 @dataclass
 class TailReport:
     u_grid: np.ndarray
@@ -428,10 +411,8 @@ def tail_check(
     v = v_quasinorm(f, phi, float(r), dom, cfg, cache=context.conjugates(phi, p_lo=4.0))
     if v == 0.0:
         raise DegenerateInputError("function is zero; tail analysis is undefined")
-    cap = 8.0 * u_max * v
-    sampler = LevelSampler(_CappedAbs(f, cap), dom)
     us = np.geomspace(3.0, u_max, points)
-    t = sampler.measure_above_batch(us * v)
+    t = LevelSampler(f, dom).measure_above_batch(us * v)
     model = us ** (-1.0 / r) * np.log(us) ** (1.0 / (m * r))
     ratios = t / model
     prefactor = float(np.max(ratios))

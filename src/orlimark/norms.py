@@ -17,7 +17,10 @@ Three norm families ride on top:
   divergent.  The winning grid point is polished by golden section and
   re-validated with the exact norm and an exact weight.
 * ``lorentz_norm``: distribution-function based two-parameter norms,
-  including the sup form at the second index equal to infinity.
+  including the sup form at the second index equal to infinity.  Both work
+  on the intervals between consecutive critical values of |f|, where T is
+  smooth: the layer-cake integral starts with panels inside each, and the
+  sup form is maximized on each.
 
 ``evaluate_norm_info`` is the one dispatch from a ``NormSpec`` to these
 norms, for the harness and the command line alike.
@@ -26,7 +29,7 @@ norms, for the harness and the command line alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -35,6 +38,7 @@ from .conjugate import ConjugateCache, PhiSpec, psi_log as _psi_log_exact, young
 from .errors import (
     ConstructionError,
     ConvergenceFailureError,
+    DomainEvaluationError,
     LuxemburgBracketError,
     ScanDivergenceError,
     SummabilityError,
@@ -45,6 +49,7 @@ from .quadrature import (
     LevelSampler,
     PowerNormEvaluator,
     QuadratureConfig,
+    _logsumexp,
     composite_nodes,
     integrate_log,
     integrate_unnormalized,
@@ -222,6 +227,25 @@ class ScanResult:
     extensions: int
 
 
+def _golden_max(fn, lo, hi, tol: float):
+    """Golden-section search for a maximum of fn on each bracket [lo, hi].
+
+    fn maps an array of abscissae to values; the brackets shrink together
+    until every one is narrower than tol.  Returns the final probes and
+    their values, (x1, f1, x2, f2).
+    """
+    x1 = hi - _GOLDEN * (hi - lo)
+    x2 = lo + _GOLDEN * (hi - lo)
+    f1, f2 = fn(x1), fn(x2)
+    while np.max(hi - lo) >= tol:
+        left = ~(f1 < f2)  # the maximum lies in [lo, x2]
+        hi, lo = np.where(left, x2, hi), np.where(left, lo, x1)
+        x1, x2 = np.where(left, hi - _GOLDEN * (hi - lo), x2), np.where(left, x1, lo + _GOLDEN * (hi - lo))
+        f_new = fn(np.where(left, x1, x2))
+        f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
+    return x1, f1, x2, f2
+
+
 def _sup_over_p(make_log_norm, exact_norm, phi: PhiSpec, cache: ConjugateCache, p_lo: float) -> ScanResult:
     """sup over grid p >= p_lo of exp(log_norm(p) - psi_log(p)), certified.
 
@@ -255,25 +279,11 @@ def _sup_over_p(make_log_norm, exact_norm, phi: PhiSpec, cache: ConjugateCache, 
 
     a = math.log(grid[max(k - 1, 0)])
     b = math.log(grid[min(k + 1, len(grid) - 1)])
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1 = ratio(x1)
-    f2 = ratio(x2)
-    for _ in range(70):
-        if b - a < 1e-11:
-            break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = ratio(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = ratio(x1)
+    x1, f1, x2, f2 = _golden_max(lambda xs: np.array([ratio(x) for x in xs]), np.array([a]), np.array([b]), 1e-11)
     best_log, p_star = float(vals[k]), float(grid[k])
-    for cand_log, cand_x in ((f1, x1), (f2, x2)):
+    for cand_log, cand_x in ((f1[0], x1[0]), (f2[0], x2[0])):
         if cand_log > best_log:
-            best_log, p_star = cand_log, math.exp(cand_x)
+            best_log, p_star = float(cand_log), math.exp(cand_x)
     value = exact_norm(p_star) * math.exp(-_psi_log_exact(phi, p_star))
     fast = math.exp(best_log)
     ok = abs(value - fast) <= 1e-6 * max(value, fast, 1e-300)
@@ -290,7 +300,7 @@ def _g_scan(f, phi: PhiSpec, domain: Domain | None, cfg: QuadratureConfig, cache
 
     # f identically zero needs no special case: every log ratio is -inf and
     # the scan collapses to value 0; this also keeps unbounded f (integrable
-    # singularities) out of sup_norm, which samples closed endpoints.
+    # singularities) out of sup_norm, which rejects them.
     try:
         return _sup_over_p(make_log_norm, lambda p: lp_quasinorm(f, p, dom, cfg), phi, c, p_lo)
     except ConvergenceFailureError as err:
@@ -356,43 +366,62 @@ def v_quasinorm_info(f, phi, r, domain=None, cfg=DEFAULT_CONFIG, cache=None) -> 
 # Lorentz norms
 
 
+def _level_map(sampler: LevelSampler):
+    """The critical-value intervals of T laid end to end, s in [0, K].
+
+    Unit interval i of s covers [a, c] = [levels[i], levels[i + 1]] through
+    w = a + (c - a) sin^2(pi (s - i) / 2), which turns the square-root
+    behaviour of T at a simple extremum of |f| into a smooth function of s.
+    Returns K and s -> (w, dw/ds, log T(w)).
+    """
+    levels = sampler.critical_values
+    if not math.isfinite(levels[-1]):
+        raise DomainEvaluationError("function is unbounded; its Lorentz norms need a finite sup")
+    lo, width = levels[:-1], np.diff(levels)
+
+    def at(s):
+        i = np.minimum(s.astype(np.intp), lo.size - 1)
+        theta = 0.5 * math.pi * (s - i)
+        w = lo[i] + width[i] * np.sin(theta) ** 2
+        with np.errstate(divide="ignore"):
+            return w, 0.5 * math.pi * width[i] * np.sin(2.0 * theta), np.log(sampler.measure_above_batch(w))
+
+    return lo.size, at
+
+
 def _lorentz_finite(sampler: LevelSampler, p: float, b: float, cfg: QuadratureConfig) -> float:
-    xmax = sampler.sup_estimate
-    if xmax == 0.0:
-        return 0.0
+    k, at = _level_map(sampler)
 
-    def integrand(xs):
-        t = sampler.measure_above_batch(xs)
-        with np.errstate(invalid="ignore"):
-            tp = np.where(t > 0.0, t ** (p / b), 0.0)
-        return tp * b * np.maximum(xs, 0.0) ** (b - 1.0)
+    def integrand(s):
+        w, dw, log_t = at(s)
+        return b * np.exp((p / b) * log_t + (b - 1.0) * np.log(w)) * dw
 
-    total = integrate_unnormalized(integrand, 0.0, xmax * (1.0 + 1e-12), cfg)
+    # each critical interval (a unit interval of s) starts as the configured
+    # number of initial panels
+    total = integrate_unnormalized(integrand, 0.0, float(k), replace(cfg, initial_panels=k * cfg.initial_panels))
     return max(total, 0.0) ** (1.0 / b)
 
 
-def _lorentz_sup(sampler: LevelSampler, p: float, grid: int = 4096) -> float:
-    xmax = sampler.sup_estimate
-    if xmax == 0.0:
-        return 0.0
-    xs = np.linspace(0.0, xmax, grid + 1)[1:]
-    t = sampler.measure_above_batch(xs)
-    with np.errstate(invalid="ignore"):
-        vals = xs * np.where(t > 0.0, t ** (1.0 / p), 0.0)
-    k = int(np.argmax(vals))
-    lo = xs[max(k - 1, 0)]
-    hi = xs[min(k + 1, len(xs) - 1)]
-    for _ in range(50):
-        mids = np.linspace(lo, hi, 9)
-        tv = sampler.measure_above_batch(mids)
-        mv = mids * np.where(tv > 0.0, tv ** (1.0 / p), 0.0)
-        j = int(np.argmax(mv))
-        vals_max = float(mv[j])
-        lo = mids[max(j - 1, 0)]
-        hi = mids[min(j + 1, 8)]
-        if hi - lo < 1e-12 * max(1.0, xmax):
-            break
-    return max(float(np.max(vals)), vals_max)
+def _lorentz_sup(sampler: LevelSampler, p: float) -> float:
+    """max of w T(w)^(1/p), by golden section on each critical interval.
+
+    Each interval is probed at a few points first, and the section runs on
+    the bracket around its best probe, so an interval holding two local
+    maxima still yields the larger.
+    """
+    k, at = _level_map(sampler)
+
+    def h(s):
+        w, _dw, log_t = at(s)
+        return w * np.exp(log_t / p)
+
+    probes = 16
+    s = np.arange(k)[:, None] + np.linspace(0.0, 1.0, probes + 1)[None, :]
+    vals = h(s.ravel()).reshape(s.shape)
+    j = np.argmax(vals, axis=1)
+    rows = np.arange(k)
+    _x1, f1, _x2, f2 = _golden_max(h, s[rows, np.maximum(j - 1, 0)], s[rows, np.minimum(j + 1, probes)], 1e-7)
+    return float(max(np.max(vals), np.max(f1), np.max(f2)))
 
 
 def lorentz_norm(
@@ -403,61 +432,76 @@ def lorentz_norm(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     sampler: LevelSampler | None = None,
 ) -> float:
-    """Two-parameter distribution norm; b = math.inf gives the weak form."""
+    """Two-parameter distribution norm of f, from T(w) = mu{|f| > w}.
+
+    For finite b it is (b * integral over w > 0 of w^(b-1) T(w)^(p/b) dw)^(1/b),
+    the layer cake of |f|^p at b = p, so ||f||_(p,p) = ||f||_p and a constant
+    c has norm |c| for every p and b.  As b grows this tends to sup |f|, not
+    to the weak form.  b = math.inf gives the weak form sup_w w T(w)^(1/p).
+    """
     if not (p >= 1.0):
         raise ValueError("first index must be at least 1")
     if not (b >= 1.0):
         raise ValueError("second index must be at least 1 (or inf)")
     dom = domain if domain is not None else f.natural_domain
     s = sampler if sampler is not None else LevelSampler(f, dom)
-    if math.isinf(b):
-        return _lorentz_sup(s, p)
-    return _lorentz_finite(s, p, b, cfg)
+    if s.sup_estimate == 0.0:
+        return 0.0
+    return _lorentz_sup(s, p) if math.isinf(b) else _lorentz_finite(s, p, b, cfg)
 
 
 class _LorentzEvaluator:
     """Cached-node evaluator of p -> ||f||_{p,b} for scans at fixed b."""
 
+    # nodes of the weak-form evaluator, shared among the critical intervals
+    WEAK_NODES = 8192
+
     def __init__(self, sampler: LevelSampler, b: float, cfg: QuadratureConfig, p_hi: float):
         self.b = b
-        xmax = sampler.sup_estimate
+        k, at = _level_map(sampler)
         if math.isinf(b):
-            self._xs = np.linspace(0.0, xmax, 8193)[1:]
-            self._t = sampler.measure_above_batch(self._xs)
+            per = max(16, self.WEAK_NODES // k)
+            self._step = 1.0 / per
+            self._s = (np.arange(k * per) + 0.5) * self._step
+            self._at = at
+            w, _dw, self._log_t = at(self._s)
+            self._log_w = np.log(w)
+            # a node whose two neighbours lie in its own interval
+            self._inner = np.zeros(self._s.size, dtype=bool)
+            self._inner[1:-1] = np.floor(self._s[:-2]) == np.floor(self._s[2:])
             return
 
-        def log_integrand(xs, p):
-            t = sampler.measure_above_batch(np.clip(xs, 0.0, None))
-            with np.errstate(divide="ignore"):
-                lt = np.log(t)
-                x_part = (b - 1.0) * np.log(np.maximum(xs, 1e-300))
-            return (p / b) * lt + x_part
+        def log_integrand(s, p):
+            w, dw, log_t = at(s)
+            return (p / b) * log_t + (b - 1.0) * np.log(w) + np.log(dw)
 
-        # panelize for a sweep of p values; the kink structure of T dominates
-        edges = panel_edges(log_integrand, 0.0, xmax * (1.0 + 1e-12), (1.0, 32.0, p_hi), cfg)
+        # panelize for a sweep of p values, as _lorentz_finite starts
+        start = replace(cfg, initial_panels=k * cfg.initial_panels)
+        edges = panel_edges(log_integrand, 0.0, float(k), (1.0, 32.0, p_hi), start)
         xs, weights, half = composite_nodes(edges, cfg)
-        self._xs = xs.ravel()
-        self._w = (weights[None, :] * half[:, None]).ravel()
-        self._t = sampler.measure_above_batch(self._xs)
+        w, dw, self._log_t = at(xs.ravel())
+        # log of each node's weight in the layer cake b int w^(b-1) T^(p/b) dw
+        self._log_c = np.log(b * (weights[None, :] * half[:, None]).ravel() * dw) + (b - 1.0) * np.log(w)
 
     def log_value(self, p):
         p_arr = np.atleast_1d(np.asarray(p, dtype=float))
         if math.isinf(self.b):
+            vals = self._log_w[None, :] + self._log_t[None, :] / p_arr[:, None]
+            # the best node, and the value at the vertex of the parabola
+            # through it and its two neighbours, which are equally spaced in s
+            k = np.argmax(vals, axis=1)
+            rows = np.arange(p_arr.size)
+            inner = self._inner[k]
+            mid = vals[rows, k]
+            left = vals[rows, np.where(inner, k - 1, k)]
+            right = vals[rows, np.where(inner, k + 1, k)]
+            curv = left - 2.0 * mid + right
             with np.errstate(divide="ignore", invalid="ignore"):
-                lt = np.where(self._t > 0.0, np.log(self._t), -math.inf)
-                vals = np.log(self._xs)[None, :] + lt[None, :] / p_arr[:, None]
-            out = np.max(vals, axis=1)
+                shift = np.where(inner & (curv < 0.0), 0.5 * (left - right) / curv, 0.0)
+                w, _dw, log_t = self._at(self._s[k] + shift * self._step)
+                out = np.maximum(mid, np.log(w) + log_t / p_arr)
         else:
-            b = self.b
-            with np.errstate(divide="ignore", invalid="ignore"):
-                tp = np.where(
-                    self._t[None, :] > 0.0,
-                    self._t[None, :] ** (p_arr[:, None] / b),
-                    0.0,
-                )
-                sums = np.maximum(tp @ (self._w * b * self._xs ** (b - 1.0)), 0.0)
-            with np.errstate(divide="ignore"):
-                out = np.log(sums) / b
+            out = _logsumexp((p_arr[:, None] / self.b) * self._log_t[None, :] + self._log_c[None, :]) / self.b
         if np.ndim(p) == 0:
             return float(out[0])
         return out

@@ -14,8 +14,11 @@ reduces to three primitives implemented here:
 * ``lp_quasinorm``: ``(integral of |f|^p dmu)^(1/p)`` for any p > 0, valid
   below p = 1 as a quasinorm.
 * ``LevelSampler`` / ``distribution``: the distribution function
-  ``mu{ |f| > w }`` from a dense sample split into monotone runs, with one
-  crossing panel per run refined by vectorized bisection.
+  ``mu{ |f| > w }``, summed over the pieces between the break points that
+  every function representation reports (the domain ends and the zeros of
+  f and f'), on which |f| is monotone; each crossing of a level is solved
+  to a collapsed bracket.  ``sup_norm`` is the largest |f| over the same
+  break points.
 
 The measure is Lebesgue measure scaled to total mass one, so ``integrate``
 of the constant 1 is exactly 1 on either domain.
@@ -28,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import golden_max
-from .errors import ConvergenceFailureError, DomainEvaluationError
+from .errors import ConvergenceFailureError, DomainEvaluationError, RejectedInputError
 
 _TWO_PI = 2.0 * math.pi
 
@@ -405,137 +407,119 @@ def lp_quasinorm(f, p: float, domain: Domain, cfg: QuadratureConfig = DEFAULT_CO
     return math.exp(log_i / p)
 
 
-def sup_norm(f, domain: Domain, samples: int = 2**14) -> float:
-    """Essential sup of |f| estimated from a dense grid plus local polish.
+def _break_values(f, domain: Domain, bounded: bool):
+    """Break points of f on the domain and |f| at them.
 
-    The estimate is biased low by construction (finitely many samples); the
-    golden-section polish around every grid-local maximum keeps the bias at
-    the level of local curvature over one grid cell.
+    An undefined value raises DomainEvaluationError, and so does an
+    infinite one when ``bounded``.
     """
-    fv = as_vectorized(f)
-    xs = np.linspace(domain.lo, domain.hi, samples + 1)
-    vals = np.abs(fv(xs))
-    if not np.isfinite(vals).all():
-        idx = int(np.argmax(~np.isfinite(vals)))
-        raise DomainEvaluationError(
-            f"function is not finite at x = {xs[idx]!r}", abscissa=float(xs[idx])
-        )
-    best = float(np.max(vals))
-    if best == 0.0:
-        return 0.0
-    interior = (vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])
-    cand = np.flatnonzero(interior) + 1
-    order = np.argsort(vals[cand])[::-1]
-    cand = cand[order[:8]]
+    if not hasattr(f, "break_points"):
+        raise RejectedInputError(f"{type(f).__name__} reports no break points; pass a function representation")
+    xs = f.break_points(domain)
+    vals = np.abs(as_vectorized(f)(xs))
+    bad = ~np.isfinite(vals) if bounded else np.isnan(vals)
+    if bad.any():
+        x = float(xs[np.argmax(bad)])
+        raise DomainEvaluationError(f"function is not finite at x = {x!r}", abscissa=x)
+    return xs, vals
 
-    def abs_at(x):
-        return abs(float(fv(np.array([x]))[0]))
 
-    for i in cand:
-        _x, value = golden_max(abs_at, xs[i - 1], xs[i + 1], tol=0.0, iters=60)
-        best = max(best, value)
-    return best
+def sup_norm(f, domain: Domain) -> float:
+    """Sup of |f|: its largest value over the break points of f, between
+    which |f| is monotone.  Unbounded f raises DomainEvaluationError."""
+    return float(np.max(_break_values(f, domain, bounded=True)[1]))
 
 
 class LevelSampler:
-    """Dense-sample view of |f| supporting batched superlevel measures.
+    """Distribution function of |f| assembled from its monotone pieces.
 
-    The domain is cut into 2**16 equal panels and |f| is sampled at their
-    edges.  The sample is split once into maximal monotone runs (a zero step
-    crosses no level and joins the run it follows), so a threshold w crosses
-    at most one panel per run.  The measure of { |f| > w } is assembled from the fully-above
-    panels, counted by a binary search on the sorted panel minima, plus each
-    crossing run's partial panel, located by a binary search within the run
-    and refined by vectorized bisection to ~1e-12.  Crossings finer than one
-    panel (graze-and-return inside a single panel) are invisible; for the
-    smooth families used here that costs measure on the order of the panel
-    width only in vanishingly thin threshold bands.
+    The break points of f cut the domain into pieces on which |f| is
+    monotone.  The measure of { |f| > w } sums, over the pieces, the whole
+    piece when w is below its smaller end value, nothing when w is at or
+    above its larger one, and otherwise the part beyond the one crossing
+    |f| = w.  The crossings of a batch of thresholds are solved together by a
+    bracketed iteration, each one until its bracket has collapsed to rounding
+    level.  ``critical_values`` are 0 and the values of |f| at the break
+    points, sorted: T is smooth between consecutive ones.  An end value may
+    be infinite (an integrable singularity); ``sup_estimate`` is then inf.
     """
 
-    PANELS = 2**16
-
-    def __init__(self, f, domain: Domain, panels: int | None = None):
+    def __init__(self, f, domain: Domain):
         self.domain = domain
         self._f = as_vectorized(f)
-        n = panels or self.PANELS
-        self._xs = np.linspace(domain.lo, domain.hi, n + 1)
-        self._h = (domain.hi - domain.lo) / n
-        self._vals = np.abs(self._f(self._xs))
-        if not np.isfinite(self._vals).all():
-            idx = int(np.argmax(~np.isfinite(self._vals)))
-            raise DomainEvaluationError(
-                f"function is not finite at x = {self._xs[idx]!r}",
-                abscissa=float(self._xs[idx]),
-            )
-        self.sup_estimate = float(np.max(self._vals))
-        vals = self._vals
-        self._minima = np.sort(np.minimum(vals[:-1], vals[1:]))
-        # run k covers sample points bounds[k]..bounds[k+1]; a new run starts
-        # at the first nonzero step whose sign differs from the previous one
-        steps = np.diff(vals)
-        moving = np.flatnonzero(steps)
-        rising = steps[moving] > 0.0
-        turns = moving[1:][rising[1:] != rising[:-1]]
-        self._bounds = np.concatenate(([0], turns, [n]))
-        ends = vals[self._bounds]
-        self._falling = ends[:-1] > ends[1:]
-        self._run_lo = np.minimum(ends[:-1], ends[1:])
-        self._run_hi = np.maximum(ends[:-1], ends[1:])
-        self._search_steps = int(np.max(np.diff(self._bounds))).bit_length()
+        xs, vals = _break_values(f, domain, bounded=False)
+        self.sup_estimate = float(np.max(vals))
+        levels = np.unique(np.append(vals, 0.0))
+        # a value within 1e-12 of the next one merges into it: equal extrema
+        # (|T_n| = 1) round apart, and every interval costs panels downstream
+        self.critical_values = levels[np.append(np.diff(levels) > 1e-12 * levels[1:], True)]
+        # per piece: its length, its ends where |f| is smaller and larger,
+        # and the values there
+        self._length = np.diff(xs)
+        rising = vals[1:] > vals[:-1]
+        self._below = np.where(rising, xs[:-1], xs[1:])
+        self._above = np.where(rising, xs[1:], xs[:-1])
+        self._v_min = np.minimum(vals[:-1], vals[1:])
+        self._v_max = np.maximum(vals[:-1], vals[1:])
+        self._tol = np.finfo(float).eps * max(1.0, abs(domain.lo), abs(domain.hi))
 
-    def _refine(self, lo, hi, lo_above, w, iters=40):
-        """Vector bisection for |f(x)| = w with sign bracketing."""
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            above = np.abs(self._f(mid)) > w
-            move_lo = above == lo_above
-            lo = np.where(move_lo, mid, lo)
-            hi = np.where(move_lo, hi, mid)
-        return 0.5 * (lo + hi)
+    def _level_roots(self, below, above, g_below, g_above, w):
+        """x with |f(x)| = w, bracketed by g_below = |f| - w <= 0 at ``below``
+        and g_above > 0 at ``above``, to a bracket no wider than 2 * tol.
 
-    def _crossings(self, ws):
-        """(run, threshold index) of every run whose range holds a threshold.
-
-        Run k crosses w exactly when run_lo[k] <= w < run_hi[k].  Pairs come
-        out run by run, so each threshold's crossing panels are in ascending
-        order.
+        Regula falsi with Anderson-Bjorck scaling of an end kept twice
+        running, and two safeguards from Brent's method: a step longer than
+        half the step before last becomes a bisection, and every point stays
+        tol inside the bracket, so a converged iterate gets straddled.
         """
-        order = np.argsort(ws, kind="stable")
-        sorted_ws = ws[order]
-        first = np.searchsorted(sorted_ws, self._run_lo, side="left")
-        counts = np.searchsorted(sorted_ws, self._run_hi, side="left") - first
-        run = np.repeat(np.arange(counts.size), counts)
-        rank = np.arange(run.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        return run, order[first[run] + rank]
-
-    def _crossing_cells(self, run, w):
-        """Binary search within each run for its panel with one end above w."""
-        lo_above = self._falling[run]
-        lo = self._bounds[run]
-        hi = self._bounds[run + 1]
-        for _ in range(self._search_steps):
-            mid = (lo + hi) // 2
-            move_lo = (self._vals[mid] > w) == lo_above
-            lo = np.where(move_lo, mid, lo)
-            hi = np.where(move_lo, hi, mid)
-        return lo, lo_above
+        tol = self._tol
+        out = below.copy()
+        live = np.flatnonzero(g_below < 0.0)
+        xb, xa, gb, ga, w = below[live], above[live], g_below[live], g_above[live], w[live]
+        moved = np.zeros(live.size)  # +1: the above end moved last, -1: the below end
+        last = np.where(-gb < ga, xb, xa)
+        step = older = np.abs(xa - xb)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            while live.size:
+                x = np.clip(xb + (gb / (gb - ga)) * (xa - xb), np.minimum(xb, xa) + tol, np.maximum(xb, xa) - tol)
+                # an infinite end value (a singular end) pins regula falsi to the other end
+                x = np.where((np.abs(x - last) <= 0.5 * older) & np.isfinite(ga), x, 0.5 * (xb + xa))
+                step, older, last = np.abs(x - last), step, x
+                g = np.abs(self._f(x)) - w
+                up = g > 0.0
+                scale = 1.0 - g / np.where(up, ga, gb)
+                scale = np.where(scale > 0.0, scale, 0.5)
+                gb = np.where(up, np.where(moved > 0, scale * gb, gb), g)
+                ga = np.where(up, g, np.where(moved < 0, scale * ga, ga))
+                xb = np.where(up, xb, x)
+                xa = np.where(up, x, xa)
+                moved = np.where(up, 1.0, -1.0)
+                done = (np.abs(xa - xb) <= 2.0 * tol) | (g == 0.0)
+                if done.any():
+                    out[live[done]] = np.where(g == 0.0, x, 0.5 * (xb + xa))[done]
+                    keep = ~done
+                    live, xb, xa, gb, ga, w = live[keep], xb[keep], xa[keep], gb[keep], ga[keep], w[keep]
+                    step, older, last, moved = step[keep], older[keep], last[keep], moved[keep]
+        return out
 
     def measure_above_batch(self, ws) -> np.ndarray:
         ws = np.asarray(ws, dtype=float)
         flat_ws = ws.ravel()
-        full = self._minima.size - np.searchsorted(self._minima, flat_ws, side="right")
-        partial = np.zeros(flat_ws.size)
-        run, cj = self._crossings(flat_ws)
-        if run.size:
-            ci, lo_above = self._crossing_cells(run, flat_ws[cj])
-            lo = self._xs[ci]
-            hi = self._xs[ci + 1]
-            roots = self._refine(lo, hi, lo_above, flat_ws[cj])
-            # above-to-below keeps [lo, root]; below-to-above keeps [root, hi]
-            seg = np.where(lo_above, roots - lo, hi - roots)
-            np.add.at(partial, cj, seg)
-        out = (full.astype(float) * self._h + partial) * self.domain.density
-        return out.reshape(ws.shape)
+        # thresholds go in chunks of about 2^18 (piece, threshold) pairs at most
+        size = max(1, 2**18 // self._length.size)
+        parts = [self._measure(flat_ws[i : i + size]) for i in range(0, flat_ws.size, size)]
+        out = np.concatenate(parts) if parts else np.zeros(0)
+        return (out * self.domain.density).reshape(ws.shape)
+
+    def _measure(self, ws):
+        whole = ws[None, :] < self._v_min[:, None]
+        out = self._length @ whole
+        piece, j = np.nonzero(~whole & (ws[None, :] < self._v_max[:, None]))
+        w = ws[j]
+        below, above = self._below[piece], self._above[piece]
+        roots = self._level_roots(below, above, self._v_min[piece] - w, self._v_max[piece] - w, w)
+        # the part of the piece beyond the crossing lies above w
+        return out + np.bincount(j, weights=np.abs(above - roots), minlength=ws.size)
 
     def measure_above(self, w: float) -> float:
         return float(self.measure_above_batch(np.array([w]))[0])

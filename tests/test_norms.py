@@ -2,12 +2,14 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from orlimark.conjugate import power_log
-from orlimark.errors import ScanDivergenceError
+from orlimark.conjugate import golden_max, power_log, psi_log
+from orlimark.errors import DomainEvaluationError, ScanDivergenceError
 from orlimark.functions import InversePowerRep, PolynomialRep
+from orlimark.harness import build_corpus
 from orlimark.norms import (
     EquivalenceConstants,
     NormContext,
@@ -191,6 +193,87 @@ class TestLorentz:
     def test_zero(self):
         assert lorentz_norm(PolynomialRep([0.0]), 2.0, 1.0) == 0.0
 
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_power_beta_closed_form(self, k):
+        # T(w) = 1 - w^(1/k) for x^k, so b * int w^(b-1) T^(p/b) dw is
+        # b k B(kb, p/b + 1): the convention (b int w^(b-1) T^(p/b))^(1/b)
+        # pinned off the diagonal
+        f = PolynomialRep([0.0] * k + [1.0])
+        for p, b in ((1.0, 2.5), (1.5, 1.0), (2.0, 3.0), (3.0, 1.5), (4.0, 2.0), (6.0, 1.25)):
+            log_beta = math.lgamma(k * b) + math.lgamma(p / b + 1.0) - math.lgamma(k * b + p / b + 1.0)
+            expect = b * k * math.exp(log_beta)
+            assert lorentz_norm(f, p, b) ** b == pytest.approx(expect, rel=1e-9)
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_power_weak_closed_form(self, k):
+        # sup over u = w^(1/k) of u^k (1 - u)^(1/p) sits at u = kp/(kp + 1)
+        f = PolynomialRep([0.0] * k + [1.0])
+        for p in (1.0, 2.0, 3.5, 10.0):
+            expect = (k * p / (k * p + 1.0)) ** k * (k * p + 1.0) ** (-1.0 / p)
+            assert lorentz_norm(f, p, math.inf) == pytest.approx(expect, rel=1e-12)
+
+    def test_unbounded_rejected(self):
+        with pytest.raises(DomainEvaluationError):
+            lorentz_norm(InversePowerRep(0.5), 1.5, 1.0)
+
+
+def _mp_lp_norms(coeffs, ps):
+    """30-digit ||f||_p for integer p: f^p integrated exactly between the
+    real roots of f, which are refined from float seeds by mpmath."""
+    with mp.workdps(30):
+        c = [mp.mpf(v) for v in coeffs]
+
+        def poly(x):
+            return mp.polyval(c[::-1], x)
+
+        seeds = np.polynomial.polynomial.polyroots(coeffs)
+        seeds = [r.real for r in seeds if abs(r.imag) < 1e-3 and abs(r.real) < 1.01]
+        cuts = sorted({mp.findroot(poly, mp.mpf(x0)) for x0 in seeds})
+        cuts = [x for x in cuts if -1 < x < 1]
+        # every sign change of f on a fine grid is one of the cuts
+        grid = np.polynomial.polynomial.polyval(np.linspace(-1.0, 1.0, 2**14 + 1), coeffs)
+        assert int(np.sum(grid[1:] * grid[:-1] < 0.0)) == len(cuts)
+        edges = [mp.mpf(-1)] + cuts + [mp.mpf(1)]
+        out = []
+        power = [mp.mpf(1)]
+        for p in range(1, max(ps) + 1):
+            power = [
+                mp.fsum(power[i] * c[k - i] for i in range(len(power)) if 0 <= k - i < len(c))
+                for k in range(len(power) + len(c) - 1)
+            ]
+            if p in ps:
+                prim = [mp.mpf(0)] + [a / (i + 1) for i, a in enumerate(power)]
+                vals = [mp.polyval(prim[::-1], x) for x in edges]
+                total = mp.fsum(abs(b - a) for a, b in zip(vals, vals[1:]))
+                out.append(float((total / 2) ** (mp.mpf(1) / p)))
+    return out
+
+
+def test_lorentz_diagonal_matches_mpmath():
+    # ||f||_(p,p) = ||f||_p on the 30 corpus polynomials, against 30 digits
+    worst = 0.0
+    for label, f in build_corpus(7)[:30]:
+        for p, ref in zip((1, 2, 3), _mp_lp_norms(list(f.coeffs), (1, 2, 3))):
+            worst = max(worst, abs(lorentz_norm(f, float(p), float(p)) - ref) / ref)
+    assert worst <= 1e-10
+
+
+def test_lorentz_diagonal_off_polynomials_matches_mpmath():
+    # gap-03 is monotone with a critical point just past x = 1, which bends T
+    # near its lower end; trig-05 has kinks of |f| at its zeros
+    corpus = dict(build_corpus(7))
+    gap, trig = corpus["gap-03"], corpus["trig-05"]
+    with mp.workdps(20):
+        gap_ref = mp.quad(lambda x: mp.fprod(((x - a) ** 2 + b * b) ** (mp.mpf(r) / 2) for a, b, r in gap.factors), [-1, 1])
+
+        def trig_abs(x):
+            terms = zip(trig.cos_coeffs[1:], trig.sin_coeffs)
+            return abs(trig.cos_coeffs[0] + mp.fsum(a * mp.cos(k * x) + b * mp.sin(k * x) for k, (a, b) in enumerate(terms, 1)))
+
+        trig_ref = mp.quad(trig_abs, [float(x) for x in trig.break_points(trig.natural_domain)])
+    assert lorentz_norm(gap, 1.0, 1.0) == pytest.approx(float(gap_ref / 2), rel=1e-10)
+    assert lorentz_norm(trig, 1.0, 1.0) == pytest.approx(float(trig_ref / (2 * mp.pi)), rel=1e-10)
+
 
 class TestWeightedLorentzG:
     def test_constant(self, phi2, ctx):
@@ -205,6 +288,27 @@ class TestWeightedLorentzG:
             PolynomialRep([0.5, -1.0, 2.0]), phi2, 2.0, cache=ctx.conjugates(phi2)
         )
         assert math.isfinite(got) and got > 0.0
+
+    @pytest.mark.parametrize("m", [2.0, 8.0, 50.0])
+    def test_eighth_power(self, m, ctx):
+        # T(w) = 1 - w^(1/8) has infinite slope at w = 0
+        phi = power_log(m)
+        got = weighted_lorentz_g(PolynomialRep([0.0] * 8 + [1.0]), phi, 2.0, cache=ctx.conjugates(phi))
+        assert math.isfinite(got) and got > 0.0
+        if m != 2.0:
+            return
+
+        def log_ratio(log_p):
+            # log of ||x^8||_(p,2) / psi(p), from ||x^8||^2 = 16 B(16, p/2 + 1)
+            p = math.exp(log_p)
+            log_beta = math.lgamma(16.0) + math.lgamma(p / 2.0 + 1.0) - math.lgamma(p / 2.0 + 17.0)
+            return 0.5 * (math.log(16.0) + log_beta) - psi_log(phi, p)
+
+        grid = np.log(np.geomspace(1.0, 1e4, 801))
+        vals = [log_ratio(x) for x in grid]
+        k = int(np.argmax(vals))
+        _x, best = golden_max(log_ratio, grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)], tol=1e-14)
+        assert got == pytest.approx(math.exp(max(best, vals[k])), rel=1e-9)
 
 
 class TestEquivalenceConstants:

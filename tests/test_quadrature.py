@@ -7,9 +7,16 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from orlimark.errors import ConvergenceFailureError, DomainEvaluationError
-from orlimark.functions import InversePowerRep, PolynomialRep, chebyshev_t
-from orlimark.harness import _CappedAbs
+from orlimark.errors import ConvergenceFailureError, DomainEvaluationError, RejectedInputError
+from orlimark.functions import (
+    GapDerivative,
+    GapRep,
+    InversePowerRep,
+    PolynomialRep,
+    TrigPolynomialRep,
+    chebyshev_t,
+    random_family,
+)
 from orlimark.quadrature import (
     DEFAULT_CONFIG,
     SINGULAR_CONFIG,
@@ -17,7 +24,6 @@ from orlimark.quadrature import (
     LevelSampler,
     QuadratureConfig,
     _logsumexp,
-    as_vectorized,
     distribution,
     integrate,
     integrate_log,
@@ -145,10 +151,10 @@ def test_level_sampler_chebyshev_closed_form():
     ws = np.linspace(0.05, 0.95, 37) * sup
     for w, got in zip(ws, sampler.measure_above_batch(ws)):
         assert got == pytest.approx(exact(w), abs=1e-10)
-    # a threshold equal to a sampled value
-    grid = np.linspace(INTERVAL.lo, INTERVAL.hi, LevelSampler.PANELS + 1)
-    w = float(np.abs(f(grid))[12345])
-    assert sampler.measure_above(w) == pytest.approx(exact(w), abs=1e-10)
+    # a threshold equal to |T_n| at an extremum: {|T_n| > 1 - d} has measure
+    # about sqrt(d), so the rounding of the computed T_n there shows at 1e-8
+    w = float(np.abs(f(np.array([math.cos(4 * math.pi / n)])))[0])
+    assert sampler.measure_above(w) == pytest.approx(exact(min(w, 1.0)), abs=1e-7)
     assert sampler.measure_above(0.0) == pytest.approx(1.0, abs=1e-10)
     assert sampler.measure_above(sup) == 0.0
     assert sampler.measure_above(2.0 * sup) == 0.0
@@ -157,38 +163,70 @@ def test_level_sampler_chebyshev_closed_form():
 def test_level_sampler_plateaus():
     const = LevelSampler(PolynomialRep([0.7]), INTERVAL)
     assert list(const.measure_above_batch([0.0, 0.69, 0.7, 1.0])) == [1.0, 1.0, 0.0, 0.0]
-    # (1 - x)^(-1/2) capped at 100 as the tail analysis samples it: the
-    # measure above w < cap is w^(-2)/2, and nothing lies above the plateau
-    capped = LevelSampler(_CappedAbs(InversePowerRep(0.5), 100.0), INTERVAL)
-    ws = np.array([1.5, 3.0, 10.0, 50.0, 99.0])
-    assert np.allclose(capped.measure_above_batch(ws), ws**-2 / 2.0, rtol=0.0, atol=1e-10)
-    assert capped.measure_above(100.0) == 0.0
-    assert capped.measure_above(0.5) == 1.0
+    # (1 - x)^(-1/2) is one increasing piece with an infinite end value:
+    # T(w) = min(1, w^(-2)/2) at every level
+    singular = LevelSampler(InversePowerRep(0.5), INTERVAL)
+    ws = np.array([0.5, 1.5, 3.0, 10.0, 50.0, 99.0, 1e6])
+    expect = np.minimum(1.0, ws**-2 / 2.0)
+    assert np.allclose(singular.measure_above_batch(ws), expect, rtol=1e-12, atol=1e-15)
+    assert singular.sup_estimate == math.inf
 
 
-def test_level_sampler_matches_mask_reference():
-    # every panel tested against every threshold, crossings summed in panel
-    # order: the run-based search must reproduce it bit for bit
-    members = [
-        PolynomialRep([0.1, 0.3, 1.0, -0.5]),
-        chebyshev_t(9),
-        _CappedAbs(InversePowerRep(0.5), 3.0),
-        lambda x: np.minimum(np.abs(np.sin(7.0 * x)), 0.6),
-    ]
-    for f in members:
-        sampler = LevelSampler(f, INTERVAL, panels=512)
-        xs = np.linspace(INTERVAL.lo, INTERVAL.hi, 513)
-        vals = np.abs(as_vectorized(f)(xs))
-        ws = np.concatenate([np.linspace(0.0, 1.1 * vals.max(), 41), vals[::37]])
-        mask = vals[:, None] > ws[None, :]
-        full = (mask[:-1] & mask[1:]).sum(axis=0).astype(float) * (INTERVAL.length / 512)
-        ci, cj = np.nonzero(mask[:-1] ^ mask[1:])
-        lo_above = mask[ci, cj]
-        roots = sampler._refine(xs[ci], xs[ci + 1], lo_above, ws[cj])
-        partial = np.zeros(ws.size)
-        np.add.at(partial, cj, np.where(lo_above, roots - xs[ci], xs[ci + 1] - roots))
-        expect = (full + partial) * INTERVAL.density
-        assert np.array_equal(sampler.measure_above_batch(ws), expect)
+def test_level_sampler_cosine_on_circle():
+    # |cos(n t)| > w on arcs of total normalized measure (2/pi) arccos(w)
+    n = 7
+    sampler = LevelSampler(TrigPolynomialRep([0.0] * n + [1.0], [0.0] * n), CIRCLE)
+    ws = np.linspace(0.0, 0.99, 34)
+    expect = 2.0 / math.pi * np.arccos(ws)
+    assert np.allclose(sampler.measure_above_batch(ws), expect, rtol=0.0, atol=1e-12)
+
+
+def _dense_distribution(f, domain, ws, cells=2**20):
+    # f taken linear on each of 2^20 cells; the part of a cell where the line
+    # is above w or below -w is exact for the line, off by O(h^2) for f
+    xs = np.linspace(domain.lo, domain.hi, cells + 1)
+    vals = np.concatenate([f(chunk) for chunk in np.array_split(xs, 64)])
+    a, b = vals[:-1], vals[1:]
+    top, bottom = np.maximum(a, b), np.minimum(a, b)
+    span = np.where(top > bottom, top - bottom, np.inf)
+    out = []
+    for w in ws:
+        above = np.clip((top - w) / span, 0.0, 1.0) + np.clip((-w - bottom) / span, 0.0, 1.0)
+        flat = top == bottom
+        above[flat] = np.abs(top[flat]) > w
+        out.append(float(np.sum(above)) / cells)
+    return np.array(out)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        random_family("trig", 6, 3),
+        random_family("rational", 5, 3),
+        random_family("gap", 4, 3),
+        GapDerivative(random_family("gap", 4, 3)),
+        # a real node is a break point where Q' = Q S is 0 times 0/0
+        GapDerivative(GapRep([(0.1, 0.0, 2.0), (-0.5, 0.4, 1.5)])),
+    ],
+    ids=["trig", "rational", "gap", "gap-derivative", "gap-derivative-real-node"],
+)
+def test_level_sampler_matches_dense_reference(f):
+    dom = f.natural_domain
+    sampler = LevelSampler(f, dom)
+    dense_max = float(np.max(np.abs(f(np.linspace(dom.lo, dom.hi, 2**16 + 1)))))
+    assert dense_max <= sampler.sup_estimate <= dense_max * (1.0 + 1e-6)
+    assert sup_norm(f, dom) == sampler.sup_estimate
+    ws = np.linspace(0.0, sampler.sup_estimate, 25)[1:-1]
+    got = sampler.measure_above_batch(ws)
+    assert np.allclose(got, _dense_distribution(f, dom, ws), rtol=0.0, atol=1e-6)
+
+
+def test_plain_callable_rejected():
+    # T and the sup come from break points, which a bare callable cannot report
+    with pytest.raises(RejectedInputError):
+        LevelSampler(lambda x: np.sin(3.0 * x), INTERVAL)
+    with pytest.raises(RejectedInputError):
+        sup_norm(lambda x: np.sin(3.0 * x), INTERVAL)
 
 
 def test_convergence_failure_carries_estimate():

@@ -4,6 +4,15 @@ Run it once per tree and compare the two files with ``cmp``:
 
     PYTHONPATH=<tree>/src python3 tools/bit_identity.py out.txt [--quick]
 
+When they differ, ``--compare`` says where and by how much:
+
+    PYTHONPATH=src python3 tools/bit_identity.py --compare a.txt b.txt
+
+It prints, for each record group, how many records differ and the largest
+relative difference among the numbers in them; a record whose text differs
+in more than its numbers (an exception in place of a value, say) counts as
+changed in form.
+
 Every float is written with ``repr`` (17 significant digits), and an
 exception is written as its type and message, so any change in any output
 bit, or in which inputs fail, shows as a difference.  The last line counts
@@ -19,12 +28,15 @@ slowest group.  Covered:
   ``equivalence_constants`` for the three phi;
 * ``young_fenchel_or_inf`` over 400 exponents for six phi families;
 * the CLI's ``.json`` (minus ``timestamp``) and ``.csv`` for ``norm`` (all
-  five kinds), ``markov-sweep``, ``equivalence`` and ``transform``.
+  five kinds), ``markov-sweep``, ``equivalence``, ``transform`` and
+  ``tail``.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -62,6 +74,7 @@ CLI_RUNS = {
     "markov-sweep": ("markov-sweep", "[sweep]\nfamily = chebyshev\nn_lo = 2\nn_hi = 6\n"),
     "equivalence": ("equivalence", ""),
     "transform": ("transform", ""),
+    "tail": ("tail", ""),
 }
 FUNCTION = "[function]\ntext = poly:0.3,-1.2,0.5,0.9,-0.4\n"
 
@@ -136,7 +149,63 @@ def cli_records():
             yield "cli", f"{name} csv", repr(base.with_suffix(".csv").read_text()).replace(tmp, "<tmp>")
 
 
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
+
+
+def read_records(path):
+    """{(kind, key, n): value}, n counting earlier records with the same key."""
+    records, seen = {}, Counter()
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.startswith("counts "):
+                continue
+            kind, key, value = line.rstrip("\n").split(" | ", 2)
+            records[(kind, key, seen[(kind, key)])] = value
+            seen[(kind, key)] += 1
+    return records
+
+
+def rel_diff(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    scale = max(abs(a), abs(b))
+    return abs(a - b) / scale if math.isfinite(scale) else math.inf
+
+
+def compare(path_a, path_b):
+    """Per group: records, how many differ, the largest relative difference."""
+    a, b = read_records(path_a), read_records(path_b)
+    groups = {}
+    for rec in list(a) + [k for k in b if k not in a]:
+        g = groups.setdefault(rec[0], Counter(records=0, differ=0, form=0, only=0))
+        g["records"] += 1
+        if rec not in a or rec not in b:
+            g["only"] += 1
+            continue
+        va, vb = a[rec], b[rec]
+        if va == vb:
+            continue
+        g["differ"] += 1
+        if NUMBER.sub("#", va) != NUMBER.sub("#", vb):
+            g["form"] += 1
+            continue
+        worst = max(rel_diff(float(x), float(y)) for x, y in zip(NUMBER.findall(va), NUMBER.findall(vb)))
+        g["max_rel"] = max(g.get("max_rel", 0.0), worst)
+    for kind, g in groups.items():
+        line = f"{kind}: {g['differ']} of {g['records']} records differ"
+        if g["differ"] > g["form"]:
+            line += f", max rel diff {g['max_rel']:.3g}"
+        if g["form"]:
+            line += f", {g['form']} changed in form"
+        if g["only"]:
+            line += f", {g['only']} in one file only"
+        print(line)
+
+
 def main(argv):
+    if argv and argv[0] == "--compare":
+        compare(argv[1], argv[2])
+        return
     out_path = argv[0]
     groups = [conjugate_records, corpus_records, cli_records]
     if "--quick" not in argv:
