@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .conjugate import ConjugateCache, PhiSpec, golden_max, power_log, psi
 from .errors import DegenerateInputError, RejectedInputError
@@ -138,7 +137,11 @@ class RatioReport:
         return min((row.margin for row in self.rows), default=math.inf)
 
 
-def _fit_loglog(ns, ratios) -> tuple[float, tuple[float, float]]:
+def _loglog_slope(ns, ratios) -> tuple[float, float, int]:
+    """Slope of log ratio against log n, its standard error and its dof.
+
+    NaN slope and 0 degrees of freedom when there are fewer than five points.
+    """
     # The exponent of interest is asymptotic; small degrees sit in a
     # pre-asymptotic transient that drags an equal-weight fit well below the
     # limiting slope.  Fit the upper half of the swept degrees, never fewer
@@ -146,7 +149,7 @@ def _fit_loglog(ns, ratios) -> tuple[float, tuple[float, float]]:
     x = np.log(np.asarray(ns, dtype=float))
     y = np.log(np.asarray(ratios, dtype=float))
     if x.size < 5:
-        return math.nan, (math.nan, math.nan)
+        return math.nan, math.nan, 0
     keep = max(5, (x.size + 1) // 2)
     x, y = x[-keep:], y[-keep:]
     slope, intercept = np.polyfit(x, y, 1)
@@ -154,8 +157,20 @@ def _fit_loglog(ns, ratios) -> tuple[float, tuple[float, float]]:
     dof = x.size - 2
     sxx = float(np.sum((x - x.mean()) ** 2))
     se = math.sqrt(float(np.sum(resid**2)) / dof / sxx)
+    return float(slope), se, dof
+
+
+def _fit_loglog(ns, ratios) -> tuple[float, tuple[float, float]]:
+    """The log-log slope with its 95% Student-t confidence interval."""
+    slope, se, dof = _loglog_slope(ns, ratios)
+    if dof == 0:
+        return slope, (math.nan, math.nan)
+    # Imported here, not at module level: scipy.special takes longer to load
+    # than the rest of orlimark, and only the Markov sweep needs it.
+    from scipy.special import stdtrit
+
     tq = float(stdtrit(dof, 0.975))
-    return float(slope), (float(slope - tq * se), float(slope + tq * se))
+    return slope, (float(slope - tq * se), float(slope + tq * se))
 
 
 def _family_member(family: str, n: int, seed: int):
@@ -365,7 +380,7 @@ def gap_check(base: GapRep, p: float, n_range, cfg: QuadratureConfig = DEFAULT_C
         den = lp_quasinorm(member, p, dom, cfg)
         ratio = num / den
         rows.append(GapRow(n, ratio, ratio / n**2))
-    slope, _ci = _fit_loglog([r.n for r in rows], [max(r.scaled, 1e-300) for r in rows])
+    slope = _loglog_slope([r.n for r in rows], [max(r.scaled, 1e-300) for r in rows])[0]
     return GapReport(p, rows, max(r.scaled for r in rows), slope)
 
 
@@ -426,7 +441,7 @@ def tail_check(
     betas = ps / (ps * r + 1.0)
     gaps = 1.0 / r - betas
     norms = np.array([lp_quasinorm(f, float(b), dom, cfg) / v for b in betas])
-    slope, _ci = _fit_loglog(gaps, norms)
+    slope = _loglog_slope(gaps, norms)[0]
     return TailReport(
         u_grid=us,
         t_values=t,

@@ -24,6 +24,10 @@ Three norm families ride on top:
 
 ``evaluate_norm_info`` is the one dispatch from a ``NormSpec`` to these
 norms, for the harness and the command line alike.
+
+The knee and the Luxemburg root are found by ``_brentq``, a step-for-step
+port of scipy's C ``brentq``: same bits, same tolerances, and no scipy
+import at run time.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .conjugate import ConjugateCache, PhiSpec, psi_log as _psi_log_exact, young_fenchel, young_fenchel_or_inf
 from .errors import (
@@ -40,6 +43,7 @@ from .errors import (
     ConvergenceFailureError,
     DomainEvaluationError,
     LuxemburgBracketError,
+    RejectedInputError,
     ScanDivergenceError,
     SummabilityError,
 )
@@ -60,6 +64,80 @@ from .quadrature import (
 )
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """Root of f in the bracket [a, b] by Brent's method.
+
+    A step-for-step port of scipy's C ``brentq`` (``Zeros/brentq.c``), so
+    it returns the same bits for the same f, bracket and tolerances.  A
+    solve that does not converge raises ``ConvergenceFailureError`` with the
+    last iterate, a NaN value of f raises ``DomainEvaluationError`` at its
+    abscissa, and a bracket without a sign change raises
+    ``RejectedInputError``.
+    """
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise DomainEvaluationError(f"root solve: f is NaN at x = {x!r}", abscissa=x)
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise RejectedInputError(
+            f"root solve: f({xpre!r}) = {fpre!r} and f({xcur!r}) = {fcur!r} have the same sign"
+        )
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            # C's MIN(abs(spre), limit), which unlike min() takes the second
+            # operand when the first is NaN
+            limit = 3 * abs(sbis) - delta
+            if abs(spre) < limit:
+                limit = abs(spre)
+            if 2 * abs(stry) < limit:
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise ConvergenceFailureError(
+        f"root solve did not converge within {maxiter} iterations", best_estimate=xcur
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +210,12 @@ def construct_N(phi: PhiSpec, u_lo: float = 1e-3, u_hi: float = 1e3) -> OrliczN:
     if idx[0] == idx[1]:
         knee = float(us[idx[0]])
     else:
-        knee = float(
-            brentq(
-                lambda u: float(u * phi.dphi(np.array([u]))[0] - 1.0),
-                us[idx[0]],
-                us[idx[1]],
-                xtol=1e-15,
-                rtol=8.9e-16,
-            )
+        knee = _brentq(
+            lambda u: float(u * phi.dphi(np.array([u]))[0] - 1.0),
+            us[idx[0]],
+            us[idx[1]],
+            xtol=1e-15,
+            rtol=8.9e-16,
         )
     phi_at = float(phi.phi(np.array([knee]))[0])
     slope = math.exp(phi_at) / knee
@@ -203,7 +279,7 @@ def _luxemburg_detail(f, n: OrliczN, domain: Domain, cfg: QuadratureConfig):
         return lo, v_lo, abs(v_lo) <= 1e-8
     if v_lo == 0.0:
         return lo, 0.0, True
-    t_star = brentq(log_i, t_lo, t_hi, xtol=1e-12, rtol=8.9e-16)
+    t_star = _brentq(log_i, t_lo, t_hi, xtol=1e-12, rtol=8.9e-16)
     residual = log_i(t_star)
     return math.exp(t_star), residual, abs(residual) <= 1e-8
 

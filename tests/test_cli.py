@@ -1,8 +1,13 @@
 """Config parsing, report rendering, envelope contract, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import orlimark
 
 from orlimark.cli import (
     ExperimentConfig,
@@ -221,3 +226,51 @@ def test_experiment_config_defaults():
     cfg = ExperimentConfig(command="norm")
     assert cfg.out_format in ("csv", "json", "both")
     assert cfg.bound_scale == 1.0
+
+
+# Run in a child interpreter where every scipy import fails.
+_NO_SCIPY_CHILD = """
+import sys
+sys.path.insert(0, {src!r})
+sys.modules["scipy"] = None
+from orlimark import cli
+codes = []
+for command, cfg in [("norm", {orlicz!r}), ("norm", {gnorm!r}), ("transform", None), ("tail", None)]:
+    argv = [command, "--out", {out!r} + str(len(codes)), "--format", "json"]
+    if cfg is not None:
+        argv += ["--config", cfg]
+    codes.append(cli.main(argv))
+print("codes", codes)
+"""
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    # norm with kind = orlicz reaches both root solves (splice knee and
+    # Luxemburg root); gnorm, transform and tail cover the other norm paths.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(orlimark.__file__)))
+    orlicz = tmp_path / "orlicz.cfg"
+    orlicz.write_text(NORM_CFG)
+    gnorm = tmp_path / "gnorm.cfg"
+    gnorm.write_text(NORM_CFG.replace("kind = orlicz", "kind = gnorm"))
+    child = _NO_SCIPY_CHILD.format(
+        src=src, orlicz=str(orlicz), gnorm=str(gnorm), out=str(tmp_path / "out")
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, timeout=600
+    )
+    assert done.returncode == 0, done.stderr
+    assert "codes [0, 0, 0, 0]" in done.stdout, done.stdout + done.stderr
+
+    imported = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            f"import sys; sys.path.insert(0, {src!r}); import orlimark.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert imported.returncode == 0, imported.stderr
+    assert imported.stdout.strip() == "[]"

@@ -5,9 +5,15 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from orlimark.conjugate import golden_max, power_log, psi_log
-from orlimark.errors import DomainEvaluationError, ScanDivergenceError
+from orlimark.errors import (
+    ConvergenceFailureError,
+    DomainEvaluationError,
+    RejectedInputError,
+    ScanDivergenceError,
+)
 from orlimark.functions import InversePowerRep, PolynomialRep
 from orlimark.harness import build_corpus
 from orlimark.norms import (
@@ -30,7 +36,7 @@ from orlimark.norms import (
     vnorm_spec,
     weighted_lorentz_g,
 )
-from orlimark.norms import _luxemburg_detail
+from orlimark.norms import _brentq, _luxemburg_detail
 from orlimark.quadrature import DEFAULT_CONFIG, Domain, integrate, lp_quasinorm
 
 INTERVAL = Domain.interval()
@@ -40,6 +46,64 @@ PHI2_C1 = 1.0 / math.sqrt(2.0)
 PHI2_C2 = 2.3316439815971246
 PHI1_C1 = 1.0
 PHI1_C2 = math.e
+
+
+# the (xtol, rtol) pairs of the library's two root solves: the splice knee
+# and the Luxemburg root
+ROOT_TOLERANCES = [(1e-15, 8.9e-16), (1e-12, 8.9e-16)]
+
+
+def _bracketed_problems(seed, count):
+    """Seeded random f(x) = polynomial + 0.3 sin(5x) with a sign change on [a, b]."""
+    rng = np.random.default_rng(seed)
+    problems = []
+    while len(problems) < count:
+        coeffs = rng.normal(size=int(rng.integers(2, 7)))
+        a, b = np.sort(rng.uniform(-3.0, 3.0, size=2))
+
+        def f(x, c=tuple(coeffs)):
+            return float(np.polynomial.polynomial.polyval(x, c)) + 0.3 * math.sin(5.0 * x)
+
+        if f(a) * f(b) < 0.0:
+            problems.append((f, float(a), float(b)))
+    return problems
+
+
+class TestBrentq:
+    @pytest.mark.parametrize("xtol,rtol", ROOT_TOLERANCES)
+    def test_matches_scipy_bit_for_bit(self, xtol, rtol):
+        for f, a, b in _bracketed_problems(seed=7, count=1000):
+            assert _brentq(f, a, b, xtol, rtol) == brentq(f, a, b, xtol=xtol, rtol=rtol), (a, b)
+
+    @pytest.mark.parametrize("xtol,rtol", ROOT_TOLERANCES)
+    def test_zero_at_an_endpoint_is_returned(self, xtol, rtol):
+        assert _brentq(lambda x: x - 1.0, 1.0, 3.0, xtol, rtol) == 1.0
+        assert _brentq(lambda x: x - 3.0, 1.0, 3.0, xtol, rtol) == 3.0
+
+    def test_no_convergence_raises_with_last_iterate(self):
+        probes = []
+
+        def f(x):
+            probes.append(x)
+            return math.sin(5.0 * x) + x
+
+        with pytest.raises(ConvergenceFailureError) as info:
+            _brentq(f, -2.0, 1.5, 1e-15, 8.9e-16, maxiter=3)
+        assert len(probes) == 2 + 3
+        assert info.value.best_estimate == probes[-1]
+
+    def test_nan_raises_at_its_abscissa(self):
+        # the first step bisects [0, 2] and lands in the NaN region at x = 1
+        def f(x):
+            return math.nan if 0.5 < x < 1.5 else x - 1.0
+
+        with pytest.raises(DomainEvaluationError) as info:
+            _brentq(f, 0.0, 2.0, 1e-12, 8.9e-16)
+        assert info.value.abscissa == 1.0
+
+    def test_same_sign_bracket_rejected(self):
+        with pytest.raises(RejectedInputError):
+            _brentq(lambda x: x * x + 1.0, -1.0, 2.0, 1e-12, 8.9e-16)
 
 
 class TestSplice:
