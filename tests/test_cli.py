@@ -274,3 +274,26 @@ def test_runtime_needs_no_scipy(tmp_path):
     )
     assert imported.returncode == 0, imported.stderr
     assert imported.stdout.strip() == "[]"
+
+    # markov-sweep still gets its t-quantile through the lazy scipy import:
+    # six degrees give the five points the slope fit needs.
+    sweep = tmp_path / "sweep.cfg"
+    sweep.write_text(SWEEP_CFG.replace("n_hi = 5", "n_hi = 6"))
+    swept = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            f"import sys; sys.path.insert(0, {src!r}); from orlimark import cli; "
+            f"code = cli.main(['markov-sweep', '--config', {str(sweep)!r}, "
+            f"'--out', {str(tmp_path / 'sweep')!r}, '--format', 'json']); "
+            "print('code', code, 'scipy.special' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert swept.returncode == 0, swept.stderr
+    assert "code 0 True" in swept.stdout, swept.stdout + swept.stderr
+    results = json.loads((tmp_path / "sweep.json").read_text())["results"]
+    lo, hi = results["slope_ci"]
+    assert lo < results["slope"] < hi
