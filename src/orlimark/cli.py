@@ -35,7 +35,7 @@ from .conjugate import (
     power_log,
     psi,
     tabulated_phi,
-    young_fenchel_or_inf,
+    young_fenchel_grid,
 )
 from .errors import ConfigError, OrlimarkError
 from .functions import InversePowerRep, RationalRep, from_text, to_text
@@ -371,8 +371,7 @@ def _run_transform(cfg: ExperimentConfig, phi, ctx: NormContext):
     report = phi_membership_check(phi)
     ps = np.geomspace(1.0, 256.0, 33)
     rows = []
-    for p in ps:
-        hs = young_fenchel_or_inf(phi, float(p))
+    for p, hs in zip(ps, young_fenchel_grid(phi, ps).tolist()):
         rows.append(
             {
                 "p": float(p),

@@ -12,9 +12,11 @@ built-in families cover the use cases:
 
 The Young-Fenchel transform h*(p) = sup_y (p y - h(y)) is computed by
 expanding a bracket around the concave objective until it encloses the
-maximum and then polishing by golden section.  psi(p) = exp(h*(p) / p) is the
-weight the sup-based norms divide by; it is nondecreasing for admissible phi
-because h*(0) = 0 and h* is convex.
+maximum and then polishing by golden section.  A grid of exponents is solved
+in one lockstep pass (young_fenchel_grid) that takes the scalar solve's steps
+for every exponent at once and returns its bits.  psi(p) = exp(h*(p) / p) is
+the weight the sup-based norms divide by; it is nondecreasing for admissible
+phi because h*(0) = 0 and h* is convex.
 """
 
 from __future__ import annotations
@@ -90,8 +92,12 @@ class PhiSpec:
     def _h_at(self, y: float) -> float:
         """h(y) as a float for pointwise loops, which guard overflow once.
 
-        A custom callable still receives an ndarray (of one element).
+        A custom callable still receives an ndarray (of one element).  For
+        z^m (power-log with r = 0) and finite y the log term m*r*log(lg) is
+        exactly zero, so exp(m*y) returns _h's bits without computing it.
         """
+        if self.family == "power-log" and self.r == 0.0 and math.isfinite(y):
+            return float(np.exp(self.m * y))
         if self.family == "log-power":
             # _h's operations without its array-wide where/minimum
             soft = np.asarray(y if y > 30.0 else np.log1p(np.exp(y)))
@@ -359,6 +365,85 @@ def young_fenchel_or_inf(phi: PhiSpec, p: float, **kw) -> float:
         return math.inf
 
 
+def young_fenchel_grid(phi: PhiSpec, ps, p_min: float = 0.5) -> np.ndarray:
+    """young_fenchel_or_inf at every p of ps, solved in one lockstep pass.
+
+    Each exponent takes the scalar solve's steps from y0 = 0 with unit first
+    steps: doubling expansion right, then left, golden section to the same
+    stop test, then the largest of the four values (the first wins a tie).
+    The exponents still moving share one vectorized h call per step, so the
+    result has the scalar solve's bits; divergent exponents give +inf.
+    """
+    ps = np.array(ps, dtype=float, ndmin=1)
+    below = ps[~(ps >= p_min)]
+    if below.size:
+        raise ValueError(f"p = {float(below[0])!r} below the allowed minimum {p_min!r}")
+    n = ps.size
+
+    def obj(y, p):
+        if y.size == 0:  # h is never called with no points
+            return y
+        hv = phi._h(y)
+        with np.errstate(invalid="ignore"):
+            return np.where(np.isnan(hv), -np.inf, p * y - hv)
+
+    def expand(sign, lanes):
+        """Doubling steps in direction sign: (y, value, end, still_moving, step)."""
+        y, f, end = np.zeros(n), f0.copy(), np.full(n, np.nan)
+        step = np.ones(n)
+        moving = np.zeros(n, dtype=bool)
+        moving[lanes] = True
+        active = lanes
+        for _ in range(200):
+            if active.size == 0:
+                break
+            cand = y[active] + sign * step[active]
+            fc = obj(cand, ps[active])
+            up = fc > f[active]
+            stop = active[~up]
+            moving[stop] = False
+            end[stop] = cand[~up]
+            rose = active[up]
+            y[rose], f[rose] = cand[up], fc[up]
+            step[rose] *= 2.0
+            active = rose[np.abs(cand[up]) <= 1e9]
+        return y, f, end, moving, step
+
+    with np.errstate(over="ignore"):
+        f0 = obj(np.zeros(n), ps)
+        _yr, fr, hi, rising, _ = expand(1.0, np.arange(n))
+        solved = np.flatnonzero(~rising)
+        yl, fl, lo, falling, step = expand(-1.0, solved)
+        lo[falling] = yl[falling] - step[falling]
+
+        a, b, p = lo[solved], hi[solved], ps[solved]
+        x1 = b - _GOLDEN * (b - a)
+        x2 = a + _GOLDEN * (b - a)
+        f1 = obj(x1, p)
+        f2 = obj(x2, p)
+        live = np.arange(solved.size)
+        for _ in range(200):
+            al, bl = a[live], b[live]
+            live = live[~(bl - al <= 1e-12 * (1.0 + np.abs(al) + np.abs(bl)))]
+            if live.size == 0:
+                break
+            right = f1[live] < f2[live]
+            r, left = live[right], live[~right]
+            a[r], x1[r], f1[r] = x1[r], x2[r], f2[r]
+            x2[r] = a[r] + _GOLDEN * (b[r] - a[r])
+            b[left], x2[left], f2[left] = x2[left], x1[left], f1[left]
+            x1[left] = b[left] - _GOLDEN * (b[left] - a[left])
+            fnew = obj(np.concatenate([x2[r], x1[left]]), np.concatenate([p[r], p[left]]))
+            f2[r], f1[left] = fnew[: r.size], fnew[r.size :]
+
+    best = np.where(f1 >= f2, f1, f2)
+    for other in (fr[solved], fl[solved], f0[solved]):
+        best = np.where(other > best, other, best)
+    out = np.full(n, math.inf)
+    out[solved] = best
+    return out
+
+
 def psi_log(phi: PhiSpec, p: float) -> float:
     return young_fenchel(phi, p) / p
 
@@ -372,9 +457,11 @@ def psi(phi: PhiSpec, p: float) -> float:
 class ConjugateCache:
     """Conjugate values precomputed on a geometric p-grid.
 
-    Grid density is 64 points per decade.  Scans read the exact grid values;
-    arbitrary p in between interpolate linearly in log p, and asserted values
-    are always recomputed exactly via young_fenchel.
+    Grid density is 64 points per decade.  The grid is solved in one
+    lockstep pass of young_fenchel_grid, with the scalar solve's steps and
+    bits.  Scans read the exact grid values; arbitrary p in between
+    interpolate linearly in log p, and asserted values are always recomputed
+    exactly via young_fenchel.
     """
 
     phi: PhiSpec
@@ -392,7 +479,7 @@ class ConjugateCache:
         decades = math.log10(p_hi / p_lo)
         count = max(2, int(round(decades * self.per_decade)) + 1)
         grid = np.geomspace(p_lo, p_hi, count)
-        hstar = np.array([young_fenchel_or_inf(self.phi, float(p)) for p in grid])
+        hstar = young_fenchel_grid(self.phi, grid)
         object.__setattr__(self, "p_lo", float(p_lo))
         object.__setattr__(self, "p_hi", float(p_hi))
         self.grid = grid
@@ -429,6 +516,15 @@ def fenchel_moreau_check(phi: PhiSpec, ys, p_lo: float = 1e-6, p_hi: float = 409
     For convex h the biconjugate reproduces h exactly; the returned deviation
     is therefore a direct measure of conjugate-transform numerics.
     """
+    scans = {}  # hi_p -> (ts, p, h*(p)): the coarse grid does not depend on y
+
+    def coarse(hi_p):
+        if hi_p not in scans:
+            ts = np.linspace(math.log(p_lo), math.log(hi_p), 120)
+            ps = np.array([math.exp(t) for t in ts])
+            scans[hi_p] = ts, ps, young_fenchel_grid(phi, ps, p_min=0.0)
+        return scans[hi_p]
+
     worst = 0.0
     for y in np.asarray(ys, dtype=float):
         with np.errstate(over="ignore"):
@@ -442,8 +538,8 @@ def fenchel_moreau_check(phi: PhiSpec, ys, p_lo: float = 1e-6, p_hi: float = 409
         # scan, widening the window whenever the maximizer sits on its edge
         hi_p = p_hi
         while True:
-            ts = np.linspace(math.log(p_lo), math.log(hi_p), 120)
-            vals = np.array([obj(t) for t in ts])
+            ts, ps, hstar = coarse(hi_p)
+            vals = ps * y - hstar
             k = int(np.argmax(vals))
             if k < len(ts) - 2 or hi_p >= 1e12:
                 break

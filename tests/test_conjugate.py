@@ -19,6 +19,7 @@ from orlimark.conjugate import (
     psi_log,
     tabulated_phi,
     young_fenchel,
+    young_fenchel_grid,
     young_fenchel_or_inf,
 )
 from orlimark.errors import SummabilityError
@@ -199,10 +200,92 @@ def test_conjugate_bits_pinned(phi, expected):
     assert got == expected
 
 
-@pytest.mark.parametrize("phi", [phi for phi, _ in PINNED_CONJUGATES], ids=PINNED_IDS)
+KERNEL_PHIS = [phi for phi, _ in PINNED_CONJUGATES] + [power_log(2.0, r=-0.0)]
+
+
+@pytest.mark.parametrize("phi", KERNEL_PHIS, ids=PINNED_IDS + ["power-log(m=2,r=-0)"])
 def test_point_kernel_matches_h(phi):
-    # the float path behind the conjugate solve returns h's bits exactly
-    ys = np.concatenate([np.linspace(-60.0, 80.0, 2801), [-0.0, 30.0, np.nextafter(30.0, 31.0), 700.0, 1e9]])
-    with np.errstate(over="ignore"):
+    # the float path behind the conjugate solve returns h's bits exactly,
+    # non-finite y included (h(+inf) is nan for power-log: 0 * log(inf))
+    ys = np.concatenate(
+        [np.linspace(-60.0, 80.0, 2801), [-0.0, 30.0, np.nextafter(30.0, 31.0), 700.0, 1e9, np.inf, -np.inf, np.nan]]
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
         got = np.array([phi._h_at(float(y)) for y in ys])
-    assert np.array_equal(got, phi.h(ys))
+        assert np.array_equal(got, phi.h(ys), equal_nan=True)
+
+
+def assert_same_bits(got, expected):
+    expected = np.array(expected, dtype=float)
+    assert np.array_equal(got, expected, equal_nan=True)
+    assert got.tobytes() == expected.tobytes()  # signed zeros too
+
+
+def scalar_solves(phi, ps, **kw):
+    return [young_fenchel_or_inf(phi, float(p), **kw) for p in ps]
+
+
+@pytest.mark.parametrize("phi", [phi for phi, _ in PINNED_CONJUGATES], ids=PINNED_IDS)
+def test_grid_solve_matches_scalar(phi):
+    ps = np.geomspace(0.5, 2e4, 400)
+    tiny = np.geomspace(1e-6, 0.5, 60)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_same_bits(young_fenchel_grid(phi, ps), scalar_solves(phi, ps))
+        assert_same_bits(young_fenchel_grid(phi, tiny, p_min=0.0), scalar_solves(phi, tiny, p_min=0.0))
+
+
+def test_grid_solve_divergent_table():
+    # linear continuation with slope 2/log 2 = 2.885: h* is +inf above it
+    phi = tabulated_phi([1.0, 2.0, 4.0, 8.0], [1.0, 3.0, 9.0, 27.0])
+    ps = np.geomspace(0.5, 2e4, 400)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = young_fenchel_grid(phi, ps)
+        assert_same_bits(got, scalar_solves(phi, ps))
+    assert np.isinf(got).sum() == 251
+
+
+def test_grid_solve_expansion_cap():
+    # h(y) ~ y^1.001: the maximizer (p/1.001)^1000 passes |y| = 1e9 near
+    # p = 1.022, where the doubling expansion gives up and reports +inf
+    phi = log_power(1e-3)
+    ps = np.geomspace(0.5, 2.0, 60)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = young_fenchel_grid(phi, ps)
+        assert_same_bits(got, scalar_solves(phi, ps))
+    assert np.isinf(got).sum() == 29
+
+
+@pytest.mark.parametrize("phi", [phi for phi, _ in PINNED_CONJUGATES], ids=PINNED_IDS)
+def test_cache_matches_scalar(phi):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p_lo in (1.0, 4.0):
+            cache = ConjugateCache(phi, p_lo)
+            assert_same_bits(cache.hstar, scalar_solves(phi, cache.grid))
+        cache.extend(4.0)
+        assert_same_bits(cache.hstar, scalar_solves(phi, cache.grid))
+
+
+def test_grid_solve_rejects_small_p(phi2):
+    with pytest.raises(ValueError):
+        young_fenchel_grid(phi2, [1.0, 0.4, 2.0])
+    with pytest.raises(ValueError):
+        young_fenchel_grid(phi2, [1.0, -1e-9], p_min=0.0)
+    with pytest.raises(ValueError):
+        young_fenchel_grid(phi2, [1.0, math.nan])
+
+
+def test_grid_solve_passes_ndarrays_to_callable():
+    seen = []
+
+    def power(z):
+        seen.append(type(z))
+        return z ** 2.5
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        young_fenchel_grid(custom_phi(power), np.geomspace(1.0, 100.0, 9))
+    assert seen and set(seen) == {np.ndarray}

@@ -27,6 +27,8 @@ slowest group.  Covered:
 * ``fenchel_moreau_check``, ``phi_membership_check`` and
   ``equivalence_constants`` for the three phi;
 * ``young_fenchel_or_inf`` over 400 exponents for six phi families;
+* ``ConjugateCache.hstar`` for the same six families at p_lo 1 and 4, as
+  built and after one ``extend``;
 * the CLI's ``.json`` (minus ``timestamp``) and ``.csv`` for ``norm`` (all
   five kinds), ``markov-sweep``, ``equivalence``, ``transform`` and
   ``tail``.
@@ -60,11 +62,16 @@ from orlimark import (  # noqa: E402
     tabulated_phi,
     weighted_lorentz_g,
 )
-from orlimark.conjugate import young_fenchel_or_inf  # noqa: E402
+from orlimark.conjugate import ConjugateCache, young_fenchel_or_inf  # noqa: E402
 from orlimark.functions import derivative  # noqa: E402
 from orlimark.norms import sup_ratio_from, v_quasinorm_info  # noqa: E402
 
 PHIS = [power_log(1.0), power_log(2.0), log_power(1.0)]
+FAMILIES = PHIS + [
+    power_log(3.0, r=1.0),
+    tabulated_phi([0.5, 1.0, 2.0, 4.0, 8.0], [0.05, 0.2, 0.9, 4.0, 20.0]),
+    custom_phi(lambda z: np.asarray(z) ** 2.5),
+]
 CLI_RUNS = {
     "norm-lp": ("norm", "[norm]\nkind = lp\np = 3\n"),
     "norm-orlicz": ("norm", "[norm]\nkind = orlicz\n"),
@@ -120,15 +127,24 @@ def conjugate_records():
         yield "fenchel_moreau_check", phi.label, attempt(lambda: fenchel_moreau_check(phi, ys))
         yield "phi_membership_check", phi.label, attempt(lambda: phi_membership_check(phi))
         yield "equivalence_constants", phi.label, attempt(lambda: equivalence_constants(NormContext().orlicz(phi)))
-    families = PHIS + [
-        power_log(3.0, r=1.0),
-        tabulated_phi([0.5, 1.0, 2.0, 4.0, 8.0], [0.05, 0.2, 0.9, 4.0, 20.0]),
-        custom_phi(lambda z: np.asarray(z) ** 2.5),
-    ]
     ps = np.concatenate([np.geomspace(0.5, 2e4, 394), [0.5, 1.0, 3.7, 64.0, 1000.0, 2e4]])
-    for phi in families:
+    for phi in FAMILIES:
         for p in ps:
             yield "young_fenchel_or_inf", f"{phi.label} {p!r}", attempt(lambda: young_fenchel_or_inf(phi, float(p)))
+
+
+def cache_hstar(phi, p_lo):
+    """hstar of a fresh ConjugateCache, as built and after one extend."""
+    cache = ConjugateCache(phi, p_lo)
+    built = cache.hstar.tolist()
+    cache.extend()
+    return built, cache.hstar.tolist()
+
+
+def cache_records():
+    for phi in FAMILIES:
+        for p_lo in (1.0, 4.0):
+            yield "conjugate_cache", f"{phi.label} p_lo={p_lo!r}", attempt(lambda: cache_hstar(phi, p_lo))
 
 
 def cli_records():
@@ -207,7 +223,7 @@ def main(argv):
         compare(argv[1], argv[2])
         return
     out_path = argv[0]
-    groups = [conjugate_records, corpus_records, cli_records]
+    groups = [conjugate_records, cache_records, corpus_records, cli_records]
     if "--quick" not in argv:
         groups.insert(0, band_records)
     counts = Counter()
