@@ -52,6 +52,7 @@ from .quadrature import (
     SINGULAR_CONFIG,
     LevelSampler,
     QuadratureConfig,
+    break_points_of,
     lp_quasinorm,
 )
 
@@ -440,7 +441,8 @@ def tail_check(
     ps = np.array([8.0, 16.0, 32.0, 64.0, 128.0])
     betas = ps / (ps * r + 1.0)
     gaps = 1.0 / r - betas
-    norms = np.array([lp_quasinorm(f, float(b), dom, cfg) / v for b in betas])
+    breaks = break_points_of(f, dom)
+    norms = np.array([lp_quasinorm(f, float(b), dom, cfg, breaks) / v for b in betas])
     slope = _loglog_slope(gaps, norms)[0]
     return TailReport(
         u_grid=us,

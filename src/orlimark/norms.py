@@ -54,6 +54,7 @@ from .quadrature import (
     PowerNormEvaluator,
     QuadratureConfig,
     _logsumexp,
+    break_points_of,
     composite_nodes,
     integrate_log,
     integrate_unnormalized,
@@ -242,20 +243,30 @@ def construct_N(phi: PhiSpec, u_lo: float = 1e-3, u_hi: float = 1e3) -> OrliczN:
 
 
 def _luxemburg_detail(f, n: OrliczN, domain: Domain, cfg: QuadratureConfig):
-    sup = sup_norm(f, domain)
+    # the break points of f bound the sup and start every integral's panels
+    breaks = break_points_of(f, domain)
+    sup = sup_norm(f, domain, breaks)
     if sup == 0.0:
         return 0.0, 0.0, True
-    l1 = lp_quasinorm(f, 1.0, domain, cfg)
+    l1 = lp_quasinorm(f, 1.0, domain, cfg, breaks)
     lo = n.linear_slope * l1
     hi = n.linear_slope * sup * (1.0 + 1e-6)
     log_f = log_abs_of(f)
+    # the modular at each t it has been integrated at: the root solve starts
+    # from the two sign checks and ends on an iterate it has evaluated
+    modular: dict[float, float] = {}
 
     def log_i(t: float) -> float:
+        if t not in modular:
+            modular[t] = _log_modular(t)
+        return modular[t]
+
+    def _log_modular(t: float) -> float:
         def g(xs):
             return n.n_log_from_log_u(log_f(xs) - t)
 
         try:
-            return integrate_log(g, domain, cfg)
+            return integrate_log(g, domain, cfg, breaks)
         except ConvergenceFailureError as err:
             # Far below the root the modular explodes (fast phi makes the
             # integrand spike beyond any bisection depth), but only the sign
@@ -370,15 +381,17 @@ def _g_scan(f, phi: PhiSpec, domain: Domain | None, cfg: QuadratureConfig, cache
     dom = domain if domain is not None else f.natural_domain
     c = cache if cache is not None else ConjugateCache(phi)
 
+    breaks = break_points_of(f, dom)
+
     def make_log_norm():
         yardsticks = (p_lo, math.sqrt(p_lo * c.p_hi), c.p_hi)
-        return PowerNormEvaluator(f, dom, cfg, yardsticks=yardsticks).log_norm
+        return PowerNormEvaluator(f, dom, cfg, yardsticks=yardsticks, breaks=breaks).log_norm
 
     # f identically zero needs no special case: every log ratio is -inf and
     # the scan collapses to value 0; this also keeps unbounded f (integrable
     # singularities) out of sup_norm, which rejects them.
     try:
-        return _sup_over_p(make_log_norm, lambda p: lp_quasinorm(f, p, dom, cfg), phi, c, p_lo)
+        return _sup_over_p(make_log_norm, lambda p: lp_quasinorm(f, p, dom, cfg, breaks), phi, c, p_lo)
     except ConvergenceFailureError as err:
         # an L_p member that the adaptive integrator cannot settle means the
         # scanned ratio has no certified finite supremum
@@ -427,15 +440,17 @@ def v_quasinorm_info(f, phi, r, domain=None, cfg=DEFAULT_CONFIG, cache=None) -> 
     if c.p_lo > 4.0:
         raise ValueError("conjugate cache must start at or below p = 4")
 
+    breaks = break_points_of(f, dom)
+
     def beta(p):
         return p / (p * r + 1.0)
 
     def make_log_norm():
         b_lo, b_hi = beta(4.0), beta(c.p_hi)
-        ev = PowerNormEvaluator(f, dom, cfg, yardsticks=(b_lo, 0.5 * (b_lo + b_hi), b_hi))
+        ev = PowerNormEvaluator(f, dom, cfg, yardsticks=(b_lo, 0.5 * (b_lo + b_hi), b_hi), breaks=breaks)
         return lambda p: ev.log_norm(beta(p))
 
-    return _sup_over_p(make_log_norm, lambda p: lp_quasinorm(f, beta(p), dom, cfg), phi, c, 4.0)
+    return _sup_over_p(make_log_norm, lambda p: lp_quasinorm(f, beta(p), dom, cfg, breaks), phi, c, 4.0)
 
 
 # ---------------------------------------------------------------------------

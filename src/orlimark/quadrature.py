@@ -20,6 +20,13 @@ reduces to three primitives implemented here:
   to a collapsed bracket.  ``sup_norm`` is the largest |f| over the same
   break points.
 
+Adaptive integrals of functions of |f| (``lp_quasinorm``, the panels of
+``PowerNormEvaluator`` and the Luxemburg modular in the norms module) start
+with the break points of f as panel edges besides the uniform ones, as
+QUADPACK's QAGP takes known singular points: |f| has a kink at every zero
+of f.  An object that reports no break points starts from the uniform
+panels.
+
 The measure is Lebesgue measure scaled to total mass one, so ``integrate``
 of the constant 1 is exactly 1 on either domain.
 """
@@ -118,6 +125,13 @@ def log_abs_of(f):
     return call
 
 
+def break_points_of(f, domain: Domain):
+    """The break points f reports on the domain (the kinks of |f| among
+    them), or None for an object that reports none."""
+    report = getattr(f, "break_points", None)
+    return None if report is None else report(domain)
+
+
 def _check_finite(values: np.ndarray, xs: np.ndarray, allow_neg_inf: bool):
     bad = ~np.isfinite(values)
     if allow_neg_inf:
@@ -163,7 +177,23 @@ def _panel_nodes(lo, hi, nodes):
     return mid[:, None] + half[:, None] * nodes[None, :], half
 
 
-def _adaptive(f, lo, hi, cfg, log_mode, collect_panels=False):
+def _initial_edges(lo, hi, count, breaks):
+    """The ``count`` uniform panel edges of [lo, hi] and the points of
+    ``breaks`` inside, sorted; a point within rounding of an edge already
+    taken is dropped."""
+    edges = np.linspace(lo, hi, count + 1)
+    if breaks is None:
+        return edges
+    tol = 4.0 * np.finfo(float).eps * max(1.0, abs(lo), abs(hi))
+    inner = np.unique(np.asarray(breaks, dtype=float))
+    inner = inner[(inner > lo + tol) & (inner < hi - tol)]
+    i = np.searchsorted(edges, inner)
+    inner = inner[(inner - edges[i - 1] > tol) & (edges[i] - inner > tol)]
+    inner = inner[np.diff(inner, prepend=-np.inf) > tol]
+    return np.sort(np.concatenate([edges, inner]))
+
+
+def _adaptive(f, lo, hi, cfg, log_mode, collect_panels=False, breaks=None):
     """Shared wave loop for linear and log-domain adaptive quadrature.
 
     All active panels are bisected together each wave, so the integrand is
@@ -171,6 +201,9 @@ def _adaptive(f, lo, hi, cfg, log_mode, collect_panels=False):
     once the parent-children discrepancy fits in a budget proportional to
     the panel's share of the domain; a global test retires the whole queue
     early when the total outstanding discrepancy is already below tolerance.
+    The points of ``breaks`` inside (lo, hi), where the integrand may have a
+    kink, are initial panel edges besides the uniform ones, as QUADPACK's
+    QAGP takes its break points.
     """
     nodes, weights = _gl_rule(cfg.nodes_per_panel)
     total_len = hi - lo
@@ -200,7 +233,7 @@ def _adaptive(f, lo, hi, cfg, log_mode, collect_panels=False):
             _check_finite(g, xs, allow_neg_inf=False)
             return (g @ weights) * half
 
-    edges = np.linspace(lo, hi, cfg.initial_panels + 1)
+    edges = _initial_edges(lo, hi, cfg.initial_panels, breaks)
     p_lo = edges[:-1].copy()
     p_hi = edges[1:].copy()
     p_val = panel_values(p_lo, p_hi)
@@ -314,29 +347,30 @@ def integrate_unnormalized(f, lo: float, hi: float, cfg: QuadratureConfig = DEFA
     return value
 
 
-def integrate_log(log_f, domain: Domain, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def integrate_log(log_f, domain: Domain, cfg: QuadratureConfig = DEFAULT_CONFIG, breaks=None) -> float:
     """log of the integral of exp(log_f) against the normalized measure.
 
+    ``breaks``, where the integrand may have kinks, start as panel edges.
     Returns -inf when the integrand vanishes identically on the sample set.
     """
-    value, _err = _adaptive(as_vectorized(log_f), domain.lo, domain.hi, cfg, log_mode=True)
+    value, _err = _adaptive(as_vectorized(log_f), domain.lo, domain.hi, cfg, log_mode=True, breaks=breaks)
     if value == -math.inf:
         return -math.inf
     return value + math.log(domain.density)
 
 
-def panel_edges(log_integrand, lo: float, hi: float, exponents, cfg: QuadratureConfig) -> np.ndarray:
+def panel_edges(log_integrand, lo: float, hi: float, exponents, cfg: QuadratureConfig, breaks=None) -> np.ndarray:
     """Merged panel edges refined for exp(log_integrand(xs, e)) at each e.
 
     The union of the per-exponent adaptive panelizations of [lo, hi] gives a
     fixed composite rule that is then accurate across the whole exponent
     range in between, which is what the sup-over-p scans want: one set of
-    cached nodes, many p.
+    cached nodes, many p.  Each panelization starts from ``breaks`` too.
     """
     edge_set = {float(lo), float(hi)}
     for e in exponents:
         _val, _err, panels = _adaptive(
-            lambda xs, _e=float(e): log_integrand(xs, _e), lo, hi, cfg, log_mode=True, collect_panels=True
+            lambda xs, _e=float(e): log_integrand(xs, _e), lo, hi, cfg, log_mode=True, collect_panels=True, breaks=breaks
         )
         for a, b in panels:
             edge_set.add(float(a))
@@ -361,13 +395,16 @@ class PowerNormEvaluator:
     Node values of log|f| are computed once; each subsequent norm is a single
     vectorized log-sum-exp.  Intended for scan loops; the returned maximizer
     should be re-validated with a fully adaptive call (see norms module).
+    The panels start at ``breaks``, by default those f reports.
     """
 
-    def __init__(self, f, domain: Domain, cfg: QuadratureConfig, yardsticks):
+    def __init__(self, f, domain: Domain, cfg: QuadratureConfig, yardsticks, breaks=None):
         self.domain = domain
         self.cfg = cfg
         log_f = log_abs_of(f)
-        edges = panel_edges(lambda xs, e: e * log_f(xs), domain.lo, domain.hi, yardsticks, cfg)
+        if breaks is None:
+            breaks = break_points_of(f, domain)
+        edges = panel_edges(lambda xs, e: e * log_f(xs), domain.lo, domain.hi, yardsticks, cfg, breaks)
         xs, weights, half = composite_nodes(edges, cfg)
         # same open-interval clamp as the adaptive loop: a rounded node must
         # not land on a singular endpoint
@@ -392,30 +429,37 @@ class PowerNormEvaluator:
         return out
 
 
-def lp_quasinorm(f, p: float, domain: Domain, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """(integral |f|^p dmu)^(1/p); a norm for p >= 1, quasinorm below."""
+def lp_quasinorm(f, p: float, domain: Domain, cfg: QuadratureConfig = DEFAULT_CONFIG, breaks=None) -> float:
+    """(integral |f|^p dmu)^(1/p); a norm for p >= 1, quasinorm below.
+
+    The integral starts with ``breaks``, by default those f reports, as
+    panel edges.
+    """
     if not (p > 0.0):
         raise ValueError(f"exponent must be positive, got {p!r}")
     log_f = log_abs_of(f)
+    if breaks is None:
+        breaks = break_points_of(f, domain)
 
     def scaled(xs):
         return p * log_f(xs)
 
-    log_i = integrate_log(scaled, domain, cfg)
+    log_i = integrate_log(scaled, domain, cfg, breaks)
     if log_i == -math.inf:
         return 0.0
     return math.exp(log_i / p)
 
 
-def _break_values(f, domain: Domain, bounded: bool):
-    """Break points of f on the domain and |f| at them.
+def _break_values(f, domain: Domain, bounded: bool, xs=None):
+    """Break points of f on the domain (``xs`` when given) and |f| at them.
 
     An undefined value raises DomainEvaluationError, and so does an
     infinite one when ``bounded``.
     """
-    if not hasattr(f, "break_points"):
+    if xs is None:
+        xs = break_points_of(f, domain)
+    if xs is None:
         raise RejectedInputError(f"{type(f).__name__} reports no break points; pass a function representation")
-    xs = f.break_points(domain)
     vals = np.abs(as_vectorized(f)(xs))
     bad = ~np.isfinite(vals) if bounded else np.isnan(vals)
     if bad.any():
@@ -424,10 +468,11 @@ def _break_values(f, domain: Domain, bounded: bool):
     return xs, vals
 
 
-def sup_norm(f, domain: Domain) -> float:
-    """Sup of |f|: its largest value over the break points of f, between
-    which |f| is monotone.  Unbounded f raises DomainEvaluationError."""
-    return float(np.max(_break_values(f, domain, bounded=True)[1]))
+def sup_norm(f, domain: Domain, breaks=None) -> float:
+    """Sup of |f|: its largest value over the break points of f (``breaks``
+    when given), between which |f| is monotone.  Unbounded f raises
+    DomainEvaluationError."""
+    return float(np.max(_break_values(f, domain, bounded=True, xs=breaks)[1]))
 
 
 class LevelSampler:

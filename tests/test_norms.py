@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from orlimark.conjugate import golden_max, power_log, psi_log
+from orlimark.conjugate import golden_max, log_power, power_log, psi_log
 from orlimark.errors import (
     ConvergenceFailureError,
     DomainEvaluationError,
@@ -329,14 +329,112 @@ def test_lorentz_diagonal_off_polynomials_matches_mpmath():
     gap, trig = corpus["gap-03"], corpus["trig-05"]
     with mp.workdps(20):
         gap_ref = mp.quad(lambda x: mp.fprod(((x - a) ** 2 + b * b) ** (mp.mpf(r) / 2) for a, b, r in gap.factors), [-1, 1])
-
-        def trig_abs(x):
-            terms = zip(trig.cos_coeffs[1:], trig.sin_coeffs)
-            return abs(trig.cos_coeffs[0] + mp.fsum(a * mp.cos(k * x) + b * mp.sin(k * x) for k, (a, b) in enumerate(terms, 1)))
-
-        trig_ref = mp.quad(trig_abs, [float(x) for x in trig.break_points(trig.natural_domain)])
+        trig_mp = _mp_function(trig)
+        trig_ref = mp.quad(lambda x: abs(trig_mp(x)), [float(x) for x in trig.break_points(trig.natural_domain)])
     assert lorentz_norm(gap, 1.0, 1.0) == pytest.approx(float(gap_ref / 2), rel=1e-10)
     assert lorentz_norm(trig, 1.0, 1.0) == pytest.approx(float(trig_ref / (2 * mp.pi)), rel=1e-10)
+
+
+def _mp_function(f):
+    """A polynomial, trig or rational member as an mpmath function of x."""
+    if f.kind == "polynomial":
+        c = [mp.mpf(v) for v in f.coeffs][::-1]
+        return lambda x: mp.polyval(c, x)
+    if f.kind == "trig":
+        a, b = [mp.mpf(v) for v in f.cos_coeffs], [mp.mpf(v) for v in f.sin_coeffs]
+
+        def trig(x):
+            # a_k cos(kx) + b_k sin(kx) = a_k Re z^k + b_k Im z^k, z = e^(ix)
+            e, z, total = mp.expj(x), mp.mpf(1), a[0]
+            for k in range(1, len(a)):
+                z *= e
+                total += a[k] * z.real + b[k - 1] * z.imag
+            return total
+
+        return trig
+    num, den = [mp.mpf(v) for v in f.num.coeffs][::-1], [mp.mpf(v) for v in f.den.coeffs][::-1]
+    return lambda x: mp.polyval(num, x) / mp.polyval(den, x)
+
+
+def _mp_cuts(f):
+    return [mp.mpf(float(x)) for x in f.break_points(f.natural_domain)]
+
+
+def test_lp_quasinorm_matches_mpmath():
+    # every polynomial, trig and rational member of the corpus, against a
+    # 20-digit quad split at the member's break points: |f| has a kink at
+    # each zero of f, which the adaptive rule must start from
+    for label, f in build_corpus(7):
+        if f.kind not in ("polynomial", "trig", "rational"):
+            continue
+        g, values = _mp_function(f), {}
+
+        def abs_f(x):
+            # the quads for the three p share their nodes
+            if x not in values:
+                values[x] = abs(g(x))
+            return values[x]
+
+        cuts = _mp_cuts(f)
+        for p in (1, 2, 3):
+            with mp.workdps(20):
+                mean = mp.quad(lambda x: abs_f(x) ** p, cuts, method="gauss-legendre") / (cuts[-1] - cuts[0])
+                ref = float(mean ** (mp.mpf(1) / p))
+            rel = abs(lp_quasinorm(f, float(p), f.natural_domain) - ref) / ref
+            assert rel <= 1e-12, (label, p, rel)
+
+
+def _mp_phi(phi):
+    """The growth function of power_log(m) (r = 0) or log_power(nu) in mpmath."""
+    if phi.family == "power-log":
+        assert phi.r == 0.0
+        return lambda u: u ** mp.mpf(phi.m)
+    return lambda u: mp.log1p(u) ** (1 + mp.mpf(phi.nu))
+
+
+@pytest.mark.parametrize("label", ["trig-06", "poly-19", "rational-05"])
+def test_luxemburg_matches_mpmath(label, ctx):
+    # members with interior zeros; the modular N(|f| / l) is integrated by a
+    # 20-digit quad split at the break points and where |f| / l crosses the
+    # knee, and its root l is found by mpmath
+    f = dict(build_corpus(7))[label]
+    g, cuts = _mp_function(f), _mp_cuts(f)
+    for phi in (power_log(1.0), power_log(2.0), log_power(1.0)):
+        n = ctx.orlicz(phi)
+        got = luxemburg_norm(f, n)
+        with mp.workdps(20):
+            growth = _mp_phi(phi)
+            knee, slope = mp.mpf(n.splice_point), mp.mpf(n.linear_slope)
+
+            def modular(l):
+                level = knee * l
+                pts = list(cuts)
+                for a, b in zip(cuts, cuts[1:]):
+                    # |f| is monotone between break points: at most one crossing
+                    if (abs(g(a)) - level) * (abs(g(b)) - level) < 0:
+                        pts.append(mp.findroot(lambda x: abs(g(x)) - level, (a, b), solver="anderson"))
+
+                def big_n(x):
+                    u = abs(g(x)) / l
+                    return slope * u if u <= knee else mp.exp(growth(u))
+
+                return mp.quad(big_n, sorted(pts), method="gauss-legendre") / (cuts[-1] - cuts[0])
+
+            start = (mp.mpf(got), mp.mpf(got) * (1 + mp.mpf(1e-6)))
+            ref = float(mp.findroot(lambda l: modular(l) - 1, start, solver="secant"))
+        assert got == pytest.approx(ref, rel=1e-9), phi.label
+
+
+@pytest.mark.parametrize("label", ["trig-06", "poly-19", "rational-05"])
+def test_g_norm_is_the_exact_ratio_at_p_star(label, ctx):
+    # the scan's cached-node evaluator starts from the break points as well,
+    # so the fast value it may report is the exact ratio at p_star to
+    # rounding, not only to the scan's 1e-6 agreement test
+    f = dict(build_corpus(7))[label]
+    for phi in (power_log(1.0), power_log(2.0), log_power(1.0)):
+        info = g_norm_info(f, phi, cache=ctx.conjugates(phi))
+        exact = lp_quasinorm(f, info.p_star, f.natural_domain) * math.exp(-psi_log(phi, info.p_star))
+        assert info.value == pytest.approx(exact, rel=1e-12), phi.label
 
 
 class TestWeightedLorentzG:

@@ -23,6 +23,7 @@ from orlimark.quadrature import (
     Domain,
     LevelSampler,
     QuadratureConfig,
+    _initial_edges,
     _logsumexp,
     distribution,
     integrate,
@@ -97,6 +98,21 @@ def test_lp_quasinorm_scaling_tight():
     for c in (0.1, 3.0, 100.0):
         scaled = lp_quasinorm(PolynomialRep([c * v for v in f.coeffs]), 3.0, INTERVAL)
         assert scaled == pytest.approx(c * base, rel=1e-10)
+
+
+def test_lp_quasinorm_plain_callable():
+    # an object without break points integrates from the uniform panels
+    assert lp_quasinorm(lambda x: x, 2, INTERVAL) == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-13)
+
+
+def test_initial_edges_take_the_break_points():
+    # interior break points join the uniform edges; the ends, points outside
+    # and points within rounding of an edge taken already add nothing
+    eps = np.finfo(float).eps
+    breaks = [-1.0, -0.3, -0.3 + eps, 0.5 + eps, 0.7, 1.0, 2.0]
+    edges = _initial_edges(-1.0, 1.0, 4, breaks)
+    assert edges.tolist() == [-1.0, -0.5, -0.3, 0.0, 0.5, 0.7, 1.0]
+    assert np.array_equal(_initial_edges(-1.0, 1.0, 4, None), np.linspace(-1.0, 1.0, 5))
 
 
 def test_lp_quasinorm_zero():
