@@ -12,10 +12,12 @@ Three norm families ride on top:
 * ``g_norm`` / ``v_quasinorm`` / ``weighted_lorentz_g``: suprema over an
   exponent grid of ||f||_p, ||f||_beta(p) or a Lorentz norm divided by the
   conjugate weight psi(p), all computed by the one engine ``_sup_over_p``.
-  Grids are geometric with 64 points per decade; a maximizer at the right
-  edge triggers two fourfold extensions before the scan is declared
-  divergent.  The winning grid point is polished by golden section and
-  re-validated with the exact norm and an exact weight.
+  Grids are geometric with 64 points per decade and start at the scan's
+  lower exponent p_lo; a maximizer at the right edge triggers two fourfold
+  extensions before the scan is declared divergent.  The winning grid point
+  is polished by golden section, unless it is p_lo and the ratio does not
+  rise off that edge, and re-validated with the exact norm and an exact
+  weight.
 * ``lorentz_norm``: distribution-function based two-parameter norms,
   including the sup form at the second index equal to infinity.  Both work
   on the intervals between consecutive critical values of |f|, where T is
@@ -65,6 +67,8 @@ from .quadrature import (
 )
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# probe step in log p off the left edge of a scan, close to sqrt(eps)
+_EDGE_STEP = 1e-8
 
 
 def _brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
@@ -336,18 +340,22 @@ def _golden_max(fn, lo, hi, tol: float):
 def _sup_over_p(make_log_norm, exact_norm, phi: PhiSpec, cache: ConjugateCache, p_lo: float) -> ScanResult:
     """sup over grid p >= p_lo of exp(log_norm(p) - psi_log(p)), certified.
 
+    The cache grid must start at p_lo (to 1e-12 relative), or ValueError.
     make_log_norm() returns a cached-node p -> log norm; it is called again
     after each fourfold extension of the grid, so evaluators can re-panelize
     for the larger exponents.  The grid winner is polished by golden section
-    in log p and re-validated with exact_norm(p) and an exact weight; the
+    in log p, which assumes the ratio unimodal; a winner at p_lo skips the
+    polish when the ratio at log p_lo + 1e-8 is no higher than at the edge.
+    The result is re-validated with exact_norm(p) and an exact weight; the
     fast value counts only if the two agree to 1e-6.
     """
+    if abs(cache.grid[0] - p_lo) > 1e-12 * p_lo:
+        raise ValueError(f"conjugate cache grid starts at p = {cache.grid[0]!r}, not at p_lo = {p_lo!r}")
     log_norm = make_log_norm()
     extensions = 0
     while True:
-        grid = cache.grid[cache.grid >= p_lo * (1.0 - 1e-12)]
-        # grid is a suffix of cache.grid, so an offset slice lines up exactly
-        vals = log_norm(grid) - cache.psi_log_grid[cache.grid.size - grid.size :]
+        grid = cache.grid
+        vals = log_norm(grid) - cache.psi_log_grid
         k = int(np.nanargmax(vals))
         if k < len(grid) - 2 or not math.isfinite(vals[k]):
             break
@@ -365,12 +373,16 @@ def _sup_over_p(make_log_norm, exact_norm, phi: PhiSpec, cache: ConjugateCache, 
         return log_norm(p) - young_fenchel_or_inf(phi, p) / p
 
     a = math.log(grid[max(k - 1, 0)])
-    b = math.log(grid[min(k + 1, len(grid) - 1)])
-    x1, f1, x2, f2 = _golden_max(lambda xs: np.array([ratio(x) for x in xs]), np.array([a]), np.array([b]), 1e-11)
     best_log, p_star = float(vals[k]), float(grid[k])
-    for cand_log, cand_x in ((f1[0], x1[0]), (f2[0], x2[0])):
-        if cand_log > best_log:
-            best_log, p_star = float(cand_log), math.exp(cand_x)
+    # a winner at p_lo whose ratio does not rise off the edge keeps its grid
+    # value: with the ratio unimodal the maximum then lies within _EDGE_STEP
+    # of the edge, where it exceeds the edge value by far less than rounding
+    if k > 0 or ratio(a + _EDGE_STEP) > ratio(a):
+        b = math.log(grid[min(k + 1, len(grid) - 1)])
+        x1, f1, x2, f2 = _golden_max(lambda xs: np.array([ratio(x) for x in xs]), np.array([a]), np.array([b]), 1e-11)
+        for cand_log, cand_x in ((f1[0], x1[0]), (f2[0], x2[0])):
+            if cand_log > best_log:
+                best_log, p_star = float(cand_log), math.exp(cand_x)
     value = exact_norm(p_star) * math.exp(-_psi_log_exact(phi, p_star))
     fast = math.exp(best_log)
     ok = abs(value - fast) <= 1e-6 * max(value, fast, 1e-300)
@@ -379,7 +391,7 @@ def _sup_over_p(make_log_norm, exact_norm, phi: PhiSpec, cache: ConjugateCache, 
 
 def _g_scan(f, phi: PhiSpec, domain: Domain | None, cfg: QuadratureConfig, cache: ConjugateCache | None, p_lo: float) -> ScanResult:
     dom = domain if domain is not None else f.natural_domain
-    c = cache if cache is not None else ConjugateCache(phi)
+    c = cache if cache is not None else ConjugateCache(phi, p_lo=p_lo)
 
     breaks = break_points_of(f, dom)
 
@@ -411,7 +423,10 @@ def g_norm_info(f, phi: PhiSpec, domain: Domain | None = None, cfg: QuadratureCo
 
 
 def sup_ratio_from(f, phi: PhiSpec, p_lo: float, domain: Domain | None = None, cfg: QuadratureConfig = DEFAULT_CONFIG, cache: ConjugateCache | None = None) -> float:
-    """sup over p >= p_lo of ||f||_p / psi(p); used by comparison checks."""
+    """sup over p >= p_lo of ||f||_p / psi(p); used by comparison checks.
+
+    A cache passed in must start at p_lo; by default one is built there.
+    """
     return _g_scan(f, phi, domain, cfg, cache, p_lo=p_lo).value
 
 
@@ -437,8 +452,6 @@ def v_quasinorm_info(f, phi, r, domain=None, cfg=DEFAULT_CONFIG, cache=None) -> 
         raise ValueError("derivative order r must be at least 1")
     dom = domain if domain is not None else f.natural_domain
     c = cache if cache is not None else ConjugateCache(phi, p_lo=4.0)
-    if c.p_lo > 4.0:
-        raise ValueError("conjugate cache must start at or below p = 4")
 
     breaks = break_points_of(f, dom)
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from orlimark.conjugate import golden_max, log_power, power_log, psi_log
+from orlimark import norms
+from orlimark.conjugate import ConjugateCache, golden_max, log_power, power_log, psi_log
 from orlimark.errors import (
     ConvergenceFailureError,
     DomainEvaluationError,
@@ -31,6 +32,7 @@ from orlimark.norms import (
     lp_spec,
     luxemburg_norm,
     orlicz_spec,
+    sup_ratio_from,
     v_quasinorm,
     v_quasinorm_info,
     vnorm_spec,
@@ -198,6 +200,55 @@ class TestGNorm:
         with pytest.raises(ScanDivergenceError):
             g_norm(InversePowerRep(0.3), phi2, cache=ctx.conjugates(phi2))
 
+    @staticmethod
+    def _edge_case(p_peak):
+        """x^8 against power_log(m), with m chosen so the ratio peaks at p_peak.
+
+        log(||x^8||_p / psi(p)) = -log(8p + 1)/p - (log(p/m) - 1)/m has its
+        only maximum where log(8p + 1)/p - 8/(8p + 1) = 1/m; over p >= 1 a
+        peak below 1 clamps to the edge p = 1.  Returns f, phi, the maximizing
+        p >= 1 and the maximum, both to 40 digits for the float m in use.
+        """
+        with mp.workdps(40):
+            peak = mp.mpf(p_peak)
+            m = float(1 / (mp.log(8 * peak + 1) / peak - 8 / (8 * peak + 1)))
+            mm = mp.mpf(m)
+            if peak > 1:
+                p_star = mp.findroot(lambda p: mp.log(8 * p + 1) / p - 8 / (8 * p + 1) - 1 / mm, peak)
+            else:
+                p_star = mp.mpf(1)
+            value = mp.exp(-mp.log(8 * p_star + 1) / p_star - (mp.log(p_star / mm) - 1) / mm)
+        return PolynomialRep([0.0] * 8 + [1.0]), power_log(m), p_star, value
+
+    @pytest.mark.parametrize("p_peak", ["0.999", "1.0001", "1.01", "1.2"])
+    def test_closed_form_peak_near_the_edge(self, p_peak):
+        # a peak just inside p > 1 must still be polished; one below it
+        # stays exactly on the edge
+        f, phi, p_star, value = self._edge_case(p_peak)
+        info = g_norm_info(f, phi)
+        assert info.tolerance_met
+        assert abs(info.value / value - 1) <= 1e-12
+        assert abs(info.p_star / p_star - 1) <= 1e-7
+        if p_star == 1:
+            assert info.p_star == 1.0
+
+    @pytest.mark.parametrize("p_peak, most, least", [("0.999", 2, 0), ("1.2", math.inf, 40)])
+    def test_edge_winner_skips_the_polish(self, p_peak, most, least, monkeypatch):
+        # the edge probe costs two conjugate solves; an interior peak still
+        # pays for the whole golden polish
+        f, phi, _p_star, _value = self._edge_case(p_peak)
+        cache = ConjugateCache(phi)
+        calls = []
+        solve = norms.young_fenchel_or_inf
+
+        def counted(*args, **kw):
+            calls.append(args)
+            return solve(*args, **kw)
+
+        monkeypatch.setattr(norms, "young_fenchel_or_inf", counted)
+        g_norm_info(f, phi, cache=cache)
+        assert least <= len(calls) <= most
+
     @pytest.mark.parametrize(
         "m, value, p_star, extensions",
         [
@@ -213,6 +264,24 @@ class TestGNorm:
         assert info.tolerance_met
         assert info.value == pytest.approx(value, rel=1e-12)
         assert info.p_star == pytest.approx(p_star, rel=1e-9)
+
+
+class TestSupRatioFrom:
+    @pytest.mark.parametrize("label", [f"poly-0{i}" for i in range(1, 7)])
+    def test_scan_starts_at_p_lo(self, label, phi2):
+        # the default cache starts at p_lo, so the ratio at p = 4 itself
+        # bounds the sup from below
+        f = dict(build_corpus(7))[label]
+        got = sup_ratio_from(f, phi2, 4.0)
+        assert got == sup_ratio_from(f, phi2, 4.0, cache=ConjugateCache(phi2, p_lo=4.0))
+        assert got >= lp_quasinorm(f, 4.0, INTERVAL) * math.exp(-psi_log(phi2, 4.0)) * (1 - 1e-12)
+
+    def test_cache_below_p_lo_rejected(self, phi2, ctx):
+        f = PolynomialRep([0.5, 0.0, 1.0])
+        with pytest.raises(ValueError, match="p_lo"):
+            sup_ratio_from(f, phi2, 4.0, cache=ctx.conjugates(phi2))
+        with pytest.raises(ValueError, match="p_lo"):
+            v_quasinorm_info(f, phi2, 1.0, cache=ctx.conjugates(phi2))
 
 
 class TestVQuasinorm:

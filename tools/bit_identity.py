@@ -112,7 +112,7 @@ def corpus_records():
                 lambda: v_quasinorm_info(derivative(f, 1), phi, 1.0, cache=cache4)
             )
             yield "sup_ratio_from", f"{label} {phi.label}", attempt(
-                lambda: sup_ratio_from(f, phi, 4.0, cache=ctx.conjugates(phi))
+                lambda: sup_ratio_from(f, phi, 4.0, cache=cache4)
             )
         phi2 = PHIS[1]
         for b in (2.0, float("inf")):
