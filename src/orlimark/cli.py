@@ -50,7 +50,8 @@ from .harness import (
     rational_orlicz_check,
     tail_check,
 )
-from .norms import NormContext, NormSpec, equivalence_constants, evaluate_norm_info
+from .norms import NORM_KINDS, NormContext, NormSpec, equivalence_constants, evaluate_norm_info
+from .norms import gnorm_spec, lorentz_spec, lp_spec, orlicz_spec, vnorm_spec
 from .quadrature import QuadratureConfig
 
 COMMANDS = ("norm", "transform", "markov-sweep", "equivalence", "rational", "tail", "extremal")
@@ -228,7 +229,7 @@ def parse_config(text: str, command: str | None = None, seed: int | None = None)
     if seed is not None:
         cfg.seed = seed
     cfg.norm_kind = ex.get(
-        "norm", "kind", _choice(("lp", "orlicz", "gnorm", "lorentz", "vnorm")), cfg.norm_kind
+        "norm", "kind", _choice(NORM_KINDS), cfg.norm_kind
     )
     cfg.norm_p = ex.get("norm", "p", float, cfg.norm_p)
     cfg.norm_b = ex.get("norm", "b", lambda s: math.inf if s in ("inf", "infinity") else float(s), cfg.norm_b)
@@ -318,12 +319,14 @@ def _build_function(cfg: ExperimentConfig):
 def _norm_spec(cfg: ExperimentConfig, phi) -> NormSpec:
     kind = cfg.norm_kind
     if kind == "lp":
-        return NormSpec("lp", p=cfg.norm_p)
+        return lp_spec(cfg.norm_p)
     if kind == "lorentz":
-        return NormSpec("lorentz", p=cfg.norm_p, b=cfg.norm_b)
+        return lorentz_spec(cfg.norm_p, cfg.norm_b)
     if kind == "vnorm":
-        return NormSpec("vnorm", phi=phi, r=float(cfg.norm_order))
-    return NormSpec(kind, phi=phi)
+        return vnorm_spec(phi, cfg.norm_order)
+    if kind == "orlicz":
+        return orlicz_spec(phi)
+    return gnorm_spec(phi)
 
 
 def _constants_block(phi, ctx: NormContext) -> dict:
@@ -474,7 +477,7 @@ def _run_rational(cfg: ExperimentConfig, phi, ctx: NormContext):
     worst = math.inf
     for order in cfg.rational_orders:
         lp_chk = lp_rational_check(f, cfg.rational_p, order, cfg=ctx.cfg)
-        or_chk = rational_orlicz_check(f, phi, order, ctx=ctx, cfg=ctx.cfg)
+        or_chk = rational_orlicz_check(f, phi, order, ctx=ctx)
         for name, chk in (("lp", lp_chk), ("orlicz", or_chk)):
             margin = chk.rhs * cfg.bound_scale - chk.lhs
             worst = min(worst, margin)

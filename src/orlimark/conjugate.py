@@ -181,10 +181,6 @@ def tabulated_phi(zs, phis) -> PhiSpec:
     return PhiSpec("tabulated", table=(tuple(ty), tuple(phis)))
 
 
-def h_eval(phi: PhiSpec, y):
-    return phi.h(y)
-
-
 @dataclass
 class MembershipReport:
     monotone: bool
@@ -201,19 +197,16 @@ class MembershipReport:
 
 def phi_membership_check(
     phi: PhiSpec,
-    y_lo: float = -30.0,
-    y_hi: float = 30.0,
-    grid: int = 601,
-    k_max: int = 200,
 ) -> MembershipReport:
     """Certify admissibility on a bounded window plus a series horizon.
 
-    Monotonicity and convexity are checked on a y-grid (second differences
-    above -1e-9 after scaling).  Summability is certified when the series
-    terms either underflow outright or the last 20 term ratios all fall at
-    or below one half, which bounds the tail by a geometric series.
+    Monotonicity and convexity are checked on 601 points of y in [-30, 30]
+    (second differences above -1e-9 after scaling).  Summability is
+    certified when the series terms up to k = 200 either underflow outright
+    or the last 20 term ratios all fall at or below one half, which bounds
+    the tail by a geometric series.
     """
-    ys = np.linspace(y_lo, y_hi, grid)
+    ys = np.linspace(-30.0, 30.0, 601)
     hv = phi.h(ys)
     finite = np.isfinite(hv)
     ys = ys[finite]
@@ -233,7 +226,7 @@ def phi_membership_check(
     detail = ""
     with np.errstate(over="ignore"):
         hk1 = phi._h_at(3.0)
-        for k in range(3, k_max + 1):
+        for k in range(3, 201):
             hk, hk1 = hk1, phi._h_at(float(k + 1))
             if not (math.isfinite(hk) and math.isfinite(hk1)):
                 gap = -math.inf  # h overflowed: gaps this deep dwarf the float range
@@ -290,14 +283,12 @@ def young_fenchel(
     phi: PhiSpec,
     p: float,
     p_min: float = 0.5,
-    y0: float = 0.0,
-    step0: float = 1.0,
-    tol: float = 1e-12,
 ) -> float:
     """h*(p) = sup_y (p y - h(y)) for p >= p_min.
 
-    The objective is concave, so doubling steps away from y0 until the value
-    drops on both sides encloses the maximum.  If the objective is still
+    The objective is concave, so doubling steps away from y0 = 0, the first
+    of length one, until the value drops on both sides encloses the maximum;
+    golden section narrows it to 1e-12.  If the objective is still
     rising after the expansion cap, the supremum sits at infinity for this p
     and a divergence error names the offending phi.  The whole solve runs
     under one overflow guard and evaluates h on floats.
@@ -313,9 +304,9 @@ def young_fenchel(
                 return -math.inf
             return p * y - hv
 
-        f0 = obj(y0)
+        y0, f0 = 0.0, obj(0.0)
         # expand right
-        step = step0
+        step = 1.0
         yr, fr = y0, f0
         rising = True
         for _ in range(200):
@@ -335,7 +326,7 @@ def young_fenchel(
                 f"conjugate supremum for {phi.label} diverges at p = {p!r}"
             )
         # expand left
-        step = step0
+        step = 1.0
         yl, fl = y0, f0
         falling_left = True
         for _ in range(200):
@@ -352,7 +343,7 @@ def young_fenchel(
                 break
         if falling_left:
             lo = yl - step
-        _y, val = golden_max(obj, lo, hi, tol=tol)
+        _y, val = golden_max(obj, lo, hi)
         best = max(val, fr, fl, f0)
         return best
 
@@ -457,31 +448,30 @@ def psi(phi: PhiSpec, p: float) -> float:
 class ConjugateCache:
     """Conjugate values precomputed on a geometric p-grid.
 
-    Grid density is 64 points per decade.  The grid is solved in one
+    The grid runs from p_lo to 1024 at 64 points per decade, and each
+    ``extend`` takes its top four times higher.  The grid is solved in one
     lockstep pass of young_fenchel_grid, with the scalar solve's steps and
-    bits.  Scans read the exact grid values; arbitrary p in between
-    interpolate linearly in log p, and asserted values are always recomputed
-    exactly via young_fenchel.
+    bits.  Scans read the exact grid values, and asserted values are always
+    recomputed exactly via young_fenchel.
     """
 
     phi: PhiSpec
     p_lo: float = 1.0
-    p_hi: float = 1024.0
-    per_decade: int = 64
+    p_hi: float = field(init=False)
     grid: np.ndarray = field(init=False, repr=False)
     hstar: np.ndarray = field(init=False, repr=False)
     psi_log_grid: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._build(self.p_lo, self.p_hi)
+        self._build(self.p_lo, 1024.0)
 
     def _build(self, p_lo, p_hi):
         decades = math.log10(p_hi / p_lo)
-        count = max(2, int(round(decades * self.per_decade)) + 1)
+        count = max(2, int(round(decades * 64)) + 1)
         grid = np.geomspace(p_lo, p_hi, count)
         hstar = young_fenchel_grid(self.phi, grid)
-        object.__setattr__(self, "p_lo", float(p_lo))
-        object.__setattr__(self, "p_hi", float(p_hi))
+        self.p_lo = float(p_lo)
+        self.p_hi = float(p_hi)
         self.grid = grid
         self.hstar = hstar
         with np.errstate(invalid="ignore"):
@@ -502,25 +492,23 @@ class ConjugateCache:
                 "phi is outside the admissible class"
             )
 
-    def extend(self, factor: float = 4.0):
-        self._build(self.p_lo, self.p_hi * factor)
-
-    def psi_log_at(self, p: float) -> float:
-        """Interpolated log psi; exact at grid points."""
-        return float(np.interp(math.log(p), np.log(self.grid), self.psi_log_grid))
+    def extend(self):
+        self._build(self.p_lo, self.p_hi * 4.0)
 
 
-def fenchel_moreau_check(phi: PhiSpec, ys, p_lo: float = 1e-6, p_hi: float = 4096.0) -> float:
+def fenchel_moreau_check(phi: PhiSpec, ys) -> float:
     """Max relative deviation of the biconjugate from h on the given y values.
 
     For convex h the biconjugate reproduces h exactly; the returned deviation
-    is therefore a direct measure of conjugate-transform numerics.
+    is therefore a direct measure of conjugate-transform numerics.  The
+    supremum over p is searched from p = 1e-6 up to 4096, widened while the
+    maximizer sits on the upper edge.
     """
     scans = {}  # hi_p -> (ts, p, h*(p)): the coarse grid does not depend on y
 
     def coarse(hi_p):
         if hi_p not in scans:
-            ts = np.linspace(math.log(p_lo), math.log(hi_p), 120)
+            ts = np.linspace(math.log(1e-6), math.log(hi_p), 120)
             ps = np.array([math.exp(t) for t in ts])
             scans[hi_p] = ts, ps, young_fenchel_grid(phi, ps, p_min=0.0)
         return scans[hi_p]
@@ -536,7 +524,7 @@ def fenchel_moreau_check(phi: PhiSpec, ys, p_lo: float = 1e-6, p_hi: float = 409
 
         # concave in p; search over log p with golden section after a coarse
         # scan, widening the window whenever the maximizer sits on its edge
-        hi_p = p_hi
+        hi_p = 4096.0
         while True:
             ts, ps, hstar = coarse(hi_p)
             vals = ps * y - hstar

@@ -8,11 +8,15 @@ trips exactly ("repr" floats).
 
 Each of them (and ``GapDerivative``) reports its ``break_points``: the domain
 ends and the real zeros of f and f', found as polynomial roots, between which
-|f| is monotone.  The distribution function and the sup norm use these.
+|f| is monotone.  The distribution function, the sup norm and the adaptive
+integrals of |f| use these.  A representation computes them once per domain
+(``_kept_per_domain``) and keeps them as a read-only array, so every call
+that needs them after the first reads the same array.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -79,6 +83,22 @@ def _circle_zeros(t) -> np.ndarray:
     return np.angle(z[np.abs(np.abs(z) - 1.0) <= _ROOT_SLACK])
 
 
+def _kept_per_domain(break_points):
+    """Decorates ``break_points(domain)``: the first call for a domain computes
+    them, and later calls with an equal domain return that array, read-only."""
+
+    @functools.wraps(break_points)
+    def kept(self, domain: Domain) -> np.ndarray:
+        store = self.__dict__.setdefault("_break_points", {})
+        if domain not in store:
+            xs = break_points(self, domain)
+            xs.flags.writeable = False
+            store[domain] = xs
+        return store[domain]
+
+    return kept
+
+
 def _breaks(domain: Domain, *zeros) -> np.ndarray:
     """The domain ends and the given points inside, sorted and distinct."""
     inner = np.concatenate([np.zeros(0), *zeros])
@@ -136,6 +156,7 @@ class PolynomialRep:
                 cheb = np.polynomial.chebyshev.chebder(cheb) if cheb.size > 1 else np.zeros(1)
         return PolynomialRep(_check_coeffs(c), cheb=cheb)
 
+    @_kept_per_domain
     def break_points(self, domain: Domain) -> np.ndarray:
         """Domain ends and the real zeros of f and f' inside; |f| is monotone between."""
         cheb = self._cheb if self._cheb is not None else np.polynomial.chebyshev.poly2cheb(self.coeffs or (0.0,))
@@ -208,6 +229,7 @@ class TrigPolynomialRep:
             a, b = new_a, new_b
         return TrigPolynomialRep(a, b)
 
+    @_kept_per_domain
     def break_points(self, domain: Domain) -> np.ndarray:
         """Domain ends and the real zeros of f and f' inside; |f| is monotone between."""
         angles = np.concatenate([_circle_zeros(self), _circle_zeros(self.derivative())])
@@ -273,6 +295,7 @@ class RationalRep:
             _check_coeffs(den)
         return RationalRep(PolynomialRep(num), PolynomialRep(den))
 
+    @_kept_per_domain
     def break_points(self, domain: Domain) -> np.ndarray:
         """Domain ends and the real zeros of p and of p'q - pq' inside, for f = p/q."""
         p, q = np.polynomial.Polynomial(self.num.coeffs or (0.0,)), np.polynomial.Polynomial(self.den.coeffs)
@@ -335,6 +358,7 @@ class GapRep:
     def __call__(self, x):
         return np.exp(self.log_abs(x))
 
+    @_kept_per_domain
     def break_points(self, domain: Domain) -> np.ndarray:
         """Domain ends, real nodes and the real zeros of the log-derivative inside."""
         nodes = [a for a, b, _r in self.factors if b == 0.0]
@@ -377,6 +401,7 @@ class InversePowerRep:
     def __call__(self, x):
         return np.exp(self.log_abs(x))
 
+    @_kept_per_domain
     def break_points(self, domain: Domain) -> np.ndarray:
         """The domain ends: f increases on the whole interval."""
         return _breaks(domain)
@@ -420,6 +445,7 @@ class GapDerivative:
         # to 0 while the node's term of the sum is 0/0
         return np.where(q == 0.0, 0.0, q * s)
 
+    @_kept_per_domain
     def break_points(self, domain: Domain) -> np.ndarray:
         """Domain ends, real nodes, and the real zeros of S and S^2 + S' inside.
 

@@ -52,7 +52,6 @@ from .quadrature import (
     SINGULAR_CONFIG,
     LevelSampler,
     QuadratureConfig,
-    break_points_of,
     lp_quasinorm,
 )
 
@@ -303,12 +302,12 @@ def rational_orlicz_check(
     phi: PhiSpec,
     r: int,
     ctx: NormContext | None = None,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> RationalCheck:
-    """Orlicz form: derivative-weighted quasinorm of q^(r) against C4 D(r) deg^r ||q||."""
+    """Orlicz form, at ctx.cfg: derivative-weighted quasinorm of q^(r) against C4 D(r) deg^r ||q||."""
     r = _check_order(r)
     _require_pole_free(q)
-    context = ctx if ctx is not None else NormContext(cfg)
+    context = ctx if ctx is not None else NormContext()
+    cfg = context.cfg
     dom = q.natural_domain
     lhs = v_quasinorm(
         derivative(q, r), phi, float(r), dom, cfg, cache=context.conjugates(phi, p_lo=4.0)
@@ -406,7 +405,6 @@ def tail_check(
     f,
     m: float,
     r: int,
-    cfg: QuadratureConfig = SINGULAR_CONFIG,
     u_max: float = 1e3,
     points: int = 49,
     ctx: NormContext | None = None,
@@ -417,11 +415,14 @@ def tail_check(
     smallest prefactor making T(|f|,u) <= prefactor * u^(-1/r) (log u)^(1/(mr))
     hold on [3, u_max].  Converse: re-scans the quasinorm with the tail-adapted
     weight family and fits how ||f||_beta blows up as beta approaches 1/r.
+    Every integral runs at ``SINGULAR_CONFIG``, made for the singular end of
+    the functions this check is for; ``ctx`` supplies only conjugate grids.
     """
     r = _check_order(r)
     if not (m > 0.0):
         raise ValueError(f"growth index must be positive, got {m!r}")
-    context = ctx if ctx is not None else NormContext(cfg)
+    cfg = SINGULAR_CONFIG
+    context = ctx if ctx is not None else NormContext()
     phi = power_log(m, 0.0)
     dom = f.natural_domain
     v = v_quasinorm(f, phi, float(r), dom, cfg, cache=context.conjugates(phi, p_lo=4.0))
@@ -441,8 +442,7 @@ def tail_check(
     ps = np.array([8.0, 16.0, 32.0, 64.0, 128.0])
     betas = ps / (ps * r + 1.0)
     gaps = 1.0 / r - betas
-    breaks = break_points_of(f, dom)
-    norms = np.array([lp_quasinorm(f, float(b), dom, cfg, breaks) / v for b in betas])
+    norms = np.array([lp_quasinorm(f, float(b), dom, cfg) / v for b in betas])
     slope = _loglog_slope(gaps, norms)[0]
     return TailReport(
         u_grid=us,

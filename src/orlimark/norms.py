@@ -12,6 +12,9 @@ Three norm families ride on top:
 * ``g_norm`` / ``v_quasinorm`` / ``weighted_lorentz_g``: suprema over an
   exponent grid of ||f||_p, ||f||_beta(p) or a Lorentz norm divided by the
   conjugate weight psi(p), all computed by the one engine ``_sup_over_p``.
+  The two L_p scans share one body, ``_g_scan``, with the exponent map
+  p -> p / (p r + 1) (r = 0 for the g-norm); an L_p member the adaptive
+  integrator cannot settle makes either scan raise ``ScanDivergenceError``.
   Grids are geometric with 64 points per decade and start at the scan's
   lower exponent p_lo; a maximizer at the right edge triggers two fourfold
   extensions before the scan is declared divergent.  The winning grid point
@@ -165,11 +168,6 @@ class OrliczN:
     def log_slope(self) -> float:
         return math.log(self.linear_slope)
 
-    @property
-    def unit_preimage(self) -> float:
-        """The u with N(u) = 1; always on the linear branch."""
-        return 1.0 / self.linear_slope
-
     def n_log_from_log_u(self, log_u):
         """log N(u) given log u; stable for |log u| far beyond float overflow."""
         lu = np.asarray(log_u, dtype=float)
@@ -188,14 +186,14 @@ class OrliczN:
         return np.where(us == 0.0, 0.0, out)
 
 
-def construct_N(phi: PhiSpec, u_lo: float = 1e-3, u_hi: float = 1e3) -> OrliczN:
+def construct_N(phi: PhiSpec) -> OrliczN:
     """Find the tangency knee and slope for the spliced Orlicz function.
 
-    The knee is the smallest root of u * phi'(u) = 1 at or above u_lo; the
+    The knee is the smallest root of u * phi'(u) = 1 in [1e-3, 1e3]; the
     slope exp(phi(knee)) / knee then matches value and derivative of the
     exponential branch at the knee, making the splice convex.
     """
-    us = np.geomspace(u_lo, u_hi, 2401)
+    us = np.geomspace(1e-3, 1e3, 2401)
     g = us * phi.dphi(us) - 1.0
     good = np.isfinite(g)
     us, g = us[good], g[good]
@@ -209,7 +207,7 @@ def construct_N(phi: PhiSpec, u_lo: float = 1e-3, u_hi: float = 1e3) -> OrliczN:
             break
     if idx is None:
         raise ConstructionError(
-            f"no knee for {phi.label} in [{u_lo:g}, {u_hi:g}]: "
+            f"no knee for {phi.label} in [0.001, 1000]: "
             "u * phi'(u) - 1 never crosses zero"
         )
     if idx[0] == idx[1]:
@@ -247,12 +245,10 @@ def construct_N(phi: PhiSpec, u_lo: float = 1e-3, u_hi: float = 1e3) -> OrliczN:
 
 
 def _luxemburg_detail(f, n: OrliczN, domain: Domain, cfg: QuadratureConfig):
-    # the break points of f bound the sup and start every integral's panels
-    breaks = break_points_of(f, domain)
-    sup = sup_norm(f, domain, breaks)
+    sup = sup_norm(f, domain)
     if sup == 0.0:
         return 0.0, 0.0, True
-    l1 = lp_quasinorm(f, 1.0, domain, cfg, breaks)
+    l1 = lp_quasinorm(f, 1.0, domain, cfg)
     lo = n.linear_slope * l1
     hi = n.linear_slope * sup * (1.0 + 1e-6)
     log_f = log_abs_of(f)
@@ -269,8 +265,9 @@ def _luxemburg_detail(f, n: OrliczN, domain: Domain, cfg: QuadratureConfig):
         def g(xs):
             return n.n_log_from_log_u(log_f(xs) - t)
 
+        # the kinks of |f| start the panels, as in lp_quasinorm
         try:
-            return integrate_log(g, domain, cfg, breaks)
+            return integrate_log(g, domain, cfg, break_points_of(f, domain))
         except ConvergenceFailureError as err:
             # Far below the root the modular explodes (fast phi makes the
             # integrand spike beyond any bisection depth), but only the sign
@@ -364,7 +361,7 @@ def _sup_over_p(make_log_norm, exact_norm, phi: PhiSpec, cache: ConjugateCache, 
                 "sup scan still rising after two grid extensions; "
                 "the ratio appears unbounded in p"
             )
-        cache.extend(4.0)
+        cache.extend()
         log_norm = make_log_norm()
         extensions += 1
 
@@ -389,21 +386,27 @@ def _sup_over_p(make_log_norm, exact_norm, phi: PhiSpec, cache: ConjugateCache, 
     return ScanResult(max(value, fast) if ok else value, p_star, ok, extensions)
 
 
-def _g_scan(f, phi: PhiSpec, domain: Domain | None, cfg: QuadratureConfig, cache: ConjugateCache | None, p_lo: float) -> ScanResult:
+def _g_scan(f, phi: PhiSpec, domain: Domain | None, cfg: QuadratureConfig, cache: ConjugateCache | None, p_lo: float, r: float = 0.0) -> ScanResult:
+    """sup over p >= p_lo of ||f||_beta / psi(p), beta = p / (p r + 1): the
+    g-norm family at r = 0 (beta = p exactly), the v-quasinorm at r >= 1."""
     dom = domain if domain is not None else f.natural_domain
     c = cache if cache is not None else ConjugateCache(phi, p_lo=p_lo)
 
-    breaks = break_points_of(f, dom)
+    def beta(p):
+        return p / (p * r + 1.0)
 
     def make_log_norm():
-        yardsticks = (p_lo, math.sqrt(p_lo * c.p_hi), c.p_hi)
-        return PowerNormEvaluator(f, dom, cfg, yardsticks=yardsticks, breaks=breaks).log_norm
+        lo, hi = beta(p_lo), beta(c.p_hi)
+        # beta = p spans decades, beta < 1 / r does not
+        mid = math.sqrt(lo * hi) if r == 0.0 else 0.5 * (lo + hi)
+        log_norm = PowerNormEvaluator(f, dom, cfg, yardsticks=(lo, mid, hi)).log_norm
+        return lambda p: log_norm(beta(p))
 
     # f identically zero needs no special case: every log ratio is -inf and
     # the scan collapses to value 0; this also keeps unbounded f (integrable
     # singularities) out of sup_norm, which rejects them.
     try:
-        return _sup_over_p(make_log_norm, lambda p: lp_quasinorm(f, p, dom, cfg, breaks), phi, c, p_lo)
+        return _sup_over_p(make_log_norm, lambda p: lp_quasinorm(f, beta(p), dom, cfg), phi, c, p_lo)
     except ConvergenceFailureError as err:
         # an L_p member that the adaptive integrator cannot settle means the
         # scanned ratio has no certified finite supremum
@@ -450,20 +453,7 @@ def v_quasinorm(
 def v_quasinorm_info(f, phi, r, domain=None, cfg=DEFAULT_CONFIG, cache=None) -> ScanResult:
     if not (r >= 1.0):
         raise ValueError("derivative order r must be at least 1")
-    dom = domain if domain is not None else f.natural_domain
-    c = cache if cache is not None else ConjugateCache(phi, p_lo=4.0)
-
-    breaks = break_points_of(f, dom)
-
-    def beta(p):
-        return p / (p * r + 1.0)
-
-    def make_log_norm():
-        b_lo, b_hi = beta(4.0), beta(c.p_hi)
-        ev = PowerNormEvaluator(f, dom, cfg, yardsticks=(b_lo, 0.5 * (b_lo + b_hi), b_hi), breaks=breaks)
-        return lambda p: ev.log_norm(beta(p))
-
-    return _sup_over_p(make_log_norm, lambda p: lp_quasinorm(f, beta(p), dom, cfg, breaks), phi, c, 4.0)
+    return _g_scan(f, phi, domain, cfg, cache, p_lo=4.0, r=r)
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +572,7 @@ class _LorentzEvaluator:
         # panelize for a sweep of p values, as _lorentz_finite starts
         start = replace(cfg, initial_panels=k * cfg.initial_panels)
         edges = panel_edges(log_integrand, 0.0, float(k), (1.0, 32.0, p_hi), start)
-        xs, weights, half = composite_nodes(edges, cfg)
+        xs, weights, half = composite_nodes(edges)
         w, dw, self._log_t = at(xs.ravel())
         # log of each node's weight in the layer cake b int w^(b-1) T^(p/b) dw
         self._log_c = np.log(b * (weights[None, :] * half[:, None]).ravel() * dw) + (b - 1.0) * np.log(w)
@@ -663,21 +653,14 @@ class EquivalenceConstants:
         except OverflowError:
             return math.inf
 
-    @property
-    def b_over_g_alt(self) -> float:
-        try:
-            return math.exp(self.b_over_g_alt_log)
-        except OverflowError:
-            return math.inf
 
-
-def _gap_series(phi: PhiSpec, k_start: int, shift: int, max_terms: int = 500) -> float:
+def _gap_series(phi: PhiSpec, k_start: int, shift: int) -> float:
     total = 0.0
     prev = None
     k = k_start
     with np.errstate(over="ignore"):
         hk1 = phi._h_at(float(k - shift))
-        for _ in range(max_terms):
+        for _ in range(500):
             hk, hk1 = hk1, phi._h_at(float(k + 1 - shift))
             if math.isfinite(hk) and math.isfinite(hk1):
                 gap = hk - hk1
@@ -692,7 +675,7 @@ def _gap_series(phi: PhiSpec, k_start: int, shift: int, max_terms: int = 500) ->
             prev = term
             k += 1
     raise SummabilityError(
-        f"gap series for {phi.label} did not certify convergence in {max_terms} terms"
+        f"gap series for {phi.label} did not certify convergence in 500 terms"
     )
 
 
@@ -725,9 +708,13 @@ def equivalence_constants(n: OrliczN, cache: ConjugateCache | None = None) -> Eq
 # norm dispatch for the harness and CLI
 
 
+# the kinds of NormSpec, one spec builder each below
+NORM_KINDS = ("lp", "orlicz", "gnorm", "lorentz", "vnorm")
+
+
 @dataclass(frozen=True)
 class NormSpec:
-    """Tagged selection of a norm: lp | orlicz | gnorm | lorentz | vnorm."""
+    """Tagged selection of a norm, of one of the NORM_KINDS."""
 
     kind: str
     p: float = math.nan

@@ -3,14 +3,14 @@
 Everything downstream (Orlicz, Grand Lebesgue, Lorentz and derived norms)
 reduces to three primitives implemented here:
 
-* ``integrate`` / ``integrate_log``: adaptive composite Gauss-Legendre with
-  bisection refinement and a parent-versus-children error estimate.  The log
-  variant integrates ``exp(g)`` for a supplied ``g = log(integrand)`` and
-  carries everything through log-sum-exp, which keeps steep exponential
-  integrands representable.  The log-sum-exp is computed here, row by row,
-  with ``scipy.special.logsumexp``'s real-input operations in the same
-  order, so it returns the same bits without that function's per-call
-  overhead.
+* ``integrate`` / ``integrate_log``: adaptive composite 16-point
+  Gauss-Legendre with bisection refinement and a parent-versus-children
+  error estimate.  The log variant integrates ``exp(g)`` for a supplied
+  ``g = log(integrand)`` and carries everything through log-sum-exp, which
+  keeps steep exponential integrands representable.  The log-sum-exp is
+  computed here, row by row, with ``scipy.special.logsumexp``'s real-input
+  operations in the same order, so it returns the same bits without that
+  function's per-call overhead.
 * ``lp_quasinorm``: ``(integral of |f|^p dmu)^(1/p)`` for any p > 0, valid
   below p = 1 as a quasinorm.
 * ``LevelSampler`` / ``distribution``: the distribution function
@@ -24,8 +24,10 @@ Adaptive integrals of functions of |f| (``lp_quasinorm``, the panels of
 ``PowerNormEvaluator`` and the Luxemburg modular in the norms module) start
 with the break points of f as panel edges besides the uniform ones, as
 QUADPACK's QAGP takes known singular points: |f| has a kink at every zero
-of f.  An object that reports no break points starts from the uniform
-panels.
+of f.  Each of these functions asks f for its break points itself; a
+representation computes them once per domain and keeps them, so repeated
+calls on the same f reuse one array.  An object that reports no break
+points starts from the uniform panels.
 
 The measure is Lebesgue measure scaled to total mass one, so ``integrate``
 of the constant 1 is exactly 1 on either domain.
@@ -73,14 +75,12 @@ class Domain:
 class QuadratureConfig:
     rel_tol: float = 1e-10
     max_depth: int = 48
-    nodes_per_panel: int = 16
     initial_panels: int = 8
-    max_panels: int = 60000
 
     def __post_init__(self):
         if not (self.rel_tol > 0.0):
             raise ValueError("rel_tol must be positive")
-        if self.max_depth < 1 or self.nodes_per_panel < 2 or self.initial_panels < 1:
+        if self.max_depth < 1 or self.initial_panels < 1:
             raise ValueError("degenerate quadrature configuration")
 
 
@@ -90,13 +90,10 @@ DEFAULT_CONFIG = QuadratureConfig()
 # convergence rate near the singular point needs depth, not node count.
 SINGULAR_CONFIG = QuadratureConfig(rel_tol=1e-8, max_depth=64)
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+# every panel carries the 16-point Gauss-Legendre rule
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
+# a wave with more live panels than this gives up as not converging
+_MAX_PANELS = 60000
 
 
 def as_vectorized(f):
@@ -171,10 +168,10 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _panel_nodes(lo, hi, nodes):
+def _panel_nodes(lo, hi):
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    return mid[:, None] + half[:, None] * nodes[None, :], half
+    return mid[:, None] + half[:, None] * _NODES[None, :], half
 
 
 def _initial_edges(lo, hi, count, breaks):
@@ -205,7 +202,6 @@ def _adaptive(f, lo, hi, cfg, log_mode, collect_panels=False, breaks=None):
     kink, are initial panel edges besides the uniform ones, as QUADPACK's
     QAGP takes its break points.
     """
-    nodes, weights = _gl_rule(cfg.nodes_per_panel)
     total_len = hi - lo
     # Gauss nodes are interior to every panel in exact arithmetic; under
     # extreme subdivision the rounded abscissa can land on a panel edge,
@@ -214,10 +210,10 @@ def _adaptive(f, lo, hi, cfg, log_mode, collect_panels=False, breaks=None):
     open_lo = np.nextafter(lo, hi)
     open_hi = np.nextafter(hi, lo)
     if log_mode:
-        logw = np.log(weights)
+        logw = np.log(_WEIGHTS)
 
         def panel_values(plo, phi_):
-            xs, half = _panel_nodes(plo, phi_, nodes)
+            xs, half = _panel_nodes(plo, phi_)
             xs = np.clip(xs, open_lo, open_hi)
             g = f(xs.ravel()).reshape(xs.shape)
             _check_finite(g, xs, allow_neg_inf=True)
@@ -227,11 +223,11 @@ def _adaptive(f, lo, hi, cfg, log_mode, collect_panels=False, breaks=None):
     else:
 
         def panel_values(plo, phi_):
-            xs, half = _panel_nodes(plo, phi_, nodes)
+            xs, half = _panel_nodes(plo, phi_)
             xs = np.clip(xs, open_lo, open_hi)
             g = f(xs.ravel()).reshape(xs.shape)
             _check_finite(g, xs, allow_neg_inf=False)
-            return (g @ weights) * half
+            return (g @ _WEIGHTS) * half
 
     edges = _initial_edges(lo, hi, cfg.initial_panels, breaks)
     p_lo = edges[:-1].copy()
@@ -317,7 +313,7 @@ def _adaptive(f, lo, hi, cfg, log_mode, collect_panels=False, breaks=None):
         p_lo = np.concatenate([c_lo[:k][live], c_lo[k:][live]])
         p_hi = np.concatenate([c_hi[:k][live], c_hi[k:][live]])
         p_val = np.concatenate([c_val[:k][live], c_val[k:][live]])
-        if p_lo.size > cfg.max_panels:
+        if p_lo.size > _MAX_PANELS:
             break
 
     best = acc_sum + float(np.sum(to_scaled(p_val)))
@@ -378,15 +374,14 @@ def panel_edges(log_integrand, lo: float, hi: float, exponents, cfg: QuadratureC
     return np.array(sorted(edge_set))
 
 
-def composite_nodes(edges: np.ndarray, cfg: QuadratureConfig):
+def composite_nodes(edges: np.ndarray):
     """Gauss-Legendre nodes of the composite rule with the given panel edges.
 
     Returns (xs, weights, half): xs has one row per panel, and the weight of
     xs[i, j] is weights[j] * half[i].
     """
-    nodes, weights = _gl_rule(cfg.nodes_per_panel)
-    xs, half = _panel_nodes(edges[:-1], edges[1:], nodes)
-    return xs, weights, half
+    xs, half = _panel_nodes(edges[:-1], edges[1:])
+    return xs, _WEIGHTS, half
 
 
 class PowerNormEvaluator:
@@ -395,17 +390,13 @@ class PowerNormEvaluator:
     Node values of log|f| are computed once; each subsequent norm is a single
     vectorized log-sum-exp.  Intended for scan loops; the returned maximizer
     should be re-validated with a fully adaptive call (see norms module).
-    The panels start at ``breaks``, by default those f reports.
+    The panels start at the break points of f.
     """
 
-    def __init__(self, f, domain: Domain, cfg: QuadratureConfig, yardsticks, breaks=None):
-        self.domain = domain
-        self.cfg = cfg
+    def __init__(self, f, domain: Domain, cfg: QuadratureConfig, yardsticks):
         log_f = log_abs_of(f)
-        if breaks is None:
-            breaks = break_points_of(f, domain)
-        edges = panel_edges(lambda xs, e: e * log_f(xs), domain.lo, domain.hi, yardsticks, cfg, breaks)
-        xs, weights, half = composite_nodes(edges, cfg)
+        edges = panel_edges(lambda xs, e: e * log_f(xs), domain.lo, domain.hi, yardsticks, cfg, break_points_of(f, domain))
+        xs, weights, half = composite_nodes(edges)
         # same open-interval clamp as the adaptive loop: a rounded node must
         # not land on a singular endpoint
         xs = np.clip(xs, np.nextafter(domain.lo, domain.hi), np.nextafter(domain.hi, domain.lo))
@@ -429,35 +420,31 @@ class PowerNormEvaluator:
         return out
 
 
-def lp_quasinorm(f, p: float, domain: Domain, cfg: QuadratureConfig = DEFAULT_CONFIG, breaks=None) -> float:
+def lp_quasinorm(f, p: float, domain: Domain, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """(integral |f|^p dmu)^(1/p); a norm for p >= 1, quasinorm below.
 
-    The integral starts with ``breaks``, by default those f reports, as
-    panel edges.
+    The integral starts with the break points of f as panel edges.
     """
     if not (p > 0.0):
         raise ValueError(f"exponent must be positive, got {p!r}")
     log_f = log_abs_of(f)
-    if breaks is None:
-        breaks = break_points_of(f, domain)
 
     def scaled(xs):
         return p * log_f(xs)
 
-    log_i = integrate_log(scaled, domain, cfg, breaks)
+    log_i = integrate_log(scaled, domain, cfg, break_points_of(f, domain))
     if log_i == -math.inf:
         return 0.0
     return math.exp(log_i / p)
 
 
-def _break_values(f, domain: Domain, bounded: bool, xs=None):
-    """Break points of f on the domain (``xs`` when given) and |f| at them.
+def _break_values(f, domain: Domain, bounded: bool):
+    """Break points of f on the domain and |f| at them.
 
     An undefined value raises DomainEvaluationError, and so does an
     infinite one when ``bounded``.
     """
-    if xs is None:
-        xs = break_points_of(f, domain)
+    xs = break_points_of(f, domain)
     if xs is None:
         raise RejectedInputError(f"{type(f).__name__} reports no break points; pass a function representation")
     vals = np.abs(as_vectorized(f)(xs))
@@ -468,11 +455,10 @@ def _break_values(f, domain: Domain, bounded: bool, xs=None):
     return xs, vals
 
 
-def sup_norm(f, domain: Domain, breaks=None) -> float:
-    """Sup of |f|: its largest value over the break points of f (``breaks``
-    when given), between which |f| is monotone.  Unbounded f raises
-    DomainEvaluationError."""
-    return float(np.max(_break_values(f, domain, bounded=True, xs=breaks)[1]))
+def sup_norm(f, domain: Domain) -> float:
+    """Sup of |f|: its largest value over the break points of f, between
+    which |f| is monotone.  Unbounded f raises DomainEvaluationError."""
+    return float(np.max(_break_values(f, domain, bounded=True)[1]))
 
 
 class LevelSampler:

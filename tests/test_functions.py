@@ -6,6 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from orlimark import functions
+from orlimark.conjugate import power_log
 from orlimark.errors import DegenerateInputError, PoleProximityError, RejectedInputError
 from orlimark.functions import (
     GapRep,
@@ -21,7 +23,8 @@ from orlimark.functions import (
     random_family,
     to_text,
 )
-from orlimark.quadrature import Domain, integrate
+from orlimark.norms import g_norm_info, luxemburg_norm
+from orlimark.quadrature import Domain, LevelSampler, integrate, lp_quasinorm
 
 
 def _jacobi22_exact(n: int) -> list[Fraction]:
@@ -182,6 +185,40 @@ class TestRational:
     def test_zero_denominator_rejected(self):
         with pytest.raises(DegenerateInputError):
             RationalRep([1.0], [0.0])
+
+
+@pytest.mark.parametrize(
+    "f",
+    [PolynomialRep([0.3, -1.2, 0.5, 0.9, -0.4]), RationalRep([0.2, 1.0, -0.5], [1.5, 0.0, 1.0])],
+    ids=["polynomial", "rational"],
+)
+def test_break_points_computed_once_per_domain(f, monkeypatch, ctx):
+    solves = []
+    real_zeros = functions._real_zeros
+
+    def counted(series):
+        solves.append(series)
+        return real_zeros(series)
+
+    monkeypatch.setattr(functions, "_real_zeros", counted)
+    phi = power_log(2.0)
+    dom = f.natural_domain
+    luxemburg_norm(f, ctx.orlicz(phi))
+    once = len(solves)
+    assert once > 0
+    g_norm_info(f, phi, cache=ctx.conjugates(phi))
+    lp_quasinorm(f, 3.0, dom)
+    LevelSampler(f, dom)
+    xs = f.break_points(dom)
+    assert len(solves) == once
+    assert not xs.flags.writeable
+    with pytest.raises(ValueError):
+        xs[0] = 0.0
+    half = Domain("interval", -0.5, 0.5)
+    inner = f.break_points(half)
+    assert len(solves) == 2 * once
+    assert (inner[0], inner[-1]) == (-0.5, 0.5)
+    assert f.break_points(half) is inner and f.break_points(dom) is xs
 
 
 class TestPoleCertificate:

@@ -200,6 +200,12 @@ class TestGNorm:
         with pytest.raises(ScanDivergenceError):
             g_norm(InversePowerRep(0.3), phi2, cache=ctx.conjugates(phi2))
 
+    def test_divergent_v_scan_raises(self, phi2, ctx):
+        # (1-x)^{-1.5} has ||f||_beta = inf for beta >= 2/3, and with r = 1
+        # every scanned beta = p / (p + 1) is at least 0.8
+        with pytest.raises(ScanDivergenceError):
+            v_quasinorm(InversePowerRep(1.5), phi2, 1.0, cache=ctx.conjugates(phi2, p_lo=4.0))
+
     @staticmethod
     def _edge_case(p_peak):
         """x^8 against power_log(m), with m chosen so the ratio peaks at p_peak.
