@@ -87,7 +87,6 @@ from .quadrature import (
     LevelSampler,
     QuadratureConfig,
     distribution,
-    integrate,
     integrate_log,
     lp_quasinorm,
     sup_norm,

@@ -38,7 +38,7 @@ import at run time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +62,6 @@ from .quadrature import (
     break_points_of,
     composite_nodes,
     integrate_log,
-    integrate_unnormalized,
     log_abs_of,
     lp_quasinorm,
     panel_edges,
@@ -267,7 +266,7 @@ def _luxemburg_detail(f, n: OrliczN, domain: Domain, cfg: QuadratureConfig):
 
         # the kinks of |f| start the panels, as in lp_quasinorm
         try:
-            return integrate_log(g, domain, cfg, break_points_of(f, domain))
+            return integrate_log(g, domain.lo, domain.hi, cfg, break_points_of(f, domain)) + math.log(domain.density)
         except ConvergenceFailureError as err:
             # Far below the root the modular explodes (fast phi makes the
             # integrand spike beyond any bisection depth), but only the sign
@@ -483,17 +482,32 @@ def _level_map(sampler: LevelSampler):
     return lo.size, at
 
 
+def _log_layer_cake(at, b: float):
+    """(s, p) -> log of b w^(b-1) T(w)^(p/b) dw/ds, for the level map ``at``.
+
+    Its integral over s in [0, K] is ||f||_(p,b)^b.  Summed in log space, it
+    holds for every scale of f, where w^(b-1) alone over- or underflows.
+    """
+
+    def log_integrand(s, p):
+        w, dw, log_t = at(s)
+        with np.errstate(divide="ignore"):
+            return (p / b) * log_t + (b - 1.0) * np.log(w) + np.log(dw) + math.log(b)
+
+    return log_integrand
+
+
+def _eighths(k: int) -> np.ndarray:
+    """The eighths of [0, K]: each critical interval (a unit interval of s)
+    starts as eight panels."""
+    return np.arange(8 * k + 1) / 8
+
+
 def _lorentz_finite(sampler: LevelSampler, p: float, b: float, cfg: QuadratureConfig) -> float:
     k, at = _level_map(sampler)
-
-    def integrand(s):
-        w, dw, log_t = at(s)
-        return b * np.exp((p / b) * log_t + (b - 1.0) * np.log(w)) * dw
-
-    # each critical interval (a unit interval of s) starts as the configured
-    # number of initial panels
-    total = integrate_unnormalized(integrand, 0.0, float(k), replace(cfg, initial_panels=k * cfg.initial_panels))
-    return max(total, 0.0) ** (1.0 / b)
+    log_integrand = _log_layer_cake(at, b)
+    log_i = integrate_log(lambda s: log_integrand(s, p), 0.0, float(k), cfg, _eighths(k))
+    return math.exp(log_i / b)
 
 
 def _lorentz_sup(sampler: LevelSampler, p: float) -> float:
@@ -565,13 +579,8 @@ class _LorentzEvaluator:
             self._inner[1:-1] = np.floor(self._s[:-2]) == np.floor(self._s[2:])
             return
 
-        def log_integrand(s, p):
-            w, dw, log_t = at(s)
-            return (p / b) * log_t + (b - 1.0) * np.log(w) + np.log(dw)
-
-        # panelize for a sweep of p values, as _lorentz_finite starts
-        start = replace(cfg, initial_panels=k * cfg.initial_panels)
-        edges = panel_edges(log_integrand, 0.0, float(k), (1.0, 32.0, p_hi), start)
+        # panelize for a sweep of p values, from the panels _lorentz_finite starts with
+        edges = panel_edges(_log_layer_cake(at, b), 0.0, float(k), (1.0, 32.0, p_hi), cfg, _eighths(k))
         xs, weights, half = composite_nodes(edges)
         w, dw, self._log_t = at(xs.ravel())
         # log of each node's weight in the layer cake b int w^(b-1) T^(p/b) dw
@@ -679,7 +688,7 @@ def _gap_series(phi: PhiSpec, k_start: int, shift: int) -> float:
     )
 
 
-def equivalence_constants(n: OrliczN, cache: ConjugateCache | None = None) -> EquivalenceConstants:
+def equivalence_constants(n: OrliczN) -> EquivalenceConstants:
     phi = n.phi
     g_over_b = max(1.0, n.splice_point, 1.0 / n.linear_slope)
     hstar_1 = young_fenchel(phi, 1.0)

@@ -3,14 +3,14 @@
 Everything downstream (Orlicz, Grand Lebesgue, Lorentz and derived norms)
 reduces to three primitives implemented here:
 
-* ``integrate`` / ``integrate_log``: adaptive composite 16-point
-  Gauss-Legendre with bisection refinement and a parent-versus-children
-  error estimate.  The log variant integrates ``exp(g)`` for a supplied
-  ``g = log(integrand)`` and carries everything through log-sum-exp, which
-  keeps steep exponential integrands representable.  The log-sum-exp is
-  computed here, row by row, with ``scipy.special.logsumexp``'s real-input
-  operations in the same order, so it returns the same bits without that
-  function's per-call overhead.
+* ``integrate_log``: adaptive composite 16-point Gauss-Legendre with
+  bisection refinement and a parent-versus-children error estimate, the
+  one adaptive integrator.  It integrates ``exp(g)`` over [lo, hi] for a
+  supplied ``g = log(integrand)`` and carries everything through
+  log-sum-exp, which keeps integrands far outside double range
+  representable.  The log-sum-exp is computed here, row by row, with
+  ``scipy.special.logsumexp``'s real-input operations in the same order,
+  so it returns the same bits without that function's per-call overhead.
 * ``lp_quasinorm``: ``(integral of |f|^p dmu)^(1/p)`` for any p > 0, valid
   below p = 1 as a quasinorm.
 * ``LevelSampler`` / ``distribution``: the distribution function
@@ -29,8 +29,9 @@ representation computes them once per domain and keeps them, so repeated
 calls on the same f reuse one array.  An object that reports no break
 points starts from the uniform panels.
 
-The measure is Lebesgue measure scaled to total mass one, so ``integrate``
-of the constant 1 is exactly 1 on either domain.
+The norms are taken against Lebesgue measure scaled to total mass one:
+``integrate_log`` integrates against plain dx, and its callers add
+``log(domain.density)``.
 """
 
 from __future__ import annotations
@@ -75,12 +76,11 @@ class Domain:
 class QuadratureConfig:
     rel_tol: float = 1e-10
     max_depth: int = 48
-    initial_panels: int = 8
 
     def __post_init__(self):
         if not (self.rel_tol > 0.0):
             raise ValueError("rel_tol must be positive")
-        if self.max_depth < 1 or self.initial_panels < 1:
+        if self.max_depth < 1:
             raise ValueError("degenerate quadrature configuration")
 
 
@@ -92,6 +92,8 @@ SINGULAR_CONFIG = QuadratureConfig(rel_tol=1e-8, max_depth=64)
 
 # every panel carries the 16-point Gauss-Legendre rule
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
+# an adaptive integral starts from this many uniform panels and the break points
+_INITIAL_PANELS = 8
 # a wave with more live panels than this gives up as not converging
 _MAX_PANELS = 60000
 
@@ -129,10 +131,9 @@ def break_points_of(f, domain: Domain):
     return None if report is None else report(domain)
 
 
-def _check_finite(values: np.ndarray, xs: np.ndarray, allow_neg_inf: bool):
-    bad = ~np.isfinite(values)
-    if allow_neg_inf:
-        bad &= ~np.isneginf(values)
+def _check_finite(values: np.ndarray, xs: np.ndarray):
+    """Raise at the first NaN or +inf log-integrand value; -inf is a zero."""
+    bad = ~np.isfinite(values) & ~np.isneginf(values)
     if bad.any():
         idx = int(np.argmax(bad))
         x = float(np.ravel(xs)[idx])
@@ -190,8 +191,8 @@ def _initial_edges(lo, hi, count, breaks):
     return np.sort(np.concatenate([edges, inner]))
 
 
-def _adaptive(f, lo, hi, cfg, log_mode, collect_panels=False, breaks=None):
-    """Shared wave loop for linear and log-domain adaptive quadrature.
+def _adaptive(log_f, lo, hi, cfg, breaks):
+    """Adaptive quadrature of exp(log_f) over [lo, hi], in log space.
 
     All active panels are bisected together each wave, so the integrand is
     evaluated in large vectorized batches.  A panel's children are accepted
@@ -201,6 +202,9 @@ def _adaptive(f, lo, hi, cfg, log_mode, collect_panels=False, breaks=None):
     The points of ``breaks`` inside (lo, hi), where the integrand may have a
     kink, are initial panel edges besides the uniform ones, as QUADPACK's
     QAGP takes its break points.
+
+    Returns the log of the integral, the error estimate in units of the
+    largest panel value, and the ends of the accepted panels as two arrays.
     """
     total_len = hi - lo
     # Gauss nodes are interior to every panel in exact arithmetic; under
@@ -209,51 +213,31 @@ def _adaptive(f, lo, hi, cfg, log_mode, collect_panels=False, breaks=None):
     # Clamping into the open interval keeps such integrands evaluable.
     open_lo = np.nextafter(lo, hi)
     open_hi = np.nextafter(hi, lo)
-    if log_mode:
-        logw = np.log(_WEIGHTS)
+    logw = np.log(_WEIGHTS)
 
-        def panel_values(plo, phi_):
-            xs, half = _panel_nodes(plo, phi_)
-            xs = np.clip(xs, open_lo, open_hi)
-            g = f(xs.ravel()).reshape(xs.shape)
-            _check_finite(g, xs, allow_neg_inf=True)
-            with np.errstate(divide="ignore"):
-                return _logsumexp(g + logw[None, :]) + np.log(half)
+    def panel_values(plo, phi_):
+        xs, half = _panel_nodes(plo, phi_)
+        xs = np.clip(xs, open_lo, open_hi)
+        g = log_f(xs.ravel()).reshape(xs.shape)
+        _check_finite(g, xs)
+        with np.errstate(divide="ignore"):
+            return _logsumexp(g + logw[None, :]) + np.log(half)
 
-    else:
-
-        def panel_values(plo, phi_):
-            xs, half = _panel_nodes(plo, phi_)
-            xs = np.clip(xs, open_lo, open_hi)
-            g = f(xs.ravel()).reshape(xs.shape)
-            _check_finite(g, xs, allow_neg_inf=False)
-            return (g @ _WEIGHTS) * half
-
-    edges = _initial_edges(lo, hi, cfg.initial_panels, breaks)
+    edges = _initial_edges(lo, hi, _INITIAL_PANELS, breaks)
     p_lo = edges[:-1].copy()
     p_hi = edges[1:].copy()
     p_val = panel_values(p_lo, p_hi)
 
-    # Scaled-linear bookkeeping: in log mode every contribution is stored as
-    # exp(value - scale_log) so sums and error comparisons stay in ordinary
-    # floating point regardless of the integrand's magnitude.
-    if log_mode:
-        scale_log = float(np.max(p_val))
-        if scale_log == -math.inf:
-            return (-math.inf, 0.0, [(lo, hi)]) if collect_panels else (-math.inf, 0.0)
-    else:
-        scale_log = 0.0
-
-    def to_scaled(vals):
-        if log_mode:
-            with np.errstate(over="raise"):
-                return np.exp(vals - scale_log)
-        return vals
+    # every contribution is stored as exp(value - scale_log), at most one, so
+    # sums and error comparisons stay in ordinary floating point whatever
+    # the integrand's magnitude
+    scale_log = float(np.max(p_val))
+    if scale_log == -math.inf:
+        return -math.inf, 0.0, np.array([lo]), np.array([hi])
 
     acc_sum = 0.0
     acc_err = 0.0
-    acc_abs = 0.0
-    panels_out = []
+    done_lo, done_hi = [], []
 
     for _depth in range(cfg.max_depth):
         k = p_lo.size
@@ -262,28 +246,18 @@ def _adaptive(f, lo, hi, cfg, log_mode, collect_panels=False, breaks=None):
         c_hi = np.concatenate([mid, p_hi])
         c_val = panel_values(c_lo, c_hi)
 
-        if log_mode:
-            new_max = float(np.max(c_val, initial=-math.inf))
-            if new_max > scale_log:
-                shift = math.exp(scale_log - new_max)
-                acc_sum *= shift
-                acc_err *= shift
-                acc_abs *= shift
-                scale_log = new_max
+        new_max = float(np.max(c_val, initial=-math.inf))
+        if new_max > scale_log:
+            shift = math.exp(scale_log - new_max)
+            acc_sum *= shift
+            acc_err *= shift
+            scale_log = new_max
 
-        s_a = to_scaled(c_val[:k])
-        s_b = to_scaled(c_val[k:])
-        s_parent = to_scaled(p_val)
-        s_pair = s_a + s_b
-        err = np.abs(s_pair - s_parent)
+        s_child = np.exp(c_val - scale_log)
+        s_pair = s_child[:k] + s_child[k:]
+        err = np.abs(s_pair - np.exp(p_val - scale_log))
 
-        pending_total = acc_sum + float(np.sum(s_pair))
-        if log_mode:
-            abs_total = acc_abs + float(np.sum(s_pair))
-        else:
-            abs_total = acc_abs + float(np.sum(np.abs(s_a)) + np.sum(np.abs(s_b)))
-        scale_ref = max(abs(pending_total), 0.01 * abs_total, 1e-300)
-
+        scale_ref = max(acc_sum + float(np.sum(s_pair)), 1e-300)
         budget = cfg.rel_tol * scale_ref * ((p_hi - p_lo) / total_len)
         done = (err <= budget) | (err <= 1e-16 * scale_ref)
         if float(np.sum(err[~done])) + acc_err <= cfg.rel_tol * scale_ref:
@@ -292,23 +266,13 @@ def _adaptive(f, lo, hi, cfg, log_mode, collect_panels=False, breaks=None):
         if done.any():
             acc_sum += float(np.sum(s_pair[done]))
             acc_err += float(np.sum(err[done]))
-            if log_mode:
-                acc_abs += float(np.sum(s_pair[done]))
-            else:
-                acc_abs += float(np.sum(np.abs(s_a[done])) + np.sum(np.abs(s_b[done])))
-            if collect_panels:
-                panels_out.extend(zip(c_lo[:k][done], c_hi[:k][done]))
-                panels_out.extend(zip(c_lo[k:][done], c_hi[k:][done]))
+            done_lo += [c_lo[:k][done], c_lo[k:][done]]
+            done_hi += [c_hi[:k][done], c_hi[k:][done]]
 
         live = ~done
         if not live.any():
-            total = acc_sum
-            result = (scale_log + math.log(total)) if log_mode and total > 0 else (
-                -math.inf if log_mode else total
-            )
-            if collect_panels:
-                return result, acc_err, panels_out
-            return result, acc_err
+            log_value = scale_log + math.log(acc_sum) if acc_sum > 0 else -math.inf
+            return log_value, acc_err, np.concatenate(done_lo), np.concatenate(done_hi)
 
         p_lo = np.concatenate([c_lo[:k][live], c_lo[k:][live]])
         p_hi = np.concatenate([c_hi[:k][live], c_hi[k:][live]])
@@ -316,43 +280,24 @@ def _adaptive(f, lo, hi, cfg, log_mode, collect_panels=False, breaks=None):
         if p_lo.size > _MAX_PANELS:
             break
 
-    best = acc_sum + float(np.sum(to_scaled(p_val)))
-    bound = acc_err + float(np.sum(to_scaled(p_val)))  # crude: full live mass
-    if log_mode:
-        best_val = scale_log + math.log(best) if best > 0 else -math.inf
-    else:
-        best_val = best
+    live_mass = float(np.sum(np.exp(p_val - scale_log)))
+    best = acc_sum + live_mass
     raise ConvergenceFailureError(
         f"quadrature did not converge within depth {cfg.max_depth}",
-        best_estimate=best_val,
-        error_bound=bound,
+        best_estimate=scale_log + math.log(best) if best > 0 else -math.inf,
+        error_bound=acc_err + live_mass,  # crude: full live mass
     )
 
 
-def integrate(f, domain: Domain, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Integral of ``f`` against the normalized measure of ``domain``."""
-    value, _err = _adaptive(as_vectorized(f), domain.lo, domain.hi, cfg, log_mode=False)
-    return value * domain.density
-
-
-def integrate_unnormalized(f, lo: float, hi: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Plain Lebesgue integral over [lo, hi] (no density factor)."""
-    if hi <= lo:
-        return 0.0
-    value, _err = _adaptive(as_vectorized(f), lo, hi, cfg, log_mode=False)
-    return value
-
-
-def integrate_log(log_f, domain: Domain, cfg: QuadratureConfig = DEFAULT_CONFIG, breaks=None) -> float:
-    """log of the integral of exp(log_f) against the normalized measure.
+def integrate_log(log_f, lo: float, hi: float, cfg: QuadratureConfig = DEFAULT_CONFIG, breaks=None) -> float:
+    """log of the plain Lebesgue integral of exp(log_f) over [lo, hi].
 
     ``breaks``, where the integrand may have kinks, start as panel edges.
     Returns -inf when the integrand vanishes identically on the sample set.
+    A normalized-measure mean adds ``log(domain.density)``.
     """
-    value, _err = _adaptive(as_vectorized(log_f), domain.lo, domain.hi, cfg, log_mode=True, breaks=breaks)
-    if value == -math.inf:
-        return -math.inf
-    return value + math.log(domain.density)
+    value, _err, _lo, _hi = _adaptive(as_vectorized(log_f), lo, hi, cfg, breaks)
+    return value
 
 
 def panel_edges(log_integrand, lo: float, hi: float, exponents, cfg: QuadratureConfig, breaks=None) -> np.ndarray:
@@ -363,15 +308,11 @@ def panel_edges(log_integrand, lo: float, hi: float, exponents, cfg: QuadratureC
     range in between, which is what the sup-over-p scans want: one set of
     cached nodes, many p.  Each panelization starts from ``breaks`` too.
     """
-    edge_set = {float(lo), float(hi)}
+    parts = [np.array([lo, hi], dtype=float)]
     for e in exponents:
-        _val, _err, panels = _adaptive(
-            lambda xs, _e=float(e): log_integrand(xs, _e), lo, hi, cfg, log_mode=True, collect_panels=True, breaks=breaks
-        )
-        for a, b in panels:
-            edge_set.add(float(a))
-            edge_set.add(float(b))
-    return np.array(sorted(edge_set))
+        _val, _err, a, b = _adaptive(lambda xs, _e=float(e): log_integrand(xs, _e), lo, hi, cfg, breaks)
+        parts += [a, b]
+    return np.unique(np.concatenate(parts))
 
 
 def composite_nodes(edges: np.ndarray):
@@ -401,7 +342,7 @@ class PowerNormEvaluator:
         # not land on a singular endpoint
         xs = np.clip(xs, np.nextafter(domain.lo, domain.hi), np.nextafter(domain.hi, domain.lo))
         g = log_f(xs.ravel()).reshape(xs.shape)
-        _check_finite(g, xs, allow_neg_inf=True)
+        _check_finite(g, xs)
         self._g = g.ravel()
         with np.errstate(divide="ignore"):
             self._logw = (np.log(weights)[None, :] + np.log(half)[:, None]).ravel()
@@ -432,7 +373,7 @@ def lp_quasinorm(f, p: float, domain: Domain, cfg: QuadratureConfig = DEFAULT_CO
     def scaled(xs):
         return p * log_f(xs)
 
-    log_i = integrate_log(scaled, domain, cfg, break_points_of(f, domain))
+    log_i = integrate_log(scaled, domain.lo, domain.hi, cfg, break_points_of(f, domain)) + math.log(domain.density)
     if log_i == -math.inf:
         return 0.0
     return math.exp(log_i / p)

@@ -24,6 +24,8 @@ slowest group.  Covered:
 * on the members of ``build_corpus(7)``: ``v_quasinorm_info`` of the first
   derivative (r = 1) and ``sup_ratio_from(p_lo=4)`` for three phi, and
   ``weighted_lorentz_g`` with power_log(2) at b = 2 and b = inf;
+* ``lorentz_norm`` of the 30 polynomials of ``build_corpus(7)`` at
+  (p, b) = (1, 1), (2, 2), (3, 3), (2, 3) and (3, inf);
 * ``fenchel_moreau_check``, ``phi_membership_check`` and
   ``equivalence_constants`` for the three phi;
 * ``young_fenchel_or_inf`` over 400 exponents for six phi families;
@@ -57,6 +59,7 @@ from orlimark import (  # noqa: E402
     equivalence_constants,
     fenchel_moreau_check,
     log_power,
+    lorentz_norm,
     phi_membership_check,
     power_log,
     tabulated_phi,
@@ -119,6 +122,13 @@ def corpus_records():
             yield "weighted_lorentz_g", f"{label} b={b}", attempt(
                 lambda: weighted_lorentz_g(f, phi2, b, cache=ctx.conjugates(phi2))
             )
+
+
+def lorentz_records():
+    polynomials = [(label, f) for label, f in build_corpus(7) if label.startswith("poly-")]
+    for label, f in polynomials:
+        for p, b in ((1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (2.0, 3.0), (3.0, math.inf)):
+            yield "lorentz_norm", f"{label} p={p} b={b}", attempt(lambda: lorentz_norm(f, p, b))
 
 
 def conjugate_records():
@@ -223,7 +233,7 @@ def main(argv):
         compare(argv[1], argv[2])
         return
     out_path = argv[0]
-    groups = [conjugate_records, cache_records, corpus_records, cli_records]
+    groups = [conjugate_records, cache_records, corpus_records, lorentz_records, cli_records]
     if "--quick" not in argv:
         groups.insert(0, band_records)
     counts = Counter()
