@@ -482,6 +482,14 @@ def _level_map(sampler: LevelSampler):
     return lo.size, at
 
 
+def _log_w_power(w, b: float):
+    """log of w^(b-1), which is 0 at b = 1 even where w underflows to 0."""
+    if b == 1.0:
+        return np.zeros_like(w)
+    with np.errstate(divide="ignore"):
+        return (b - 1.0) * np.log(w)
+
+
 def _log_layer_cake(at, b: float):
     """(s, p) -> log of b w^(b-1) T(w)^(p/b) dw/ds, for the level map ``at``.
 
@@ -492,7 +500,7 @@ def _log_layer_cake(at, b: float):
     def log_integrand(s, p):
         w, dw, log_t = at(s)
         with np.errstate(divide="ignore"):
-            return (p / b) * log_t + (b - 1.0) * np.log(w) + np.log(dw) + math.log(b)
+            return (p / b) * log_t + _log_w_power(w, b) + np.log(dw) + math.log(b)
 
     return log_integrand
 
@@ -584,7 +592,8 @@ class _LorentzEvaluator:
         xs, weights, half = composite_nodes(edges)
         w, dw, self._log_t = at(xs.ravel())
         # log of each node's weight in the layer cake b int w^(b-1) T^(p/b) dw
-        self._log_c = np.log(b * (weights[None, :] * half[:, None]).ravel() * dw) + (b - 1.0) * np.log(w)
+        with np.errstate(divide="ignore"):
+            self._log_c = np.log(b * (weights[None, :] * half[:, None]).ravel() * dw) + _log_w_power(w, b)
 
     def log_value(self, p):
         p_arr = np.atleast_1d(np.asarray(p, dtype=float))
