@@ -55,7 +55,7 @@ class SummabilityError(OrlimarkError):
 
 
 class LuxemburgBracketError(OrlimarkError):
-    """Bisection bracket for the Luxemburg norm failed its sign check."""
+    """The Jensen end of the Luxemburg bracket failed its sign check."""
 
 
 class ScanDivergenceError(OrlimarkError):

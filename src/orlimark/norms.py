@@ -8,7 +8,8 @@ branches tangent, so the spliced function is convex and C1.
 Three norm families ride on top:
 
 * ``luxemburg_norm``: inf of l > 0 with integral of N(|f|/l) at most one,
-  solved as a root problem in log l with a Jensen-derived bracket.
+  solved as a root problem in log l from the Jensen bound to where |f| / l
+  stays below the knee and the modular has a closed form.
 * ``g_norm`` / ``v_quasinorm`` / ``weighted_lorentz_g``: suprema over an
   exponent grid of ||f||_p, ||f||_beta(p) or a Lorentz norm divided by the
   conjugate weight psi(p), all computed by the one engine ``_sup_over_p``.
@@ -30,13 +31,14 @@ Three norm families ride on top:
 ``evaluate_norm_info`` is the one dispatch from a ``NormSpec`` to these
 norms, for the harness and the command line alike.
 
-The knee and the Luxemburg root are found by ``_brentq``, a step-for-step
-port of scipy's C ``brentq``: same bits, same tolerances, and no scipy
-import at run time.
+The knee and the Luxemburg root are found by ``quadrature._bracketed_root``
+with Brent's tolerances, at the end of the collapsed bracket with the
+smaller residual.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -48,7 +50,6 @@ from .errors import (
     ConvergenceFailureError,
     DomainEvaluationError,
     LuxemburgBracketError,
-    RejectedInputError,
     ScanDivergenceError,
     SummabilityError,
 )
@@ -58,6 +59,7 @@ from .quadrature import (
     LevelSampler,
     PowerNormEvaluator,
     QuadratureConfig,
+    _bracketed_root,
     _logsumexp,
     break_points_of,
     composite_nodes,
@@ -73,78 +75,14 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _EDGE_STEP = 1e-8
 
 
-def _brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
-    """Root of f in the bracket [a, b] by Brent's method.
-
-    A step-for-step port of scipy's C ``brentq`` (``Zeros/brentq.c``), so
-    it returns the same bits for the same f, bracket and tolerances.  A
-    solve that does not converge raises ``ConvergenceFailureError`` with the
-    last iterate, a NaN value of f raises ``DomainEvaluationError`` at its
-    abscissa, and a bracket without a sign change raises
-    ``RejectedInputError``.
-    """
-
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise DomainEvaluationError(f"root solve: f is NaN at x = {x!r}", abscissa=x)
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise RejectedInputError(
-            f"root solve: f({xpre!r}) = {fpre!r} and f({xcur!r}) = {fcur!r} have the same sign"
-        )
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            # C's MIN(abs(spre), limit), which unlike min() takes the second
-            # operand when the first is NaN
-            limit = 3 * abs(sbis) - delta
-            if abs(spre) < limit:
-                limit = abs(spre)
-            if 2 * abs(stry) < limit:
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise ConvergenceFailureError(
-        f"root solve did not converge within {maxiter} iterations", best_estimate=xcur
+def _root(fn, x_neg: float, x_pos: float, f_neg: float, f_pos: float, xtol: float):
+    """The end of smaller |fn| of [x_neg, x_pos], with fn = f_neg <= 0 and
+    f_pos >= 0 there, collapsed to width xtol + 8.9e-16 |x|, and fn there."""
+    ends = _bracketed_root(
+        lambda x, _lanes: fn(x), *(np.array([v]) for v in (x_neg, x_pos, f_neg, f_pos)), xtol + 8.9e-16 * max(abs(x_neg), abs(x_pos))
     )
+    x_neg, x_pos, f_neg, f_pos = (float(v[0]) for v in ends)
+    return (x_neg, f_neg) if -f_neg < f_pos else (x_pos, f_pos)
 
 
 # ---------------------------------------------------------------------------
@@ -196,35 +134,20 @@ def construct_N(phi: PhiSpec) -> OrliczN:
     g = us * phi.dphi(us) - 1.0
     good = np.isfinite(g)
     us, g = us[good], g[good]
-    idx = None
-    for i in range(len(us) - 1):
-        if g[i] == 0.0:
-            idx = (i, i)
-            break
-        if g[i] < 0.0 < g[i + 1]:
-            idx = (i, i + 1)
-            break
-    if idx is None:
+    crossings = np.flatnonzero((g[:-1] == 0.0) | ((g[:-1] < 0.0) & (g[1:] > 0.0)))
+    if not crossings.size:
         raise ConstructionError(
             f"no knee for {phi.label} in [0.001, 1000]: "
             "u * phi'(u) - 1 never crosses zero"
         )
-    if idx[0] == idx[1]:
-        knee = float(us[idx[0]])
-    else:
-        knee = _brentq(
-            lambda u: float(u * phi.dphi(np.array([u]))[0] - 1.0),
-            us[idx[0]],
-            us[idx[1]],
-            xtol=1e-15,
-            rtol=8.9e-16,
-        )
+    i = crossings[0]
+    knee, residual = _root(lambda u: u * phi.dphi(u) - 1.0, float(us[i]), float(us[i + 1]), float(g[i]), float(g[i + 1]), 1e-15)
     phi_at = float(phi.phi(np.array([knee]))[0])
     slope = math.exp(phi_at) / knee
     tangent = float(phi.dphi(np.array([knee]))[0]) * math.exp(phi_at)
     if not math.isfinite(slope) or slope <= 0.0:
         raise ConstructionError(f"degenerate slope at knee for {phi.label}")
-    if abs(knee * float(phi.dphi(np.array([knee]))[0]) - 1.0) > 1e-6:
+    if abs(residual) > 1e-6:
         raise ConstructionError(f"knee residual too large for {phi.label}")
     if slope > tangent * (1.0 + 1e-9):
         raise ConstructionError(
@@ -244,23 +167,20 @@ def construct_N(phi: PhiSpec) -> OrliczN:
 
 
 def _luxemburg_detail(f, n: OrliczN, domain: Domain, cfg: QuadratureConfig):
+    """l = e^t, the log modular log I(t) at it, and whether that is within
+    1e-8 of zero.  By Jensen I(t) >= slope ||f||_1 e^-t = e^(t_lo - t), with
+    equality from t_k = log(sup |f| / knee) on, where |f| e^-t stays on the
+    linear branch of N: the root lies in [t_lo, t_k]."""
     sup = sup_norm(f, domain)
     if sup == 0.0:
         return 0.0, 0.0, True
-    l1 = lp_quasinorm(f, 1.0, domain, cfg)
-    lo = n.linear_slope * l1
-    hi = n.linear_slope * sup * (1.0 + 1e-6)
+    lo = n.linear_slope * lp_quasinorm(f, 1.0, domain, cfg)
+    t_lo, t_k = math.log(lo), math.log(sup / n.splice_point)
+    if t_lo >= t_k:
+        return lo, 0.0, True
     log_f = log_abs_of(f)
-    # the modular at each t it has been integrated at: the root solve starts
-    # from the two sign checks and ends on an iterate it has evaluated
-    modular: dict[float, float] = {}
 
     def log_i(t: float) -> float:
-        if t not in modular:
-            modular[t] = _log_modular(t)
-        return modular[t]
-
-    def _log_modular(t: float) -> float:
         def g(xs):
             return n.n_log_from_log_u(log_f(xs) - t)
 
@@ -277,28 +197,24 @@ def _luxemburg_detail(f, n: OrliczN, domain: Domain, cfg: QuadratureConfig):
                 return err.best_estimate
             raise
 
-    t_lo, t_hi = math.log(lo), math.log(hi)
-    v_hi = log_i(t_hi)
-    if v_hi > 0.0:
-        raise LuxemburgBracketError(
-            "upper bracket failed its sign check; the sup-norm estimate is off"
-        )
     v_lo = log_i(t_lo)
-    if v_lo < 0.0:
-        # Jensen puts the true solution at or below lo; quadrature noise can
-        # land here when f is (near) constant and lo is already the answer.
-        return lo, v_lo, abs(v_lo) <= 1e-8
-    if v_lo == 0.0:
-        return lo, 0.0, True
-    t_star = _brentq(log_i, t_lo, t_hi, xtol=1e-12, rtol=8.9e-16)
-    residual = log_i(t_star)
+    if v_lo <= 0.0:
+        # Jensen puts the root at or below t_lo; quadrature noise can land
+        # here when f is (near) constant and lo is already the answer
+        if v_lo < -1e-8:
+            raise LuxemburgBracketError(f"log modular {v_lo!r} at the Jensen bound l = {lo!r}; its integral is off")
+        return lo, v_lo, True
+    t_star, residual = _root(lambda ts: np.array([log_i(float(ts[0]))]), t_k, t_lo, t_lo - t_k, v_lo, 1e-12)
     return math.exp(t_star), residual, abs(residual) <= 1e-8
 
 
 def luxemburg_norm(f, n: OrliczN, domain: Domain | None = None, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Smallest l with the N-modular of f / l at most one."""
+    """Smallest l with the N-modular of f / l at most one; a root whose log
+    modular is farther than 1e-8 from zero raises ConvergenceFailureError."""
     dom = domain if domain is not None else f.natural_domain
-    value, _residual, _ok = _luxemburg_detail(f, n, dom, cfg)
+    value, residual, ok = _luxemburg_detail(f, n, dom, cfg)
+    if not ok:
+        raise ConvergenceFailureError(f"Luxemburg root l = {value!r} leaves the log modular at {residual!r}", best_estimate=value)
     return value
 
 
@@ -337,17 +253,19 @@ def _sup_over_p(make_log_norm, exact_norm, phi: PhiSpec, cache: ConjugateCache, 
     """sup over grid p >= p_lo of exp(log_norm(p) - psi_log(p)), certified.
 
     The cache grid must start at p_lo (to 1e-12 relative), or ValueError.
-    make_log_norm() returns a cached-node p -> log norm; it is called again
-    after each fourfold extension of the grid, so evaluators can re-panelize
-    for the larger exponents.  The grid winner is polished by golden section
-    in log p, which assumes the ratio unimodal; a winner at p_lo skips the
-    polish when the ratio at log p_lo + 1e-8 is no higher than at the edge.
+    make_log_norm(p_hi) returns a cached-node p -> log norm for a grid up to
+    p_hi; it is called again after each fourfold extension of the grid, so
+    evaluators can re-panelize for the larger exponents.  A copy of the
+    cache takes the extensions: the one passed in stays as built.  The grid
+    winner is polished by golden section in log p, which assumes the ratio
+    unimodal; a winner at p_lo skips the polish when the ratio at
+    log p_lo + 1e-8 is no higher than at the edge.
     The result is re-validated with exact_norm(p) and an exact weight; the
     fast value counts only if the two agree to 1e-6.
     """
     if abs(cache.grid[0] - p_lo) > 1e-12 * p_lo:
         raise ValueError(f"conjugate cache grid starts at p = {cache.grid[0]!r}, not at p_lo = {p_lo!r}")
-    log_norm = make_log_norm()
+    log_norm = make_log_norm(cache.p_hi)
     extensions = 0
     while True:
         grid = cache.grid
@@ -360,8 +278,9 @@ def _sup_over_p(make_log_norm, exact_norm, phi: PhiSpec, cache: ConjugateCache, 
                 "sup scan still rising after two grid extensions; "
                 "the ratio appears unbounded in p"
             )
+        cache = copy.copy(cache)
         cache.extend()
-        log_norm = make_log_norm()
+        log_norm = make_log_norm(cache.p_hi)
         extensions += 1
 
     def ratio(x):
@@ -394,8 +313,8 @@ def _g_scan(f, phi: PhiSpec, domain: Domain | None, cfg: QuadratureConfig, cache
     def beta(p):
         return p / (p * r + 1.0)
 
-    def make_log_norm():
-        lo, hi = beta(p_lo), beta(c.p_hi)
+    def make_log_norm(p_hi):
+        lo, hi = beta(p_lo), beta(p_hi)
         # beta = p spans decades, beta < 1 / r does not
         mid = math.sqrt(lo * hi) if r == 0.0 else 0.5 * (lo + hi)
         log_norm = PowerNormEvaluator(f, dom, cfg, yardsticks=(lo, mid, hi)).log_norm
@@ -634,8 +553,8 @@ def weighted_lorentz_g(
     if sampler.sup_estimate == 0.0:
         return 0.0
 
-    def make_log_norm():
-        return _LorentzEvaluator(sampler, b, cfg, c.p_hi).log_value
+    def make_log_norm(p_hi):
+        return _LorentzEvaluator(sampler, b, cfg, p_hi).log_value
 
     def exact_norm(p):
         return lorentz_norm(f, p, b, dom, cfg, sampler=sampler)

@@ -17,8 +17,9 @@ reduces to three primitives implemented here:
   ``mu{ |f| > w }``, summed over the pieces between the break points that
   every function representation reports (the domain ends and the zeros of
   f and f'), on which |f| is monotone; each crossing of a level is solved
-  to a collapsed bracket.  ``sup_norm`` is the largest |f| over the same
-  break points.
+  to a collapsed bracket by ``_bracketed_root``, the one root solver, which
+  also finds the splice knee and the Luxemburg root in the norms module.
+  ``sup_norm`` is the largest |f| over the same break points.
 
 Adaptive integrals of functions of |f| (``lp_quasinorm``, the panels of
 ``PowerNormEvaluator`` and the Luxemburg modular in the norms module) start
@@ -402,6 +403,71 @@ def sup_norm(f, domain: Domain) -> float:
     return float(np.max(_break_values(f, domain, bounded=True)[1]))
 
 
+# steps before a bracketed root solve gives up with its end of smaller |g|;
+# crossing a level a few ulps from a flat extremum of |f| takes up to 94
+_MAX_ROOT_STEPS = 200
+
+
+def _bracketed_root(g, x_neg, x_pos, g_neg, g_pos, tol: float):
+    """Collapse brackets around roots of g, lane by lane, to width tol.
+
+    Lane i runs from x_neg[i], where g <= 0, to x_pos[i], where g >= 0, and
+    g(x, lanes) returns g of lane lanes[i] at x[i].  Regula falsi with
+    Anderson-Bjorck scaling of an end kept twice running, and two safeguards
+    from Brent's method: a step longer than half the step before last
+    becomes a bisection, and every point stays tol / 2 inside the bracket,
+    so a converged iterate gets straddled.  Returns the collapsed (x_neg,
+    x_pos, g_neg, g_pos), both ends on a zero of g where one is found.
+    """
+    if not np.all((g_neg <= 0.0) & (g_pos >= 0.0)):
+        raise RejectedInputError("root solve: g must be <= 0 at x_neg and >= 0 at x_pos in every lane")
+    x_pos, g_pos = np.where(g_neg == 0.0, x_neg, x_pos), np.where(g_neg == 0.0, 0.0, g_pos)
+    x_neg, g_neg = np.where(g_pos == 0.0, x_pos, x_neg), np.where(g_pos == 0.0, 0.0, g_neg)
+
+    live = np.flatnonzero(g_neg < 0.0)
+    xn, xp, gn, gp = x_neg[live], x_pos[live], g_neg[live], g_pos[live]
+    sn, sp = gn, gp  # the end values regula falsi reads, scaled
+    pos_moved = neg_moved = np.zeros(live.size, dtype=bool)  # which end moved last
+    last = np.where(-gn < gp, xn, xp)
+    step = older = np.abs(xp - xn)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_MAX_ROOT_STEPS):
+            if not live.size:
+                break
+            span = sn - sp
+            x = np.clip(xn + (sn / span) * (xp - xn), np.minimum(xn, xp) + 0.5 * tol, np.maximum(xn, xp) - 0.5 * tol)
+            # an infinite end value (a singular end) would pin regula falsi to the other end
+            x = np.where((np.abs(x - last) <= 0.5 * older) & np.isfinite(span), x, 0.5 * (xn + xp))
+            step, older, last = np.abs(x - last), step, x
+            gx = g(x, live)
+            # one reduction a step; the sum is also NaN on inf - inf
+            if math.isnan(gx.sum()) and np.isnan(gx).any():
+                at = float(x[np.argmax(np.isnan(gx))])
+                raise DomainEvaluationError(f"root solve: g is NaN at x = {at!r}", abscissa=at)
+            up = gx > 0.0
+            scale = 1.0 - gx / np.where(up, sp, sn)
+            scale = np.where(scale > 0.0, scale, 0.5)
+            sn = np.where(up, np.where(pos_moved, scale * sn, sn), gx)
+            sp = np.where(up, gx, np.where(neg_moved, scale * sp, sp))
+            pos_moved, neg_moved = up, ~up
+            xn, xp, gn, gp = np.where(up, xn, x), np.where(up, x, xp), np.where(up, gn, gx), np.where(up, gx, gp)
+            zero = gx == 0.0
+            done = (np.abs(xp - xn) <= tol) | zero
+            if done.any():
+                # a zero of g moves both ends onto it
+                idx = live[done]
+                x_neg[idx], x_pos[idx] = xn[done], np.where(zero, x, xp)[done]
+                g_neg[idx], g_pos[idx] = gn[done], np.where(zero, 0.0, gp)[done]
+                keep = ~done
+                live, xn, xp, gn, gp, sn, sp, step, older, last, pos_moved, neg_moved = (
+                    v[keep] for v in (live, xn, xp, gn, gp, sn, sp, step, older, last, pos_moved, neg_moved)
+                )
+    if live.size:
+        best = float(np.where(-gn < gp, xn, xp)[0])
+        raise ConvergenceFailureError(f"root solve did not converge within {_MAX_ROOT_STEPS} steps", best_estimate=best)
+    return x_neg, x_pos, g_neg, g_pos
+
+
 class LevelSampler:
     """Distribution function of |f| assembled from its monotone pieces.
 
@@ -433,46 +499,8 @@ class LevelSampler:
         self._above = np.where(rising, xs[1:], xs[:-1])
         self._v_min = np.minimum(vals[:-1], vals[1:])
         self._v_max = np.maximum(vals[:-1], vals[1:])
-        self._tol = np.finfo(float).eps * max(1.0, abs(domain.lo), abs(domain.hi))
-
-    def _level_roots(self, below, above, g_below, g_above, w):
-        """x with |f(x)| = w, bracketed by g_below = |f| - w <= 0 at ``below``
-        and g_above > 0 at ``above``, to a bracket no wider than 2 * tol.
-
-        Regula falsi with Anderson-Bjorck scaling of an end kept twice
-        running, and two safeguards from Brent's method: a step longer than
-        half the step before last becomes a bisection, and every point stays
-        tol inside the bracket, so a converged iterate gets straddled.
-        """
-        tol = self._tol
-        out = below.copy()
-        live = np.flatnonzero(g_below < 0.0)
-        xb, xa, gb, ga, w = below[live], above[live], g_below[live], g_above[live], w[live]
-        moved = np.zeros(live.size)  # +1: the above end moved last, -1: the below end
-        last = np.where(-gb < ga, xb, xa)
-        step = older = np.abs(xa - xb)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            while live.size:
-                x = np.clip(xb + (gb / (gb - ga)) * (xa - xb), np.minimum(xb, xa) + tol, np.maximum(xb, xa) - tol)
-                # an infinite end value (a singular end) pins regula falsi to the other end
-                x = np.where((np.abs(x - last) <= 0.5 * older) & np.isfinite(ga), x, 0.5 * (xb + xa))
-                step, older, last = np.abs(x - last), step, x
-                g = np.abs(self._f(x)) - w
-                up = g > 0.0
-                scale = 1.0 - g / np.where(up, ga, gb)
-                scale = np.where(scale > 0.0, scale, 0.5)
-                gb = np.where(up, np.where(moved > 0, scale * gb, gb), g)
-                ga = np.where(up, g, np.where(moved < 0, scale * ga, ga))
-                xb = np.where(up, xb, x)
-                xa = np.where(up, x, xa)
-                moved = np.where(up, 1.0, -1.0)
-                done = (np.abs(xa - xb) <= 2.0 * tol) | (g == 0.0)
-                if done.any():
-                    out[live[done]] = np.where(g == 0.0, x, 0.5 * (xb + xa))[done]
-                    keep = ~done
-                    live, xb, xa, gb, ga, w = live[keep], xb[keep], xa[keep], gb[keep], ga[keep], w[keep]
-                    step, older, last, moved = step[keep], older[keep], last[keep], moved[keep]
-        return out
+        # the widest bracket a crossing may end with
+        self._tol = 2.0 * np.finfo(float).eps * max(1.0, abs(domain.lo), abs(domain.hi))
 
     def measure_above_batch(self, ws) -> np.ndarray:
         ws = np.asarray(ws, dtype=float)
@@ -489,7 +517,10 @@ class LevelSampler:
         piece, j = np.nonzero(~whole & (ws[None, :] < self._v_max[:, None]))
         w = ws[j]
         below, above = self._below[piece], self._above[piece]
-        roots = self._level_roots(below, above, self._v_min[piece] - w, self._v_max[piece] - w, w)
+        x_neg, x_pos, _g_neg, _g_pos = _bracketed_root(
+            lambda x, lanes: np.abs(self._f(x)) - w[lanes], below, above, self._v_min[piece] - w, self._v_max[piece] - w, self._tol
+        )
+        roots = 0.5 * (x_neg + x_pos)
         # the part of the piece beyond the crossing lies above w
         return out + np.bincount(j, weights=np.abs(above - roots), minlength=ws.size)
 

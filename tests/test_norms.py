@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from orlimark import norms
+from orlimark import norms, quadrature
 from orlimark.conjugate import ConjugateCache, golden_max, log_power, power_log, psi_log
 from orlimark.errors import (
     ConvergenceFailureError,
     DomainEvaluationError,
+    LuxemburgBracketError,
     RejectedInputError,
     ScanDivergenceError,
 )
@@ -38,8 +39,8 @@ from orlimark.norms import (
     vnorm_spec,
     weighted_lorentz_g,
 )
-from orlimark.norms import _brentq, _luxemburg_detail
-from orlimark.quadrature import DEFAULT_CONFIG, Domain, integrate_log, lp_quasinorm
+from orlimark.norms import _luxemburg_detail
+from orlimark.quadrature import DEFAULT_CONFIG, Domain, _bracketed_root, integrate_log, lp_quasinorm
 
 INTERVAL = Domain.interval()
 
@@ -64,48 +65,75 @@ def _bracketed_problems(seed, count):
         a, b = np.sort(rng.uniform(-3.0, 3.0, size=2))
 
         def f(x, c=tuple(coeffs)):
-            return float(np.polynomial.polynomial.polyval(x, c)) + 0.3 * math.sin(5.0 * x)
+            return np.polynomial.polynomial.polyval(x, c) + 0.3 * np.sin(5.0 * x)
 
         if f(a) * f(b) < 0.0:
             problems.append((f, float(a), float(b)))
     return problems
 
 
+def _solve(f, a, b, tol):
+    """The bracket [a, b] collapsed around a root of the scalar f, one lane:
+    (x_neg, x_pos, f(x_neg), f(x_pos))."""
+    f_a, f_b = float(f(a)), float(f(b))
+    if f_a > 0.0:
+        a, b, f_a, f_b = b, a, f_b, f_a
+    ends = _bracketed_root(
+        lambda x, _lanes: np.array([float(f(x[0]))]), np.array([a]), np.array([b]), np.array([f_a]), np.array([f_b]), tol
+    )
+    return tuple(float(v[0]) for v in ends)
+
+
 class TestBrentq:
+    """The one bracketed root solver, against scipy's brentq."""
+
     @pytest.mark.parametrize("xtol,rtol", ROOT_TOLERANCES)
-    def test_matches_scipy_bit_for_bit(self, xtol, rtol):
+    def test_within_tolerance_of_scipy(self, xtol, rtol):
+        single = 0
         for f, a, b in _bracketed_problems(seed=7, count=1000):
-            assert _brentq(f, a, b, xtol, rtol) == brentq(f, a, b, xtol=xtol, rtol=rtol), (a, b)
+            tol = xtol + rtol * max(abs(a), abs(b))
+            x_neg, x_pos, g_neg, g_pos = _solve(f, a, b, tol)
+            assert f(x_neg) == g_neg <= 0.0 <= g_pos == f(x_pos), (a, b)
+            assert abs(x_pos - x_neg) <= tol, (a, b)
+            # with several roots in [a, b] the two solvers may settle on different ones
+            if np.count_nonzero(np.diff(np.sign(f(np.linspace(a, b, 4001))))) == 1:
+                single += 1
+                root = brentq(f, a, b, xtol=xtol, rtol=rtol)
+                x = x_neg if -g_neg < g_pos else x_pos
+                assert abs(x - root) <= xtol + rtol * abs(root), (a, b)
+        assert single > 800
 
     @pytest.mark.parametrize("xtol,rtol", ROOT_TOLERANCES)
     def test_zero_at_an_endpoint_is_returned(self, xtol, rtol):
-        assert _brentq(lambda x: x - 1.0, 1.0, 3.0, xtol, rtol) == 1.0
-        assert _brentq(lambda x: x - 3.0, 1.0, 3.0, xtol, rtol) == 3.0
+        assert _solve(lambda x: x - 1.0, 1.0, 3.0, xtol + 3.0 * rtol) == (1.0, 1.0, 0.0, 0.0)
+        assert _solve(lambda x: x - 3.0, 1.0, 3.0, xtol + 3.0 * rtol) == (3.0, 3.0, 0.0, 0.0)
 
     def test_no_convergence_raises_with_last_iterate(self):
+        # a jump at 1/3 with no zero never collapses to a zero-width bracket:
+        # the solve stops at its step cap, on one of the two doubles around it
         probes = []
 
         def f(x):
             probes.append(x)
-            return math.sin(5.0 * x) + x
+            return 1.0 if x > 1.0 / 3.0 else -1.0
 
         with pytest.raises(ConvergenceFailureError) as info:
-            _brentq(f, -2.0, 1.5, 1e-15, 8.9e-16, maxiter=3)
-        assert len(probes) == 2 + 3
-        assert info.value.best_estimate == probes[-1]
+            _solve(f, 0.0, 1.0, 0.0)
+        assert len(probes) == 2 + quadrature._MAX_ROOT_STEPS
+        assert info.value.best_estimate in (1.0 / 3.0, np.nextafter(1.0 / 3.0, 1.0))
 
     def test_nan_raises_at_its_abscissa(self):
-        # the first step bisects [0, 2] and lands in the NaN region at x = 1
+        # the first step of [0, 2] lands in the NaN region at x = 1
         def f(x):
             return math.nan if 0.5 < x < 1.5 else x - 1.0
 
         with pytest.raises(DomainEvaluationError) as info:
-            _brentq(f, 0.0, 2.0, 1e-12, 8.9e-16)
+            _solve(f, 0.0, 2.0, 1e-12)
         assert info.value.abscissa == 1.0
 
     def test_same_sign_bracket_rejected(self):
         with pytest.raises(RejectedInputError):
-            _brentq(lambda x: x * x + 1.0, -1.0, 2.0, 1e-12, 8.9e-16)
+            _solve(lambda x: x * x + 1.0, -1.0, 2.0, 1e-12)
 
 
 class TestSplice:
@@ -167,6 +195,44 @@ class TestLuxemburg:
             )
             assert ok
             assert abs(residual) <= 1e-8
+
+    @pytest.mark.parametrize("c", [1.0, 0.37, 5e3, -2.5])
+    def test_constant_takes_no_modular_integral(self, c, phi2, ctx, monkeypatch):
+        # |c| / l stays on the linear branch of N, where the modular is
+        # slope ||f||_1 / l in closed form: the norm is slope ||f||_1
+        def no_integral(*args):
+            raise AssertionError("the modular was integrated")
+
+        n = ctx.orlicz(phi2)
+        f = PolynomialRep([c])
+        l1 = lp_quasinorm(f, 1.0, INTERVAL)
+        monkeypatch.setattr(norms, "integrate_log", no_integral)
+        assert luxemburg_norm(f, n) == n.linear_slope * l1
+        assert luxemburg_norm(f, n) == pytest.approx(n.linear_slope * abs(c), rel=1e-15, abs=0.0)
+
+    def test_failed_jensen_bound_raises(self, phi2, ctx, monkeypatch):
+        # an L1 norm 10% too large puts the modular at the Jensen bound below one
+        l1 = norms.lp_quasinorm
+        monkeypatch.setattr(norms, "lp_quasinorm", lambda *args: 1.1 * l1(*args))
+        with pytest.raises(LuxemburgBracketError):
+            luxemburg_norm(PolynomialRep([0.3, 1.0, -0.7]), ctx.orlicz(phi2))
+
+    def test_residual_above_budget_raises(self, phi2, ctx, monkeypatch):
+        # a modular that jumps by 0.01 in log where it crosses one: the
+        # bracket collapses onto the jump, and no root meets the 1e-8 budget
+        integral = norms.integrate_log
+
+        def jumping(*args):
+            value = integral(*args)
+            return value + (0.01 if value > math.log(INTERVAL.length) else -0.01)
+
+        monkeypatch.setattr(norms, "integrate_log", jumping)
+        f, n = PolynomialRep([0.3, 1.0, -0.7]), ctx.orlicz(phi2)
+        _value, residual, ok = _luxemburg_detail(f, n, INTERVAL, DEFAULT_CONFIG)
+        assert not ok
+        assert abs(residual) == pytest.approx(0.01, rel=1e-6)
+        with pytest.raises(ConvergenceFailureError):
+            luxemburg_norm(f, n)
 
     def test_fast_orlicz_function(self, ctx):
         # phi_{4,0} makes the modular explode far from the root; the solver
@@ -275,6 +341,17 @@ class TestGNorm:
         assert info.tolerance_met
         assert info.value == pytest.approx(value, rel=1e-12)
         assert info.p_star == pytest.approx(p_star, rel=1e-9)
+
+
+    def test_extension_leaves_the_shared_cache_as_built(self):
+        # x^30 extends the grid for its own scan only: a member scanned after
+        # it reads the context's cache as built, as on a fresh context
+        phi = power_log(200.0)
+        spec, local = gnorm_spec(phi), NormContext()
+        assert evaluate_norm_info(PolynomialRep([0.0] * 30 + [1.0]), spec, ctx=local).extensions == 1
+        assert local.conjugates(phi).p_hi == 1024.0
+        f = dict(build_corpus(7))["rational-02"]
+        assert evaluate_norm_info(f, spec, ctx=local) == evaluate_norm_info(f, spec, ctx=NormContext())
 
 
 class TestSupRatioFrom:

@@ -24,6 +24,8 @@ slowest group.  Covered:
 * on the members of ``build_corpus(7)``: ``v_quasinorm_info`` of the first
   derivative (r = 1) and ``sup_ratio_from(p_lo=4)`` for three phi, and
   ``weighted_lorentz_g`` with power_log(2) at b = 2 and b = inf;
+* ``construct_N``'s ``splice_point`` and ``linear_slope`` for three phi,
+  and ``luxemburg_norm`` of the members of ``build_corpus(7)`` under each;
 * ``lorentz_norm`` of the 30 polynomials of ``build_corpus(7)`` at
   (p, b) = (1, 1), (2, 2), (3, 3), (2, 3) and (3, inf);
 * ``fenchel_moreau_check``, ``phi_membership_check`` and
@@ -67,7 +69,7 @@ from orlimark import (  # noqa: E402
 )
 from orlimark.conjugate import ConjugateCache, young_fenchel_or_inf  # noqa: E402
 from orlimark.functions import derivative  # noqa: E402
-from orlimark.norms import sup_ratio_from, v_quasinorm_info  # noqa: E402
+from orlimark.norms import construct_N, luxemburg_norm, sup_ratio_from, v_quasinorm_info  # noqa: E402
 
 PHIS = [power_log(1.0), power_log(2.0), log_power(1.0)]
 FAMILIES = PHIS + [
@@ -122,6 +124,20 @@ def corpus_records():
             yield "weighted_lorentz_g", f"{label} b={b}", attempt(
                 lambda: weighted_lorentz_g(f, phi2, b, cache=ctx.conjugates(phi2))
             )
+
+
+def knee(phi):
+    n = construct_N(phi)
+    return n.splice_point, n.linear_slope
+
+
+def luxemburg_records():
+    for phi in PHIS:
+        yield "luxemburg", f"knee {phi.label}", attempt(lambda: knee(phi))
+    ctx = NormContext()
+    for label, f in build_corpus(7):
+        for phi in PHIS:
+            yield "luxemburg", f"{label} {phi.label}", attempt(lambda: luxemburg_norm(f, ctx.orlicz(phi)))
 
 
 def lorentz_records():
@@ -233,7 +249,7 @@ def main(argv):
         compare(argv[1], argv[2])
         return
     out_path = argv[0]
-    groups = [conjugate_records, cache_records, corpus_records, lorentz_records, cli_records]
+    groups = [conjugate_records, cache_records, corpus_records, luxemburg_records, lorentz_records, cli_records]
     if "--quick" not in argv:
         groups.insert(0, band_records)
     counts = Counter()
