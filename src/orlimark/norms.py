@@ -9,7 +9,8 @@ Three norm families ride on top:
 
 * ``luxemburg_norm``: inf of l > 0 with integral of N(|f|/l) at most one,
   solved as a root problem in log l from the Jensen bound to where |f| / l
-  stays below the knee and the modular has a closed form.
+  stays below the knee and the modular has a closed form, on a cached-node
+  model of the log modular that exact integrals near the root correct.
 * ``g_norm`` / ``v_quasinorm`` / ``weighted_lorentz_g``: suprema over an
   exponent grid of ||f||_p, ||f||_beta(p) or a Lorentz norm divided by the
   conjugate weight psi(p), all computed by the one engine ``_sup_over_p``.
@@ -31,9 +32,10 @@ Three norm families ride on top:
 ``evaluate_norm_info`` is the one dispatch from a ``NormSpec`` to these
 norms, for the harness and the command line alike.
 
-The knee and the Luxemburg root are found by ``quadrature._bracketed_root``
-with Brent's tolerances, at the end of the collapsed bracket with the
-smaller residual.
+The knee, the root of the model of the log modular and, when the model
+does not settle, the Luxemburg root itself are found by
+``quadrature._bracketed_root`` with Brent's tolerances, at the end of the
+collapsed bracket with the smaller residual.
 """
 
 from __future__ import annotations
@@ -59,7 +61,9 @@ from .quadrature import (
     LevelSampler,
     PowerNormEvaluator,
     QuadratureConfig,
+    _adaptive,
     _bracketed_root,
+    _log_abs_at_nodes,
     _logsumexp,
     break_points_of,
     composite_nodes,
@@ -166,45 +170,111 @@ def construct_N(phi: PhiSpec) -> OrliczN:
 # Luxemburg norm
 
 
+# rounds of model root and exact correction before the exact solve takes over
+_MODEL_ROUNDS = 4
+
+
+class _ModularModel:
+    """log I(t), the log of the mean of N(|f| e^-t), on cached nodes.
+
+    The nodes are the Gauss nodes of the union of the panels of the adaptive
+    integrals joined so far; log|f| is evaluated once per node, and each
+    log I(t) is one log-sum-exp of n_log(log|f| - t) + log w.
+    """
+
+    def __init__(self, n: OrliczN, log_f, domain: Domain, p_lo, p_hi):
+        self._n, self._log_f, self._domain = n, log_f, domain
+        order = np.argsort(p_lo)
+        self._lo, self._hi = p_lo[order], p_hi[order]
+        self._g, self._logw = _log_abs_at_nodes(log_f, self._lo, self._hi, domain)
+        self._log_density = math.log(domain.density)
+
+    def join(self, p_lo, p_hi):
+        """Refine the rule with the panels [p_lo, p_hi] of another integral;
+        a panel the rule already has keeps its node values."""
+        edges = np.unique(np.concatenate([self._lo, self._hi, p_lo, p_hi]))
+        lo, hi = edges[:-1], edges[1:]
+        k = np.minimum(np.searchsorted(self._lo, lo), self._lo.size - 1)
+        kept = (self._lo[k] == lo) & (self._hi[k] == hi)
+        g = np.empty((lo.size, self._g.shape[1]))
+        logw = np.empty_like(g)
+        g[kept], logw[kept] = self._g[k[kept]], self._logw[k[kept]]
+        if not kept.all():
+            g[~kept], logw[~kept] = _log_abs_at_nodes(self._log_f, lo[~kept], hi[~kept], self._domain)
+        self._lo, self._hi, self._g, self._logw = lo, hi, g, logw
+
+    def __call__(self, ts):
+        """log I at each t of the array ts."""
+        a = self._n.n_log_from_log_u(self._g.ravel()[None, :] - ts[:, None]) + self._logw.ravel()[None, :]
+        return _logsumexp(a) + self._log_density
+
+
 def _luxemburg_detail(f, n: OrliczN, domain: Domain, cfg: QuadratureConfig):
     """l = e^t, the log modular log I(t) at it, and whether that is within
     1e-8 of zero.  By Jensen I(t) >= slope ||f||_1 e^-t = e^(t_lo - t), with
     equality from t_k = log(sup |f| / knee) on, where |f| e^-t stays on the
-    linear branch of N: the root lies in [t_lo, t_k]."""
+    linear branch of N: the root lies in [t_lo, t_k].
+
+    Each round solves a cached-node model of log I for its root in the
+    bracket, integrates the modular exactly there, narrows the bracket by
+    the sign and joins that integral's panels to the model; the model starts
+    from the panels of the L1 integral.  N is convex with N(0) = 0, so
+    d log I / dt <= -1, and an exact |log I(t)| within Brent's tolerance puts
+    the root within it of t.  A model that contradicts a sign known exactly,
+    or has not settled after _MODEL_ROUNDS rounds, hands the narrowed bracket
+    to the exact solve.
+    """
     sup = sup_norm(f, domain)
     if sup == 0.0:
         return 0.0, 0.0, True
-    lo = n.linear_slope * lp_quasinorm(f, 1.0, domain, cfg)
+    log_f, breaks, log_density = log_abs_of(f), break_points_of(f, domain), math.log(domain.density)
+    log_l1, _err, p_lo, p_hi = _adaptive(log_f, domain.lo, domain.hi, cfg, breaks)
+    lo = n.linear_slope * math.exp(log_l1 + log_density)
     t_lo, t_k = math.log(lo), math.log(sup / n.splice_point)
     if t_lo >= t_k:
         return lo, 0.0, True
-    log_f = log_abs_of(f)
+    model = _ModularModel(n, log_f, domain, p_lo, p_hi)
 
     def log_i(t: float) -> float:
-        def g(xs):
-            return n.n_log_from_log_u(log_f(xs) - t)
+        """The exact log modular at t; its panels join the model."""
+        value, _err, p_lo, p_hi = _adaptive(lambda xs: n.n_log_from_log_u(log_f(xs) - t), domain.lo, domain.hi, cfg, breaks)
+        model.join(p_lo, p_hi)
+        return value + log_density
 
-        # the kinks of |f| start the panels, as in lp_quasinorm
-        try:
-            return integrate_log(g, domain.lo, domain.hi, cfg, break_points_of(f, domain)) + math.log(domain.density)
-        except ConvergenceFailureError as err:
-            # Far below the root the modular explodes (fast phi makes the
-            # integrand spike beyond any bisection depth), but only the sign
-            # matters there.  Many log-units away from zero the partial
-            # estimate cannot be on the wrong side; near the root the
-            # integrand is tame and this branch is unreachable.
-            if err.best_estimate is not None and abs(err.best_estimate) > 10.0:
-                return err.best_estimate
-            raise
+    def at_jensen_end(v: float):
+        # quadrature noise can put the root at or below t_lo when f is (near)
+        # constant and lo is already the answer
+        if v < -1e-8:
+            raise LuxemburgBracketError(f"log modular {v!r} at the Jensen bound l = {lo!r}; its integral is off")
+        return lo, v, True
 
-    v_lo = log_i(t_lo)
-    if v_lo <= 0.0:
-        # Jensen puts the root at or below t_lo; quadrature noise can land
-        # here when f is (near) constant and lo is already the answer
-        if v_lo < -1e-8:
-            raise LuxemburgBracketError(f"log modular {v_lo!r} at the Jensen bound l = {lo!r}; its integral is off")
-        return lo, v_lo, True
-    t_star, residual = _root(lambda ts: np.array([log_i(float(ts[0]))]), t_k, t_lo, t_lo - t_k, v_lo, 1e-12)
+    tol = 1e-12 + 8.9e-16 * max(abs(t_lo), abs(t_k))
+    # log I >= 0 at a (v_a once integrated), log I = v_b < 0 at b
+    a, v_a, b, v_b = t_lo, None, t_k, t_lo - t_k
+    for _round in range(_MODEL_ROUNDS):
+        m_a, m_b = model(np.array([a, b]))
+        if v_a is None and m_a <= 0.0:
+            t = a  # the model puts the root at the Jensen end
+        elif m_a > 0.0 > m_b:
+            t, _m = _root(model, b, a, m_b, m_a, 1e-12)
+            if t == b or (t == a and v_a is not None):
+                break
+        else:
+            break
+        v = log_i(t)
+        if t == t_lo and v <= 0.0:
+            return at_jensen_end(v)
+        if abs(v) <= tol:
+            return math.exp(t), v, True
+        if v > 0.0:
+            a, v_a = t, v
+        else:
+            b, v_b = t, v
+    if v_a is None:
+        v_a = log_i(t_lo)
+        if v_a <= 0.0:
+            return at_jensen_end(v_a)
+    t_star, residual = _root(lambda ts: np.array([log_i(float(ts[0]))]), b, a, v_b, v_a, 1e-12)
     return math.exp(t_star), residual, abs(residual) <= 1e-8
 
 

@@ -326,6 +326,21 @@ def composite_nodes(edges: np.ndarray):
     return xs, _WEIGHTS, half
 
 
+def _log_abs_at_nodes(log_f, p_lo, p_hi, domain: Domain):
+    """log|f| and the log weights at the Gauss nodes of the panels
+    [p_lo, p_hi] of the domain, one row per panel.
+
+    The nodes get the open-interval clamp of the adaptive loop: a rounded
+    node must not land on a singular endpoint.
+    """
+    xs, half = _panel_nodes(p_lo, p_hi)
+    xs = np.clip(xs, np.nextafter(domain.lo, domain.hi), np.nextafter(domain.hi, domain.lo))
+    g = log_f(xs.ravel()).reshape(xs.shape)
+    _check_finite(g, xs)
+    with np.errstate(divide="ignore"):
+        return g, np.log(_WEIGHTS)[None, :] + np.log(half)[:, None]
+
+
 class PowerNormEvaluator:
     """Evaluates p -> ||f||_p for many p from one cached panelization.
 
@@ -338,15 +353,8 @@ class PowerNormEvaluator:
     def __init__(self, f, domain: Domain, cfg: QuadratureConfig, yardsticks):
         log_f = log_abs_of(f)
         edges = panel_edges(lambda xs, e: e * log_f(xs), domain.lo, domain.hi, yardsticks, cfg, break_points_of(f, domain))
-        xs, weights, half = composite_nodes(edges)
-        # same open-interval clamp as the adaptive loop: a rounded node must
-        # not land on a singular endpoint
-        xs = np.clip(xs, np.nextafter(domain.lo, domain.hi), np.nextafter(domain.hi, domain.lo))
-        g = log_f(xs.ravel()).reshape(xs.shape)
-        _check_finite(g, xs)
-        self._g = g.ravel()
-        with np.errstate(divide="ignore"):
-            self._logw = (np.log(weights)[None, :] + np.log(half)[:, None]).ravel()
+        g, logw = _log_abs_at_nodes(log_f, edges[:-1], edges[1:], domain)
+        self._g, self._logw = g.ravel(), logw.ravel()
         self._log_density = math.log(domain.density)
         self.node_count = self._g.size
 

@@ -16,7 +16,7 @@ from orlimark.errors import (
     RejectedInputError,
     ScanDivergenceError,
 )
-from orlimark.functions import InversePowerRep, PolynomialRep
+from orlimark.functions import InversePowerRep, PolynomialRep, derivative, jacobi22
 from orlimark.harness import build_corpus
 from orlimark.norms import (
     EquivalenceConstants,
@@ -199,44 +199,106 @@ class TestLuxemburg:
     @pytest.mark.parametrize("c", [1.0, 0.37, 5e3, -2.5])
     def test_constant_takes_no_modular_integral(self, c, phi2, ctx, monkeypatch):
         # |c| / l stays on the linear branch of N, where the modular is
-        # slope ||f||_1 / l in closed form: the norm is slope ||f||_1
-        def no_integral(*args):
-            raise AssertionError("the modular was integrated")
+        # slope ||f||_1 / l in closed form: the norm is slope ||f||_1, from
+        # the one integral a solve starts with, the L1 one
+        adaptive, calls = norms._adaptive, []
+
+        def l1_only(*args):
+            calls.append(args)
+            if len(calls) > 1:
+                raise AssertionError("the modular was integrated")
+            return adaptive(*args)
 
         n = ctx.orlicz(phi2)
         f = PolynomialRep([c])
         l1 = lp_quasinorm(f, 1.0, INTERVAL)
-        monkeypatch.setattr(norms, "integrate_log", no_integral)
-        assert luxemburg_norm(f, n) == n.linear_slope * l1
-        assert luxemburg_norm(f, n) == pytest.approx(n.linear_slope * abs(c), rel=1e-15, abs=0.0)
+        monkeypatch.setattr(norms, "_adaptive", l1_only)
+        value = luxemburg_norm(f, n)
+        assert len(calls) == 1
+        assert value == n.linear_slope * l1
+        assert value == pytest.approx(n.linear_slope * abs(c), rel=1e-15, abs=0.0)
 
     def test_failed_jensen_bound_raises(self, phi2, ctx, monkeypatch):
-        # an L1 norm 10% too large puts the modular at the Jensen bound below one
-        l1 = norms.lp_quasinorm
-        monkeypatch.setattr(norms, "lp_quasinorm", lambda *args: 1.1 * l1(*args))
+        # an L1 norm 10% too large puts the modular at the Jensen bound below
+        # one; the L1 integral is the first a solve takes
+        adaptive, calls = norms._adaptive, []
+
+        def l1_high(*args):
+            calls.append(args)
+            value, *rest = adaptive(*args)
+            return (value + math.log(1.1) if len(calls) == 1 else value), *rest
+
+        monkeypatch.setattr(norms, "_adaptive", l1_high)
         with pytest.raises(LuxemburgBracketError):
             luxemburg_norm(PolynomialRep([0.3, 1.0, -0.7]), ctx.orlicz(phi2))
 
     def test_residual_above_budget_raises(self, phi2, ctx, monkeypatch):
-        # a modular that jumps by 0.01 in log where it crosses one: the
-        # bracket collapses onto the jump, and no root meets the 1e-8 budget
-        integral = norms.integrate_log
+        # an exact modular that jumps by 0.01 in log where it crosses one:
+        # the bracket collapses onto the jump, and no root meets the 1e-8
+        # budget; the first integral, the L1 one, is left as it is
+        adaptive, calls = norms._adaptive, []
 
         def jumping(*args):
-            value = integral(*args)
-            return value + (0.01 if value > math.log(INTERVAL.length) else -0.01)
+            calls.append(args)
+            value, *rest = adaptive(*args)
+            if len(calls) > 1:
+                value += 0.01 if value > math.log(INTERVAL.length) else -0.01
+            return value, *rest
 
-        monkeypatch.setattr(norms, "integrate_log", jumping)
+        monkeypatch.setattr(norms, "_adaptive", jumping)
         f, n = PolynomialRep([0.3, 1.0, -0.7]), ctx.orlicz(phi2)
         _value, residual, ok = _luxemburg_detail(f, n, INTERVAL, DEFAULT_CONFIG)
         assert not ok
         assert abs(residual) == pytest.approx(0.01, rel=1e-6)
+        calls.clear()
         with pytest.raises(ConvergenceFailureError):
             luxemburg_norm(f, n)
 
+    @pytest.mark.parametrize("offset", [0.5, -0.5, 1e-6, -1e-6])
+    @pytest.mark.parametrize("coeffs", [[0.3, 1.0, -0.7], [0.0, 0.0, 3.0], [1.0, 2.0]])
+    def test_model_off_reaches_the_exact_solve(self, offset, coeffs, phi2, ctx, monkeypatch):
+        # a cached-node model off by a constant stops agreeing with the exact
+        # signs; the exact solve on the narrowed bracket finishes the root
+        f, n = PolynomialRep(coeffs), ctx.orlicz(phi2)
+        expected = luxemburg_norm(f, n)
+        model, root, exact_solves = norms._ModularModel.__call__, norms._root, []
+
+        def solve(fn, *args):
+            if not isinstance(fn, norms._ModularModel):
+                exact_solves.append(args)
+            return root(fn, *args)
+
+        monkeypatch.setattr(norms._ModularModel, "__call__", lambda self, ts: model(self, ts) + offset)
+        monkeypatch.setattr(norms, "_root", solve)
+        value, residual, ok = _luxemburg_detail(f, n, INTERVAL, DEFAULT_CONFIG)
+        assert len(exact_solves) == 1
+        assert ok
+        assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("degree", [120, 200])
+    def test_high_degree_takes_few_exact_integrals(self, degree, phi2, ctx, monkeypatch):
+        # at the Jensen end the modular of a high-degree polynomial explodes;
+        # the model keeps the exact integrals near the root, where they converge
+        adaptive, calls, failures = norms._adaptive, [], []
+
+        def counted(*args):
+            calls.append(args)
+            try:
+                return adaptive(*args)
+            except ConvergenceFailureError as err:
+                failures.append(err)
+                raise
+
+        monkeypatch.setattr(norms, "_adaptive", counted)
+        for f in (jacobi22(degree), derivative(jacobi22(degree), 1)):
+            calls.clear()
+            assert luxemburg_norm(f, ctx.orlicz(phi2)) > 0.0
+            assert len(calls) - 1 <= 4
+        assert not failures
+
     def test_fast_orlicz_function(self, ctx):
-        # phi_{4,0} makes the modular explode far from the root; the solver
-        # must still converge through the sign-only fallback
+        # phi_{4,0} makes the modular explode far from the root, where the
+        # model keeps the exact integrals away
         phi4 = power_log(4.0)
         n = ctx.orlicz(phi4)
         value = luxemburg_norm(PolynomialRep([0.0, 0.0, 3.0]), n)
@@ -505,8 +567,24 @@ def test_lorentz_diagonal_off_polynomials_matches_mpmath():
 
 
 def _mp_function(f):
-    """A polynomial, trig or rational member as an mpmath function of x."""
+    """A polynomial, trig or rational member as an mpmath function of x.
+
+    A polynomial that carries Chebyshev coefficients is summed from them by
+    Clenshaw's recurrence, as the library evaluates it: from about degree 60
+    its monomial coefficients cancel past 20 digits on the interval.
+    """
     if f.kind == "polynomial":
+        cheb = getattr(f, "_cheb", None)
+        if cheb is not None:
+            t = [mp.mpf(v) for v in cheb]
+
+            def clenshaw(x):
+                b1 = b2 = mp.mpf(0)
+                for ck in reversed(t[1:]):
+                    b1, b2 = 2 * x * b1 - b2 + ck, b1
+                return x * b1 - b2 + t[0]
+
+            return clenshaw
         c = [mp.mpf(v) for v in f.coeffs][::-1]
         return lambda x: mp.polyval(c, x)
     if f.kind == "trig":
@@ -592,6 +670,46 @@ def test_luxemburg_matches_mpmath(label, ctx):
             start = (mp.mpf(got), mp.mpf(got) * (1 + mp.mpf(1e-6)))
             ref = float(mp.findroot(lambda l: modular(l) - 1, start, solver="secant"))
         assert got == pytest.approx(ref, rel=1e-9), phi.label
+
+
+def _gauss_legendre_luxemburg(f, n, start):
+    """The Luxemburg norm of f with no adaptive quadrature: the modular by a
+    fixed 64-point Gauss-Legendre rule on every piece between the break
+    points of f (the zeros of f and f') and the points where |f| / l crosses
+    the knee, each bisected to rounding, and its root l by mpmath."""
+    dom = f.natural_domain
+    cuts = f.break_points(dom)
+    vals = np.abs(f(cuts))
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+
+    def modular(l):
+        level = n.splice_point * l
+        # |f| is monotone on each piece: at most one crossing of the level
+        across = (vals[:-1] - level) * (vals[1:] - level) < 0.0
+        a, b = cuts[:-1][across], cuts[1:][across]
+        a_above = vals[:-1][across] > level
+        for _ in range(80):
+            mid = 0.5 * (a + b)
+            left = (np.abs(f(mid)) > level) == a_above
+            a, b = np.where(left, mid, a), np.where(left, b, mid)
+        edges = np.sort(np.concatenate([cuts, 0.5 * (a + b)]))
+        half = 0.5 * np.diff(edges)
+        xs = 0.5 * (edges[1:] + edges[:-1])[:, None] + half[:, None] * nodes[None, :]
+        u = np.abs(f(xs)) / l
+        with np.errstate(over="ignore"):
+            big_n = np.where(u <= n.splice_point, n.linear_slope * u, np.exp(n.phi.phi(u)))
+        return float(np.sum(big_n * weights[None, :] * half[:, None])) / dom.length
+
+    return float(mp.findroot(lambda l: modular(float(l)) - 1.0, (mp.mpf(start), mp.mpf(start) * (1 + mp.mpf(1e-6))), solver="secant"))
+
+
+def test_luxemburg_at_high_degree_matches_gauss_legendre(phi2, ctx):
+    # jacobi22(120) and its derivative: 240 monotone pieces, where the
+    # modular at the Jensen bound explodes
+    n = ctx.orlicz(phi2)
+    for f in (jacobi22(120), derivative(jacobi22(120), 1)):
+        got = luxemburg_norm(f, n)
+        assert got == pytest.approx(_gauss_legendre_luxemburg(f, n, got), rel=1e-9)
 
 
 @pytest.mark.parametrize("label", ["trig-06", "poly-19", "rational-05"])

@@ -25,7 +25,8 @@ slowest group.  Covered:
   derivative (r = 1) and ``sup_ratio_from(p_lo=4)`` for three phi, and
   ``weighted_lorentz_g`` with power_log(2) at b = 2 and b = inf;
 * ``construct_N``'s ``splice_point`` and ``linear_slope`` for three phi,
-  and ``luxemburg_norm`` of the members of ``build_corpus(7)`` under each;
+  ``luxemburg_norm`` of the members of ``build_corpus(7)`` under each, and
+  of ``jacobi22(120)`` and its derivative under power_log(2);
 * ``lorentz_norm`` of the 30 polynomials of ``build_corpus(7)`` at
   (p, b) = (1, 1), (2, 2), (3, 3), (2, 3) and (3, inf);
 * ``fenchel_moreau_check``, ``phi_membership_check`` and
@@ -68,7 +69,7 @@ from orlimark import (  # noqa: E402
     weighted_lorentz_g,
 )
 from orlimark.conjugate import ConjugateCache, young_fenchel_or_inf  # noqa: E402
-from orlimark.functions import derivative  # noqa: E402
+from orlimark.functions import derivative, jacobi22  # noqa: E402
 from orlimark.norms import construct_N, luxemburg_norm, sup_ratio_from, v_quasinorm_info  # noqa: E402
 
 PHIS = [power_log(1.0), power_log(2.0), log_power(1.0)]
@@ -138,6 +139,10 @@ def luxemburg_records():
     for label, f in build_corpus(7):
         for phi in PHIS:
             yield "luxemburg", f"{label} {phi.label}", attempt(lambda: luxemburg_norm(f, ctx.orlicz(phi)))
+    # high degree, where the modular at the Jensen bound explodes
+    phi2 = PHIS[1]
+    for label, f in (("jacobi22(120)", jacobi22(120)), ("jacobi22(120)'", derivative(jacobi22(120), 1))):
+        yield "luxemburg", f"{label} {phi2.label}", attempt(lambda: luxemburg_norm(f, ctx.orlicz(phi2)))
 
 
 def lorentz_records():
