@@ -12,11 +12,13 @@ built-in families cover the use cases:
 
 The Young-Fenchel transform h*(p) = sup_y (p y - h(y)) is computed by
 expanding a bracket around the concave objective until it encloses the
-maximum and then polishing by golden section.  A grid of exponents is solved
-in one lockstep pass (young_fenchel_grid) that takes the scalar solve's steps
-for every exponent at once and returns its bits.  psi(p) = exp(h*(p) / p) is
-the weight the sup-based norms divide by; it is nondecreasing for admissible
-phi because h*(0) = 0 and h* is convex.
+maximum and then polishing by golden section (``golden_max``).  A grid of
+exponents is solved in one lockstep pass (young_fenchel_grid) that takes the
+scalar solve's steps for every exponent at once and returns its bits; its
+golden section, ``_golden_lanes``, takes golden_max's steps lane by lane and
+serves the norm scans' polish and the weak Lorentz form too.
+psi(p) = exp(h*(p) / p) is the weight the sup-based norms divide by; it is
+nondecreasing for admissible phi because h*(0) = 0 and h* is convex.
 """
 
 from __future__ import annotations
@@ -279,6 +281,39 @@ def golden_max(obj, a, b, tol=1e-12, iters=200):
     return x2, f2
 
 
+def _golden_lanes(fn, a, b, atol: float, rtol: float):
+    """golden_max on each bracket [a[i], b[i]] at once, lane by lane.
+
+    fn(x, lanes) returns the objective of lane lanes[i] at x[i].  A lane
+    takes golden_max's steps and stops once b - a <= atol + rtol (1 + |a| +
+    |b|), or after 200 steps; only the lanes still moving are evaluated, one
+    fn call a step.  Returns each lane's better final probe, the left one on
+    a tie, as (x, fn(x)): at atol = 0 golden_max's bits, lane by lane.
+    """
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    live = np.arange(a.size)
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    f1, f2 = fn(x1, live), fn(x2, live)
+    x, fx = np.empty_like(a), np.empty_like(a)
+    for step in range(201):
+        done = (b - a <= atol + rtol * (1.0 + np.abs(a) + np.abs(b))) | (step == 200)
+        if done.any():
+            first = f1 >= f2
+            x[live[done]], fx[live[done]] = np.where(first, x1, x2)[done], np.where(first, f1, f2)[done]
+            live, a, b, x1, x2, f1, f2 = (v[~done] for v in (live, a, b, x1, x2, f1, f2))
+        if not live.size:
+            break
+        right = f1 < f2  # the maximum lies in [x1, b]
+        a, b = np.where(right, x1, a), np.where(right, b, x2)
+        d = _GOLDEN * (b - a)
+        x_new = np.where(right, a + d, b - d)
+        x1, x2 = np.where(right, x2, x_new), np.where(right, x_new, x1)
+        f_new = fn(x_new, live)
+        f1, f2 = np.where(right, f2, f_new), np.where(right, f_new, f1)
+    return x, fx
+
+
 def young_fenchel(
     phi: PhiSpec,
     p: float,
@@ -305,43 +340,30 @@ def young_fenchel(
             return p * y - hv
 
         y0, f0 = 0.0, obj(0.0)
-        # expand right
-        step = 1.0
-        yr, fr = y0, f0
-        rising = True
-        for _ in range(200):
-            cand = yr + step
-            fc = obj(cand)
-            if fc > fr:
-                yr, fr = cand, fc
+
+        def expand(sign):
+            """Doubling steps from y0 in direction sign: the last point that
+            rose, its value, the first point that did not (None if the cap
+            came first) and the next step."""
+            y, fy, step = y0, f0, 1.0
+            for _ in range(200):
+                cand = y + sign * step
+                fc = obj(cand)
+                if not fc > fy:
+                    return y, fy, cand, step
+                y, fy = cand, fc
                 step *= 2.0
-            else:
-                rising = False
-                hi = cand
-                break
-            if abs(cand) > 1e9:
-                break
-        if rising:
+                if abs(cand) > 1e9:
+                    break
+            return y, fy, None, step
+
+        _yr, fr, hi, _step = expand(1.0)
+        if hi is None:
             raise ConjugateDivergenceError(
                 f"conjugate supremum for {phi.label} diverges at p = {p!r}"
             )
-        # expand left
-        step = 1.0
-        yl, fl = y0, f0
-        falling_left = True
-        for _ in range(200):
-            cand = yl - step
-            fc = obj(cand)
-            if fc > fl:
-                yl, fl = cand, fc
-                step *= 2.0
-            else:
-                falling_left = False
-                lo = cand
-                break
-            if abs(cand) > 1e9:
-                break
-        if falling_left:
+        yl, fl, lo, step = expand(-1.0)
+        if lo is None:
             lo = yl - step
         _y, val = golden_max(obj, lo, hi)
         best = max(val, fr, fl, f0)
@@ -360,10 +382,11 @@ def young_fenchel_grid(phi: PhiSpec, ps, p_min: float = 0.5) -> np.ndarray:
     """young_fenchel_or_inf at every p of ps, solved in one lockstep pass.
 
     Each exponent takes the scalar solve's steps from y0 = 0 with unit first
-    steps: doubling expansion right, then left, golden section to the same
-    stop test, then the largest of the four values (the first wins a tie).
-    The exponents still moving share one vectorized h call per step, so the
-    result has the scalar solve's bits; divergent exponents give +inf.
+    steps: doubling expansion right, then left, golden section (lane-wise,
+    by _golden_lanes) to the same stop test, then the largest of the four
+    values (the first wins a tie).  The exponents still moving share one
+    vectorized h call per step, so the result has the scalar solve's bits;
+    divergent exponents give +inf.
     """
     ps = np.array(ps, dtype=float, ndmin=1)
     below = ps[~(ps >= p_min)]
@@ -379,11 +402,10 @@ def young_fenchel_grid(phi: PhiSpec, ps, p_min: float = 0.5) -> np.ndarray:
             return np.where(np.isnan(hv), -np.inf, p * y - hv)
 
     def expand(sign, lanes):
-        """Doubling steps in direction sign: (y, value, end, still_moving, step)."""
+        """Doubling steps of the lanes in direction sign: (y, value, end,
+        step), end NaN where the cap came first, as in the scalar solve."""
         y, f, end = np.zeros(n), f0.copy(), np.full(n, np.nan)
         step = np.ones(n)
-        moving = np.zeros(n, dtype=bool)
-        moving[lanes] = True
         active = lanes
         for _ in range(200):
             if active.size == 0:
@@ -391,43 +413,22 @@ def young_fenchel_grid(phi: PhiSpec, ps, p_min: float = 0.5) -> np.ndarray:
             cand = y[active] + sign * step[active]
             fc = obj(cand, ps[active])
             up = fc > f[active]
-            stop = active[~up]
-            moving[stop] = False
-            end[stop] = cand[~up]
+            end[active[~up]] = cand[~up]
             rose = active[up]
             y[rose], f[rose] = cand[up], fc[up]
             step[rose] *= 2.0
             active = rose[np.abs(cand[up]) <= 1e9]
-        return y, f, end, moving, step
+        return y, f, end, step
 
     with np.errstate(over="ignore"):
         f0 = obj(np.zeros(n), ps)
-        _yr, fr, hi, rising, _ = expand(1.0, np.arange(n))
-        solved = np.flatnonzero(~rising)
-        yl, fl, lo, falling, step = expand(-1.0, solved)
-        lo[falling] = yl[falling] - step[falling]
+        _yr, fr, hi, _ = expand(1.0, np.arange(n))
+        solved = np.flatnonzero(~np.isnan(hi))
+        yl, fl, lo, step = expand(-1.0, solved)
+        lo = np.where(np.isnan(lo), yl - step, lo)
 
-        a, b, p = lo[solved], hi[solved], ps[solved]
-        x1 = b - _GOLDEN * (b - a)
-        x2 = a + _GOLDEN * (b - a)
-        f1 = obj(x1, p)
-        f2 = obj(x2, p)
-        live = np.arange(solved.size)
-        for _ in range(200):
-            al, bl = a[live], b[live]
-            live = live[~(bl - al <= 1e-12 * (1.0 + np.abs(al) + np.abs(bl)))]
-            if live.size == 0:
-                break
-            right = f1[live] < f2[live]
-            r, left = live[right], live[~right]
-            a[r], x1[r], f1[r] = x1[r], x2[r], f2[r]
-            x2[r] = a[r] + _GOLDEN * (b[r] - a[r])
-            b[left], x2[left], f2[left] = x2[left], x1[left], f1[left]
-            x1[left] = b[left] - _GOLDEN * (b[left] - a[left])
-            fnew = obj(np.concatenate([x2[r], x1[left]]), np.concatenate([p[r], p[left]]))
-            f2[r], f1[left] = fnew[: r.size], fnew[r.size :]
-
-    best = np.where(f1 >= f2, f1, f2)
+        p = ps[solved]
+        _x, best = _golden_lanes(lambda y, lanes: obj(y, p[lanes]), lo[solved], hi[solved], 0.0, 1e-12)
     for other in (fr[solved], fl[solved], f0[solved]):
         best = np.where(other > best, other, best)
     out = np.full(n, math.inf)
@@ -463,6 +464,8 @@ class ConjugateCache:
     psi_log_grid: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not (0.0 < self.p_lo < math.inf):
+            raise ValueError(f"p_lo must be positive and finite, got {self.p_lo!r}")
         self._build(self.p_lo, 1024.0)
 
     def _build(self, p_lo, p_hi):

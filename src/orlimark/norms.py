@@ -20,14 +20,15 @@ Three norm families ride on top:
   Grids are geometric with 64 points per decade and start at the scan's
   lower exponent p_lo; a maximizer at the right edge triggers two fourfold
   extensions before the scan is declared divergent.  The winning grid point
-  is polished by golden section, unless it is p_lo and the ratio does not
-  rise off that edge, and re-validated with the exact norm and an exact
-  weight.
+  is polished by golden section (``conjugate._golden_lanes``), unless it is
+  p_lo and the ratio does not rise off that edge, and re-validated with the
+  exact norm and an exact weight.  The scans' cached-node evaluators, and
+  the model of the log modular, are built on ``quadrature._NodeRule``.
 * ``lorentz_norm``: distribution-function based two-parameter norms,
   including the sup form at the second index equal to infinity.  Both work
   on the intervals between consecutive critical values of |f|, where T is
   smooth: the layer-cake integral starts with panels inside each, and the
-  sup form is maximized on each.
+  sup form is maximized on each by lane-wise golden section.
 
 ``evaluate_norm_info`` is the one dispatch from a ``NormSpec`` to these
 norms, for the harness and the command line alike.
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import ConjugateCache, PhiSpec, psi_log as _psi_log_exact, young_fenchel, young_fenchel_or_inf
+from .conjugate import ConjugateCache, PhiSpec, _golden_lanes, psi_log as _psi_log_exact, young_fenchel, young_fenchel_or_inf
 from .errors import (
     ConstructionError,
     ConvergenceFailureError,
@@ -61,20 +62,17 @@ from .quadrature import (
     LevelSampler,
     PowerNormEvaluator,
     QuadratureConfig,
+    _WEIGHTS,
     _adaptive,
     _bracketed_root,
-    _log_abs_at_nodes,
-    _logsumexp,
+    _NodeRule,
     break_points_of,
-    composite_nodes,
     integrate_log,
     log_abs_of,
     lp_quasinorm,
-    panel_edges,
     sup_norm,
 )
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # probe step in log p off the left edge of a scan, close to sqrt(eps)
 _EDGE_STEP = 1e-8
 
@@ -174,53 +172,20 @@ def construct_N(phi: PhiSpec) -> OrliczN:
 _MODEL_ROUNDS = 4
 
 
-class _ModularModel:
-    """log I(t), the log of the mean of N(|f| e^-t), on cached nodes.
-
-    The nodes are the Gauss nodes of the union of the panels of the adaptive
-    integrals joined so far; log|f| is evaluated once per node, and each
-    log I(t) is one log-sum-exp of n_log(log|f| - t) + log w.
-    """
-
-    def __init__(self, n: OrliczN, log_f, domain: Domain, p_lo, p_hi):
-        self._n, self._log_f, self._domain = n, log_f, domain
-        order = np.argsort(p_lo)
-        self._lo, self._hi = p_lo[order], p_hi[order]
-        self._g, self._logw = _log_abs_at_nodes(log_f, self._lo, self._hi, domain)
-        self._log_density = math.log(domain.density)
-
-    def join(self, p_lo, p_hi):
-        """Refine the rule with the panels [p_lo, p_hi] of another integral;
-        a panel the rule already has keeps its node values."""
-        edges = np.unique(np.concatenate([self._lo, self._hi, p_lo, p_hi]))
-        lo, hi = edges[:-1], edges[1:]
-        k = np.minimum(np.searchsorted(self._lo, lo), self._lo.size - 1)
-        kept = (self._lo[k] == lo) & (self._hi[k] == hi)
-        g = np.empty((lo.size, self._g.shape[1]))
-        logw = np.empty_like(g)
-        g[kept], logw[kept] = self._g[k[kept]], self._logw[k[kept]]
-        if not kept.all():
-            g[~kept], logw[~kept] = _log_abs_at_nodes(self._log_f, lo[~kept], hi[~kept], self._domain)
-        self._lo, self._hi, self._g, self._logw = lo, hi, g, logw
-
-    def __call__(self, ts):
-        """log I at each t of the array ts."""
-        a = self._n.n_log_from_log_u(self._g.ravel()[None, :] - ts[:, None]) + self._logw.ravel()[None, :]
-        return _logsumexp(a) + self._log_density
-
-
 def _luxemburg_detail(f, n: OrliczN, domain: Domain, cfg: QuadratureConfig):
     """l = e^t, the log modular log I(t) at it, and whether that is within
     1e-8 of zero.  By Jensen I(t) >= slope ||f||_1 e^-t = e^(t_lo - t), with
     equality from t_k = log(sup |f| / knee) on, where |f| e^-t stays on the
     linear branch of N: the root lies in [t_lo, t_k].
 
-    Each round solves a cached-node model of log I for its root in the
-    bracket, integrates the modular exactly there, narrows the bracket by
-    the sign and joins that integral's panels to the model; the model starts
-    from the panels of the L1 integral.  N is convex with N(0) = 0, so
-    d log I / dt <= -1, and an exact |log I(t)| within Brent's tolerance puts
-    the root within it of t.  A model that contradicts a sign known exactly,
+    Each round solves a model of log I for its root in the bracket,
+    integrates the modular exactly there, narrows the bracket by the sign and
+    joins that integral's panels to the model.  The model is log I on the
+    cached nodes of a ``quadrature._NodeRule``, which starts from the panels
+    of the L1 integral: log|f| is evaluated once per node, and each log I(t)
+    is one log-sum-exp of n_log(log|f| - t) + log w.  N is convex with
+    N(0) = 0, so d log I / dt <= -1, and an exact |log I(t)| within Brent's
+    tolerance puts the root within it of t.  A model that contradicts a sign known exactly,
     or has not settled after _MODEL_ROUNDS rounds, hands the narrowed bracket
     to the exact solve.
     """
@@ -233,12 +198,16 @@ def _luxemburg_detail(f, n: OrliczN, domain: Domain, cfg: QuadratureConfig):
     t_lo, t_k = math.log(lo), math.log(sup / n.splice_point)
     if t_lo >= t_k:
         return lo, 0.0, True
-    model = _ModularModel(n, log_f, domain, p_lo, p_hi)
+    rule = _NodeRule(log_f, domain.lo, domain.hi, (p_lo, p_hi), log_density)
+
+    def model(ts):
+        """The model's log I at each t of the array ts."""
+        return rule.log_mean(lambda g: n.n_log_from_log_u(g - ts[:, None]))
 
     def log_i(t: float) -> float:
         """The exact log modular at t; its panels join the model."""
         value, _err, p_lo, p_hi = _adaptive(lambda xs: n.n_log_from_log_u(log_f(xs) - t), domain.lo, domain.hi, cfg, breaks)
-        model.join(p_lo, p_hi)
+        rule.join(p_lo, p_hi)
         return value + log_density
 
     def at_jensen_end(v: float):
@@ -300,32 +269,13 @@ class ScanResult:
     extensions: int
 
 
-def _golden_max(fn, lo, hi, tol: float):
-    """Golden-section search for a maximum of fn on each bracket [lo, hi].
-
-    fn maps an array of abscissae to values; the brackets shrink together
-    until every one is narrower than tol.  Returns the final probes and
-    their values, (x1, f1, x2, f2).
-    """
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = fn(x1), fn(x2)
-    while np.max(hi - lo) >= tol:
-        left = ~(f1 < f2)  # the maximum lies in [lo, x2]
-        hi, lo = np.where(left, x2, hi), np.where(left, lo, x1)
-        x1, x2 = np.where(left, hi - _GOLDEN * (hi - lo), x2), np.where(left, x1, lo + _GOLDEN * (hi - lo))
-        f_new = fn(np.where(left, x1, x2))
-        f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
-    return x1, f1, x2, f2
-
-
 def _sup_over_p(make_log_norm, exact_norm, phi: PhiSpec, cache: ConjugateCache, p_lo: float) -> ScanResult:
     """sup over grid p >= p_lo of exp(log_norm(p) - psi_log(p)), certified.
 
     The cache grid must start at p_lo (to 1e-12 relative), or ValueError.
-    make_log_norm(p_hi) returns a cached-node p -> log norm for a grid up to
-    p_hi; it is called again after each fourfold extension of the grid, so
-    evaluators can re-panelize for the larger exponents.  A copy of the
+    make_log_norm(p_hi) returns a cached-node log norm of an array of p, for
+    a grid up to p_hi; it is called again after each fourfold extension of
+    the grid, so evaluators can re-panelize for the larger exponents.  A copy of the
     cache takes the extensions: the one passed in stays as built.  The grid
     winner is polished by golden section in log p, which assumes the ratio
     unimodal; a winner at p_lo skips the polish when the ratio at
@@ -333,7 +283,7 @@ def _sup_over_p(make_log_norm, exact_norm, phi: PhiSpec, cache: ConjugateCache, 
     The result is re-validated with exact_norm(p) and an exact weight; the
     fast value counts only if the two agree to 1e-6.
     """
-    if abs(cache.grid[0] - p_lo) > 1e-12 * p_lo:
+    if not abs(cache.grid[0] - p_lo) <= 1e-12 * cache.grid[0]:
         raise ValueError(f"conjugate cache grid starts at p = {cache.grid[0]!r}, not at p_lo = {p_lo!r}")
     log_norm = make_log_norm(cache.p_hi)
     extensions = 0
@@ -355,7 +305,7 @@ def _sup_over_p(make_log_norm, exact_norm, phi: PhiSpec, cache: ConjugateCache, 
 
     def ratio(x):
         p = math.exp(x)
-        return log_norm(p) - young_fenchel_or_inf(phi, p) / p
+        return log_norm(np.array([p]))[0] - young_fenchel_or_inf(phi, p) / p
 
     a = math.log(grid[max(k - 1, 0)])
     best_log, p_star = float(vals[k]), float(grid[k])
@@ -364,10 +314,9 @@ def _sup_over_p(make_log_norm, exact_norm, phi: PhiSpec, cache: ConjugateCache, 
     # of the edge, where it exceeds the edge value by far less than rounding
     if k > 0 or ratio(a + _EDGE_STEP) > ratio(a):
         b = math.log(grid[min(k + 1, len(grid) - 1)])
-        x1, f1, x2, f2 = _golden_max(lambda xs: np.array([ratio(x) for x in xs]), np.array([a]), np.array([b]), 1e-11)
-        for cand_log, cand_x in ((f1[0], x1[0]), (f2[0], x2[0])):
-            if cand_log > best_log:
-                best_log, p_star = float(cand_log), math.exp(cand_x)
+        x, fx = _golden_lanes(lambda xs, _lanes: np.array([ratio(x) for x in xs]), np.array([a]), np.array([b]), 1e-11, 0.0)
+        if fx[0] > best_log:
+            best_log, p_star = float(fx[0]), math.exp(x[0])
     value = exact_norm(p_star) * math.exp(-_psi_log_exact(phi, p_star))
     fast = math.exp(best_log)
     ok = abs(value - fast) <= 1e-6 * max(value, fast, 1e-300)
@@ -439,8 +388,8 @@ def v_quasinorm(
 
 
 def v_quasinorm_info(f, phi, r, domain=None, cfg=DEFAULT_CONFIG, cache=None) -> ScanResult:
-    if not (r >= 1.0):
-        raise ValueError("derivative order r must be at least 1")
+    if not (1.0 <= r < math.inf):
+        raise ValueError(f"derivative order r must be at least 1 and finite, got {r!r}")
     return _g_scan(f, phi, domain, cfg, cache, p_lo=4.0, r=r)
 
 
@@ -525,8 +474,8 @@ def _lorentz_sup(sampler: LevelSampler, p: float) -> float:
     vals = h(s.ravel()).reshape(s.shape)
     j = np.argmax(vals, axis=1)
     rows = np.arange(k)
-    _x1, f1, _x2, f2 = _golden_max(h, s[rows, np.maximum(j - 1, 0)], s[rows, np.minimum(j + 1, probes)], 1e-7)
-    return float(max(np.max(vals), np.max(f1), np.max(f2)))
+    _x, fx = _golden_lanes(lambda x, _lanes: h(x), s[rows, np.maximum(j - 1, 0)], s[rows, np.minimum(j + 1, probes)], 1e-7, 0.0)
+    return float(max(np.max(vals), np.max(fx)))
 
 
 def lorentz_norm(
@@ -544,8 +493,8 @@ def lorentz_norm(
     c has norm |c| for every p and b.  As b grows this tends to sup |f|, not
     to the weak form.  b = math.inf gives the weak form sup_w w T(w)^(1/p).
     """
-    if not (p >= 1.0):
-        raise ValueError("first index must be at least 1")
+    if not (1.0 <= p < math.inf):
+        raise ValueError(f"first index must be at least 1 and finite, got {p!r}")
     if not (b >= 1.0):
         raise ValueError("second index must be at least 1 (or inf)")
     dom = domain if domain is not None else f.natural_domain
@@ -555,57 +504,64 @@ def lorentz_norm(
     return _lorentz_sup(s, p) if math.isinf(b) else _lorentz_finite(s, p, b, cfg)
 
 
-class _LorentzEvaluator:
-    """Cached-node evaluator of p -> ||f||_{p,b} for scans at fixed b."""
-
-    # nodes of the weak-form evaluator, shared among the critical intervals
-    WEAK_NODES = 8192
+class _LayerCakeEvaluator(_NodeRule):
+    """Cached-node evaluator of p -> log ||f||_(p,b) at finite b, for scans:
+    a node rule over s in [0, K] on the panels of the layer cake at p = 1, 32
+    and p_hi, each started as in _lorentz_finite.  A node holds log T(w) and
+    the log of its weight in the layer cake b int w^(b-1) T^(p/b) dw."""
 
     def __init__(self, sampler: LevelSampler, b: float, cfg: QuadratureConfig, p_hi: float):
-        self.b = b
-        k, at = _level_map(sampler)
-        if math.isinf(b):
-            per = max(16, self.WEAK_NODES // k)
-            self._step = 1.0 / per
-            self._s = (np.arange(k * per) + 0.5) * self._step
-            self._at = at
-            w, _dw, self._log_t = at(self._s)
-            self._log_w = np.log(w)
-            # a node whose two neighbours lie in its own interval
-            self._inner = np.zeros(self._s.size, dtype=bool)
-            self._inner[1:-1] = np.floor(self._s[:-2]) == np.floor(self._s[2:])
-            return
+        k, self._at = _level_map(sampler)
+        self._b = b
+        log_integrand, ends = _log_layer_cake(self._at, b), []
+        for p in (1.0, 32.0, p_hi):
+            ends += _adaptive(lambda s, p=float(p): log_integrand(s, p), 0.0, float(k), cfg, _eighths(k))[2:]
+        super().__init__(None, 0.0, float(k), ends)
 
-        # panelize for a sweep of p values, from the panels _lorentz_finite starts with
-        edges = panel_edges(_log_layer_cake(at, b), 0.0, float(k), (1.0, 32.0, p_hi), cfg, _eighths(k))
-        xs, weights, half = composite_nodes(edges)
-        w, dw, self._log_t = at(xs.ravel())
-        # log of each node's weight in the layer cake b int w^(b-1) T^(p/b) dw
+    def _values(self, xs, half):
+        w, dw, log_t = self._at(xs.ravel())
         with np.errstate(divide="ignore"):
-            self._log_c = np.log(b * (weights[None, :] * half[:, None]).ravel() * dw) + _log_w_power(w, b)
+            log_c = np.log(self._b * (_WEIGHTS[None, :] * half[:, None]).ravel() * dw) + _log_w_power(w, self._b)
+        return log_t.reshape(xs.shape), log_c.reshape(xs.shape)
 
-    def log_value(self, p):
-        p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-        if math.isinf(self.b):
-            vals = self._log_w[None, :] + self._log_t[None, :] / p_arr[:, None]
-            # the best node, and the value at the vertex of the parabola
-            # through it and its two neighbours, which are equally spaced in s
-            k = np.argmax(vals, axis=1)
-            rows = np.arange(p_arr.size)
-            inner = self._inner[k]
-            mid = vals[rows, k]
-            left = vals[rows, np.where(inner, k - 1, k)]
-            right = vals[rows, np.where(inner, k + 1, k)]
-            curv = left - 2.0 * mid + right
-            with np.errstate(divide="ignore", invalid="ignore"):
-                shift = np.where(inner & (curv < 0.0), 0.5 * (left - right) / curv, 0.0)
-                w, _dw, log_t = self._at(self._s[k] + shift * self._step)
-                out = np.maximum(mid, np.log(w) + log_t / p_arr)
-        else:
-            out = _logsumexp((p_arr[:, None] / self.b) * self._log_t[None, :] + self._log_c[None, :]) / self.b
-        if np.ndim(p) == 0:
-            return float(out[0])
-        return out
+    def log_value(self, ps):
+        """log ||f||_(p,b) at each p of the array ps."""
+        return self.log_mean(lambda log_t: (ps[:, None] / self._b) * log_t) / self._b
+
+
+class _WeakLorentzEvaluator:
+    """Cached-node evaluator of p -> log ||f||_(p,inf), for scans."""
+
+    # nodes shared among the critical intervals
+    NODES = 8192
+
+    def __init__(self, sampler: LevelSampler):
+        k, self._at = _level_map(sampler)
+        per = max(16, self.NODES // k)
+        self._step = 1.0 / per
+        self._s = (np.arange(k * per) + 0.5) * self._step
+        w, _dw, self._log_t = self._at(self._s)
+        self._log_w = np.log(w)
+        # a node whose two neighbours lie in its own interval
+        self._inner = np.zeros(self._s.size, dtype=bool)
+        self._inner[1:-1] = np.floor(self._s[:-2]) == np.floor(self._s[2:])
+
+    def log_value(self, ps):
+        """log ||f||_(p,inf) at each p of the array ps."""
+        vals = self._log_w[None, :] + self._log_t[None, :] / ps[:, None]
+        # the best node, and the value at the vertex of the parabola
+        # through it and its two neighbours, which are equally spaced in s
+        k = np.argmax(vals, axis=1)
+        rows = np.arange(ps.size)
+        inner = self._inner[k]
+        mid = vals[rows, k]
+        left = vals[rows, np.where(inner, k - 1, k)]
+        right = vals[rows, np.where(inner, k + 1, k)]
+        curv = left - 2.0 * mid + right
+        with np.errstate(divide="ignore", invalid="ignore"):
+            shift = np.where(inner & (curv < 0.0), 0.5 * (left - right) / curv, 0.0)
+            w, _dw, log_t = self._at(self._s[k] + shift * self._step)
+            return np.maximum(mid, np.log(w) + log_t / ps)
 
 
 def weighted_lorentz_g(
@@ -617,6 +573,8 @@ def weighted_lorentz_g(
     cache: ConjugateCache | None = None,
 ) -> float:
     """sup over p >= 1 of ||f||_{p,b} / psi(p)."""
+    if not (b >= 1.0):
+        raise ValueError("second index must be at least 1 (or inf)")
     dom = domain if domain is not None else f.natural_domain
     c = cache if cache is not None else ConjugateCache(phi)
     sampler = LevelSampler(f, dom)
@@ -624,7 +582,9 @@ def weighted_lorentz_g(
         return 0.0
 
     def make_log_norm(p_hi):
-        return _LorentzEvaluator(sampler, b, cfg, p_hi).log_value
+        if math.isinf(b):
+            return _WeakLorentzEvaluator(sampler).log_value
+        return _LayerCakeEvaluator(sampler, b, cfg, p_hi).log_value
 
     def exact_norm(p):
         return lorentz_norm(f, p, b, dom, cfg, sampler=sampler)

@@ -30,6 +30,10 @@ representation computes them once per domain and keeps them, so repeated
 calls on the same f reuse one array.  An object that reports no break
 points starts from the uniform panels.
 
+The p scans' ``PowerNormEvaluator``, the Luxemburg model and the finite-b
+Lorentz evaluator of the norms module rest on one cached-node rule,
+``_NodeRule``: a value once per Gauss node, one log-sum-exp per query.
+
 The norms are taken against Lebesgue measure scaled to total mass one:
 ``integrate_log`` integrates against plain dx, and its callers add
 ``log(domain.density)``.
@@ -132,8 +136,10 @@ def break_points_of(f, domain: Domain):
     return None if report is None else report(domain)
 
 
-def _check_finite(values: np.ndarray, xs: np.ndarray):
-    """Raise at the first NaN or +inf log-integrand value; -inf is a zero."""
+def _log_at(log_f, xs: np.ndarray) -> np.ndarray:
+    """log_f at the nodes xs, in their shape; raises at the first NaN or +inf
+    value, while -inf is a zero."""
+    values = log_f(xs.ravel()).reshape(xs.shape)
     bad = ~np.isfinite(values) & ~np.isneginf(values)
     if bad.any():
         idx = int(np.argmax(bad))
@@ -141,6 +147,7 @@ def _check_finite(values: np.ndarray, xs: np.ndarray):
         raise DomainEvaluationError(
             f"integrand is not finite at x = {x!r}", abscissa=x
         )
+    return values
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -170,10 +177,14 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _panel_nodes(lo, hi):
+def _panel_nodes(lo, hi, open_lo, open_hi):
+    # Gauss nodes are interior to every panel in exact arithmetic; under
+    # extreme subdivision the rounded abscissa can land on a panel edge,
+    # which only matters when the integrand is singular exactly there.
+    # Clamping into the open interval keeps such integrands evaluable.
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    return mid[:, None] + half[:, None] * _NODES[None, :], half
+    return np.clip(mid[:, None] + half[:, None] * _NODES[None, :], open_lo, open_hi), half
 
 
 def _initial_edges(lo, hi, count, breaks):
@@ -208,19 +219,13 @@ def _adaptive(log_f, lo, hi, cfg, breaks):
     largest panel value, and the ends of the accepted panels as two arrays.
     """
     total_len = hi - lo
-    # Gauss nodes are interior to every panel in exact arithmetic; under
-    # extreme subdivision the rounded abscissa can land on a panel edge,
-    # which only matters when the integrand is singular exactly there.
-    # Clamping into the open interval keeps such integrands evaluable.
     open_lo = np.nextafter(lo, hi)
     open_hi = np.nextafter(hi, lo)
     logw = np.log(_WEIGHTS)
 
     def panel_values(plo, phi_):
-        xs, half = _panel_nodes(plo, phi_)
-        xs = np.clip(xs, open_lo, open_hi)
-        g = log_f(xs.ravel()).reshape(xs.shape)
-        _check_finite(g, xs)
+        xs, half = _panel_nodes(plo, phi_, open_lo, open_hi)
+        g = _log_at(log_f, xs)
         with np.errstate(divide="ignore"):
             return _logsumexp(g + logw[None, :]) + np.log(half)
 
@@ -301,73 +306,73 @@ def integrate_log(log_f, lo: float, hi: float, cfg: QuadratureConfig = DEFAULT_C
     return value
 
 
-def panel_edges(log_integrand, lo: float, hi: float, exponents, cfg: QuadratureConfig, breaks=None) -> np.ndarray:
-    """Merged panel edges refined for exp(log_integrand(xs, e)) at each e.
+class _NodeRule:
+    """Composite Gauss rule on the union of adaptive panelizations of [lo,
+    hi], the np.unique of their panel ends ``ends``, with cached node values.
 
-    The union of the per-exponent adaptive panelizations of [lo, hi] gives a
-    fixed composite rule that is then accurate across the whole exponent
-    range in between, which is what the sup-over-p scans want: one set of
-    cached nodes, many p.  Each panelization starts from ``breaks`` too.
+    The nodes get the adaptive loop's clamp into (lo, hi).  ``_values`` gives
+    log|f|, evaluated once per node, and the log weights, a row per panel (a
+    subclass may hold other node values and weights); ``join`` keeps the
+    values of the panels the rule already holds.
     """
-    parts = [np.array([lo, hi], dtype=float)]
-    for e in exponents:
-        _val, _err, a, b = _adaptive(lambda xs, _e=float(e): log_integrand(xs, _e), lo, hi, cfg, breaks)
-        parts += [a, b]
-    return np.unique(np.concatenate(parts))
 
+    def __init__(self, log_f, lo: float, hi: float, ends, log_density: float = 0.0):
+        self._log_f, self._log_density = log_f, log_density
+        self._open = np.nextafter(lo, hi), np.nextafter(hi, lo)
+        edges = np.unique(np.concatenate([np.array([lo, hi]), *ends]))
+        self._lo, self._hi = edges[:-1], edges[1:]
+        self.g, self.logw = self._values(*_panel_nodes(self._lo, self._hi, *self._open))
 
-def composite_nodes(edges: np.ndarray):
-    """Gauss-Legendre nodes of the composite rule with the given panel edges.
+    def _values(self, xs, half):
+        """log|f| at the nodes xs and their log weights, a row per panel."""
+        g = _log_at(self._log_f, xs)
+        with np.errstate(divide="ignore"):
+            return g, np.log(_WEIGHTS)[None, :] + np.log(half)[:, None]
 
-    Returns (xs, weights, half): xs has one row per panel, and the weight of
-    xs[i, j] is weights[j] * half[i].
-    """
-    xs, half = _panel_nodes(edges[:-1], edges[1:])
-    return xs, _WEIGHTS, half
+    def join(self, p_lo, p_hi):
+        """Refine the rule with the panels [p_lo, p_hi] of another integral;
+        a panel the rule already holds keeps its values."""
+        edges = np.unique(np.concatenate([self._lo, self._hi, p_lo, p_hi]))
+        lo, hi = edges[:-1], edges[1:]
+        k = np.minimum(np.searchsorted(self._lo, lo), self._lo.size - 1)
+        kept = (self._lo[k] == lo) & (self._hi[k] == hi)
+        g = np.empty((lo.size, self.g.shape[1]))
+        logw = np.empty_like(g)
+        g[kept], logw[kept] = self.g[k[kept]], self.logw[k[kept]]
+        if not kept.all():
+            g[~kept], logw[~kept] = self._values(*_panel_nodes(lo[~kept], hi[~kept], *self._open))
+        self._lo, self._hi, self.g, self.logw = lo, hi, g, logw
 
-
-def _log_abs_at_nodes(log_f, p_lo, p_hi, domain: Domain):
-    """log|f| and the log weights at the Gauss nodes of the panels
-    [p_lo, p_hi] of the domain, one row per panel.
-
-    The nodes get the open-interval clamp of the adaptive loop: a rounded
-    node must not land on a singular endpoint.
-    """
-    xs, half = _panel_nodes(p_lo, p_hi)
-    xs = np.clip(xs, np.nextafter(domain.lo, domain.hi), np.nextafter(domain.hi, domain.lo))
-    g = log_f(xs.ravel()).reshape(xs.shape)
-    _check_finite(g, xs)
-    with np.errstate(divide="ignore"):
-        return g, np.log(_WEIGHTS)[None, :] + np.log(half)[:, None]
+    def log_mean(self, log_integrand) -> np.ndarray:
+        """log of the rule applied to exp(log_integrand(g)) plus log_density,
+        one per row: g is the row of node values."""
+        with np.errstate(invalid="ignore"):
+            a = log_integrand(self.g.ravel()[None, :]) + self.logw.ravel()[None, :]
+        return _logsumexp(a) + self._log_density
 
 
 class PowerNormEvaluator:
     """Evaluates p -> ||f||_p for many p from one cached panelization.
 
-    Node values of log|f| are computed once; each subsequent norm is a single
-    vectorized log-sum-exp.  Intended for scan loops; the returned maximizer
-    should be re-validated with a fully adaptive call (see norms module).
-    The panels start at the break points of f.
+    Its node rule joins the panels of |f|^e for each e of ``yardsticks``;
+    each norm is then a single vectorized log-sum-exp.  Intended for scan
+    loops; the returned maximizer should be re-validated with a fully
+    adaptive call (see norms module).  The panels start at the break points
+    of f.
     """
 
     def __init__(self, f, domain: Domain, cfg: QuadratureConfig, yardsticks):
-        log_f = log_abs_of(f)
-        edges = panel_edges(lambda xs, e: e * log_f(xs), domain.lo, domain.hi, yardsticks, cfg, break_points_of(f, domain))
-        g, logw = _log_abs_at_nodes(log_f, edges[:-1], edges[1:], domain)
-        self._g, self._logw = g.ravel(), logw.ravel()
-        self._log_density = math.log(domain.density)
-        self.node_count = self._g.size
+        log_f, breaks = log_abs_of(f), break_points_of(f, domain)
+        ends = []
+        for e in yardsticks:
+            ends += _adaptive(lambda xs, e=float(e): e * log_f(xs), domain.lo, domain.hi, cfg, breaks)[2:]
+        self._rule = _NodeRule(log_f, domain.lo, domain.hi, ends, math.log(domain.density))
+        self.node_count = self._rule.g.size
 
     def log_norm(self, p):
-        """log ||f||_p, vectorized over an array of exponents p > 0."""
+        """log ||f||_p at each p > 0 of an array of exponents."""
         p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-        with np.errstate(invalid="ignore"):
-            a = p_arr[:, None] * self._g[None, :] + self._logw[None, :]
-        log_i = _logsumexp(a) + self._log_density
-        out = log_i / p_arr
-        if np.isscalar(p) or np.ndim(p) == 0:
-            return float(out[0])
-        return out
+        return self._rule.log_mean(lambda g: p_arr[:, None] * g) / p_arr
 
 
 def lp_quasinorm(f, p: float, domain: Domain, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:

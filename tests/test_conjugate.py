@@ -9,8 +9,10 @@ import pytest
 from orlimark.conjugate import (
     ConjugateCache,
     PhiSpec,
+    _golden_lanes,
     custom_phi,
     fenchel_moreau_check,
+    golden_max,
     log_power,
     phi_membership_check,
     power_log,
@@ -277,3 +279,33 @@ def test_grid_solve_passes_ndarrays_to_callable():
         warnings.simplefilter("error")
         young_fenchel_grid(custom_phi(power), np.geomspace(1.0, 100.0, 9))
     assert seen and set(seen) == {np.ndarray}
+
+
+def test_golden_lanes_match_scalar_golden_max():
+    # unimodal lanes whose brackets span five decades stop at different steps
+    rng = np.random.default_rng(15)
+    n = 40
+    a = rng.uniform(-5.0, 5.0, n)
+    b = a + 10.0 ** rng.uniform(-3.0, 2.0, n)
+    peak = a + rng.uniform(-0.2, 1.2, n) * (b - a)
+    scale = 10.0 ** rng.uniform(-2.0, 2.0, n)
+    top = rng.uniform(-1.0, 1.0, n)
+    evals = np.zeros(n, dtype=int)
+
+    def fn(x, lanes):
+        np.add.at(evals, lanes, 1)
+        d = x - peak[lanes]
+        return top[lanes] - scale[lanes] * (d * d)
+
+    x, fx = _golden_lanes(fn, a, b, 0.0, 1e-12)
+    assert len(set(evals)) > 1
+    for i in range(n):
+        calls = []
+
+        def obj(y, i=i):
+            calls.append(y)
+            d = y - peak[i]
+            return top[i] - scale[i] * (d * d)
+
+        assert np.array([x[i], fx[i]]).tobytes() == np.array(golden_max(obj, a[i], b[i], tol=1e-12)).tobytes()
+        assert evals[i] == len(calls)

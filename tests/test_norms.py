@@ -1,6 +1,7 @@
 """Norm layer: N-splice, Luxemburg, grand-Lebesgue scans, Lorentz, V, constants."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -261,14 +262,21 @@ class TestLuxemburg:
         # signs; the exact solve on the narrowed bracket finishes the root
         f, n = PolynomialRep(coeffs), ctx.orlicz(phi2)
         expected = luxemburg_norm(f, n)
-        model, root, exact_solves = norms._ModularModel.__call__, norms._root, []
+        log_mean, root, model_evals, exact_solves = quadrature._NodeRule.log_mean, norms._root, [], []
+
+        def model_off(self, log_integrand):
+            model_evals.append(1)
+            return log_mean(self, log_integrand) + offset
 
         def solve(fn, *args):
-            if not isinstance(fn, norms._ModularModel):
+            # a solve that never evaluates the model is the exact one
+            before = len(model_evals)
+            out = root(fn, *args)
+            if len(model_evals) == before:
                 exact_solves.append(args)
-            return root(fn, *args)
+            return out
 
-        monkeypatch.setattr(norms._ModularModel, "__call__", lambda self, ts: model(self, ts) + offset)
+        monkeypatch.setattr(quadrature._NodeRule, "log_mean", model_off)
         monkeypatch.setattr(norms, "_root", solve)
         value, residual, ok = _luxemburg_detail(f, n, INTERVAL, DEFAULT_CONFIG)
         assert len(exact_solves) == 1
@@ -433,6 +441,14 @@ class TestSupRatioFrom:
         with pytest.raises(ValueError, match="p_lo"):
             v_quasinorm_info(f, phi2, 1.0, cache=ctx.conjugates(phi2))
 
+    @pytest.mark.parametrize(
+        "p_lo, cached", [(0.0, False), (-1.0, False), (math.inf, False), (math.nan, False), (math.inf, True), (math.nan, True)]
+    )
+    def test_bad_p_lo_rejected(self, p_lo, cached, phi2, ctx):
+        cache = ctx.conjugates(phi2) if cached else None
+        with pytest.raises(ValueError, match="p_lo"):
+            sup_ratio_from(PolynomialRep([0.5, 0.0, 1.0]), phi2, p_lo, cache=cache)
+
 
 class TestVQuasinorm:
     def test_constant_value(self, phi2, ctx):
@@ -448,6 +464,13 @@ class TestVQuasinorm:
         assert info.value > 0.0
         assert info.p_star >= 4.0
         assert info.tolerance_met
+
+    @pytest.mark.parametrize("scan", [v_quasinorm, v_quasinorm_info])
+    def test_infinite_order_rejected(self, scan, phi2, ctx):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="derivative order r"):
+                scan(PolynomialRep([0.0, 1.0]), phi2, math.inf, cache=ctx.conjugates(phi2, p_lo=4.0))
 
     def test_singular_member_finite(self, phi2, ctx):
         # (1-x)^{-1/2} with r=1: beta(p) < 1 keeps every scanned norm finite
@@ -494,6 +517,11 @@ class TestLorentz:
         for p in (1.0, 2.0, 3.5, 10.0):
             expect = (k * p / (k * p + 1.0)) ** k * (k * p + 1.0) ** (-1.0 / p)
             assert lorentz_norm(f, p, math.inf) == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("b", [2.0, math.inf])
+    def test_infinite_first_index_rejected(self, b):
+        with pytest.raises(ValueError, match="first index"):
+            lorentz_norm(PolynomialRep([0.3, 1.0, -0.7]), math.inf, b)
 
     def test_unbounded_rejected(self):
         with pytest.raises(DomainEvaluationError):
@@ -731,6 +759,11 @@ class TestWeightedLorentzG:
 
     def test_zero(self, phi2, ctx):
         assert weighted_lorentz_g(PolynomialRep([0.0]), phi2, 2.0, cache=ctx.conjugates(phi2)) == 0.0
+
+    @pytest.mark.parametrize("b", [0.0, -1.0, math.nan])
+    def test_bad_second_index_rejected(self, b, phi2):
+        with pytest.raises(ValueError, match="second index"):
+            weighted_lorentz_g(PolynomialRep([0.5, -1.0, 2.0]), phi2, b)
 
     def test_positive_on_generic_member(self, phi2, ctx):
         got = weighted_lorentz_g(

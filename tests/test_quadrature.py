@@ -23,10 +23,13 @@ from orlimark.quadrature import (
     Domain,
     LevelSampler,
     QuadratureConfig,
+    _adaptive,
     _initial_edges,
     _logsumexp,
+    _NodeRule,
     distribution,
     integrate_log,
+    log_abs_of,
     lp_quasinorm,
     sup_norm,
 )
@@ -295,3 +298,28 @@ def test_logsumexp_matches_scipy_bit_for_bit(shape):
             warnings.simplefilter("error")
             got = _logsumexp(rows)
         assert np.array_equal(got, logsumexp(rows, axis=1), equal_nan=True)
+
+
+def test_node_rule_join_evaluates_only_new_panels():
+    # the panels of |T_12|^60 refine most, not all, of those of |T_12|
+    f = chebyshev_t(12)
+    log_f, points = log_abs_of(f), []
+
+    def counted(xs):
+        points.append(xs.size)
+        return log_f(xs)
+
+    first, second = (_adaptive(lambda xs, e=e: e * log_f(xs), -1.0, 1.0, DEFAULT_CONFIG, f.break_points(INTERVAL))[2:] for e in (1.0, 60.0))
+    rule = _NodeRule(counted, -1.0, 1.0, first)
+    held = {(lo, hi): (g.tobytes(), w.tobytes()) for lo, hi, g, w in zip(rule._lo, rule._hi, rule.g, rule.logw)}
+    points.clear()
+    rule.join(*second)
+    panels = list(zip(rule._lo, rule._hi))
+    new = sum(panel not in held for panel in panels)
+    assert 0 < new < len(panels)
+    assert sum(points) == 16 * new
+    for panel, g, w in zip(panels, rule.g, rule.logw):
+        if panel in held:
+            assert (g.tobytes(), w.tobytes()) == held[panel]
+    fresh = _NodeRule(log_f, -1.0, 1.0, first + second)
+    assert rule.g.tobytes() == fresh.g.tobytes() and rule.logw.tobytes() == fresh.logw.tobytes()

@@ -21,6 +21,9 @@ slowest group.  Covered:
 
 * ``band``: the value of every item of the benchmark's ``band`` workload
   (``perfbench/workloads.py``) on seeds 1 and 11, in workload order;
+* ``g_norm_info`` (value, p_star, tolerance_met and extensions) of the
+  members of ``build_corpus(7)`` under three phi, scans from p_lo = 1 that
+  take the left-edge skip and the polish, in ``--quick`` too;
 * on the members of ``build_corpus(7)``: ``v_quasinorm_info`` of the first
   derivative (r = 1) and ``sup_ratio_from(p_lo=4)`` for three phi, and
   ``weighted_lorentz_g`` with power_log(2) at b = 2 and b = inf;
@@ -70,7 +73,7 @@ from orlimark import (  # noqa: E402
 )
 from orlimark.conjugate import ConjugateCache, young_fenchel_or_inf  # noqa: E402
 from orlimark.functions import derivative, jacobi22  # noqa: E402
-from orlimark.norms import construct_N, luxemburg_norm, sup_ratio_from, v_quasinorm_info  # noqa: E402
+from orlimark.norms import construct_N, g_norm_info, luxemburg_norm, sup_ratio_from, v_quasinorm_info  # noqa: E402
 
 PHIS = [power_log(1.0), power_log(2.0), log_power(1.0)]
 FAMILIES = PHIS + [
@@ -106,6 +109,13 @@ def band_records():
         band = Band(seed)
         for item in band.items():
             yield "band", f"{seed} {item.label}", attempt(lambda: Band.value(item.call()))
+
+
+def g_norm_records():
+    ctx = NormContext()
+    for label, f in build_corpus(7):
+        for phi in PHIS:
+            yield "g_norm_info", f"{label} {phi.label}", attempt(lambda: g_norm_info(f, phi, cache=ctx.conjugates(phi)))
 
 
 def corpus_records():
@@ -254,7 +264,7 @@ def main(argv):
         compare(argv[1], argv[2])
         return
     out_path = argv[0]
-    groups = [conjugate_records, cache_records, corpus_records, luxemburg_records, lorentz_records, cli_records]
+    groups = [conjugate_records, cache_records, g_norm_records, corpus_records, luxemburg_records, lorentz_records, cli_records]
     if "--quick" not in argv:
         groups.insert(0, band_records)
     counts = Counter()
