@@ -16,7 +16,7 @@ maximum and then polishing by golden section (``golden_max``).  A grid of
 exponents is solved in one lockstep pass (young_fenchel_grid) that takes the
 scalar solve's steps for every exponent at once and returns its bits; its
 golden section, ``_golden_lanes``, takes golden_max's steps lane by lane and
-serves the norm scans' polish and the weak Lorentz form too.
+serves the norm scans' polish too.
 psi(p) = exp(h*(p) / p) is the weight the sup-based norms divide by; it is
 nondecreasing for admissible phi because h*(0) = 0 and h* is convex.
 """

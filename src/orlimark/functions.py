@@ -358,6 +358,12 @@ class GapRep:
     def __call__(self, x):
         return np.exp(self.log_abs(x))
 
+    def derivative(self, order: int = 1) -> "GapDerivative":
+        """Q' by logarithmic differentiation; only the first order is available."""
+        if order != 1:
+            raise RejectedInputError("only first derivatives are available for gap products")
+        return GapDerivative(self)
+
     @_kept_per_domain
     def break_points(self, domain: Domain) -> np.ndarray:
         """Domain ends, real nodes and the real zeros of the log-derivative inside."""
@@ -457,13 +463,39 @@ class GapDerivative:
         nodes = [a for a, b, _r in self.rep.factors if b == 0.0]
         return _breaks(domain, nodes, _real_zeros(num), _real_zeros(crit))
 
+    def derivative(self, order: int = 1):
+        """Q'' = Q (S^2 + S') as a vectorized callable; only this order is available."""
+        if order != 1:
+            raise RejectedInputError("only the first two derivatives are available for gap products")
+        return self._second
+
+    def _second(self, x):
+        """Q'' by the product rule over the factors u_j = |x - z_j|^(r_j),
+        whose derivatives keep their limits at a real node, where Q = 0."""
+        xs = np.asarray(x, dtype=float)
+        u, du, d2u = [], [], []
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for a, b, r in self.rep.factors:
+                d = xs - a
+                if b == 0.0:
+                    u.append(np.abs(d) ** r)
+                    du.append(r * np.sign(d) * np.abs(d) ** (r - 1.0))
+                    d2u.append(r * (r - 1.0) * np.abs(d) ** (r - 2.0))
+                else:
+                    q = d * d + b * b
+                    u.append(q ** (0.5 * r))
+                    du.append(r * d * q ** (0.5 * r - 1.0))
+                    d2u.append(r * q ** (0.5 * r - 2.0) * ((r - 1.0) * d * d + b * b))
+            m, out = len(u), np.zeros(xs.shape)
+            for j in range(m):
+                out = out + d2u[j] * math.prod(u[i] for i in range(m) if i != j)
+                for k in range(j + 1, m):
+                    out = out + 2.0 * du[j] * du[k] * math.prod(u[i] for i in range(m) if i not in (j, k))
+        return out
+
 
 def derivative(rep, order: int = 1):
-    """Derivative within the same family; GapRep gets the log-derivative object."""
-    if isinstance(rep, GapRep):
-        if order != 1:
-            raise RejectedInputError("only first derivatives are available for gap products")
-        return GapDerivative(rep)
+    """Derivative within the same family; a GapRep's is a GapDerivative."""
     return rep.derivative(order)
 
 

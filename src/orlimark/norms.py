@@ -28,7 +28,8 @@ Three norm families ride on top:
   including the sup form at the second index equal to infinity.  Both work
   on the intervals between consecutive critical values of |f|, where T is
   smooth: the layer-cake integral starts with panels inside each, and the
-  sup form is maximized on each by lane-wise golden section.
+  sup form is maximized on each, one lane per interval, at a root of its
+  log-derivative, which the crossings of T give along with T.
 
 ``evaluate_norm_info`` is the one dispatch from a ``NormSpec`` to these
 norms, for the harness and the command line alike.
@@ -36,7 +37,8 @@ norms, for the harness and the command line alike.
 The knee, the root of the model of the log modular and, when the model
 does not settle, the Luxemburg root itself are found by
 ``quadrature._bracketed_root`` with Brent's tolerances, at the end of the
-collapsed bracket with the smaller residual.
+collapsed bracket with the smaller residual; so is the maximum of the weak
+Lorentz form.
 """
 
 from __future__ import annotations
@@ -187,7 +189,9 @@ def _luxemburg_detail(f, n: OrliczN, domain: Domain, cfg: QuadratureConfig):
     N(0) = 0, so d log I / dt <= -1, and an exact |log I(t)| within Brent's
     tolerance puts the root within it of t.  A model that contradicts a sign known exactly,
     or has not settled after _MODEL_ROUNDS rounds, hands the narrowed bracket
-    to the exact solve.
+    to the exact solve.  Its lower end comes from steps down from the upper
+    one, doubling, so an exact integral is taken at the Jensen end only when
+    the steps reach it.
     """
     sup = sup_norm(f, domain)
     if sup == 0.0:
@@ -239,10 +243,19 @@ def _luxemburg_detail(f, n: OrliczN, domain: Domain, cfg: QuadratureConfig):
             a, v_a = t, v
         else:
             b, v_b = t, v
-    if v_a is None:
-        v_a = log_i(t_lo)
-        if v_a <= 0.0:
-            return at_jensen_end(v_a)
+    # no exact log I > 0 yet: step down from b, doubling the step, and never
+    # integrate at the Jensen end, where |f| / l is largest, unless a step
+    # reaches it; d log I / dt <= -1 puts log I(b - d) >= v_b + d
+    step = -v_b
+    while v_a is None:
+        t = max(b - step, t_lo)
+        v = log_i(t)
+        if v > 0.0:
+            a, v_a = t, v
+        elif t == t_lo:
+            return at_jensen_end(v)
+        else:
+            b, v_b, step = t, v, 2.0 * step
     t_star, residual = _root(lambda ts: np.array([log_i(float(ts[0]))]), b, a, v_b, v_a, 1e-12)
     return math.exp(t_star), residual, abs(residual) <= 1e-8
 
@@ -403,19 +416,27 @@ def _level_map(sampler: LevelSampler):
     Unit interval i of s covers [a, c] = [levels[i], levels[i + 1]] through
     w = a + (c - a) sin^2(pi (s - i) / 2), which turns the square-root
     behaviour of T at a simple extremum of |f| into a smooth function of s.
-    Returns K and s -> (w, dw/ds, log T(w)).
+    Returns K and at(s) = (w, dw/ds, log T(w)); at(s, slope=True) appends
+    d log T / dw, taken at a w held strictly inside the interval, where T is
+    smooth: above a, and below the smallest value merged into c, so that the
+    pieces of |f| that end at c see w below their ends however they round.
     """
     levels = sampler.critical_values
     if not math.isfinite(levels[-1]):
         raise DomainEvaluationError("function is unbounded; its Lorentz norms need a finite sup")
-    lo, width = levels[:-1], np.diff(levels)
+    lo, hi, width = levels[:-1], sampler.critical_floors[1:], np.diff(levels)
 
-    def at(s):
+    def at(s, slope=False):
         i = np.minimum(s.astype(np.intp), lo.size - 1)
         theta = 0.5 * math.pi * (s - i)
         w = lo[i] + width[i] * np.sin(theta) ** 2
-        with np.errstate(divide="ignore"):
-            return w, 0.5 * math.pi * width[i] * np.sin(2.0 * theta), np.log(sampler.measure_above_batch(w))
+        dw = 0.5 * math.pi * width[i] * np.sin(2.0 * theta)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if not slope:
+                return w, dw, np.log(sampler.measure_above_batch(w))
+            w = np.clip(w, np.nextafter(lo[i], math.inf), np.nextafter(hi[i], 0.0))
+            t, dt = sampler.measure_above_batch(w, slope=True)
+            return w, dw, np.log(t), dt / t
 
     return lo.size, at
 
@@ -456,26 +477,67 @@ def _lorentz_finite(sampler: LevelSampler, p: float, b: float, cfg: QuadratureCo
     return math.exp(log_i / b)
 
 
-def _lorentz_sup(sampler: LevelSampler, p: float) -> float:
-    """max of w T(w)^(1/p), by golden section on each critical interval.
+# probes per critical interval of the weak form, and the width in s to which
+# its roots are solved and by which its brackets keep off an interval's ends
+_WEAK_PROBES = 16
+_WEAK_TOL = 1e-8
 
-    Each interval is probed at a few points first, and the section runs on
-    the bracket around its best probe, so an interval holding two local
-    maxima still yields the larger.
+
+def _lorentz_sup(sampler: LevelSampler, p: float) -> float:
+    """max of h = w T(w)^(1/p), lane-wise, one lane per critical interval.
+
+    Each interval is probed at a few points of s first.  The maximum near
+    the best probe is a root in s of g = -d log h / ds =
+    -(dw/ds) (1 / w + T'(w) / (p T(w))), which stays finite where T' is
+    singular at an end of the interval; there dw/ds = 0, so every point
+    keeps _WEAK_TOL off the ends.  A lane holds u, where h rises towards d
+    and is no lower than at d: first the best probe and its neighbour on the
+    side where h rises.  A point x between them whose g has the other sign
+    closes a bracket [u, x]; otherwise x replaces u where h is no lower
+    there and d where it is, so a bend of T between two probes cannot hide
+    the maximum.  ``_bracketed_root`` collapses the brackets, each step one
+    batch of crossing solves giving T and T' together.  The result is the
+    largest h at any point evaluated, the probes at the critical levels
+    among them.
     """
     k, at = _level_map(sampler)
-
-    def h(s):
-        w, _dw, log_t = at(s)
-        return w * np.exp(log_t / p)
-
-    probes = 16
-    s = np.arange(k)[:, None] + np.linspace(0.0, 1.0, probes + 1)[None, :]
-    vals = h(s.ravel()).reshape(s.shape)
-    j = np.argmax(vals, axis=1)
     rows = np.arange(k)
-    _x, fx = _golden_lanes(lambda x, _lanes: h(x), s[rows, np.maximum(j - 1, 0)], s[rows, np.minimum(j + 1, probes)], 1e-7, 0.0)
-    return float(max(np.max(vals), np.max(fx)))
+    s = rows[:, None] + np.linspace(0.0, 1.0, _WEAK_PROBES + 1)[None, :]
+    w, _dw, log_t = at(s.ravel())
+    vals = (w * np.exp(log_t / p)).reshape(s.shape)
+    best = [float(np.max(vals))]
+
+    def probe(x):
+        """(g, h) at each x of the array; h joins the candidates."""
+        w, dw, log_t, dlog_t = at(x, slope=True)
+        h = w * np.exp(log_t / p)
+        best.append(float(np.max(h)))
+        return -dw * (1.0 / w + dlog_t / p), h
+
+    def inside(x):
+        return np.clip(x, rows + _WEAK_TOL, rows + (1.0 - _WEAK_TOL))
+
+    j = np.argmax(vals, axis=1)
+    u = inside(s[rows, j])
+    g_u, h_u = probe(u)
+    d = inside(s[rows, np.clip(np.where(g_u < 0.0, j + 1, j - 1), 0, _WEAK_PROBES)])
+    live = (g_u != 0.0) & (u != d)
+    u, d, g_u, h_u = u[live], d[live], g_u[live], h_u[live]
+    x, brackets = d, []
+    while u.size:
+        g_x, h_x = probe(x)
+        # a sign change closes [u, x]: its end of negative g first
+        cross, neg = g_x * g_u < 0.0, g_u < 0.0
+        ends = np.where(neg, u, x), np.where(neg, x, u), np.minimum(g_u, g_x), np.maximum(g_u, g_x)
+        brackets.append([v[cross] for v in ends])
+        rise = h_x >= h_u
+        u, g_u, h_u, d = np.where(rise, x, u), np.where(rise, g_x, g_u), np.where(rise, h_x, h_u), np.where(rise, d, x)
+        keep = ~cross & (g_x != 0.0) & (np.abs(u - d) > _WEAK_TOL)
+        u, d, g_u, h_u = u[keep], d[keep], g_u[keep], h_u[keep]
+        x = 0.5 * (u + d)
+    if brackets:
+        _bracketed_root(lambda x, _lanes: probe(x)[0], *(np.concatenate(v) for v in zip(*brackets)), _WEAK_TOL)
+    return max(best)
 
 
 def lorentz_norm(

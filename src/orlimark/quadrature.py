@@ -11,14 +11,16 @@ reduces to three primitives implemented here:
   representable.  The log-sum-exp is computed here, row by row, with
   ``scipy.special.logsumexp``'s real-input operations in the same order,
   so it returns the same bits without that function's per-call overhead.
-* ``lp_quasinorm``: ``(integral of |f|^p dmu)^(1/p)`` for any p > 0, valid
-  below p = 1 as a quasinorm.
+* ``lp_quasinorm``: ``(integral of |f|^p dmu)^(1/p)`` for any finite
+  p > 0, valid below p = 1 as a quasinorm.
 * ``LevelSampler`` / ``distribution``: the distribution function
   ``mu{ |f| > w }``, summed over the pieces between the break points that
   every function representation reports (the domain ends and the zeros of
   f and f'), on which |f| is monotone; each crossing of a level is solved
   to a collapsed bracket by ``_bracketed_root``, the one root solver, which
-  also finds the splice knee and the Luxemburg root in the norms module.
+  also finds the maximum of the weak Lorentz form, the splice knee and the
+  Luxemburg root in the norms module.  The same crossings give the slope
+  T'(w), from the derivative each bounded representation reports.
   ``sup_norm`` is the largest |f| over the same break points.
 
 Adaptive integrals of functions of |f| (``lp_quasinorm``, the panels of
@@ -41,6 +43,7 @@ The norms are taken against Lebesgue measure scaled to total mass one:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -380,8 +383,8 @@ def lp_quasinorm(f, p: float, domain: Domain, cfg: QuadratureConfig = DEFAULT_CO
 
     The integral starts with the break points of f as panel edges.
     """
-    if not (p > 0.0):
-        raise ValueError(f"exponent must be positive, got {p!r}")
+    if not (0.0 < p < math.inf):
+        raise ValueError(f"exponent must be positive and finite, got {p!r}")
     log_f = log_abs_of(f)
 
     def scaled(xs):
@@ -426,11 +429,14 @@ def _bracketed_root(g, x_neg, x_pos, g_neg, g_pos, tol: float):
 
     Lane i runs from x_neg[i], where g <= 0, to x_pos[i], where g >= 0, and
     g(x, lanes) returns g of lane lanes[i] at x[i].  Regula falsi with
-    Anderson-Bjorck scaling of an end kept twice running, and two safeguards
-    from Brent's method: a step longer than half the step before last
-    becomes a bisection, and every point stays tol / 2 inside the bracket,
-    so a converged iterate gets straddled.  Returns the collapsed (x_neg,
-    x_pos, g_neg, g_pos), both ends on a zero of g where one is found.
+    Anderson-Bjorck scaling of an end kept twice running, and three
+    safeguards: two from Brent's method, a step longer than half the step
+    before last becomes a bisection and every point stays tol / 2 inside the
+    bracket, so a converged iterate gets straddled; and, as ITP bounds its
+    steps, a bracket wider than half its width three steps before is
+    bisected, so at least every fourth step halves it.  Returns the
+    collapsed (x_neg, x_pos, g_neg, g_pos), both ends on a zero of g where
+    one is found.
     """
     if not np.all((g_neg <= 0.0) & (g_pos >= 0.0)):
         raise RejectedInputError("root solve: g must be <= 0 at x_neg and >= 0 at x_pos in every lane")
@@ -443,15 +449,20 @@ def _bracketed_root(g, x_neg, x_pos, g_neg, g_pos, tol: float):
     pos_moved = neg_moved = np.zeros(live.size, dtype=bool)  # which end moved last
     last = np.where(-gn < gp, xn, xp)
     step = older = np.abs(xp - xn)
+    # the bracket widths before each of the last three steps, oldest first
+    w3 = w2 = w1 = np.full(live.size, np.inf)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_MAX_ROOT_STEPS):
             if not live.size:
                 break
             span = sn - sp
+            width = np.abs(xp - xn)
             x = np.clip(xn + (sn / span) * (xp - xn), np.minimum(xn, xp) + 0.5 * tol, np.maximum(xn, xp) - 0.5 * tol)
             # an infinite end value (a singular end) would pin regula falsi to the other end
-            x = np.where((np.abs(x - last) <= 0.5 * older) & np.isfinite(span), x, 0.5 * (xn + xp))
+            falsi = (np.abs(x - last) <= 0.5 * older) & np.isfinite(span) & (width <= 0.5 * w3)
+            x = np.where(falsi, x, 0.5 * (xn + xp))
             step, older, last = np.abs(x - last), step, x
+            w3, w2, w1 = w2, w1, width
             gx = g(x, live)
             # one reduction a step; the sum is also NaN on inf - inf
             if math.isnan(gx.sum()) and np.isnan(gx).any():
@@ -472,8 +483,8 @@ def _bracketed_root(g, x_neg, x_pos, g_neg, g_pos, tol: float):
                 x_neg[idx], x_pos[idx] = xn[done], np.where(zero, x, xp)[done]
                 g_neg[idx], g_pos[idx] = gn[done], np.where(zero, 0.0, gp)[done]
                 keep = ~done
-                live, xn, xp, gn, gp, sn, sp, step, older, last, pos_moved, neg_moved = (
-                    v[keep] for v in (live, xn, xp, gn, gp, sn, sp, step, older, last, pos_moved, neg_moved)
+                live, xn, xp, gn, gp, sn, sp, step, older, last, pos_moved, neg_moved, w3, w2, w1 = (
+                    v[keep] for v in (live, xn, xp, gn, gp, sn, sp, step, older, last, pos_moved, neg_moved, w3, w2, w1)
                 )
     if live.size:
         best = float(np.where(-gn < gp, xn, xp)[0])
@@ -490,20 +501,30 @@ class LevelSampler:
     above its larger one, and otherwise the part beyond the one crossing
     |f| = w.  The crossings of a batch of thresholds are solved together by a
     bracketed iteration, each one until its bracket has collapsed to rounding
-    level.  ``critical_values`` are 0 and the values of |f| at the break
-    points, sorted: T is smooth between consecutive ones.  An end value may
-    be infinite (an integrable singularity); ``sup_estimate`` is then inf.
+    level.  The same crossings give the slope of T, by the coarea formula on
+    the pieces: T'(w) is minus the density times the sum of 1 / |f'| over
+    them, with f' from the derivative f reports.  ``critical_values`` are 0
+    and the values of |f| at the break points, sorted: T is smooth between
+    consecutive ones, and each of ``critical_floors`` is the smallest value
+    merged into the critical value of its index, the same value where none
+    is.  An end value may be infinite (an integrable singularity);
+    ``sup_estimate`` is then inf.
     """
 
     def __init__(self, f, domain: Domain):
         self.domain = domain
+        self._rep = f
         self._f = as_vectorized(f)
         xs, vals = _break_values(f, domain, bounded=False)
         self.sup_estimate = float(np.max(vals))
-        levels = np.unique(np.append(vals, 0.0))
-        # a value within 1e-12 of the next one merges into it: equal extrema
-        # (|T_n| = 1) round apart, and every interval costs panels downstream
-        self.critical_values = levels[np.append(np.diff(levels) > 1e-12 * levels[1:], True)]
+        # a value below 1e-12 sup|f| is a computed zero of f and merges into
+        # 0, and a value within 1e-12 of the next one merges into it: equal
+        # extrema (|T_n| = 1) round apart, and every interval costs panels
+        # and crossings downstream
+        levels = np.unique(np.append(np.where(vals < 1e-12 * self.sup_estimate, 0.0, vals), 0.0))
+        top = np.append(np.diff(levels) > 1e-12 * levels[1:], True)
+        self.critical_values = levels[top]
+        self.critical_floors = levels[np.append(True, top[:-1])]
         # per piece: its length, its ends where |f| is smaller and larger,
         # and the values there
         self._length = np.diff(xs)
@@ -515,16 +536,27 @@ class LevelSampler:
         # the widest bracket a crossing may end with
         self._tol = 2.0 * np.finfo(float).eps * max(1.0, abs(domain.lo), abs(domain.hi))
 
-    def measure_above_batch(self, ws) -> np.ndarray:
+    @functools.cached_property
+    def _df(self):
+        """f', vectorized, from the derivative that f reports."""
+        report = getattr(self._rep, "derivative", None)
+        if report is None:
+            raise RejectedInputError(f"{type(self._rep).__name__} reports no derivative; the slope of T needs one")
+        return as_vectorized(report())
+
+    def measure_above_batch(self, ws, slope: bool = False):
+        """T(w) = mu{|f| > w} at each threshold of ``ws``, in its shape; with
+        ``slope``, the pair (T, T') from the same crossings."""
         ws = np.asarray(ws, dtype=float)
         flat_ws = ws.ravel()
         # thresholds go in chunks of about 2^18 (piece, threshold) pairs at most
         size = max(1, 2**18 // self._length.size)
-        parts = [self._measure(flat_ws[i : i + size]) for i in range(0, flat_ws.size, size)]
-        out = np.concatenate(parts) if parts else np.zeros(0)
-        return (out * self.domain.density).reshape(ws.shape)
+        parts = [self._measure(flat_ws[i : i + size], slope) for i in range(0, flat_ws.size, size)]
+        out = np.concatenate(parts, axis=-1) if parts else np.zeros((2, 0) if slope else 0)
+        out = out * self.domain.density
+        return (out[0].reshape(ws.shape), out[1].reshape(ws.shape)) if slope else out.reshape(ws.shape)
 
-    def _measure(self, ws):
+    def _measure(self, ws, slope):
         whole = ws[None, :] < self._v_min[:, None]
         out = self._length @ whole
         piece, j = np.nonzero(~whole & (ws[None, :] < self._v_max[:, None]))
@@ -535,7 +567,12 @@ class LevelSampler:
         )
         roots = 0.5 * (x_neg + x_pos)
         # the part of the piece beyond the crossing lies above w
-        return out + np.bincount(j, weights=np.abs(above - roots), minlength=ws.size)
+        out = out + np.bincount(j, weights=np.abs(above - roots), minlength=ws.size)
+        if not slope:
+            return out
+        with np.errstate(divide="ignore"):
+            rate = np.bincount(j, weights=1.0 / np.abs(self._df(roots)), minlength=ws.size)
+        return np.stack([out, -rate])
 
     def measure_above(self, w: float) -> float:
         return float(self.measure_above_batch(np.array([w]))[0])
@@ -543,7 +580,7 @@ class LevelSampler:
 
 def distribution(f, w: float, domain: Domain, sampler: LevelSampler | None = None) -> float:
     """mu{ x : |f(x)| > w } for w >= 0."""
-    if w < 0.0:
-        raise ValueError("threshold must be nonnegative")
+    if not (w >= 0.0):
+        raise ValueError(f"threshold must be nonnegative, got {w!r}")
     s = sampler if sampler is not None else LevelSampler(f, domain)
     return s.measure_above(w)

@@ -35,7 +35,7 @@ from orlimark.harness import (
     markov_factor_log,
     three_way_report,
 )
-from orlimark.norms import evaluate_norm, lp_spec, orlicz_spec
+from orlimark.norms import evaluate_norm, lorentz_spec, lp_spec, orlicz_spec
 
 
 def sin_n(n: int) -> TrigPolynomialRep:
@@ -89,6 +89,23 @@ class TestMarkovRatio:
     def test_zero_rejected(self, ctx):
         with pytest.raises(DegenerateInputError):
             markov_ratio(PolynomialRep([0.0]), lp_spec(2.0), ctx=ctx)
+
+    @pytest.mark.parametrize("b", [1.5, math.inf])
+    def test_lorentz_equimeasurable_sines(self, b, ctx):
+        # n cos(nx) is equimeasurable with n sin(nx), so the Lorentz ratio is
+        # n; the zeros of sin(nx), rounding-level values of |f|, share one
+        # critical value
+        for n in (1, 5, 17, 40):
+            assert markov_ratio(sin_n(n), lorentz_spec(3.0, b), ctx=ctx) == pytest.approx(n, rel=1e-13, abs=0.0)
+
+    def test_orlicz_jacobi_in_monomials(self, phi2, ctx):
+        # Horner's noise in the monomial basis keeps the modular's quadrature
+        # from settling at the Jensen end, l = slope ||f||_1, where |f| / l is
+        # largest; the Luxemburg solve must not integrate there
+        c = np.asarray(jacobi22(20).coeffs)
+        for coeffs in (c, c / np.linalg.norm(c)):
+            got = markov_ratio(PolynomialRep(coeffs), orlicz_spec(phi2), ctx=ctx)
+            assert got == pytest.approx(85.61506088529612, rel=1e-10)
 
     def test_l4_jacobi_high_degree(self, ctx):
         # the L4 Markov ratio of P_n^(2,2) grows with n and stays below the

@@ -17,7 +17,16 @@ from orlimark.errors import (
     RejectedInputError,
     ScanDivergenceError,
 )
-from orlimark.functions import InversePowerRep, PolynomialRep, derivative, jacobi22
+from orlimark.functions import (
+    GapDerivative,
+    GapRep,
+    InversePowerRep,
+    PolynomialRep,
+    TrigPolynomialRep,
+    derivative,
+    jacobi22,
+    random_family,
+)
 from orlimark.harness import build_corpus
 from orlimark.norms import (
     EquivalenceConstants,
@@ -41,7 +50,7 @@ from orlimark.norms import (
     weighted_lorentz_g,
 )
 from orlimark.norms import _luxemburg_detail
-from orlimark.quadrature import DEFAULT_CONFIG, Domain, _bracketed_root, integrate_log, lp_quasinorm
+from orlimark.quadrature import DEFAULT_CONFIG, Domain, _bracketed_root, integrate_log, lp_quasinorm, sup_norm
 
 INTERVAL = Domain.interval()
 
@@ -538,6 +547,88 @@ class TestLorentz:
         coeffs = [0.0, 1.0, -0.4]
         got = lorentz_norm(PolynomialRep([c * v for v in coeffs]), 2.0, 8.0)
         assert got == pytest.approx(c * lorentz_norm(PolynomialRep(coeffs), 2.0, 8.0), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 7.5])
+def test_weak_sine_matches_mpmath(p):
+    # |sin x| on the circle: T(w) = (2/pi) arccos(w), and the maximum of
+    # w T(w)^(1/p) solves p arccos(w) sqrt(1 - w^2) = w, here to 50 digits
+    with mp.workdps(50):
+        w = mp.findroot(lambda w: p * mp.acos(w) * mp.sqrt(1 - w * w) - w, mp.mpf("0.7"))
+        expect = float(w * (2 / mp.pi * mp.acos(w)) ** (1 / mp.mpf(p)))
+    got = lorentz_norm(TrigPolynomialRep([0.0, 0.0], [1.0]), p, math.inf)
+    assert got == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+
+def test_weak_maximum_between_two_probes():
+    # f' nearly vanishes on this polynomial's rising piece, so T bends
+    # sharply inside the critical interval below 1.87: d log h / ds changes
+    # sign twice between two probes, around a maximum 4% above the best probe
+    f = random_family("polynomial", 30, 3)
+    sampler = quadrature.LevelSampler(f, INTERVAL)
+    ws = np.linspace(0.0, sampler.sup_estimate, 4001)[1:-1]
+    k = int(np.argmax(ws * sampler.measure_above_batch(ws)))
+    _w, expect = golden_max(lambda w: w * sampler.measure_above(w), ws[k - 1], ws[k + 1], tol=1e-14)
+    assert lorentz_norm(f, 1.0, math.inf) == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+
+def _mp_gap_derivative_weak(gap, p, w_lo, w_hi):
+    """max of w T(w)^(1/p) over [w_lo, w_hi] for f = Q' of the GapRep gap,
+    by golden section at 30 digits: T sums the parts of the monotone pieces
+    of f above w, each crossing refined by mpmath from the pieces' ends."""
+    with mp.workdps(30):
+
+        def df(x):
+            # Q' by the product rule over the factors ((x - a)^2 + b^2)^(r/2)
+            u = [((x - a) ** 2 + b * b) ** (mp.mpf(r) / 2) for a, b, r in gap.factors]
+            du = [r * (x - a) * ((x - a) ** 2 + b * b) ** (mp.mpf(r) / 2 - 1) for a, b, r in gap.factors]
+            return mp.fsum(du[j] * mp.fprod(u[:j] + u[j + 1 :]) for j in range(len(u)))
+
+        xs = [mp.mpf(float(x)) for x in GapDerivative(gap).break_points(INTERVAL)]
+        inner = [mp.findroot(lambda x: mp.diff(df, x), x) if abs(df(x)) > 1e-6 else mp.findroot(df, x) for x in xs[1:-1]]
+        xs = [xs[0]] + inner + [xs[-1]]
+
+        def t(w):
+            total = mp.mpf(0)
+            for x0, x1 in zip(xs[:-1], xs[1:]):
+                v0, v1 = abs(df(x0)), abs(df(x1))
+                if w < min(v0, v1):
+                    total += x1 - x0
+                elif w < max(v0, v1):
+                    root = mp.findroot(lambda x: abs(df(x)) - w, (x0, x1), solver="anderson")
+                    total += abs((x1 if v1 > v0 else x0) - root)
+            return total / 2
+
+        def h(w):
+            return w * t(w) ** (1 / mp.mpf(p))
+
+        a, b = mp.mpf(w_lo), mp.mpf(w_hi)
+        ratio = (mp.sqrt(5) - 1) / 2
+        c, d = b - ratio * (b - a), a + ratio * (b - a)
+        hc, hd = h(c), h(d)
+        while b - a > mp.mpf("1e-22"):
+            if hc > hd:
+                b, d, hd = d, c, hc
+                c = b - ratio * (b - a)
+                hc = h(c)
+            else:
+                a, c, hc = c, d, hd
+                d = a + ratio * (b - a)
+                hd = h(d)
+        return float(max(hc, hd))
+
+
+def test_weak_gap_derivative_matches_mpmath():
+    # the derivative of a gap product with a real node: the weak form needs
+    # f'' = Q'', which GapDerivative reports
+    gap = GapRep([(0.1, 0.0, 2.0), (-0.5, 0.4, 1.5)])
+    f = derivative(gap, 1)
+    p = 2.0
+    ws = np.linspace(0.0, sup_norm(f, INTERVAL), 401)[1:-1]
+    sampler = quadrature.LevelSampler(f, INTERVAL)
+    k = int(np.argmax(ws * sampler.measure_above_batch(ws) ** (1.0 / p)))
+    expect = _mp_gap_derivative_weak(gap, p, ws[k - 1], ws[k + 1])
+    assert lorentz_norm(f, p, math.inf) == pytest.approx(expect, rel=1e-12, abs=0.0)
 
 
 def _mp_lp_norms(coeffs, ps):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from orlimark import quadrature
 from orlimark.errors import ConvergenceFailureError, DomainEvaluationError, RejectedInputError
 from orlimark.functions import (
     GapDerivative,
@@ -17,6 +18,7 @@ from orlimark.functions import (
     chebyshev_t,
     random_family,
 )
+from orlimark.harness import build_corpus
 from orlimark.quadrature import (
     DEFAULT_CONFIG,
     SINGULAR_CONFIG,
@@ -210,6 +212,61 @@ def test_level_sampler_cosine_on_circle():
     assert np.allclose(sampler.measure_above_batch(ws), expect, rtol=0.0, atol=1e-12)
 
 
+def test_level_sampler_slope_closed_forms():
+    # |x| on [-1, 1]: T(w) = 1 - w; |cos(7t)| on the circle:
+    # T(w) = (2/pi) arccos(w), T'(w) = -(2/pi) / sqrt(1 - w^2)
+    ws = np.linspace(0.05, 0.95, 19)
+    t, dt = LevelSampler(PolynomialRep([0.0, 1.0]), INTERVAL).measure_above_batch(ws, slope=True)
+    assert np.allclose(t, 1.0 - ws, rtol=0.0, atol=1e-15)
+    assert np.allclose(dt, -1.0, rtol=1e-14, atol=0.0)
+    t, dt = LevelSampler(TrigPolynomialRep([0.0] * 7 + [1.0], [0.0] * 7), CIRCLE).measure_above_batch(ws, slope=True)
+    assert np.allclose(t, 2.0 / math.pi * np.arccos(ws), rtol=0.0, atol=1e-12)
+    assert np.allclose(dt, -2.0 / math.pi / np.sqrt(1.0 - ws**2), rtol=1e-12, atol=0.0)
+
+
+def test_rounding_level_values_merge_into_zero():
+    # |sin(40x)| at its 80 computed zeros is rounding noise, not 80 levels
+    sampler = LevelSampler(TrigPolynomialRep([0.0] * 41, [0.0] * 39 + [1.0]), CIRCLE)
+    assert sampler.critical_values.tolist() == [0.0, pytest.approx(1.0, rel=1e-14)]
+
+
+def test_crossing_by_a_flat_minimum_is_bounded(monkeypatch):
+    # a level a few ulps above the flat minimum of |gap-01| at x = 0.943 sits
+    # 1.4e-8 from it, where regula falsi creeps; 53 halvings collapse any
+    # double bracket, and the solve stays within twice that
+    f = dict(build_corpus(7))["gap-01"]
+    sampler = LevelSampler(f, INTERVAL)
+    xs = f.break_points(INTERVAL)
+    x_min = float(xs[np.argmin(np.abs(xs - 0.9434))])
+    steps, solve = [], quadrature._bracketed_root
+
+    def counted(g, *args):
+        calls = [0]
+
+        def g_counted(x, lanes):
+            calls[0] += 1
+            return g(x, lanes)
+
+        out = solve(g_counted, *args)
+        steps.append(calls[0])
+        return out
+
+    monkeypatch.setattr(quadrature, "_bracketed_root", counted)
+    w = float(np.abs(f(np.array([x_min])))[0]) + 2.7755575615628914e-16
+    assert 0.0 < sampler.measure_above(w) < 1.0
+    assert 60 < steps[0] <= 2 * 53
+
+
+def test_distribution_rejects_nan_threshold():
+    with pytest.raises(ValueError, match="threshold"):
+        distribution(PolynomialRep([0.3, 1.0, -0.7]), math.nan, INTERVAL)
+
+
+def test_lp_quasinorm_rejects_infinite_exponent():
+    with pytest.raises(ValueError, match="exponent"):
+        lp_quasinorm(PolynomialRep([0.3, 1.0, -0.7]), math.inf, INTERVAL)
+
+
 def _dense_distribution(f, domain, ws, cells=2**20):
     # f taken linear on each of 2^20 cells; the part of a cell where the line
     # is above w or below -w is exact for the line, off by O(h^2) for f
@@ -227,18 +284,18 @@ def _dense_distribution(f, domain, ws, cells=2**20):
     return np.array(out)
 
 
-@pytest.mark.parametrize(
-    "f",
-    [
-        random_family("trig", 6, 3),
-        random_family("rational", 5, 3),
-        random_family("gap", 4, 3),
-        GapDerivative(random_family("gap", 4, 3)),
-        # a real node is a break point where Q' = Q S is 0 times 0/0
-        GapDerivative(GapRep([(0.1, 0.0, 2.0), (-0.5, 0.4, 1.5)])),
-    ],
-    ids=["trig", "rational", "gap", "gap-derivative", "gap-derivative-real-node"],
-)
+SAMPLED = [
+    random_family("trig", 6, 3),
+    random_family("rational", 5, 3),
+    random_family("gap", 4, 3),
+    GapDerivative(random_family("gap", 4, 3)),
+    # a real node is a break point where Q' = Q S is 0 times 0/0
+    GapDerivative(GapRep([(0.1, 0.0, 2.0), (-0.5, 0.4, 1.5)])),
+]
+SAMPLED_IDS = ["trig", "rational", "gap", "gap-derivative", "gap-derivative-real-node"]
+
+
+@pytest.mark.parametrize("f", SAMPLED, ids=SAMPLED_IDS)
 def test_level_sampler_matches_dense_reference(f):
     dom = f.natural_domain
     sampler = LevelSampler(f, dom)
@@ -248,6 +305,19 @@ def test_level_sampler_matches_dense_reference(f):
     ws = np.linspace(0.0, sampler.sup_estimate, 25)[1:-1]
     got = sampler.measure_above_batch(ws)
     assert np.allclose(got, _dense_distribution(f, dom, ws), rtol=0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("f", SAMPLED, ids=SAMPLED_IDS)
+def test_level_sampler_slope_matches_central_difference(f):
+    # at the middle of each critical interval, where T is smooth, that is
+    # wide enough for a difference quotient
+    sampler = LevelSampler(f, f.natural_domain)
+    levels = sampler.critical_values
+    wide = np.diff(levels) > 1e-3 * levels[-1]
+    ws, hs = 0.5 * (levels[1:] + levels[:-1])[wide], 1e-4 * np.diff(levels)[wide]
+    _t, dt = sampler.measure_above_batch(ws, slope=True)
+    central = (sampler.measure_above_batch(ws + hs) - sampler.measure_above_batch(ws - hs)) / (2.0 * hs)
+    assert np.allclose(dt, central, rtol=1e-6, atol=0.0)
 
 
 def test_plain_callable_rejected():

@@ -31,7 +31,9 @@ slowest group.  Covered:
   ``luxemburg_norm`` of the members of ``build_corpus(7)`` under each, and
   of ``jacobi22(120)`` and its derivative under power_log(2);
 * ``lorentz_norm`` of the 30 polynomials of ``build_corpus(7)`` at
-  (p, b) = (1, 1), (2, 2), (3, 3), (2, 3) and (3, inf);
+  (p, b) = (1, 1), (2, 2), (3, 3), (2, 3) and (3, inf), and of its trig,
+  gap and rational members, of the derivative of gap-01 (a
+  ``GapDerivative``) and of sin(40x) at (3, inf) and (3, 1.5);
 * ``fenchel_moreau_check``, ``phi_membership_check`` and
   ``equivalence_constants`` for the three phi;
 * ``young_fenchel_or_inf`` over 400 exponents for six phi families;
@@ -60,6 +62,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from orlimark import (  # noqa: E402
     NormContext,
+    TrigPolynomialRep,
     build_corpus,
     custom_phi,
     equivalence_constants,
@@ -156,9 +159,15 @@ def luxemburg_records():
 
 
 def lorentz_records():
-    polynomials = [(label, f) for label, f in build_corpus(7) if label.startswith("poly-")]
-    for label, f in polynomials:
-        for p, b in ((1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (2.0, 3.0), (3.0, math.inf)):
+    corpus = build_corpus(7)
+    for label, f in corpus:
+        if label.startswith("poly-"):
+            for p, b in ((1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (2.0, 3.0), (3.0, math.inf)):
+                yield "lorentz_norm", f"{label} p={p} b={b}", attempt(lambda: lorentz_norm(f, p, b))
+    others = [(label, f) for label, f in corpus if not label.startswith("poly-")]
+    others += [("gap-01'", derivative(dict(corpus)["gap-01"], 1)), ("sin(40x)", TrigPolynomialRep([0.0] * 41, [0.0] * 39 + [1.0]))]
+    for label, f in others:
+        for p, b in ((3.0, math.inf), (3.0, 1.5)):
             yield "lorentz_norm", f"{label} p={p} b={b}", attempt(lambda: lorentz_norm(f, p, b))
 
 
