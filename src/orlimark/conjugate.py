@@ -12,11 +12,13 @@ built-in families cover the use cases:
 
 The Young-Fenchel transform h*(p) = sup_y (p y - h(y)) is computed by
 expanding a bracket around the concave objective until it encloses the
-maximum and then polishing by golden section (``golden_max``).  A grid of
-exponents is solved in one lockstep pass (young_fenchel_grid) that takes the
-scalar solve's steps for every exponent at once and returns its bits; its
-golden section, ``_golden_lanes``, takes golden_max's steps lane by lane and
-serves the norm scans' polish too.
+maximum and then polishing by golden section (``golden_max``).  On request
+the solve also returns the maximizer y*(p), which is h*'(p) by Danskin's
+envelope theorem: the norm scans' polish reads psi'(p) = (y* - h*/p) / p
+from it.  A grid of exponents is solved in one lockstep pass
+(young_fenchel_grid) that takes the scalar solve's steps for every exponent
+at once and returns its bits; its golden section, ``_golden_lanes``, takes
+golden_max's steps lane by lane.
 psi(p) = exp(h*(p) / p) is the weight the sup-based norms divide by; it is
 nondecreasing for admissible phi because h*(0) = 0 and h* is convex.
 """
@@ -143,14 +145,16 @@ def _safe_log(zs):
 
 
 def power_log(m: float, r: float = 0.0) -> PhiSpec:
-    if not (m > 0.0):
-        raise ValueError("m must be positive")
+    if not (0.0 < m < math.inf):
+        raise ValueError(f"m must be positive and finite, got {m!r}")
+    if not math.isfinite(r):
+        raise ValueError(f"r must be finite, got {r!r}")
     return PhiSpec("power-log", m=float(m), r=float(r))
 
 
 def log_power(nu: float) -> PhiSpec:
-    if not (nu > 0.0):
-        raise ValueError("nu must be positive")
+    if not (0.0 < nu < math.inf):
+        raise ValueError(f"nu must be positive and finite, got {nu!r}")
     return PhiSpec("log-power", nu=float(nu))
 
 
@@ -314,12 +318,27 @@ def _golden_lanes(fn, a, b, atol: float, rtol: float):
     return x, fx
 
 
-def young_fenchel(
-    phi: PhiSpec,
-    p: float,
-    p_min: float = 0.5,
-) -> float:
-    """h*(p) = sup_y (p y - h(y)) for p >= p_min.
+def _vertex(obj, y: float, fy: float, rounding: float) -> float:
+    """The vertex of the parabola through obj at y - s, y and y + s, for y
+    near a smooth maximum fy = obj(y) that obj reaches to within
+    ``rounding``; y itself where obj does not bend down.
+
+    s starts at 1e-4 (1 + |y|), which gauges the curvature c, and is then
+    cut to where c s^2 is 1e5 times the rounding: the parabola's error from
+    the cubic term falls with s^2, the one from rounding with 1 / s.
+    """
+    s = 1e-4 * (1.0 + abs(y))
+    curv = obj(y - s) - 2.0 * fy + obj(y + s)
+    if not curv < 0.0:
+        return y
+    s *= min(1.0, math.sqrt(1e5 * rounding / -curv))
+    lo, hi = obj(y - s), obj(y + s)
+    curv = lo - 2.0 * fy + hi
+    return y + 0.5 * s * (lo - hi) / curv if curv < 0.0 else y
+
+
+def young_fenchel(phi: PhiSpec, p: float, p_min: float = 0.5, *, argmax: bool = False):
+    """h*(p) = sup_y (p y - h(y)) for finite p >= p_min.
 
     The objective is concave, so doubling steps away from y0 = 0, the first
     of length one, until the value drops on both sides encloses the maximum;
@@ -327,9 +346,18 @@ def young_fenchel(
     rising after the expansion cap, the supremum sits at infinity for this p
     and a divergence error names the offending phi.  The whole solve runs
     under one overflow guard and evaluates h on floats.
+
+    With ``argmax`` it returns (h*(p), y*), y* the maximizer: by Danskin's
+    theorem the derivative of h* at p.  Golden section leaves its point where
+    the objective is flat to rounding, at the left end of that band (a tie
+    keeps the left part), so y* is the vertex of a parabola through points
+    outside it (``_vertex``); a tabulated h is piecewise linear, and its
+    maximizer, a kink, is golden section's point.
     """
     if not (p >= p_min):
         raise ValueError(f"p = {p!r} below the allowed minimum {p_min!r}")
+    if p == math.inf:
+        raise ValueError("p must be finite, got inf")
     with np.errstate(over="ignore"):
         h_at = phi._h_at
 
@@ -357,7 +385,7 @@ def young_fenchel(
                     break
             return y, fy, None, step
 
-        _yr, fr, hi, _step = expand(1.0)
+        yr, fr, hi, _step = expand(1.0)
         if hi is None:
             raise ConjugateDivergenceError(
                 f"conjugate supremum for {phi.label} diverges at p = {p!r}"
@@ -365,17 +393,23 @@ def young_fenchel(
         yl, fl, lo, step = expand(-1.0)
         if lo is None:
             lo = yl - step
-        _y, val = golden_max(obj, lo, hi)
-        best = max(val, fr, fl, f0)
-        return best
+        y, val = golden_max(obj, lo, hi)
+        # the first of the largest values, as max(val, fr, fl, f0) takes it
+        best, y = max((val, y), (fr, yr), (fl, yl), (f0, y0), key=lambda c: c[0])
+        if not argmax:
+            return best
+        if phi.family != "tabulated":
+            y = _vertex(obj, y, best, np.finfo(float).eps * (abs(p * y) + abs(h_at(y))))
+        return best, y
 
 
-def young_fenchel_or_inf(phi: PhiSpec, p: float, **kw) -> float:
-    """Scan-friendly variant: divergence collapses to +inf instead of raising."""
+def young_fenchel_or_inf(phi: PhiSpec, p: float, **kw):
+    """Scan-friendly variant: divergence collapses to +inf instead of
+    raising, and to (inf, inf) with ``argmax``."""
     try:
         return young_fenchel(phi, p, **kw)
     except ConjugateDivergenceError:
-        return math.inf
+        return (math.inf, math.inf) if kw.get("argmax") else math.inf
 
 
 def young_fenchel_grid(phi: PhiSpec, ps, p_min: float = 0.5) -> np.ndarray:

@@ -313,13 +313,22 @@ class RationalRep:
 
 
 def _log_derivative(factors):
-    """Polynomials N and D with sum_j r_j (x - a_j) / |x - z_j|^2 = N / D."""
-    quads = [np.polynomial.Polynomial([a * a + b * b, -2.0 * a, 1.0]) for a, b, _r in factors]
-    num = sum(
-        r * np.polynomial.Polynomial([-a, 1.0]) * math.prod(quads[:j] + quads[j + 1 :])
-        for j, (a, _b, r) in enumerate(factors)
-    )
-    return num, math.prod(quads)
+    """Polynomials N and D with sum_j r_j (x - a_j) / |x - z_j|^2 = N / D.
+
+    A real node (b = 0) gives its term as r / (x - a): the linear factor
+    x - a in D and r in N, so that N and D share no factor there.
+    """
+    nums, dens = [], []
+    for a, b, r in factors:
+        line = np.polynomial.Polynomial([-a, 1.0])
+        if b == 0.0:
+            nums.append(np.polynomial.Polynomial([r]))
+            dens.append(line)
+        else:
+            nums.append(r * line)
+            dens.append(np.polynomial.Polynomial([a * a + b * b, -2.0 * a, 1.0]))
+    num = sum(n * math.prod(dens[:j] + dens[j + 1 :]) for j, n in enumerate(nums))
+    return num, math.prod(dens)
 
 
 class GapRep:

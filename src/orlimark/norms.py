@@ -20,10 +20,16 @@ Three norm families ride on top:
   Grids are geometric with 64 points per decade and start at the scan's
   lower exponent p_lo; a maximizer at the right edge triggers two fourfold
   extensions before the scan is declared divergent.  The winning grid point
-  is polished by golden section (``conjugate._golden_lanes``), unless it is
+  is polished by a root of the log ratio's slope in log p, unless it is
   p_lo and the ratio does not rise off that edge, and re-validated with the
-  exact norm and an exact weight.  The scans' cached-node evaluators, and
-  the model of the log modular, are built on ``quadrature._NodeRule``.
+  exact norm and an exact weight.  The slope of the weight is psi'(p) =
+  (y*(p) - psi_log(p)) / p, y* the maximizer of the conjugate solve
+  (Danskin's envelope theorem), and each cached-node evaluator reports the
+  slope of its log norm from the node values it holds: the L_p evaluator
+  the mean of log|f| under the normalised weights of |f|^p, the layer cake
+  the mean of log T, the weak form log T at its parabola's vertex.  The
+  scans' cached-node evaluators, and the model of the log modular, are
+  built on ``quadrature._NodeRule``.
 * ``lorentz_norm``: distribution-function based two-parameter norms,
   including the sup form at the second index equal to infinity.  Both work
   on the intervals between consecutive critical values of |f|, where T is
@@ -37,8 +43,8 @@ norms, for the harness and the command line alike.
 The knee, the root of the model of the log modular and, when the model
 does not settle, the Luxemburg root itself are found by
 ``quadrature._bracketed_root`` with Brent's tolerances, at the end of the
-collapsed bracket with the smaller residual; so is the maximum of the weak
-Lorentz form.
+collapsed bracket with the smaller residual; so is the polish of a
+sup-over-p scan, and the maximum of the weak Lorentz form.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import ConjugateCache, PhiSpec, _golden_lanes, psi_log as _psi_log_exact, young_fenchel, young_fenchel_or_inf
+from .conjugate import ConjugateCache, PhiSpec, psi_log as _psi_log_exact, young_fenchel, young_fenchel_or_inf
 from .errors import (
     ConstructionError,
     ConvergenceFailureError,
@@ -74,10 +80,6 @@ from .quadrature import (
     lp_quasinorm,
     sup_norm,
 )
-
-# probe step in log p off the left edge of a scan, close to sqrt(eps)
-_EDGE_STEP = 1e-8
-
 
 def _root(fn, x_neg: float, x_pos: float, f_neg: float, f_pos: float, xtol: float):
     """The end of smaller |fn| of [x_neg, x_pos], with fn = f_neg <= 0 and
@@ -286,19 +288,26 @@ def _sup_over_p(make_log_norm, exact_norm, phi: PhiSpec, cache: ConjugateCache, 
     """sup over grid p >= p_lo of exp(log_norm(p) - psi_log(p)), certified.
 
     The cache grid must start at p_lo (to 1e-12 relative), or ValueError.
-    make_log_norm(p_hi) returns a cached-node log norm of an array of p, for
-    a grid up to p_hi; it is called again after each fourfold extension of
-    the grid, so evaluators can re-panelize for the larger exponents.  A copy of the
-    cache takes the extensions: the one passed in stays as built.  The grid
-    winner is polished by golden section in log p, which assumes the ratio
-    unimodal; a winner at p_lo skips the polish when the ratio at
-    log p_lo + 1e-8 is no higher than at the edge.
+    make_log_norm(p_hi) returns a cached-node log norm of an array of p and
+    its derivative in p, for a grid up to p_hi; it is called again after
+    each fourfold extension of the grid, so evaluators can re-panelize for
+    the larger exponents.  A copy of the cache takes the extensions: the one
+    passed in stays as built.
+
+    The grid winner p_k is polished by a root of the log ratio's slope in
+    x = log p, p (d log_norm / dp - psi'(p)), with p psi'(p) = y*(p) -
+    psi_log(p) from the maximizer y* of the conjugate solve (Danskin), on
+    [log p_(k-1), log p_(k+1)] clamped to the grid, to 1e-11 in x.  It runs
+    only when the slope rises at the left end and falls at the right, where
+    a diverging conjugate counts as falling: a winner at p_lo whose ratio
+    does not rise off the edge keeps its grid value, and so does a log
+    ratio of -inf (f = 0).
     The result is re-validated with exact_norm(p) and an exact weight; the
     fast value counts only if the two agree to 1e-6.
     """
     if not abs(cache.grid[0] - p_lo) <= 1e-12 * cache.grid[0]:
         raise ValueError(f"conjugate cache grid starts at p = {cache.grid[0]!r}, not at p_lo = {p_lo!r}")
-    log_norm = make_log_norm(cache.p_hi)
+    log_norm, slope = make_log_norm(cache.p_hi)
     extensions = 0
     while True:
         grid = cache.grid
@@ -313,23 +322,31 @@ def _sup_over_p(make_log_norm, exact_norm, phi: PhiSpec, cache: ConjugateCache, 
             )
         cache = copy.copy(cache)
         cache.extend()
-        log_norm = make_log_norm(cache.p_hi)
+        log_norm, slope = make_log_norm(cache.p_hi)
         extensions += 1
 
-    def ratio(x):
-        p = math.exp(x)
-        return log_norm(np.array([p]))[0] - young_fenchel_or_inf(phi, p) / p
+    hstar = {}
 
-    a = math.log(grid[max(k - 1, 0)])
+    def falls(x: float) -> float:
+        """minus the slope of the log ratio at x = log p, +inf where the
+        conjugate diverges; keeps h*(p) for the value at the root."""
+        p = math.exp(x)
+        hstar[x], y = young_fenchel_or_inf(phi, p, argmax=True)
+        if hstar[x] == math.inf:
+            return math.inf
+        return y - hstar[x] / p - p * float(slope(np.array([p]))[0])
+
     best_log, p_star = float(vals[k]), float(grid[k])
-    # a winner at p_lo whose ratio does not rise off the edge keeps its grid
-    # value: with the ratio unimodal the maximum then lies within _EDGE_STEP
-    # of the edge, where it exceeds the edge value by far less than rounding
-    if k > 0 or ratio(a + _EDGE_STEP) > ratio(a):
-        b = math.log(grid[min(k + 1, len(grid) - 1)])
-        x, fx = _golden_lanes(lambda xs, _lanes: np.array([ratio(x) for x in xs]), np.array([a]), np.array([b]), 1e-11, 0.0)
-        if fx[0] > best_log:
-            best_log, p_star = float(fx[0]), math.exp(x[0])
+    a, b = math.log(grid[max(k - 1, 0)]), math.log(grid[min(k + 1, len(grid) - 1)])
+    # polish only a ratio that rises at a and falls at b
+    g_a = falls(a) if math.isfinite(best_log) else math.nan
+    g_b = falls(b) if g_a < 0.0 else math.nan
+    if g_b >= 0.0:
+        x, _g = _root(lambda xs: np.array([falls(float(xs[0]))]), a, b, g_a, g_b, 1e-11)
+        p = math.exp(x)
+        fast = float(log_norm(np.array([p]))[0]) - hstar[x] / p
+        if fast > best_log:
+            best_log, p_star = fast, p
     value = exact_norm(p_star) * math.exp(-_psi_log_exact(phi, p_star))
     fast = math.exp(best_log)
     ok = abs(value - fast) <= 1e-6 * max(value, fast, 1e-300)
@@ -349,8 +366,9 @@ def _g_scan(f, phi: PhiSpec, domain: Domain | None, cfg: QuadratureConfig, cache
         lo, hi = beta(p_lo), beta(p_hi)
         # beta = p spans decades, beta < 1 / r does not
         mid = math.sqrt(lo * hi) if r == 0.0 else 0.5 * (lo + hi)
-        log_norm = PowerNormEvaluator(f, dom, cfg, yardsticks=(lo, mid, hi)).log_norm
-        return lambda p: log_norm(beta(p))
+        ev = PowerNormEvaluator(f, dom, cfg, yardsticks=(lo, mid, hi))
+        # d beta / dp = 1 / (p r + 1)^2
+        return (lambda p: ev.log_norm(beta(p))), (lambda p: ev.slope(beta(p)) / (p * r + 1.0) ** 2)
 
     # f identically zero needs no special case: every log ratio is -inf and
     # the scan collapses to value 0; this also keeps unbounded f (integrable
@@ -590,6 +608,11 @@ class _LayerCakeEvaluator(_NodeRule):
         """log ||f||_(p,b) at each p of the array ps."""
         return self.log_mean(lambda log_t: (ps[:, None] / self._b) * log_t) / self._b
 
+    def slope(self, ps):
+        """d log ||f||_(p,b) / dp at each p of the array ps: E_pi[log T] / b^2,
+        pi the normalised node weights of the layer cake at p."""
+        return self.log_mean(lambda log_t: (ps[:, None] / self._b) * log_t, moment=True)[1] / self._b**2
+
 
 class _WeakLorentzEvaluator:
     """Cached-node evaluator of p -> log ||f||_(p,inf), for scans."""
@@ -608,22 +631,39 @@ class _WeakLorentzEvaluator:
         self._inner = np.zeros(self._s.size, dtype=bool)
         self._inner[1:-1] = np.floor(self._s[:-2]) == np.floor(self._s[2:])
 
-    def log_value(self, ps):
-        """log ||f||_(p,inf) at each p of the array ps."""
+    def _vertex(self, ps):
+        """For each p of the array ps: the best node k, its two neighbours
+        (k itself where they leave its interval), the offset in node steps of
+        the vertex of the parabola through the three, which are equally
+        spaced in s, and the value at k."""
         vals = self._log_w[None, :] + self._log_t[None, :] / ps[:, None]
-        # the best node, and the value at the vertex of the parabola
-        # through it and its two neighbours, which are equally spaced in s
         k = np.argmax(vals, axis=1)
         rows = np.arange(ps.size)
         inner = self._inner[k]
-        mid = vals[rows, k]
-        left = vals[rows, np.where(inner, k - 1, k)]
-        right = vals[rows, np.where(inner, k + 1, k)]
-        curv = left - 2.0 * mid + right
+        left, right = np.where(inner, k - 1, k), np.where(inner, k + 1, k)
+        mid, v_left, v_right = vals[rows, k], vals[rows, left], vals[rows, right]
+        curv = v_left - 2.0 * mid + v_right
         with np.errstate(divide="ignore", invalid="ignore"):
-            shift = np.where(inner & (curv < 0.0), 0.5 * (left - right) / curv, 0.0)
+            shift = np.where(inner & (curv < 0.0), 0.5 * (v_left - v_right) / curv, 0.0)
+        return k, left, right, shift, mid
+
+    def log_value(self, ps):
+        """log ||f||_(p,inf) at each p of the array ps: the larger of the best
+        node's value and the exact value at the parabola's vertex."""
+        k, _left, _right, shift, mid = self._vertex(ps)
+        with np.errstate(divide="ignore", invalid="ignore"):
             w, _dw, log_t = self._at(self._s[k] + shift * self._step)
             return np.maximum(mid, np.log(w) + log_t / ps)
+
+    def slope(self, ps):
+        """d log ||f||_(p,inf) / dp at each p of the array ps: -log T(s*) / p^2
+        at the vertex s*, log T there from the parabola through the three
+        nodes' values, so that no crossing is solved."""
+        k, left, right, shift, _mid = self._vertex(ps)
+        t_left, t_mid, t_right = self._log_t[left], self._log_t[k], self._log_t[right]
+        with np.errstate(invalid="ignore"):
+            log_t = t_mid + 0.5 * shift * (t_right - t_left) + 0.5 * shift**2 * (t_left - 2.0 * t_mid + t_right)
+        return -np.where(shift == 0.0, t_mid, log_t) / ps**2
 
 
 def weighted_lorentz_g(
@@ -644,9 +684,8 @@ def weighted_lorentz_g(
         return 0.0
 
     def make_log_norm(p_hi):
-        if math.isinf(b):
-            return _WeakLorentzEvaluator(sampler).log_value
-        return _LayerCakeEvaluator(sampler, b, cfg, p_hi).log_value
+        ev = _WeakLorentzEvaluator(sampler) if math.isinf(b) else _LayerCakeEvaluator(sampler, b, cfg, p_hi)
+        return ev.log_value, ev.slope
 
     def exact_norm(p):
         return lorentz_norm(f, p, b, dom, cfg, sampler=sampler)

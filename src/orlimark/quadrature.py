@@ -18,8 +18,9 @@ reduces to three primitives implemented here:
   every function representation reports (the domain ends and the zeros of
   f and f'), on which |f| is monotone; each crossing of a level is solved
   to a collapsed bracket by ``_bracketed_root``, the one root solver, which
-  also finds the maximum of the weak Lorentz form, the splice knee and the
-  Luxemburg root in the norms module.  The same crossings give the slope
+  also finds the maximum of the weak Lorentz form, the polish of the
+  sup-over-p scans, the splice knee and the Luxemburg root in the norms
+  module.  The same crossings give the slope
   T'(w), from the derivative each bounded representation reports.
   ``sup_norm`` is the largest |f| over the same break points.
 
@@ -86,8 +87,8 @@ class QuadratureConfig:
     max_depth: int = 48
 
     def __post_init__(self):
-        if not (self.rel_tol > 0.0):
-            raise ValueError("rel_tol must be positive")
+        if not (0.0 < self.rel_tol < math.inf):
+            raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
         if self.max_depth < 1:
             raise ValueError("degenerate quadrature configuration")
 
@@ -346,12 +347,23 @@ class _NodeRule:
             g[~kept], logw[~kept] = self._values(*_panel_nodes(lo[~kept], hi[~kept], *self._open))
         self._lo, self._hi, self.g, self.logw = lo, hi, g, logw
 
-    def log_mean(self, log_integrand) -> np.ndarray:
+    def log_mean(self, log_integrand, moment: bool = False):
         """log of the rule applied to exp(log_integrand(g)) plus log_density,
-        one per row: g is the row of node values."""
+        one per row: g is the row of node values.
+
+        With ``moment`` it also returns, per row, the mean of g under the
+        normalised weights pi of the rule's terms; a node whose term is 0
+        (g = -inf, say) has weight 0 and adds 0.
+        """
+        g = self.g.ravel()[None, :]
         with np.errstate(invalid="ignore"):
-            a = log_integrand(self.g.ravel()[None, :]) + self.logw.ravel()[None, :]
-        return _logsumexp(a) + self._log_density
+            a = log_integrand(g) + self.logw.ravel()[None, :]
+        log_sum = _logsumexp(a)
+        if not moment:
+            return log_sum + self._log_density
+        with np.errstate(invalid="ignore"):
+            pi = np.exp(a - log_sum[:, None])
+        return log_sum + self._log_density, np.sum(pi * np.where(pi > 0.0, g, 0.0), axis=1)
 
 
 class PowerNormEvaluator:
@@ -376,6 +388,14 @@ class PowerNormEvaluator:
         """log ||f||_p at each p > 0 of an array of exponents."""
         p_arr = np.atleast_1d(np.asarray(p, dtype=float))
         return self._rule.log_mean(lambda g: p_arr[:, None] * g) / p_arr
+
+    def slope(self, p):
+        """d log ||f||_p / dp at each p > 0 of an array of exponents:
+        (E_pi[log|f|] - log ||f||_p) / p, pi the normalised node weights of
+        |f|^p."""
+        p_arr = np.atleast_1d(np.asarray(p, dtype=float))
+        log_mean, mean_log_f = self._rule.log_mean(lambda g: p_arr[:, None] * g, moment=True)
+        return (mean_log_f - log_mean / p_arr) / p_arr
 
 
 def lp_quasinorm(f, p: float, domain: Domain, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:

@@ -259,6 +259,44 @@ def test_cache_matches_scalar(phi):
         assert_same_bits(cache.hstar, scalar_solves(phi, cache.grid))
 
 
+@pytest.mark.parametrize("solve", [young_fenchel, psi_log, psi])
+def test_infinite_exponent_rejected(phi2, solve):
+    with pytest.raises(ValueError, match="p must be finite"):
+        solve(phi2, math.inf)
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: power_log(math.inf), "m"),
+        (lambda: power_log(2.0, math.inf), "r"),
+        (lambda: power_log(2.0, math.nan), "r"),
+        (lambda: log_power(math.inf), "nu"),
+    ],
+    ids=["m=inf", "r=inf", "r=nan", "nu=inf"],
+)
+def test_non_finite_parameter_rejected(build, name):
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        build()
+
+
+@pytest.mark.parametrize("m", [1.0, 2.0, 8.0, 200.0])
+def test_argmax_is_the_maximizer(m):
+    # for z^m the maximizer of p y - e^(m y) is log(p/m)/m; the value keeps
+    # its bits, and y* sits well inside the band where the value is flat
+    phi = power_log(m)
+    for p in (1.0, 3.7, 64.0, 2000.0):
+        value, y = young_fenchel(phi, p, argmax=True)
+        assert value == young_fenchel(phi, p)
+        assert abs(y - math.log(p / m) / m) <= 1e-10
+
+
+def test_argmax_of_a_diverging_conjugate():
+    # the tabulated curve continues linearly, so h* diverges once p passes its slope
+    phi = tabulated_phi([0.5, 1.0, 2.0, 4.0, 8.0], [0.05, 0.2, 0.9, 4.0, 20.0])
+    assert young_fenchel_or_inf(phi, 64.0, argmax=True) == (math.inf, math.inf)
+
+
 def test_grid_solve_rejects_small_p(phi2):
     with pytest.raises(ValueError):
         young_fenchel_grid(phi2, [1.0, 0.4, 2.0])

@@ -278,6 +278,13 @@ class TestGap:
         with pytest.raises(ValueError):
             GapRep([(0.0, 1.0, 0.5)])
 
+    def test_real_node_adds_no_break_points_beside_it(self):
+        # a real node's term of the log-derivative is r / (x - a); carried as
+        # r (x - a) / (x - a)^2 it left near-double roots of N^2 + N'D - ND'
+        # 3e-8 either side of the node, where neither f nor f' vanishes
+        dg = derivative(GapRep([(0.1, 0.0, 2.0), (-0.5, 0.4, 1.5)]), 1)
+        assert np.array_equal(dg.break_points(Domain.interval()), [-1.0, 0.1, 1.0])
+
 
 def test_negative_derivative_order_rejected():
     trig = TrigPolynomialRep([0.5, 1.0], [2.0])

@@ -388,10 +388,18 @@ class TestGNorm:
         if p_star == 1:
             assert info.p_star == 1.0
 
-    @pytest.mark.parametrize("p_peak, most, least", [("0.999", 2, 0), ("1.2", math.inf, 40)])
+    @pytest.mark.parametrize("p_peak", ["1.0001", "1.2", "3", "20"])
+    def test_polish_finds_the_maximizer(self, p_peak):
+        # the slope root lands within 1e-9 of the closed-form maximizer:
+        # the weight's slope comes from a maximizer y* that is not biased
+        # by golden section's ties
+        f, phi, p_star, _value = self._edge_case(p_peak)
+        assert abs(g_norm_info(f, phi).p_star / p_star - 1) <= 1e-9
+
+    @pytest.mark.parametrize("p_peak, most, least", [("0.999", 2, 0), ("1.2", 20, 3)])
     def test_edge_winner_skips_the_polish(self, p_peak, most, least, monkeypatch):
-        # the edge probe costs two conjugate solves; an interior peak still
-        # pays for the whole golden polish
+        # the slope at the edge costs one conjugate solve; an interior peak
+        # pays for the derivative root, a few solves
         f, phi, _p_star, _value = self._edge_case(p_peak)
         cache = ConjugateCache(phi)
         calls = []
@@ -406,20 +414,25 @@ class TestGNorm:
         assert least <= len(calls) <= most
 
     @pytest.mark.parametrize(
-        "m, value, p_star, extensions",
+        "m, value, p_near, extensions",
         [
             (200.0, 0.988057896166384, 2000.4739732549451, 1),
             (1000.0, 0.9974523520414863, 11774.930833972616, 2),
         ],
     )
-    def test_grid_extension(self, m, value, p_star, extensions):
+    def test_grid_extension(self, m, value, p_near, extensions):
         # x^30 against a steep weight peaks beyond the initial grid, so the
-        # scan has to extend the grid once or twice before it stops rising
+        # scan has to extend the grid once or twice before it stops rising;
+        # log(||x^30||_p / psi(p)) = -log(30p + 1)/p - (log(p/m) - 1)/m has
+        # its maximum where log(30p + 1)/p - 30/(30p + 1) = 1/m, found to 40
+        # digits from p_near
         info = g_norm_info(PolynomialRep([0.0] * 30 + [1.0]), power_log(m))
         assert info.extensions == extensions
         assert info.tolerance_met
         assert info.value == pytest.approx(value, rel=1e-12)
-        assert info.p_star == pytest.approx(p_star, rel=1e-9)
+        with mp.workdps(40):
+            p_star = mp.findroot(lambda p: mp.log(30 * p + 1) / p - 30 / (30 * p + 1) - 1 / mp.mpf(m), p_near)
+        assert abs(info.p_star / p_star - 1) <= 1e-8
 
 
     def test_extension_leaves_the_shared_cache_as_built(self):
@@ -889,6 +902,53 @@ class TestWeightedLorentzG:
         k = int(np.argmax(vals))
         _x, best = golden_max(log_ratio, grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)], tol=1e-14)
         assert got == pytest.approx(math.exp(max(best, vals[k])), rel=1e-9)
+
+
+    @pytest.mark.parametrize("m", [2.0, 8.0])
+    def test_weak_eighth_power_closed_form(self, m, ctx):
+        # ||x^8||_(p,inf) = sup_t t^8 (1 - t)^(1/p) = (8p/(8p+1))^8 (8p+1)^(-1/p),
+        # and log psi(p) = (log(p/m) - 1)/m, so the log ratio has its one
+        # maximum where m log(8p + 1) = p
+        phi = power_log(m)
+        got = weighted_lorentz_g(PolynomialRep([0.0] * 8 + [1.0]), phi, math.inf, cache=ctx.conjugates(phi))
+        with mp.workdps(40):
+            mm = mp.mpf(m)
+            p = mp.findroot(lambda p: mm * mp.log(8 * p + 1) - p, 6 * mm)
+            expect = (8 * p / (8 * p + 1)) ** 8 * (8 * p + 1) ** (-1 / p) * mp.exp(-(mp.log(p / mm) - 1) / mm)
+        assert abs(got / expect - 1) <= 1e-12
+
+
+def _central_difference(log_value, ps, rel=1e-5):
+    step = rel * ps
+    return (log_value(ps + step) - log_value(ps - step)) / (2.0 * step)
+
+
+class TestEvaluatorSlopes:
+    """Each cached-node evaluator's slope in p against a central difference
+    of its own log value: the power and layer-cake means are exact
+    derivatives of their node sums; the weak form's slope reads log T at
+    the vertex from the parabola through three nodes, its value from T
+    itself there."""
+
+    PS = np.array([1.0, 2.5, 7.0, 30.0, 200.0])
+
+    @pytest.mark.parametrize("label", ["poly-03", "poly-30", "gap-01", "rational-02", "trig-02"])
+    def test_power_norm(self, label):
+        f = dict(build_corpus(7))[label]
+        ev = quadrature.PowerNormEvaluator(f, f.natural_domain, DEFAULT_CONFIG, yardsticks=(1.0, 32.0, 1024.0))
+        assert ev.slope(self.PS) == pytest.approx(_central_difference(ev.log_norm, self.PS), rel=1e-8)
+
+    @pytest.mark.parametrize("label", ["poly-03", "poly-30", "gap-01", "rational-02", "trig-02"])
+    def test_layer_cake(self, label):
+        f = dict(build_corpus(7))[label]
+        ev = norms._LayerCakeEvaluator(quadrature.LevelSampler(f, f.natural_domain), 2.0, DEFAULT_CONFIG, 1024.0)
+        assert ev.slope(self.PS) == pytest.approx(_central_difference(ev.log_value, self.PS), rel=1e-8)
+
+    @pytest.mark.parametrize("label", ["poly-03", "poly-30", "gap-01", "rational-02", "trig-02"])
+    def test_weak(self, label):
+        f = dict(build_corpus(7))[label]
+        ev = norms._WeakLorentzEvaluator(quadrature.LevelSampler(f, f.natural_domain))
+        assert ev.slope(self.PS) == pytest.approx(_central_difference(ev.log_value, self.PS), rel=1e-5, abs=1e-12)
 
 
 class TestEquivalenceConstants:

@@ -262,6 +262,11 @@ def test_distribution_rejects_nan_threshold():
         distribution(PolynomialRep([0.3, 1.0, -0.7]), math.nan, INTERVAL)
 
 
+def test_config_rejects_infinite_tolerance():
+    with pytest.raises(ValueError, match="rel_tol"):
+        QuadratureConfig(rel_tol=math.inf)
+
+
 def test_lp_quasinorm_rejects_infinite_exponent():
     with pytest.raises(ValueError, match="exponent"):
         lp_quasinorm(PolynomialRep([0.3, 1.0, -0.7]), math.inf, INTERVAL)

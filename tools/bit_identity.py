@@ -9,8 +9,10 @@ When they differ, ``--compare`` says where and by how much:
     PYTHONPATH=src python3 tools/bit_identity.py --compare a.txt b.txt
 
 It prints, for each record group, how many records differ and the largest
-relative difference among the numbers in them; a record whose text differs
-in more than its numbers (an exception in place of a value, say) counts as
+relative difference among the numbers in them, and that largest difference
+again for each named field (``value=``, ``p_star=``) on its own, so that a
+move of one field does not hide another's; a record whose text differs in
+more than its numbers (an exception in place of a value, say) counts as
 changed in form.
 
 Every float is written with ``repr`` (17 significant digits), and an
@@ -111,7 +113,8 @@ def band_records():
     for seed in (1, 11):
         band = Band(seed)
         for item in band.items():
-            yield "band", f"{seed} {item.label}", attempt(lambda: Band.value(item.call()))
+            # a scan's ScanResult prints its fields by name, for --compare
+            yield "band", f"{seed} {item.label}", attempt(item.call)
 
 
 def g_norm_records():
@@ -216,6 +219,8 @@ def cli_records():
 
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
+# a number and the name of the field it is written after (``p_star=``), if any
+FIELD_NUMBER = re.compile(rf"(?:(\w+)=)?({NUMBER.pattern})")
 
 
 def read_records(path):
@@ -257,10 +262,16 @@ def compare(path_a, path_b):
             continue
         worst = max(rel_diff(float(x), float(y)) for x, y in zip(NUMBER.findall(va), NUMBER.findall(vb)))
         g["max_rel"] = max(g.get("max_rel", 0.0), worst)
+        fields = g.setdefault("fields", {})
+        for (name, x), (_name, y) in zip(FIELD_NUMBER.findall(va), FIELD_NUMBER.findall(vb)):
+            if name:
+                fields[name] = max(fields.get(name, 0.0), rel_diff(float(x), float(y)))
     for kind, g in groups.items():
         line = f"{kind}: {g['differ']} of {g['records']} records differ"
         if g["differ"] > g["form"]:
             line += f", max rel diff {g['max_rel']:.3g}"
+            if g.get("fields"):
+                line += " (" + ", ".join(f"{name}= {diff:.3g}" for name, diff in g["fields"].items()) + ")"
         if g["form"]:
             line += f", {g['form']} changed in form"
         if g["only"]:
