@@ -285,14 +285,14 @@ def golden_max(obj, a, b, tol=1e-12, iters=200):
     return x2, f2
 
 
-def _golden_lanes(fn, a, b, atol: float, rtol: float):
+def _golden_lanes(fn, a, b, rtol: float):
     """golden_max on each bracket [a[i], b[i]] at once, lane by lane.
 
     fn(x, lanes) returns the objective of lane lanes[i] at x[i].  A lane
-    takes golden_max's steps and stops once b - a <= atol + rtol (1 + |a| +
-    |b|), or after 200 steps; only the lanes still moving are evaluated, one
-    fn call a step.  Returns each lane's better final probe, the left one on
-    a tie, as (x, fn(x)): at atol = 0 golden_max's bits, lane by lane.
+    takes golden_max's steps and stops once b - a <= rtol (1 + |a| + |b|),
+    or after 200 steps; only the lanes still moving are evaluated, one fn
+    call a step.  Returns each lane's better final probe, the left one on a
+    tie, as (x, fn(x)): golden_max's bits, lane by lane.
     """
     a, b = np.array(a, dtype=float), np.array(b, dtype=float)
     live = np.arange(a.size)
@@ -301,7 +301,7 @@ def _golden_lanes(fn, a, b, atol: float, rtol: float):
     f1, f2 = fn(x1, live), fn(x2, live)
     x, fx = np.empty_like(a), np.empty_like(a)
     for step in range(201):
-        done = (b - a <= atol + rtol * (1.0 + np.abs(a) + np.abs(b))) | (step == 200)
+        done = (b - a <= rtol * (1.0 + np.abs(a) + np.abs(b))) | (step == 200)
         if done.any():
             first = f1 >= f2
             x[live[done]], fx[live[done]] = np.where(first, x1, x2)[done], np.where(first, f1, f2)[done]
@@ -462,7 +462,7 @@ def young_fenchel_grid(phi: PhiSpec, ps, p_min: float = 0.5) -> np.ndarray:
         lo = np.where(np.isnan(lo), yl - step, lo)
 
         p = ps[solved]
-        _x, best = _golden_lanes(lambda y, lanes: obj(y, p[lanes]), lo[solved], hi[solved], 0.0, 1e-12)
+        _x, best = _golden_lanes(lambda y, lanes: obj(y, p[lanes]), lo[solved], hi[solved], 1e-12)
     for other in (fr[solved], fl[solved], f0[solved]):
         best = np.where(other > best, other, best)
     out = np.full(n, math.inf)

@@ -519,6 +519,13 @@ def _jacobi22_next(pm1: np.ndarray, pm2: np.ndarray, n: int) -> np.ndarray:
     return out / a
 
 
+def _degree(n, top: float) -> int:
+    """n as an int; ValueError naming it unless it is an integer in [0, top]."""
+    if not (math.isfinite(n) and int(n) == n and 0 <= n <= top):
+        raise ValueError(f"degree must be an integer in [0, {top}], got {n!r}")
+    return int(n)
+
+
 def jacobi22(n: int) -> PolynomialRep:
     """Ultraspherical polynomial with both weight exponents 2, degree n <= 200.
 
@@ -527,20 +534,15 @@ def jacobi22(n: int) -> PolynomialRep:
     stays at roundoff level.  The monomial ``coeffs`` are derived from the
     Chebyshev expansion by ``cheb2poly``.
     """
-    if int(n) != n:
-        raise ValueError(f"degree must be an integer: {n!r}")
-    if not (0 <= n <= 200):
-        raise ValueError(f"degree out of range [0, 200]: {n!r}")
     pm2, pm1 = np.zeros(0), np.array([1.0])
-    for k in range(1, int(n) + 1):
+    for k in range(1, _degree(n, 200) + 1):
         pm2, pm1 = pm1, _jacobi22_next(pm1, pm2, k)
     return PolynomialRep(np.polynomial.chebyshev.cheb2poly(pm1), cheb=pm1)
 
 
 def chebyshev_t(n: int) -> PolynomialRep:
     """Chebyshev polynomial of the first kind in monomial coefficients."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
+    n = _degree(n, math.inf)
     c = np.zeros(n + 1)
     c[n] = 1.0
     return PolynomialRep(np.polynomial.chebyshev.cheb2poly(c), cheb=c)

@@ -29,7 +29,8 @@ Three norm families ride on top:
   the mean of log|f| under the normalised weights of |f|^p, the layer cake
   the mean of log T, the weak form log T at its parabola's vertex.  The
   scans' cached-node evaluators, and the model of the log modular, are
-  built on ``quadrature._NodeRule``.
+  built on ``quadrature._NodeRule``; the integrals of one call read one
+  ``quadrature._NodeStore``, which computes each node's value once.
 * ``lorentz_norm``: distribution-function based two-parameter norms,
   including the sup form at the second index equal to infinity.  Both work
   on the intervals between consecutive critical values of |f|, where T is
@@ -71,12 +72,12 @@ from .quadrature import (
     PowerNormEvaluator,
     QuadratureConfig,
     _WEIGHTS,
+    _abs_nodes,
     _adaptive,
     _bracketed_root,
+    _lp_norm,
     _NodeRule,
-    break_points_of,
-    integrate_log,
-    log_abs_of,
+    _NodeStore,
     lp_quasinorm,
     sup_norm,
 )
@@ -198,13 +199,13 @@ def _luxemburg_detail(f, n: OrliczN, domain: Domain, cfg: QuadratureConfig):
     sup = sup_norm(f, domain)
     if sup == 0.0:
         return 0.0, 0.0, True
-    log_f, breaks, log_density = log_abs_of(f), break_points_of(f, domain), math.log(domain.density)
-    log_l1, _err, p_lo, p_hi = _adaptive(log_f, domain.lo, domain.hi, cfg, breaks)
-    lo = n.linear_slope * math.exp(log_l1 + log_density)
+    nodes = _abs_nodes(f, domain)
+    log_l1, _err, p_lo, p_hi = _adaptive(nodes, lambda g: g, cfg)
+    lo = n.linear_slope * math.exp(log_l1 + nodes.log_density)
     t_lo, t_k = math.log(lo), math.log(sup / n.splice_point)
     if t_lo >= t_k:
         return lo, 0.0, True
-    rule = _NodeRule(log_f, domain.lo, domain.hi, (p_lo, p_hi), log_density)
+    rule = _NodeRule(nodes, (p_lo, p_hi))
 
     def model(ts):
         """The model's log I at each t of the array ts."""
@@ -212,9 +213,9 @@ def _luxemburg_detail(f, n: OrliczN, domain: Domain, cfg: QuadratureConfig):
 
     def log_i(t: float) -> float:
         """The exact log modular at t; its panels join the model."""
-        value, _err, p_lo, p_hi = _adaptive(lambda xs: n.n_log_from_log_u(log_f(xs) - t), domain.lo, domain.hi, cfg, breaks)
+        value, _err, p_lo, p_hi = _adaptive(nodes, lambda g: n.n_log_from_log_u(g - t), cfg)
         rule.join(p_lo, p_hi)
-        return value + log_density
+        return value + nodes.log_density
 
     def at_jensen_end(v: float):
         # quadrature noise can put the root at or below t_lo when f is (near)
@@ -358,6 +359,7 @@ def _g_scan(f, phi: PhiSpec, domain: Domain | None, cfg: QuadratureConfig, cache
     g-norm family at r = 0 (beta = p exactly), the v-quasinorm at r >= 1."""
     dom = domain if domain is not None else f.natural_domain
     c = cache if cache is not None else ConjugateCache(phi, p_lo=p_lo)
+    nodes = _abs_nodes(f, dom)
 
     def beta(p):
         return p / (p * r + 1.0)
@@ -366,7 +368,7 @@ def _g_scan(f, phi: PhiSpec, domain: Domain | None, cfg: QuadratureConfig, cache
         lo, hi = beta(p_lo), beta(p_hi)
         # beta = p spans decades, beta < 1 / r does not
         mid = math.sqrt(lo * hi) if r == 0.0 else 0.5 * (lo + hi)
-        ev = PowerNormEvaluator(f, dom, cfg, yardsticks=(lo, mid, hi))
+        ev = PowerNormEvaluator(nodes, cfg, yardsticks=(lo, mid, hi))
         # d beta / dp = 1 / (p r + 1)^2
         return (lambda p: ev.log_norm(beta(p))), (lambda p: ev.slope(beta(p)) / (p * r + 1.0) ** 2)
 
@@ -374,7 +376,7 @@ def _g_scan(f, phi: PhiSpec, domain: Domain | None, cfg: QuadratureConfig, cache
     # the scan collapses to value 0; this also keeps unbounded f (integrable
     # singularities) out of sup_norm, which rejects them.
     try:
-        return _sup_over_p(make_log_norm, lambda p: lp_quasinorm(f, beta(p), dom, cfg), phi, c, p_lo)
+        return _sup_over_p(make_log_norm, lambda p: _lp_norm(nodes, beta(p), cfg), phi, c, p_lo)
     except ConvergenceFailureError as err:
         # an L_p member that the adaptive integrator cannot settle means the
         # scanned ratio has no certified finite supremum
@@ -467,32 +469,32 @@ def _log_w_power(w, b: float):
         return (b - 1.0) * np.log(w)
 
 
-def _log_layer_cake(at, b: float):
-    """(s, p) -> log of b w^(b-1) T(w)^(p/b) dw/ds, for the level map ``at``.
+def _level_nodes(sampler: LevelSampler) -> _NodeStore:
+    """A node store of (w, dw/ds, log T) on the level map of the sampler,
+    s in [0, K]; each critical interval (a unit interval of s) starts as
+    eight panels."""
+    k, at = _level_map(sampler)
+    return _NodeStore(at, 0.0, float(k), np.arange(8 * k + 1) / 8)
+
+
+def _log_layer_cake(p: float, b: float):
+    """(w, dw/ds, log T) -> log of b w^(b-1) T(w)^(p/b) dw/ds, on the rows of
+    a level-map node store.
 
     Its integral over s in [0, K] is ||f||_(p,b)^b.  Summed in log space, it
     holds for every scale of f, where w^(b-1) alone over- or underflows.
     """
 
-    def log_integrand(s, p):
-        w, dw, log_t = at(s)
+    def log_integrand(w, dw, log_t):
         with np.errstate(divide="ignore"):
             return (p / b) * log_t + _log_w_power(w, b) + np.log(dw) + math.log(b)
 
     return log_integrand
 
 
-def _eighths(k: int) -> np.ndarray:
-    """The eighths of [0, K]: each critical interval (a unit interval of s)
-    starts as eight panels."""
-    return np.arange(8 * k + 1) / 8
-
-
-def _lorentz_finite(sampler: LevelSampler, p: float, b: float, cfg: QuadratureConfig) -> float:
-    k, at = _level_map(sampler)
-    log_integrand = _log_layer_cake(at, b)
-    log_i = integrate_log(lambda s: log_integrand(s, p), 0.0, float(k), cfg, _eighths(k))
-    return math.exp(log_i / b)
+def _lorentz_finite(nodes: _NodeStore, p: float, b: float, cfg: QuadratureConfig) -> float:
+    """||f||_(p,b) at finite b, the layer cake integrated on a level-map node store."""
+    return math.exp(_adaptive(nodes, _log_layer_cake(p, b), cfg)[0] / b)
 
 
 # probes per critical interval of the weak form, and the width in s to which
@@ -581,28 +583,27 @@ def lorentz_norm(
     s = sampler if sampler is not None else LevelSampler(f, dom)
     if s.sup_estimate == 0.0:
         return 0.0
-    return _lorentz_sup(s, p) if math.isinf(b) else _lorentz_finite(s, p, b, cfg)
+    return _lorentz_sup(s, p) if math.isinf(b) else _lorentz_finite(_level_nodes(s), p, b, cfg)
 
 
 class _LayerCakeEvaluator(_NodeRule):
     """Cached-node evaluator of p -> log ||f||_(p,b) at finite b, for scans:
     a node rule over s in [0, K] on the panels of the layer cake at p = 1, 32
-    and p_hi, each started as in _lorentz_finite.  A node holds log T(w) and
-    the log of its weight in the layer cake b int w^(b-1) T^(p/b) dw."""
+    and p_hi, all three integrated on the level-map node store ``nodes``.  A
+    node holds log T(w) and the log of its weight in the layer cake
+    b int w^(b-1) T^(p/b) dw."""
 
-    def __init__(self, sampler: LevelSampler, b: float, cfg: QuadratureConfig, p_hi: float):
-        k, self._at = _level_map(sampler)
+    def __init__(self, nodes: _NodeStore, b: float, cfg: QuadratureConfig, p_hi: float):
         self._b = b
-        log_integrand, ends = _log_layer_cake(self._at, b), []
+        ends = []
         for p in (1.0, 32.0, p_hi):
-            ends += _adaptive(lambda s, p=float(p): log_integrand(s, p), 0.0, float(k), cfg, _eighths(k))[2:]
-        super().__init__(None, 0.0, float(k), ends)
+            ends += _adaptive(nodes, _log_layer_cake(float(p), b), cfg)[2:]
+        super().__init__(nodes, ends)
 
-    def _values(self, xs, half):
-        w, dw, log_t = self._at(xs.ravel())
+    def _row(self, cols, half):
+        w, dw, log_t = cols
         with np.errstate(divide="ignore"):
-            log_c = np.log(self._b * (_WEIGHTS[None, :] * half[:, None]).ravel() * dw) + _log_w_power(w, self._b)
-        return log_t.reshape(xs.shape), log_c.reshape(xs.shape)
+            return log_t, np.log(self._b * (_WEIGHTS[None, :] * half[:, None]) * dw) + _log_w_power(w, self._b)
 
     def log_value(self, ps):
         """log ||f||_(p,b) at each p of the array ps."""
@@ -683,12 +684,15 @@ def weighted_lorentz_g(
     if sampler.sup_estimate == 0.0:
         return 0.0
 
+    # at finite b the evaluators and the exact layer cake share one store
+    nodes = None if math.isinf(b) else _level_nodes(sampler)
+
     def make_log_norm(p_hi):
-        ev = _WeakLorentzEvaluator(sampler) if math.isinf(b) else _LayerCakeEvaluator(sampler, b, cfg, p_hi)
+        ev = _WeakLorentzEvaluator(sampler) if nodes is None else _LayerCakeEvaluator(nodes, b, cfg, p_hi)
         return ev.log_value, ev.slope
 
     def exact_norm(p):
-        return lorentz_norm(f, p, b, dom, cfg, sampler=sampler)
+        return _lorentz_sup(sampler, p) if nodes is None else _lorentz_finite(nodes, p, b, cfg)
 
     return _sup_over_p(make_log_norm, exact_norm, phi, c, 1.0).value
 

@@ -28,14 +28,18 @@ Adaptive integrals of functions of |f| (``lp_quasinorm``, the panels of
 ``PowerNormEvaluator`` and the Luxemburg modular in the norms module) start
 with the break points of f as panel edges besides the uniform ones, as
 QUADPACK's QAGP takes known singular points: |f| has a kink at every zero
-of f.  Each of these functions asks f for its break points itself; a
-representation computes them once per domain and keeps them, so repeated
-calls on the same f reuse one array.  An object that reports no break
-points starts from the uniform panels.
+of f.  A representation computes its break points once per domain and
+keeps them.  An object that reports no break points starts from the
+uniform panels.
 
-The p scans' ``PowerNormEvaluator``, the Luxemburg model and the finite-b
-Lorentz evaluator of the norms module rest on one cached-node rule,
-``_NodeRule``: a value once per Gauss node, one log-sum-exp per query.
+Every integral reads its node values from a ``_NodeStore`` that lives for
+one call.  A call that integrates the same node values several times (the
+Luxemburg solve, a p scan with its re-validation, the finite-b Lorentz
+scan) shares one store, so each Gauss panel's values are computed once, as
+Gander & Gautschi (2000) reuse integrand values across refinements.  The
+scans' ``PowerNormEvaluator``, the Luxemburg model and the finite-b Lorentz
+evaluator rest on one cached-node rule, ``_NodeRule``, that reads the same
+store: one log-sum-exp per query.
 
 The norms are taken against Lebesgue measure scaled to total mass one:
 ``integrate_log`` integrates against plain dx, and its callers add
@@ -140,18 +144,13 @@ def break_points_of(f, domain: Domain):
     return None if report is None else report(domain)
 
 
-def _log_at(log_f, xs: np.ndarray) -> np.ndarray:
-    """log_f at the nodes xs, in their shape; raises at the first NaN or +inf
-    value, while -inf is a zero."""
-    values = log_f(xs.ravel()).reshape(xs.shape)
+def _check_finite(values: np.ndarray, nodes, p_lo, p_hi) -> None:
+    """Raise DomainEvaluationError at the first NaN or +inf of the rows of
+    values at the nodes of the panels [p_lo, p_hi]; -inf is a zero."""
     bad = ~np.isfinite(values) & ~np.isneginf(values)
     if bad.any():
-        idx = int(np.argmax(bad))
-        x = float(np.ravel(xs)[idx])
-        raise DomainEvaluationError(
-            f"integrand is not finite at x = {x!r}", abscissa=x
-        )
-    return values
+        x = float(_panel_nodes(p_lo, p_hi, *nodes.open)[0].ravel()[np.argmax(bad)])
+        raise DomainEvaluationError(f"integrand is not finite at x = {x!r}", abscissa=x)
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -207,35 +206,83 @@ def _initial_edges(lo, hi, count, breaks):
     return np.sort(np.concatenate([edges, inner]))
 
 
-def _adaptive(log_f, lo, hi, cfg, breaks):
-    """Adaptive quadrature of exp(log_f) over [lo, hi], in log space.
+class _NodeStore:
+    """The node values of one call's integrals over [lo, hi], each computed
+    once.
 
-    All active panels are bisected together each wave, so the integrand is
-    evaluated in large vectorized batches.  A panel's children are accepted
-    once the parent-children discrepancy fits in a budget proportional to
-    the panel's share of the domain; a global test retires the whole queue
-    early when the total outstanding discrepancy is already below tolerance.
-    The points of ``breaks`` inside (lo, hi), where the integrand may have a
-    kink, are initial panel edges besides the uniform ones, as QUADPACK's
-    QAGP takes its break points.
+    ``values`` maps a flat array of abscissae to a tuple of arrays of its
+    shape: log|f| for the integrals of a function of |f|, (w, dw/ds, log T)
+    on the level map of the Lorentz layer cake.  A panel's row of values at
+    its 16 Gauss nodes is computed on its first request and found again by
+    its exact ends, lo + 1j hi, in one sorted array.  Every integral of a call
+    starts from the same ``edges`` (the uniform ones and the break points,
+    merged once) and halves its panels, so panels recur bit for bit.
+    Integrals against the normalized measure add ``log_density``.
+    """
+
+    def __init__(self, values, lo: float, hi: float, breaks, log_density: float = 0.0):
+        self._values = values
+        self.lo, self.hi, self.log_density = lo, hi, log_density
+        self.open = np.nextafter(lo, hi), np.nextafter(hi, lo)
+        self.edges = _initial_edges(lo, hi, _INITIAL_PANELS, breaks)
+        # the sorted keys, and the row of each in the columns of values
+        self._keys, self._index = self.edges[:-1] + 1j * self.edges[1:], np.arange(self.edges.size - 1)
+        self._cols = self._evaluate(self.edges[:-1], self.edges[1:])
+
+    def _evaluate(self, p_lo, p_hi):
+        xs = _panel_nodes(p_lo, p_hi, *self.open)[0]
+        return [v.reshape(xs.shape) for v in self._values(xs.ravel())]
+
+    def rows(self, p_lo, p_hi):
+        """The values at the nodes of the distinct panels [p_lo, p_hi], one
+        (panels, 16) array per value."""
+        keys = p_lo + 1j * p_hi
+        at = np.minimum(np.searchsorted(self._keys, keys), self._keys.size - 1)
+        new = self._keys[at] != keys
+        at = self._index[at]
+        if new.any():
+            at[new] = self._cols[0].shape[0] + np.arange(np.count_nonzero(new))
+            self._cols = [np.concatenate([c, v]) for c, v in zip(self._cols, self._evaluate(p_lo[new], p_hi[new]))]
+            keys = np.concatenate([self._keys, keys[new]])
+            order = np.argsort(keys, kind="stable")
+            self._keys, self._index = keys[order], np.concatenate([self._index, at[new]])[order]
+        return tuple(c[at] for c in self._cols)
+
+
+def _abs_nodes(f, domain: Domain) -> _NodeStore:
+    """A node store of log|f| on the domain, whose integrals start at the
+    break points of f and are taken against the normalized measure."""
+    log_f = log_abs_of(f)
+    return _NodeStore(lambda xs: (log_f(xs),), domain.lo, domain.hi, break_points_of(f, domain), math.log(domain.density))
+
+
+def _adaptive(nodes: _NodeStore, transform, cfg):
+    """Adaptive quadrature of exp(transform(*rows)) over the interval of the
+    node store ``nodes``, in log space, from its initial edges.
+
+    All active panels are bisected together each wave, and their node values
+    come from the store in one batch.  A panel's children are accepted once
+    the parent-children discrepancy fits in a budget proportional to the
+    panel's share of the domain; a global test retires the whole queue early
+    when the total outstanding discrepancy is already below tolerance.  The
+    store's edges hold the break points, where the integrand may have a
+    kink, as QUADPACK's QAGP takes its break points.
 
     Returns the log of the integral, the error estimate in units of the
     largest panel value, and the ends of the accepted panels as two arrays.
     """
+    lo, hi = nodes.lo, nodes.hi
     total_len = hi - lo
-    open_lo = np.nextafter(lo, hi)
-    open_hi = np.nextafter(hi, lo)
     logw = np.log(_WEIGHTS)
 
     def panel_values(plo, phi_):
-        xs, half = _panel_nodes(plo, phi_, open_lo, open_hi)
-        g = _log_at(log_f, xs)
+        g = transform(*nodes.rows(plo, phi_))
+        _check_finite(g, nodes, plo, phi_)
         with np.errstate(divide="ignore"):
-            return _logsumexp(g + logw[None, :]) + np.log(half)
+            return _logsumexp(g + logw[None, :]) + np.log(0.5 * (phi_ - plo))
 
-    edges = _initial_edges(lo, hi, _INITIAL_PANELS, breaks)
-    p_lo = edges[:-1].copy()
-    p_hi = edges[1:].copy()
+    p_lo = nodes.edges[:-1].copy()
+    p_hi = nodes.edges[1:].copy()
     p_val = panel_values(p_lo, p_hi)
 
     # every contribution is stored as exp(value - scale_log), at most one, so
@@ -306,50 +353,40 @@ def integrate_log(log_f, lo: float, hi: float, cfg: QuadratureConfig = DEFAULT_C
     Returns -inf when the integrand vanishes identically on the sample set.
     A normalized-measure mean adds ``log(domain.density)``.
     """
-    value, _err, _lo, _hi = _adaptive(as_vectorized(log_f), lo, hi, cfg, breaks)
-    return value
+    vectorized = as_vectorized(log_f)
+    return _adaptive(_NodeStore(lambda xs: (vectorized(xs),), lo, hi, breaks), lambda g: g, cfg)[0]
 
 
 class _NodeRule:
-    """Composite Gauss rule on the union of adaptive panelizations of [lo,
-    hi], the np.unique of their panel ends ``ends``, with cached node values.
+    """Composite Gauss rule on the union of adaptive panelizations of the
+    interval of a node store, the np.unique of their panel ends ``ends``.
 
-    The nodes get the adaptive loop's clamp into (lo, hi).  ``_values`` gives
-    log|f|, evaluated once per node, and the log weights, a row per panel (a
-    subclass may hold other node values and weights); ``join`` keeps the
-    values of the panels the rule already holds.
+    Its node values and their log weights, a row per panel, are ``_row``
+    of the store's rows and the panels' half widths: log|f| and the Gauss
+    weights here, others in a subclass.  The store evaluates each node once,
+    for the rule and for every integral of the call alike.
     """
 
-    def __init__(self, log_f, lo: float, hi: float, ends, log_density: float = 0.0):
-        self._log_f, self._log_density = log_f, log_density
-        self._open = np.nextafter(lo, hi), np.nextafter(hi, lo)
-        edges = np.unique(np.concatenate([np.array([lo, hi]), *ends]))
-        self._lo, self._hi = edges[:-1], edges[1:]
-        self.g, self.logw = self._values(*_panel_nodes(self._lo, self._hi, *self._open))
+    def __init__(self, nodes: _NodeStore, ends):
+        self._nodes = nodes
+        self._edges = np.array([nodes.lo, nodes.hi])
+        self.join(*ends)
 
-    def _values(self, xs, half):
-        """log|f| at the nodes xs and their log weights, a row per panel."""
-        g = _log_at(self._log_f, xs)
+    def _row(self, cols, half):
         with np.errstate(divide="ignore"):
-            return g, np.log(_WEIGHTS)[None, :] + np.log(half)[:, None]
+            return cols[0], np.log(_WEIGHTS)[None, :] + np.log(half)[:, None]
 
-    def join(self, p_lo, p_hi):
-        """Refine the rule with the panels [p_lo, p_hi] of another integral;
-        a panel the rule already holds keeps its values."""
-        edges = np.unique(np.concatenate([self._lo, self._hi, p_lo, p_hi]))
-        lo, hi = edges[:-1], edges[1:]
-        k = np.minimum(np.searchsorted(self._lo, lo), self._lo.size - 1)
-        kept = (self._lo[k] == lo) & (self._hi[k] == hi)
-        g = np.empty((lo.size, self.g.shape[1]))
-        logw = np.empty_like(g)
-        g[kept], logw[kept] = self.g[k[kept]], self.logw[k[kept]]
-        if not kept.all():
-            g[~kept], logw[~kept] = self._values(*_panel_nodes(lo[~kept], hi[~kept], *self._open))
-        self._lo, self._hi, self.g, self.logw = lo, hi, g, logw
+    def join(self, *ends):
+        """Refine the rule with the panels of further integrals, given as
+        arrays of panel ends."""
+        self._edges = np.unique(np.concatenate([self._edges, *ends]))
+        lo, hi = self._edges[:-1], self._edges[1:]
+        self.g, self.logw = self._row(self._nodes.rows(lo, hi), 0.5 * (hi - lo))
+        _check_finite(self.g, self._nodes, lo, hi)
 
     def log_mean(self, log_integrand, moment: bool = False):
-        """log of the rule applied to exp(log_integrand(g)) plus log_density,
-        one per row: g is the row of node values.
+        """log of the rule applied to exp(log_integrand(g)) plus the store's
+        log_density, one per row: g is the row of node values.
 
         With ``moment`` it also returns, per row, the mean of g under the
         normalised weights pi of the rule's terms; a node whose term is 0
@@ -360,28 +397,27 @@ class _NodeRule:
             a = log_integrand(g) + self.logw.ravel()[None, :]
         log_sum = _logsumexp(a)
         if not moment:
-            return log_sum + self._log_density
+            return log_sum + self._nodes.log_density
         with np.errstate(invalid="ignore"):
             pi = np.exp(a - log_sum[:, None])
-        return log_sum + self._log_density, np.sum(pi * np.where(pi > 0.0, g, 0.0), axis=1)
+        return log_sum + self._nodes.log_density, np.sum(pi * np.where(pi > 0.0, g, 0.0), axis=1)
 
 
 class PowerNormEvaluator:
     """Evaluates p -> ||f||_p for many p from one cached panelization.
 
-    Its node rule joins the panels of |f|^e for each e of ``yardsticks``;
-    each norm is then a single vectorized log-sum-exp.  Intended for scan
-    loops; the returned maximizer should be re-validated with a fully
-    adaptive call (see norms module).  The panels start at the break points
-    of f.
+    Its node rule joins the panels of |f|^e for each e of ``yardsticks``,
+    integrated on the node store ``nodes`` of log|f|; each norm is then a
+    single vectorized log-sum-exp.  Intended for scan loops; the returned
+    maximizer should be re-validated with a fully adaptive integral on the
+    same store (see norms module).
     """
 
-    def __init__(self, f, domain: Domain, cfg: QuadratureConfig, yardsticks):
-        log_f, breaks = log_abs_of(f), break_points_of(f, domain)
+    def __init__(self, nodes: _NodeStore, cfg: QuadratureConfig, yardsticks):
         ends = []
         for e in yardsticks:
-            ends += _adaptive(lambda xs, e=float(e): e * log_f(xs), domain.lo, domain.hi, cfg, breaks)[2:]
-        self._rule = _NodeRule(log_f, domain.lo, domain.hi, ends, math.log(domain.density))
+            ends += _adaptive(nodes, lambda g, e=float(e): e * g, cfg)[2:]
+        self._rule = _NodeRule(nodes, ends)
         self.node_count = self._rule.g.size
 
     def log_norm(self, p):
@@ -398,6 +434,12 @@ class PowerNormEvaluator:
         return (mean_log_f - log_mean / p_arr) / p_arr
 
 
+def _lp_norm(nodes: _NodeStore, p: float, cfg: QuadratureConfig) -> float:
+    """||f||_p, the adaptive integral of |f|^p on a node store of log|f|."""
+    # exp(-inf) is 0 where f vanishes on every node
+    return math.exp((_adaptive(nodes, lambda g: p * g, cfg)[0] + nodes.log_density) / p)
+
+
 def lp_quasinorm(f, p: float, domain: Domain, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """(integral |f|^p dmu)^(1/p); a norm for p >= 1, quasinorm below.
 
@@ -405,15 +447,7 @@ def lp_quasinorm(f, p: float, domain: Domain, cfg: QuadratureConfig = DEFAULT_CO
     """
     if not (0.0 < p < math.inf):
         raise ValueError(f"exponent must be positive and finite, got {p!r}")
-    log_f = log_abs_of(f)
-
-    def scaled(xs):
-        return p * log_f(xs)
-
-    log_i = integrate_log(scaled, domain.lo, domain.hi, cfg, break_points_of(f, domain)) + math.log(domain.density)
-    if log_i == -math.inf:
-        return 0.0
-    return math.exp(log_i / p)
+    return _lp_norm(_abs_nodes(f, domain), p, cfg)
 
 
 def _break_values(f, domain: Domain, bounded: bool):

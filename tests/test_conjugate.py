@@ -335,7 +335,7 @@ def test_golden_lanes_match_scalar_golden_max():
         d = x - peak[lanes]
         return top[lanes] - scale[lanes] * (d * d)
 
-    x, fx = _golden_lanes(fn, a, b, 0.0, 1e-12)
+    x, fx = _golden_lanes(fn, a, b, 1e-12)
     assert len(set(evals)) > 1
     for i in range(n):
         calls = []

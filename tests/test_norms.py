@@ -935,13 +935,13 @@ class TestEvaluatorSlopes:
     @pytest.mark.parametrize("label", ["poly-03", "poly-30", "gap-01", "rational-02", "trig-02"])
     def test_power_norm(self, label):
         f = dict(build_corpus(7))[label]
-        ev = quadrature.PowerNormEvaluator(f, f.natural_domain, DEFAULT_CONFIG, yardsticks=(1.0, 32.0, 1024.0))
+        ev = quadrature.PowerNormEvaluator(quadrature._abs_nodes(f, f.natural_domain), DEFAULT_CONFIG, yardsticks=(1.0, 32.0, 1024.0))
         assert ev.slope(self.PS) == pytest.approx(_central_difference(ev.log_norm, self.PS), rel=1e-8)
 
     @pytest.mark.parametrize("label", ["poly-03", "poly-30", "gap-01", "rational-02", "trig-02"])
     def test_layer_cake(self, label):
         f = dict(build_corpus(7))[label]
-        ev = norms._LayerCakeEvaluator(quadrature.LevelSampler(f, f.natural_domain), 2.0, DEFAULT_CONFIG, 1024.0)
+        ev = norms._LayerCakeEvaluator(norms._level_nodes(quadrature.LevelSampler(f, f.natural_domain)), 2.0, DEFAULT_CONFIG, 1024.0)
         assert ev.slope(self.PS) == pytest.approx(_central_difference(ev.log_value, self.PS), rel=1e-8)
 
     @pytest.mark.parametrize("label", ["poly-03", "poly-30", "gap-01", "rational-02", "trig-02"])
@@ -1019,3 +1019,41 @@ class TestDispatch:
         local = NormContext()
         assert local.orlicz(phi2) is local.orlicz(phi2)
         assert local.conjugates(phi2) is local.conjugates(phi2)
+
+
+class TestOneEvaluationPerNode:
+    """Within one call, every integral reads one node store: no abscissa of
+    f, and no threshold of T, is evaluated twice."""
+
+    LABELS = ["poly-19", "gap-04", "rational-05", "trig-05"]
+
+    @staticmethod
+    def _recorded(monkeypatch, cls, name):
+        inner, seen = getattr(cls, name), []
+
+        def wrapper(self, x, *args):
+            seen.append(np.array(x, dtype=float).ravel())
+            return inner(self, x, *args)
+
+        monkeypatch.setattr(cls, name, wrapper)
+        return seen
+
+    @pytest.mark.parametrize("label", LABELS)
+    def test_abscissae(self, label, monkeypatch, ctx):
+        f = dict(build_corpus(7))[label]
+        n, cache = ctx.orlicz(power_log(2.0)), ctx.conjugates(power_log(2.0))
+        # a gap product's __call__ goes through its log_abs
+        seen = self._recorded(monkeypatch, type(f), "log_abs" if hasattr(f, "log_abs") else "__call__")
+        for call in (lambda: luxemburg_norm(f, n), lambda: g_norm_info(f, power_log(2.0), cache=cache)):
+            seen.clear()
+            call()
+            xs = np.concatenate(seen)
+            assert np.unique(xs).size == xs.size
+
+    @pytest.mark.parametrize("label", LABELS)
+    def test_thresholds(self, label, monkeypatch, ctx):
+        f = dict(build_corpus(7))[label]
+        seen = self._recorded(monkeypatch, quadrature.LevelSampler, "measure_above_batch")
+        weighted_lorentz_g(f, power_log(2.0), 2.0, cache=ctx.conjugates(power_log(2.0)))
+        ws = np.concatenate(seen)
+        assert np.unique(ws).size == ws.size

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from orlimark.conjugate import power_log, psi
-from orlimark.functions import PolynomialRep
+from orlimark.conjugate import log_power, power_log, psi
+from orlimark.errors import OrlimarkError
+from orlimark.functions import PolynomialRep, chebyshev_t, jacobi22
 from orlimark.harness import markov_ratio
-from orlimark.norms import NormContext, g_norm, lorentz_norm, luxemburg_norm, orlicz_spec
-from orlimark.quadrature import Domain, LevelSampler, distribution, lp_quasinorm
+from orlimark.norms import NormContext, g_norm, lorentz_norm, luxemburg_norm, orlicz_spec, v_quasinorm
+from orlimark.quadrature import Domain, LevelSampler, QuadratureConfig, distribution, lp_quasinorm
 
 INTERVAL = Domain.interval()
 PHI2 = power_log(2.0)
@@ -120,3 +121,37 @@ def test_orlicz_n_midpoint_convexity(u, v):
     left = float(n.n_eval(np.array([(u + v) / 2.0]))[0])
     right = (float(n.n_eval(np.array([u]))[0]) + float(n.n_eval(np.array([v]))[0])) / 2.0
     assert left <= right + 1e-9 * (1.0 + abs(right))
+
+
+F = PolynomialRep([0.3, 1.0, -0.7])
+NAN, INF = math.nan, math.inf
+
+# (entry point, the arguments tried): each call maps one argument to a float
+BAD_ARGUMENTS = [
+    ("chebyshev_t(n)", lambda n: float(chebyshev_t(n)(0.3)), (NAN, INF, -INF, 2.5, -1.0)),
+    ("jacobi22(n)", lambda n: float(jacobi22(n)(0.3)), (NAN, INF, -INF, 2.5, -1.0, 201.0)),
+    ("lp_quasinorm(p)", lambda p: lp_quasinorm(F, p, INTERVAL), (NAN, INF, -INF, 0.0, -1.0)),
+    ("distribution(w)", lambda w: distribution(F, w, INTERVAL), (NAN, INF, -INF, -1.0)),
+    ("lorentz_norm(p)", lambda p: lorentz_norm(F, p, 2.0), (NAN, INF, -INF, 0.5)),
+    ("lorentz_norm(b)", lambda b: lorentz_norm(F, 2.0, b), (NAN, INF, -INF, 0.5)),
+    ("v_quasinorm(r)", lambda r: v_quasinorm(F, PHI2, r, cache=CTX.conjugates(PHI2, p_lo=4.0)), (NAN, INF, -INF, 0.5)),
+    ("psi(p)", lambda p: psi(PHI2, p), (NAN, INF, -INF, 0.1)),
+    ("power_log(m)", lambda m: psi(power_log(m), 2.0), (NAN, INF, -INF, 0.0)),
+    ("power_log(r)", lambda r: psi(power_log(2.0, r), 2.0), (NAN, INF, -INF)),
+    ("log_power(nu)", lambda nu: psi(log_power(nu), 2.0), (NAN, INF, -INF, 0.0)),
+    ("rel_tol", lambda tol: lp_quasinorm(F, 2.0, INTERVAL, QuadratureConfig(rel_tol=tol)), (NAN, INF, -INF, 0.0)),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from([(name, call, arg) for name, call, args in BAD_ARGUMENTS for arg in args]))
+def test_bad_arguments_return_finite_values_or_raise_typed_errors(case):
+    # every public entry point either returns a finite value or raises
+    # ValueError or an OrlimarkError; a TypeError, an OverflowError or a
+    # RuntimeWarning fails the test
+    _name, call, arg = case
+    try:
+        value = call(arg)
+    except (ValueError, OrlimarkError):
+        return
+    assert math.isfinite(value)

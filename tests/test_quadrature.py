@@ -25,10 +25,12 @@ from orlimark.quadrature import (
     Domain,
     LevelSampler,
     QuadratureConfig,
+    _abs_nodes,
     _adaptive,
     _initial_edges,
     _logsumexp,
     _NodeRule,
+    _NodeStore,
     distribution,
     integrate_log,
     log_abs_of,
@@ -375,26 +377,28 @@ def test_logsumexp_matches_scipy_bit_for_bit(shape):
         assert np.array_equal(got, logsumexp(rows, axis=1), equal_nan=True)
 
 
-def test_node_rule_join_evaluates_only_new_panels():
-    # the panels of |T_12|^60 refine most, not all, of those of |T_12|
+def test_node_store_evaluates_each_panel_once():
+    # the panels of |T_12|^60 refine most, not all, of those of |T_12|; both
+    # integrals and the rule on their union read one store, which evaluates
+    # every node once, and each integral keeps its one-shot bits
     f = chebyshev_t(12)
-    log_f, points = log_abs_of(f), []
+    log_f, breaks, points = log_abs_of(f), f.break_points(INTERVAL), []
 
     def counted(xs):
-        points.append(xs.size)
-        return log_f(xs)
+        points.append(xs.copy())
+        return (log_f(xs),)
 
-    first, second = (_adaptive(lambda xs, e=e: e * log_f(xs), -1.0, 1.0, DEFAULT_CONFIG, f.break_points(INTERVAL))[2:] for e in (1.0, 60.0))
-    rule = _NodeRule(counted, -1.0, 1.0, first)
-    held = {(lo, hi): (g.tobytes(), w.tobytes()) for lo, hi, g, w in zip(rule._lo, rule._hi, rule.g, rule.logw)}
-    points.clear()
-    rule.join(*second)
-    panels = list(zip(rule._lo, rule._hi))
-    new = sum(panel not in held for panel in panels)
-    assert 0 < new < len(panels)
-    assert sum(points) == 16 * new
-    for panel, g, w in zip(panels, rule.g, rule.logw):
-        if panel in held:
-            assert (g.tobytes(), w.tobytes()) == held[panel]
-    fresh = _NodeRule(log_f, -1.0, 1.0, first + second)
+    nodes = _NodeStore(counted, -1.0, 1.0, breaks)
+    first, second = (_adaptive(nodes, lambda g, e=e: e * g, DEFAULT_CONFIG) for e in (1.0, 60.0))
+    for e, result in ((1.0, first), (60.0, second)):
+        assert result[0] == integrate_log(lambda xs, e=e: e * log_f(xs), -1.0, 1.0, DEFAULT_CONFIG, breaks)
+    rule = _NodeRule(nodes, first[2:])
+    held = len(points)
+    rule.join(*second[2:])
+    assert len(points) == held
+    # a row is one panel's nodes (T_12's extremum at 0.5 rounds 1e-15 off
+    # the uniform edge there, and the nodes of that panel round together)
+    rows = np.concatenate(points).reshape(-1, 16)
+    assert np.unique(rows, axis=0).shape == rows.shape
+    fresh = _NodeRule(_abs_nodes(f, INTERVAL), first[2:] + second[2:])
     assert rule.g.tobytes() == fresh.g.tobytes() and rule.logw.tobytes() == fresh.logw.tobytes()
