@@ -4,7 +4,8 @@ Subcommands map one-to-one to experiment kinds: norm evaluation, conjugate
 transform tables, degree sweeps, the two-sided norm comparison, rational
 derivative checks, tail analysis, and the extremal coefficient search.
 Everything is driven by a sectioned key=value config file plus a few flags;
-no environment variables are consulted.
+no environment variables are consulted.  The config schema is the fields of
+``ExperimentConfig``: each names its section, key, converter and default.
 
 Reports are emitted as CSV (fixed column order, 17 significant digits, so
 repeated runs are byte identical) and JSON (sorted keys; the timestamp field
@@ -23,7 +24,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -38,8 +39,9 @@ from .conjugate import (
     young_fenchel_grid,
 )
 from .errors import ConfigError, OrlimarkError
-from .functions import InversePowerRep, RationalRep, from_text, to_text
+from .functions import RANDOM_FAMILIES, InversePowerRep, RationalRep, from_text, random_family, to_text
 from .harness import (
+    SWEEP_FAMILIES,
     build_corpus,
     d_constant,
     equivalence_band,
@@ -55,54 +57,73 @@ from .norms import gnorm_spec, lorentz_spec, lp_spec, orlicz_spec, vnorm_spec
 from .quadrature import QuadratureConfig
 
 COMMANDS = ("norm", "transform", "markov-sweep", "equivalence", "rational", "tail", "extremal")
+FORMATS = ("csv", "json", "both")
 
-_KNOWN_KEYS = {
-    "experiment": {"command"},
-    "phi": {"family", "m", "r", "nu", "table"},
-    "function": {"text", "family", "degree", "seed"},
-    "norm": {"kind", "p", "b", "order"},
-    "sweep": {"family", "n_lo", "n_hi"},
-    "rational": {"p", "orders"},
-    "tail": {"s", "order", "m", "u_max"},
-    "extremal": {"degree", "restarts"},
-    "tolerances": {"rel_tol", "slack", "bound_scale"},
-    "output": {"path", "format"},
-}
+
+def _choice(options):
+    def conv(value):
+        if value not in options:
+            raise ValueError(f"{value!r} is not one of {sorted(options)}")
+        return value
+
+    return conv
+
+
+def _int_list(value: str) -> tuple[int, ...]:
+    parts = [p.strip() for p in value.split(",") if p.strip()]
+    if not parts:
+        raise ValueError("empty list")
+    return tuple(int(p) for p in parts)
+
+
+def _key(section: str, key: str, conv, default):
+    """A config field read from ``key`` in ``[section]`` through ``conv``."""
+    return field(default=default, metadata={"section": section, "key": key, "conv": conv})
 
 
 @dataclass
 class ExperimentConfig:
+    """One experiment; every field but ``command`` and ``echo`` is a config
+    key, declared once here with its section, converter and default."""
+
     command: str
-    phi_family: str = "power-log"
-    phi_m: float = 2.0
-    phi_r: float = 0.0
-    phi_nu: float = 1.0
-    phi_table: str | None = None
-    fn_text: str | None = None
-    fn_family: str | None = None
-    fn_degree: int = 3
-    seed: int | None = None
-    norm_kind: str = "orlicz"
-    norm_p: float = 4.0
-    norm_b: float = 2.0
-    norm_order: int = 1
-    sweep_family: str = "jacobi22"
-    n_lo: int = 2
-    n_hi: int = 16
-    rational_p: float = 4.0
-    rational_orders: tuple[int, ...] = (1, 2, 3)
-    tail_s: float = 0.5
-    tail_order: int = 1
-    tail_m: float = 2.0
-    tail_u_max: float = 1e3
-    extremal_degree: int = 3
-    extremal_restarts: int = 2
-    rel_tol: float = 1e-10
-    slack: float = 1e-6
-    bound_scale: float = 1.0
-    out_path: str = "report"
-    out_format: str = "both"
+    phi_family: str = _key("phi", "family", _choice(("power-log", "log-power", "tabulated")), "power-log")
+    phi_m: float = _key("phi", "m", float, 2.0)
+    phi_r: float = _key("phi", "r", float, 0.0)
+    phi_nu: float = _key("phi", "nu", float, 1.0)
+    phi_table: str | None = _key("phi", "table", str, None)
+    fn_text: str | None = _key("function", "text", str, None)
+    fn_family: str | None = _key("function", "family", _choice(RANDOM_FAMILIES), None)
+    fn_degree: int = _key("function", "degree", int, 3)
+    seed: int | None = _key("function", "seed", int, None)
+    norm_kind: str = _key("norm", "kind", _choice(NORM_KINDS), "orlicz")
+    norm_p: float = _key("norm", "p", float, 4.0)
+    norm_b: float = _key("norm", "b", lambda s: math.inf if s in ("inf", "infinity") else float(s), 2.0)
+    norm_order: int = _key("norm", "order", int, 1)
+    sweep_family: str = _key("sweep", "family", _choice(SWEEP_FAMILIES), "jacobi22")
+    n_lo: int = _key("sweep", "n_lo", int, 2)
+    n_hi: int = _key("sweep", "n_hi", int, 16)
+    rational_p: float = _key("rational", "p", float, 4.0)
+    rational_orders: tuple[int, ...] = _key("rational", "orders", _int_list, (1, 2, 3))
+    tail_s: float = _key("tail", "s", float, 0.5)
+    tail_order: int = _key("tail", "order", int, 1)
+    tail_m: float = _key("tail", "m", float, 2.0)
+    tail_u_max: float = _key("tail", "u_max", float, 1e3)
+    extremal_degree: int = _key("extremal", "degree", int, 3)
+    extremal_restarts: int = _key("extremal", "restarts", int, 2)
+    rel_tol: float = _key("tolerances", "rel_tol", float, 1e-10)
+    slack: float = _key("tolerances", "slack", float, 1e-6)
+    bound_scale: float = _key("tolerances", "bound_scale", float, 1.0)
+    out_path: str = _key("output", "path", str, "report")
+    out_format: str = _key("output", "format", _choice(FORMATS), "both")
     echo: dict = field(default_factory=dict)
+
+
+_SCHEMA = [f for f in fields(ExperimentConfig) if f.metadata]
+# section -> its keys; [experiment] command is read before the fields
+_KNOWN_KEYS = {"experiment": {"command"}}
+for _f in _SCHEMA:
+    _KNOWN_KEYS.setdefault(_f.metadata["section"], set()).add(_f.metadata["key"])
 
 
 def _suggest(key: str, options) -> str:
@@ -155,40 +176,18 @@ def _scan_sections(text: str, problems: list[str]) -> dict:
     return data
 
 
-class _Extractor:
-    def __init__(self, data, problems):
-        self.data = data
-        self.problems = problems
-
-    def get(self, section, key, conv, default):
-        entry = self.data.get(section, {}).get(key)
-        if entry is None:
-            return default
-        value, lineno = entry
-        try:
-            return conv(value)
-        except (ValueError, TypeError) as exc:
-            self.problems.append(f"line {lineno}: bad value for {key!r}: {exc}")
-            return default
-
-    def has(self, section, key) -> bool:
-        return key in self.data.get(section, {})
-
-
-def _choice(options):
-    def conv(value):
-        if value not in options:
-            raise ValueError(f"{value!r} is not one of {sorted(options)}")
-        return value
-
-    return conv
-
-
-def _int_list(value: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in value.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("empty list")
-    return tuple(int(p) for p in parts)
+def _convert(data, problems, section, key, conv, default):
+    """The value of ``key`` in ``[section]`` through ``conv``, or ``default``
+    when it is absent or does not convert (a problem is noted)."""
+    entry = data.get(section, {}).get(key)
+    if entry is None:
+        return default
+    value, lineno = entry
+    try:
+        return conv(value)
+    except (ValueError, TypeError) as exc:
+        problems.append(f"line {lineno}: bad value for {key!r}: {exc}")
+        return default
 
 
 def parse_config(text: str, command: str | None = None, seed: int | None = None) -> ExperimentConfig:
@@ -200,9 +199,8 @@ def parse_config(text: str, command: str | None = None, seed: int | None = None)
     """
     problems: list[str] = []
     data = _scan_sections(text, problems)
-    ex = _Extractor(data, problems)
 
-    cfg_command = ex.get("experiment", "command", _choice(COMMANDS), None)
+    cfg_command = _convert(data, problems, "experiment", "command", _choice(COMMANDS), None)
     if command is None:
         command = cfg_command
     elif cfg_command is not None and cfg_command != command:
@@ -215,43 +213,10 @@ def parse_config(text: str, command: str | None = None, seed: int | None = None)
         command = "norm"
 
     cfg = ExperimentConfig(command=command)
-    cfg.phi_family = ex.get("phi", "family", _choice(("power-log", "log-power", "tabulated")), cfg.phi_family)
-    cfg.phi_m = ex.get("phi", "m", float, cfg.phi_m)
-    cfg.phi_r = ex.get("phi", "r", float, cfg.phi_r)
-    cfg.phi_nu = ex.get("phi", "nu", float, cfg.phi_nu)
-    cfg.phi_table = ex.get("phi", "table", str, cfg.phi_table)
-    cfg.fn_text = ex.get("function", "text", str, cfg.fn_text)
-    cfg.fn_family = ex.get(
-        "function", "family", _choice(("polynomial", "trig", "rational", "gap")), cfg.fn_family
-    )
-    cfg.fn_degree = ex.get("function", "degree", int, cfg.fn_degree)
-    cfg.seed = ex.get("function", "seed", int, cfg.seed)
+    for f in _SCHEMA:
+        setattr(cfg, f.name, _convert(data, problems, **f.metadata, default=f.default))
     if seed is not None:
         cfg.seed = seed
-    cfg.norm_kind = ex.get(
-        "norm", "kind", _choice(NORM_KINDS), cfg.norm_kind
-    )
-    cfg.norm_p = ex.get("norm", "p", float, cfg.norm_p)
-    cfg.norm_b = ex.get("norm", "b", lambda s: math.inf if s in ("inf", "infinity") else float(s), cfg.norm_b)
-    cfg.norm_order = ex.get("norm", "order", int, cfg.norm_order)
-    cfg.sweep_family = ex.get(
-        "sweep", "family", _choice(("jacobi22", "chebyshev", "random-poly")), cfg.sweep_family
-    )
-    cfg.n_lo = ex.get("sweep", "n_lo", int, cfg.n_lo)
-    cfg.n_hi = ex.get("sweep", "n_hi", int, cfg.n_hi)
-    cfg.rational_p = ex.get("rational", "p", float, cfg.rational_p)
-    cfg.rational_orders = ex.get("rational", "orders", _int_list, cfg.rational_orders)
-    cfg.tail_s = ex.get("tail", "s", float, cfg.tail_s)
-    cfg.tail_order = ex.get("tail", "order", int, cfg.tail_order)
-    cfg.tail_m = ex.get("tail", "m", float, cfg.tail_m)
-    cfg.tail_u_max = ex.get("tail", "u_max", float, cfg.tail_u_max)
-    cfg.extremal_degree = ex.get("extremal", "degree", int, cfg.extremal_degree)
-    cfg.extremal_restarts = ex.get("extremal", "restarts", int, cfg.extremal_restarts)
-    cfg.rel_tol = ex.get("tolerances", "rel_tol", float, cfg.rel_tol)
-    cfg.slack = ex.get("tolerances", "slack", float, cfg.slack)
-    cfg.bound_scale = ex.get("tolerances", "bound_scale", float, cfg.bound_scale)
-    cfg.out_path = ex.get("output", "path", str, cfg.out_path)
-    cfg.out_format = ex.get("output", "format", _choice(("csv", "json", "both")), cfg.out_format)
 
     for name, value in (("rel_tol", cfg.rel_tol), ("slack", cfg.slack), ("bound_scale", cfg.bound_scale)):
         if not (value > 0.0):
@@ -311,8 +276,6 @@ def _build_phi(cfg: ExperimentConfig):
 def _build_function(cfg: ExperimentConfig):
     if cfg.fn_text is not None:
         return from_text(cfg.fn_text)
-    from .functions import random_family
-
     return random_family(cfg.fn_family, cfg.fn_degree, cfg.seed)
 
 
@@ -366,8 +329,7 @@ def _run_norm(cfg: ExperimentConfig, phi, ctx: NormContext):
             "tolerance_met": int(tolerance_met),
         }
     ]
-    header = ["kind", "label", "value", "p_star", "tolerance_met"]
-    return result, rows, header, 0
+    return result, rows, 0
 
 
 def _run_transform(cfg: ExperimentConfig, phi, ctx: NormContext):
@@ -392,8 +354,7 @@ def _run_transform(cfg: ExperimentConfig, phi, ctx: NormContext):
         "tail_bound": report.tail_bound,
         "grid": rows,
     }
-    header = ["p", "hstar", "psi"]
-    return result, rows, header, 0 if report.admissible else 2
+    return result, rows, 0 if report.admissible else 2
 
 
 def _run_markov_sweep(cfg: ExperimentConfig, phi, ctx: NormContext):
@@ -435,8 +396,7 @@ def _run_markov_sweep(cfg: ExperimentConfig, phi, ctx: NormContext):
         "bound_scale": scale,
         "rows": rows,
     }
-    header = ["family", "phi", "norm", "n", "ratio", "bound", "margin", "slope"]
-    return result, rows, header, 0 if worst >= 0.0 else 2
+    return result, rows, 0 if worst >= 0.0 else 2
 
 
 def _run_equivalence(cfg: ExperimentConfig, phi, ctx: NormContext):
@@ -465,8 +425,7 @@ def _run_equivalence(cfg: ExperimentConfig, phi, ctx: NormContext):
         "c4_log": report.c4_log,
         "rows": rows,
     }
-    header = ["phi", "label", "b_norm", "g_norm", "ratio", "lower_ok", "upper_ok", "used_fallback"]
-    return result, rows, header, 0 if report.violations == 0 else 2
+    return result, rows, 0 if report.violations == 0 else 2
 
 
 def _run_rational(cfg: ExperimentConfig, phi, ctx: NormContext):
@@ -499,8 +458,7 @@ def _run_rational(cfg: ExperimentConfig, phi, ctx: NormContext):
         "p": cfg.rational_p,
         "rows": rows,
     }
-    header = ["check", "order", "degree", "gamma", "lhs", "rhs", "margin", "d_r"]
-    return result, rows, header, 0 if worst >= 0.0 else 2
+    return result, rows, 0 if worst >= 0.0 else 2
 
 
 def _run_tail(cfg: ExperimentConfig, phi, ctx: NormContext):
@@ -522,25 +480,16 @@ def _run_tail(cfg: ExperimentConfig, phi, ctx: NormContext):
         "beta_exponent_model": report.beta_exponent_model,
         "rows": rows,
     }
-    header = ["u", "t", "model"]
     ok = math.isfinite(report.prefactor) and report.max_violation <= 1e-12
-    return result, rows, header, 0 if ok else 2
+    return result, rows, 0 if ok else 2
 
 
 def _run_extremal(cfg: ExperimentConfig, phi, ctx: NormContext):
     rep, ratio = extremal_search(
         phi, cfg.extremal_degree, restarts=cfg.extremal_restarts, ctx=ctx, seed=cfg.seed or 0
     )
-    rows = [
-        {
-            "n": cfg.extremal_degree,
-            "ratio": ratio,
-            "function": to_text(rep),
-        }
-    ]
     result = {"n": cfg.extremal_degree, "ratio": ratio, "function": to_text(rep)}
-    header = ["n", "ratio", "function"]
-    return result, rows, header, 0
+    return result, [result], 0
 
 
 _RUNNERS = {
@@ -555,12 +504,13 @@ _RUNNERS = {
 
 
 def run(cfg: ExperimentConfig, verbose: bool = False):
-    """Execute the configured experiment; returns (envelope, rows, header, exit_code)."""
+    """Execute the configured experiment; returns (envelope, rows, header,
+    exit_code), the header being the keys of the first row."""
     ctx = NormContext(QuadratureConfig(rel_tol=cfg.rel_tol))
     phi = _build_phi(cfg)
     if verbose:
         print(f"running {cfg.command} with {phi.label}", file=sys.stderr)
-    result, rows, header, code = _RUNNERS[cfg.command](cfg, phi, ctx)
+    result, rows, code = _RUNNERS[cfg.command](cfg, phi, ctx)
     envelope = {
         "tool": {"name": "orlimark", "version": __version__},
         "command": cfg.command,
@@ -571,7 +521,7 @@ def run(cfg: ExperimentConfig, verbose: bool = False):
         "results": result,
         "exit_code": code,
     }
-    return envelope, rows, header, code
+    return envelope, rows, list(rows[0]), code
 
 
 def _fmt_cell(value) -> str:
@@ -626,7 +576,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run a {name} experiment")
         p.add_argument("--config", help="path to the sectioned key=value config file")
         p.add_argument("--out", help="output path base (suffixes .csv/.json added)")
-        p.add_argument("--format", choices=("csv", "json", "both"), help="report format")
+        p.add_argument("--format", choices=FORMATS, help="report format")
         p.add_argument("--seed", type=int, help="seed for generated functions")
         p.add_argument("--verbose", action="store_true", help="progress notes on stderr")
     return parser

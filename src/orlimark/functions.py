@@ -574,14 +574,16 @@ def check_no_poles(rat: RationalRep) -> PoleCheck:
     return PoleCheck(ok, float(vals[i]), None if ok else float(xs[i]))
 
 
+RANDOM_FAMILIES = ("polynomial", "trig", "rational", "gap")
+
+
 def random_family(kind: str, n: int, seed: int):
     """Deterministic random representative of the given family and degree."""
-    kinds = ("polynomial", "trig", "rational", "gap")
-    if kind not in kinds:
-        raise ValueError(f"unknown family {kind!r}; expected one of {kinds}")
+    if kind not in RANDOM_FAMILIES:
+        raise ValueError(f"unknown family {kind!r}; expected one of {RANDOM_FAMILIES}")
     if n < 1:
         raise ValueError("degree must be at least 1")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(kinds.index(kind), n)))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(RANDOM_FAMILIES.index(kind), n)))
     if kind == "polynomial":
         c = rng.uniform(-1.0, 1.0, size=n + 1)
         if abs(c[n]) < 0.1:

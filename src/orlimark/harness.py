@@ -173,6 +173,9 @@ def _fit_loglog(ns, ratios) -> tuple[float, tuple[float, float]]:
     return slope, (float(slope - tq * se), float(slope + tq * se))
 
 
+SWEEP_FAMILIES = ("jacobi22", "chebyshev", "random-poly")
+
+
 def _family_member(family: str, n: int, seed: int):
     if n == 0:
         return PolynomialRep([1.0])
@@ -413,14 +416,21 @@ def tail_check(
 
     Forward: normalizes f by its derivative-weighted quasinorm, then fits the
     smallest prefactor making T(|f|,u) <= prefactor * u^(-1/r) (log u)^(1/(mr))
-    hold on [3, u_max].  Converse: re-scans the quasinorm with the tail-adapted
-    weight family and fits how ||f||_beta blows up as beta approaches 1/r.
+    hold at ``points`` geometric steps of [3, u_max], for a finite u_max above
+    3 and an integer ``points`` >= 2.  Converse: re-scans the quasinorm with
+    the tail-adapted weight family and fits how ||f||_beta blows up as beta
+    approaches 1/r.
     Every integral runs at ``SINGULAR_CONFIG``, made for the singular end of
     the functions this check is for; ``ctx`` supplies only conjugate grids.
     """
     r = _check_order(r)
     if not (m > 0.0):
         raise ValueError(f"growth index must be positive, got {m!r}")
+    if not (math.isfinite(u_max) and u_max > 3.0):
+        raise ValueError(f"u_max must be finite and above 3, got {u_max!r}")
+    if not (math.isfinite(points) and int(points) == points and points >= 2):
+        raise ValueError(f"points must be an integer >= 2, got {points!r}")
+    points = int(points)
     cfg = SINGULAR_CONFIG
     context = ctx if ctx is not None else NormContext()
     phi = power_log(m, 0.0)

@@ -474,7 +474,7 @@ def _level_nodes(sampler: LevelSampler) -> _NodeStore:
     s in [0, K]; each critical interval (a unit interval of s) starts as
     eight panels."""
     k, at = _level_map(sampler)
-    return _NodeStore(at, 0.0, float(k), np.arange(8 * k + 1) / 8)
+    return _NodeStore(at, np.arange(8 * k + 1) / 8)
 
 
 def _log_layer_cake(p: float, b: float):

@@ -215,16 +215,16 @@ class _NodeStore:
     on the level map of the Lorentz layer cake.  A panel's row of values at
     its 16 Gauss nodes is computed on its first request and found again by
     its exact ends, lo + 1j hi, in one sorted array.  Every integral of a call
-    starts from the same ``edges`` (the uniform ones and the break points,
-    merged once) and halves its panels, so panels recur bit for bit.
-    Integrals against the normalized measure add ``log_density``.
+    starts from the same sorted ``edges``, which span [lo, hi], and halves
+    its panels, so panels recur bit for bit.  Integrals against the
+    normalized measure add ``log_density``.
     """
 
-    def __init__(self, values, lo: float, hi: float, breaks, log_density: float = 0.0):
+    def __init__(self, values, edges, log_density: float = 0.0):
         self._values = values
-        self.lo, self.hi, self.log_density = lo, hi, log_density
-        self.open = np.nextafter(lo, hi), np.nextafter(hi, lo)
-        self.edges = _initial_edges(lo, hi, _INITIAL_PANELS, breaks)
+        self.edges, self.log_density = edges, log_density
+        self.lo, self.hi = float(edges[0]), float(edges[-1])
+        self.open = np.nextafter(self.lo, self.hi), np.nextafter(self.hi, self.lo)
         # the sorted keys, and the row of each in the columns of values
         self._keys, self._index = self.edges[:-1] + 1j * self.edges[1:], np.arange(self.edges.size - 1)
         self._cols = self._evaluate(self.edges[:-1], self.edges[1:])
@@ -253,7 +253,8 @@ def _abs_nodes(f, domain: Domain) -> _NodeStore:
     """A node store of log|f| on the domain, whose integrals start at the
     break points of f and are taken against the normalized measure."""
     log_f = log_abs_of(f)
-    return _NodeStore(lambda xs: (log_f(xs),), domain.lo, domain.hi, break_points_of(f, domain), math.log(domain.density))
+    edges = _initial_edges(domain.lo, domain.hi, _INITIAL_PANELS, break_points_of(f, domain))
+    return _NodeStore(lambda xs: (log_f(xs),), edges, math.log(domain.density))
 
 
 def _adaptive(nodes: _NodeStore, transform, cfg):
@@ -354,7 +355,8 @@ def integrate_log(log_f, lo: float, hi: float, cfg: QuadratureConfig = DEFAULT_C
     A normalized-measure mean adds ``log(domain.density)``.
     """
     vectorized = as_vectorized(log_f)
-    return _adaptive(_NodeStore(lambda xs: (vectorized(xs),), lo, hi, breaks), lambda g: g, cfg)[0]
+    edges = _initial_edges(lo, hi, _INITIAL_PANELS, breaks)
+    return _adaptive(_NodeStore(lambda xs: (vectorized(xs),), edges), lambda g: g, cfg)[0]
 
 
 class _NodeRule:

@@ -2,14 +2,18 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import orlimark
 
 from orlimark.cli import (
+    _KNOWN_KEYS,
+    _SCHEMA,
     ExperimentConfig,
     emit,
     main,
@@ -208,6 +212,13 @@ class TestMain:
         code = main(["norm", "--config", "/does/not/exist.cfg"])
         assert code == 1
 
+    def test_tail_nan_u_max_exit_one(self, tmp_path, capsys):
+        cfg_file = tmp_path / "t.cfg"
+        cfg_file.write_text("[tail]\nu_max = nan\n")
+        code = main(["tail", "--config", str(cfg_file), "--out", str(tmp_path / "t")])
+        assert code == 1
+        assert any(line.startswith("error:") and "u_max" in line for line in capsys.readouterr().err.splitlines())
+
     def test_seed_flag_merges(self, tmp_path):
         cfg_file = tmp_path / "e.cfg"
         cfg_file.write_text(
@@ -226,6 +237,28 @@ def test_experiment_config_defaults():
     cfg = ExperimentConfig(command="norm")
     assert cfg.out_format in ("csv", "json", "both")
     assert cfg.bound_scale == 1.0
+
+
+def test_readme_config_block_is_the_schema():
+    # the README's example config names every key, commented or not, and
+    # each uncommented value is the default, but for the command and text
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Config format", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    schema = {(f.metadata["section"], f.metadata["key"]): f for f in _SCHEMA}
+    keys, section = {}, None
+    for line in block.splitlines():
+        header = re.match(r"\[(\w+)\]", line)
+        entry = re.match(r"(#\s*)?(\w+)\s*=\s*(\S+)", line)
+        if header:
+            section = header[1]
+            keys[section] = set()
+        elif entry:
+            commented, key, value = entry.groups()
+            keys[section].add(key)
+            if not commented and (section, key) not in (("experiment", "command"), ("function", "text")):
+                f = schema[(section, key)]
+                assert f.metadata["conv"](value) == f.default, (section, key, value)
+    assert keys == _KNOWN_KEYS
 
 
 # Run in a child interpreter where every scipy import fails.

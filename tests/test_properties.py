@@ -13,8 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from orlimark.conjugate import log_power, power_log, psi
 from orlimark.errors import OrlimarkError
-from orlimark.functions import PolynomialRep, chebyshev_t, jacobi22
-from orlimark.harness import markov_ratio
+from orlimark.functions import InversePowerRep, PolynomialRep, chebyshev_t, jacobi22
+from orlimark.harness import markov_ratio, tail_check
 from orlimark.norms import NormContext, g_norm, lorentz_norm, luxemburg_norm, orlicz_spec, v_quasinorm
 from orlimark.quadrature import Domain, LevelSampler, QuadratureConfig, distribution, lp_quasinorm
 
@@ -140,6 +140,8 @@ BAD_ARGUMENTS = [
     ("power_log(r)", lambda r: psi(power_log(2.0, r), 2.0), (NAN, INF, -INF)),
     ("log_power(nu)", lambda nu: psi(log_power(nu), 2.0), (NAN, INF, -INF, 0.0)),
     ("rel_tol", lambda tol: lp_quasinorm(F, 2.0, INTERVAL, QuadratureConfig(rel_tol=tol)), (NAN, INF, -INF, 0.0)),
+    ("tail_check(u_max)", lambda u: tail_check(InversePowerRep(0.5), 2.0, 1, u_max=u).prefactor, (NAN, INF, -INF, 2.0)),
+    ("tail_check(points)", lambda n: tail_check(InversePowerRep(0.5), 2.0, 1, points=n).prefactor, (0, 1, 2.5)),
 ]
 
 

@@ -25,6 +25,7 @@ from orlimark.quadrature import (
     Domain,
     LevelSampler,
     QuadratureConfig,
+    _INITIAL_PANELS,
     _abs_nodes,
     _adaptive,
     _initial_edges,
@@ -388,7 +389,7 @@ def test_node_store_evaluates_each_panel_once():
         points.append(xs.copy())
         return (log_f(xs),)
 
-    nodes = _NodeStore(counted, -1.0, 1.0, breaks)
+    nodes = _NodeStore(counted, _initial_edges(-1.0, 1.0, _INITIAL_PANELS, breaks))
     first, second = (_adaptive(nodes, lambda g, e=e: e * g, DEFAULT_CONFIG) for e in (1.0, 60.0))
     for e, result in ((1.0, first), (60.0, second)):
         assert result[0] == integrate_log(lambda xs, e=e: e * log_f(xs), -1.0, 1.0, DEFAULT_CONFIG, breaks)

@@ -42,8 +42,11 @@ slowest group.  Covered:
 * ``ConjugateCache.hstar`` for the same six families at p_lo 1 and 4, as
   built and after one ``extend``;
 * the CLI's ``.json`` (minus ``timestamp``) and ``.csv`` for ``norm`` (all
-  five kinds), ``markov-sweep``, ``equivalence``, ``transform`` and
-  ``tail``.
+  five kinds), ``markov-sweep``, ``equivalence``, ``transform``, ``tail``,
+  ``rational`` (a generated degree-4 rational function) and ``extremal``,
+  and the exit code, stdout and stderr of each run, among them a config
+  with an unknown key, a non-numeric float and an invalid choice, which
+  exits 1.
 """
 
 from __future__ import annotations
@@ -96,6 +99,9 @@ CLI_RUNS = {
     "equivalence": ("equivalence", ""),
     "transform": ("transform", ""),
     "tail": ("tail", ""),
+    "rational": ("rational", "[function]\nfamily = rational\ndegree = 4\n"),
+    "extremal": ("extremal", "[extremal]\ndegree = 2\nrestarts = 1\n"),
+    "config-error": ("norm", "[norm]\nkind = lorenz\np = four\nordre = 2\n"),
 }
 FUNCTION = "[function]\ntext = poly:0.3,-1.2,0.5,0.9,-0.4\n"
 
