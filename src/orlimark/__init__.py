@@ -82,7 +82,6 @@ from .norms import (
 )
 from .quadrature import (
     DEFAULT_CONFIG,
-    SINGULAR_CONFIG,
     Domain,
     LevelSampler,
     QuadratureConfig,

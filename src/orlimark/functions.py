@@ -389,19 +389,19 @@ class GapRep:
 class InversePowerRep:
     """(1 - x)^(-q) on [-1, 1]: the model integrable singularity.
 
-    Unbounded at the right endpoint, so only quadrature that keeps its nodes
-    interior (Gauss rules) may integrate it, and ``sup_norm`` rejects it;
-    its distribution function is finite at every level.  ||f||_beta is
-    finite exactly when q * beta < 1; enforcing that is the caller's job
-    since it depends on the exponent in play.
+    Unbounded at the right endpoint, which it reports as its
+    ``singular_end``: the integrals of |f| take the piece next to it in
+    y = -log(1 - x).  ``sup_norm`` rejects it; its distribution function is
+    finite at every level.  ||f||_beta is finite exactly when q * beta < 1;
+    an integral at q * beta >= 1 raises ConvergenceFailureError.
     """
 
     kind = "inverse-power"
 
     def __init__(self, q: float):
         q = float(q)
-        if not (q > 0.0):
-            raise ValueError(f"exponent must be positive, got {q!r}")
+        if not (0.0 < q < math.inf):
+            raise ValueError(f"exponent must be positive and finite, got {q!r}")
         self.q = q
 
     @property
@@ -420,6 +420,10 @@ class InversePowerRep:
     def break_points(self, domain: Domain) -> np.ndarray:
         """The domain ends: f increases on the whole interval."""
         return _breaks(domain)
+
+    def singular_end(self, domain: Domain):
+        """y -> log|f| at x = 1 - e^-y, or None on a domain not ending at 1."""
+        return (lambda y: self.q * y) if domain.hi == 1.0 else None
 
     def __eq__(self, other):
         return isinstance(other, InversePowerRep) and self.q == other.q
@@ -519,10 +523,10 @@ def _jacobi22_next(pm1: np.ndarray, pm2: np.ndarray, n: int) -> np.ndarray:
     return out / a
 
 
-def _degree(n, top: float) -> int:
-    """n as an int; ValueError naming it unless it is an integer in [0, top]."""
-    if not (math.isfinite(n) and int(n) == n and 0 <= n <= top):
-        raise ValueError(f"degree must be an integer in [0, {top}], got {n!r}")
+def _integer(n, name: str = "degree", lo: float = 0, hi: float = math.inf) -> int:
+    """n as an int; ValueError naming it unless it is an integer in [lo, hi]."""
+    if not (math.isfinite(n) and int(n) == n and lo <= n <= hi):
+        raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {n!r}")
     return int(n)
 
 
@@ -535,14 +539,14 @@ def jacobi22(n: int) -> PolynomialRep:
     Chebyshev expansion by ``cheb2poly``.
     """
     pm2, pm1 = np.zeros(0), np.array([1.0])
-    for k in range(1, _degree(n, 200) + 1):
+    for k in range(1, _integer(n, hi=200) + 1):
         pm2, pm1 = pm1, _jacobi22_next(pm1, pm2, k)
     return PolynomialRep(np.polynomial.chebyshev.cheb2poly(pm1), cheb=pm1)
 
 
 def chebyshev_t(n: int) -> PolynomialRep:
     """Chebyshev polynomial of the first kind in monomial coefficients."""
-    n = _degree(n, math.inf)
+    n = _integer(n)
     c = np.zeros(n + 1)
     c[n] = 1.0
     return PolynomialRep(np.polynomial.chebyshev.cheb2poly(c), cheb=c)
@@ -581,8 +585,7 @@ def random_family(kind: str, n: int, seed: int):
     """Deterministic random representative of the given family and degree."""
     if kind not in RANDOM_FAMILIES:
         raise ValueError(f"unknown family {kind!r}; expected one of {RANDOM_FAMILIES}")
-    if n < 1:
-        raise ValueError("degree must be at least 1")
+    n = _integer(n, lo=1)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(RANDOM_FAMILIES.index(kind), n)))
     if kind == "polynomial":
         c = rng.uniform(-1.0, 1.0, size=n + 1)

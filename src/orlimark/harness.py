@@ -32,6 +32,7 @@ from .functions import (
     chebyshev_t,
     check_no_poles,
     derivative,
+    _integer,
     jacobi22,
     random_family,
 )
@@ -49,13 +50,12 @@ from .norms import (
 )
 from .quadrature import (
     DEFAULT_CONFIG,
-    SINGULAR_CONFIG,
     LevelSampler,
     QuadratureConfig,
     lp_quasinorm,
 )
 
-_SEARCH_CONFIG = QuadratureConfig(rel_tol=1e-7, max_depth=40)
+_SEARCH_CONFIG = QuadratureConfig(rel_tol=1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +71,7 @@ def k_constant(p: float) -> float:
 
 
 def d_constant_log(r: int) -> float:
-    r = _check_order(r)
+    r = _integer(r, "derivative order", lo=1)
     return (
         1.0 / math.e
         + math.lgamma(r + 1.0)
@@ -81,7 +81,7 @@ def d_constant_log(r: int) -> float:
 
 def d_constant(r: int) -> float:
     """Rational-derivative constant: exp(1/e) r! (4/3)^(r+1/4) (r+1/4)^(r+1/4)."""
-    r = _check_order(r)
+    r = _integer(r, "derivative order", lo=1)
     if r <= 20:
         return (
             math.exp(1.0 / math.e)
@@ -90,12 +90,6 @@ def d_constant(r: int) -> float:
             * (r + 0.25) ** (r + 0.25)
         )
     return math.exp(d_constant_log(r))
-
-
-def _check_order(r) -> int:
-    if int(r) != r or r < 1:
-        raise ValueError(f"derivative order must be an integer >= 1, got {r!r}")
-    return int(r)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +209,7 @@ def markov_sweep(
     constant chain for the spliced-Orlicz and sup-ratio norms; norms without
     a proven constant get +inf (ratio recorded, nothing asserted).
     """
-    ns = sorted(set(int(n) for n in n_range))
+    ns = sorted(set(_integer(n) for n in n_range))
     if not ns:
         raise ValueError("empty degree range")
     context = ctx if ctx is not None else NormContext()
@@ -286,10 +280,10 @@ def _require_pole_free(q: RationalRep):
 
 def lp_rational_check(q: RationalRep, p: float, r: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> RationalCheck:
     """Power-norm form: ||q^(r)||_gamma <= D(r) * deg^r * ||q||_p, p >= 4."""
-    r = _check_order(r)
+    r = _integer(r, "derivative order", lo=1)
     p = float(p)
-    if not (p >= 4.0):
-        raise ValueError(f"the explicit constant needs p >= 4, got {p!r}")
+    if not (4.0 <= p < math.inf):
+        raise ValueError(f"the explicit constant needs a finite p >= 4, got {p!r}")
     _require_pole_free(q)
     gamma = p / (p * r + 1.0)
     dom = q.natural_domain
@@ -307,7 +301,7 @@ def rational_orlicz_check(
     ctx: NormContext | None = None,
 ) -> RationalCheck:
     """Orlicz form, at ctx.cfg: derivative-weighted quasinorm of q^(r) against C4 D(r) deg^r ||q||."""
-    r = _check_order(r)
+    r = _integer(r, "derivative order", lo=1)
     _require_pole_free(q)
     context = ctx if ctx is not None else NormContext()
     cfg = context.cfg
@@ -420,19 +414,16 @@ def tail_check(
     3 and an integer ``points`` >= 2.  Converse: re-scans the quasinorm with
     the tail-adapted weight family and fits how ||f||_beta blows up as beta
     approaches 1/r.
-    Every integral runs at ``SINGULAR_CONFIG``, made for the singular end of
-    the functions this check is for; ``ctx`` supplies only conjugate grids.
+    Every integral runs at ``ctx.cfg``; a singular end of f is taken in distance.
     """
-    r = _check_order(r)
+    r = _integer(r, "derivative order", lo=1)
     if not (m > 0.0):
         raise ValueError(f"growth index must be positive, got {m!r}")
     if not (math.isfinite(u_max) and u_max > 3.0):
         raise ValueError(f"u_max must be finite and above 3, got {u_max!r}")
-    if not (math.isfinite(points) and int(points) == points and points >= 2):
-        raise ValueError(f"points must be an integer >= 2, got {points!r}")
-    points = int(points)
-    cfg = SINGULAR_CONFIG
+    points = _integer(points, "points", lo=2)
     context = ctx if ctx is not None else NormContext()
+    cfg = context.cfg
     phi = power_log(m, 0.0)
     dom = f.natural_domain
     v = v_quasinorm(f, phi, float(r), dom, cfg, cache=context.conjugates(phi, p_lo=4.0))
@@ -486,8 +477,8 @@ def extremal_search(
     winner is re-scored at full accuracy, so the returned ratio never falls
     below the re-scored seed.
     """
-    if n < 1:
-        raise ValueError(f"degree must be at least 1, got {n!r}")
+    n = _integer(n, lo=1)
+    restarts = _integer(restarts, "restarts")
     spec = orlicz_spec(phi)
     search_ctx = NormContext(_SEARCH_CONFIG)
     final_ctx = ctx if ctx is not None else NormContext()
@@ -505,7 +496,7 @@ def extremal_search(
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(101, n)))
     seeds = [unit(jacobi22(n).coeffs)]
-    for _ in range(max(0, restarts - 1)):
+    for _ in range(restarts - 1):
         seeds.append(unit(rng.standard_normal(n + 1)))
 
     best_c, best_val = seeds[0], -math.inf

@@ -21,8 +21,8 @@ Three norm families ride on top:
   lower exponent p_lo; a maximizer at the right edge triggers two fourfold
   extensions before the scan is declared divergent.  The winning grid point
   is polished by a root of the log ratio's slope in log p, unless it is
-  p_lo and the ratio does not rise off that edge, and re-validated with the
-  exact norm and an exact weight.  The slope of the weight is psi'(p) =
+  p_lo and the ratio does not rise off that edge; the scan reports the
+  exact norm over an exact weight there.  The slope of the weight is psi'(p) =
   (y*(p) - psi_log(p)) / p, y* the maximizer of the conjugate solve
   (Danskin's envelope theorem), and each cached-node evaluator reports the
   slope of its log norm from the node values it holds: the L_p evaluator
@@ -303,8 +303,8 @@ def _sup_over_p(make_log_norm, exact_norm, phi: PhiSpec, cache: ConjugateCache, 
     a diverging conjugate counts as falling: a winner at p_lo whose ratio
     does not rise off the edge keeps its grid value, and so does a log
     ratio of -inf (f = 0).
-    The result is re-validated with exact_norm(p) and an exact weight; the
-    fast value counts only if the two agree to 1e-6.
+    The result is exact_norm(p) over an exact weight there; ``tolerance_met``
+    says whether the fast value agrees with it to 1e-6.
     """
     if not abs(cache.grid[0] - p_lo) <= 1e-12 * cache.grid[0]:
         raise ValueError(f"conjugate cache grid starts at p = {cache.grid[0]!r}, not at p_lo = {p_lo!r}")
@@ -351,7 +351,7 @@ def _sup_over_p(make_log_norm, exact_norm, phi: PhiSpec, cache: ConjugateCache, 
     value = exact_norm(p_star) * math.exp(-_psi_log_exact(phi, p_star))
     fast = math.exp(best_log)
     ok = abs(value - fast) <= 1e-6 * max(value, fast, 1e-300)
-    return ScanResult(max(value, fast) if ok else value, p_star, ok, extensions)
+    return ScanResult(value, p_star, ok, extensions)
 
 
 def _g_scan(f, phi: PhiSpec, domain: Domain | None, cfg: QuadratureConfig, cache: ConjugateCache | None, p_lo: float, r: float = 0.0) -> ScanResult:

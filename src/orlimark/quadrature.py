@@ -28,9 +28,11 @@ Adaptive integrals of functions of |f| (``lp_quasinorm``, the panels of
 ``PowerNormEvaluator`` and the Luxemburg modular in the norms module) start
 with the break points of f as panel edges besides the uniform ones, as
 QUADPACK's QAGP takes known singular points: |f| has a kink at every zero
-of f.  A representation computes its break points once per domain and
-keeps them.  An object that reports no break points starts from the
-uniform panels.
+of f.  An object that reports none starts from the uniform panels.  An
+integrable singular end that f reports (``InversePowerRep``) is integrated
+in y = -log(distance to it), as QUADPACK's QAWS and Takahasi & Mori (1974)
+give such an end a coordinate of its own: by the rule up to the smallest
+normal distance, and beyond it in closed form.
 
 Every integral reads its node values from a ``_NodeStore`` that lives for
 one call.  A call that integrates the same node values several times (the
@@ -88,27 +90,24 @@ class Domain:
 @dataclass(frozen=True)
 class QuadratureConfig:
     rel_tol: float = 1e-10
-    max_depth: int = 48
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < math.inf):
             raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
-        if self.max_depth < 1:
-            raise ValueError("degenerate quadrature configuration")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
-
-# Looser profile for integrands with endpoint singularities: the algebraic
-# convergence rate near the singular point needs depth, not node count.
-SINGULAR_CONFIG = QuadratureConfig(rel_tol=1e-8, max_depth=64)
 
 # every panel carries the 16-point Gauss-Legendre rule
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
 # an adaptive integral starts from this many uniform panels and the break points
 _INITIAL_PANELS = 8
+# an adaptive integral bisects its panels at most this many times
+_MAX_DEPTH = 48
 # a wave with more live panels than this gives up as not converging
 _MAX_PANELS = 60000
+# a singular end's piece reaches y = -log(distance) of the smallest normal double
+_Y_END = -math.log(np.finfo(float).tiny)
 
 
 def as_vectorized(f):
@@ -144,12 +143,12 @@ def break_points_of(f, domain: Domain):
     return None if report is None else report(domain)
 
 
-def _check_finite(values: np.ndarray, nodes, p_lo, p_hi) -> None:
+def _check_finite(values: np.ndarray, p_lo, p_hi) -> None:
     """Raise DomainEvaluationError at the first NaN or +inf of the rows of
     values at the nodes of the panels [p_lo, p_hi]; -inf is a zero."""
     bad = ~np.isfinite(values) & ~np.isneginf(values)
     if bad.any():
-        x = float(_panel_nodes(p_lo, p_hi, *nodes.open)[0].ravel()[np.argmax(bad)])
+        x = float(_panel_nodes(p_lo, p_hi)[0].ravel()[np.argmax(bad)])
         raise DomainEvaluationError(f"integrand is not finite at x = {x!r}", abscissa=x)
 
 
@@ -180,14 +179,12 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _panel_nodes(lo, hi, open_lo, open_hi):
-    # Gauss nodes are interior to every panel in exact arithmetic; under
-    # extreme subdivision the rounded abscissa can land on a panel edge,
-    # which only matters when the integrand is singular exactly there.
-    # Clamping into the open interval keeps such integrands evaluable.
+def _panel_nodes(lo, hi):
+    """The Gauss nodes of the panels [lo, hi], a row per panel, and the
+    panels' half widths."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    return np.clip(mid[:, None] + half[:, None] * _NODES[None, :], open_lo, open_hi), half
+    return mid[:, None] + half[:, None] * _NODES[None, :], half
 
 
 def _initial_edges(lo, hi, count, breaks):
@@ -218,24 +215,41 @@ class _NodeStore:
     starts from the same sorted ``edges``, which span [lo, hi], and halves
     its panels, so panels recur bit for bit.  Integrals against the
     normalized measure add ``log_density``.
+
+    With a singular ``end``, y -> the values at distance e^-y below hi, the
+    last initial panel maps affinely onto y up to _Y_END, where each panel
+    takes its Gauss nodes, and rows come with log dx/ds for the weights.
     """
 
-    def __init__(self, values, edges, log_density: float = 0.0):
-        self._values = values
+    def __init__(self, values, edges, log_density: float = 0.0, end=None):
+        self._values, self._end = values, end
         self.edges, self.log_density = edges, log_density
         self.lo, self.hi = float(edges[0]), float(edges[-1])
-        self.open = np.nextafter(self.lo, self.hi), np.nextafter(self.hi, self.lo)
+        if end is not None:
+            x_a = self._cut = float(edges[-2])
+            y_a = -math.log(self.hi - x_a)
+            self._y = lambda s: y_a + (s - x_a) * ((_Y_END - y_a) / (self.hi - x_a))
         # the sorted keys, and the row of each in the columns of values
         self._keys, self._index = self.edges[:-1] + 1j * self.edges[1:], np.arange(self.edges.size - 1)
         self._cols = self._evaluate(self.edges[:-1], self.edges[1:])
 
     def _evaluate(self, p_lo, p_hi):
-        xs = _panel_nodes(p_lo, p_hi, *self.open)[0]
-        return [v.reshape(xs.shape) for v in self._values(xs.ravel())]
+        xs = _panel_nodes(p_lo, p_hi)[0]
+        if self._end is None:
+            return [v.reshape(xs.shape) for v in self._values(xs.ravel())]
+        on = p_lo >= self._cut
+        ys, half_y = _panel_nodes(self._y(p_lo[on]), self._y(p_hi[on]))
+        cols = []
+        for at_x, at_y in zip(self._values(xs[~on].ravel()), self._end(ys)):
+            cols.append(np.empty(xs.shape))
+            cols[-1][~on], cols[-1][on] = at_x.reshape(-1, _NODES.size), at_y
+        log_dx = np.zeros(xs.shape)  # dx/ds = e^-y dy/ds on the singular piece
+        log_dx[on] = np.log(half_y / (0.5 * (p_hi[on] - p_lo[on])))[:, None] - ys
+        return cols + [log_dx]
 
     def rows(self, p_lo, p_hi):
         """The values at the nodes of the distinct panels [p_lo, p_hi], one
-        (panels, 16) array per value."""
+        (panels, 16) array per value, and log dx/ds, None without an end."""
         keys = p_lo + 1j * p_hi
         at = np.minimum(np.searchsorted(self._keys, keys), self._keys.size - 1)
         new = self._keys[at] != keys
@@ -246,15 +260,31 @@ class _NodeStore:
             keys = np.concatenate([self._keys, keys[new]])
             order = np.argsort(keys, kind="stable")
             self._keys, self._index = keys[order], np.concatenate([self._index, at[new]])[order]
-        return tuple(c[at] for c in self._cols)
+        cols = [c[at] for c in self._cols]
+        return (cols, None) if self._end is None else (cols[:-1], cols[-1])
+
+    def rest(self, transform) -> float:
+        """log of the integral of e^G, G(y) = transform(*end(y)) - y, past the
+        singular piece's end y_1 (-inf without one): e^G(y_1) / -G', as G is
+        linear for a power singularity, with G' its secant on [y_1, 2 y_1]."""
+        if self._end is None:
+            return -math.inf
+        y = self._y(self.hi) * np.array([1.0, 2.0])
+        g = transform(*self._end(y)) - y
+        slope = float((g[1] - g[0]) / y[0])
+        if not slope < 0.0:
+            raise ConvergenceFailureError(f"the integrand does not decay at the singular end: slope {slope!r} in -log(distance)")
+        return float(g[0]) - math.log(-slope)
 
 
 def _abs_nodes(f, domain: Domain) -> _NodeStore:
     """A node store of log|f| on the domain, whose integrals start at the
-    break points of f and are taken against the normalized measure."""
+    break points of f, take its singular end in distance, if it reports one,
+    and are taken against the normalized measure."""
     log_f = log_abs_of(f)
     edges = _initial_edges(domain.lo, domain.hi, _INITIAL_PANELS, break_points_of(f, domain))
-    return _NodeStore(lambda xs: (log_f(xs),), edges, math.log(domain.density))
+    end = getattr(f, "singular_end", lambda _domain: None)(domain)
+    return _NodeStore(lambda xs: (log_f(xs),), edges, math.log(domain.density), end and (lambda ys: (end(ys),)))
 
 
 def _adaptive(nodes: _NodeStore, transform, cfg):
@@ -267,7 +297,7 @@ def _adaptive(nodes: _NodeStore, transform, cfg):
     panel's share of the domain; a global test retires the whole queue early
     when the total outstanding discrepancy is already below tolerance.  The
     store's edges hold the break points, where the integrand may have a
-    kink, as QUADPACK's QAGP takes its break points.
+    kink, as QUADPACK's QAGP takes its break points; its ``rest`` is added.
 
     Returns the log of the integral, the error estimate in units of the
     largest panel value, and the ends of the accepted panels as two arrays.
@@ -277,11 +307,14 @@ def _adaptive(nodes: _NodeStore, transform, cfg):
     logw = np.log(_WEIGHTS)
 
     def panel_values(plo, phi_):
-        g = transform(*nodes.rows(plo, phi_))
-        _check_finite(g, nodes, plo, phi_)
+        cols, log_dx = nodes.rows(plo, phi_)
+        g = transform(*cols)
+        _check_finite(g, plo, phi_)
         with np.errstate(divide="ignore"):
-            return _logsumexp(g + logw[None, :]) + np.log(0.5 * (phi_ - plo))
+            a = g + logw[None, :] if log_dx is None else g + logw[None, :] + log_dx
+            return _logsumexp(a) + np.log(0.5 * (phi_ - plo))
 
+    rest = nodes.rest(transform)
     p_lo = nodes.edges[:-1].copy()
     p_hi = nodes.edges[1:].copy()
     p_val = panel_values(p_lo, p_hi)
@@ -289,15 +322,15 @@ def _adaptive(nodes: _NodeStore, transform, cfg):
     # every contribution is stored as exp(value - scale_log), at most one, so
     # sums and error comparisons stay in ordinary floating point whatever
     # the integrand's magnitude
-    scale_log = float(np.max(p_val))
+    scale_log = max(float(np.max(p_val)), rest)
     if scale_log == -math.inf:
         return -math.inf, 0.0, np.array([lo]), np.array([hi])
 
-    acc_sum = 0.0
+    acc_sum = math.exp(rest - scale_log)
     acc_err = 0.0
     done_lo, done_hi = [], []
 
-    for _depth in range(cfg.max_depth):
+    for _depth in range(_MAX_DEPTH):
         k = p_lo.size
         mid = 0.5 * (p_lo + p_hi)
         c_lo = np.concatenate([p_lo, mid])
@@ -341,7 +374,7 @@ def _adaptive(nodes: _NodeStore, transform, cfg):
     live_mass = float(np.sum(np.exp(p_val - scale_log)))
     best = acc_sum + live_mass
     raise ConvergenceFailureError(
-        f"quadrature did not converge within depth {cfg.max_depth}",
+        f"quadrature did not converge within depth {_MAX_DEPTH}",
         best_estimate=scale_log + math.log(best) if best > 0 else -math.inf,
         error_bound=acc_err + live_mass,  # crude: full live mass
     )
@@ -363,10 +396,10 @@ class _NodeRule:
     """Composite Gauss rule on the union of adaptive panelizations of the
     interval of a node store, the np.unique of their panel ends ``ends``.
 
-    Its node values and their log weights, a row per panel, are ``_row``
-    of the store's rows and the panels' half widths: log|f| and the Gauss
-    weights here, others in a subclass.  The store evaluates each node once,
-    for the rule and for every integral of the call alike.
+    Its node values and their log weights, a row per panel, are ``_row`` of
+    the store's rows and the panels' half widths, plus log dx/ds: log|f| and
+    the Gauss weights here, others in a subclass; a singular end's rest is
+    left out.  The store evaluates each node once, for every integral alike.
     """
 
     def __init__(self, nodes: _NodeStore, ends):
@@ -383,8 +416,10 @@ class _NodeRule:
         arrays of panel ends."""
         self._edges = np.unique(np.concatenate([self._edges, *ends]))
         lo, hi = self._edges[:-1], self._edges[1:]
-        self.g, self.logw = self._row(self._nodes.rows(lo, hi), 0.5 * (hi - lo))
-        _check_finite(self.g, self._nodes, lo, hi)
+        cols, log_dx = self._nodes.rows(lo, hi)
+        self.g, self.logw = self._row(cols, 0.5 * (hi - lo))
+        self.logw = self.logw if log_dx is None else self.logw + log_dx
+        _check_finite(self.g, lo, hi)
 
     def log_mean(self, log_integrand, moment: bool = False):
         """log of the rule applied to exp(log_integrand(g)) plus the store's

@@ -308,6 +308,13 @@ def test_inverse_power_log_abs():
     assert np.isinf(f(1.0))
 
 
+def test_inverse_power_exponent_must_be_finite():
+    # the exponent feeds the closed-form rest past the singular end
+    for q in (math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError, match="exponent"):
+            InversePowerRep(q)
+
+
 class TestSerialization:
     def test_round_trip_all_kinds(self):
         reps = [

@@ -35,7 +35,9 @@ from orlimark.harness import (
     markov_factor_log,
     three_way_report,
 )
-from orlimark.norms import evaluate_norm, lorentz_spec, lp_spec, orlicz_spec
+from orlimark.harness import _loglog_slope
+from orlimark.norms import evaluate_norm, lorentz_spec, lp_spec, orlicz_spec, v_quasinorm
+from orlimark.quadrature import lp_quasinorm
 
 
 def sin_n(n: int) -> TrigPolynomialRep:
@@ -45,6 +47,12 @@ def sin_n(n: int) -> TrigPolynomialRep:
 
 
 class TestConstants:
+    @pytest.mark.parametrize("r", [math.nan, math.inf, 2.5, 0])
+    def test_order_must_be_an_integer(self, r):
+        for check in (d_constant, d_constant_log):
+            with pytest.raises(ValueError, match="derivative order"):
+                check(r)
+
     def test_k4_closed_form(self):
         assert k_constant(4.0) == pytest.approx((49.0 * math.pi) ** 0.25, rel=1e-14)
 
@@ -139,6 +147,11 @@ class TestMarkovSweep:
             assert all(r.ratio > 0.0 for r in rep.rows)
             assert rep.min_margin > 0.0
 
+    def test_degrees_must_be_integers(self, phi2, ctx):
+        # 2.5 is no degree, and truncating it to 2 would sweep the wrong range
+        with pytest.raises(ValueError, match="degree"):
+            markov_sweep(phi2, "jacobi22", [2.5, 3, 4, 5, 6], norm=lp_spec(4.0), ctx=ctx)
+
 
 class TestBernsteinTrig:
     def test_sine_equality(self, ctx):
@@ -177,6 +190,12 @@ class TestRationalChecks:
         q = RationalRep([1.0], [1.0, 0.0, 1.0])
         with pytest.raises(ValueError):
             lp_rational_check(q, 3.0, 1)
+
+    def test_infinite_p_is_named(self):
+        # at p = inf the exponent p / (p r + 1) would be NaN; p itself is at fault
+        q = RationalRep([1.0], [1.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="finite p"):
+            lp_rational_check(q, math.inf, 1)
 
     def test_pole_rejection(self):
         q = RationalRep([1.0], [-0.25, 0.0, 1.0])
@@ -226,6 +245,26 @@ class TestTail:
         assert math.isfinite(rep.converse_norm) and rep.converse_norm > 0.0
         assert rep.beta_exponent_model == pytest.approx(-1.5)
 
+    def test_beta_norms_match_closed_form(self, ctx):
+        # the converse fit takes ||f||_beta at beta = p / (p + 1) up to
+        # 128/129, s = q beta = 0.893; each is (2^-s / (1 - s))^(1 / beta)
+        f = InversePowerRep(0.9)
+        ps = np.array([8.0, 16.0, 32.0, 64.0, 128.0])
+        betas = ps / (ps + 1.0)
+        exact = (2.0 ** (-0.9 * betas) / (1.0 - 0.9 * betas)) ** (1.0 / betas)
+        got = np.array([lp_quasinorm(f, float(b), f.natural_domain, ctx.cfg) for b in betas])
+        np.testing.assert_allclose(got, exact, rtol=1e-12, atol=0.0)
+        rep = tail_check(f, m=2.0, r=1, ctx=ctx)
+        expect = _loglog_slope(1.0 - betas, exact / rep.normalizer)[0]
+        assert rep.beta_exponent_measured == pytest.approx(expect, abs=1e-12)
+
+    def test_normalizer_matches_closed_form(self, ctx):
+        # v_quasinorm(f, power_log(2), 1) of (1 - x)^-1/2 peaks at p = 4:
+        # ||f||_(4/5) = (2^-0.4 / 0.6)^(5/4) over psi(4) = sqrt(2 / e)
+        phi = power_log(2.0)
+        value = v_quasinorm(InversePowerRep(0.5), phi, 1.0, cache=ctx.conjugates(phi, p_lo=4.0))
+        assert value == pytest.approx((2.0**-0.4 / 0.6) ** 1.25 / math.sqrt(2.0 / math.e), rel=1e-12)
+
     def test_bounded_function_trivial_tail(self, ctx):
         rep = tail_check(PolynomialRep([0.0, 1.0]), m=2.0, r=1, u_max=50.0, points=13, ctx=ctx)
         # T vanishes past the (normalized) sup, so any prefactor works
@@ -249,6 +288,10 @@ class TestExtremal:
         poly, _value = extremal_search(phi2, 1, restarts=3, ctx=ctx, seed=4)
         c = np.asarray(poly.coeffs)
         assert abs(c[0]) <= 0.2 * abs(c[1])
+
+    def test_restarts_must_be_an_integer(self, phi2, ctx):
+        with pytest.raises(ValueError, match="restarts"):
+            extremal_search(phi2, 2, restarts=math.nan, ctx=ctx)
 
     def test_deterministic(self, phi2, ctx):
         a = extremal_search(phi2, 2, restarts=2, ctx=ctx, seed=9)[1]

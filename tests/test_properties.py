@@ -13,9 +13,18 @@ from hypothesis import example, given, settings, strategies as st
 
 from orlimark.conjugate import log_power, power_log, psi
 from orlimark.errors import OrlimarkError
-from orlimark.functions import InversePowerRep, PolynomialRep, chebyshev_t, jacobi22
-from orlimark.harness import markov_ratio, tail_check
-from orlimark.norms import NormContext, g_norm, lorentz_norm, luxemburg_norm, orlicz_spec, v_quasinorm
+from orlimark.functions import InversePowerRep, PolynomialRep, RationalRep, chebyshev_t, jacobi22, random_family
+from orlimark.harness import (
+    d_constant,
+    d_constant_log,
+    extremal_search,
+    lp_rational_check,
+    markov_ratio,
+    markov_sweep,
+    rational_orlicz_check,
+    tail_check,
+)
+from orlimark.norms import NormContext, g_norm, lorentz_norm, lp_spec, luxemburg_norm, orlicz_spec, v_quasinorm
 from orlimark.quadrature import Domain, LevelSampler, QuadratureConfig, distribution, lp_quasinorm
 
 INTERVAL = Domain.interval()
@@ -124,6 +133,7 @@ def test_orlicz_n_midpoint_convexity(u, v):
 
 
 F = PolynomialRep([0.3, 1.0, -0.7])
+Q = RationalRep(PolynomialRep([0.3, 1.0, -0.7]), PolynomialRep([2.0, 0.5]))
 NAN, INF = math.nan, math.inf
 
 # (entry point, the arguments tried): each call maps one argument to a float
@@ -142,6 +152,16 @@ BAD_ARGUMENTS = [
     ("rel_tol", lambda tol: lp_quasinorm(F, 2.0, INTERVAL, QuadratureConfig(rel_tol=tol)), (NAN, INF, -INF, 0.0)),
     ("tail_check(u_max)", lambda u: tail_check(InversePowerRep(0.5), 2.0, 1, u_max=u).prefactor, (NAN, INF, -INF, 2.0)),
     ("tail_check(points)", lambda n: tail_check(InversePowerRep(0.5), 2.0, 1, points=n).prefactor, (0, 1, 2.5)),
+    ("tail_check(r)", lambda r: tail_check(InversePowerRep(0.5), 2.0, r).prefactor, (NAN, INF, -INF, 0, 2.5)),
+    ("d_constant(r)", d_constant, (NAN, INF, -INF, 0, 2.5)),
+    ("d_constant_log(r)", d_constant_log, (NAN, INF, -INF, 0, 2.5)),
+    ("lp_rational_check(r)", lambda r: lp_rational_check(Q, 4.0, r).margin, (NAN, INF, -INF, 0, 2.5)),
+    ("lp_rational_check(p)", lambda p: lp_rational_check(Q, p, 1).margin, (NAN, INF, -INF, 2.0)),
+    ("rational_orlicz_check(r)", lambda r: rational_orlicz_check(Q, PHI2, r, ctx=CTX).margin, (NAN, INF, -INF, 0, 2.5)),
+    ("markov_sweep(n_range)", lambda n: markov_sweep(PHI2, "jacobi22", [n], norm=lp_spec(4.0), ctx=CTX).rows[0].ratio, (NAN, INF, -1.0)),
+    ("random_family(n)", lambda n: float(random_family("polynomial", n, 7)(0.3)), (NAN, INF, -INF, 0, 2.5)),
+    ("extremal_search(n)", lambda n: extremal_search(PHI2, n, restarts=1, ctx=CTX)[1], (NAN, INF, -INF, 0, 2.5)),
+    ("InversePowerRep(q)", lambda q: lp_quasinorm(InversePowerRep(q), 0.5, INTERVAL), (NAN, INF, -INF, 0.0)),
 ]
 
 

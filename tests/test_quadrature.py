@@ -21,7 +21,6 @@ from orlimark.functions import (
 from orlimark.harness import build_corpus
 from orlimark.quadrature import (
     DEFAULT_CONFIG,
-    SINGULAR_CONFIG,
     Domain,
     LevelSampler,
     QuadratureConfig,
@@ -98,8 +97,24 @@ def test_log_mode_all_neg_inf_returns_neg_inf():
 
 def test_integrable_singularity():
     # int_{-1}^{1} (1-x)^{-1/2} dx/2 = [-2(1-x)^{1/2}]/2 over [-1, 1] = sqrt(2)
-    got = lp_quasinorm(InversePowerRep(0.5), 1.0, INTERVAL, SINGULAR_CONFIG)
-    assert got == pytest.approx(math.sqrt(2.0), rel=1e-7)
+    got = lp_quasinorm(InversePowerRep(0.5), 1.0, INTERVAL)
+    assert got == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("q, beta", [(0.5, 0.8), (0.8, 0.9), (0.9, 0.95), (0.99, 1.0)])
+def test_singular_end_matches_closed_form(q, beta):
+    # ||(1 - x)^-q||_beta^beta = 2^-s / (1 - s) against dx/2, s = q beta: the
+    # piece next to x = 1 is integrated in -log(1 - x), the rest in closed form
+    s = q * beta
+    got = lp_quasinorm(InversePowerRep(q), beta, INTERVAL)
+    assert got == pytest.approx((2.0**-s / (1.0 - s)) ** (1.0 / beta), rel=1e-12)
+
+
+@pytest.mark.parametrize("q, beta", [(0.6, 2.0), (1.0, 2.0)])
+def test_non_integrable_singular_end_raises(q, beta):
+    # q beta >= 1: |f|^beta is not integrable at x = 1
+    with pytest.raises(ConvergenceFailureError):
+        lp_quasinorm(InversePowerRep(q), beta, INTERVAL)
 
 
 def test_lp_quasinorm_closed_form():
@@ -337,22 +352,22 @@ def test_plain_callable_rejected():
 
 
 def test_convergence_failure_carries_estimate():
-    # slope 1e16 concentrates all mass within ~1e-16 of the right endpoint;
-    # a capped depth cannot settle the estimate, but the partial answer must
-    # carry the right sign and order of magnitude
+    # e^1e16 times a factor e^(64 sin(1e20 x)) that changes from one double
+    # to the next: no depth settles the estimate, but the partial answer
+    # must carry the right sign and order of magnitude
     def log_f(x):
-        return 1e16 * np.asarray(x)
+        return 1e16 + 64.0 * np.sin(1e20 * np.asarray(x))
 
-    capped = QuadratureConfig(rel_tol=1e-12, max_depth=12)
+    tight = QuadratureConfig(rel_tol=1e-12)
     with pytest.raises(ConvergenceFailureError) as info:
-        integrate_log(log_f, INTERVAL.lo, INTERVAL.hi, capped)
+        integrate_log(log_f, INTERVAL.lo, INTERVAL.hi, tight)
     assert info.value.best_estimate is not None
     assert info.value.best_estimate > 1e15
     assert info.value.error_bound is not None
 
 
 def test_config_budget_is_respected():
-    loose = QuadratureConfig(rel_tol=1e-4, max_depth=20)
+    loose = QuadratureConfig(rel_tol=1e-4)
     a = math.exp(log_mean(log_abs_power(4), INTERVAL, loose))
     b = math.exp(log_mean(log_abs_power(4), INTERVAL, DEFAULT_CONFIG))
     assert a == pytest.approx(b, rel=1e-4)

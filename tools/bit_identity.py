@@ -36,14 +36,18 @@ slowest group.  Covered:
   (p, b) = (1, 1), (2, 2), (3, 3), (2, 3) and (3, inf), and of its trig,
   gap and rational members, of the derivative of gap-01 (a
   ``GapDerivative``) and of sin(40x) at (3, inf) and (3, 1.5);
+* ``singular``: ``lp_quasinorm`` of ``InversePowerRep(q)`` at (q, beta) =
+  (0.5, 0.8), (0.8, 0.9), (0.9, 0.95), (0.9, 64/65) and (0.99, 1), and
+  every field of ``tail_check(InversePowerRep(r s), 2, r)`` at s in
+  {0.5, 0.9} and r in {1, 2};
 * ``fenchel_moreau_check``, ``phi_membership_check`` and
   ``equivalence_constants`` for the three phi;
 * ``young_fenchel_or_inf`` over 400 exponents for six phi families;
 * ``ConjugateCache.hstar`` for the same six families at p_lo 1 and 4, as
   built and after one ``extend``;
 * the CLI's ``.json`` (minus ``timestamp``) and ``.csv`` for ``norm`` (all
-  five kinds), ``markov-sweep``, ``equivalence``, ``transform``, ``tail``,
-  ``rational`` (a generated degree-4 rational function) and ``extremal``,
+  five kinds), ``markov-sweep``, ``equivalence``, ``transform``, ``tail``
+  (at the default s = 0.5 and at s = 0.9), ``rational`` (a generated degree-4 rational function) and ``extremal``,
   and the exit code, stdout and stderr of each run, among them a config
   with an unknown key, a non-numeric float and an invalid choice, which
   exits 1.
@@ -66,6 +70,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from orlimark import (  # noqa: E402
+    InversePowerRep,
     NormContext,
     TrigPolynomialRep,
     build_corpus,
@@ -74,9 +79,11 @@ from orlimark import (  # noqa: E402
     fenchel_moreau_check,
     log_power,
     lorentz_norm,
+    lp_quasinorm,
     phi_membership_check,
     power_log,
     tabulated_phi,
+    tail_check,
     weighted_lorentz_g,
 )
 from orlimark.conjugate import ConjugateCache, young_fenchel_or_inf  # noqa: E402
@@ -99,6 +106,7 @@ CLI_RUNS = {
     "equivalence": ("equivalence", ""),
     "transform": ("transform", ""),
     "tail": ("tail", ""),
+    "tail-s09": ("tail", "[tail]\ns = 0.9\n"),
     "rational": ("rational", "[function]\nfamily = rational\ndegree = 4\n"),
     "extremal": ("extremal", "[extremal]\ndegree = 2\nrestarts = 1\n"),
     "config-error": ("norm", "[norm]\nkind = lorenz\np = four\nordre = 2\n"),
@@ -178,6 +186,21 @@ def lorentz_records():
     for label, f in others:
         for p, b in ((3.0, math.inf), (3.0, 1.5)):
             yield "lorentz_norm", f"{label} p={p} b={b}", attempt(lambda: lorentz_norm(f, p, b))
+
+
+def tail_fields(s, r):
+    report = tail_check(InversePowerRep(r * s), 2.0, r)
+    return " ".join(f"{k}={v.tolist() if isinstance(v, np.ndarray) else v!r}" for k, v in vars(report).items())
+
+
+def singular_records():
+    for q, beta in ((0.5, 0.8), (0.8, 0.9), (0.9, 0.95), (0.9, 64.0 / 65.0), (0.99, 1.0)):
+        yield "singular", f"lp_quasinorm q={q!r} beta={beta!r}", attempt(
+            lambda: lp_quasinorm(InversePowerRep(q), beta, InversePowerRep(q).natural_domain)
+        )
+    for s in (0.5, 0.9):
+        for r in (1, 2):
+            yield "singular", f"tail_check s={s!r} r={r}", attempt(lambda: tail_fields(s, r))
 
 
 def conjugate_records():
@@ -290,7 +313,16 @@ def main(argv):
         compare(argv[1], argv[2])
         return
     out_path = argv[0]
-    groups = [conjugate_records, cache_records, g_norm_records, corpus_records, luxemburg_records, lorentz_records, cli_records]
+    groups = [
+        conjugate_records,
+        cache_records,
+        g_norm_records,
+        corpus_records,
+        luxemburg_records,
+        lorentz_records,
+        singular_records,
+        cli_records,
+    ]
     if "--quick" not in argv:
         groups.insert(0, band_records)
     counts = Counter()
