@@ -20,11 +20,12 @@ Three norm families ride on top:
   Grids are geometric with 64 points per decade and start at the scan's
   lower exponent p_lo; a maximizer at the right edge triggers two fourfold
   extensions before the scan is declared divergent.  The winning grid point
-  is polished by a root of the log ratio's slope in log p, unless it is
-  p_lo and the ratio does not rise off that edge; the scan reports the
-  exact norm over an exact weight there.  The slope of the weight is psi'(p) =
-  (y*(p) - psi_log(p)) / p, y* the maximizer of the conjugate solve
-  (Danskin's envelope theorem), and each cached-node evaluator reports the
+  is polished by a root of the log ratio's slope, unless it is p_lo and
+  the ratio does not rise off that edge; the scan reports the exact norm
+  over an exact weight there.  The root is taken along y, the maximizer of
+  the conjugate: p = h'(y) and h*(p) = p y - h(y), so the polish solves no
+  conjugate and the slope of the log weight h*(p)/p is h(y)/p^2 (Danskin's
+  envelope theorem), and each cached-node evaluator reports the
   slope of its log norm from the node values it holds: the L_p evaluator
   the mean of log|f| under the normalised weights of |f|^p, the layer cake
   the mean of log T, the weak form log T at its parabola's vertex.  The
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import ConjugateCache, PhiSpec, psi_log as _psi_log_exact, young_fenchel, young_fenchel_or_inf
+from .conjugate import ConjugateCache, PhiSpec
 from .errors import (
     ConstructionError,
     ConvergenceFailureError,
@@ -295,16 +296,21 @@ def _sup_over_p(make_log_norm, exact_norm, phi: PhiSpec, cache: ConjugateCache, 
     the larger exponents.  A copy of the cache takes the extensions: the one
     passed in stays as built.
 
-    The grid winner p_k is polished by a root of the log ratio's slope in
-    x = log p, p (d log_norm / dp - psi'(p)), with p psi'(p) = y*(p) -
-    psi_log(p) from the maximizer y* of the conjugate solve (Danskin), on
-    [log p_(k-1), log p_(k+1)] clamped to the grid, to 1e-11 in x.  It runs
-    only when the slope rises at the left end and falls at the right, where
-    a diverging conjugate counts as falling: a winner at p_lo whose ratio
-    does not rise off the edge keeps its grid value, and so does a log
-    ratio of -inf (f = 0).
-    The result is exact_norm(p) over an exact weight there; ``tolerance_met``
-    says whether the fast value agrees with it to 1e-6.
+    The grid winner p_k is polished by a root of minus the log ratio's
+    slope, times p, along y: p = h'(y) and h*(p) = p y - h(y), the equality
+    case of the Fenchel-Young inequality, so that the slope is
+    h(y) / p - p d log_norm / dp and no conjugate is solved.  The bracket is
+    [y*(p_(k-1)), y*(p_(k+1))] from the cache, clamped to the grid, with its
+    end values from the cache's h* and y*; where the conjugate diverges at
+    p_(k+1), the upper end steps up from y*(p_k), doubling, until the
+    ratio falls.  The root is taken to 1e-11 in log p, mapped onto y by the
+    bracket, at the end of smaller residual.  The polish runs only when the slope rises at the lower end
+    and falls at the upper: a winner at p_lo whose ratio does not rise off
+    the edge keeps its grid value, and so does a log ratio of -inf (f = 0).
+    The result is exact_norm(p) over the weight there, from the cache or
+    the identity; ``tolerance_met`` says whether the fast value agrees with
+    it to 1e-6.  On a table h' is a step function, so p lands on a kink of
+    h*, a chord slope of the table, where a tabulated ratio peaks.
     """
     if not abs(cache.grid[0] - p_lo) <= 1e-12 * cache.grid[0]:
         raise ValueError(f"conjugate cache grid starts at p = {cache.grid[0]!r}, not at p_lo = {p_lo!r}")
@@ -326,29 +332,38 @@ def _sup_over_p(make_log_norm, exact_norm, phi: PhiSpec, cache: ConjugateCache, 
         log_norm, slope = make_log_norm(cache.p_hi)
         extensions += 1
 
-    hstar = {}
+    def falls(ys):
+        """minus the slope of the log ratio in p, times p, at p = h'(y)."""
+        p = phi.dh(ys)
+        return phi.h(ys) / p - p * slope(p)
 
-    def falls(x: float) -> float:
-        """minus the slope of the log ratio at x = log p, +inf where the
-        conjugate diverges; keeps h*(p) for the value at the root."""
-        p = math.exp(x)
-        hstar[x], y = young_fenchel_or_inf(phi, p, argmax=True)
-        if hstar[x] == math.inf:
-            return math.inf
-        return y - hstar[x] / p - p * float(slope(np.array([p]))[0])
+    def falls_at(i):
+        """falls at y*(p_i), from the cache."""
+        p = grid[i : i + 1]
+        return float((cache.ystar[i] - cache.psi_log_grid[i]) - p[0] * slope(p)[0])
 
-    best_log, p_star = float(vals[k]), float(grid[k])
-    a, b = math.log(grid[max(k - 1, 0)]), math.log(grid[min(k + 1, len(grid) - 1)])
+    best_log, p_star, weight = float(vals[k]), float(grid[k]), float(cache.psi_log_grid[k])
+    i, j = max(k - 1, 0), k + 1
+    a, b = float(cache.ystar[i]), float(cache.ystar[j])
     # polish only a ratio that rises at a and falls at b
-    g_a = falls(a) if math.isfinite(best_log) else math.nan
-    g_b = falls(b) if g_a < 0.0 else math.nan
+    g_a = falls_at(i) if math.isfinite(best_log) else math.nan
+    g_b = math.nan
+    if g_a < 0.0 and math.isfinite(b):
+        g_b = falls_at(j)
+    elif g_a < 0.0:
+        b, step = float(cache.ystar[k]), 1.0
+        while not g_b >= 0.0 and abs(b) <= 1e9:
+            b, step = b + step, 2.0 * step
+            g_b = float(falls(np.array([b]))[0])
     if g_b >= 0.0:
-        x, _g = _root(lambda xs: np.array([falls(float(xs[0]))]), a, b, g_a, g_b, 1e-11)
-        p = math.exp(x)
-        fast = float(log_norm(np.array([p]))[0]) - hstar[x] / p
+        ytol = 1e-11 * (b - a) / math.log(grid[j] / grid[i])
+        y, _g = _root(falls, a, b, g_a, g_b, ytol)
+        p = float(phi.dh(np.array([y]))[0])
+        at_p = y - float(phi.h(np.array([y]))[0]) / p
+        fast = float(log_norm(np.array([p]))[0]) - at_p
         if fast > best_log:
-            best_log, p_star = fast, p
-    value = exact_norm(p_star) * math.exp(-_psi_log_exact(phi, p_star))
+            best_log, p_star, weight = fast, p, at_p
+    value = exact_norm(p_star) * math.exp(-weight)
     fast = math.exp(best_log)
     ok = abs(value - fast) <= 1e-6 * max(value, fast, 1e-300)
     return ScanResult(value, p_star, ok, extensions)
@@ -754,10 +769,9 @@ def _gap_series(phi: PhiSpec, k_start: int, shift: int) -> float:
 def equivalence_constants(n: OrliczN) -> EquivalenceConstants:
     phi = n.phi
     g_over_b = max(1.0, n.splice_point, 1.0 / n.linear_slope)
-    hstar_1 = young_fenchel(phi, 1.0)
-    delta = 1e-6
-    right_deriv = (young_fenchel(phi, 1.0 + delta) - hstar_1) / delta
-    split = max(4.0 + max(math.log(n.splice_point), 1.0), right_deriv)
+    # the knee solves h'(log u) = 1, so log(splice_point) = y*(1) = h*'(1),
+    # which the split clears by four
+    split = 4.0 + max(math.log(n.splice_point), 1.0)
     k_start = math.ceil(split - 1e-12)
     series = _gap_series(phi, k_start, shift=0)
     series_alt = _gap_series(phi, k_start, shift=1)

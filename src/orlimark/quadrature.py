@@ -515,11 +515,13 @@ def sup_norm(f, domain: Domain) -> float:
 _MAX_ROOT_STEPS = 200
 
 
-def _bracketed_root(g, x_neg, x_pos, g_neg, g_pos, tol: float):
+def _bracketed_root(g, x_neg, x_pos, g_neg, g_pos, tol):
     """Collapse brackets around roots of g, lane by lane, to width tol.
 
     Lane i runs from x_neg[i], where g <= 0, to x_pos[i], where g >= 0, and
-    g(x, lanes) returns g of lane lanes[i] at x[i].  Regula falsi with
+    g(x, lanes) returns g of lane lanes[i] at x[i].  tol is one width for
+    every lane or an array of one a lane; a lane's steps depend only on its
+    own bracket, values and tol.  Regula falsi with
     Anderson-Bjorck scaling of an end kept twice running, and three
     safeguards: two from Brent's method, a step longer than half the step
     before last becomes a bisection and every point stays tol / 2 inside the
@@ -535,6 +537,7 @@ def _bracketed_root(g, x_neg, x_pos, g_neg, g_pos, tol: float):
     x_neg, g_neg = np.where(g_pos == 0.0, x_pos, x_neg), np.where(g_pos == 0.0, 0.0, g_neg)
 
     live = np.flatnonzero(g_neg < 0.0)
+    tol = np.broadcast_to(tol, x_neg.shape)[live]
     xn, xp, gn, gp = x_neg[live], x_pos[live], g_neg[live], g_pos[live]
     sn, sp = gn, gp  # the end values regula falsi reads, scaled
     pos_moved = neg_moved = np.zeros(live.size, dtype=bool)  # which end moved last
@@ -574,8 +577,8 @@ def _bracketed_root(g, x_neg, x_pos, g_neg, g_pos, tol: float):
                 x_neg[idx], x_pos[idx] = xn[done], np.where(zero, x, xp)[done]
                 g_neg[idx], g_pos[idx] = gn[done], np.where(zero, 0.0, gp)[done]
                 keep = ~done
-                live, xn, xp, gn, gp, sn, sp, step, older, last, pos_moved, neg_moved, w3, w2, w1 = (
-                    v[keep] for v in (live, xn, xp, gn, gp, sn, sp, step, older, last, pos_moved, neg_moved, w3, w2, w1)
+                live, xn, xp, gn, gp, sn, sp, step, older, last, pos_moved, neg_moved, w3, w2, w1, tol = (
+                    v[keep] for v in (live, xn, xp, gn, gp, sn, sp, step, older, last, pos_moved, neg_moved, w3, w2, w1, tol)
                 )
     if live.size:
         best = float(np.where(-gn < gp, xn, xp)[0])

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from orlimark import norms, quadrature
-from orlimark.conjugate import ConjugateCache, golden_max, log_power, power_log, psi_log
+from orlimark import conjugate, norms, quadrature
+from orlimark.conjugate import ConjugateCache, golden_max, log_power, power_log, psi_log, tabulated_phi
 from orlimark.errors import (
     ConvergenceFailureError,
     DomainEvaluationError,
@@ -398,20 +398,27 @@ class TestGNorm:
 
     @pytest.mark.parametrize("p_peak, most, least", [("0.999", 2, 0), ("1.2", 20, 3)])
     def test_edge_winner_skips_the_polish(self, p_peak, most, least, monkeypatch):
-        # the slope at the edge costs one conjugate solve; an interior peak
-        # pays for the derivative root, a few solves
+        # the slope at the edge costs one evaluator slope; an interior peak
+        # pays for the derivative root, a few slopes; neither solves a
+        # conjugate
         f, phi, _p_star, _value = self._edge_case(p_peak)
         cache = ConjugateCache(phi)
-        calls = []
-        solve = norms.young_fenchel_or_inf
+        slopes, solves = [], []
+        slope, solve = quadrature.PowerNormEvaluator.slope, conjugate.young_fenchel_lanes
 
-        def counted(*args, **kw):
-            calls.append(args)
+        def counted_slope(*args):
+            slopes.append(args)
+            return slope(*args)
+
+        def counted_solve(*args, **kw):
+            solves.append(args)
             return solve(*args, **kw)
 
-        monkeypatch.setattr(norms, "young_fenchel_or_inf", counted)
+        monkeypatch.setattr(quadrature.PowerNormEvaluator, "slope", counted_slope)
+        monkeypatch.setattr(conjugate, "young_fenchel_lanes", counted_solve)
         g_norm_info(f, phi, cache=cache)
-        assert least <= len(calls) <= most
+        assert least <= len(slopes) <= most
+        assert solves == []
 
     @pytest.mark.parametrize(
         "m, value, p_near, extensions",
@@ -434,6 +441,27 @@ class TestGNorm:
             p_star = mp.findroot(lambda p: mp.log(30 * p + 1) / p - 30 / (30 * p + 1) - 1 / mp.mpf(m), p_near)
         assert abs(info.p_star / p_star - 1) <= 1e-8
 
+
+    @pytest.mark.parametrize(
+        "zs, phis", [([0.5, 1.0, 2.0, 4.0, 8.0], [0.05, 0.2, 0.9, 4.0, 20.0]), ([1.0, 2.0, 4.0, 8.0], [1.0, 3.0, 9.0, 27.0])]
+    )
+    def test_table_peaks_at_a_chord_slope(self, zs, phis):
+        # h* of a table is linear between its kinks, the chord slopes s_i:
+        # h*(p)/p is affine in 1/p there and log||f||_p convex, so an
+        # interior maximum of the ratio sits on a kink; x^30 peaks on the
+        # last, beyond which h* diverges
+        phi = tabulated_phi(zs, phis)
+        chords = np.diff(phis) / np.diff(np.log(zs))
+        corpus = dict(build_corpus(7))
+        interior = 0
+        monomials = [PolynomialRep([0.0] * d + [1.0]) for d in (1, 8, 30)]
+        for f in monomials + [corpus["poly-02"], corpus["poly-04"]]:
+            info = g_norm_info(f, phi)
+            assert info.tolerance_met
+            if info.p_star != 1.0:
+                interior += 1
+                assert np.min(np.abs(chords - info.p_star)) <= 4 * np.spacing(info.p_star)
+        assert interior >= 3
 
     def test_extension_leaves_the_shared_cache_as_built(self):
         # x^30 extends the grid for its own scan only: a member scanned after
@@ -856,6 +884,33 @@ def test_g_norm_is_the_exact_ratio_at_p_star(label, ctx):
         assert info.value == pytest.approx(exact, rel=1e-12), phi.label
 
 
+@pytest.mark.parametrize("kind", ["gnorm", "vnorm", "weighted-2", "weighted-inf"])
+def test_scans_solve_no_conjugate(kind, monkeypatch):
+    # a scan reads h* and y* from its cache and parametrizes p by y between
+    # grid points; only the cache build solves
+    phi = power_log(2.0)
+    cache = ConjugateCache(phi, p_lo=4.0 if kind == "vnorm" else 1.0)
+    solves = []
+    solve = conjugate.young_fenchel_lanes
+
+    def counted(*args, **kw):
+        solves.append(args)
+        return solve(*args, **kw)
+
+    monkeypatch.setattr(conjugate, "young_fenchel_lanes", counted)
+    f = dict(build_corpus(7))["poly-03"]
+    scan = {
+        "gnorm": lambda: g_norm(f, phi, cache=cache),
+        "vnorm": lambda: v_quasinorm(derivative(f, 1), phi, 1.0, cache=cache),
+        "weighted-2": lambda: weighted_lorentz_g(f, phi, 2.0, cache=cache),
+        "weighted-inf": lambda: weighted_lorentz_g(f, phi, math.inf, cache=cache),
+    }[kind]
+    assert math.isfinite(scan())
+    assert solves == []
+    ConjugateCache(phi)
+    assert len(solves) == 1
+
+
 class TestWeightedLorentzG:
     def test_constant(self, phi2, ctx):
         got = weighted_lorentz_g(PolynomialRep([1.0]), phi2, 1.0, cache=ctx.conjugates(phi2))
@@ -966,6 +1021,21 @@ class TestEquivalenceConstants:
         consts = equivalence_constants(ctx.orlicz(phi2))
         assert consts.b_over_g == pytest.approx(math.exp(consts.b_over_g_log), rel=1e-12)
         assert consts.b_over_g > math.exp(2.0)
+
+    @pytest.mark.parametrize(
+        "phi",
+        [power_log(1.0), power_log(2.0), power_log(4.0), power_log(1.0, 3.0), power_log(3.0, 1.0), power_log(8.0, 2.0), log_power(1.0), log_power(2.0)],
+        ids=lambda phi: phi.label,
+    )
+    def test_knee_is_the_conjugate_maximizer_at_one(self, phi):
+        # the knee solves u phi'(u) = 1, i.e. h'(log u) = 1, so its log is
+        # y*(1) = h*'(1), four below the split
+        n = construct_N(phi)
+        (_hstar,), (ystar,) = conjugate.young_fenchel_lanes(phi, [1.0])
+        assert abs(math.log(n.splice_point) - ystar) <= 1e-12 * (1.0 + abs(ystar))
+        consts = equivalence_constants(n)
+        assert consts.split_index == 4.0 + max(math.log(n.splice_point), 1.0)
+        assert consts.split_index >= ystar + 4.0 - 1e-12
 
     def test_phi4_log_finite_exp_overflows(self, ctx):
         phi4 = power_log(4.0)
