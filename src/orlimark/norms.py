@@ -492,9 +492,9 @@ def _level_nodes(sampler: LevelSampler) -> _NodeStore:
     return _NodeStore(at, np.arange(8 * k + 1) / 8)
 
 
-def _log_layer_cake(p: float, b: float):
+def _log_layer_cake(p, b: float):
     """(w, dw/ds, log T) -> log of b w^(b-1) T(w)^(p/b) dw/ds, on the rows of
-    a level-map node store.
+    a level-map node store; an array p of shape (K, 1, 1) gives K lanes.
 
     Its integral over s in [0, K] is ||f||_(p,b)^b.  Summed in log space, it
     holds for every scale of f, where w^(b-1) alone over- or underflows.
@@ -604,16 +604,14 @@ def lorentz_norm(
 class _LayerCakeEvaluator(_NodeRule):
     """Cached-node evaluator of p -> log ||f||_(p,b) at finite b, for scans:
     a node rule over s in [0, K] on the panels of the layer cake at p = 1, 32
-    and p_hi, all three integrated on the level-map node store ``nodes``.  A
+    and p_hi, integrated in one pass on the level-map node store ``nodes``.  A
     node holds log T(w) and the log of its weight in the layer cake
     b int w^(b-1) T^(p/b) dw."""
 
     def __init__(self, nodes: _NodeStore, b: float, cfg: QuadratureConfig, p_hi: float):
         self._b = b
-        ends = []
-        for p in (1.0, 32.0, p_hi):
-            ends += _adaptive(nodes, _log_layer_cake(float(p), b), cfg)[2:]
-        super().__init__(nodes, ends)
+        ps = np.array([1.0, 32.0, p_hi])[:, None, None]
+        super().__init__(nodes, _adaptive(nodes, _log_layer_cake(ps, b), cfg)[2:])
 
     def _row(self, cols, half):
         w, dw, log_t = cols

@@ -6,11 +6,9 @@ reduces to three primitives implemented here:
 * ``integrate_log``: adaptive composite 16-point Gauss-Legendre with
   bisection refinement and a parent-versus-children error estimate, the
   one adaptive integrator.  It integrates ``exp(g)`` over [lo, hi] for a
-  supplied ``g = log(integrand)`` and carries everything through
-  log-sum-exp, which keeps integrands far outside double range
-  representable.  The log-sum-exp is computed here, row by row, with
-  ``scipy.special.logsumexp``'s real-input operations in the same order,
-  so it returns the same bits without that function's per-call overhead.
+  supplied ``g = log(integrand)``, summed in units of e^c, one shift c per
+  integral, which keeps integrands far outside double range
+  representable; several integrands of one node store share its panels.
 * ``lp_quasinorm``: ``(integral of |f|^p dmu)^(1/p)`` for any finite
   p > 0, valid below p = 1 as a quasinorm.
 * ``LevelSampler`` / ``distribution``: the distribution function
@@ -144,11 +142,12 @@ def break_points_of(f, domain: Domain):
 
 
 def _check_finite(values: np.ndarray, p_lo, p_hi) -> None:
-    """Raise DomainEvaluationError at the first NaN or +inf of the rows of
-    values at the nodes of the panels [p_lo, p_hi]; -inf is a zero."""
+    """Raise DomainEvaluationError at the first NaN or +inf of values, rows
+    of one lane or several at the nodes of the panels [p_lo, p_hi]; -inf is 0."""
     bad = ~np.isfinite(values) & ~np.isneginf(values)
     if bad.any():
-        x = float(_panel_nodes(p_lo, p_hi)[0].ravel()[np.argmax(bad)])
+        xs = _panel_nodes(p_lo, p_hi)[0].ravel()
+        x = float(xs[np.argmax(bad) % xs.size])
         raise DomainEvaluationError(f"integrand is not finite at x = {x!r}", abscissa=x)
 
 
@@ -189,12 +188,13 @@ def _panel_nodes(lo, hi):
 
 def _initial_edges(lo, hi, count, breaks):
     """The ``count`` uniform panel edges of [lo, hi] and the points of
-    ``breaks`` inside, sorted; a point within rounding of an edge already
-    taken is dropped."""
+    ``breaks`` inside, sorted; a point closer to an edge already taken than
+    the width below which two adjacent Gauss nodes of a panel fall within
+    one ulp (about 45 ulps) is dropped."""
     edges = np.linspace(lo, hi, count + 1)
     if breaks is None:
         return edges
-    tol = 4.0 * np.finfo(float).eps * max(1.0, abs(lo), abs(hi))
+    tol = np.finfo(float).eps * max(1.0, abs(lo), abs(hi)) * 2.0 / np.min(np.diff(_NODES))
     inner = np.unique(np.asarray(breaks, dtype=float))
     inner = inner[(inner > lo + tol) & (inner < hi - tol)]
     i = np.searchsorted(edges, inner)
@@ -263,18 +263,19 @@ class _NodeStore:
         cols = [c[at] for c in self._cols]
         return (cols, None) if self._end is None else (cols[:-1], cols[-1])
 
-    def rest(self, transform) -> float:
+    def rest(self, transform):
         """log of the integral of e^G, G(y) = transform(*end(y)) - y, past the
-        singular piece's end y_1 (-inf without one): e^G(y_1) / -G', as G is
-        linear for a power singularity, with G' its secant on [y_1, 2 y_1]."""
+        singular piece's end y_1, one a lane (-inf without one): e^G(y_1) / -G',
+        as G is linear for a power singularity, G' its secant on [y_1, 2 y_1]."""
         if self._end is None:
             return -math.inf
-        y = self._y(self.hi) * np.array([1.0, 2.0])
-        g = transform(*self._end(y)) - y
-        slope = float((g[1] - g[0]) / y[0])
-        if not slope < 0.0:
-            raise ConvergenceFailureError(f"the integrand does not decay at the singular end: slope {slope!r} in -log(distance)")
-        return float(g[0]) - math.log(-slope)
+        # one row of two points, as the panel rows that a transform with lanes broadcasts over
+        y = self._y(self.hi) * np.array([[1.0, 2.0]])
+        g = (transform(*self._end(y)) - y)[..., 0, :]
+        slope = (g[..., 1] - g[..., 0]) / y[0, 0]
+        if not np.all(slope < 0.0):
+            raise ConvergenceFailureError(f"the integrand does not decay at the singular end: slope {float(np.max(slope))!r} in -log(distance)")
+        return g[..., 0] - np.log(-slope)
 
 
 def _abs_nodes(f, domain: Domain) -> _NodeStore:
@@ -299,35 +300,41 @@ def _adaptive(nodes: _NodeStore, transform, cfg):
     store's edges hold the break points, where the integrand may have a
     kink, as QUADPACK's QAGP takes its break points; its ``rest`` is added.
 
-    Returns the log of the integral, the error estimate in units of the
-    largest panel value, and the ends of the accepted panels as two arrays.
+    One shift c serves the whole integral: the largest log integrand t (plus
+    log dx/ds on a singular piece) at the nodes, raised, with the sums
+    rescaled, by a wave that exceeds it.  t - c is formed before anything is
+    exponentiated, so a huge constant t sums exactly, and a panel's value is
+    exp(t - c) @ weights times its half width.  A transform may return a
+    leading axis of K lanes, integrated in one pass as scipy's ``quad_vec``
+    subdivides once for a vector integrand: each lane keeps its own shift,
+    sums and early retirement, and a panel splits while any lane needs it.
+
+    Returns the log of the integral, the error estimate in units of e^c (an
+    array of one a lane each, with lanes) and the accepted panels' ends.
     """
-    lo, hi = nodes.lo, nodes.hi
-    total_len = hi - lo
-    logw = np.log(_WEIGHTS)
 
-    def panel_values(plo, phi_):
-        cols, log_dx = nodes.rows(plo, phi_)
-        g = transform(*cols)
-        _check_finite(g, plo, phi_)
-        with np.errstate(divide="ignore"):
-            a = g + logw[None, :] if log_dx is None else g + logw[None, :] + log_dx
-            return _logsumexp(a) + np.log(0.5 * (phi_ - plo))
+    def terms(p_lo, p_hi):
+        cols, log_dx = nodes.rows(p_lo, p_hi)
+        t = transform(*cols)
+        _check_finite(t, p_lo, p_hi)
+        return t if log_dx is None else t + log_dx
 
+    def result(*per_lane):
+        return per_lane if lanes else tuple(float(v[0]) for v in per_lane)
+
+    p_lo, p_hi = nodes.edges[:-1].copy(), nodes.edges[1:].copy()
+    t = terms(p_lo, p_hi)
+    lanes = t.ndim == 3
+    t = t.reshape(-1, p_lo.size, _NODES.size)
     rest = nodes.rest(transform)
-    p_lo = nodes.edges[:-1].copy()
-    p_hi = nodes.edges[1:].copy()
-    p_val = panel_values(p_lo, p_hi)
-
-    # every contribution is stored as exp(value - scale_log), at most one, so
-    # sums and error comparisons stay in ordinary floating point whatever
-    # the integrand's magnitude
-    scale_log = max(float(np.max(p_val)), rest)
-    if scale_log == -math.inf:
-        return -math.inf, 0.0, np.array([lo]), np.array([hi])
-
-    acc_sum = math.exp(rest - scale_log)
-    acc_err = 0.0
+    c = np.maximum(np.max(t, axis=(1, 2)), rest)
+    # a lane that vanishes at every node of the first wave is zero
+    live = np.repeat(np.isfinite(c)[:, None], p_lo.size, axis=1)
+    if not live.any():
+        return *result(c, np.zeros(c.shape)), np.array([nodes.lo]), np.array([nodes.hi])
+    c[~live[:, 0]] = 0.0
+    p_val = (np.exp(t - c[:, None, None]) @ _WEIGHTS) * (0.5 * (p_hi - p_lo))
+    acc_sum, acc_err = np.exp(rest - c), np.zeros(c.shape)
     done_lo, done_hi = [], []
 
     for _depth in range(_MAX_DEPTH):
@@ -335,49 +342,45 @@ def _adaptive(nodes: _NodeStore, transform, cfg):
         mid = 0.5 * (p_lo + p_hi)
         c_lo = np.concatenate([p_lo, mid])
         c_hi = np.concatenate([mid, p_hi])
-        c_val = panel_values(c_lo, c_hi)
+        t = terms(c_lo, c_hi).reshape(c.size, 2 * k, _NODES.size)
 
-        new_max = float(np.max(c_val, initial=-math.inf))
-        if new_max > scale_log:
-            shift = math.exp(scale_log - new_max)
-            acc_sum *= shift
-            acc_err *= shift
-            scale_log = new_max
+        new_c = np.maximum(c, t.max(axis=(1, 2)))
+        if (new_c > c).any():
+            shift = np.exp(c - new_c)
+            acc_sum, acc_err, p_val, c = acc_sum * shift, acc_err * shift, p_val * shift[:, None], new_c
 
-        s_child = np.exp(c_val - scale_log)
-        s_pair = s_child[:k] + s_child[k:]
-        err = np.abs(s_pair - np.exp(p_val - scale_log))
+        s_child = (np.exp(t - c[:, None, None]) @ _WEIGHTS) * (0.5 * (c_hi - c_lo))
+        s_pair = s_child[:, :k] + s_child[:, k:]
+        err = np.abs(s_pair - p_val)
 
-        scale_ref = max(acc_sum + float(np.sum(s_pair)), 1e-300)
-        budget = cfg.rel_tol * scale_ref * ((p_hi - p_lo) / total_len)
-        done = (err <= budget) | (err <= 1e-16 * scale_ref)
-        if float(np.sum(err[~done])) + acc_err <= cfg.rel_tol * scale_ref:
-            done[:] = True
+        scale_ref = np.maximum(acc_sum + np.sum(s_pair, axis=1, where=live), 1e-300)[:, None]
+        budget = cfg.rel_tol * scale_ref * ((p_hi - p_lo) / (nodes.hi - nodes.lo))
+        done = live & ((err <= budget) | (err <= 1e-16 * scale_ref))
+        retire = np.sum(err, axis=1, where=live & ~done) + acc_err <= cfg.rel_tol * scale_ref[:, 0]
+        done[retire] = live[retire]
 
-        if done.any():
-            acc_sum += float(np.sum(s_pair[done]))
-            acc_err += float(np.sum(err[done]))
-            done_lo += [c_lo[:k][done], c_lo[k:][done]]
-            done_hi += [c_hi[:k][done], c_hi[k:][done]]
+        acc_sum += np.sum(s_pair, axis=1, where=done)
+        acc_err += np.sum(err, axis=1, where=done)
+        live &= ~done
+        keep = live.any(axis=0)
+        done_lo += [c_lo[:k][~keep], c_lo[k:][~keep]]
+        done_hi += [c_hi[:k][~keep], c_hi[k:][~keep]]
+        if not keep.any():
+            with np.errstate(divide="ignore"):
+                return *result(c + np.log(acc_sum), acc_err), np.concatenate(done_lo), np.concatenate(done_hi)
 
-        live = ~done
-        if not live.any():
-            log_value = scale_log + math.log(acc_sum) if acc_sum > 0 else -math.inf
-            return log_value, acc_err, np.concatenate(done_lo), np.concatenate(done_hi)
-
-        p_lo = np.concatenate([c_lo[:k][live], c_lo[k:][live]])
-        p_hi = np.concatenate([c_hi[:k][live], c_hi[k:][live]])
-        p_val = np.concatenate([c_val[:k][live], c_val[k:][live]])
+        p_lo = np.concatenate([c_lo[:k][keep], c_lo[k:][keep]])
+        p_hi = np.concatenate([c_hi[:k][keep], c_hi[k:][keep]])
+        p_val = np.concatenate([s_child[:, :k][:, keep], s_child[:, k:][:, keep]], axis=1)
+        live = np.concatenate([live[:, keep]] * 2, axis=1)
         if p_lo.size > _MAX_PANELS:
             break
 
-    live_mass = float(np.sum(np.exp(p_val - scale_log)))
-    best = acc_sum + live_mass
-    raise ConvergenceFailureError(
-        f"quadrature did not converge within depth {_MAX_DEPTH}",
-        best_estimate=scale_log + math.log(best) if best > 0 else -math.inf,
-        error_bound=acc_err + live_mass,  # crude: full live mass
-    )
+    live_mass = np.sum(p_val, axis=1, where=live)
+    with np.errstate(divide="ignore"):
+        # crude bound: the full live mass
+        best, bound = result(c + np.log(acc_sum + live_mass), acc_err + live_mass)
+    raise ConvergenceFailureError(f"quadrature did not converge within depth {_MAX_DEPTH}", best_estimate=best, error_bound=bound)
 
 
 def integrate_log(log_f, lo: float, hi: float, cfg: QuadratureConfig = DEFAULT_CONFIG, breaks=None) -> float:
@@ -443,18 +446,16 @@ class _NodeRule:
 class PowerNormEvaluator:
     """Evaluates p -> ||f||_p for many p from one cached panelization.
 
-    Its node rule joins the panels of |f|^e for each e of ``yardsticks``,
-    integrated on the node store ``nodes`` of log|f|; each norm is then a
+    Its node rule is the one panel set of |f|^e for the e of ``yardsticks``,
+    integrated together on the node store ``nodes`` of log|f|; each norm is then a
     single vectorized log-sum-exp.  Intended for scan loops; the returned
     maximizer should be re-validated with a fully adaptive integral on the
     same store (see norms module).
     """
 
     def __init__(self, nodes: _NodeStore, cfg: QuadratureConfig, yardsticks):
-        ends = []
-        for e in yardsticks:
-            ends += _adaptive(nodes, lambda g, e=float(e): e * g, cfg)[2:]
-        self._rule = _NodeRule(nodes, ends)
+        es = np.asarray(yardsticks, dtype=float)[:, None, None]
+        self._rule = _NodeRule(nodes, _adaptive(nodes, lambda g: es * g, cfg)[2:])
         self.node_count = self._rule.g.size
 
     def log_norm(self, p):

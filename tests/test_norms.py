@@ -999,6 +999,23 @@ class TestEvaluatorSlopes:
         ev = norms._LayerCakeEvaluator(norms._level_nodes(quadrature.LevelSampler(f, f.natural_domain)), 2.0, DEFAULT_CONFIG, 1024.0)
         assert ev.slope(self.PS) == pytest.approx(_central_difference(ev.log_value, self.PS), rel=1e-8)
 
+    def test_one_adaptive_pass_per_build(self, monkeypatch):
+        # the three yardsticks (power) and the three layer cakes share one
+        # panel set from one adaptive call
+        adaptive, calls = quadrature._adaptive, []
+
+        def counted(*args):
+            calls.append(args)
+            return adaptive(*args)
+
+        monkeypatch.setattr(quadrature, "_adaptive", counted)
+        monkeypatch.setattr(norms, "_adaptive", counted)
+        f = dict(build_corpus(7))["poly-30"]
+        quadrature.PowerNormEvaluator(quadrature._abs_nodes(f, f.natural_domain), DEFAULT_CONFIG, yardsticks=(1.0, 32.0, 1024.0))
+        assert len(calls) == 1
+        norms._LayerCakeEvaluator(norms._level_nodes(quadrature.LevelSampler(f, f.natural_domain)), 2.0, DEFAULT_CONFIG, 1024.0)
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("label", ["poly-03", "poly-30", "gap-01", "rational-02", "trig-02"])
     def test_weak(self, label):
         f = dict(build_corpus(7))[label]

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -88,6 +89,14 @@ def test_log_mode_handles_huge_values():
     # exp(600) overflows double; the log-sum-exp path must not
     got = log_mean(lambda x: np.full_like(x, 600.0), INTERVAL)
     assert got == pytest.approx(600.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("c", [1e7, 1e8, 1e12, 1e15])
+def test_large_log_integrand_sums_without_rounding(c):
+    # g - c is formed before anything is exponentiated: a constant log
+    # integrand far above 1 sums exactly, to c + log 2 on [-1, 1]
+    got = integrate_log(lambda x: np.full_like(x, c), -1.0, 1.0)
+    assert abs(got - (c + math.log(2.0))) <= np.spacing(c)
 
 
 def test_log_mode_all_neg_inf_returns_neg_inf():
@@ -393,6 +402,30 @@ def test_logsumexp_matches_scipy_bit_for_bit(shape):
         assert np.array_equal(got, logsumexp(rows, axis=1), equal_nan=True)
 
 
+def test_break_point_next_to_an_edge_is_merged():
+    # T_12's extremum at x = 0.5 rounds 1e-15 off the uniform edge there; a
+    # panel that narrow would round its Gauss nodes onto a few abscissae
+    edges = _initial_edges(-1.0, 1.0, _INITIAL_PANELS, chebyshev_t(12).break_points(INTERVAL))
+    assert np.min(np.diff(edges)) > np.finfo(float).eps * 2.0 / np.min(np.diff(quadrature._NODES))
+    xs = quadrature._panel_nodes(edges[:-1], edges[1:])[0]
+    assert all(np.unique(row).size == 16 for row in xs)
+
+
+def test_lanes_share_one_pass():
+    # three transforms of one store integrated together: each lane within
+    # rel_tol of a 50-digit mpmath value of |T_12|^e on [-1, 1], split at
+    # the break points cos(k pi / 24), twice the even integrand's on [0, 1]
+    f, es = chebyshev_t(12), np.array([1.0, 32.0, 1024.0])
+    values, errors, _lo, _hi = _adaptive(_abs_nodes(f, INTERVAL), lambda g: es[:, None, None] * g, DEFAULT_CONFIG)
+    assert values.shape == errors.shape == es.shape
+    coeffs = [int(c) for c in np.polynomial.chebyshev.cheb2poly([0] * 12 + [1])[::-1]]
+    with mp.workdps(50):
+        points = [mp.cos(mp.pi * k / 24) for k in range(12, -1, -1)]
+        for e, value in zip(es, values):
+            ref = 2 * mp.quad(lambda x, e=int(e): abs(mp.polyval(coeffs, x)) ** e, points)
+            assert math.exp(value) == pytest.approx(float(ref), rel=DEFAULT_CONFIG.rel_tol)
+
+
 def test_node_store_evaluates_each_panel_once():
     # the panels of |T_12|^60 refine most, not all, of those of |T_12|; both
     # integrals and the rule on their union read one store, which evaluates
@@ -412,9 +445,8 @@ def test_node_store_evaluates_each_panel_once():
     held = len(points)
     rule.join(*second[2:])
     assert len(points) == held
-    # a row is one panel's nodes (T_12's extremum at 0.5 rounds 1e-15 off
-    # the uniform edge there, and the nodes of that panel round together)
-    rows = np.concatenate(points).reshape(-1, 16)
-    assert np.unique(rows, axis=0).shape == rows.shape
+    # every node is evaluated once, and no two nodes round onto one abscissa
+    nodes_seen = np.concatenate(points)
+    assert np.unique(nodes_seen).size == nodes_seen.size
     fresh = _NodeRule(_abs_nodes(f, INTERVAL), first[2:] + second[2:])
     assert rule.g.tobytes() == fresh.g.tobytes() and rule.logw.tobytes() == fresh.logw.tobytes()

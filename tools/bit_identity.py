@@ -23,6 +23,8 @@ slowest group.  Covered:
 
 * ``band``: the value of every item of the benchmark's ``band`` workload
   (``perfbench/workloads.py``) on seeds 1 and 11, in workload order;
+* ``lp``: ``lp_quasinorm`` of the members of ``build_corpus(7)`` at p in
+  {1, 2, 7, 64}, plain adaptive integrals, in ``--quick`` too;
 * ``g_norm_info`` (value, p_star, tolerance_met and extensions) of the
   members of ``build_corpus(7)`` under three phi, scans from p_lo = 1 that
   take the left-edge skip and the polish, in ``--quick`` too;
@@ -129,6 +131,12 @@ def band_records():
         for item in band.items():
             # a scan's ScanResult prints its fields by name, for --compare
             yield "band", f"{seed} {item.label}", attempt(item.call)
+
+
+def lp_records():
+    for label, f in build_corpus(7):
+        for p in (1.0, 2.0, 7.0, 64.0):
+            yield "lp", f"{label} p={p}", attempt(lambda: lp_quasinorm(f, p, f.natural_domain))
 
 
 def g_norm_records():
@@ -316,6 +324,7 @@ def main(argv):
     groups = [
         conjugate_records,
         cache_records,
+        lp_records,
         g_norm_records,
         corpus_records,
         luxemburg_records,
