@@ -1,9 +1,11 @@
 """Growth functions phi, their log-reparametrization h, and conjugates.
 
-The admissible class consists of phi with phi(0) = 0 whose reparametrization
-h(y) = phi(e^y) is strictly increasing and convex and whose consecutive gaps
-h(k+1) - h(k) grow fast enough that sum_k exp(h(k) - h(k+1)) converges.  Two
-built-in families cover the use cases:
+A growth function is described once, in y = log z: by h(y) = phi(e^y), its
+derivative h'(y) and its kinks, the y where h' jumps (``PhiSpec``).  The
+admissible class consists of phi with phi(0) = 0 whose h is strictly
+increasing and convex and whose consecutive gaps h(k+1) - h(k) grow fast
+enough that sum_k exp(h(k) - h(k+1)) converges; ``gap_terms`` gives the
+terms of that series.  Two built-in families cover the use cases:
 
 * power_log(m, r):  phi(z) = z^m * log(exp(m + |r|) + z)^(-m r).  With r = 0
   this is exactly z^m, for which every conjugate quantity has a closed form
@@ -16,7 +18,8 @@ the maximizer y*(p), which is h*'(p) (Rockafellar, Convex Analysis, 1970,
 Thm 26.5; Danskin's envelope theorem), and h*(p) = p y* - h(y*).  Every
 exponent of a grid is one lane of one solve.  The norm scans read h* and y*
 on a grid and, between grid points, parametrize p by y: p = h'(y) and
-h*(p) = p y - h(y) exactly, with no further solve.
+h*(p) = p y - h(y) exactly, with no further solve.  y*(1) is the log of the
+knee of the spliced Orlicz function (``norms.construct_N``).
 psi(p) = exp(h*(p) / p) is the weight the sup-based norms divide by; it is
 nondecreasing for admissible phi because h*(0) = 0 and h* is convex.
 """
@@ -36,6 +39,14 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class PhiSpec:
+    """A growth function phi, described in y = log z by three things: h(y) =
+    phi(e^y), its derivative h'(y) = e^y phi'(e^y), and the kinks, the y
+    where h' jumps (a table's points and the start of its clamp at zero).
+
+    Every consumer reads these: the conjugate solver, the spliced Orlicz
+    function and its knee, the gap series and the membership check.
+    """
+
     family: str
     m: float = math.nan
     r: float = math.nan
@@ -53,64 +64,19 @@ class PhiSpec:
             return f"tabulated({len(self.table[0])} points)"
         return "custom"
 
-    # -- pointwise evaluation ------------------------------------------------
-
-    def phi(self, z):
-        zs = np.asarray(z, dtype=float)
-        if self.family == "power-log":
-            a = self.m + abs(self.r)
-            lg = np.log(math.exp(a) + zs)
-            with np.errstate(over="ignore"):
-                return zs**self.m * lg ** (-self.m * self.r)
-        if self.family == "log-power":
-            return np.log1p(zs) ** (1.0 + self.nu)
-        if self.family == "custom":
-            return np.asarray(self.fn(zs), dtype=float)
-        return self._table_h(_safe_log(zs))
-
     def h(self, y):
         """phi(e^y), evaluated in a way that stays stable for large |y|."""
         ys = np.asarray(y, dtype=float)
-        if self.family in ("power-log", "custom"):
-            with np.errstate(over="ignore"):
-                return self._h(ys)
-        return self._h(ys)
-
-    def _h(self, ys):
-        """h on an ndarray or a float, with no overflow guard of its own.
-
-        numpy ufuncs give the same bits on a float as on a one-element
-        array, so the float path matches h exactly.
-        """
-        if self.family == "power-log":
-            lg = np.logaddexp(self.m + abs(self.r), ys)  # log(e^(m+|r|) + e^y)
-            return np.exp(self.m * ys - self.m * self.r * np.log(lg))
-        if self.family == "log-power":
-            soft = np.where(ys > 30.0, ys, np.log1p(np.exp(np.minimum(ys, 30.0))))
-            return soft ** (1.0 + self.nu)
-        if self.family == "custom":
-            return np.asarray(self.fn(np.exp(ys)), dtype=float)
-        return self._table_h(ys)
-
-    def _h_at(self, y: float) -> float:
-        """h(y) as a float for pointwise loops, which guard overflow once.
-
-        A custom callable still receives an ndarray (of one element).  For
-        z^m (power-log with r = 0) and finite y the log term m*r*log(lg) is
-        exactly zero, so exp(m*y) returns _h's bits without computing it.
-        """
-        if self.family == "power-log" and self.r == 0.0 and math.isfinite(y):
-            return float(np.exp(self.m * y))
-        if self.family == "log-power":
-            # _h's operations without its array-wide where/minimum
-            soft = np.asarray(y if y > 30.0 else np.log1p(np.exp(y)))
-            return float(soft ** (1.0 + self.nu))
-        if self.family == "custom":
-            return float(self._h(np.array([y]))[0])
-        return float(self._h(y))
-
-    def _table_h(self, ys):
-        return np.maximum(self._table_line(np.asarray(ys, dtype=float)), 0.0)
+        with np.errstate(over="ignore"):
+            if self.family == "power-log":
+                lg = np.logaddexp(self.m + abs(self.r), ys)  # log(e^(m+|r|) + e^y)
+                return np.exp(self.m * ys - self.m * self.r * np.log(lg))
+            if self.family == "log-power":
+                soft = np.where(ys > 30.0, ys, np.log1p(np.exp(np.minimum(ys, 30.0))))
+                return soft ** (1.0 + self.nu)
+            if self.family == "custom":
+                return np.asarray(self.fn(np.exp(ys)), dtype=float)
+        return np.maximum(self._table_line(ys), 0.0)
 
     def _table_line(self, ys):
         """The table's piecewise-linear h before the clamp at zero."""
@@ -127,22 +93,27 @@ class PhiSpec:
     def dh(self, y):
         """h'(y) = e^y phi'(e^y), from the same stable forms as h.
 
-        A table's h' is the slope of the piece that holds y (the right one
-        at a table point) and 0 where the clamp at zero holds.
+        A custom phi's h' is e^y times a central difference of phi at
+        z = e^y.  A table's h' is the slope of the piece that holds y (the
+        right one at a table point) and 0 where the clamp at zero holds.
         """
         ys = np.asarray(y, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             if self.family == "power-log":
                 # h = exp(m y - m r log L), L = log(e^(m+|r|) + e^y), dL/dy = e^(y - L)
                 lg = np.logaddexp(self.m + abs(self.r), ys)
-                return self.m * self._h(ys) * (1.0 - self.r * np.exp(ys - lg) / lg)
+                return self.m * self.h(ys) * (1.0 - self.r * np.exp(ys - lg) / lg)
             if self.family == "log-power":
                 soft = np.where(ys > 30.0, ys, np.log1p(np.exp(np.minimum(ys, 30.0))))
                 # d soft / dy = e^y / (1 + e^y) = 1 - e^-soft
                 return (1.0 + self.nu) * soft**self.nu * -np.expm1(-soft)
             if self.family == "custom":
                 zs = np.exp(ys)
-                return zs * self.dphi(zs)
+                step = np.maximum(1e-7 * zs, 1e-9)
+                lo = np.maximum(zs - step, 0.0)
+                up = np.asarray(self.fn(zs + step), dtype=float)
+                down = np.asarray(self.fn(lo), dtype=float)
+                return zs * ((up - down) / (zs + step - lo))
         ty, th = (np.asarray(v) for v in self.table)
         slopes = np.diff(th) / np.diff(ty)
         piece = np.clip(np.searchsorted(ty, ys, side="right") - 1, 0, slopes.size - 1)
@@ -155,24 +126,6 @@ class PhiSpec:
             return np.empty(0)
         ty, th = self.table
         return np.array([ty[0] - th[0] / ((th[1] - th[0]) / (ty[1] - ty[0])), *ty])
-
-    def dphi(self, z):
-        zs = np.asarray(z, dtype=float)
-        if self.family == "power-log":
-            m, r = self.m, self.r
-            a = math.exp(m + abs(r))
-            lg = np.log(a + zs)
-            return m * zs ** (m - 1.0) * lg ** (-m * r) * (1.0 - r * zs / (lg * (a + zs)))
-        if self.family == "log-power":
-            return (1.0 + self.nu) * np.log1p(zs) ** self.nu / (1.0 + zs)
-        step = np.maximum(1e-7 * np.abs(zs), 1e-9)
-        lo = np.maximum(zs - step, 0.0)
-        return (self.phi(zs + step) - self.phi(lo)) / (zs + step - lo)
-
-
-def _safe_log(zs):
-    with np.errstate(divide="ignore"):
-        return np.log(zs)
 
 
 def power_log(m: float, r: float = 0.0) -> PhiSpec:
@@ -256,38 +209,36 @@ def phi_membership_check(
     d2 = hv[2:] - 2.0 * hv[1:-1] + hv[:-2]
     convex = bool(np.all(d2 >= -1e-9 * scale))
 
-    terms = []
-    partial = 0.0
-    summable = False
-    tail_bound = math.inf
-    detail = ""
-    with np.errstate(over="ignore"):
-        hk1 = phi._h_at(3.0)
-        for k in range(3, 201):
-            hk, hk1 = hk1, phi._h_at(float(k + 1))
-            if not (math.isfinite(hk) and math.isfinite(hk1)):
-                gap = -math.inf  # h overflowed: gaps this deep dwarf the float range
-            else:
-                gap = hk - hk1
-            term = math.exp(gap) if gap > -745.0 else 0.0
-            partial += term
-            terms.append(term)
-            if term < 1e-300:
-                summable = True
-                tail_bound = 0.0
-                detail = f"terms vanish beyond k = {k}"
-                break
-    if not summable and len(terms) >= 21:
-        last = terms[-20:]
-        ratios = [last[i + 1] / last[i] if last[i] > 0 else 0.0 for i in range(19)]
-        if all(rho <= 0.5 for rho in ratios):
-            summable = True
-            tail_bound = terms[-1]  # geometric with ratio <= 1/2: tail <= last term
-            partial += tail_bound
-            detail = "geometric tail certified at horizon"
-        else:
-            detail = f"term ratios near horizon reach {max(ratios):.3f}"
-    return MembershipReport(monotone, convex, summable, partial, tail_bound, detail)
+    terms = np.array(gap_terms(phi, 3, 198))  # k = 3, ..., 200
+    partials = np.cumsum(terms)
+    vanish = np.flatnonzero(terms < 1e-300)
+    if vanish.size:
+        k = vanish[0]
+        return MembershipReport(monotone, convex, True, float(partials[k]), 0.0, f"terms vanish beyond k = {3 + k}")
+    last = terms[-20:]
+    ratios = last[1:] / last[:-1]
+    if np.all(ratios <= 0.5):
+        # geometric with ratio <= 1/2: the tail is at most the last term
+        tail_bound = float(terms[-1])
+        return MembershipReport(monotone, convex, True, float(partials[-1]) + tail_bound, tail_bound, "geometric tail certified at horizon")
+    detail = f"term ratios near horizon reach {float(np.max(ratios)):.3f}"
+    return MembershipReport(monotone, convex, False, float(partials[-1]), math.inf, detail)
+
+
+def gap_terms(phi: PhiSpec, k0: int, count: int) -> list:
+    """exp(h(k) - h(k+1)) for k = k0, ..., k0 + count - 1, as floats.
+
+    h is evaluated once, on the integers k0, ..., k0 + count.  A gap where
+    h is not finite (h overflowed: gaps this deep dwarf the float range),
+    or a gap below -745, gives 0.
+    """
+    hv = phi.h(np.arange(k0, k0 + count + 1, dtype=float))
+    finite = np.isfinite(hv[:-1]) & np.isfinite(hv[1:])
+    with np.errstate(invalid="ignore"):
+        gaps = np.where(finite, hv[:-1] - hv[1:], -math.inf)
+    # math.exp, not numpy's exp, which differs from it in the last bit for
+    # some arguments: the series sums keep the bits they always had
+    return [math.exp(gap) if gap > -745.0 else 0.0 for gap in gaps.tolist()]
 
 
 def golden_max(obj, a, b, tol=1e-12, iters=200):

@@ -17,7 +17,9 @@ class ConvergenceFailureError(OrlimarkError):
     """Adaptive refinement exhausted its depth or panel budget.
 
     Carries the best available estimate and an error bound so callers can
-    decide whether the partial answer is still usable.
+    decide whether the partial answer is still usable.  From an adaptive
+    integral, ``best_estimate`` is the log of the integral and
+    ``error_bound`` the bound on its error relative to exp(best_estimate).
     """
 
     def __init__(self, message, best_estimate=None, error_bound=None):

@@ -2,8 +2,10 @@
 
 The central object is a spliced Orlicz function built from a growth function
 phi: linear with slope ``linear_slope`` up to the knee ``splice_point`` and
-exp(phi(u)) beyond it.  The knee solves u * phi'(u) = 1, which makes the two
-branches tangent, so the spliced function is convex and C1.
+exp(phi(u)) beyond it.  The knee solves u * phi'(u) = 1, that is h'(log u) = 1
+with h(y) = phi(e^y), so its log is the conjugate maximizer y*(1); the two
+branches meet there with the linear one supporting the other, so the spliced
+function is convex (and C1 where h' is continuous).
 
 Three norm families ride on top:
 
@@ -42,11 +44,11 @@ Three norm families ride on top:
 ``evaluate_norm_info`` is the one dispatch from a ``NormSpec`` to these
 norms, for the harness and the command line alike.
 
-The knee, the root of the model of the log modular and, when the model
-does not settle, the Luxemburg root itself are found by
-``quadrature._bracketed_root`` with Brent's tolerances, at the end of the
-collapsed bracket with the smaller residual; so is the polish of a
-sup-over-p scan, and the maximum of the weak Lorentz form.
+The knee is y*(1) from the conjugate solver.  The root of the model of the
+log modular and, when the model does not settle, the Luxemburg root itself
+are found by ``quadrature._bracketed_root`` with Brent's tolerances, at the
+end of the collapsed bracket with the smaller residual; so is the polish of
+a sup-over-p scan, and the maximum of the weak Lorentz form.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import ConjugateCache, PhiSpec
+from .conjugate import ConjugateCache, PhiSpec, gap_terms, young_fenchel_lanes
 from .errors import (
     ConstructionError,
     ConvergenceFailureError,
@@ -134,33 +136,21 @@ class OrliczN:
 def construct_N(phi: PhiSpec) -> OrliczN:
     """Find the tangency knee and slope for the spliced Orlicz function.
 
-    The knee is the smallest root of u * phi'(u) = 1 in [1e-3, 1e3]; the
-    slope exp(phi(knee)) / knee then matches value and derivative of the
-    exponential branch at the knee, making the splice convex.
+    u phi'(u) = h'(log u), so the knee's log is y*(1), the maximizer of
+    y - h(y), which ``young_fenchel_lanes`` finds; it must lie in
+    [log 1e-3, log 1e3].  The solver's bracket has h' <= 1 to the left of
+    y*(1) and h' >= 1 to the right, at a table's kink too, so the line
+    through the origin and (knee, exp(h(y*(1)))) supports the exponential
+    branch there (is tangent to it where h' is continuous) and the splice
+    is convex.  The slope is exp(h(y*(1))) / knee.
     """
-    us = np.geomspace(1e-3, 1e3, 2401)
-    g = us * phi.dphi(us) - 1.0
-    good = np.isfinite(g)
-    us, g = us[good], g[good]
-    crossings = np.flatnonzero((g[:-1] == 0.0) | ((g[:-1] < 0.0) & (g[1:] > 0.0)))
-    if not crossings.size:
-        raise ConstructionError(
-            f"no knee for {phi.label} in [0.001, 1000]: "
-            "u * phi'(u) - 1 never crosses zero"
-        )
-    i = crossings[0]
-    knee, residual = _root(lambda u: u * phi.dphi(u) - 1.0, float(us[i]), float(us[i + 1]), float(g[i]), float(g[i + 1]), 1e-15)
-    phi_at = float(phi.phi(np.array([knee]))[0])
-    slope = math.exp(phi_at) / knee
-    tangent = float(phi.dphi(np.array([knee]))[0]) * math.exp(phi_at)
+    (_hstar,), (y,) = young_fenchel_lanes(phi, [1.0])
+    if not (math.log(1e-3) <= y <= math.log(1e3)):
+        raise ConstructionError(f"no knee for {phi.label} in [0.001, 1000]: y*(1) = {float(y)!r}")
+    knee = math.exp(y)
+    slope = math.exp(float(phi.h(y))) / knee
     if not math.isfinite(slope) or slope <= 0.0:
         raise ConstructionError(f"degenerate slope at knee for {phi.label}")
-    if abs(residual) > 1e-6:
-        raise ConstructionError(f"knee residual too large for {phi.label}")
-    if slope > tangent * (1.0 + 1e-9):
-        raise ConstructionError(
-            f"spliced function for {phi.label} would be non-convex at the knee"
-        )
     n = OrliczN(phi, knee, slope)
     # monotonicity spot check across both branches
     sample = np.geomspace(max(knee * 1e-3, 1e-12), knee * 1e3, 257)
@@ -740,28 +730,19 @@ class EquivalenceConstants:
 
 
 def _gap_series(phi: PhiSpec, k_start: int, shift: int) -> float:
-    total = 0.0
-    prev = None
-    k = k_start
-    with np.errstate(over="ignore"):
-        hk1 = phi._h_at(float(k - shift))
-        for _ in range(500):
-            hk, hk1 = hk1, phi._h_at(float(k + 1 - shift))
-            if math.isfinite(hk) and math.isfinite(hk1):
-                gap = hk - hk1
-            else:
-                gap = -math.inf  # beyond float range the gaps dwarf anything summable
-            term = math.exp(gap) if gap > -745.0 else 0.0
-            total += term
-            if term == 0.0:
-                return total
-            if prev is not None and term <= 0.5 * prev and term <= 1e-12:
-                return total + term  # ratio <= 1/2 bounds the tail by the last term
-            prev = term
-            k += 1
-    raise SummabilityError(
-        f"gap series for {phi.label} did not certify convergence in 500 terms"
-    )
+    """sum_k exp(h(k - shift) - h(k + 1 - shift)) from k = k_start, up to
+    a zero term or a term at most half the last and at most 1e-12, whose
+    ratio bounds the tail by that term; 500 terms at most."""
+    terms = np.array(gap_terms(phi, k_start - shift, 500))
+    geometric = np.zeros(terms.size, dtype=bool)
+    geometric[1:] = (terms[1:] <= 0.5 * terms[:-1]) & (terms[1:] <= 1e-12)
+    stop = np.flatnonzero((terms == 0.0) | geometric)
+    if not stop.size:
+        raise SummabilityError(
+            f"gap series for {phi.label} did not certify convergence in 500 terms"
+        )
+    k = stop[0]
+    return float(np.cumsum(terms)[k] + terms[k])  # a zero term adds nothing
 
 
 def equivalence_constants(n: OrliczN) -> EquivalenceConstants:
@@ -844,17 +825,16 @@ class NormContext:
 
     def __init__(self, cfg: QuadratureConfig = DEFAULT_CONFIG):
         self.cfg = cfg
-        self._n: dict[str, OrliczN] = {}
-        self._cache: dict[tuple[str, float], ConjugateCache] = {}
+        self._n: dict[PhiSpec, OrliczN] = {}
+        self._cache: dict[tuple[PhiSpec, float], ConjugateCache] = {}
 
     def orlicz(self, phi: PhiSpec) -> OrliczN:
-        key = phi.label
-        if key not in self._n:
-            self._n[key] = construct_N(phi)
-        return self._n[key]
+        if phi not in self._n:
+            self._n[phi] = construct_N(phi)
+        return self._n[phi]
 
     def conjugates(self, phi: PhiSpec, p_lo: float = 1.0) -> ConjugateCache:
-        key = (phi.label, p_lo)
+        key = (phi, p_lo)
         if key not in self._cache:
             self._cache[key] = ConjugateCache(phi, p_lo=p_lo)
         return self._cache[key]

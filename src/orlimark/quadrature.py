@@ -311,6 +311,10 @@ def _adaptive(nodes: _NodeStore, transform, cfg):
 
     Returns the log of the integral, the error estimate in units of e^c (an
     array of one a lane each, with lanes) and the accepted panels' ends.
+    Past the depth or panel budget it raises ConvergenceFailureError whose
+    ``best_estimate`` is the log of the accepted sum plus the mass of the
+    live panels and whose ``error_bound`` is the accepted error plus that
+    live mass, relative to exp(best_estimate); one value a lane each.
     """
 
     def terms(p_lo, p_hi):
@@ -377,9 +381,10 @@ def _adaptive(nodes: _NodeStore, transform, cfg):
             break
 
     live_mass = np.sum(p_val, axis=1, where=live)
-    with np.errstate(divide="ignore"):
-        # crude bound: the full live mass
-        best, bound = result(c + np.log(acc_sum + live_mass), acc_err + live_mass)
+    total = acc_sum + live_mass
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # crude bound: the full live mass, relative to the estimate
+        best, bound = result(c + np.log(total), (acc_err + live_mass) / total)
     raise ConvergenceFailureError(f"quadrature did not converge within depth {_MAX_DEPTH}", best_estimate=best, error_bound=bound)
 
 

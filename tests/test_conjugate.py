@@ -253,21 +253,6 @@ def test_table_conjugate_is_lucet(zs, phis):
     assert np.array_equal(got[ps >= 1.0], expect[ps >= 1.0])
 
 
-KERNEL_PHIS = [phi for phi, _ in ORACLES] + [power_log(2.0, r=-0.0)]
-
-
-@pytest.mark.parametrize("phi", KERNEL_PHIS, ids=FAMILY_IDS + ["power-log(m=2,r=-0)"])
-def test_point_kernel_matches_h(phi):
-    # the float path of the pointwise loops returns h's bits exactly,
-    # non-finite y included (h(+inf) is nan for power-log: 0 * log(inf))
-    ys = np.concatenate(
-        [np.linspace(-60.0, 80.0, 2801), [-0.0, 30.0, np.nextafter(30.0, 31.0), 700.0, 1e9, np.inf, -np.inf, np.nan]]
-    )
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = np.array([phi._h_at(float(y)) for y in ys])
-        assert np.array_equal(got, phi.h(ys), equal_nan=True)
-
-
 def assert_same_bits(got, expected):
     expected = np.array(expected, dtype=float)
     assert np.array_equal(got, expected, equal_nan=True)

@@ -9,7 +9,7 @@ import pytest
 from scipy.optimize import brentq
 
 from orlimark import conjugate, norms, quadrature
-from orlimark.conjugate import ConjugateCache, golden_max, log_power, power_log, psi_log, tabulated_phi
+from orlimark.conjugate import ConjugateCache, custom_phi, golden_max, log_power, power_log, psi_log, tabulated_phi
 from orlimark.errors import (
     ConvergenceFailureError,
     DomainEvaluationError,
@@ -146,6 +146,20 @@ class TestBrentq:
             _solve(lambda x: x * x + 1.0, -1.0, 2.0, 1e-12)
 
 
+KNEE_PHIS = [power_log(1.0), power_log(2.0), power_log(4.0), power_log(1.0, 3.0), power_log(3.0, 1.0), power_log(8.0, 2.0), log_power(1.0), log_power(2.0)]
+
+
+def mp_dh(phi, y):
+    """h'(y) of a power-log or log-power phi in mpmath."""
+    if phi.family == "log-power":
+        soft = mp.log1p(mp.exp(y))
+        return (1 + mp.mpf(phi.nu)) * soft ** mp.mpf(phi.nu) / (1 + mp.exp(-y))
+    m, r = mp.mpf(phi.m), mp.mpf(phi.r)
+    big = mp.exp(m + abs(r)) + mp.exp(y)
+    h = mp.exp(m * y) * mp.log(big) ** (-m * r)
+    return m * h * (1 - r * mp.exp(y) / (big * mp.log(big)))
+
+
 class TestSplice:
     def test_phi2_constants(self, phi2):
         n = construct_N(phi2)
@@ -172,6 +186,29 @@ class TestSplice:
         # log N stays finite-valued arithmetic even when u = exp(1e6)
         out = n.n_log_from_log_u(np.array([1e6]))
         assert np.isfinite(out).all() or np.all(out > 0)
+
+    @pytest.mark.parametrize("phi", KNEE_PHIS, ids=lambda phi: phi.label)
+    def test_knee_matches_mpmath(self, phi):
+        # the knee solves h'(log u) = 1; a 40-digit root of that equation
+        n = construct_N(phi)
+        with mp.workdps(40):
+            y = mp.findroot(lambda t: mp_dh(phi, t) - 1, mp.mpf(math.log(n.splice_point)))
+            knee = mp.exp(y)
+            assert abs(n.splice_point - knee) <= 1e-13 * knee
+
+    def test_table_knee_is_its_kink(self):
+        # h' steps from 0.27 to 1.08 at y = log 0.5, so the knee is that
+        # point and the slope is e^h(log 0.5) / 0.5 = 2 e^(1/4)
+        n = construct_N(tabulated_phi([0.25, 0.5, 1.0, 2.0, 4.0, 8.0], [0.0625, 0.25, 1.0, 4.0, 16.0, 1000.0]))
+        assert n.splice_point == 0.5
+        assert abs(n.linear_slope - 2.0 * math.exp(0.25)) <= 1e-15
+
+    def test_table_knee_at_the_clamp(self):
+        # h' steps from 0 to 2 / log 2 at the start of the clamp at zero,
+        # y = -log(2) / 2, where h = 0
+        n = construct_N(tabulated_phi([1.0, 2.0, 4.0, 8.0], [1.0, 3.0, 9.0, 27.0]))
+        assert n.splice_point == pytest.approx(2.0**-0.5, rel=1e-15)
+        assert n.linear_slope == pytest.approx(2.0**0.5, rel=1e-15)
 
 
 class TestLuxemburg:
@@ -857,7 +894,7 @@ def _gauss_legendre_luxemburg(f, n, start):
         xs = 0.5 * (edges[1:] + edges[:-1])[:, None] + half[:, None] * nodes[None, :]
         u = np.abs(f(xs)) / l
         with np.errstate(over="ignore"):
-            big_n = np.where(u <= n.splice_point, n.linear_slope * u, np.exp(n.phi.phi(u)))
+            big_n = np.where(u <= n.splice_point, n.linear_slope * u, np.exp(n.phi.h(np.log(u))))
         return float(np.sum(big_n * weights[None, :] * half[:, None])) / dom.length
 
     return float(mp.findroot(lambda l: modular(float(l)) - 1.0, (mp.mpf(start), mp.mpf(start) * (1 + mp.mpf(1e-6))), solver="secant"))
@@ -1039,11 +1076,7 @@ class TestEquivalenceConstants:
         assert consts.b_over_g == pytest.approx(math.exp(consts.b_over_g_log), rel=1e-12)
         assert consts.b_over_g > math.exp(2.0)
 
-    @pytest.mark.parametrize(
-        "phi",
-        [power_log(1.0), power_log(2.0), power_log(4.0), power_log(1.0, 3.0), power_log(3.0, 1.0), power_log(8.0, 2.0), log_power(1.0), log_power(2.0)],
-        ids=lambda phi: phi.label,
-    )
+    @pytest.mark.parametrize("phi", KNEE_PHIS, ids=lambda phi: phi.label)
     def test_knee_is_the_conjugate_maximizer_at_one(self, phi):
         # the knee solves u phi'(u) = 1, i.e. h'(log u) = 1, so its log is
         # y*(1) = h*'(1), four below the split
@@ -1106,6 +1139,19 @@ class TestDispatch:
         local = NormContext()
         assert local.orlicz(phi2) is local.orlicz(phi2)
         assert local.conjugates(phi2) is local.conjugates(phi2)
+
+    def test_context_tells_equal_labels_apart(self):
+        # every custom phi is labelled "custom" and both tables
+        # "tabulated(3 points)"; each must get its own knee and conjugates
+        pairs = [
+            (custom_phi(lambda z: np.asarray(z) ** 2), custom_phi(lambda z: np.asarray(z) ** 3)),
+            (tabulated_phi([1.0, 2.0, 4.0], [1.0, 3.0, 9.0]), tabulated_phi([1.0, 2.0, 4.0], [1.0, 4.0, 16.0])),
+        ]
+        for pair in pairs:
+            local = NormContext()
+            for phi in pair:
+                assert local.orlicz(phi) == construct_N(phi)
+                assert np.array_equal(local.conjugates(phi).hstar, ConjugateCache(phi).hstar)
 
 
 class TestOneEvaluationPerNode:

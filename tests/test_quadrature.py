@@ -372,7 +372,8 @@ def test_convergence_failure_carries_estimate():
         integrate_log(log_f, INTERVAL.lo, INTERVAL.hi, tight)
     assert info.value.best_estimate is not None
     assert info.value.best_estimate > 1e15
-    assert info.value.error_bound is not None
+    # relative to exp(best_estimate): at most the whole estimate
+    assert 0.0 < info.value.error_bound <= 1.0 + 1e-12
 
 
 def test_config_budget_is_respected():

@@ -31,9 +31,12 @@ slowest group.  Covered:
 * on the members of ``build_corpus(7)``: ``v_quasinorm_info`` of the first
   derivative (r = 1) and ``sup_ratio_from(p_lo=4)`` for three phi, and
   ``weighted_lorentz_g`` with power_log(2) at b = 2 and b = inf;
-* ``construct_N``'s ``splice_point`` and ``linear_slope`` for three phi,
-  ``luxemburg_norm`` of the members of ``build_corpus(7)`` under each, and
-  of ``jacobi22(120)`` and its derivative under power_log(2);
+* ``knee``: ``construct_N``'s ``splice_point`` and ``linear_slope`` for
+  the eight phi families of ``FAMILIES`` (the three phi of the norm groups,
+  power_log(3, r=1), a custom z^2.5 and three tables: one whose knee is a
+  point of the table, one whose knee is the start of its clamp at zero);
+* ``luxemburg_norm`` of the members of ``build_corpus(7)`` under three phi,
+  and of ``jacobi22(120)`` and its derivative under power_log(2);
 * ``lorentz_norm`` of the 30 polynomials of ``build_corpus(7)`` at
   (p, b) = (1, 1), (2, 2), (3, 3), (2, 3) and (3, inf), and of its trig,
   gap and rational members, of the derivative of gap-01 (a
@@ -43,9 +46,9 @@ slowest group.  Covered:
   every field of ``tail_check(InversePowerRep(r s), 2, r)`` at s in
   {0.5, 0.9} and r in {1, 2};
 * ``fenchel_moreau_check``, ``phi_membership_check`` and
-  ``equivalence_constants`` for the three phi;
-* ``young_fenchel_or_inf`` over 400 exponents for six phi families;
-* ``ConjugateCache.hstar`` for the same six families at p_lo 1 and 4, as
+  ``equivalence_constants`` for the eight families;
+* ``young_fenchel_or_inf`` over 400 exponents for the eight families;
+* ``ConjugateCache.hstar`` for the eight families at p_lo 1 and 4, as
   built and after one ``extend``;
 * the CLI's ``.json`` (minus ``timestamp``) and ``.csv`` for ``norm`` (all
   five kinds), ``markov-sweep``, ``equivalence``, ``transform``, ``tail``
@@ -97,6 +100,10 @@ FAMILIES = PHIS + [
     power_log(3.0, r=1.0),
     tabulated_phi([0.5, 1.0, 2.0, 4.0, 8.0], [0.05, 0.2, 0.9, 4.0, 20.0]),
     custom_phi(lambda z: np.asarray(z) ** 2.5),
+    # knee at the table point z = 0.5
+    tabulated_phi([0.25, 0.5, 1.0, 2.0, 4.0, 8.0], [0.0625, 0.25, 1.0, 4.0, 16.0, 1000.0]),
+    # knee at the start of the clamp at zero, z = 2^(-1/2)
+    tabulated_phi([1.0, 2.0, 4.0, 8.0], [1.0, 3.0, 9.0, 27.0]),
 ]
 CLI_RUNS = {
     "norm-lp": ("norm", "[norm]\nkind = lp\np = 3\n"),
@@ -170,9 +177,12 @@ def knee(phi):
     return n.splice_point, n.linear_slope
 
 
+def knee_records():
+    for phi in FAMILIES:
+        yield "knee", phi.label, attempt(lambda: knee(phi))
+
+
 def luxemburg_records():
-    for phi in PHIS:
-        yield "luxemburg", f"knee {phi.label}", attempt(lambda: knee(phi))
     ctx = NormContext()
     for label, f in build_corpus(7):
         for phi in PHIS:
@@ -213,7 +223,7 @@ def singular_records():
 
 def conjugate_records():
     ys = np.linspace(-2.0, 3.0, 21)
-    for phi in PHIS:
+    for phi in FAMILIES:
         yield "fenchel_moreau_check", phi.label, attempt(lambda: fenchel_moreau_check(phi, ys))
         yield "phi_membership_check", phi.label, attempt(lambda: phi_membership_check(phi))
         yield "equivalence_constants", phi.label, attempt(lambda: equivalence_constants(NormContext().orlicz(phi)))
@@ -327,6 +337,7 @@ def main(argv):
         lp_records,
         g_norm_records,
         corpus_records,
+        knee_records,
         luxemburg_records,
         lorentz_records,
         singular_records,
