@@ -38,7 +38,7 @@ from .conjugate import (
     tabulated_phi,
     young_fenchel_grid,
 )
-from .errors import ConfigError, OrlimarkError
+from .errors import ConfigError, OrlimarkError, SummabilityError
 from .functions import RANDOM_FAMILIES, InversePowerRep, RationalRep, from_text, random_family, to_text
 from .harness import (
     SWEEP_FAMILIES,
@@ -294,14 +294,19 @@ def _norm_spec(cfg: ExperimentConfig, phi) -> NormSpec:
 
 def _constants_block(phi, ctx: NormContext) -> dict:
     n_func = ctx.orlicz(phi)
-    eq = equivalence_constants(n_func)
+    try:
+        eq = equivalence_constants(n_func)
+        c4 = eq.b_over_g_log, eq.b_over_g_alt_log
+    except SummabilityError:
+        # past a table h continues linearly: every gap term is e^-slope and C4 does not exist
+        c4 = None, None
     return {
         "splice_point": n_func.splice_point,
         "linear_slope": n_func.linear_slope,
-        "c3": eq.g_over_b,
-        "c4_log": eq.b_over_g_log,
-        "c4_alt_log": eq.b_over_g_alt_log,
-        "split_index": eq.split_index,
+        "c3": n_func.g_over_b,
+        "c4_log": c4[0],
+        "c4_alt_log": c4[1],
+        "split_index": n_func.split_index,
         "k4": k_constant(4.0),
         "psi4": psi(phi, 4.0),
     }

@@ -280,8 +280,9 @@ def young_fenchel_lanes(phi: PhiSpec, ps, p_min: float = 0.5):
     the sign of p - h'(0), until h' - p changes sign; a lane that passes
     |y| = 1e9 first has h*(p) = y*(p) = +inf.  ``quadrature._bracketed_root``
     then collapses the bracket to 1e-14 (1 + |y|) and y* is its end of
-    smaller |h' - p|; a table's y* is the kink inside that bracket, where
-    the maximum lies.  Every lane takes its own steps, so a lane's bits do
+    smaller |h' - p|.  A table's h' is a step function: its lane stops once
+    the bracket holds one kink, and y* is that kink, where the maximum
+    lies.  Every lane takes its own steps, so a lane's bits do
     not depend on the other exponents of the call.  An h' that falls where
     it should rise means h is not convex: SummabilityError.
     """
@@ -334,12 +335,19 @@ def young_fenchel_lanes(phi: PhiSpec, ps, p_min: float = 0.5):
         seen[(gy > 0.0).astype(int), lanes] = gy
         return gy
 
-    x_neg, x_pos, g_neg, g_pos = _bracketed_root(g_checked, *ends, *seen.copy(), tol)
-    y = np.where(-g_neg < g_pos, x_neg, x_pos)
     kinks = phi._kinks()
+
+    def one_kink(lo, hi):
+        """Whether h' jumps once in (lo, hi], where it takes the right slope."""
+        return np.count_nonzero((kinks > lo[:, None]) & (kinks <= hi[:, None]), axis=1) == 1
+
+    x_neg, x_pos, g_neg, g_pos = _bracketed_root(g_checked, *ends, *seen.copy(), tol, one_kink if kinks.size else None)
+    y = np.where(-g_neg < g_pos, x_neg, x_pos)
     if kinks.size:
         nearest = kinks[np.argmin(np.abs(y[:, None] - kinks[None, :]), axis=1)]
         y = np.where(np.abs(nearest - y) <= tol, nearest, y)
+        # h' - p < 0 < h' - p at the ends of a bracket around one jump: y* is that kink
+        y = np.where(one_kink(x_neg, x_pos), kinks[np.searchsorted(kinks, x_pos, side="right") - 1], y)
     hstar[solved] = ps[solved] * y - phi.h(y)
     ystar[solved] = y
     return hstar, ystar

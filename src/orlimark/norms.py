@@ -115,6 +115,17 @@ class OrliczN:
     def log_slope(self) -> float:
         return math.log(self.linear_slope)
 
+    @property
+    def g_over_b(self) -> float:
+        """C3, the bound of the sup-ratio norm by the Orlicz norm."""
+        return max(1.0, self.splice_point, 1.0 / self.linear_slope)
+
+    @property
+    def split_index(self) -> float:
+        """Where C4's gap series starts: the knee solves h'(log u) = 1, so
+        log(splice_point) = y*(1) = h*'(1), which the split clears by four."""
+        return 4.0 + max(self.log_splice, 1.0)
+
     def n_log_from_log_u(self, log_u):
         """log N(u) given log u; stable for |log u| far beyond float overflow."""
         lu = np.asarray(log_u, dtype=float)
@@ -747,10 +758,7 @@ def _gap_series(phi: PhiSpec, k_start: int, shift: int) -> float:
 
 def equivalence_constants(n: OrliczN) -> EquivalenceConstants:
     phi = n.phi
-    g_over_b = max(1.0, n.splice_point, 1.0 / n.linear_slope)
-    # the knee solves h'(log u) = 1, so log(splice_point) = y*(1) = h*'(1),
-    # which the split clears by four
-    split = 4.0 + max(math.log(n.splice_point), 1.0)
+    split = n.split_index
     k_start = math.ceil(split - 1e-12)
     series = _gap_series(phi, k_start, shift=0)
     series_alt = _gap_series(phi, k_start, shift=1)
@@ -760,7 +768,7 @@ def equivalence_constants(n: OrliczN) -> EquivalenceConstants:
         head_log, math.log(series_alt) if series_alt > 0 else -math.inf
     )
     return EquivalenceConstants(
-        g_over_b=g_over_b,
+        g_over_b=n.g_over_b,
         b_over_g_log=float(b_over_g_log),
         b_over_g_alt_log=float(b_over_g_alt_log),
         split_index=split,

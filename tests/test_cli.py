@@ -219,6 +219,23 @@ class TestMain:
         assert code == 1
         assert any(line.startswith("error:") and "u_max" in line for line in capsys.readouterr().err.splitlines())
 
+    def test_table_without_c4_reports_it_absent(self, tmp_path, capsys):
+        # past its last point a table's h continues linearly, so its gap
+        # series diverges: C4 is written as null, C3 and the knee stay, and
+        # only the subcommand that needs C4 fails on it
+        (tmp_path / "phi.csv").write_text("0.5,0.05\n1,0.2\n2,0.9\n4,4\n8,20\n")
+        phi = f"[phi]\nfamily = tabulated\ntable = {tmp_path / 'phi.csv'}\n"
+        cfg_file = tmp_path / "t.cfg"
+        cfg_file.write_text(phi + "\n[function]\ntext = poly:0.3,-1.2,0.5\n\n[norm]\nkind = orlicz\n")
+        # transform's verdict: the table is not admissible, exit 2
+        for command, expect in (("transform", 2), ("norm", 0)):
+            assert main([command, "--config", str(cfg_file), "--out", str(tmp_path / command)]) == expect
+            constants = json.loads((tmp_path / f"{command}.json").read_text())["constants"]
+            assert constants["c4_log"] is None and constants["c4_alt_log"] is None
+            assert constants["splice_point"] == 1.0 and constants["c3"] == 1.0
+        assert main(["equivalence", "--config", str(cfg_file), "--seed", "7", "--out", str(tmp_path / "e")]) == 1
+        assert "gap series" in capsys.readouterr().err
+
     def test_seed_flag_merges(self, tmp_path):
         cfg_file = tmp_path / "e.cfg"
         cfg_file.write_text(

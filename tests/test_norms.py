@@ -203,6 +203,21 @@ class TestSplice:
         assert n.splice_point == 0.5
         assert abs(n.linear_slope - 2.0 * math.exp(0.25)) <= 1e-15
 
+    def test_table_knee_stops_at_its_kink(self, monkeypatch):
+        # the solve stops once its bracket holds one kink, the maximizer:
+        # 4 evaluations of h', where collapsing the bracket onto the kink
+        # took 62
+        calls, dh = [0], conjugate.PhiSpec.dh
+
+        def counted(self, y):
+            calls[0] += 1
+            return dh(self, y)
+
+        monkeypatch.setattr(conjugate.PhiSpec, "dh", counted)
+        n = construct_N(tabulated_phi([0.25, 0.5, 1.0, 2.0, 4.0, 8.0], [0.0625, 0.25, 1.0, 4.0, 16.0, 1000.0]))
+        assert n.splice_point == 0.5
+        assert calls[0] < 62 / 2
+
     def test_table_knee_at_the_clamp(self):
         # h' steps from 0 to 2 / log 2 at the start of the clamp at zero,
         # y = -log(2) / 2, where h = 0

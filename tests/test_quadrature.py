@@ -191,6 +191,11 @@ def test_level_sampler_batch_matches_scalar():
     assert np.allclose(batch, singles, atol=1e-12)
 
 
+# 1,000 thresholds inside (0, 1), each crossing every one of the 50
+# monotone pieces of T_25 once
+THRESHOLDS_25 = np.linspace(0.0005, 0.9995, 1000)
+
+
 def test_level_sampler_chebyshev_closed_form():
     # x = cos(theta) turns {|T_n| > w} into theta-arcs of half-width
     # arccos(w)/n around k*pi/n; 2n monotone runs, one crossing in each
@@ -209,6 +214,8 @@ def test_level_sampler_chebyshev_closed_form():
     ws = np.linspace(0.05, 0.95, 37) * sup
     for w, got in zip(ws, sampler.measure_above_batch(ws)):
         assert got == pytest.approx(exact(w), abs=1e-10)
+    got = sampler.measure_above_batch(THRESHOLDS_25)
+    assert np.max(np.abs(got - [exact(w) for w in THRESHOLDS_25])) <= 1e-14
     # a threshold equal to |T_n| at an extremum: {|T_n| > 1 - d} has measure
     # about sqrt(d), so the rounding of the computed T_n there shows at 1e-8
     w = float(np.abs(f(np.array([math.cos(4 * math.pi / n)])))[0])
@@ -282,6 +289,75 @@ def test_crossing_by_a_flat_minimum_is_bounded(monkeypatch):
     w = float(np.abs(f(np.array([x_min])))[0]) + 2.7755575615628914e-16
     assert 0.0 < sampler.measure_above(w) < 1.0
     assert 60 < steps[0] <= 2 * 53
+
+
+def test_crossings_start_from_a_table_cell(monkeypatch):
+    # a crossing's first bracket is a cell of its piece's table of |f|, so
+    # with the table's 50 x 63 evaluations included it takes fewer than 6
+    # evaluations of f a lane (7.6 from the whole piece)
+    f = chebyshev_t(25)
+    assert f.break_points(INTERVAL).size == 51
+    points, call = [0], PolynomialRep.__call__
+
+    def counted(self, x):
+        points[0] += np.size(x)
+        return call(self, x)
+
+    monkeypatch.setattr(PolynomialRep, "__call__", counted)
+    sampler = LevelSampler(f, INTERVAL)
+    points[0] = 0
+    sampler.measure_above_batch(THRESHOLDS_25)
+    assert points[0] <= 6 * 50 * THRESHOLDS_25.size
+
+
+class _Blip:
+    """|x| on [-1, 1], raised at the point ``x_top`` to |x_high|: a stand-in
+    for the rounding that can make a table of |f| decrease on a flat stretch."""
+
+    def __init__(self, x_top, x_high):
+        self.x_top, self.x_high = x_top, x_high
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x == self.x_top, self.x_high, np.abs(x))
+
+    def break_points(self, domain):
+        return np.array([-1.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("f", [chebyshev_t(25), "blip"], ids=["chebyshev", "blip"])
+def test_table_cell_matches_whole_piece(monkeypatch, f):
+    # at the table's values and one ulp on either side, T from the cell
+    # brackets is T from the whole-piece brackets, a one-cell table; within
+    # 5e-4 of an extremum the rounding of T_25 moves T by more than 1e-14
+    # (the crossings of T_25 = 1 - d lie about sqrt(d) from the extrema)
+    blip = f == "blip"
+    if blip:
+        # point 10 of the table of [0, 1] takes the value of point 12, so
+        # the values of points 10 and 11 decrease: at the value of point 11
+        # and one ulp above, the cell after the count of values <= w, [10,
+        # 11], holds no sign change, and the lane solves on the whole piece
+        xs = LevelSampler(PolynomialRep([0.0, 1.0]), INTERVAL)._table[0][1]
+        f = _Blip(xs[10], xs[12])
+        ws = np.array([xs[11], np.nextafter(xs[11], np.inf)])
+    sampler = LevelSampler(f, INTERVAL)
+    if not blip:
+        ws = np.unique(sampler._table[1])
+        ws = ws[(ws >= THRESHOLDS_25[0]) & (ws <= THRESHOLDS_25[-1])]
+        ws = np.concatenate([np.nextafter(ws, 0.0), ws, np.nextafter(ws, np.inf)])
+    brackets, solve = [], quadrature._bracketed_root
+
+    def recorded(g, x_neg, x_pos, *args):
+        brackets.append((x_neg, x_pos))
+        return solve(g, x_neg, x_pos, *args)
+
+    monkeypatch.setattr(quadrature, "_bracketed_root", recorded)
+    got = sampler.measure_above_batch(ws)
+    x_neg, x_pos = brackets[0]
+    whole = np.count_nonzero((x_neg == 0.0) & (x_pos == 1.0))
+    assert whole == (2 if blip else 0)
+    monkeypatch.setattr(quadrature, "_CELLS", 1)
+    assert np.max(np.abs(got - LevelSampler(f, INTERVAL).measure_above_batch(ws))) <= 1e-14
 
 
 def test_distribution_rejects_nan_threshold():
