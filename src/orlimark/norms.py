@@ -77,12 +77,12 @@ from .quadrature import (
     _WEIGHTS,
     _abs_nodes,
     _adaptive,
+    _break_values,
     _bracketed_root,
     _lp_norm,
     _NodeRule,
     _NodeStore,
     lp_quasinorm,
-    sup_norm,
 )
 
 def _root(fn, x_neg: float, x_pos: float, f_neg: float, f_pos: float, xtol: float):
@@ -192,13 +192,21 @@ def _luxemburg_detail(f, n: OrliczN, domain: Domain, cfg: QuadratureConfig):
     of the L1 integral: log|f| is evaluated once per node, and each log I(t)
     is one log-sum-exp of n_log(log|f| - t) + log w.  N is convex with
     N(0) = 0, so d log I / dt <= -1, and an exact |log I(t)| within Brent's
-    tolerance puts the root within it of t.  A model that contradicts a sign known exactly,
-    or has not settled after _MODEL_ROUNDS rounds, hands the narrowed bracket
-    to the exact solve.  Its lower end comes from steps down from the upper
-    one, doubling, so an exact integral is taken at the Jensen end only when
-    the steps reach it.
+    tolerance puts the root within it of t.
+
+    N has a kink where |f| e^-t crosses the knee, at most once on each
+    monotone piece of |f|; each exact integral at t starts from those
+    crossings, located on the model's nodes.  Those at the model's first
+    root join the model before any exact integral, and the slope bound puts
+    its new root within twice its value there of that root.
+
+    A model that contradicts a sign known exactly, or has not settled after
+    _MODEL_ROUNDS rounds, hands the narrowed bracket to the exact solve.  Its
+    lower end comes from steps down from the upper one, doubling, so an exact
+    integral is taken at the Jensen end only when the steps reach it.
     """
-    sup = sup_norm(f, domain)
+    xs, vals = _break_values(f, domain, bounded=True)
+    sup = float(np.max(vals))
     if sup == 0.0:
         return 0.0, 0.0, True
     nodes = _abs_nodes(f, domain)
@@ -208,6 +216,7 @@ def _luxemburg_detail(f, n: OrliczN, domain: Domain, cfg: QuadratureConfig):
     if t_lo >= t_k:
         return lo, 0.0, True
     rule = _NodeRule(nodes, (p_lo, p_hi))
+    log_vals = np.log(vals, out=np.full(vals.shape, -np.inf), where=vals > 0.0)
 
     def model(ts):
         """The model's log I at each t of the array ts."""
@@ -215,9 +224,22 @@ def _luxemburg_detail(f, n: OrliczN, domain: Domain, cfg: QuadratureConfig):
 
     def log_i(t: float) -> float:
         """The exact log modular at t; its panels join the model."""
-        value, _err, p_lo, p_hi = _adaptive(nodes, lambda g: n.n_log_from_log_u(g - t), cfg)
+        value, _err, p_lo, p_hi = _adaptive(nodes, lambda g: n.n_log_from_log_u(g - t), cfg, rule.crossings(t + n.log_splice, xs, log_vals))
         rule.join(p_lo, p_hi)
         return value + nodes.log_density
+
+    def resolved(t: float) -> float:
+        """The model's root once the crossings at its root t join it: in
+        [t, t + 2 m(t)], where the slope bound puts it, or in [a, b] where
+        rounding leaves that bracket without a sign change."""
+        rule.join(rule.crossings(t + n.log_splice, xs, log_vals))
+        far = min(max(t + 2.0 * float(model(np.array([t]))[0]), a), b)
+        ends = np.array([max(t, far), min(t, far), b, a])
+        m = model(ends)
+        for i in (0, 2):
+            if m[i] <= 0.0 <= m[i + 1]:
+                return _root(model, ends[i], ends[i + 1], m[i], m[i + 1], 1e-12)[0]
+        return t
 
     def at_jensen_end(v: float):
         # quadrature noise can put the root at or below t_lo when f is (near)
@@ -235,6 +257,8 @@ def _luxemburg_detail(f, n: OrliczN, domain: Domain, cfg: QuadratureConfig):
             t = a  # the model puts the root at the Jensen end
         elif m_a > 0.0 > m_b:
             t, _m = _root(model, b, a, m_b, m_a, 1e-12)
+            if _round == 0:
+                t = resolved(t)
             if t == b or (t == a and v_a is not None):
                 break
         else:

@@ -30,6 +30,8 @@ Adaptive integrals of functions of |f| (``lp_quasinorm``, the panels of
 with the break points of f as panel edges besides the uniform ones, as
 QUADPACK's QAGP takes known singular points: |f| has a kink at every zero
 of f.  An object that reports none starts from the uniform panels.  An
+integral may add break points of its own to those edges: the Luxemburg
+modular adds its splice crossings, where N(|f| / l) has a kink.  An
 integrable singular end that f reports (``InversePowerRep``) is integrated
 in y = -log(distance to it), as QUADPACK's QAWS and Takahasi & Mori (1974)
 give such an end a coordinate of its own: by the rule up to the smallest
@@ -101,6 +103,9 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 # every panel carries the 16-point Gauss-Legendre rule
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
+# two adjacent Gauss nodes of a panel narrower than this many ulps of its
+# abscissae may fall within one ulp
+_MERGE_ULPS = 2.0 / float(np.min(np.diff(_NODES)))
 # an adaptive integral starts from this many uniform panels and the break points
 _INITIAL_PANELS = 8
 # an adaptive integral bisects its panels at most this many times
@@ -154,33 +159,6 @@ def _check_finite(values: np.ndarray, p_lo, p_hi) -> None:
         raise DomainEvaluationError(f"integrand is not finite at x = {x!r}", abscissa=x)
 
 
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a), axis=1)) for a 2-d float array, row by row.
-
-    The operations and their order are those of scipy.special.logsumexp on
-    real input: the row maximum is taken out, its m copies are counted and
-    set to -inf, the rest is summed shifted by the maximum, and
-    log1p(s / m) + log(m) + max is returned.  Rows whose result is not
-    finite (an infinite or NaN maximum, overflow) fall back to the direct
-    log(sum(exp(row))).
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = a.max(axis=1, keepdims=True)
-        at_max = a == a_max
-        m = at_max.sum(axis=1, keepdims=True, dtype=float)
-        shifted = np.where(at_max, -np.inf, a)
-        np.subtract(shifted, a_max, out=shifted)
-        np.exp(shifted, out=shifted)
-        s = shifted.sum(axis=1, keepdims=True)
-        np.divide(s, m, out=s, where=s != 0)
-        out = (np.log1p(s) + np.log(m) + a_max)[:, 0]
-        finite = np.isfinite(out)
-        if not finite.all():
-            bad = ~finite
-            out[bad] = np.log(np.exp(a[bad]).sum(axis=1))
-    return out
-
-
 def _panel_nodes(lo, hi):
     """The Gauss nodes of the panels [lo, hi], a row per panel, and the
     panels' half widths."""
@@ -189,21 +167,26 @@ def _panel_nodes(lo, hi):
     return mid[:, None] + half[:, None] * _NODES[None, :], half
 
 
-def _initial_edges(lo, hi, count, breaks):
-    """The ``count`` uniform panel edges of [lo, hi] and the points of
-    ``breaks`` inside, sorted; a point closer to an edge already taken than
-    the width below which two adjacent Gauss nodes of a panel fall within
-    one ulp (about 45 ulps) is dropped."""
-    edges = np.linspace(lo, hi, count + 1)
-    if breaks is None:
-        return edges
-    tol = np.finfo(float).eps * max(1.0, abs(lo), abs(hi)) * 2.0 / np.min(np.diff(_NODES))
-    inner = np.unique(np.asarray(breaks, dtype=float))
+def _inner_points(edges, points):
+    """The distinct points of ``points`` strictly inside the sorted
+    ``edges``, sorted; a point closer to an edge or to a point already taken
+    than _MERGE_ULPS (about 45) ulps is dropped."""
+    lo, hi = edges[0], edges[-1]
+    tol = np.finfo(float).eps * max(1.0, abs(lo), abs(hi)) * _MERGE_ULPS
+    inner = np.unique(np.asarray(points, dtype=float))
     inner = inner[(inner > lo + tol) & (inner < hi - tol)]
     i = np.searchsorted(edges, inner)
     inner = inner[(inner - edges[i - 1] > tol) & (edges[i] - inner > tol)]
-    inner = inner[np.diff(inner, prepend=-np.inf) > tol]
-    return np.sort(np.concatenate([edges, inner]))
+    return inner[np.diff(inner, prepend=-np.inf) > tol]
+
+
+def _initial_edges(lo, hi, count, breaks):
+    """The ``count`` uniform panel edges of [lo, hi] and the points of
+    ``breaks`` inside, merged by ``_inner_points``."""
+    edges = np.linspace(lo, hi, count + 1)
+    if breaks is None:
+        return edges
+    return np.sort(np.concatenate([edges, _inner_points(edges, breaks)]))
 
 
 class _NodeStore:
@@ -216,7 +199,9 @@ class _NodeStore:
     its 16 Gauss nodes is computed on its first request and found again by
     its exact ends, lo + 1j hi, in one sorted array.  Every integral of a call
     starts from the same sorted ``edges``, which span [lo, hi], and halves
-    its panels, so panels recur bit for bit.  Integrals against the
+    its panels, so panels recur bit for bit; an integral that adds break
+    points of its own to the edges splits the panels they fall in, whose
+    pieces are new keys.  Integrals against the
     normalized measure add ``log_density``.
 
     With a singular ``end``, y -> the values at distance e^-y below hi, the
@@ -291,9 +276,12 @@ def _abs_nodes(f, domain: Domain) -> _NodeStore:
     return _NodeStore(lambda xs: (log_f(xs),), edges, math.log(domain.density), end and (lambda ys: (end(ys),)))
 
 
-def _adaptive(nodes: _NodeStore, transform, cfg):
+def _adaptive(nodes: _NodeStore, transform, cfg, breaks=None):
     """Adaptive quadrature of exp(transform(*rows)) over the interval of the
-    node store ``nodes``, in log space, from its initial edges.
+    node store ``nodes``, in log space, from its initial edges and the
+    points of ``breaks``, merged into them by ``_inner_points``: kinks of
+    this integrand alone, such as the splice crossings of a Luxemburg
+    modular.
 
     All active panels are bisected together each wave, and their node values
     come from the store in one batch.  A panel's children are accepted once
@@ -329,7 +317,8 @@ def _adaptive(nodes: _NodeStore, transform, cfg):
     def result(*per_lane):
         return per_lane if lanes else tuple(float(v[0]) for v in per_lane)
 
-    p_lo, p_hi = nodes.edges[:-1].copy(), nodes.edges[1:].copy()
+    edges = nodes.edges if breaks is None else np.sort(np.concatenate([nodes.edges, _inner_points(nodes.edges, breaks)]))
+    p_lo, p_hi = edges[:-1].copy(), edges[1:].copy()
     t = terms(p_lo, p_hi)
     lanes = t.ndim == 3
     t = t.reshape(-1, p_lo.size, _NODES.size)
@@ -434,7 +423,10 @@ class _NodeRule:
 
     def log_mean(self, log_integrand, moment: bool = False):
         """log of the rule applied to exp(log_integrand(g)) plus the store's
-        log_density, one per row: g is the row of node values.
+        log_density, one per row: g is the row of node values.  Each row's
+        terms are summed by one matrix product, shifted by the row's largest
+        term, or by 0 where that is not finite: a row of zeros gives -inf,
+        and +inf or NaN propagates.
 
         With ``moment`` it also returns, per row, the mean of g under the
         normalised weights pi of the rule's terms; a node whose term is 0
@@ -443,12 +435,30 @@ class _NodeRule:
         g = self.g.ravel()[None, :]
         with np.errstate(invalid="ignore"):
             a = log_integrand(g) + self.logw.ravel()[None, :]
-        log_sum = _logsumexp(a)
+        shift = a.max(axis=1)
+        shift[~np.isfinite(shift)] = 0.0
+        with np.errstate(divide="ignore"):
+            log_sum = np.log(np.exp(a - shift[:, None]) @ np.ones(a.shape[1])) + shift
         if not moment:
             return log_sum + self._nodes.log_density
         with np.errstate(invalid="ignore"):
             pi = np.exp(a - log_sum[:, None])
         return log_sum + self._nodes.log_density, np.sum(pi * np.where(pi > 0.0, g, 0.0), axis=1)
+
+    def crossings(self, level, points, values):
+        """Where log|f|, the node values of this rule, crosses ``level``: at
+        most once between consecutive break ``points`` of f (``values`` log|f|
+        there), interpolated linearly between the straddling nodes or break
+        points (in |f| next to a zero of f), as ``_inner_points`` keeps them
+        inside the rule's edges."""
+        xs = np.concatenate([_panel_nodes(self._edges[:-1], self._edges[1:])[0].ravel(), points])
+        order = np.argsort(xs, kind="stable")
+        xs, d = xs[order], np.concatenate([self.g.ravel(), values])[order] - level
+        i = np.flatnonzero((d[:-1] > 0.0) != (d[1:] > 0.0))
+        d0, d1 = d[i], d[i + 1]
+        with np.errstate(invalid="ignore", over="ignore"):
+            frac = np.where(np.isneginf(d0), np.exp(-d1), np.where(np.isneginf(d1), -np.expm1(-d0), d0 / (d0 - d1)))
+        return _inner_points(self._edges, xs[i] + frac * (xs[i + 1] - xs[i]))
 
 
 class PowerNormEvaluator:

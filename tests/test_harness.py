@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -35,7 +36,7 @@ from orlimark.harness import (
     markov_factor_log,
     three_way_report,
 )
-from orlimark.harness import _loglog_slope
+from orlimark.harness import _loglog_slope, _t_quantile
 from orlimark.norms import evaluate_norm, lorentz_spec, lp_spec, orlicz_spec, v_quasinorm
 from orlimark.quadrature import lp_quasinorm
 
@@ -151,6 +152,17 @@ class TestMarkovSweep:
         # 2.5 is no degree, and truncating it to 2 would sweep the wrong range
         with pytest.raises(ValueError, match="degree"):
             markov_sweep(phi2, "jacobi22", [2.5, 3, 4, 5, 6], norm=lp_spec(4.0), ctx=ctx)
+
+
+def test_t_quantile_matches_mpmath():
+    # the sweep's 97.5% Student-t quantile at dof 1 to 399, against a
+    # 30-digit root of the incomplete beta
+    half = mp.mpf(1) / 2
+    with mp.workdps(30):
+        for dof in range(1, 400):
+            got = _t_quantile(dof, 0.975)
+            ref = mp.findroot(lambda t: mp.betainc(half, half * dof, 0, t * t / (dof + t * t), regularized=True) - mp.mpf("0.95"), mp.mpf(got))
+            assert abs(got - ref) <= 1e-13 * ref, (dof, got)
 
 
 class TestBernsteinTrig:

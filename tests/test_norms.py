@@ -881,7 +881,8 @@ def test_luxemburg_matches_mpmath(label, ctx):
 
             start = (mp.mpf(got), mp.mpf(got) * (1 + mp.mpf(1e-6)))
             ref = float(mp.findroot(lambda l: modular(l) - 1, start, solver="secant"))
-        assert got == pytest.approx(ref, rel=1e-9), phi.label
+        # twice the solve's 1e-12 in log l
+        assert got == pytest.approx(ref, rel=2e-12), phi.label
 
 
 def _gauss_legendre_luxemburg(f, n, start):
@@ -921,7 +922,51 @@ def test_luxemburg_at_high_degree_matches_gauss_legendre(phi2, ctx):
     n = ctx.orlicz(phi2)
     for f in (jacobi22(120), derivative(jacobi22(120), 1)):
         got = luxemburg_norm(f, n)
-        assert got == pytest.approx(_gauss_legendre_luxemburg(f, n, got), rel=1e-9)
+        assert got == pytest.approx(_gauss_legendre_luxemburg(f, n, got), rel=2e-12)
+
+
+LUXEMBURG_PHIS = [power_log(1.0), power_log(2.0), log_power(1.0)]
+
+
+@pytest.mark.parametrize("phi", LUXEMBURG_PHIS, ids=lambda phi: phi.label)
+def test_luxemburg_corpus_matches_gauss_legendre(phi, ctx):
+    # every member of the corpus, to twice the solve's 1e-12 in log l: the
+    # exact modulars start from the splice crossings, so no accepted panel
+    # straddles the kink of N there
+    n = ctx.orlicz(phi)
+    for label, f in build_corpus(7):
+        got = luxemburg_norm(f, n)
+        assert got == pytest.approx(_gauss_legendre_luxemburg(f, n, got), rel=2e-12), label
+
+
+def test_modular_integrals_take_two_waves(ctx, monkeypatch):
+    # an exact modular that starts from the splice crossings settles on its
+    # first bisection: two waves, the initial panels and their halves; with
+    # the crossings at the model's first root joined to the model, one
+    # integral usually settles the solve (starting from the break points
+    # alone took 267 integrals of up to nine waves)
+    adaptive, waves = norms._adaptive, []
+
+    def counted(nodes, transform, cfg, *breaks):
+        waves.append(0)
+
+        def wave(*rows):
+            waves[-1] += 1
+            return transform(*rows)
+
+        return adaptive(nodes, wave, cfg, *breaks)
+
+    monkeypatch.setattr(norms, "_adaptive", counted)
+    modular = []
+    for phi in LUXEMBURG_PHIS:
+        n = ctx.orlicz(phi)
+        for _label, f in build_corpus(7):
+            waves.clear()
+            luxemburg_norm(f, n)
+            # the first integral of a solve is the L1 one
+            modular += waves[1:]
+    assert max(modular) <= 2
+    assert len(modular) <= 169
 
 
 @pytest.mark.parametrize("label", ["trig-06", "poly-19", "rational-05"])

@@ -1,12 +1,10 @@
 """Quadrature layer: integration, log-mode accumulation, norms, level sets."""
 
 import math
-import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import logsumexp
 
 from orlimark import quadrature
 from orlimark.errors import ConvergenceFailureError, DomainEvaluationError, RejectedInputError
@@ -29,7 +27,6 @@ from orlimark.quadrature import (
     _abs_nodes,
     _adaptive,
     _initial_edges,
-    _logsumexp,
     _NodeRule,
     _NodeStore,
     distribution,
@@ -459,24 +456,38 @@ def test_config_budget_is_respected():
     assert a == pytest.approx(b, rel=1e-4)
 
 
-@pytest.mark.parametrize("shape", [(1, 16), (400, 16), (3, 5000)])
-def test_logsumexp_matches_scipy_bit_for_bit(shape):
-    # scipy's logsumexp is the reference: same bits on random rows, ties at
-    # the maximum and rows holding -inf only, +inf or NaN
-    rng = np.random.default_rng(sum(shape))
-    a = rng.uniform(-1e4, 1e4, shape)
-    ties = rng.uniform(-1.0, 1.0, shape)
-    ties[:, 1::3] = ties.max(axis=1, keepdims=True)
-    special = rng.uniform(-30.0, 30.0, (3, shape[1]))
-    special[0] = -np.inf
-    special[1, -1] = np.inf
-    special[2, 0] = np.nan
-    draws = [rng.uniform(-scale, scale, shape) for scale in (1.0, 30.0) for _ in range(4)]
-    for rows in (a, ties, special, *draws):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = _logsumexp(rows)
-        assert np.array_equal(got, logsumexp(rows, axis=1), equal_nan=True)
+def test_log_mean_matches_mpmath():
+    # the rule's log-sum-exp, one shifted matrix product a row, against
+    # 30-digit sums of the same terms: random rows, rows with -inf terms,
+    # ties at the maximum and a constant near 1e15; a row of zeros gives
+    # -inf, and +inf and NaN propagate
+    f = chebyshev_t(12)
+    nodes = _NodeStore(lambda xs: (log_abs_of(f)(xs),), _initial_edges(-1.0, 1.0, _INITIAL_PANELS, f.break_points(INTERVAL)))
+    rule = _NodeRule(nodes, _adaptive(nodes, lambda g: 60.0 * g, DEFAULT_CONFIG)[2:])
+    size = rule.g.size
+    rng = np.random.default_rng(5)
+    rows = np.stack(
+        [
+            rng.uniform(-30.0, 30.0, size),
+            np.where(rng.random(size) < 0.5, -np.inf, rng.uniform(-1e3, 1e3, size)),
+            rng.choice([-2.0, 0.5, 7.0], size),
+            np.full(size, 3.0),
+            np.full(size, 1e15),
+            1e15 + rng.uniform(-8.0, 8.0, size),
+            np.full(size, -np.inf),
+        ]
+    )
+    got = rule.log_mean(lambda _g: rows)
+    terms = rows + rule.logw.ravel()[None, :]
+    with mp.workdps(30):
+        for row, value in zip(terms, got[:-1]):
+            ref = float(mp.log(mp.fsum(mp.exp(mp.mpf(x)) for x in row if x != -np.inf)))
+            assert abs(value - ref) <= 1e-13 + 2.0 * np.spacing(abs(ref)), (value, ref)
+    assert got[-1] == -np.inf
+    special = np.full((2, size), 1.0)
+    special[0, -1], special[1, 0] = np.inf, np.nan
+    inf, nan = rule.log_mean(lambda _g: special)
+    assert inf == np.inf and np.isnan(nan)
 
 
 def test_break_point_next_to_an_edge_is_merged():
