@@ -27,6 +27,7 @@ nondecreasing for admissible phi because h*(0) = 0 and h* is convex.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,9 +94,12 @@ class PhiSpec:
     def dh(self, y):
         """h'(y) = e^y phi'(e^y), from the same stable forms as h.
 
-        A custom phi's h' is e^y times a central difference of phi at
-        z = e^y.  A table's h' is the slope of the piece that holds y (the
-        right one at a table point) and 0 where the clamp at zero holds.
+        A custom phi's h' is z Im phi(z + i 1e-200) / 1e-200 at z = e^y, a
+        complex step (Squire & Trapp, SIAM Review 40, 1998; phi's complex
+        extension must be analytic), where its callable maps the complex
+        array to finite complex values, and a central difference of phi at
+        z otherwise.  A table's h' is the slope of the piece that holds y
+        (the right one at a table point) and 0 where the clamp at zero holds.
         """
         ys = np.asarray(y, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -109,6 +113,15 @@ class PhiSpec:
                 return (1.0 + self.nu) * soft**self.nu * -np.expm1(-soft)
             if self.family == "custom":
                 zs = np.exp(ys)
+                try:
+                    with warnings.catch_warnings(), np.errstate(all="ignore"):
+                        # a callable that casts to float drops the imaginary part
+                        warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
+                        stepped = np.asarray(self.fn(zs + 1e-200j))
+                except (TypeError, ValueError, ArithmeticError):
+                    stepped = zs  # rejects complex input
+                if np.iscomplexobj(stepped) and np.isfinite(stepped).all():
+                    return zs * (stepped.imag / 1e-200)
                 step = np.maximum(1e-7 * zs, 1e-9)
                 lo = np.maximum(zs - step, 0.0)
                 up = np.asarray(self.fn(zs + step), dtype=float)

@@ -14,8 +14,9 @@ Three norm families ride on top:
   stays below the knee and the modular has a closed form, on a cached-node
   model of the log modular that exact integrals near the root correct.
 * ``g_norm`` / ``v_quasinorm`` / ``weighted_lorentz_g``: suprema over an
-  exponent grid of ||f||_p, ||f||_beta(p) or a Lorentz norm divided by the
-  conjugate weight psi(p), all computed by the one engine ``_sup_over_p``.
+  exponent grid of ||f||_p, ||f||_beta(p) or a Lorentz norm at finite b
+  divided by the conjugate weight psi(p), all computed by the one engine
+  ``_sup_over_p``; at b = inf the suprema over p and w exchange instead.
   The two L_p scans share one body, ``_g_scan``, with the exponent map
   p -> p / (p r + 1) (r = 0 for the g-norm); an L_p member the adaptive
   integrator cannot settle makes either scan raise ``ScanDivergenceError``.
@@ -27,13 +28,13 @@ Three norm families ride on top:
   over an exact weight there.  The root is taken along y, the maximizer of
   the conjugate: p = h'(y) and h*(p) = p y - h(y), so the polish solves no
   conjugate and the slope of the log weight h*(p)/p is h(y)/p^2 (Danskin's
-  envelope theorem), and each cached-node evaluator reports the
-  slope of its log norm from the node values it holds: the L_p evaluator
-  the mean of log|f| under the normalised weights of |f|^p, the layer cake
-  the mean of log T, the weak form log T at its parabola's vertex.  The
-  scans' cached-node evaluators, and the model of the log modular, are
-  built on ``quadrature._NodeRule``; the integrals of one call read one
-  ``quadrature._NodeStore``, which computes each node's value once.
+  envelope theorem), and each cached-node evaluator reports the slope of
+  its log norm from the node values it holds: the L_p evaluator the mean
+  of log|f| under the normalised weights of |f|^p, the layer cake the mean
+  of log T.  The scans' cached-node evaluators, and the model of the log
+  modular, are built on ``quadrature._NodeRule``; the integrals of one
+  call read one ``quadrature._NodeStore``, which computes each node's
+  value once.
 * ``lorentz_norm``: distribution-function based two-parameter norms,
   including the sup form at the second index equal to infinity.  Both work
   on the intervals between consecutive critical values of |f|, where T is
@@ -48,7 +49,7 @@ The knee is y*(1) from the conjugate solver.  The root of the model of the
 log modular and, when the model does not settle, the Luxemburg root itself
 are found by ``quadrature._bracketed_root`` with Brent's tolerances, at the
 end of the collapsed bracket with the smaller residual; so is the polish of
-a sup-over-p scan, and the maximum of the weak Lorentz form.
+a sup-over-p scan, the maximum of the weak Lorentz form and h's inverse.
 """
 
 from __future__ import annotations
@@ -543,36 +544,37 @@ _WEAK_PROBES = 16
 _WEAK_TOL = 1e-8
 
 
-def _lorentz_sup(sampler: LevelSampler, p: float) -> float:
-    """max of h = w T(w)^(1/p), lane-wise, one lane per critical interval.
-
-    Each interval is probed at a few points of s first.  The maximum near
-    the best probe is a root in s of g = -d log h / ds =
-    -(dw/ds) (1 / w + T'(w) / (p T(w))), which stays finite where T' is
-    singular at an end of the interval; there dw/ds = 0, so every point
-    keeps _WEAK_TOL off the ends.  A lane holds u, where h rises towards d
-    and is no lower than at d: first the best probe and its neighbour on the
-    side where h rises.  A point x between them whose g has the other sign
-    closes a bracket [u, x]; otherwise x replaces u where h is no lower
-    there and d where it is, so a bend of T between two probes cannot hide
-    the maximum.  ``_bracketed_root`` collapses the brackets, each step one
-    batch of crossing solves giving T and T' together.  The result is the
-    largest h at any point evaluated, the probes at the critical levels
-    among them.
+def _lorentz_sup(sampler: LevelSampler, exponent) -> float:
+    """max of h = w e^E(w), lane-wise, one lane per critical interval, with
+    E and dE/dw = ``exponent(log T, d log T / dw)``: log T / p and its slope
+    for the weak form ||f||_(p,inf).  Each interval is probed at a few
+    points of s first.  The maximum near the best probe is a root in s of
+    g = -d log h / ds = -(dw/ds) (1 / w + dE/dw), which stays finite where
+    T' is singular at an end of the interval; there dw/ds = 0, so every
+    point keeps _WEAK_TOL off the ends.  A lane holds u, where h rises
+    towards d and is no lower than at d: first the best probe and its
+    neighbour on the side where h rises.  A point x between them whose g
+    has the other sign closes a bracket [u, x]; otherwise x replaces u where
+    h is no lower there and d where it is, so a bend of T between two probes
+    cannot hide the maximum.  ``_bracketed_root`` collapses the brackets,
+    each step one batch of crossing solves giving T and T' together.  The
+    result is the largest h at any point evaluated, the probes at the
+    critical levels among them.
     """
     k, at = _level_map(sampler)
     rows = np.arange(k)
     s = rows[:, None] + np.linspace(0.0, 1.0, _WEAK_PROBES + 1)[None, :]
     w, _dw, log_t = at(s.ravel())
-    vals = (w * np.exp(log_t / p)).reshape(s.shape)
+    vals = (w * np.exp(exponent(log_t, 0.0)[0])).reshape(s.shape)
     best = [float(np.max(vals))]
 
     def probe(x):
         """(g, h) at each x of the array; h joins the candidates."""
         w, dw, log_t, dlog_t = at(x, slope=True)
-        h = w * np.exp(log_t / p)
+        e, de = exponent(log_t, dlog_t)
+        h = w * np.exp(e)
         best.append(float(np.max(h)))
-        return -dw * (1.0 / w + dlog_t / p), h
+        return -dw * (1.0 / w + de), h
 
     def inside(x):
         return np.clip(x, rows + _WEAK_TOL, rows + (1.0 - _WEAK_TOL))
@@ -623,7 +625,7 @@ def lorentz_norm(
     s = sampler if sampler is not None else LevelSampler(f, dom)
     if s.sup_estimate == 0.0:
         return 0.0
-    return _lorentz_sup(s, p) if math.isinf(b) else _lorentz_finite(_level_nodes(s), p, b, cfg)
+    return _lorentz_sup(s, lambda log_t, dlog_t: (log_t / p, dlog_t / p)) if math.isinf(b) else _lorentz_finite(_level_nodes(s), p, b, cfg)
 
 
 class _LayerCakeEvaluator(_NodeRule):
@@ -653,56 +655,37 @@ class _LayerCakeEvaluator(_NodeRule):
         return self.log_mean(lambda log_t: (ps[:, None] / self._b) * log_t, moment=True)[1] / self._b**2
 
 
-class _WeakLorentzEvaluator:
-    """Cached-node evaluator of p -> log ||f||_(p,inf), for scans."""
+def _dual_weight(phi: PhiSpec, cache: ConjugateCache):
+    """``_lorentz_sup``'s exponent for the weighted weak norm: -Y(x) and its
+    slope Y'(x) dlog_t at x = -log_t, Y(x) = inf over p >= 1 of (x + h*(p)) / p.
+    As h = h** (Fenchel-Moreau), Y = x + h*(1) up to x = h(y*(1)) and the
+    inverse of h beyond, with Y' = 1 / h'(Y); y*(1) and h*(1) come from
+    ``cache``, which must start at p = 1 (or ValueError).  The inverse is one
+    lane-wise ``_bracketed_root`` of log h(y) - log x, linear in y for z^m,
+    in [y*(1), y*(1) + x - h(y*(1))] (h' >= 1 right of y*(1), h convex),
+    collapsed to four ulps of its larger end.
+    """
+    if not abs(cache.grid[0] - 1.0) <= 1e-12:
+        raise ValueError(f"conjugate cache grid starts at p = {cache.grid[0]!r}, not at p = 1")
+    y1, hstar1 = float(cache.ystar[0]), float(cache.hstar[0])
+    h1 = float(phi.h(y1))
+    log_h1 = float(np.log(h1)) if h1 > 0.0 else -math.inf  # 0 at a table's clamp
 
-    # nodes shared among the critical intervals
-    NODES = 8192
+    def exponent(log_t, dlog_t):
+        x = -log_t
+        y, dy = x + hstar1, np.ones_like(x)
+        up = np.flatnonzero((x > h1) & (x < math.inf))  # x = inf where T = 0
+        if up.size:
+            hi, log_x = y1 + (x[up] - h1), np.log(x[up])
+            # h(hi) >= x by convexity, up to its rounding
+            g_hi = np.maximum(np.log(phi.h(hi)) - log_x, 0.0)
+            tol = 4.0 * np.spacing(np.maximum(abs(y1), np.abs(hi)))
+            x_neg, x_pos, g_neg, g_pos = _bracketed_root(lambda ys, lanes: np.log(phi.h(ys)) - log_x[lanes], np.full(up.size, y1), hi, log_h1 - log_x, g_hi, tol)
+            y[up] = np.where(-g_neg < g_pos, x_neg, x_pos)
+            dy[up] = 1.0 / phi.dh(y[up])
+        return -y, dy * dlog_t
 
-    def __init__(self, sampler: LevelSampler):
-        k, self._at = _level_map(sampler)
-        per = max(16, self.NODES // k)
-        self._step = 1.0 / per
-        self._s = (np.arange(k * per) + 0.5) * self._step
-        w, _dw, self._log_t = self._at(self._s)
-        self._log_w = np.log(w)
-        # a node whose two neighbours lie in its own interval
-        self._inner = np.zeros(self._s.size, dtype=bool)
-        self._inner[1:-1] = np.floor(self._s[:-2]) == np.floor(self._s[2:])
-
-    def _vertex(self, ps):
-        """For each p of the array ps: the best node k, its two neighbours
-        (k itself where they leave its interval), the offset in node steps of
-        the vertex of the parabola through the three, which are equally
-        spaced in s, and the value at k."""
-        vals = self._log_w[None, :] + self._log_t[None, :] / ps[:, None]
-        k = np.argmax(vals, axis=1)
-        rows = np.arange(ps.size)
-        inner = self._inner[k]
-        left, right = np.where(inner, k - 1, k), np.where(inner, k + 1, k)
-        mid, v_left, v_right = vals[rows, k], vals[rows, left], vals[rows, right]
-        curv = v_left - 2.0 * mid + v_right
-        with np.errstate(divide="ignore", invalid="ignore"):
-            shift = np.where(inner & (curv < 0.0), 0.5 * (v_left - v_right) / curv, 0.0)
-        return k, left, right, shift, mid
-
-    def log_value(self, ps):
-        """log ||f||_(p,inf) at each p of the array ps: the larger of the best
-        node's value and the exact value at the parabola's vertex."""
-        k, _left, _right, shift, mid = self._vertex(ps)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w, _dw, log_t = self._at(self._s[k] + shift * self._step)
-            return np.maximum(mid, np.log(w) + log_t / ps)
-
-    def slope(self, ps):
-        """d log ||f||_(p,inf) / dp at each p of the array ps: -log T(s*) / p^2
-        at the vertex s*, log T there from the parabola through the three
-        nodes' values, so that no crossing is solved."""
-        k, left, right, shift, _mid = self._vertex(ps)
-        t_left, t_mid, t_right = self._log_t[left], self._log_t[k], self._log_t[right]
-        with np.errstate(invalid="ignore"):
-            log_t = t_mid + 0.5 * shift * (t_right - t_left) + 0.5 * shift**2 * (t_left - 2.0 * t_mid + t_right)
-        return -np.where(shift == 0.0, t_mid, log_t) / ps**2
+    return exponent
 
 
 def weighted_lorentz_g(
@@ -713,7 +696,10 @@ def weighted_lorentz_g(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     cache: ConjugateCache | None = None,
 ) -> float:
-    """sup over p >= 1 of ||f||_{p,b} / psi(p)."""
+    """sup over p >= 1 of ||f||_{p,b} / psi(p): at finite b a scan over the
+    cache's exponent grid; at b = inf, where the suprema over p and w
+    exchange, one maximization of the weak form (``_dual_weight``), the
+    supremum over every real p >= 1."""
     if not (b >= 1.0):
         raise ValueError("second index must be at least 1 (or inf)")
     dom = domain if domain is not None else f.natural_domain
@@ -721,18 +707,17 @@ def weighted_lorentz_g(
     sampler = LevelSampler(f, dom)
     if sampler.sup_estimate == 0.0:
         return 0.0
+    if math.isinf(b):
+        return _lorentz_sup(sampler, _dual_weight(phi, c))
 
-    # at finite b the evaluators and the exact layer cake share one store
-    nodes = None if math.isinf(b) else _level_nodes(sampler)
+    # the evaluators and the exact layer cake share one store
+    nodes = _level_nodes(sampler)
 
     def make_log_norm(p_hi):
-        ev = _WeakLorentzEvaluator(sampler) if nodes is None else _LayerCakeEvaluator(nodes, b, cfg, p_hi)
+        ev = _LayerCakeEvaluator(nodes, b, cfg, p_hi)
         return ev.log_value, ev.slope
 
-    def exact_norm(p):
-        return _lorentz_sup(sampler, p) if nodes is None else _lorentz_finite(nodes, p, b, cfg)
-
-    return _sup_over_p(make_log_norm, exact_norm, phi, c, 1.0).value
+    return _sup_over_p(make_log_norm, lambda p: _lorentz_finite(nodes, p, b, cfg), phi, c, 1.0).value
 
 
 # ---------------------------------------------------------------------------

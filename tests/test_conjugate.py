@@ -357,6 +357,29 @@ def test_grid_solve_rejects_small_p(phi2):
         young_fenchel_grid(phi2, [1.0, math.nan])
 
 
+def test_custom_slope_by_complex_step_or_central_difference():
+    # z^2.5 maps complex input to complex values: h' = 2.5 z^2.5 by complex
+    # step, to rounding; a callable that casts to float (dropping the
+    # imaginary part) or raises on complex input keeps the central
+    # difference of phi at z = e^y, bit for bit
+    def real_only(z):
+        return np.asarray(z, dtype=float) ** 2.5
+
+    def rejects(z):
+        if np.iscomplexobj(z):
+            raise TypeError("real input only")
+        return z**2.5
+
+    ys = np.linspace(-6.0, 6.0, 49)
+    zs = np.exp(ys)
+    assert custom_phi(lambda z: z**2.5).dh(ys) == pytest.approx(2.5 * zs**2.5, rel=1e-15, abs=0.0)
+    step = np.maximum(1e-7 * zs, 1e-9)
+    lo = np.maximum(zs - step, 0.0)
+    central = zs * (((zs + step) ** 2.5 - lo**2.5) / (zs + step - lo))
+    for fn in (real_only, rejects):
+        assert np.array_equal(custom_phi(fn).dh(ys), central)
+
+
 def test_grid_solve_passes_ndarrays_to_callable():
     seen = []
 

@@ -146,6 +146,14 @@ class TestBrentq:
             _solve(lambda x: x * x + 1.0, -1.0, 2.0, 1e-12)
 
 
+# the weighted weak norm's exchange of suprema is checked for these: the
+# closed-form families and a table whose knee is one of its points
+EXCHANGE_PHIS = [
+    power_log(1.0),
+    power_log(2.0),
+    log_power(1.0),
+    tabulated_phi([0.25, 0.5, 1.0, 2.0, 4.0, 8.0], [0.0625, 0.25, 1.0, 4.0, 16.0, 1000.0]),
+]
 KNEE_PHIS = [power_log(1.0), power_log(2.0), power_log(4.0), power_log(1.0, 3.0), power_log(3.0, 1.0), power_log(8.0, 2.0), log_power(1.0), log_power(2.0)]
 
 
@@ -195,6 +203,12 @@ class TestSplice:
             y = mp.findroot(lambda t: mp_dh(phi, t) - 1, mp.mpf(math.log(n.splice_point)))
             knee = mp.exp(y)
             assert abs(n.splice_point - knee) <= 1e-13 * knee
+
+    def test_custom_knee_by_complex_step(self):
+        # z^2.5 maps complex input to complex values, so its h' is a complex
+        # step and its knee 2.5^(-0.4) as close as the closed-form families'
+        n = construct_N(custom_phi(lambda z: np.asarray(z) ** 2.5))
+        assert abs(n.splice_point - 2.5**-0.4) <= 1e-13 * 2.5**-0.4
 
     def test_table_knee_is_its_kink(self):
         # h' steps from 0.27 to 1.08 at y = log 0.5, so the knee is that
@@ -1030,9 +1044,10 @@ class TestWeightedLorentzG:
     @pytest.mark.parametrize("c", [1e160, 1e-160])
     def test_homogeneous_at_extreme_scales(self, phi2, ctx, c):
         coeffs = [0.0, 1.0, -0.4]
-        base = weighted_lorentz_g(PolynomialRep(coeffs), phi2, 2.0, cache=ctx.conjugates(phi2))
-        got = weighted_lorentz_g(PolynomialRep([c * v for v in coeffs]), phi2, 2.0, cache=ctx.conjugates(phi2))
-        assert got == pytest.approx(c * base, rel=1e-12, abs=0.0)
+        for b in (2.0, math.inf):
+            base = weighted_lorentz_g(PolynomialRep(coeffs), phi2, b, cache=ctx.conjugates(phi2))
+            got = weighted_lorentz_g(PolynomialRep([c * v for v in coeffs]), phi2, b, cache=ctx.conjugates(phi2))
+            assert got == pytest.approx(c * base, rel=1e-12, abs=0.0), b
 
     @pytest.mark.parametrize("m", [2.0, 8.0, 50.0])
     def test_eighth_power(self, m, ctx):
@@ -1056,7 +1071,7 @@ class TestWeightedLorentzG:
         assert got == pytest.approx(math.exp(max(best, vals[k])), rel=1e-9)
 
 
-    @pytest.mark.parametrize("m", [2.0, 8.0])
+    @pytest.mark.parametrize("m", [2.0, 8.0, 50.0])
     def test_weak_eighth_power_closed_form(self, m, ctx):
         # ||x^8||_(p,inf) = sup_t t^8 (1 - t)^(1/p) = (8p/(8p+1))^8 (8p+1)^(-1/p),
         # and log psi(p) = (log(p/m) - 1)/m, so the log ratio has its one
@@ -1069,6 +1084,78 @@ class TestWeightedLorentzG:
             expect = (8 * p / (8 * p + 1)) ** 8 * (8 * p + 1) ** (-1 / p) * mp.exp(-(mp.log(p / mm) - 1) / mm)
         assert abs(got / expect - 1) <= 1e-12
 
+    def test_weak_cache_must_start_at_one(self, phi2, ctx):
+        # b = inf reads y*(1) and h*(1) from the cache's first grid point
+        with pytest.raises(ValueError, match="not at p = 1"):
+            weighted_lorentz_g(PolynomialRep([0.5, -1.0, 2.0]), phi2, math.inf, cache=ctx.conjugates(phi2, p_lo=4.0))
+
+    @pytest.mark.parametrize("phi", EXCHANGE_PHIS, ids=lambda phi: phi.label)
+    def test_weak_exchange_matches_double_sup(self, phi, ctx):
+        # sup_p sup_w w T(w)^(1/p) / psi(p), searched on grids of p and w,
+        # against the library's sup_w w e^(-Y(log 1/T(w))): the grid search
+        # is a lower bound, tight to its resolution
+        corpus = dict(build_corpus(7))
+        for label in ("poly-19", "rational-02", "trig-03"):
+            f = corpus[label]
+            got = weighted_lorentz_g(f, phi, math.inf, cache=ctx.conjugates(phi))
+            grid = _double_sup(f, phi)
+            assert grid * (1.0 - 1e-14) <= got <= grid * (1.0 + 1e-9), label
+
+
+def _double_sup(f, phi, zooms=6, starts=3):
+    """sup over p >= 1 and w of w T(w)^(1/p) / psi(p) by exhaustive search:
+    log p on [0, log 1e4] against s on the sampler's level map (256 points a
+    critical interval), then, from the best point of each of the ``starts``
+    best intervals, ``zooms`` rounds of a 201 x 201 grid on the cells around
+    the best point of the round before."""
+    k, at = norms._level_map(quadrature.LevelSampler(f, f.natural_domain))
+
+    def log_ratio(log_p, s):
+        w, _dw, log_t = at(s)
+        p = np.exp(log_p)
+        hstar = conjugate.young_fenchel_lanes(phi, p)[0]
+        with np.errstate(divide="ignore"):
+            return np.log(w)[None, :] + (log_t[None, :] - hstar[:, None]) / p[:, None]
+
+    log_p, s = np.linspace(0.0, math.log(1e4), 1001), np.linspace(0.0, k, 256 * k + 1)
+    vals = log_ratio(log_p, s)
+    assert np.argmax(np.max(vals, axis=1)) < log_p.size - 1
+    by_interval = np.max(vals, axis=0)[:-1].reshape(k, 256)
+    best = -math.inf
+    for row in np.argsort(np.max(by_interval, axis=1))[::-1][:starts]:
+        j = 256 * row + int(np.argmax(by_interval[row]))
+        i, lp, ss = int(np.argmax(vals[:, j])), log_p, s
+        for _ in range(zooms):
+            lp = np.linspace(lp[max(i - 1, 0)], lp[min(i + 1, lp.size - 1)], 201)
+            ss = np.linspace(ss[max(j - 1, 0)], ss[min(j + 1, ss.size - 1)], 201)
+            zoomed = log_ratio(lp, ss)
+            i, j = np.unravel_index(np.argmax(zoomed), zoomed.shape)
+        best = max(best, float(zoomed[i, j]))
+    return math.exp(best)
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 8.0, 50.0])
+def test_dual_weight_closed_form(m):
+    # the weighted weak norm's exponent is -Y(x) at x = -log T, with slope
+    # Y'(x) d log T / dw; for z^m, y*(1) = -log(m)/m and h(y*(1)) = 1/m, so
+    # Y(x) = inf over p >= 1 of (x + h*(p))/p is log(x)/m from x = 1/m on,
+    # x + h*(1) below it with h*(1) = -(log(m) + 1)/m, and Y' is 1/(m x), 1
+    phi = power_log(m)
+    cache = ConjugateCache(phi)
+    exponent = norms._dual_weight(phi, cache)
+    x = np.concatenate([np.geomspace(1e-6, 1.0 / m, 40), np.geomspace(1.0 / m, 745.0, 400)])
+    neg_y, dy = exponent(-x, 1.0)
+    y = -neg_y
+    upper = x >= 1.0 / m
+    expect = np.where(upper, np.log(x) / m, x - (math.log(m) + 1.0) / m)
+    assert np.all(np.abs(y - expect) <= 4.0 * np.spacing(np.maximum(1.0, np.abs(expect))))
+    assert dy == pytest.approx(np.where(upper, 1.0 / (m * x), 1.0), rel=1e-14, abs=0.0)
+    # the two branches meet at x = h(y*(1)), where both are y*(1)
+    y1 = float(cache.ystar[0])
+    h1 = float(phi.h(y1))
+    meet, _dy = exponent(-np.array([np.nextafter(h1, 0.0), h1, np.nextafter(h1, math.inf)]), 1.0)
+    assert np.all(np.abs(meet + y1) <= 4.0 * np.spacing(max(1.0, abs(y1))))
+
 
 def _central_difference(log_value, ps, rel=1e-5):
     step = rel * ps
@@ -1078,9 +1165,7 @@ def _central_difference(log_value, ps, rel=1e-5):
 class TestEvaluatorSlopes:
     """Each cached-node evaluator's slope in p against a central difference
     of its own log value: the power and layer-cake means are exact
-    derivatives of their node sums; the weak form's slope reads log T at
-    the vertex from the parabola through three nodes, its value from T
-    itself there."""
+    derivatives of their node sums."""
 
     PS = np.array([1.0, 2.5, 7.0, 30.0, 200.0])
 
@@ -1112,12 +1197,6 @@ class TestEvaluatorSlopes:
         assert len(calls) == 1
         norms._LayerCakeEvaluator(norms._level_nodes(quadrature.LevelSampler(f, f.natural_domain)), 2.0, DEFAULT_CONFIG, 1024.0)
         assert len(calls) == 2
-
-    @pytest.mark.parametrize("label", ["poly-03", "poly-30", "gap-01", "rational-02", "trig-02"])
-    def test_weak(self, label):
-        f = dict(build_corpus(7))[label]
-        ev = norms._WeakLorentzEvaluator(quadrature.LevelSampler(f, f.natural_domain))
-        assert ev.slope(self.PS) == pytest.approx(_central_difference(ev.log_value, self.PS), rel=1e-5, abs=1e-12)
 
 
 class TestEquivalenceConstants:

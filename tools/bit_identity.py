@@ -30,7 +30,9 @@ slowest group.  Covered:
   take the left-edge skip and the polish, in ``--quick`` too;
 * on the members of ``build_corpus(7)``: ``v_quasinorm_info`` of the first
   derivative (r = 1) and ``sup_ratio_from(p_lo=4)`` for three phi, and
-  ``weighted_lorentz_g`` with power_log(2) at b = 2 and b = inf;
+  ``weighted_lorentz_g`` with power_log(2) at b = 2 and b = inf, and at
+  b = inf also with log_power(1) and the table whose knee is its point
+  z = 0.5;
 * ``knee``: ``construct_N``'s ``splice_point`` and ``linear_slope`` for
   the eight phi families of ``FAMILIES`` (the three phi of the norm groups,
   power_log(3, r=1), a custom z^2.5 and three tables: one whose knee is a
@@ -169,6 +171,11 @@ def corpus_records():
         for b in (2.0, float("inf")):
             yield "weighted_lorentz_g", f"{label} b={b}", attempt(
                 lambda: weighted_lorentz_g(f, phi2, b, cache=ctx.conjugates(phi2))
+            )
+        # b = inf inverts h: a log-power h, and a table h with its kink at y*(1)
+        for phi in (PHIS[2], FAMILIES[6]):
+            yield "weighted_lorentz_g", f"{label} b=inf {phi.label}", attempt(
+                lambda: weighted_lorentz_g(f, phi, float("inf"), cache=ctx.conjugates(phi))
             )
 
 
