@@ -52,6 +52,7 @@ from .quadrature import (
     DEFAULT_CONFIG,
     LevelSampler,
     QuadratureConfig,
+    _bracketed_root,
     lp_quasinorm,
 )
 
@@ -154,85 +155,30 @@ def _loglog_slope(ns, ratios) -> tuple[float, float, int]:
     return float(slope), se, dof
 
 
-def _log_beta_half(a: float) -> float:
-    """log B(a, 1/2): lgamma at arguments below 2, then the recurrence
-    B(a + 1, 1/2) = B(a, 1/2) a / (a + 1/2); the difference of lgamma at
-    large arguments is off by up to 2e-13 at a = 200."""
-    k = max(0, math.floor(a) - 1)
-    a0 = a - k
-    ratio = math.prod((a0 + i) / (a0 + i + 0.5) for i in range(k))
-    return math.lgamma(a0) + 0.5 * math.log(math.pi) - math.lgamma(a0 + 0.5) + math.log(ratio)
+def _t_quantile(dof: int, q: float) -> float:
+    """Student's t quantile at q in (1/2, 1) for an integer dof >= 1.
 
-
-def _beta_fraction(a: float, b: float, x: float) -> float:
-    """The continued fraction of the regularized incomplete beta I_x(a, b)
-    without its prefactor, by the modified Lentz method; it converges fast
-    for x below (a + 1) / (a + b + 2)."""
-    tiny = 1e-300
-    c, d = 1.0, 1.0 / ((1.0 - (a + b) * x / (a + 1.0)) or tiny)
-    h = d
-    for m in range(1, 1000):
-        even = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
-        odd = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
-        for num in (even, odd):
-            d = 1.0 / ((1.0 + num * d) or tiny)
-            c = (1.0 + num / c) or tiny
-            h *= c * d
-        if abs(c * d - 1.0) <= 1e-16:
-            break
-    return h
-
-
-def _t_quantile(dof: float, q: float) -> float:
-    """Student's t quantile at q in (1/2, 1) for dof >= 1 degrees of freedom.
-
-    Hill's approximation (Algorithm 396, CACM 13, 1970), with A&S 26.2.23
-    for its normal deviate, starts Newton's method on the two-sided
-    tail P(|T| > t) = 1 - I_y(1/2, dof/2), y = t^2 / (dof + t^2), with the
-    regularized incomplete beta by its continued fraction (DiDonato &
-    Morris, ACM TOMS 18, 1992), as I_(1-y)(dof/2, 1/2) where y is past the
-    fraction's fast range.
+    With t = sqrt(dof) tan(theta), P(|T| <= t) is a finite series in
+    cos(theta) (Abramowitz & Stegun 26.7.3-4): (2/pi)(theta + sin(theta) S)
+    for odd dof and sin(theta) S for even dof, S the sum of a_k cos^k(theta)
+    over k = dof - 2, dof - 4, ... >= 0, a_k / a_(k-2) = (k - 1) / k and a_0
+    = a_1 = 1.  theta is its root at 2q - 1 on [0, pi/2], collapsed to two
+    ulps by ``_bracketed_root``.
     """
-    p2 = 2.0 * (1.0 - q)  # the two-sided tail
-    if dof == 1.0:
-        t = 1.0 / math.tan(0.5 * math.pi * p2)
-    elif dof == 2.0:
-        t = math.sqrt(2.0 / (p2 * (2.0 - p2)) - 2.0)
-    else:
-        a = 1.0 / (dof - 0.5)
-        b = 48.0 / (a * a)
-        c = ((20700.0 * a / b - 98.0) * a - 16.0) * a + 96.36
-        d = ((94.5 / (b + c) - 3.0) / b + 1.0) * math.sqrt(a * 0.5 * math.pi) * dof
-        y = (d * p2) ** (2.0 / dof)
-        if (dof < 2.1 and p2 > 0.5) or y > 0.05 + a:
-            # the lower-tail normal deviate at p2 / 2
-            r = math.sqrt(-2.0 * math.log(0.5 * p2))
-            x = (2.515517 + 0.802853 * r + 0.010328 * r * r) / (1.0 + 1.432788 * r + 0.189269 * r * r + 0.001308 * r**3) - r
-            if dof < 5.0:
-                c += 0.3 * (dof - 4.5) * (x + 0.6)
-            c = (((0.05 * d * x - 5.0) * x - 7.0) * x - 2.0) * x + b + c
-            y = (((((0.4 * x * x + 6.3) * x * x + 36.0) * x * x + 94.5) / c - x * x - 3.0) / b + 1.0) * x
-            y = math.expm1(a * y * y)
-        else:
-            y = ((1.0 / (((dof + 6.0) / (dof * y) - 0.089 * d - 0.822) * (dof + 2.0) * 3.0) + 0.5 / (dof + 4.0)) * y - 1.0) * (dof + 1.0) / (dof + 2.0) + 1.0 / y
-        t = math.sqrt(dof * y)
-    log_beta = _log_beta_half(0.5 * dof)
-    for _ in range(20):
-        # the tail P(|T| > t) = 1 - I_y(1/2, dof/2) = I_x(dof/2, 1/2),
-        # y = u / (1 + u) and x = 1 / (1 + u) with their logs from log1p
-        u = t * t / dof
-        log_x, log_y = -math.log1p(u), -math.log1p(1.0 / u)
-        front = math.exp(0.5 * log_y + 0.5 * dof * log_x - log_beta)
-        if u / (1.0 + u) < 1.5 / (0.5 * dof + 2.5):
-            tail = 1.0 - front / 0.5 * _beta_fraction(0.5, 0.5 * dof, u / (1.0 + u))
-        else:
-            tail = front / (0.5 * dof) * _beta_fraction(0.5 * dof, 0.5, 1.0 / (1.0 + u))
-        density = math.exp(0.5 * (dof + 1.0) * log_x - log_beta) / math.sqrt(dof)
-        step = (tail - p2) / (2.0 * density)
-        t += step
-        if abs(step) <= 1e-14 * t:
-            break
-    return t
+    odd = dof % 2
+    ks = np.arange(odd, dof - 1, 2)
+    coeffs = np.cumprod(np.append(1.0, (ks[1:] - 1.0) / ks[1:]))[: ks.size]
+
+    def excess(theta, _lanes=None):
+        """P(|T| <= sqrt(dof) tan(theta)) - (2q - 1)."""
+        # cos^k from log cos = log1p(-2 sin^2(theta / 2)), whose rounding k does not amplify
+        s = np.sin(theta) * (np.exp(ks * np.log1p(-2.0 * np.sin(0.5 * theta) ** 2)[:, None]) @ coeffs)
+        return (2.0 / math.pi * (theta + s) if odd else s) - (2.0 * q - 1.0)
+
+    ends = np.array([0.0, 0.5 * math.pi])
+    g = excess(ends)
+    x_neg, x_pos, g_neg, g_pos = _bracketed_root(excess, ends[:1], ends[1:], g[:1], g[1:], 0.0, stop=lambda a, b: np.abs(b - a) <= 2.0 * np.spacing(b))
+    return math.sqrt(dof) * math.tan(np.where(-g_neg < g_pos, x_neg, x_pos)[0])
 
 
 def _fit_loglog(ns, ratios) -> tuple[float, tuple[float, float]]:

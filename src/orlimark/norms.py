@@ -28,15 +28,18 @@ Three norm families ride on top:
   over an exact weight there.  The root is taken along y, the maximizer of
   the conjugate: p = h'(y) and h*(p) = p y - h(y), so the polish solves no
   conjugate and the slope of the log weight h*(p)/p is h(y)/p^2 (Danskin's
-  envelope theorem), and each cached-node evaluator reports the slope of
-  its log norm from the node values it holds: the L_p evaluator the mean
-  of log|f| under the normalised weights of |f|^p, the layer cake the mean
-  of log T.  The scans' cached-node evaluators, and the model of the log
-  modular, are built on ``quadrature._NodeRule``; the integrals of one
-  call read one ``quadrature._NodeStore``, which computes each node's
-  value once.
+  envelope theorem), and each scan reports the slope of its log norm from
+  the node values its evaluator holds: the mean of log|f| under the
+  normalised weights of |f|^p, or of log T under those of T^(p/b).  Both
+  scans use the one ``quadrature.PowerNormEvaluator``, the finite-b
+  Lorentz scan on a level store that carries the layer-cake measure; it
+  and the model of the log modular are built on ``quadrature._NodeRule``,
+  and the integrals of one call read one ``quadrature._NodeStore``, which
+  computes each node's value once.
 * ``lorentz_norm``: distribution-function based two-parameter norms,
-  including the sup form at the second index equal to infinity.  Both work
+  including the sup form at the second index equal to infinity.  At finite
+  b its b-th power is the layer cake, the integral of T^(p/b) against the
+  measure b w^(b-1) dw (Hunt 1966).  Both forms work
   on the intervals between consecutive critical values of |f|, where T is
   smooth: the layer-cake integral starts with panels inside each, and the
   sup form is maximized on each, one lane per interval, at a root of its
@@ -75,7 +78,6 @@ from .quadrature import (
     LevelSampler,
     PowerNormEvaluator,
     QuadratureConfig,
-    _WEIGHTS,
     _abs_nodes,
     _adaptive,
     _break_values,
@@ -502,40 +504,41 @@ def _level_map(sampler: LevelSampler):
     return lo.size, at
 
 
-def _log_w_power(w, b: float):
-    """log of w^(b-1), which is 0 at b = 1 even where w underflows to 0."""
-    if b == 1.0:
-        return np.zeros_like(w)
-    with np.errstate(divide="ignore"):
-        return (b - 1.0) * np.log(w)
-
-
-def _level_nodes(sampler: LevelSampler) -> _NodeStore:
-    """A node store of (w, dw/ds, log T) on the level map of the sampler,
-    s in [0, K]; each critical interval (a unit interval of s) starts as
-    eight panels."""
+def _level_nodes(sampler: LevelSampler, b: float) -> _NodeStore:
+    """A node store of log T on the level map of the sampler, s in [0, K],
+    weighted by the layer-cake measure b w^(b-1) dw/ds, so that its integral
+    of T^(p/b) is ||f||_(p,b)^b; each critical interval (a unit interval of
+    s) starts as eight panels.  The weight is summed in log space, so it
+    holds for every scale of f, where w^(b-1) alone over- or underflows, and
+    w^(b-1) is 1 at b = 1 even where w underflows to 0."""
     k, at = _level_map(sampler)
-    return _NodeStore(at, np.arange(8 * k + 1) / 8)
 
-
-def _log_layer_cake(p, b: float):
-    """(w, dw/ds, log T) -> log of b w^(b-1) T(w)^(p/b) dw/ds, on the rows of
-    a level-map node store; an array p of shape (K, 1, 1) gives K lanes.
-
-    Its integral over s in [0, K] is ||f||_(p,b)^b.  Summed in log space, it
-    holds for every scale of f, where w^(b-1) alone over- or underflows.
-    """
-
-    def log_integrand(w, dw, log_t):
+    def values(s):
+        w, dw, log_t = at(s)
         with np.errstate(divide="ignore"):
-            return (p / b) * log_t + _log_w_power(w, b) + np.log(dw) + math.log(b)
+            return log_t, math.log(b) + (0.0 if b == 1.0 else (b - 1.0) * np.log(w)) + np.log(dw)
 
-    return log_integrand
+    return _NodeStore(values, np.arange(8 * k + 1) / 8, weighted=True)
 
 
 def _lorentz_finite(nodes: _NodeStore, p: float, b: float, cfg: QuadratureConfig) -> float:
-    """||f||_(p,b) at finite b, the layer cake integrated on a level-map node store."""
-    return math.exp(_adaptive(nodes, _log_layer_cake(p, b), cfg)[0] / b)
+    """||f||_(p,b) at finite b, the layer cake integrated on the level store
+    ``nodes`` of ``_level_nodes`` at that b."""
+    return math.exp(_adaptive(nodes, lambda log_t: (p / b) * log_t, cfg)[0] / b)
+
+
+def _layer_cake_scan(nodes: _NodeStore, b: float, cfg: QuadratureConfig, p_hi: float):
+    """log ||f||_(p,b) and its slope in p at each p of an array, for a scan
+    up to p_hi: one ``PowerNormEvaluator`` of T^(p/b) on the level store
+    ``nodes`` at b, on the panels of p = 1, 32 and p_hi.  The value is its
+    log mean over b, the slope E_pi[log T] / b^2, pi the normalised node
+    weights of T^(p/b) in the layer-cake measure."""
+    ev = PowerNormEvaluator(nodes, cfg, yardsticks=np.array([1.0, 32.0, p_hi]) / b)
+
+    def log_mean(ps, moment=False):
+        return ev.log_mean(lambda log_t: (ps[:, None] / b) * log_t, moment)
+
+    return (lambda ps: log_mean(ps) / b), (lambda ps: log_mean(ps, moment=True)[1] / b**2)
 
 
 # probes per critical interval of the weak form, and the width in s to which
@@ -608,7 +611,6 @@ def lorentz_norm(
     b: float,
     domain: Domain | None = None,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-    sampler: LevelSampler | None = None,
 ) -> float:
     """Two-parameter distribution norm of f, from T(w) = mu{|f| > w}.
 
@@ -622,37 +624,10 @@ def lorentz_norm(
     if not (b >= 1.0):
         raise ValueError("second index must be at least 1 (or inf)")
     dom = domain if domain is not None else f.natural_domain
-    s = sampler if sampler is not None else LevelSampler(f, dom)
+    s = LevelSampler(f, dom)
     if s.sup_estimate == 0.0:
         return 0.0
-    return _lorentz_sup(s, lambda log_t, dlog_t: (log_t / p, dlog_t / p)) if math.isinf(b) else _lorentz_finite(_level_nodes(s), p, b, cfg)
-
-
-class _LayerCakeEvaluator(_NodeRule):
-    """Cached-node evaluator of p -> log ||f||_(p,b) at finite b, for scans:
-    a node rule over s in [0, K] on the panels of the layer cake at p = 1, 32
-    and p_hi, integrated in one pass on the level-map node store ``nodes``.  A
-    node holds log T(w) and the log of its weight in the layer cake
-    b int w^(b-1) T^(p/b) dw."""
-
-    def __init__(self, nodes: _NodeStore, b: float, cfg: QuadratureConfig, p_hi: float):
-        self._b = b
-        ps = np.array([1.0, 32.0, p_hi])[:, None, None]
-        super().__init__(nodes, _adaptive(nodes, _log_layer_cake(ps, b), cfg)[2:])
-
-    def _row(self, cols, half):
-        w, dw, log_t = cols
-        with np.errstate(divide="ignore"):
-            return log_t, np.log(self._b * (_WEIGHTS[None, :] * half[:, None]) * dw) + _log_w_power(w, self._b)
-
-    def log_value(self, ps):
-        """log ||f||_(p,b) at each p of the array ps."""
-        return self.log_mean(lambda log_t: (ps[:, None] / self._b) * log_t) / self._b
-
-    def slope(self, ps):
-        """d log ||f||_(p,b) / dp at each p of the array ps: E_pi[log T] / b^2,
-        pi the normalised node weights of the layer cake at p."""
-        return self.log_mean(lambda log_t: (ps[:, None] / self._b) * log_t, moment=True)[1] / self._b**2
+    return _lorentz_sup(s, lambda log_t, dlog_t: (log_t / p, dlog_t / p)) if math.isinf(b) else _lorentz_finite(_level_nodes(s, b), p, b, cfg)
 
 
 def _dual_weight(phi: PhiSpec, cache: ConjugateCache):
@@ -711,13 +686,8 @@ def weighted_lorentz_g(
         return _lorentz_sup(sampler, _dual_weight(phi, c))
 
     # the evaluators and the exact layer cake share one store
-    nodes = _level_nodes(sampler)
-
-    def make_log_norm(p_hi):
-        ev = _LayerCakeEvaluator(nodes, b, cfg, p_hi)
-        return ev.log_value, ev.slope
-
-    return _sup_over_p(make_log_norm, lambda p: _lorentz_finite(nodes, p, b, cfg), phi, c, 1.0).value
+    nodes = _level_nodes(sampler, b)
+    return _sup_over_p(lambda p_hi: _layer_cake_scan(nodes, b, cfg, p_hi), lambda p: _lorentz_finite(nodes, p, b, cfg), phi, c, 1.0).value
 
 
 # ---------------------------------------------------------------------------

@@ -38,13 +38,16 @@ give such an end a coordinate of its own: by the rule up to the smallest
 normal distance, and beyond it in closed form.
 
 Every integral reads its node values from a ``_NodeStore`` that lives for
-one call.  A call that integrates the same node values several times (the
-Luxemburg solve, a p scan with its re-validation, the finite-b Lorentz
-scan) shares one store, so each Gauss panel's values are computed once, as
-Gander & Gautschi (2000) reuse integrand values across refinements.  The
-scans' ``PowerNormEvaluator``, the Luxemburg model and the finite-b Lorentz
-evaluator rest on one cached-node rule, ``_NodeRule``, that reads the same
-store: one log-sum-exp per query.
+one call and carries the measure its integrals are taken against, as a
+column of log weights: the layer-cake measure on the level map of the
+Lorentz norms, log dx/ds at a singular end.  A call that integrates the
+same node values several times (the Luxemburg solve, a p scan with its
+re-validation, the finite-b Lorentz scan) shares one store, so each Gauss
+panel's values are computed once, as Gander & Gautschi (2000) reuse
+integrand values across refinements.  ``PowerNormEvaluator``, the one
+evaluator of both the L_p and the finite-b Lorentz scans, and the
+Luxemburg model rest on one cached-node rule, ``_NodeRule``, that reads the
+same store: one log-sum-exp per query.
 
 The norms are taken against Lebesgue measure scaled to total mass one:
 ``integrate_log`` integrates against plain dx, and its callers add
@@ -191,53 +194,54 @@ def _initial_edges(lo, hi, count, breaks):
 
 class _NodeStore:
     """The node values of one call's integrals over [lo, hi], each computed
-    once.
+    once, with the log weights of the measure they are integrated against.
 
-    ``values`` maps a flat array of abscissae to a tuple of arrays of its
-    shape: log|f| for the integrals of a function of |f|, (w, dw/ds, log T)
-    on the level map of the Lorentz layer cake.  A panel's row of values at
-    its 16 Gauss nodes is computed on its first request and found again by
-    its exact ends, lo + 1j hi, in one sorted array.  Every integral of a call
-    starts from the same sorted ``edges``, which span [lo, hi], and halves
-    its panels, so panels recur bit for bit; an integral that adds break
-    points of its own to the edges splits the panels they fall in, whose
-    pieces are new keys.  Integrals against the
+    ``values`` maps a flat array of abscissae to the node value g of its
+    shape: log|f| for the integrals of a function of |f|, log T on the level
+    map of the Lorentz layer cake.  A ``weighted`` store's ``values`` gives
+    the pair (g, log weight) instead, the weight being the density of the
+    measure with respect to the abscissa: b w^(b-1) dw/ds on the level map.
+    A panel's rows at its 16 Gauss nodes are computed on its first request
+    and found again by its exact ends, lo + 1j hi, in one sorted array.
+    Every integral of a call starts from the same sorted ``edges``, which
+    span [lo, hi], and halves its panels, so panels recur bit for bit; an
+    integral that adds break points of its own to the edges splits the
+    panels they fall in, whose pieces are new keys.  Integrals against the
     normalized measure add ``log_density``.
 
-    With a singular ``end``, y -> the values at distance e^-y below hi, the
-    last initial panel maps affinely onto y up to _Y_END, where each panel
-    takes its Gauss nodes, and rows come with log dx/ds for the weights.
+    With a singular ``end`` (on an unweighted store), y -> g at distance
+    e^-y below hi, the last initial panel maps affinely onto y up to _Y_END,
+    where each panel takes its Gauss nodes, and the log weight is log dx/ds.
     """
 
-    def __init__(self, values, edges, log_density: float = 0.0, end=None):
-        self._values, self._end = values, end
+    def __init__(self, values, edges, log_density: float = 0.0, end=None, weighted: bool = False):
+        self._values, self._end, self._weighted = values, end, weighted
         self.edges, self.log_density = edges, log_density
         self.lo, self.hi = float(edges[0]), float(edges[-1])
         if end is not None:
             x_a = self._cut = float(edges[-2])
             y_a = -math.log(self.hi - x_a)
             self._y = lambda s: y_a + (s - x_a) * ((_Y_END - y_a) / (self.hi - x_a))
-        # the sorted keys, and the row of each in the columns of values
+        # the sorted keys, and the row of each in the columns: g, and the log weight if any
         self._keys, self._index = self.edges[:-1] + 1j * self.edges[1:], np.arange(self.edges.size - 1)
         self._cols = self._evaluate(self.edges[:-1], self.edges[1:])
 
     def _evaluate(self, p_lo, p_hi):
         xs = _panel_nodes(p_lo, p_hi)[0]
         if self._end is None:
-            return [v.reshape(xs.shape) for v in self._values(xs.ravel())]
+            cols = self._values(xs.ravel()) if self._weighted else (self._values(xs.ravel()),)
+            return [v.reshape(xs.shape) for v in cols]
         on = p_lo >= self._cut
         ys, half_y = _panel_nodes(self._y(p_lo[on]), self._y(p_hi[on]))
-        cols = []
-        for at_x, at_y in zip(self._values(xs[~on].ravel()), self._end(ys)):
-            cols.append(np.empty(xs.shape))
-            cols[-1][~on], cols[-1][on] = at_x.reshape(-1, _NODES.size), at_y
-        log_dx = np.zeros(xs.shape)  # dx/ds = e^-y dy/ds on the singular piece
+        g, log_dx = np.empty(xs.shape), np.zeros(xs.shape)
+        g[~on], g[on] = self._values(xs[~on].ravel()).reshape(-1, _NODES.size), self._end(ys)
+        # dx/ds = e^-y dy/ds on the singular piece
         log_dx[on] = np.log(half_y / (0.5 * (p_hi[on] - p_lo[on])))[:, None] - ys
-        return cols + [log_dx]
+        return [g, log_dx]
 
     def rows(self, p_lo, p_hi):
-        """The values at the nodes of the distinct panels [p_lo, p_hi], one
-        (panels, 16) array per value, and log dx/ds, None without an end."""
+        """g at the nodes of the distinct panels [p_lo, p_hi], a (panels, 16)
+        array, and the log weights there, None in a store without them."""
         keys = p_lo + 1j * p_hi
         at = np.minimum(np.searchsorted(self._keys, keys), self._keys.size - 1)
         new = self._keys[at] != keys
@@ -249,17 +253,17 @@ class _NodeStore:
             order = np.argsort(keys, kind="stable")
             self._keys, self._index = keys[order], np.concatenate([self._index, at[new]])[order]
         cols = [c[at] for c in self._cols]
-        return (cols, None) if self._end is None else (cols[:-1], cols[-1])
+        return cols[0], cols[1] if len(cols) > 1 else None
 
     def rest(self, transform):
-        """log of the integral of e^G, G(y) = transform(*end(y)) - y, past the
+        """log of the integral of e^G, G(y) = transform(end(y)) - y, past the
         singular piece's end y_1, one a lane (-inf without one): e^G(y_1) / -G',
         as G is linear for a power singularity, G' its secant on [y_1, 2 y_1]."""
         if self._end is None:
             return -math.inf
         # one row of two points, as the panel rows that a transform with lanes broadcasts over
         y = self._y(self.hi) * np.array([[1.0, 2.0]])
-        g = (transform(*self._end(y)) - y)[..., 0, :]
+        g = (transform(self._end(y)) - y)[..., 0, :]
         slope = (g[..., 1] - g[..., 0]) / y[0, 0]
         if not np.all(slope < 0.0):
             raise ConvergenceFailureError(f"the integrand does not decay at the singular end: slope {float(np.max(slope))!r} in -log(distance)")
@@ -273,15 +277,15 @@ def _abs_nodes(f, domain: Domain) -> _NodeStore:
     log_f = log_abs_of(f)
     edges = _initial_edges(domain.lo, domain.hi, _INITIAL_PANELS, break_points_of(f, domain))
     end = getattr(f, "singular_end", lambda _domain: None)(domain)
-    return _NodeStore(lambda xs: (log_f(xs),), edges, math.log(domain.density), end and (lambda ys: (end(ys),)))
+    return _NodeStore(log_f, edges, math.log(domain.density), end)
 
 
 def _adaptive(nodes: _NodeStore, transform, cfg, breaks=None):
-    """Adaptive quadrature of exp(transform(*rows)) over the interval of the
-    node store ``nodes``, in log space, from its initial edges and the
-    points of ``breaks``, merged into them by ``_inner_points``: kinks of
-    this integrand alone, such as the splice crossings of a Luxemburg
-    modular.
+    """Adaptive quadrature of exp(transform(g)) against the measure of the
+    node store ``nodes`` over its interval, in log space, from its initial
+    edges and the points of ``breaks``, merged into them by
+    ``_inner_points``: kinks of this integrand alone, such as the splice
+    crossings of a Luxemburg modular.
 
     All active panels are bisected together each wave, and their node values
     come from the store in one batch.  A panel's children are accepted once
@@ -291,8 +295,8 @@ def _adaptive(nodes: _NodeStore, transform, cfg, breaks=None):
     store's edges hold the break points, where the integrand may have a
     kink, as QUADPACK's QAGP takes its break points; its ``rest`` is added.
 
-    One shift c serves the whole integral: the largest log integrand t (plus
-    log dx/ds on a singular piece) at the nodes, raised, with the sums
+    One shift c serves the whole integral: the largest log integrand t (the
+    transform plus the store's log weight) at the nodes, raised, with the sums
     rescaled, by a wave that exceeds it.  t - c is formed before anything is
     exponentiated, so a huge constant t sums exactly, and a panel's value is
     exp(t - c) @ weights times its half width.  A transform may return a
@@ -309,10 +313,10 @@ def _adaptive(nodes: _NodeStore, transform, cfg, breaks=None):
     """
 
     def terms(p_lo, p_hi):
-        cols, log_dx = nodes.rows(p_lo, p_hi)
-        t = transform(*cols)
+        g, log_w = nodes.rows(p_lo, p_hi)
+        t = transform(g) if log_w is None else transform(g) + log_w
         _check_finite(t, p_lo, p_hi)
-        return t if log_dx is None else t + log_dx
+        return t
 
     def result(*per_lane):
         return per_lane if lanes else tuple(float(v[0]) for v in per_lane)
@@ -389,17 +393,17 @@ def integrate_log(log_f, lo: float, hi: float, cfg: QuadratureConfig = DEFAULT_C
     """
     vectorized = as_vectorized(log_f)
     edges = _initial_edges(lo, hi, _INITIAL_PANELS, breaks)
-    return _adaptive(_NodeStore(lambda xs: (vectorized(xs),), edges), lambda g: g, cfg)[0]
+    return _adaptive(_NodeStore(vectorized, edges), lambda g: g, cfg)[0]
 
 
 class _NodeRule:
     """Composite Gauss rule on the union of adaptive panelizations of the
     interval of a node store, the np.unique of their panel ends ``ends``.
 
-    Its node values and their log weights, a row per panel, are ``_row`` of
-    the store's rows and the panels' half widths, plus log dx/ds: log|f| and
-    the Gauss weights here, others in a subclass; a singular end's rest is
-    left out.  The store evaluates each node once, for every integral alike.
+    Its node values ``g`` and their log weights ``logw``, a row per panel,
+    are the store's rows and the log of the Gauss weights times the panels'
+    half widths, plus the store's log weights; a singular end's rest is left
+    out.  The store evaluates each node once, for every integral alike.
     """
 
     def __init__(self, nodes: _NodeStore, ends):
@@ -407,18 +411,15 @@ class _NodeRule:
         self._edges = np.array([nodes.lo, nodes.hi])
         self.join(*ends)
 
-    def _row(self, cols, half):
-        with np.errstate(divide="ignore"):
-            return cols[0], np.log(_WEIGHTS)[None, :] + np.log(half)[:, None]
-
     def join(self, *ends):
         """Refine the rule with the panels of further integrals, given as
         arrays of panel ends."""
         self._edges = np.unique(np.concatenate([self._edges, *ends]))
         lo, hi = self._edges[:-1], self._edges[1:]
-        cols, log_dx = self._nodes.rows(lo, hi)
-        self.g, self.logw = self._row(cols, 0.5 * (hi - lo))
-        self.logw = self.logw if log_dx is None else self.logw + log_dx
+        self.g, log_w = self._nodes.rows(lo, hi)
+        with np.errstate(divide="ignore"):
+            self.logw = np.log(_WEIGHTS)[None, :] + np.log(0.5 * (hi - lo))[:, None]
+        self.logw = self.logw if log_w is None else self.logw + log_w
         _check_finite(self.g, lo, hi)
 
     def log_mean(self, log_integrand, moment: bool = False):
@@ -461,32 +462,35 @@ class _NodeRule:
         return _inner_points(self._edges, xs[i] + frac * (xs[i + 1] - xs[i]))
 
 
-class PowerNormEvaluator:
+class PowerNormEvaluator(_NodeRule):
     """Evaluates p -> ||f||_p for many p from one cached panelization.
 
-    Its node rule is the one panel set of |f|^e for the e of ``yardsticks``,
-    integrated together on the node store ``nodes`` of log|f|; each norm is then a
-    single vectorized log-sum-exp.  Intended for scan loops; the returned
+    A node rule on the one panel set of exp(e g) for the e of
+    ``yardsticks``, integrated together on the node store ``nodes``; each
+    norm is then a single vectorized log-sum-exp.  On a store of log|f|,
+    ``log_norm`` is log ||f||_p; on the level store of the layer cake,
+    weighted by its measure, the norms module reads the Lorentz norms at
+    finite b from ``log_mean``.  Intended for scan loops; the returned
     maximizer should be re-validated with a fully adaptive integral on the
     same store (see norms module).
     """
 
     def __init__(self, nodes: _NodeStore, cfg: QuadratureConfig, yardsticks):
         es = np.asarray(yardsticks, dtype=float)[:, None, None]
-        self._rule = _NodeRule(nodes, _adaptive(nodes, lambda g: es * g, cfg)[2:])
-        self.node_count = self._rule.g.size
+        super().__init__(nodes, _adaptive(nodes, lambda g: es * g, cfg)[2:])
+        self.node_count = self.g.size
 
     def log_norm(self, p):
         """log ||f||_p at each p > 0 of an array of exponents."""
         p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-        return self._rule.log_mean(lambda g: p_arr[:, None] * g) / p_arr
+        return self.log_mean(lambda g: p_arr[:, None] * g) / p_arr
 
     def slope(self, p):
         """d log ||f||_p / dp at each p > 0 of an array of exponents:
         (E_pi[log|f|] - log ||f||_p) / p, pi the normalised node weights of
         |f|^p."""
         p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-        log_mean, mean_log_f = self._rule.log_mean(lambda g: p_arr[:, None] * g, moment=True)
+        log_mean, mean_log_f = self.log_mean(lambda g: p_arr[:, None] * g, moment=True)
         return (mean_log_f - log_mean / p_arr) / p_arr
 
 

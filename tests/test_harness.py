@@ -154,14 +154,15 @@ class TestMarkovSweep:
             markov_sweep(phi2, "jacobi22", [2.5, 3, 4, 5, 6], norm=lp_spec(4.0), ctx=ctx)
 
 
-def test_t_quantile_matches_mpmath():
-    # the sweep's 97.5% Student-t quantile at dof 1 to 399, against a
-    # 30-digit root of the incomplete beta
+@pytest.mark.parametrize("q", [0.6, 0.9, 0.975, 0.995])
+def test_t_quantile_matches_mpmath(q):
+    # the Student-t quantile at dof 1 to 399 (the sweep's is at 0.975),
+    # against a 30-digit root of the incomplete beta
     half = mp.mpf(1) / 2
     with mp.workdps(30):
         for dof in range(1, 400):
-            got = _t_quantile(dof, 0.975)
-            ref = mp.findroot(lambda t: mp.betainc(half, half * dof, 0, t * t / (dof + t * t), regularized=True) - mp.mpf("0.95"), mp.mpf(got))
+            got = _t_quantile(dof, q)
+            ref = mp.findroot(lambda t: mp.betainc(half, half * dof, 0, t * t / (dof + t * t), regularized=True) - (2 * mp.mpf(q) - 1), mp.mpf(got))
             assert abs(got - ref) <= 1e-13 * ref, (dof, got)
 
 

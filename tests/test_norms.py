@@ -1162,6 +1162,11 @@ def _central_difference(log_value, ps, rel=1e-5):
     return (log_value(ps + step) - log_value(ps - step)) / (2.0 * step)
 
 
+def _layer_cake_scan(f):
+    """The finite-b scan's log value and slope at b = 2, on the weighted level store."""
+    return norms._layer_cake_scan(norms._level_nodes(quadrature.LevelSampler(f, f.natural_domain), 2.0), 2.0, DEFAULT_CONFIG, 1024.0)
+
+
 class TestEvaluatorSlopes:
     """Each cached-node evaluator's slope in p against a central difference
     of its own log value: the power and layer-cake means are exact
@@ -1178,12 +1183,12 @@ class TestEvaluatorSlopes:
     @pytest.mark.parametrize("label", ["poly-03", "poly-30", "gap-01", "rational-02", "trig-02"])
     def test_layer_cake(self, label):
         f = dict(build_corpus(7))[label]
-        ev = norms._LayerCakeEvaluator(norms._level_nodes(quadrature.LevelSampler(f, f.natural_domain)), 2.0, DEFAULT_CONFIG, 1024.0)
-        assert ev.slope(self.PS) == pytest.approx(_central_difference(ev.log_value, self.PS), rel=1e-8)
+        log_value, slope = _layer_cake_scan(f)
+        assert slope(self.PS) == pytest.approx(_central_difference(log_value, self.PS), rel=1e-8)
 
     def test_one_adaptive_pass_per_build(self, monkeypatch):
-        # the three yardsticks (power) and the three layer cakes share one
-        # panel set from one adaptive call
+        # the three yardsticks of the power norms and of the layer cakes
+        # share one panel set from one adaptive call
         adaptive, calls = quadrature._adaptive, []
 
         def counted(*args):
@@ -1191,11 +1196,10 @@ class TestEvaluatorSlopes:
             return adaptive(*args)
 
         monkeypatch.setattr(quadrature, "_adaptive", counted)
-        monkeypatch.setattr(norms, "_adaptive", counted)
         f = dict(build_corpus(7))["poly-30"]
         quadrature.PowerNormEvaluator(quadrature._abs_nodes(f, f.natural_domain), DEFAULT_CONFIG, yardsticks=(1.0, 32.0, 1024.0))
         assert len(calls) == 1
-        norms._LayerCakeEvaluator(norms._level_nodes(quadrature.LevelSampler(f, f.natural_domain)), 2.0, DEFAULT_CONFIG, 1024.0)
+        _layer_cake_scan(f)
         assert len(calls) == 2
 
 

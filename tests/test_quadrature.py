@@ -462,7 +462,7 @@ def test_log_mean_matches_mpmath():
     # ties at the maximum and a constant near 1e15; a row of zeros gives
     # -inf, and +inf and NaN propagate
     f = chebyshev_t(12)
-    nodes = _NodeStore(lambda xs: (log_abs_of(f)(xs),), _initial_edges(-1.0, 1.0, _INITIAL_PANELS, f.break_points(INTERVAL)))
+    nodes = _NodeStore(log_abs_of(f), _initial_edges(-1.0, 1.0, _INITIAL_PANELS, f.break_points(INTERVAL)))
     rule = _NodeRule(nodes, _adaptive(nodes, lambda g: 60.0 * g, DEFAULT_CONFIG)[2:])
     size = rule.g.size
     rng = np.random.default_rng(5)
@@ -523,7 +523,7 @@ def test_node_store_evaluates_each_panel_once():
 
     def counted(xs):
         points.append(xs.copy())
-        return (log_f(xs),)
+        return log_f(xs)
 
     nodes = _NodeStore(counted, _initial_edges(-1.0, 1.0, _INITIAL_PANELS, breaks))
     first, second = (_adaptive(nodes, lambda g, e=e: e * g, DEFAULT_CONFIG) for e in (1.0, 60.0))
