@@ -37,15 +37,15 @@ from .functions import (
     random_family,
 )
 from .norms import (
+    EquivalenceConstants,
     NormContext,
     NormSpec,
     equivalence_constants,
     evaluate_norm,
-    g_norm,
-    luxemburg_norm,
+    gnorm_spec,
     orlicz_spec,
     sup_ratio_from,
-    v_quasinorm,
+    vnorm_spec,
     weighted_lorentz_g,
 )
 from .quadrature import (
@@ -97,14 +97,13 @@ def d_constant(r: int) -> float:
 # ratios and sweeps
 
 
-def markov_ratio(f, spec: NormSpec, domain=None, ctx: NormContext | None = None) -> float:
+def markov_ratio(f, spec: NormSpec, ctx: NormContext | None = None) -> float:
     """||f'|| / ||f|| in the requested norm."""
     context = ctx if ctx is not None else NormContext()
-    dom = domain if domain is not None else f.natural_domain
-    den = evaluate_norm(f, spec, dom, context)
+    den = evaluate_norm(f, spec, context)
     if den == 0.0:
         raise DegenerateInputError("norm of the function is zero; the ratio is undefined")
-    num = evaluate_norm(derivative(f, 1), spec, dom, context)
+    num = evaluate_norm(derivative(f, 1), spec, context)
     return num / den
 
 
@@ -208,8 +207,11 @@ def _family_member(family: str, n: int, seed: int):
 def markov_factor_log(phi: PhiSpec, ctx: NormContext | None = None) -> float:
     """log of the n-free factor K(4) * max(1, psi(4)) * C4 * C3."""
     context = ctx if ctx is not None else NormContext()
-    consts = equivalence_constants(context.orlicz(phi))
-    psi4 = psi(phi, 4.0)
+    return _factor_log(equivalence_constants(context.orlicz(phi)), psi(phi, 4.0))
+
+
+def _factor_log(consts: EquivalenceConstants, psi4: float) -> float:
+    """``markov_factor_log`` from the constants of phi and psi(phi, 4)."""
     return (
         math.log(k_constant(4.0))
         + math.log(max(1.0, psi4))
@@ -230,20 +232,24 @@ def markov_sweep(
 
     The bound column carries n^2 * K(p) for plain L_p (p > 2) and the full
     constant chain for the spliced-Orlicz and sup-ratio norms; norms without
-    a proven constant get +inf (ratio recorded, nothing asserted).
+    a proven constant get +inf (ratio recorded, nothing asserted).  A norm
+    with a phi of its own must take it from ``phi``, or ValueError.
     """
     ns = sorted(set(_integer(n) for n in n_range))
     if not ns:
         raise ValueError("empty degree range")
     context = ctx if ctx is not None else NormContext()
     spec = norm if norm is not None else orlicz_spec(phi)
-    consts: dict[str, float] = {"k4": k_constant(4.0), "psi4": psi(phi, 4.0)}
+    if spec.phi is not None and spec.phi != phi:
+        raise ValueError(f"the norm {spec.label} takes another phi than the sweep's {phi.label}")
+    psi4 = psi(phi, 4.0)
+    consts: dict[str, float] = {"k4": k_constant(4.0), "psi4": psi4}
     if spec.kind == "lp":
         factor_log = math.log(k_constant(spec.p)) if spec.p > 2.0 else math.inf
         consts["kp"] = math.exp(factor_log) if math.isfinite(factor_log) else math.inf
     elif spec.kind in ("orlicz", "gnorm"):
-        factor_log = markov_factor_log(phi, context)
         eq = equivalence_constants(context.orlicz(phi))
+        factor_log = _factor_log(eq, psi4)
         consts["c3"] = eq.g_over_b
         consts["c4_log"] = eq.b_over_g_log
     else:
@@ -327,12 +333,8 @@ def rational_orlicz_check(
     r = _integer(r, "derivative order", lo=1)
     _require_pole_free(q)
     context = ctx if ctx is not None else NormContext()
-    cfg = context.cfg
-    dom = q.natural_domain
-    lhs = v_quasinorm(
-        derivative(q, r), phi, float(r), dom, cfg, cache=context.conjugates(phi, p_lo=4.0)
-    )
-    b = luxemburg_norm(q, context.orlicz(phi), dom, cfg)
+    lhs = evaluate_norm(derivative(q, r), vnorm_spec(phi, r), context)
+    b = evaluate_norm(q, orlicz_spec(phi), context)
     consts = equivalence_constants(context.orlicz(phi))
     deg = float(q.degree)
     if deg == 0.0 or b == 0.0:
@@ -446,27 +448,21 @@ def tail_check(
         raise ValueError(f"u_max must be finite and above 3, got {u_max!r}")
     points = _integer(points, "points", lo=2)
     context = ctx if ctx is not None else NormContext()
-    cfg = context.cfg
-    phi = power_log(m, 0.0)
-    dom = f.natural_domain
-    v = v_quasinorm(f, phi, float(r), dom, cfg, cache=context.conjugates(phi, p_lo=4.0))
+    v = evaluate_norm(f, vnorm_spec(power_log(m, 0.0), r), context)
     if v == 0.0:
         raise DegenerateInputError("function is zero; tail analysis is undefined")
+    dom = f.natural_domain
     us = np.geomspace(3.0, u_max, points)
     t = LevelSampler(f, dom).measure_above_batch(us * v)
     model = us ** (-1.0 / r) * np.log(us) ** (1.0 / (m * r))
     ratios = t / model
     prefactor = float(np.max(ratios))
     max_violation = float(np.max(t - prefactor * model))
-    m2 = m / (m * r + 1.0)
-    phi2 = power_log(m2, 0.0)
-    converse = (
-        v_quasinorm(f, phi2, float(r), dom, cfg, cache=context.conjugates(phi2, p_lo=4.0)) / v
-    )
+    converse = evaluate_norm(f, vnorm_spec(power_log(m / (m * r + 1.0), 0.0), r), context) / v
     ps = np.array([8.0, 16.0, 32.0, 64.0, 128.0])
     betas = ps / (ps * r + 1.0)
     gaps = 1.0 / r - betas
-    norms = np.array([lp_quasinorm(f, float(b), dom, cfg) / v for b in betas])
+    norms = np.array([lp_quasinorm(f, float(b), dom, context.cfg) / v for b in betas])
     slope = _loglog_slope(gaps, norms)[0]
     return TailReport(
         u_grid=us,
@@ -617,9 +613,8 @@ def equivalence_band(
     fallback, not a violation.
     """
     context = ctx if ctx is not None else NormContext()
-    n_func = context.orlicz(phi)
-    consts = equivalence_constants(n_func)
-    cache = context.conjugates(phi)
+    consts = equivalence_constants(context.orlicz(phi))
+    b_spec, g_spec = orlicz_spec(phi), gnorm_spec(phi)
     log_slack = math.log1p(slack)
     lo_edge = -math.log(consts.g_over_b)
     rows = []
@@ -627,8 +622,8 @@ def equivalence_band(
     fallback = 0
     ratios = []
     for label, f in corpus:
-        b = luxemburg_norm(f, n_func, cfg=context.cfg)
-        g = g_norm(f, phi, cfg=context.cfg, cache=cache)
+        b = evaluate_norm(f, b_spec, context)
+        g = evaluate_norm(f, g_spec, context)
         log_ratio = math.log(b) - math.log(g)
         ratios.append(math.exp(log_ratio))
         lower_ok = log_ratio >= lo_edge - log_slack
@@ -690,7 +685,7 @@ def lyapunov_sandwich(f, phi: PhiSpec, ctx: NormContext | None = None, label: st
     cache = context.conjugates(phi)
     cache4 = context.conjugates(phi, p_lo=4.0)
     restricted = sup_ratio_from(f, phi, 4.0, cfg=context.cfg, cache=cache4)
-    full = g_norm(f, phi, cfg=context.cfg, cache=cache)
+    full = evaluate_norm(f, gnorm_spec(phi), context)
     psi4 = psi(phi, 4.0)
     corrected = max(1.0, psi4 / _min_psi(cache, 1.0, 4.0))
     return SandwichRow(label, restricted, full, max(1.0, psi4), corrected)
@@ -707,14 +702,13 @@ class ThreeWayReport:
 
 def three_way_report(corpus, phi: PhiSpec, bs=(1.0, 2.0, math.inf), ctx: NormContext | None = None) -> ThreeWayReport:
     context = ctx if ctx is not None else NormContext()
-    n_func = context.orlicz(phi)
     cache = context.conjugates(phi)
     cols = ["orlicz", "gnorm"] + [f"lorentz-g(b={b:g})" for b in bs]
     values: dict[str, dict[str, float]] = {}
     for label, f in corpus:
         row = {
-            "orlicz": luxemburg_norm(f, n_func, cfg=context.cfg),
-            "gnorm": g_norm(f, phi, cfg=context.cfg, cache=cache),
+            "orlicz": evaluate_norm(f, orlicz_spec(phi), context),
+            "gnorm": evaluate_norm(f, gnorm_spec(phi), context),
         }
         for b in bs:
             row[f"lorentz-g(b={b:g})"] = weighted_lorentz_g(f, phi, b, cfg=context.cfg, cache=cache)

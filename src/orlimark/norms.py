@@ -28,11 +28,12 @@ Three norm families ride on top:
   over an exact weight there.  The root is taken along y, the maximizer of
   the conjugate: p = h'(y) and h*(p) = p y - h(y), so the polish solves no
   conjugate and the slope of the log weight h*(p)/p is h(y)/p^2 (Danskin's
-  envelope theorem), and each scan reports the slope of its log norm from
+  envelope theorem), and each scan takes the slope of its log norm from
   the node values its evaluator holds: the mean of log|f| under the
   normalised weights of |f|^p, or of log T under those of T^(p/b).  Both
-  scans use the one ``quadrature.PowerNormEvaluator``, the finite-b
-  Lorentz scan on a level store that carries the layer-cake measure; it
+  scans ask the one ``quadrature.PowerNormEvaluator`` one question,
+  ``log_norm(e, q)``, the finite-b Lorentz scan on a level store that
+  carries the layer-cake measure; it
   and the model of the log modular are built on ``quadrature._NodeRule``,
   and the integrals of one call read one ``quadrature._NodeStore``, which
   computes each node's value once.
@@ -45,8 +46,10 @@ Three norm families ride on top:
   sup form is maximized on each, one lane per interval, at a root of its
   log-derivative, which the crossings of T give along with T.
 
-``evaluate_norm_info`` is the one dispatch from a ``NormSpec`` to these
-norms, for the harness and the command line alike.
+Every norm of f is taken on ``f.natural_domain``, [-1, 1] or the circle,
+against its normalized measure; an object without one raises
+``RejectedInputError``.  ``evaluate_norm_info`` is the one dispatch from a
+``NormSpec`` to these norms, for the harness and the command line alike.
 
 The knee is y*(1) from the conjugate solver.  The root of the model of the
 log modular and, when the model does not settle, the Luxemburg root itself
@@ -69,6 +72,7 @@ from .errors import (
     ConvergenceFailureError,
     DomainEvaluationError,
     LuxemburgBracketError,
+    RejectedInputError,
     ScanDivergenceError,
     SummabilityError,
 )
@@ -82,9 +86,9 @@ from .quadrature import (
     _adaptive,
     _break_values,
     _bracketed_root,
-    _lp_norm,
     _NodeRule,
     _NodeStore,
+    _power_norm,
     lp_quasinorm,
 )
 
@@ -96,6 +100,15 @@ def _root(fn, x_neg: float, x_pos: float, f_neg: float, f_pos: float, xtol: floa
     )
     x_neg, x_pos, f_neg, f_pos = (float(v[0]) for v in ends)
     return (x_neg, f_neg) if -f_neg < f_pos else (x_pos, f_pos)
+
+
+def _domain_of(f) -> Domain:
+    """The carrier every norm of f is taken on, its natural domain: [-1, 1]
+    or the circle, with normalized measure."""
+    domain = getattr(f, "natural_domain", None)
+    if domain is None:
+        raise RejectedInputError(f"{type(f).__name__} reports no natural domain; pass a function representation")
+    return domain
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +195,7 @@ def construct_N(phi: PhiSpec) -> OrliczN:
 _MODEL_ROUNDS = 4
 
 
-def _luxemburg_detail(f, n: OrliczN, domain: Domain, cfg: QuadratureConfig):
+def _luxemburg_detail(f, n: OrliczN, cfg: QuadratureConfig):
     """l = e^t, the log modular log I(t) at it, and whether that is within
     1e-8 of zero.  By Jensen I(t) >= slope ||f||_1 e^-t = e^(t_lo - t), with
     equality from t_k = log(sup |f| / knee) on, where |f| e^-t stays on the
@@ -208,6 +221,7 @@ def _luxemburg_detail(f, n: OrliczN, domain: Domain, cfg: QuadratureConfig):
     lower end comes from steps down from the upper one, doubling, so an exact
     integral is taken at the Jensen end only when the steps reach it.
     """
+    domain = _domain_of(f)
     xs, vals = _break_values(f, domain, bounded=True)
     sup = float(np.max(vals))
     if sup == 0.0:
@@ -292,11 +306,10 @@ def _luxemburg_detail(f, n: OrliczN, domain: Domain, cfg: QuadratureConfig):
     return math.exp(t_star), residual, abs(residual) <= 1e-8
 
 
-def luxemburg_norm(f, n: OrliczN, domain: Domain | None = None, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def luxemburg_norm(f, n: OrliczN, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Smallest l with the N-modular of f / l at most one; a root whose log
     modular is farther than 1e-8 from zero raises ConvergenceFailureError."""
-    dom = domain if domain is not None else f.natural_domain
-    value, residual, ok = _luxemburg_detail(f, n, dom, cfg)
+    value, residual, ok = _luxemburg_detail(f, n, cfg)
     if not ok:
         raise ConvergenceFailureError(f"Luxemburg root l = {value!r} leaves the log modular at {residual!r}", best_estimate=value)
     return value
@@ -397,12 +410,11 @@ def _sup_over_p(make_log_norm, exact_norm, phi: PhiSpec, cache: ConjugateCache, 
     return ScanResult(value, p_star, ok, extensions)
 
 
-def _g_scan(f, phi: PhiSpec, domain: Domain | None, cfg: QuadratureConfig, cache: ConjugateCache | None, p_lo: float, r: float = 0.0) -> ScanResult:
+def _g_scan(f, phi: PhiSpec, cfg: QuadratureConfig, cache: ConjugateCache | None, p_lo: float, r: float = 0.0) -> ScanResult:
     """sup over p >= p_lo of ||f||_beta / psi(p), beta = p / (p r + 1): the
     g-norm family at r = 0 (beta = p exactly), the v-quasinorm at r >= 1."""
-    dom = domain if domain is not None else f.natural_domain
     c = cache if cache is not None else ConjugateCache(phi, p_lo=p_lo)
-    nodes = _abs_nodes(f, dom)
+    nodes = _abs_nodes(f, _domain_of(f))
 
     def beta(p):
         return p / (p * r + 1.0)
@@ -412,14 +424,21 @@ def _g_scan(f, phi: PhiSpec, domain: Domain | None, cfg: QuadratureConfig, cache
         # beta = p spans decades, beta < 1 / r does not
         mid = math.sqrt(lo * hi) if r == 0.0 else 0.5 * (lo + hi)
         ev = PowerNormEvaluator(nodes, cfg, yardsticks=(lo, mid, hi))
-        # d beta / dp = 1 / (p r + 1)^2
-        return (lambda p: ev.log_norm(beta(p))), (lambda p: ev.slope(beta(p)) / (p * r + 1.0) ** 2)
+
+        def slope(p):
+            # d log ||f||_beta / d beta = (E_pi[log|f|] - log ||f||_beta) / beta,
+            # and d beta / dp = 1 / (p r + 1)^2
+            e = beta(p)
+            log_norm, mean_log_f = ev.log_norm(e, moment=True)
+            return (mean_log_f - log_norm) / e / (p * r + 1.0) ** 2
+
+        return (lambda p: ev.log_norm(beta(p))), slope
 
     # f identically zero needs no special case: every log ratio is -inf and
     # the scan collapses to value 0; this also keeps unbounded f (integrable
     # singularities) out of sup_norm, which rejects them.
     try:
-        return _sup_over_p(make_log_norm, lambda p: _lp_norm(nodes, beta(p), cfg), phi, c, p_lo)
+        return _sup_over_p(make_log_norm, lambda p: _power_norm(nodes, beta(p), beta(p), cfg), phi, c, p_lo)
     except ConvergenceFailureError as err:
         # an L_p member that the adaptive integrator cannot settle means the
         # scanned ratio has no certified finite supremum
@@ -429,44 +448,41 @@ def _g_scan(f, phi: PhiSpec, domain: Domain | None, cfg: QuadratureConfig, cache
         ) from err
 
 
-def g_norm(f, phi: PhiSpec, domain: Domain | None = None, cfg: QuadratureConfig = DEFAULT_CONFIG, cache: ConjugateCache | None = None) -> float:
+def g_norm(f, phi: PhiSpec, cfg: QuadratureConfig = DEFAULT_CONFIG, cache: ConjugateCache | None = None) -> float:
     """sup over p >= 1 of ||f||_p / psi(p)."""
-    return _g_scan(f, phi, domain, cfg, cache, p_lo=1.0).value
+    return _g_scan(f, phi, cfg, cache, p_lo=1.0).value
 
 
-def g_norm_info(f, phi: PhiSpec, domain: Domain | None = None, cfg: QuadratureConfig = DEFAULT_CONFIG, cache: ConjugateCache | None = None) -> ScanResult:
-    return _g_scan(f, phi, domain, cfg, cache, p_lo=1.0)
+def g_norm_info(f, phi: PhiSpec, cfg: QuadratureConfig = DEFAULT_CONFIG, cache: ConjugateCache | None = None) -> ScanResult:
+    return _g_scan(f, phi, cfg, cache, p_lo=1.0)
 
 
-def sup_ratio_from(f, phi: PhiSpec, p_lo: float, domain: Domain | None = None, cfg: QuadratureConfig = DEFAULT_CONFIG, cache: ConjugateCache | None = None) -> float:
+def sup_ratio_from(f, phi: PhiSpec, p_lo: float, cfg: QuadratureConfig = DEFAULT_CONFIG, cache: ConjugateCache | None = None) -> float:
     """sup over p >= p_lo of ||f||_p / psi(p); used by comparison checks.
 
     A cache passed in must start at p_lo; by default one is built there.
     """
-    return _g_scan(f, phi, domain, cfg, cache, p_lo=p_lo).value
+    return _g_scan(f, phi, cfg, cache, p_lo=p_lo).value
 
 
-def v_quasinorm(
-    f,
-    phi: PhiSpec,
-    r: float,
-    domain: Domain | None = None,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    cache: ConjugateCache | None = None,
-) -> float:
+# the v-quasinorm's scan starts at p = 4
+V_SCAN_P_LO = 4.0
+
+
+def v_quasinorm(f, phi: PhiSpec, r: float, cfg: QuadratureConfig = DEFAULT_CONFIG, cache: ConjugateCache | None = None) -> float:
     """Derivative-weighted quasinorm: sup over shrinking exponents.
 
     Parametrized by p in [4, inf): the integrability exponent is
     beta = p / (p r + 1), which sweeps (4/(4r+1), 1/r), and the ratio
     ||f||_beta / psi(p) is maximized over the standard grid.
     """
-    return v_quasinorm_info(f, phi, r, domain, cfg, cache).value
+    return v_quasinorm_info(f, phi, r, cfg, cache).value
 
 
-def v_quasinorm_info(f, phi, r, domain=None, cfg=DEFAULT_CONFIG, cache=None) -> ScanResult:
+def v_quasinorm_info(f, phi: PhiSpec, r: float, cfg: QuadratureConfig = DEFAULT_CONFIG, cache: ConjugateCache | None = None) -> ScanResult:
     if not (1.0 <= r < math.inf):
         raise ValueError(f"derivative order r must be at least 1 and finite, got {r!r}")
-    return _g_scan(f, phi, domain, cfg, cache, p_lo=4.0, r=r)
+    return _g_scan(f, phi, cfg, cache, p_lo=V_SCAN_P_LO, r=r)
 
 
 # ---------------------------------------------------------------------------
@@ -521,24 +537,14 @@ def _level_nodes(sampler: LevelSampler, b: float) -> _NodeStore:
     return _NodeStore(values, np.arange(8 * k + 1) / 8, weighted=True)
 
 
-def _lorentz_finite(nodes: _NodeStore, p: float, b: float, cfg: QuadratureConfig) -> float:
-    """||f||_(p,b) at finite b, the layer cake integrated on the level store
-    ``nodes`` of ``_level_nodes`` at that b."""
-    return math.exp(_adaptive(nodes, lambda log_t: (p / b) * log_t, cfg)[0] / b)
-
-
 def _layer_cake_scan(nodes: _NodeStore, b: float, cfg: QuadratureConfig, p_hi: float):
     """log ||f||_(p,b) and its slope in p at each p of an array, for a scan
     up to p_hi: one ``PowerNormEvaluator`` of T^(p/b) on the level store
-    ``nodes`` at b, on the panels of p = 1, 32 and p_hi.  The value is its
-    log mean over b, the slope E_pi[log T] / b^2, pi the normalised node
+    ``nodes`` at b, on the panels of p = 1, 32 and p_hi, queried at e = p / b
+    and q = b.  The slope is E_pi[log T] / b^2, pi the normalised node
     weights of T^(p/b) in the layer-cake measure."""
     ev = PowerNormEvaluator(nodes, cfg, yardsticks=np.array([1.0, 32.0, p_hi]) / b)
-
-    def log_mean(ps, moment=False):
-        return ev.log_mean(lambda log_t: (ps[:, None] / b) * log_t, moment)
-
-    return (lambda ps: log_mean(ps) / b), (lambda ps: log_mean(ps, moment=True)[1] / b**2)
+    return (lambda ps: ev.log_norm(ps / b, b)), (lambda ps: ev.log_norm(ps / b, b, moment=True)[1] / b**2)
 
 
 # probes per critical interval of the weak form, and the width in s to which
@@ -605,13 +611,7 @@ def _lorentz_sup(sampler: LevelSampler, exponent) -> float:
     return max(best)
 
 
-def lorentz_norm(
-    f,
-    p: float,
-    b: float,
-    domain: Domain | None = None,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> float:
+def lorentz_norm(f, p: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Two-parameter distribution norm of f, from T(w) = mu{|f| > w}.
 
     For finite b it is (b * integral over w > 0 of w^(b-1) T(w)^(p/b) dw)^(1/b),
@@ -623,11 +623,10 @@ def lorentz_norm(
         raise ValueError(f"first index must be at least 1 and finite, got {p!r}")
     if not (b >= 1.0):
         raise ValueError("second index must be at least 1 (or inf)")
-    dom = domain if domain is not None else f.natural_domain
-    s = LevelSampler(f, dom)
+    s = LevelSampler(f, _domain_of(f))
     if s.sup_estimate == 0.0:
         return 0.0
-    return _lorentz_sup(s, lambda log_t, dlog_t: (log_t / p, dlog_t / p)) if math.isinf(b) else _lorentz_finite(_level_nodes(s, b), p, b, cfg)
+    return _lorentz_sup(s, lambda log_t, dlog_t: (log_t / p, dlog_t / p)) if math.isinf(b) else _power_norm(_level_nodes(s, b), p / b, b, cfg)
 
 
 def _dual_weight(phi: PhiSpec, cache: ConjugateCache):
@@ -663,23 +662,15 @@ def _dual_weight(phi: PhiSpec, cache: ConjugateCache):
     return exponent
 
 
-def weighted_lorentz_g(
-    f,
-    phi: PhiSpec,
-    b: float,
-    domain: Domain | None = None,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    cache: ConjugateCache | None = None,
-) -> float:
+def weighted_lorentz_g(f, phi: PhiSpec, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG, cache: ConjugateCache | None = None) -> float:
     """sup over p >= 1 of ||f||_{p,b} / psi(p): at finite b a scan over the
     cache's exponent grid; at b = inf, where the suprema over p and w
     exchange, one maximization of the weak form (``_dual_weight``), the
     supremum over every real p >= 1."""
     if not (b >= 1.0):
         raise ValueError("second index must be at least 1 (or inf)")
-    dom = domain if domain is not None else f.natural_domain
     c = cache if cache is not None else ConjugateCache(phi)
-    sampler = LevelSampler(f, dom)
+    sampler = LevelSampler(f, _domain_of(f))
     if sampler.sup_estimate == 0.0:
         return 0.0
     if math.isinf(b):
@@ -687,7 +678,7 @@ def weighted_lorentz_g(
 
     # the evaluators and the exact layer cake share one store
     nodes = _level_nodes(sampler, b)
-    return _sup_over_p(lambda p_hi: _layer_cake_scan(nodes, b, cfg, p_hi), lambda p: _lorentz_finite(nodes, p, b, cfg), phi, c, 1.0).value
+    return _sup_over_p(lambda p_hi: _layer_cake_scan(nodes, b, cfg, p_hi), lambda p: _power_norm(nodes, p / b, b, cfg), phi, c, 1.0).value
 
 
 # ---------------------------------------------------------------------------
@@ -827,25 +818,24 @@ class NormContext:
         return self._cache[key]
 
 
-def evaluate_norm_info(f, spec: NormSpec, domain: Domain | None = None, ctx: NormContext | None = None) -> ScanResult:
+def evaluate_norm_info(f, spec: NormSpec, ctx: NormContext | None = None) -> ScanResult:
     """The norm ``spec`` selects; kinds without a p scan report p_star None."""
-    dom = domain if domain is not None else f.natural_domain
     context = ctx if ctx is not None else NormContext()
     cfg = context.cfg
     if spec.kind == "gnorm":
-        return g_norm_info(f, spec.phi, dom, cfg, cache=context.conjugates(spec.phi))
+        return g_norm_info(f, spec.phi, cfg, cache=context.conjugates(spec.phi))
     if spec.kind == "vnorm":
-        return v_quasinorm_info(f, spec.phi, spec.r, dom, cfg, cache=context.conjugates(spec.phi, p_lo=4.0))
+        return v_quasinorm_info(f, spec.phi, spec.r, cfg, cache=context.conjugates(spec.phi, p_lo=V_SCAN_P_LO))
     if spec.kind == "lp":
-        value = lp_quasinorm(f, spec.p, dom, cfg)
+        value = lp_quasinorm(f, spec.p, _domain_of(f), cfg)
     elif spec.kind == "orlicz":
-        value = luxemburg_norm(f, context.orlicz(spec.phi), dom, cfg)
+        value = luxemburg_norm(f, context.orlicz(spec.phi), cfg)
     elif spec.kind == "lorentz":
-        value = lorentz_norm(f, spec.p, spec.b, dom, cfg)
+        value = lorentz_norm(f, spec.p, spec.b, cfg)
     else:
         raise ValueError(f"unknown norm kind {spec.kind!r}")
     return ScanResult(value, None, True, 0)
 
 
-def evaluate_norm(f, spec: NormSpec, domain: Domain | None = None, ctx: NormContext | None = None) -> float:
-    return evaluate_norm_info(f, spec, domain, ctx).value
+def evaluate_norm(f, spec: NormSpec, ctx: NormContext | None = None) -> float:
+    return evaluate_norm_info(f, spec, ctx).value

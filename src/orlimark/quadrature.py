@@ -463,16 +463,16 @@ class _NodeRule:
 
 
 class PowerNormEvaluator(_NodeRule):
-    """Evaluates p -> ||f||_p for many p from one cached panelization.
+    """Evaluates e -> (integral of e^(e g))^(1/q) for many e from one cached
+    panelization of a node store of g.
 
     A node rule on the one panel set of exp(e g) for the e of
     ``yardsticks``, integrated together on the node store ``nodes``; each
-    norm is then a single vectorized log-sum-exp.  On a store of log|f|,
-    ``log_norm`` is log ||f||_p; on the level store of the layer cake,
-    weighted by its measure, the norms module reads the Lorentz norms at
-    finite b from ``log_mean``.  Intended for scan loops; the returned
-    maximizer should be re-validated with a fully adaptive integral on the
-    same store (see norms module).
+    query is then a single vectorized log-sum-exp.  On a store of log|f|,
+    ``log_norm(p)`` is log ||f||_p; on the level store of the layer cake,
+    weighted by its measure, ``log_norm(p / b, b)`` is log ||f||_(p,b).
+    Intended for scan loops; the returned maximizer should be re-validated
+    with a fully adaptive integral on the same store (see norms module).
     """
 
     def __init__(self, nodes: _NodeStore, cfg: QuadratureConfig, yardsticks):
@@ -480,24 +480,24 @@ class PowerNormEvaluator(_NodeRule):
         super().__init__(nodes, _adaptive(nodes, lambda g: es * g, cfg)[2:])
         self.node_count = self.g.size
 
-    def log_norm(self, p):
-        """log ||f||_p at each p > 0 of an array of exponents."""
-        p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-        return self.log_mean(lambda g: p_arr[:, None] * g) / p_arr
-
-    def slope(self, p):
-        """d log ||f||_p / dp at each p > 0 of an array of exponents:
-        (E_pi[log|f|] - log ||f||_p) / p, pi the normalised node weights of
-        |f|^p."""
-        p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-        log_mean, mean_log_f = self.log_mean(lambda g: p_arr[:, None] * g, moment=True)
-        return (mean_log_f - log_mean / p_arr) / p_arr
+    def log_norm(self, e, q=None, moment: bool = False):
+        """log (integral of e^(e g))^(1/q) at each e of an array, q = e by
+        default; with ``moment`` also E_pi[g], pi the normalised node weights
+        of e^(e g), from which the scans take their slopes in the exponent."""
+        e_arr = np.atleast_1d(np.asarray(e, dtype=float))
+        q_arr = e_arr if q is None else q
+        if not moment:
+            return self.log_mean(lambda g: e_arr[:, None] * g) / q_arr
+        log_mean, mean_g = self.log_mean(lambda g: e_arr[:, None] * g, moment=True)
+        return log_mean / q_arr, mean_g
 
 
-def _lp_norm(nodes: _NodeStore, p: float, cfg: QuadratureConfig) -> float:
-    """||f||_p, the adaptive integral of |f|^p on a node store of log|f|."""
-    # exp(-inf) is 0 where f vanishes on every node
-    return math.exp((_adaptive(nodes, lambda g: p * g, cfg)[0] + nodes.log_density) / p)
+def _power_norm(nodes: _NodeStore, e: float, q: float, cfg: QuadratureConfig) -> float:
+    """(integral of e^(e g))^(1/q), the adaptive integral on a node store of
+    g: ||f||_p at e = q = p on a store of log|f|, ||f||_(p,b) at e = p / b,
+    q = b on the level store of the layer cake."""
+    # exp(-inf) is 0 where the integrand vanishes on every node
+    return math.exp((_adaptive(nodes, lambda g: e * g, cfg)[0] + nodes.log_density) / q)
 
 
 def lp_quasinorm(f, p: float, domain: Domain, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
@@ -507,7 +507,7 @@ def lp_quasinorm(f, p: float, domain: Domain, cfg: QuadratureConfig = DEFAULT_CO
     """
     if not (0.0 < p < math.inf):
         raise ValueError(f"exponent must be positive and finite, got {p!r}")
-    return _lp_norm(_abs_nodes(f, domain), p, cfg)
+    return _power_norm(_abs_nodes(f, domain), p, p, cfg)
 
 
 def _break_values(f, domain: Domain, bounded: bool):

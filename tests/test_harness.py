@@ -37,7 +37,7 @@ from orlimark.harness import (
     three_way_report,
 )
 from orlimark.harness import _loglog_slope, _t_quantile
-from orlimark.norms import evaluate_norm, lorentz_spec, lp_spec, orlicz_spec, v_quasinorm
+from orlimark.norms import evaluate_norm, gnorm_spec, lorentz_spec, lp_spec, orlicz_spec, v_quasinorm
 from orlimark.quadrature import lp_quasinorm
 
 
@@ -147,6 +147,11 @@ class TestMarkovSweep:
             rep = markov_sweep(phi2, family, range(2, 7), norm=lp_spec(4.0), ctx=ctx, seed=5)
             assert all(r.ratio > 0.0 for r in rep.rows)
             assert rep.min_margin > 0.0
+
+    def test_norm_of_another_phi_rejected(self, ctx):
+        # a g-norm of z^2 beside the bound column of z would mix two phi
+        with pytest.raises(ValueError, match="another phi"):
+            markov_sweep(power_log(1.0), "chebyshev", range(2, 5), norm=gnorm_spec(power_log(2.0)), ctx=ctx)
 
     def test_degrees_must_be_integers(self, phi2, ctx):
         # 2.5 is no degree, and truncating it to 2 would sweep the wrong range

@@ -27,7 +27,7 @@ from orlimark.functions import (
     jacobi22,
     random_family,
 )
-from orlimark.harness import build_corpus
+from orlimark.harness import build_corpus, markov_ratio
 from orlimark.norms import (
     EquivalenceConstants,
     NormContext,
@@ -253,7 +253,7 @@ class TestLuxemburg:
         # at the returned l*, the modular must sit within 1e-6 of one
         n = ctx.orlicz(phi2)
         f = PolynomialRep([0.3, 1.0, -0.7])
-        value, residual, ok = _luxemburg_detail(f, n, INTERVAL, DEFAULT_CONFIG)
+        value, residual, ok = _luxemburg_detail(f, n, DEFAULT_CONFIG)
         assert ok
 
         def log_integrand(x):
@@ -266,9 +266,7 @@ class TestLuxemburg:
     def test_residual_postcondition(self, phi2, ctx):
         n = ctx.orlicz(phi2)
         for coeffs in ([1.0, 2.0], [0.0, 0.0, 5.0], [2.0, -1.0, 0.5, 0.25]):
-            _value, residual, ok = _luxemburg_detail(
-                PolynomialRep(coeffs), n, INTERVAL, DEFAULT_CONFIG
-            )
+            _value, residual, ok = _luxemburg_detail(PolynomialRep(coeffs), n, DEFAULT_CONFIG)
             assert ok
             assert abs(residual) <= 1e-8
 
@@ -323,7 +321,7 @@ class TestLuxemburg:
 
         monkeypatch.setattr(norms, "_adaptive", jumping)
         f, n = PolynomialRep([0.3, 1.0, -0.7]), ctx.orlicz(phi2)
-        _value, residual, ok = _luxemburg_detail(f, n, INTERVAL, DEFAULT_CONFIG)
+        _value, residual, ok = _luxemburg_detail(f, n, DEFAULT_CONFIG)
         assert not ok
         assert abs(residual) == pytest.approx(0.01, rel=1e-6)
         calls.clear()
@@ -353,7 +351,7 @@ class TestLuxemburg:
 
         monkeypatch.setattr(quadrature._NodeRule, "log_mean", model_off)
         monkeypatch.setattr(norms, "_root", solve)
-        value, residual, ok = _luxemburg_detail(f, n, INTERVAL, DEFAULT_CONFIG)
+        value, residual, ok = _luxemburg_detail(f, n, DEFAULT_CONFIG)
         assert len(exact_solves) == 1
         assert ok
         assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
@@ -464,23 +462,24 @@ class TestGNorm:
 
     @pytest.mark.parametrize("p_peak, most, least", [("0.999", 2, 0), ("1.2", 20, 3)])
     def test_edge_winner_skips_the_polish(self, p_peak, most, least, monkeypatch):
-        # the slope at the edge costs one evaluator slope; an interior peak
-        # pays for the derivative root, a few slopes; neither solves a
-        # conjugate
+        # the slope at the edge costs one evaluator query for the moment;
+        # an interior peak pays for the derivative root, a few of them;
+        # neither solves a conjugate
         f, phi, _p_star, _value = self._edge_case(p_peak)
         cache = ConjugateCache(phi)
         slopes, solves = [], []
-        slope, solve = quadrature.PowerNormEvaluator.slope, conjugate.young_fenchel_lanes
+        log_norm, solve = quadrature.PowerNormEvaluator.log_norm, conjugate.young_fenchel_lanes
 
-        def counted_slope(*args):
-            slopes.append(args)
-            return slope(*args)
+        def counted_log_norm(*args, **kw):
+            if kw.get("moment"):
+                slopes.append(args)
+            return log_norm(*args, **kw)
 
         def counted_solve(*args, **kw):
             solves.append(args)
             return solve(*args, **kw)
 
-        monkeypatch.setattr(quadrature.PowerNormEvaluator, "slope", counted_slope)
+        monkeypatch.setattr(quadrature.PowerNormEvaluator, "log_norm", counted_log_norm)
         monkeypatch.setattr(conjugate, "young_fenchel_lanes", counted_solve)
         g_norm_info(f, phi, cache=cache)
         assert least <= len(slopes) <= most
@@ -507,6 +506,18 @@ class TestGNorm:
             p_star = mp.findroot(lambda p: mp.log(30 * p + 1) / p - 30 / (30 * p + 1) - 1 / mp.mpf(m), p_near)
         assert abs(info.p_star / p_star - 1) <= 1e-8
 
+    def test_third_extension_raises(self):
+        # log(||x||_p / psi(p)) = -log(p + 1)/p - (log(p/m) - 1)/m peaks where
+        # log(p + 1)/p - 1/(p + 1) = 1/m: at m = 1000 inside the twice
+        # extended grid, whose top is 16,384; at m = 5000 near p = 49,000,
+        # beyond it, so the scan is declared divergent
+        info = g_norm_info(PolynomialRep([0.0, 1.0]), power_log(1000.0))
+        assert info.extensions == 2
+        with mp.workdps(40):
+            p_star = mp.findroot(lambda p: mp.log(p + 1) / p - 1 / (p + 1) - 1 / mp.mpf(1000), 8000)
+        assert abs(info.p_star / p_star - 1) <= 1e-8
+        with pytest.raises(ScanDivergenceError, match="two grid extensions"):
+            g_norm_info(PolynomialRep([0.0, 1.0]), power_log(5000.0))
 
     @pytest.mark.parametrize(
         "zs, phis", [([0.5, 1.0, 2.0, 4.0, 8.0], [0.05, 0.2, 0.9, 4.0, 20.0]), ([1.0, 2.0, 4.0, 8.0], [1.0, 3.0, 9.0, 27.0])]
@@ -538,6 +549,30 @@ class TestGNorm:
         assert local.conjugates(phi).p_hi == 1024.0
         f = dict(build_corpus(7))["rational-02"]
         assert evaluate_norm_info(f, spec, ctx=local) == evaluate_norm_info(f, spec, ctx=NormContext())
+
+
+# every norm entry point, called on f with the other arguments valid
+NATURAL_DOMAIN_ENTRIES = {
+    "luxemburg_norm": lambda f: luxemburg_norm(f, construct_N(power_log(2.0))),
+    "g_norm": lambda f: g_norm(f, power_log(2.0)),
+    "g_norm_info": lambda f: g_norm_info(f, power_log(2.0)),
+    "sup_ratio_from": lambda f: sup_ratio_from(f, power_log(2.0), 4.0),
+    "v_quasinorm": lambda f: v_quasinorm(f, power_log(2.0), 1.0),
+    "v_quasinorm_info": lambda f: v_quasinorm_info(f, power_log(2.0), 1.0),
+    "lorentz_norm": lambda f: lorentz_norm(f, 2.0, 3.0),
+    "weighted_lorentz_g": lambda f: weighted_lorentz_g(f, power_log(2.0), 2.0),
+    "evaluate_norm": lambda f: evaluate_norm(f, lp_spec(2.0)),
+    "evaluate_norm_info": lambda f: evaluate_norm_info(f, gnorm_spec(power_log(2.0))),
+    "markov_ratio": lambda f: markov_ratio(f, orlicz_spec(power_log(2.0))),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NATURAL_DOMAIN_ENTRIES))
+def test_plain_callable_rejected(entry):
+    # every norm is taken on the function's natural domain; a plain
+    # callable has none
+    with pytest.raises(RejectedInputError, match="natural domain"):
+        NATURAL_DOMAIN_ENTRIES[entry](lambda x: x**2 + 1.0)
 
 
 class TestSupRatioFrom:
@@ -1178,7 +1213,9 @@ class TestEvaluatorSlopes:
     def test_power_norm(self, label):
         f = dict(build_corpus(7))[label]
         ev = quadrature.PowerNormEvaluator(quadrature._abs_nodes(f, f.natural_domain), DEFAULT_CONFIG, yardsticks=(1.0, 32.0, 1024.0))
-        assert ev.slope(self.PS) == pytest.approx(_central_difference(ev.log_norm, self.PS), rel=1e-8)
+        log_norm, mean_log_f = ev.log_norm(self.PS, moment=True)
+        # d log ||f||_p / dp = (E_pi[log|f|] - log ||f||_p) / p
+        assert (mean_log_f - log_norm) / self.PS == pytest.approx(_central_difference(ev.log_norm, self.PS), rel=1e-8)
 
     @pytest.mark.parametrize("label", ["poly-03", "poly-30", "gap-01", "rational-02", "trig-02"])
     def test_layer_cake(self, label):
