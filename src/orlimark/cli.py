@@ -36,7 +36,7 @@ from .conjugate import (
     power_log,
     psi,
     tabulated_phi,
-    young_fenchel_grid,
+    young_fenchel_lanes,
 )
 from .errors import ConfigError, OrlimarkError, SummabilityError
 from .functions import RANDOM_FAMILIES, InversePowerRep, RationalRep, from_text, random_family, to_text
@@ -112,8 +112,6 @@ class ExperimentConfig:
     extremal_degree: int = _key("extremal", "degree", int, 3)
     extremal_restarts: int = _key("extremal", "restarts", int, 2)
     rel_tol: float = _key("tolerances", "rel_tol", float, 1e-10)
-    slack: float = _key("tolerances", "slack", float, 1e-6)
-    bound_scale: float = _key("tolerances", "bound_scale", float, 1.0)
     out_path: str = _key("output", "path", str, "report")
     out_format: str = _key("output", "format", _choice(FORMATS), "both")
     echo: dict = field(default_factory=dict)
@@ -218,9 +216,8 @@ def parse_config(text: str, command: str | None = None, seed: int | None = None)
     if seed is not None:
         cfg.seed = seed
 
-    for name, value in (("rel_tol", cfg.rel_tol), ("slack", cfg.slack), ("bound_scale", cfg.bound_scale)):
-        if not (value > 0.0):
-            problems.append(f"line 0: tolerance {name!r} must be positive, got {value!r}")
+    if not (cfg.rel_tol > 0.0):
+        problems.append(f"line 0: tolerance 'rel_tol' must be positive, got {cfg.rel_tol!r}")
     if cfg.phi_family == "tabulated":
         if cfg.phi_table is None:
             problems.append("line 0: phi family 'tabulated' needs a 'table' path")
@@ -341,7 +338,7 @@ def _run_transform(cfg: ExperimentConfig, phi, ctx: NormContext):
     report = phi_membership_check(phi)
     ps = np.geomspace(1.0, 256.0, 33)
     rows = []
-    for p, hs in zip(ps, young_fenchel_grid(phi, ps).tolist()):
+    for p, hs in zip(ps, young_fenchel_lanes(phi, ps)[0].tolist()):
         rows.append(
             {
                 "p": float(p),
@@ -372,25 +369,19 @@ def _run_markov_sweep(cfg: ExperimentConfig, phi, ctx: NormContext):
         ctx=ctx,
         seed=cfg.seed or 0,
     )
-    scale = cfg.bound_scale
-    rows = []
-    worst = math.inf
-    for row in report.rows:
-        bound = row.bound * scale
-        margin = bound - row.ratio
-        worst = min(worst, margin)
-        rows.append(
-            {
-                "family": report.family,
-                "phi": report.phi_label,
-                "norm": report.norm_label,
-                "n": row.n,
-                "ratio": row.ratio,
-                "bound": bound,
-                "margin": margin,
-                "slope": report.slope,
-            }
-        )
+    rows = [
+        {
+            "family": report.family,
+            "phi": report.phi_label,
+            "norm": report.norm_label,
+            "n": row.n,
+            "ratio": row.ratio,
+            "bound": row.bound,
+            "margin": row.margin,
+            "slope": report.slope,
+        }
+        for row in report.rows
+    ]
     result = {
         "family": report.family,
         "norm": report.norm_label,
@@ -398,15 +389,14 @@ def _run_markov_sweep(cfg: ExperimentConfig, phi, ctx: NormContext):
         "slope": report.slope,
         "slope_ci": list(report.slope_ci),
         "c5_estimate": report.c5_estimate,
-        "bound_scale": scale,
         "rows": rows,
     }
-    return result, rows, 0 if worst >= 0.0 else 2
+    return result, rows, 0 if report.min_margin >= 0.0 else 2
 
 
 def _run_equivalence(cfg: ExperimentConfig, phi, ctx: NormContext):
     corpus = build_corpus(cfg.seed)
-    report = equivalence_band(corpus, phi, ctx, slack=cfg.slack)
+    report = equivalence_band(corpus, phi, ctx)
     rows = [
         {
             "phi": report.phi_label,
@@ -443,8 +433,7 @@ def _run_rational(cfg: ExperimentConfig, phi, ctx: NormContext):
         lp_chk = lp_rational_check(f, cfg.rational_p, order, cfg=ctx.cfg)
         or_chk = rational_orlicz_check(f, phi, order, ctx=ctx)
         for name, chk in (("lp", lp_chk), ("orlicz", or_chk)):
-            margin = chk.rhs * cfg.bound_scale - chk.lhs
-            worst = min(worst, margin)
+            worst = min(worst, chk.margin)
             rows.append(
                 {
                     "check": name,
@@ -453,7 +442,7 @@ def _run_rational(cfg: ExperimentConfig, phi, ctx: NormContext):
                     "gamma": chk.gamma,
                     "lhs": chk.lhs,
                     "rhs": chk.rhs,
-                    "margin": margin,
+                    "margin": chk.margin,
                     "d_r": d_constant(order),
                 }
             )

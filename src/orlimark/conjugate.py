@@ -366,23 +366,13 @@ def young_fenchel_lanes(phi: PhiSpec, ps, p_min: float = 0.5):
     return hstar, ystar
 
 
-def young_fenchel(phi: PhiSpec, p: float, p_min: float = 0.5) -> float:
-    """h*(p) = sup_y (p y - h(y)) for finite p >= p_min; a supremum at
+def young_fenchel(phi: PhiSpec, p: float) -> float:
+    """h*(p) = sup_y (p y - h(y)) for finite p >= 0.5; a supremum at
     infinity raises a divergence error that names the offending phi."""
-    hstar = young_fenchel_or_inf(phi, p, p_min)
+    hstar = float(young_fenchel_lanes(phi, [p])[0][0])
     if hstar == math.inf:
         raise ConjugateDivergenceError(f"conjugate supremum for {phi.label} diverges at p = {p!r}")
     return hstar
-
-
-def young_fenchel_or_inf(phi: PhiSpec, p: float, p_min: float = 0.5) -> float:
-    """Scan-friendly variant: divergence collapses to +inf instead of raising."""
-    return float(young_fenchel_lanes(phi, [p], p_min)[0][0])
-
-
-def young_fenchel_grid(phi: PhiSpec, ps, p_min: float = 0.5) -> np.ndarray:
-    """young_fenchel_or_inf at every p of ps, in one call of the solver."""
-    return young_fenchel_lanes(phi, ps, p_min)[0]
 
 
 def psi_log(phi: PhiSpec, p: float) -> float:

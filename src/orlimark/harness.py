@@ -57,6 +57,9 @@ from .quadrature import (
 )
 
 _SEARCH_CONFIG = QuadratureConfig(rel_tol=1e-7)
+# relative slack of the band edges; load bearing, because constant
+# functions land exactly on the lower edge
+BAND_SLACK = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +277,14 @@ def markov_sweep(
     return RatioReport(family, spec.label, phi.label, rows, slope, ci, c5, consts)
 
 
+def _require_type(f, cls, check: str):
+    if not isinstance(f, cls):
+        raise RejectedInputError(f"{check} needs a {cls.__name__}, got {type(f).__name__}")
+
+
 def bernstein_trig_check(q: TrigPolynomialRep, spec: NormSpec, ctx: NormContext | None = None) -> float:
     """deg q * ||q|| - ||q'|| in the given norm; nonnegative when the bound holds."""
+    _require_type(q, TrigPolynomialRep, "bernstein_trig_check")
     context = ctx if ctx is not None else NormContext()
     deg = max(q.degree, 0)
     value = evaluate_norm(q, spec, ctx=context)
@@ -299,6 +308,7 @@ class RationalCheck:
 
 
 def _require_pole_free(q: RationalRep):
+    _require_type(q, RationalRep, "a rational-derivative check")
     pc = check_no_poles(q)
     if not pc:
         raise RejectedInputError(
@@ -385,6 +395,7 @@ def gap_check(base: GapRep, p: float, n_range, cfg: QuadratureConfig = DEFAULT_C
     check is a scaling one: ratio/(deg^2) must stay bounded with a trend
     slope near zero.
     """
+    _require_type(base, GapRep, "gap_check")
     if not (p > 0.0):
         raise ValueError(f"exponent must be positive, got {p!r}")
     deg0 = base.degree
@@ -603,19 +614,17 @@ def equivalence_band(
     corpus,
     phi: PhiSpec,
     ctx: NormContext | None = None,
-    slack: float = 1e-6,
 ) -> BandReport:
     """Two-sided norm comparison over a corpus with computed constants.
 
-    A member passes when C3^-1 <= B/G <= C4 up to relative ``slack``; the
-    slack is load bearing because constant functions land exactly on the
-    lower edge.  An upper miss that fits under e^2 * C4 is recorded as a
-    fallback, not a violation.
+    A member passes when C3^-1 <= B/G <= C4 up to relative ``BAND_SLACK``.
+    An upper miss that fits under e^2 * C4 is recorded as a fallback, not
+    a violation.
     """
     context = ctx if ctx is not None else NormContext()
     consts = equivalence_constants(context.orlicz(phi))
     b_spec, g_spec = orlicz_spec(phi), gnorm_spec(phi)
-    log_slack = math.log1p(slack)
+    log_slack = math.log1p(BAND_SLACK)
     lo_edge = -math.log(consts.g_over_b)
     rows = []
     violations = 0

@@ -735,13 +735,9 @@ class LevelSampler:
             rate = np.bincount(j, weights=1.0 / np.abs(self._df(roots)), minlength=ws.size)
         return np.stack([out, -rate])
 
-    def measure_above(self, w: float) -> float:
-        return float(self.measure_above_batch(np.array([w]))[0])
 
-
-def distribution(f, w: float, domain: Domain, sampler: LevelSampler | None = None) -> float:
+def distribution(f, w: float, domain: Domain) -> float:
     """mu{ x : |f(x)| > w } for w >= 0."""
     if not (w >= 0.0):
         raise ValueError(f"threshold must be nonnegative, got {w!r}")
-    s = sampler if sampler is not None else LevelSampler(f, domain)
-    return s.measure_above(w)
+    return float(LevelSampler(f, domain).measure_above_batch(np.array([w]))[0])

@@ -1,6 +1,8 @@
 """Config parsing, report rendering, envelope contract, exit codes."""
 
+import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,6 +13,7 @@ import pytest
 
 import orlimark
 
+from orlimark import harness
 from orlimark.cli import (
     _KNOWN_KEYS,
     _SCHEMA,
@@ -128,6 +131,14 @@ m = 2.0
             parse_config(text)
         assert any("rel_tol" in p for p in info.value.problems)
 
+    @pytest.mark.parametrize("key", ["slack", "bound_scale"])
+    def test_removed_tolerance_is_unknown(self, key):
+        # the band's slack is fixed in the harness and the bounds are the
+        # harness's own: neither is a setting
+        with pytest.raises(ConfigError) as info:
+            parse_config(NORM_CFG + f"\n[tolerances]\n{key} = 0.1\n")
+        assert any(f"unknown key {key!r} in [tolerances]" in p for p in info.value.problems)
+
     def test_unknown_section(self):
         text = NORM_CFG + "\n[frobnicate]\nx = 1\n"
         with pytest.raises(ConfigError) as info:
@@ -170,10 +181,15 @@ class TestRun:
         env_b.pop("timestamp")
         assert render_json(env_a) == render_json(env_b)
 
-    def test_violated_bound_exits_two(self):
-        cfg = parse_config(SWEEP_CFG + "\n[tolerances]\nbound_scale = 1e-6\n")
-        _env, _rows, _header, code = run(cfg)
+    def test_violated_bound_exits_two(self, monkeypatch):
+        # K(p) a millionth of its value puts every bound under its ratio
+        k_constant = harness.k_constant
+        monkeypatch.setattr(harness, "k_constant", lambda p: 1e-6 * k_constant(p))
+        cfg = parse_config(SWEEP_CFG)
+        env, rows, _header, code = run(cfg)
         assert code == 2
+        assert all(row["margin"] == row["bound"] - row["ratio"] < 0.0 for row in rows)
+        assert "bound_scale" not in env["results"]
 
     def test_passing_bound_exits_zero(self):
         cfg = parse_config(SWEEP_CFG)
@@ -236,6 +252,55 @@ class TestMain:
         assert main(["equivalence", "--config", str(cfg_file), "--seed", "7", "--out", str(tmp_path / "e")]) == 1
         assert "gap series" in capsys.readouterr().err
 
+    def test_rational_report(self, tmp_path):
+        cfg_file = tmp_path / "r.cfg"
+        cfg_file.write_text("[function]\nfamily = rational\ndegree = 4\n")
+        assert main(["rational", "--config", str(cfg_file), "--seed", "7", "--out", str(tmp_path / "r")]) == 0
+        rows = json.loads((tmp_path / "r.json").read_text())["results"]["rows"]
+        assert sorted((row["order"], row["check"]) for row in rows) == [
+            (r, check) for r in (1, 2, 3) for check in ("lp", "orlicz")
+        ]
+        assert all(row["margin"] >= 0.0 and row["margin"] == row["rhs"] - row["lhs"] for row in rows)
+
+    def test_rational_of_a_polynomial_exit_one(self, tmp_path, capsys):
+        cfg_file = tmp_path / "r.cfg"
+        cfg_file.write_text("[function]\nfamily = polynomial\ndegree = 4\n")
+        assert main(["rational", "--config", str(cfg_file), "--seed", "7", "--out", str(tmp_path / "r")]) == 1
+        assert "needs a rational function" in capsys.readouterr().err
+
+    def test_equivalence_report(self, tmp_path):
+        assert main(["equivalence", "--seed", "7", "--out", str(tmp_path / "e")]) == 0
+        results = json.loads((tmp_path / "e.json").read_text())["results"]
+        assert results["violations"] == 0 and len(results["rows"]) == 60
+
+    def test_equivalence_violation_exits_two(self, tmp_path, monkeypatch):
+        # a lower edge above B/G = 1 fails the constant members
+        constants = harness.equivalence_constants
+        monkeypatch.setattr(
+            harness, "equivalence_constants", lambda n: dataclasses.replace(constants(n), g_over_b=math.exp(-1e-5))
+        )
+        assert main(["equivalence", "--seed", "7", "--out", str(tmp_path / "e")]) == 2
+        results = json.loads((tmp_path / "e.json").read_text())["results"]
+        assert results["violations"] == sum(not row["lower_ok"] for row in results["rows"]) > 0
+
+    def test_tail_report(self, tmp_path):
+        assert main(["tail", "--out", str(tmp_path / "t")]) == 0
+        assert math.isfinite(json.loads((tmp_path / "t.json").read_text())["results"]["normalizer"])
+
+    @pytest.mark.parametrize(
+        "norm, label",
+        [("kind = lorentz\np = 2\nb = 3", "lorentz(p=2,b=3)"), ("kind = vnorm", "vnorm(power-log(m=2,r=0),r=1)")],
+        ids=["lorentz", "vnorm"],
+    )
+    def test_norm_labels(self, tmp_path, norm, label):
+        cfg_file = tmp_path / "n.cfg"
+        cfg_file.write_text(f"[function]\ntext = poly:0.3,-1.2,0.5\n\n[norm]\n{norm}\n")
+        assert main(["norm", "--config", str(cfg_file), "--out", str(tmp_path / "n")]) == 0
+        results = json.loads((tmp_path / "n.json").read_text())["results"]
+        assert results["label"] == label and results["value"] > 0.0
+        if results["norm_kind"] == "vnorm":
+            assert results["inner_maximizer_p"] >= 4.0
+
     def test_seed_flag_merges(self, tmp_path):
         cfg_file = tmp_path / "e.cfg"
         cfg_file.write_text(
@@ -253,7 +318,7 @@ class TestMain:
 def test_experiment_config_defaults():
     cfg = ExperimentConfig(command="norm")
     assert cfg.out_format in ("csv", "json", "both")
-    assert cfg.bound_scale == 1.0
+    assert _KNOWN_KEYS["tolerances"] == {"rel_tol"}
 
 
 def test_readme_config_block_is_the_schema():

@@ -19,9 +19,7 @@ from orlimark.conjugate import (
     psi_log,
     tabulated_phi,
     young_fenchel,
-    young_fenchel_grid,
     young_fenchel_lanes,
-    young_fenchel_or_inf,
 )
 from orlimark.errors import SummabilityError
 
@@ -41,7 +39,7 @@ class TestYoungFenchel:
     def test_small_p_limit_vanishes(self, phi2):
         # h(y) = e^{2y} has infimum slope 0 at -inf where h -> 0, so the
         # conjugate tends to 0 from below as p -> 0+
-        val = young_fenchel(phi2, 1e-9, p_min=0.0)
+        val = young_fenchel_lanes(phi2, [1e-9], p_min=0.0)[0][0]
         closed = (1e-9 / 2.0) * (math.log(1e-9 / 2.0) - 1.0)
         assert val == pytest.approx(closed, rel=1e-6)
         assert -1e-6 < val < 0.0
@@ -153,7 +151,7 @@ def test_solver_rejects_nonmonotone_slope():
         return t**2 + 0.01 * np.sin(40.0 * t)
 
     with pytest.raises(SummabilityError, match="not monotone"):
-        young_fenchel_grid(custom_phi(wiggly), np.geomspace(1.0, 1024.0, 40))
+        young_fenchel_lanes(custom_phi(wiggly), np.geomspace(1.0, 1024.0, 40))
 
 
 def _power_2_5(z):
@@ -245,7 +243,7 @@ def test_table_conjugate_is_lucet(zs, phis):
     # the solve lands on the kinks, where h* is p y_i - h_i exactly; the
     # start of the clamp at zero may differ from the oracle's by rounding
     ps = np.concatenate([np.geomspace(1e-6, 0.5, 60), np.geomspace(0.5, 2e4, 400)])
-    got = young_fenchel_grid(tabulated_phi(zs, phis), ps, p_min=0.0)
+    got = young_fenchel_lanes(tabulated_phi(zs, phis), ps, p_min=0.0)[0]
     expect = lucet(zs, phis, ps)
     assert np.array_equal(np.isinf(got), np.isinf(expect))
     finite = np.isfinite(expect)
@@ -260,7 +258,7 @@ def assert_same_bits(got, expected):
 
 
 def scalar_solves(phi, ps, **kw):
-    return [young_fenchel_or_inf(phi, float(p), **kw) for p in ps]
+    return [young_fenchel_lanes(phi, [float(p)], **kw)[0][0] for p in ps]
 
 
 @pytest.mark.parametrize("phi", [phi for phi, _ in ORACLES], ids=FAMILY_IDS)
@@ -271,8 +269,8 @@ def test_grid_solve_matches_scalar(phi):
     tiny = np.geomspace(1e-6, 0.5, 60)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert_same_bits(young_fenchel_grid(phi, ps), scalar_solves(phi, ps))
-        assert_same_bits(young_fenchel_grid(phi, tiny, p_min=0.0), scalar_solves(phi, tiny, p_min=0.0))
+        assert_same_bits(young_fenchel_lanes(phi, ps)[0], scalar_solves(phi, ps))
+        assert_same_bits(young_fenchel_lanes(phi, tiny, p_min=0.0)[0], scalar_solves(phi, tiny, p_min=0.0))
         ystar = young_fenchel_lanes(phi, ps)[1]
         assert_same_bits(ystar[::20], [young_fenchel_lanes(phi, [p])[1][0] for p in ps[::20]])
 
@@ -282,7 +280,7 @@ def test_grid_solve_divergent_table():
     ps = np.geomspace(0.5, 2e4, 400)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = young_fenchel_grid(phi, ps)
+        got = young_fenchel_lanes(phi, ps)[0]
         assert_same_bits(got, scalar_solves(phi, ps))
     assert np.isinf(got).sum() == 251
 
@@ -294,7 +292,7 @@ def test_grid_solve_expansion_cap():
     ps = np.geomspace(0.5, 2.0, 60)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = young_fenchel_grid(phi, ps)
+        got = young_fenchel_lanes(phi, ps)[0]
         assert_same_bits(got, scalar_solves(phi, ps))
     assert np.isinf(got).sum() == 29
 
@@ -350,11 +348,11 @@ def test_argmax_of_a_diverging_conjugate():
 
 def test_grid_solve_rejects_small_p(phi2):
     with pytest.raises(ValueError):
-        young_fenchel_grid(phi2, [1.0, 0.4, 2.0])
+        young_fenchel_lanes(phi2, [1.0, 0.4, 2.0])
     with pytest.raises(ValueError):
-        young_fenchel_grid(phi2, [1.0, -1e-9], p_min=0.0)
+        young_fenchel_lanes(phi2, [1.0, -1e-9], p_min=0.0)
     with pytest.raises(ValueError):
-        young_fenchel_grid(phi2, [1.0, math.nan])
+        young_fenchel_lanes(phi2, [1.0, math.nan])
 
 
 def test_custom_slope_by_complex_step_or_central_difference():
@@ -389,5 +387,5 @@ def test_grid_solve_passes_ndarrays_to_callable():
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        young_fenchel_grid(custom_phi(power), np.geomspace(1.0, 100.0, 9))
+        young_fenchel_lanes(custom_phi(power), np.geomspace(1.0, 100.0, 9))
     assert seen and set(seen) == {np.ndarray}

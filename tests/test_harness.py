@@ -1,11 +1,13 @@
 """Inequality harness: constants, sweeps, rational checks, tails, corpus."""
 
+import dataclasses
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from orlimark import harness
 from orlimark.conjugate import power_log
 from orlimark.errors import DegenerateInputError, RejectedInputError
 from orlimark.functions import (
@@ -234,6 +236,23 @@ class TestRationalChecks:
         assert margins == sorted(margins)
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda f: lp_rational_check(f, 4.0, 1),
+        lambda f: rational_orlicz_check(f, power_log(2.0), 1),
+        lambda f: bernstein_trig_check(f, lp_spec(2.0)),
+        lambda f: gap_check(f, 2.0, [1, 2]),
+    ],
+    ids=["lp_rational_check", "rational_orlicz_check", "bernstein_trig_check", "gap_check"],
+)
+def test_check_rejects_another_representation(check):
+    # each check reads its own representation's fields (the denominator,
+    # the degree), so a bare callable is rejected before any is read
+    with pytest.raises(RejectedInputError, match="needs a"):
+        check(lambda x: x**2 + 1)
+
+
 class TestGapCheck:
     def test_scaled_ratio_bounded(self):
         base = GapRep([(0.3, 0.5, 2.0), (-0.6, 1.0, 2.0)])
@@ -349,6 +368,34 @@ class TestEquivalenceBand:
         for row in band.rows:
             assert row.lower_ok and row.upper_ok
             assert row.b_norm > 0.0 and row.g_norm > 0.0
+
+    def test_verdicts_follow_the_edges(self, phi2, ctx, monkeypatch):
+        # edges moved into the corpus's own spread of log B/G put members in
+        # every class: under C3^-1 (a violation), over C4 but under e^2 C4
+        # (a fallback), and over e^2 C4 (a violation)
+        corpus = small_corpus(seed=7)
+        logs = [row.log_ratio for row in equivalence_band(corpus, phi2, ctx=ctx).rows]
+        real = harness.equivalence_constants
+
+        def band_at(lower_log, upper_log):
+            def moved(n_func):
+                return dataclasses.replace(real(n_func), g_over_b=math.exp(-lower_log), b_over_g_log=upper_log)
+
+            monkeypatch.setattr(harness, "equivalence_constants", moved)
+            return equivalence_band(corpus, phi2, ctx=ctx)
+
+        # the two constant members sit at log B/G = 0, the next at 3e-5 and
+        # the largest at 0.159, the one past 0.1
+        band = band_at(1e-5, 0.1)
+        low, high = sum(x < 1e-5 for x in logs), sum(x > 0.1 for x in logs)
+        assert low == 2 and high == 1
+        assert (band.violations, band.fallback_count, band.clean) == (low, high, False)
+        assert [not row.lower_ok for row in band.rows] == [x < 1e-5 for x in logs]
+        assert [row.used_fallback for row in band.rows] == [x > 0.1 for x in logs]
+        # e^2 C4 at 0.1: every member is over C4, and the one past 0.1 is a violation
+        band = band_at(0.0, 0.1 - 2.0)
+        assert (band.violations, band.fallback_count, band.clean) == (high, len(logs) - high, False)
+        assert not any(row.upper_ok for row in band.rows)
 
 
 class TestSandwich:

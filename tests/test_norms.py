@@ -710,7 +710,7 @@ def test_weak_maximum_between_two_probes():
     sampler = quadrature.LevelSampler(f, INTERVAL)
     ws = np.linspace(0.0, sampler.sup_estimate, 4001)[1:-1]
     k = int(np.argmax(ws * sampler.measure_above_batch(ws)))
-    _w, expect = golden_max(lambda w: w * sampler.measure_above(w), ws[k - 1], ws[k + 1], tol=1e-14)
+    _w, expect = golden_max(lambda w: w * sampler.measure_above_batch(np.array([w]))[0], ws[k - 1], ws[k + 1], tol=1e-14)
     assert lorentz_norm(f, 1.0, math.inf) == pytest.approx(expect, rel=1e-12, abs=0.0)
 
 

@@ -93,7 +93,7 @@ def test_chebyshev_inequality(f, frac, p):
     if sampler.sup_estimate <= 0.0:
         return
     w = frac * sampler.sup_estimate
-    t = distribution(f, w, INTERVAL, sampler)
+    t = distribution(f, w, INTERVAL)
     bound = (lp_quasinorm(f, p, INTERVAL) / w) ** p
     assert t <= bound * (1.0 + 1e-9) + 1e-12
 

@@ -101,6 +101,18 @@ def test_log_mode_all_neg_inf_returns_neg_inf():
     assert got == -math.inf
 
 
+def test_scalar_integrand_is_broadcast():
+    # a callable that ignores its array and returns one float integrates as
+    # the constant it is
+    assert integrate_log(lambda x: 0.0, -1.0, 1.0) == pytest.approx(math.log(2.0), rel=1e-15, abs=0.0)
+
+
+def test_non_finite_integrand_names_its_abscissa():
+    with pytest.raises(DomainEvaluationError, match="not finite") as info:
+        integrate_log(lambda x: np.where(x > 0.3, np.nan, 0.0), -1.0, 1.0)
+    assert 0.3 < info.value.abscissa <= 1.0
+
+
 def test_integrable_singularity():
     # int_{-1}^{1} (1-x)^{-1/2} dx/2 = [-2(1-x)^{1/2}]/2 over [-1, 1] = sqrt(2)
     got = lp_quasinorm(InversePowerRep(0.5), 1.0, INTERVAL)
@@ -173,10 +185,9 @@ def test_sup_norm_rejects_unbounded():
 def test_distribution_of_identity():
     # m{ |x| > u } under dx/2 is 1-u on [0,1]
     f = PolynomialRep([0.0, 1.0])
-    sampler = LevelSampler(f, INTERVAL)
     for u in (0.0, 0.25, 0.5, 0.99):
-        assert distribution(f, u, INTERVAL, sampler) == pytest.approx(1.0 - u, abs=1e-10)
-    assert distribution(f, 1.5, INTERVAL, sampler) == 0.0
+        assert distribution(f, u, INTERVAL) == pytest.approx(1.0 - u, abs=1e-10)
+    assert distribution(f, 1.5, INTERVAL) == 0.0
 
 
 def test_level_sampler_batch_matches_scalar():
@@ -184,7 +195,7 @@ def test_level_sampler_batch_matches_scalar():
     sampler = LevelSampler(f, INTERVAL)
     ws = np.linspace(0.0, sampler.sup_estimate * 1.1, 17)
     batch = sampler.measure_above_batch(ws)
-    singles = np.array([distribution(f, float(w), INTERVAL, sampler) for w in ws])
+    singles = np.array([distribution(f, float(w), INTERVAL) for w in ws])
     assert np.allclose(batch, singles, atol=1e-12)
 
 
@@ -216,10 +227,10 @@ def test_level_sampler_chebyshev_closed_form():
     # a threshold equal to |T_n| at an extremum: {|T_n| > 1 - d} has measure
     # about sqrt(d), so the rounding of the computed T_n there shows at 1e-8
     w = float(np.abs(f(np.array([math.cos(4 * math.pi / n)])))[0])
-    assert sampler.measure_above(w) == pytest.approx(exact(min(w, 1.0)), abs=1e-7)
-    assert sampler.measure_above(0.0) == pytest.approx(1.0, abs=1e-10)
-    assert sampler.measure_above(sup) == 0.0
-    assert sampler.measure_above(2.0 * sup) == 0.0
+    t = sampler.measure_above_batch(np.array([w, 0.0, sup, 2.0 * sup]))
+    assert t[0] == pytest.approx(exact(min(w, 1.0)), abs=1e-7)
+    assert t[1] == pytest.approx(1.0, abs=1e-10)
+    assert t[2] == t[3] == 0.0
 
 
 def test_level_sampler_plateaus():
@@ -284,7 +295,7 @@ def test_crossing_by_a_flat_minimum_is_bounded(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_bracketed_root", counted)
     w = float(np.abs(f(np.array([x_min])))[0]) + 2.7755575615628914e-16
-    assert 0.0 < sampler.measure_above(w) < 1.0
+    assert 0.0 < sampler.measure_above_batch(np.array([w]))[0] < 1.0
     assert 60 < steps[0] <= 2 * 53
 
 

@@ -49,7 +49,8 @@ slowest group.  Covered:
   {0.5, 0.9} and r in {1, 2};
 * ``fenchel_moreau_check``, ``phi_membership_check`` and
   ``equivalence_constants`` for the eight families;
-* ``young_fenchel_or_inf`` over 400 exponents for the eight families;
+* ``young_fenchel_or_inf``: one-lane ``young_fenchel_lanes`` solves, +inf
+  where h* diverges, over 400 exponents for the eight families;
 * ``ConjugateCache.hstar`` for the eight families at p_lo 1 and 4, as
   built and after one ``extend``;
 * the CLI's ``.json`` (minus ``timestamp``) and ``.csv`` for ``norm`` (all
@@ -93,7 +94,7 @@ from orlimark import (  # noqa: E402
     tail_check,
     weighted_lorentz_g,
 )
-from orlimark.conjugate import ConjugateCache, young_fenchel_or_inf  # noqa: E402
+from orlimark.conjugate import ConjugateCache, young_fenchel_lanes  # noqa: E402
 from orlimark.functions import derivative, jacobi22  # noqa: E402
 from orlimark.norms import construct_N, g_norm_info, luxemburg_norm, sup_ratio_from, v_quasinorm_info  # noqa: E402
 
@@ -237,7 +238,7 @@ def conjugate_records():
     ps = np.concatenate([np.geomspace(0.5, 2e4, 394), [0.5, 1.0, 3.7, 64.0, 1000.0, 2e4]])
     for phi in FAMILIES:
         for p in ps:
-            yield "young_fenchel_or_inf", f"{phi.label} {p!r}", attempt(lambda: young_fenchel_or_inf(phi, float(p)))
+            yield "young_fenchel_or_inf", f"{phi.label} {p!r}", attempt(lambda: float(young_fenchel_lanes(phi, [float(p)])[0][0]))
 
 
 def cache_hstar(phi, p_lo):
