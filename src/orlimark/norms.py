@@ -22,10 +22,19 @@ Three norm families ride on top:
   integrator cannot settle makes either scan raise ``ScanDivergenceError``.
   Grids are geometric with 64 points per decade and start at the scan's
   lower exponent p_lo; a maximizer at the right edge triggers two fourfold
-  extensions before the scan is declared divergent.  The winning grid point
-  is polished by a root of the log ratio's slope, unless it is p_lo and
-  the ratio does not rise off that edge; the scan reports the exact norm
-  over an exact weight there.  The root is taken along y, the maximizer of
+  extensions before the scan is declared divergent.  Each grid is evaluated
+  in blocks: the log norm at every twelfth point first, then only the
+  blocks between two of those whose bound, the larger end log norm less
+  the block's smallest log weight, reaches the best of them.  The bound
+  needs the log norm monotone in p, which each scan's is: ||f||_p rises
+  (g-norm and ``sup_ratio_from``: power means rise, and the rule's
+  weights sum to at most 1 up to rounding), so does ||f||_beta(p)
+  (v-quasinorm: beta rises), and ||f||_(p,b) falls (finite-b Lorentz:
+  T^(p/b) falls termwise, as log T <= 0).  The winner, and so every
+  result, is the full grid's.  The winning grid point is polished by a
+  root of the log ratio's slope, unless it is p_lo and the ratio does not
+  rise off that edge; the scan reports the exact norm over an exact weight
+  there.  The root is taken along y, the maximizer of
   the conjugate: p = h'(y) and h*(p) = p y - h(y), so the polish solves no
   conjugate and the slope of the log weight h*(p)/p is h(y)/p^2 (Danskin's
   envelope theorem), and each scan takes the slope of its log norm from
@@ -327,6 +336,43 @@ class ScanResult:
     extensions: int
 
 
+# the stride of the coarse p grid, and the margin by which a block's bound
+# must fall short of the best coarse ratio before the block is skipped: 1e-9
+# and some ulps of the largest |log_norm| at the coarse points, for the
+# rounding of log_norm, which 1e-9 alone falls below past |log_norm| ~ 1e7
+_P_BLOCK = 12
+_P_MARGIN = 1e-9
+_P_MARGIN_ULPS = 16
+
+
+def _grid_ratio(log_norm, grid, psi_log):
+    """log_norm(p) - psi_log at each point p of the grid, coarse to fine.
+
+    log_norm is evaluated first at every _P_BLOCK-th point and the last.
+    Between two consecutive ones, p_a < p_b, a monotone log_norm (in
+    either direction) puts every ratio below the larger of the two log
+    norms less the smallest psi_log on [p_a, p_b]; a block whose bound
+    falls short of the best coarse ratio by the margin is not evaluated,
+    and its rows read -inf, so the argmax is the one of the full grid.  A
+    NaN bound (an infinite end) evaluates its block.
+    """
+    n = grid.size
+    ends = np.unique(np.append(np.arange(0, n, _P_BLOCK), n - 1))
+    at_ends = log_norm(grid[ends])
+    vals = np.full(n, -math.inf)
+    vals[ends] = at_ends - psi_log[ends]
+    lo, hi = ends[:-1], ends[1:]
+    bound = np.maximum(at_ends[:-1], at_ends[1:]) - np.minimum(np.minimum.reduceat(psi_log, lo), psi_log[hi])
+    scale = np.max(np.abs(at_ends), where=np.isfinite(at_ends), initial=0.0)
+    margin = _P_MARGIN + _P_MARGIN_ULPS * np.spacing(scale)
+    # each block's flag on its rows, then its ends cleared: they are known
+    todo = np.append(np.repeat(~(bound < np.fmax.reduce(vals[ends]) - margin), np.diff(ends)), False)
+    todo[ends] = False
+    if todo.any():
+        vals[todo] = log_norm(grid[todo]) - psi_log[todo]
+    return vals
+
+
 def _sup_over_p(make_log_norm, exact_norm, phi: PhiSpec, cache: ConjugateCache, p_lo: float) -> ScanResult:
     """sup over grid p >= p_lo of exp(log_norm(p) - psi_log(p)), certified.
 
@@ -336,6 +382,18 @@ def _sup_over_p(make_log_norm, exact_norm, phi: PhiSpec, cache: ConjugateCache, 
     each fourfold extension of the grid, so evaluators can re-panelize for
     the larger exponents.  A copy of the cache takes the extensions: the one
     passed in stays as built.
+
+    The grid is evaluated coarse to fine by ``_grid_ratio``: log_norm at
+    every _P_BLOCK-th point and the last, then only in the blocks between
+    them whose bound reaches the best of those points.  The bound needs
+    log_norm monotone in p, rising or falling, as it is in every scan: the
+    L_p scan of the g-norm and ``sup_ratio_from`` rises (power means rise
+    with p, and the rule's weights sum to 1 up to rounding, or to less
+    where a singular rest is left out, a rising factor), the v-quasinorm's
+    rises too (beta(p) = p / (p r + 1) rises), and the finite-b layer cake
+    falls (T^(p/b) falls with p term by term, log T <= 0).  The skipped
+    rows read -inf, and the winner is the one of the full grid, so the
+    results are those of evaluating every grid point.
 
     The grid winner p_k is polished by a root of minus the log ratio's
     slope, times p, along y: p = h'(y) and h*(p) = p y - h(y), the equality
@@ -359,7 +417,7 @@ def _sup_over_p(make_log_norm, exact_norm, phi: PhiSpec, cache: ConjugateCache, 
     extensions = 0
     while True:
         grid = cache.grid
-        vals = log_norm(grid) - cache.psi_log_grid
+        vals = _grid_ratio(log_norm, grid, cache.psi_log_grid)
         k = int(np.nanargmax(vals))
         if k < len(grid) - 2 or not math.isfinite(vals[k]):
             break
