@@ -86,7 +86,6 @@ from .quadrature import (
     LevelSampler,
     QuadratureConfig,
     distribution,
-    integrate_log,
     lp_quasinorm,
     sup_norm,
 )

@@ -430,7 +430,7 @@ def _run_rational(cfg: ExperimentConfig, phi, ctx: NormContext):
     rows = []
     worst = math.inf
     for order in cfg.rational_orders:
-        lp_chk = lp_rational_check(f, cfg.rational_p, order, cfg=ctx.cfg)
+        lp_chk = lp_rational_check(f, cfg.rational_p, order, ctx=ctx)
         or_chk = rational_orlicz_check(f, phi, order, ctx=ctx)
         for name, chk in (("lp", lp_chk), ("orlicz", or_chk)):
             worst = min(worst, chk.margin)

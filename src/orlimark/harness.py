@@ -43,18 +43,13 @@ from .norms import (
     equivalence_constants,
     evaluate_norm,
     gnorm_spec,
+    lp_spec,
     orlicz_spec,
     sup_ratio_from,
     vnorm_spec,
     weighted_lorentz_g,
 )
-from .quadrature import (
-    DEFAULT_CONFIG,
-    LevelSampler,
-    QuadratureConfig,
-    _bracketed_root,
-    lp_quasinorm,
-)
+from .quadrature import LevelSampler, QuadratureConfig, _bracketed_root
 
 _SEARCH_CONFIG = QuadratureConfig(rel_tol=1e-7)
 # relative slack of the band edges; load bearing, because constant
@@ -317,18 +312,18 @@ def _require_pole_free(q: RationalRep):
         )
 
 
-def lp_rational_check(q: RationalRep, p: float, r: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> RationalCheck:
-    """Power-norm form: ||q^(r)||_gamma <= D(r) * deg^r * ||q||_p, p >= 4."""
+def lp_rational_check(q: RationalRep, p: float, r: int, ctx: NormContext | None = None) -> RationalCheck:
+    """Power-norm form, at ctx.cfg: ||q^(r)||_gamma <= D(r) * deg^r * ||q||_p, p >= 4."""
     r = _integer(r, "derivative order", lo=1)
     p = float(p)
     if not (4.0 <= p < math.inf):
         raise ValueError(f"the explicit constant needs a finite p >= 4, got {p!r}")
     _require_pole_free(q)
+    context = ctx if ctx is not None else NormContext()
     gamma = p / (p * r + 1.0)
-    dom = q.natural_domain
-    lhs = lp_quasinorm(derivative(q, r), gamma, dom, cfg)
+    lhs = evaluate_norm(derivative(q, r), lp_spec(gamma), context)
     deg = float(q.degree)
-    rhs = d_constant(r) * deg**r * lp_quasinorm(q, p, dom, cfg)
+    rhs = d_constant(r) * deg**r * evaluate_norm(q, lp_spec(p), context)
     rhs_log = math.log(rhs) if rhs > 0 else -math.inf
     return RationalCheck(rhs - lhs, lhs, rhs, rhs_log, gamma, r, deg)
 
@@ -388,8 +383,8 @@ class GapReport:
     trend_slope: float
 
 
-def gap_check(base: GapRep, p: float, n_range, cfg: QuadratureConfig = DEFAULT_CONFIG) -> GapReport:
-    """Ratio / degree^2 across exponent-scaled copies of ``base``.
+def gap_check(base: GapRep, p: float, n_range, ctx: NormContext | None = None) -> GapReport:
+    """Ratio / degree^2 across exponent-scaled copies of ``base``, at ctx.cfg.
 
     The absolute constant of the underlying inequality is unknown, so the
     check is a scaling one: ratio/(deg^2) must stay bounded with a trend
@@ -398,6 +393,7 @@ def gap_check(base: GapRep, p: float, n_range, cfg: QuadratureConfig = DEFAULT_C
     _require_type(base, GapRep, "gap_check")
     if not (p > 0.0):
         raise ValueError(f"exponent must be positive, got {p!r}")
+    context = ctx if ctx is not None else NormContext()
     deg0 = base.degree
     rows = []
     for n in sorted(set(float(n) for n in n_range)):
@@ -407,11 +403,7 @@ def gap_check(base: GapRep, p: float, n_range, cfg: QuadratureConfig = DEFAULT_C
             raise ValueError(
                 f"degree {n:g} would push an exponent below 1; start the range at {deg0:g}"
             )
-        member = GapRep(factors)
-        dom = member.natural_domain
-        num = lp_quasinorm(derivative(member, 1), p, dom, cfg)
-        den = lp_quasinorm(member, p, dom, cfg)
-        ratio = num / den
+        ratio = markov_ratio(GapRep(factors), lp_spec(p), context)
         rows.append(GapRow(n, ratio, ratio / n**2))
     slope = _loglog_slope([r.n for r in rows], [max(r.scaled, 1e-300) for r in rows])[0]
     return GapReport(p, rows, max(r.scaled for r in rows), slope)
@@ -462,9 +454,8 @@ def tail_check(
     v = evaluate_norm(f, vnorm_spec(power_log(m, 0.0), r), context)
     if v == 0.0:
         raise DegenerateInputError("function is zero; tail analysis is undefined")
-    dom = f.natural_domain
     us = np.geomspace(3.0, u_max, points)
-    t = LevelSampler(f, dom).measure_above_batch(us * v)
+    t = LevelSampler(f, f.natural_domain).measure_above_batch(us * v)
     model = us ** (-1.0 / r) * np.log(us) ** (1.0 / (m * r))
     ratios = t / model
     prefactor = float(np.max(ratios))
@@ -473,7 +464,7 @@ def tail_check(
     ps = np.array([8.0, 16.0, 32.0, 64.0, 128.0])
     betas = ps / (ps * r + 1.0)
     gaps = 1.0 / r - betas
-    norms = np.array([lp_quasinorm(f, float(b), dom, context.cfg) / v for b in betas])
+    norms = np.array([evaluate_norm(f, lp_spec(b), context) / v for b in betas])
     slope = _loglog_slope(gaps, norms)[0]
     return TailReport(
         u_grid=us,

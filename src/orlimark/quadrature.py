@@ -3,10 +3,10 @@
 Everything downstream (Orlicz, Grand Lebesgue, Lorentz and derived norms)
 reduces to three primitives implemented here:
 
-* ``integrate_log``: adaptive composite 16-point Gauss-Legendre with
+* ``_adaptive``: adaptive composite 16-point Gauss-Legendre with
   bisection refinement and a parent-versus-children error estimate, the
-  one adaptive integrator.  It integrates ``exp(g)`` over [lo, hi] for a
-  supplied ``g = log(integrand)``, summed in units of e^c, one shift c per
+  one adaptive integrator.  It integrates ``exp(transform(g))`` over the
+  interval of a node store of g, summed in units of e^c, one shift c per
   integral, which keeps integrands far outside double range
   representable; several integrands of one node store share its panels.
 * ``lp_quasinorm``: ``(integral of |f|^p dmu)^(1/p)`` for any finite
@@ -29,10 +29,9 @@ Adaptive integrals of functions of |f| (``lp_quasinorm``, the panels of
 ``PowerNormEvaluator`` and the Luxemburg modular in the norms module) start
 with the break points of f as panel edges besides the uniform ones, as
 QUADPACK's QAGP takes known singular points: |f| has a kink at every zero
-of f.  An object that reports none starts from the uniform panels.  An
-integral may add break points of its own to those edges: the Luxemburg
-modular adds its splice crossings, where N(|f| / l) has a kink.  An
-integrable singular end that f reports (``InversePowerRep``) is integrated
+of f.  An integral may add break points of its own to those edges: the
+Luxemburg modular adds its splice crossings, where N(|f| / l) has a kink.
+An integrable singular end that f reports (``InversePowerRep``) is integrated
 in y = -log(distance to it), as QUADPACK's QAWS and Takahasi & Mori (1974)
 give such an end a coordinate of its own: by the rule up to the smallest
 normal distance, and beyond it in closed form.
@@ -50,8 +49,12 @@ Luxemburg model rest on one cached-node rule, ``_NodeRule``, that reads the
 same store: one log-sum-exp per query.
 
 The norms are taken against Lebesgue measure scaled to total mass one:
-``integrate_log`` integrates against plain dx, and its callers add
-``log(domain.density)``.
+``_adaptive`` integrates against plain dx times the store's weights, and
+its callers add the store's ``log_density``.
+
+Every entry point (``lp_quasinorm``, ``LevelSampler``, ``sup_norm``,
+``distribution``) takes a function representation and a ``Domain``; an
+object that reports no break points raises RejectedInputError.
 """
 
 from __future__ import annotations
@@ -119,37 +122,26 @@ _MAX_PANELS = 60000
 _Y_END = -math.log(np.finfo(float).tiny)
 
 
-def as_vectorized(f):
-    """Wrap a callable so it maps ndarray -> ndarray of the same shape."""
-
-    def call(xs: np.ndarray) -> np.ndarray:
-        out = np.asarray(f(xs), dtype=float)
-        if out.shape != xs.shape:
-            out = np.broadcast_to(out, xs.shape).copy()
-        return out
-
-    return call
-
-
 def log_abs_of(f):
-    """Return a vectorized x -> log|f(x)|, honoring a rep-provided log_abs."""
+    """Return x -> log|f(x)|, honoring a rep-provided log_abs."""
     direct = getattr(f, "log_abs", None)
     if direct is not None:
-        return as_vectorized(direct)
-    fv = as_vectorized(f)
+        return direct
 
     def call(xs: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
-            return np.log(np.abs(fv(xs)))
+            return np.log(np.abs(f(xs)))
 
     return call
 
 
 def break_points_of(f, domain: Domain):
-    """The break points f reports on the domain (the kinks of |f| among
-    them), or None for an object that reports none."""
+    """The break points f reports on the domain, the kinks of |f| among
+    them; an object that reports none raises RejectedInputError."""
     report = getattr(f, "break_points", None)
-    return None if report is None else report(domain)
+    if report is None:
+        raise RejectedInputError(f"{type(f).__name__} reports no break points; pass a function representation")
+    return report(domain)
 
 
 def _check_finite(values: np.ndarray, p_lo, p_hi) -> None:
@@ -183,12 +175,10 @@ def _inner_points(edges, points):
     return inner[np.diff(inner, prepend=-np.inf) > tol]
 
 
-def _initial_edges(lo, hi, count, breaks):
-    """The ``count`` uniform panel edges of [lo, hi] and the points of
+def _initial_edges(lo, hi, breaks):
+    """The _INITIAL_PANELS uniform panel edges of [lo, hi] and the points of
     ``breaks`` inside, merged by ``_inner_points``."""
-    edges = np.linspace(lo, hi, count + 1)
-    if breaks is None:
-        return edges
+    edges = np.linspace(lo, hi, _INITIAL_PANELS + 1)
     return np.sort(np.concatenate([edges, _inner_points(edges, breaks)]))
 
 
@@ -275,7 +265,7 @@ def _abs_nodes(f, domain: Domain) -> _NodeStore:
     break points of f, take its singular end in distance, if it reports one,
     and are taken against the normalized measure."""
     log_f = log_abs_of(f)
-    edges = _initial_edges(domain.lo, domain.hi, _INITIAL_PANELS, break_points_of(f, domain))
+    edges = _initial_edges(domain.lo, domain.hi, break_points_of(f, domain))
     end = getattr(f, "singular_end", lambda _domain: None)(domain)
     return _NodeStore(log_f, edges, math.log(domain.density), end)
 
@@ -382,18 +372,6 @@ def _adaptive(nodes: _NodeStore, transform, cfg, breaks=None):
         # crude bound: the full live mass, relative to the estimate
         best, bound = result(c + np.log(total), (acc_err + live_mass) / total)
     raise ConvergenceFailureError(f"quadrature did not converge within depth {_MAX_DEPTH}", best_estimate=best, error_bound=bound)
-
-
-def integrate_log(log_f, lo: float, hi: float, cfg: QuadratureConfig = DEFAULT_CONFIG, breaks=None) -> float:
-    """log of the plain Lebesgue integral of exp(log_f) over [lo, hi].
-
-    ``breaks``, where the integrand may have kinks, start as panel edges.
-    Returns -inf when the integrand vanishes identically on the sample set.
-    A normalized-measure mean adds ``log(domain.density)``.
-    """
-    vectorized = as_vectorized(log_f)
-    edges = _initial_edges(lo, hi, _INITIAL_PANELS, breaks)
-    return _adaptive(_NodeStore(vectorized, edges), lambda g: g, cfg)[0]
 
 
 class _NodeRule:
@@ -517,9 +495,7 @@ def _break_values(f, domain: Domain, bounded: bool):
     infinite one when ``bounded``.
     """
     xs = break_points_of(f, domain)
-    if xs is None:
-        raise RejectedInputError(f"{type(f).__name__} reports no break points; pass a function representation")
-    vals = np.abs(as_vectorized(f)(xs))
+    vals = np.abs(f(xs))
     bad = ~np.isfinite(vals) if bounded else np.isnan(vals)
     if bad.any():
         x = float(xs[np.argmax(bad)])
@@ -644,8 +620,7 @@ class LevelSampler:
 
     def __init__(self, f, domain: Domain):
         self.domain = domain
-        self._rep = f
-        self._f = as_vectorized(f)
+        self._f = f
         xs, vals = _break_values(f, domain, bounded=False)
         self.sup_estimate = float(np.max(vals))
         # a value below 1e-12 sup|f| is a computed zero of f and merges into
@@ -669,11 +644,11 @@ class LevelSampler:
 
     @functools.cached_property
     def _df(self):
-        """f', vectorized, from the derivative that f reports."""
-        report = getattr(self._rep, "derivative", None)
+        """f', from the derivative that f reports."""
+        report = getattr(self._f, "derivative", None)
         if report is None:
-            raise RejectedInputError(f"{type(self._rep).__name__} reports no derivative; the slope of T needs one")
-        return as_vectorized(report())
+            raise RejectedInputError(f"{type(self._f).__name__} reports no derivative; the slope of T needs one")
+        return report()
 
     def measure_above_batch(self, ws, slope: bool = False):
         """T(w) = mu{|f| > w} at each threshold of ``ws``, in its shape; with

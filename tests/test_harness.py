@@ -16,7 +16,9 @@ from orlimark.functions import (
     PolynomialRep,
     RationalRep,
     TrigPolynomialRep,
+    derivative,
     jacobi22,
+    random_family,
 )
 from orlimark.harness import (
     bernstein_trig_check,
@@ -39,8 +41,8 @@ from orlimark.harness import (
     three_way_report,
 )
 from orlimark.harness import _loglog_slope, _t_quantile
-from orlimark.norms import evaluate_norm, gnorm_spec, lorentz_spec, lp_spec, orlicz_spec, v_quasinorm
-from orlimark.quadrature import lp_quasinorm
+from orlimark.norms import NormContext, evaluate_norm, gnorm_spec, lorentz_spec, lp_spec, orlicz_spec, v_quasinorm
+from orlimark.quadrature import QuadratureConfig, lp_quasinorm
 
 
 def sin_n(n: int) -> TrigPolynomialRep:
@@ -234,6 +236,22 @@ class TestRationalChecks:
         fam = [scaled_rational_family(base_num, den, n) for n in (1, 2, 3)]
         margins = [rational_orlicz_check(q, phi2, 1, ctx=ctx).margin for q in fam]
         assert margins == sorted(margins)
+
+
+def test_lp_checks_take_a_context():
+    # both L_p checks take their norms from evaluate_norm at the context's rel_tol, bit for bit
+    ctx = NormContext(QuadratureConfig(rel_tol=1e-8))
+    q = random_family("rational", 4, 7)
+    for r in (1, 2):
+        chk = lp_rational_check(q, 4, r, ctx=ctx)
+        assert chk.lhs == evaluate_norm(derivative(q, r), lp_spec(chk.gamma), ctx)
+        assert chk.rhs == d_constant(r) * chk.degree**r * evaluate_norm(q, lp_spec(4.0), ctx)
+    base = GapRep([(0.3, 0.5, 1.0), (-0.6, 1.0, 1.0)])
+    rep = gap_check(base, 2, [2, 3], ctx=ctx)
+    for row, n in zip(rep.rows, (2.0, 3.0)):
+        member = GapRep([(a, b, r * n / base.degree) for a, b, r in base.factors])
+        ratio = evaluate_norm(derivative(member, 1), lp_spec(2.0), ctx) / evaluate_norm(member, lp_spec(2.0), ctx)
+        assert (row.n, row.ratio, row.scaled) == (n, ratio, ratio / n**2)
 
 
 @pytest.mark.parametrize(

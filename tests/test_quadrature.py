@@ -23,14 +23,12 @@ from orlimark.quadrature import (
     Domain,
     LevelSampler,
     QuadratureConfig,
-    _INITIAL_PANELS,
     _abs_nodes,
     _adaptive,
     _initial_edges,
     _NodeRule,
     _NodeStore,
     distribution,
-    integrate_log,
     log_abs_of,
     lp_quasinorm,
     sup_norm,
@@ -40,9 +38,14 @@ INTERVAL = Domain.interval()
 CIRCLE = Domain.circle()
 
 
+def integrate(log_f, lo, hi, cfg=DEFAULT_CONFIG, breaks=()):
+    """log of the plain integral of exp(log_f) over [lo, hi], the panels starting at ``breaks``."""
+    return _adaptive(_NodeStore(log_f, _initial_edges(lo, hi, breaks)), lambda g: g, cfg)[0]
+
+
 def log_mean(log_f, domain, cfg=DEFAULT_CONFIG):
     """log of the mean of exp(log_f) against the normalized measure."""
-    return integrate_log(log_f, domain.lo, domain.hi, cfg) + math.log(domain.density)
+    return integrate(log_f, domain.lo, domain.hi, cfg) + math.log(domain.density)
 
 
 def log_abs_power(k):
@@ -54,8 +57,8 @@ def log_abs_power(k):
 
 
 def test_interval_is_normalized():
-    for dom in (INTERVAL, CIRCLE):
-        assert lp_quasinorm(lambda x: np.ones_like(x), 1.0, dom) == pytest.approx(1.0, rel=1e-12)
+    for one in (PolynomialRep([1.0]), TrigPolynomialRep([1.0], [])):
+        assert lp_quasinorm(one, 1.0, one.natural_domain) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_polynomial_moments():
@@ -71,8 +74,8 @@ def test_circle_mean_of_sin_squared():
 
 
 def test_unnormalized_integral():
-    # integrate_log itself integrates against plain dx over its ends
-    got = integrate_log(log_abs_power(2), 0.0, 2.0)
+    # the adaptive integral itself is taken against plain dx over its ends
+    got = integrate(log_abs_power(2), 0.0, 2.0)
     assert got == pytest.approx(math.log(8.0 / 3.0), abs=1e-12)
 
 
@@ -92,7 +95,7 @@ def test_log_mode_handles_huge_values():
 def test_large_log_integrand_sums_without_rounding(c):
     # g - c is formed before anything is exponentiated: a constant log
     # integrand far above 1 sums exactly, to c + log 2 on [-1, 1]
-    got = integrate_log(lambda x: np.full_like(x, c), -1.0, 1.0)
+    got = integrate(lambda x: np.full_like(x, c), -1.0, 1.0)
     assert abs(got - (c + math.log(2.0))) <= np.spacing(c)
 
 
@@ -101,15 +104,9 @@ def test_log_mode_all_neg_inf_returns_neg_inf():
     assert got == -math.inf
 
 
-def test_scalar_integrand_is_broadcast():
-    # a callable that ignores its array and returns one float integrates as
-    # the constant it is
-    assert integrate_log(lambda x: 0.0, -1.0, 1.0) == pytest.approx(math.log(2.0), rel=1e-15, abs=0.0)
-
-
 def test_non_finite_integrand_names_its_abscissa():
     with pytest.raises(DomainEvaluationError, match="not finite") as info:
-        integrate_log(lambda x: np.where(x > 0.3, np.nan, 0.0), -1.0, 1.0)
+        integrate(lambda x: np.where(x > 0.3, np.nan, 0.0), -1.0, 1.0)
     assert 0.3 < info.value.abscissa <= 1.0
 
 
@@ -151,19 +148,19 @@ def test_lp_quasinorm_scaling_tight():
         assert scaled == pytest.approx(c * base, rel=1e-10)
 
 
-def test_lp_quasinorm_plain_callable():
-    # an object without break points integrates from the uniform panels
-    assert lp_quasinorm(lambda x: x, 2, INTERVAL) == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-13)
+def test_lp_quasinorm_of_identity():
+    # ||x||_2 = 1/sqrt(3) against dx/2 on [-1, 1], kinked at its zero x = 0
+    assert lp_quasinorm(PolynomialRep([0.0, 1.0]), 2, INTERVAL) == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-13)
 
 
 def test_initial_edges_take_the_break_points():
-    # interior break points join the uniform edges; the ends, points outside
-    # and points within rounding of an edge taken already add nothing
+    # interior break points join the eight uniform edges; the ends, points
+    # outside and points within rounding of an edge taken already add nothing
     eps = np.finfo(float).eps
     breaks = [-1.0, -0.3, -0.3 + eps, 0.5 + eps, 0.7, 1.0, 2.0]
-    edges = _initial_edges(-1.0, 1.0, 4, breaks)
-    assert edges.tolist() == [-1.0, -0.5, -0.3, 0.0, 0.5, 0.7, 1.0]
-    assert np.array_equal(_initial_edges(-1.0, 1.0, 4, None), np.linspace(-1.0, 1.0, 5))
+    edges = _initial_edges(-1.0, 1.0, breaks)
+    assert edges.tolist() == [-1.0, -0.75, -0.5, -0.3, -0.25, 0.0, 0.25, 0.5, 0.7, 0.75, 1.0]
+    assert np.array_equal(_initial_edges(-1.0, 1.0, []), np.linspace(-1.0, 1.0, 9))
 
 
 def test_lp_quasinorm_zero():
@@ -437,11 +434,15 @@ def test_level_sampler_slope_matches_central_difference(f):
 
 
 def test_plain_callable_rejected():
-    # T and the sup come from break points, which a bare callable cannot report
-    with pytest.raises(RejectedInputError):
-        LevelSampler(lambda x: np.sin(3.0 * x), INTERVAL)
-    with pytest.raises(RejectedInputError):
-        sup_norm(lambda x: np.sin(3.0 * x), INTERVAL)
+    # every entry point starts from break points, which a bare callable cannot report
+    for call in (
+        lambda: LevelSampler(np.sin, INTERVAL),
+        lambda: sup_norm(np.sin, INTERVAL),
+        lambda: lp_quasinorm(np.sin, 2.0, INTERVAL),
+        lambda: distribution(np.sin, 0.5, INTERVAL),
+    ):
+        with pytest.raises(RejectedInputError, match="reports no break points"):
+            call()
 
 
 def test_convergence_failure_carries_estimate():
@@ -453,7 +454,7 @@ def test_convergence_failure_carries_estimate():
 
     tight = QuadratureConfig(rel_tol=1e-12)
     with pytest.raises(ConvergenceFailureError) as info:
-        integrate_log(log_f, INTERVAL.lo, INTERVAL.hi, tight)
+        integrate(log_f, INTERVAL.lo, INTERVAL.hi, tight)
     assert info.value.best_estimate is not None
     assert info.value.best_estimate > 1e15
     # relative to exp(best_estimate): at most the whole estimate
@@ -473,7 +474,7 @@ def test_log_mean_matches_mpmath():
     # ties at the maximum and a constant near 1e15; a row of zeros gives
     # -inf, and +inf and NaN propagate
     f = chebyshev_t(12)
-    nodes = _NodeStore(log_abs_of(f), _initial_edges(-1.0, 1.0, _INITIAL_PANELS, f.break_points(INTERVAL)))
+    nodes = _NodeStore(log_abs_of(f), _initial_edges(-1.0, 1.0, f.break_points(INTERVAL)))
     rule = _NodeRule(nodes, _adaptive(nodes, lambda g: 60.0 * g, DEFAULT_CONFIG)[2:])
     size = rule.g.size
     rng = np.random.default_rng(5)
@@ -504,7 +505,7 @@ def test_log_mean_matches_mpmath():
 def test_break_point_next_to_an_edge_is_merged():
     # T_12's extremum at x = 0.5 rounds 1e-15 off the uniform edge there; a
     # panel that narrow would round its Gauss nodes onto a few abscissae
-    edges = _initial_edges(-1.0, 1.0, _INITIAL_PANELS, chebyshev_t(12).break_points(INTERVAL))
+    edges = _initial_edges(-1.0, 1.0, chebyshev_t(12).break_points(INTERVAL))
     assert np.min(np.diff(edges)) > np.finfo(float).eps * 2.0 / np.min(np.diff(quadrature._NODES))
     xs = quadrature._panel_nodes(edges[:-1], edges[1:])[0]
     assert all(np.unique(row).size == 16 for row in xs)
@@ -536,10 +537,10 @@ def test_node_store_evaluates_each_panel_once():
         points.append(xs.copy())
         return log_f(xs)
 
-    nodes = _NodeStore(counted, _initial_edges(-1.0, 1.0, _INITIAL_PANELS, breaks))
+    nodes = _NodeStore(counted, _initial_edges(-1.0, 1.0, breaks))
     first, second = (_adaptive(nodes, lambda g, e=e: e * g, DEFAULT_CONFIG) for e in (1.0, 60.0))
     for e, result in ((1.0, first), (60.0, second)):
-        assert result[0] == integrate_log(lambda xs, e=e: e * log_f(xs), -1.0, 1.0, DEFAULT_CONFIG, breaks)
+        assert result[0] == integrate(lambda xs, e=e: e * log_f(xs), -1.0, 1.0, DEFAULT_CONFIG, breaks)
     rule = _NodeRule(nodes, first[2:])
     held = len(points)
     rule.join(*second[2:])
