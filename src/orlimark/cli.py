@@ -31,6 +31,7 @@ import numpy as np
 
 from . import __version__
 from .conjugate import (
+    exp_or_inf,
     log_power,
     phi_membership_check,
     power_log,
@@ -38,7 +39,7 @@ from .conjugate import (
     tabulated_phi,
     young_fenchel_lanes,
 )
-from .errors import ConfigError, OrlimarkError, SummabilityError
+from .errors import ConfigError, ConjugateDivergenceError, ConstructionError, OrlimarkError, SummabilityError
 from .functions import RANDOM_FAMILIES, InversePowerRep, RationalRep, from_text, random_family, to_text
 from .harness import (
     SWEEP_FAMILIES,
@@ -289,23 +290,29 @@ def _norm_spec(cfg: ExperimentConfig, phi) -> NormSpec:
     return gnorm_spec(phi)
 
 
-def _constants_block(phi, ctx: NormContext) -> dict:
-    n_func = ctx.orlicz(phi)
+def _or_null(solve, *args):
+    """solve(*args), or None where phi lacks that constant: it has no knee,
+    no C4 (its gap series does not converge) or no psi(4) (h*(4) diverges)."""
     try:
-        eq = equivalence_constants(n_func)
-        c4 = eq.b_over_g_log, eq.b_over_g_alt_log
-    except SummabilityError:
-        # past a table h continues linearly: every gap term is e^-slope and C4 does not exist
-        c4 = None, None
+        return solve(*args)
+    except (ConstructionError, SummabilityError, ConjugateDivergenceError):
+        return None
+
+
+def _constants_block(phi, ctx: NormContext) -> dict:
+    """phi's constants; one it lacks is null, and only a command that needs
+    it fails on it."""
+    n = _or_null(ctx.orlicz, phi)
+    eq = n and _or_null(equivalence_constants, n)
     return {
-        "splice_point": n_func.splice_point,
-        "linear_slope": n_func.linear_slope,
-        "c3": n_func.g_over_b,
-        "c4_log": c4[0],
-        "c4_alt_log": c4[1],
-        "split_index": n_func.split_index,
+        "splice_point": n and n.splice_point,
+        "linear_slope": n and n.linear_slope,
+        "c3": n and n.g_over_b,
+        "c4_log": eq and eq.b_over_g_log,
+        "c4_alt_log": eq and eq.b_over_g_alt_log,
+        "split_index": n and n.split_index,
         "k4": k_constant(4.0),
-        "psi4": psi(phi, 4.0),
+        "psi4": _or_null(psi, phi, 4.0),
     }
 
 
@@ -343,7 +350,7 @@ def _run_transform(cfg: ExperimentConfig, phi, ctx: NormContext):
             {
                 "p": float(p),
                 "hstar": hs,
-                "psi": math.exp(hs / p) if math.isfinite(hs) else math.inf,
+                "psi": exp_or_inf(hs / p),
             }
         )
     result = {

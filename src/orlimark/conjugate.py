@@ -379,9 +379,19 @@ def psi_log(phi: PhiSpec, p: float) -> float:
     return young_fenchel(phi, p) / p
 
 
+def exp_or_inf(x: float) -> float:
+    """exp(x), or +inf where that overflows: the value of a constant carried
+    in log form, whose overflow is correct and sorts last."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def psi(phi: PhiSpec, p: float) -> float:
-    """exp(h*(p)/p), the weight dividing ||f||_p in the sup-based norms."""
-    return math.exp(psi_log(phi, p))
+    """exp(h*(p)/p), the weight dividing ||f||_p in the sup-based norms;
+    +inf where h*(p)/p is finite but exp overflows."""
+    return exp_or_inf(psi_log(phi, p))
 
 
 @dataclass

@@ -282,15 +282,17 @@ class RationalRep:
         return self.num(xs) / dv
 
     def derivative(self, order: int = 1) -> "RationalRep":
+        """The r-th derivative of p/q as N_r / q^(r+1), from N_0 = p and
+        (N / q^k)' = (N' q - k N q') / q^(k+1)."""
         if order < 0:
             raise ValueError("derivative order must be nonnegative")
         num = np.asarray(self.num.coeffs) if self.num.coeffs else np.zeros(1)
-        den = np.asarray(self.den.coeffs)
-        for _ in range(order):
+        q = den = np.asarray(self.den.coeffs)
+        dq = _poly.polyder(q) if q.size > 1 else np.zeros(1)
+        for k in range(1, order + 1):
             dn = _poly.polyder(num) if num.size > 1 else np.zeros(1)
-            dd = _poly.polyder(den) if den.size > 1 else np.zeros(1)
-            num = _poly.polysub(_poly.polymul(dn, den), _poly.polymul(num, dd))
-            den = _poly.polymul(den, den)
+            num = _poly.polysub(_poly.polymul(dn, q), k * _poly.polymul(num, dq))
+            den = _poly.polymul(den, q)
             _check_coeffs(num)
             _check_coeffs(den)
         return RationalRep(PolynomialRep(num), PolynomialRep(den))

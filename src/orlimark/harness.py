@@ -10,19 +10,20 @@ The polynomial Markov bound chain:
 
     ratio in the spliced-Orlicz norm <= n^2 * K(4) * max(1, psi(4)) * C4 * C3
 
-carries C4 in log form since it overflows floats for fast-growing weights;
-margins against an overflowing bound are +inf, which is correct and sorts
-last.
+carries C4 in log form since it overflows floats for fast-growing weights.
+Every constant carried in log form (C4, D(r), psi, the bounds and right-hand
+sides built from them) is read through ``exp_or_inf``: where it overflows
+it is +inf, which is correct and sorts last.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import ConjugateCache, PhiSpec, golden_max, power_log, psi
+from .conjugate import ConjugateCache, PhiSpec, exp_or_inf, golden_max, power_log, psi
 from .errors import DegenerateInputError, RejectedInputError
 from .functions import (
     GapRep,
@@ -37,7 +38,6 @@ from .functions import (
     random_family,
 )
 from .norms import (
-    EquivalenceConstants,
     NormContext,
     NormSpec,
     equivalence_constants,
@@ -88,7 +88,7 @@ def d_constant(r: int) -> float:
             * (4.0 / 3.0) ** (r + 0.25)
             * (r + 0.25) ** (r + 0.25)
         )
-    return math.exp(d_constant_log(r))
+    return exp_or_inf(d_constant_log(r))
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +122,6 @@ class RatioReport:
     slope: float
     slope_ci: tuple[float, float]
     c5_estimate: float
-    constants: dict[str, float] = field(default_factory=dict)
 
     @property
     def min_margin(self) -> float:
@@ -191,8 +190,6 @@ SWEEP_FAMILIES = ("jacobi22", "chebyshev", "random-poly")
 
 
 def _family_member(family: str, n: int, seed: int):
-    if n == 0:
-        return PolynomialRep([1.0])
     if family == "jacobi22":
         return jacobi22(n)
     if family == "chebyshev":
@@ -205,14 +202,10 @@ def _family_member(family: str, n: int, seed: int):
 def markov_factor_log(phi: PhiSpec, ctx: NormContext | None = None) -> float:
     """log of the n-free factor K(4) * max(1, psi(4)) * C4 * C3."""
     context = ctx if ctx is not None else NormContext()
-    return _factor_log(equivalence_constants(context.orlicz(phi)), psi(phi, 4.0))
-
-
-def _factor_log(consts: EquivalenceConstants, psi4: float) -> float:
-    """``markov_factor_log`` from the constants of phi and psi(phi, 4)."""
+    consts = equivalence_constants(context.orlicz(phi))
     return (
         math.log(k_constant(4.0))
-        + math.log(max(1.0, psi4))
+        + math.log(max(1.0, psi(phi, 4.0)))
         + consts.b_over_g_log
         + math.log(consts.g_over_b)
     )
@@ -229,8 +222,9 @@ def markov_sweep(
     """Derivative-to-function norm ratios across degrees, with bounds.
 
     The bound column carries n^2 * K(p) for plain L_p (p > 2) and the full
-    constant chain for the spliced-Orlicz and sup-ratio norms; norms without
-    a proven constant get +inf (ratio recorded, nothing asserted).  A norm
+    constant chain (``markov_factor_log``) for the spliced-Orlicz and
+    sup-ratio norms alone; norms without a proven constant get +inf (ratio
+    recorded, nothing asserted).  A norm
     with a phi of its own must take it from ``phi``, or ValueError.
     """
     ns = sorted(set(_integer(n) for n in n_range))
@@ -240,36 +234,21 @@ def markov_sweep(
     spec = norm if norm is not None else orlicz_spec(phi)
     if spec.phi is not None and spec.phi != phi:
         raise ValueError(f"the norm {spec.label} takes another phi than the sweep's {phi.label}")
-    psi4 = psi(phi, 4.0)
-    consts: dict[str, float] = {"k4": k_constant(4.0), "psi4": psi4}
     if spec.kind == "lp":
         factor_log = math.log(k_constant(spec.p)) if spec.p > 2.0 else math.inf
-        consts["kp"] = math.exp(factor_log) if math.isfinite(factor_log) else math.inf
     elif spec.kind in ("orlicz", "gnorm"):
-        eq = equivalence_constants(context.orlicz(phi))
-        factor_log = _factor_log(eq, psi4)
-        consts["c3"] = eq.g_over_b
-        consts["c4_log"] = eq.b_over_g_log
+        factor_log = markov_factor_log(phi, context)
     else:
         factor_log = math.inf
     rows = []
     for n in ns:
-        f = _family_member(family, n, seed)
-        ratio = 0.0 if n == 0 else markov_ratio(f, spec, ctx=context)
-        if n == 0:
-            bound = 0.0
-        elif math.isfinite(factor_log):
-            try:
-                bound = math.exp(factor_log + 2.0 * math.log(n))
-            except OverflowError:
-                bound = math.inf
-        else:
-            bound = math.inf
+        ratio = 0.0 if n == 0 else markov_ratio(_family_member(family, n, seed), spec, ctx=context)
+        bound = 0.0 if n == 0 else exp_or_inf(factor_log + 2.0 * math.log(n))
         rows.append(RatioRow(n, ratio, bound, bound - ratio))
     fit_rows = [row for row in rows if row.n >= 2 and row.ratio > 0.0]
     slope, ci = _fit_loglog([r.n for r in fit_rows], [r.ratio for r in fit_rows])
     c5 = min((row.ratio / row.n**2 for row in rows if row.n >= 1), default=math.nan)
-    return RatioReport(family, spec.label, phi.label, rows, slope, ci, c5, consts)
+    return RatioReport(family, spec.label, phi.label, rows, slope, ci, c5)
 
 
 def _require_type(f, cls, check: str):
@@ -346,10 +325,7 @@ def rational_orlicz_check(
         rhs_log = -math.inf
     else:
         rhs_log = consts.b_over_g_log + d_constant_log(r) + r * math.log(deg) + math.log(b)
-    try:
-        rhs = math.exp(rhs_log)
-    except OverflowError:
-        rhs = math.inf
+    rhs = exp_or_inf(rhs_log)
     gamma = 4.0 / (4.0 * r + 1.0)
     return RationalCheck(rhs - lhs, lhs, rhs, rhs_log, gamma, r, deg)
 
@@ -671,7 +647,7 @@ class SandwichRow:
 def _min_psi(cache: ConjugateCache, p_lo: float, p_hi: float) -> float:
     mask = (cache.grid >= p_lo) & (cache.grid <= p_hi)
     vals = cache.psi_log_grid[mask]
-    return math.exp(float(np.min(vals)))
+    return exp_or_inf(float(np.min(vals)))
 
 
 def lyapunov_sandwich(f, phi: PhiSpec, ctx: NormContext | None = None, label: str = "") -> SandwichRow:

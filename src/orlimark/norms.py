@@ -75,7 +75,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import ConjugateCache, PhiSpec, gap_terms, young_fenchel_lanes
+from .conjugate import ConjugateCache, PhiSpec, exp_or_inf, gap_terms, young_fenchel_lanes
 from .errors import (
     ConstructionError,
     ConvergenceFailureError,
@@ -762,10 +762,7 @@ class EquivalenceConstants:
 
     @property
     def b_over_g(self) -> float:
-        try:
-            return math.exp(self.b_over_g_log)
-        except OverflowError:
-            return math.inf
+        return exp_or_inf(self.b_over_g_log)
 
 
 def _gap_series(phi: PhiSpec, k_start: int, shift: int) -> float:
@@ -791,14 +788,13 @@ def equivalence_constants(n: OrliczN) -> EquivalenceConstants:
     series = _gap_series(phi, k_start, shift=0)
     series_alt = _gap_series(phi, k_start, shift=1)
     head_log = float(n.n_log_from_log_u(np.array([split - 2.0]))[0])
-    b_over_g_log = 2.0 + np.logaddexp(head_log, math.log(series) if series > 0 else -math.inf)
-    b_over_g_alt_log = 2.0 + np.logaddexp(
-        head_log, math.log(series_alt) if series_alt > 0 else -math.inf
+    b_over_g_log, b_over_g_alt_log = (
+        float(2.0 + np.logaddexp(head_log, math.log(s) if s > 0 else -math.inf)) for s in (series, series_alt)
     )
     return EquivalenceConstants(
         g_over_b=n.g_over_b,
-        b_over_g_log=float(b_over_g_log),
-        b_over_g_alt_log=float(b_over_g_alt_log),
+        b_over_g_log=b_over_g_log,
+        b_over_g_alt_log=b_over_g_alt_log,
         split_index=split,
         series_sum=series,
         series_sum_alt=series_alt,

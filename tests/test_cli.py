@@ -25,7 +25,10 @@ from orlimark.cli import (
     render_json,
     run,
 )
+from orlimark.conjugate import log_power
 from orlimark.errors import ConfigError
+from orlimark.functions import from_text
+from orlimark.norms import construct_N, luxemburg_norm
 
 NORM_CFG = """
 [experiment]
@@ -251,6 +254,42 @@ class TestMain:
             assert constants["splice_point"] == 1.0 and constants["c3"] == 1.0
         assert main(["equivalence", "--config", str(cfg_file), "--seed", "7", "--out", str(tmp_path / "e")]) == 1
         assert "gap series" in capsys.readouterr().err
+
+    def test_constants_phi_lacks_are_null(self, tmp_path, capsys):
+        # log(1 + z)^1.05 has a knee but no C4 and no psi(4); the knee of
+        # z^2 log(e^7 + z)^-10 lies at y*(1) = 12.56, outside [1e-3, 1e3]
+        function = "[function]\ntext = poly:0.3,-1.2,0.5\n\n[norm]\nkind = lp\np = 2\n"
+        cases = {
+            "log-power": ("[phi]\nfamily = log-power\nnu = 0.05\n", 2, ("c4_log", "c4_alt_log", "psi4")),
+            "no-knee": (
+                "[phi]\nfamily = power-log\nm = 2\nr = 5\n",
+                0,
+                ("splice_point", "linear_slope", "c3", "c4_log", "c4_alt_log", "split_index"),
+            ),
+        }
+        for name, (phi, verdict, absent) in cases.items():
+            cfg_file = tmp_path / f"{name}.cfg"
+            cfg_file.write_text(phi + function)
+            # transform's verdict, and an lp norm, which needs none of them
+            for command, expect in (("transform", verdict), ("norm", 0)):
+                base = tmp_path / f"{name}-{command}"
+                assert main([command, "--config", str(cfg_file), "--out", str(base)]) == expect, (name, command)
+                data = json.loads(base.with_suffix(".json").read_text())
+                constants = data["constants"]
+                assert [key for key, value in constants.items() if value is None] == sorted(absent)
+                assert constants["k4"] > 0.0
+            assert data["results"]["value"] == pytest.approx(math.sqrt(0.72), rel=1e-12)
+        # a command that needs the missing constant fails on it
+        cfg_file.write_text(cases["no-knee"][0] + function.replace("kind = lp", "kind = orlicz"))
+        assert main(["norm", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 1
+        assert "no knee" in capsys.readouterr().err
+
+    def test_log_power_norm_is_the_library_value(self, tmp_path):
+        cfg_file = tmp_path / "n.cfg"
+        cfg_file.write_text("[phi]\nfamily = log-power\nnu = 1\n\n[function]\ntext = poly:0.3,-1.2,0.5\n\n[norm]\nkind = orlicz\n")
+        assert main(["norm", "--config", str(cfg_file), "--out", str(tmp_path / "n")]) == 0
+        value = json.loads((tmp_path / "n.json").read_text())["results"]["value"]
+        assert value == luxemburg_norm(from_text("poly:0.3,-1.2,0.5"), construct_N(log_power(1.0)))
 
     def test_rational_report(self, tmp_path):
         cfg_file = tmp_path / "r.cfg"

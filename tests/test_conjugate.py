@@ -21,7 +21,7 @@ from orlimark.conjugate import (
     young_fenchel,
     young_fenchel_lanes,
 )
-from orlimark.errors import SummabilityError
+from orlimark.errors import ConjugateDivergenceError, SummabilityError
 
 
 def hstar_power_closed_form(m: float, p: float) -> float:
@@ -57,6 +57,19 @@ class TestYoungFenchel:
 
     def test_psi_log_consistency(self, phi2):
         assert math.exp(psi_log(phi2, 4.0)) == pytest.approx(psi(phi2, 4.0), rel=1e-12)
+
+    def test_psi_overflow_is_inf(self):
+        # h(y) ~ y^1.05: h*(2) / 2 is finite and far past exp's range
+        phi = log_power(0.05)
+        assert math.isfinite(psi_log(phi, 2.0)) and psi(phi, 2.0) == math.inf
+
+    def test_divergence_past_the_last_table_slope(self):
+        # past its last point the table's h continues with slope
+        # 16 / log 2 = 23.08, so h*(p) is finite below it and diverges above
+        phi = tabulated_phi([0.5, 1.0, 2.0, 4.0, 8.0], [0.05, 0.2, 0.9, 4.0, 20.0])
+        assert math.isfinite(young_fenchel(phi, 23.0))
+        with pytest.raises(ConjugateDivergenceError, match="diverges at p = 30.0"):
+            young_fenchel(phi, 30.0)
 
 
 class TestConjugateCache:

@@ -23,8 +23,9 @@ from orlimark.functions import (
     random_family,
     to_text,
 )
-from orlimark.norms import g_norm_info, luxemburg_norm
-from orlimark.quadrature import Domain, LevelSampler, lp_quasinorm
+from orlimark.harness import build_corpus
+from orlimark.norms import g_norm_info, lorentz_norm, luxemburg_norm
+from orlimark.quadrature import Domain, LevelSampler, lp_quasinorm, sup_norm
 
 
 def _jacobi22_exact(n: int) -> list[Fraction]:
@@ -178,6 +179,21 @@ class TestRational:
         xs = np.linspace(-0.9, 0.9, 9)
         want = -2.0 * xs / (1.0 + xs**2) ** 2
         assert np.allclose(dq(xs), want, atol=1e-14)
+
+    @pytest.mark.parametrize("label", [f"rational-{n:02d}" for n in range(1, 7)])
+    def test_derivative_over_one_power_of_q_per_order(self, label):
+        # the r-th derivative is N_r / q^(r+1); a denominator squared at
+        # every order plants roots of p'q - pq' of multiplicity up to
+        # 2^(r+1) - 1, whose spread hides the true critical points
+        q = dict(build_corpus(7))[label]
+        dom = Domain.interval()
+        xs = np.linspace(-1.0, 1.0, 2**16 + 1)
+        for r in (1, 2, 3, 4):
+            d = q.derivative(r)
+            assert d.den.degree == (r + 1) * q.den.degree
+            # Lorentz at p = b = 2 is L2, through the level sets' break points
+            assert lorentz_norm(d, 2.0, 2.0) == pytest.approx(lp_quasinorm(d, 2.0, dom), rel=1e-10)
+            assert sup_norm(d, dom) >= float(np.max(np.abs(d(xs)))) * (1.0 - 1e-9), r
 
     def test_pole_proximity_raises_on_eval(self):
         q = RationalRep([1.0], [0.0, 1.0])

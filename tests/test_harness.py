@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from orlimark import harness
-from orlimark.conjugate import power_log
+from orlimark.conjugate import log_power, power_log
 from orlimark.errors import DegenerateInputError, RejectedInputError
 from orlimark.functions import (
     GapRep,
@@ -78,6 +78,13 @@ class TestConstants:
     def test_d_constant_log_consistent(self):
         for r in (1, 2, 3, 10):
             assert d_constant_log(r) == pytest.approx(math.log(d_constant(r)), rel=1e-12)
+
+    def test_d_constant_past_twenty_is_the_log_form(self):
+        assert d_constant(30) == math.exp(d_constant_log(30))
+
+    def test_d_constant_overflow_is_inf(self):
+        # log D(100) = 854.9, past exp's range
+        assert d_constant(100) == math.inf
 
     def test_d_constant_rejects_bad_order(self):
         with pytest.raises(ValueError):
@@ -161,6 +168,30 @@ class TestMarkovSweep:
         # 2.5 is no degree, and truncating it to 2 would sweep the wrong range
         with pytest.raises(ValueError, match="degree"):
             markov_sweep(phi2, "jacobi22", [2.5, 3, 4, 5, 6], norm=lp_spec(4.0), ctx=ctx)
+
+    def test_degree_zero_row(self, phi2, ctx):
+        rep = markov_sweep(phi2, "chebyshev", range(0, 3), norm=lp_spec(4.0), ctx=ctx)
+        row = rep.rows[0]
+        assert (row.n, row.ratio, row.bound, row.margin) == (0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("norm", [lorentz_spec(2.0, 2.0), lp_spec(2.0)], ids=["lorentz", "lp2"])
+    def test_norm_without_a_constant_has_no_bound(self, phi2, ctx, norm):
+        # no proven constant: the ratio is recorded and the bound is +inf
+        rep = markov_sweep(phi2, "chebyshev", range(1, 4), norm=norm, ctx=ctx)
+        assert all(row.ratio > 0.0 and row.bound == row.margin == math.inf for row in rep.rows)
+
+    def test_overflowing_bound_is_inf(self, ctx):
+        # the factor of z^4 is e^162758, so every bound overflows to +inf
+        phi = power_log(4.0)
+        assert markov_factor_log(phi, ctx) == pytest.approx(162758.05, rel=1e-6)
+        rep = markov_sweep(phi, "chebyshev", range(1, 4), ctx=ctx)
+        assert all(row.ratio > 0.0 and row.bound == row.margin == math.inf for row in rep.rows)
+
+    def test_lp_sweep_needs_no_psi(self, ctx):
+        # h*(4) of log(1 + z)^1.05 diverges, and only the orlicz and gnorm
+        # bounds use psi(4): the L4 sweep holds under that phi
+        rep = markov_sweep(log_power(0.05), "chebyshev", range(2, 5), norm=lp_spec(4.0), ctx=ctx)
+        assert all(0.0 < row.ratio < row.bound < math.inf for row in rep.rows)
 
 
 @pytest.mark.parametrize("q", [0.6, 0.9, 0.975, 0.995])

@@ -12,6 +12,7 @@ from scipy.optimize import brentq
 from orlimark import conjugate, norms, quadrature
 from orlimark.conjugate import ConjugateCache, custom_phi, golden_max, log_power, power_log, psi_log, tabulated_phi
 from orlimark.errors import (
+    ConstructionError,
     ConvergenceFailureError,
     DomainEvaluationError,
     LuxemburgBracketError,
@@ -232,6 +233,11 @@ class TestSplice:
         n = construct_N(tabulated_phi([0.25, 0.5, 1.0, 2.0, 4.0, 8.0], [0.0625, 0.25, 1.0, 4.0, 16.0, 1000.0]))
         assert n.splice_point == 0.5
         assert calls[0] < 62 / 2
+
+    def test_no_knee_names_its_maximizer(self):
+        # the knee of z^2 log(e^7 + z)^-10 lies at y*(1) = 12.56, past log 1000
+        with pytest.raises(ConstructionError, match=r"no knee .*: y\*\(1\) = 12\.5"):
+            construct_N(power_log(2.0, 5.0))
 
     def test_table_knee_at_the_clamp(self):
         # h' steps from 0 to 2 / log 2 at the start of the clamp at zero,

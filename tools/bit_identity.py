@@ -43,6 +43,9 @@ slowest group.  Covered:
   (p, b) = (1, 1), (2, 2), (3, 3), (2, 3) and (3, inf), and of its trig,
   gap and rational members, of the derivative of gap-01 (a
   ``GapDerivative``) and of sin(40x) at (3, inf) and (3, 1.5);
+* ``rational_derivative``: ``sup_norm``, ``lorentz_norm`` at p = b = 2 and
+  ``lp_quasinorm`` at p = 2 of the derivatives of orders 1 to 4 of
+  rational-01 to rational-06 of ``build_corpus(7)``;
 * ``singular``: ``lp_quasinorm`` of ``InversePowerRep(q)`` at (q, beta) =
   (0.5, 0.8), (0.8, 0.9), (0.9, 0.95), (0.9, 64/65) and (0.99, 1), and
   every field of ``tail_check(InversePowerRep(r s), 2, r)`` at s in
@@ -90,6 +93,7 @@ from orlimark import (  # noqa: E402
     lp_quasinorm,
     phi_membership_check,
     power_log,
+    sup_norm,
     tabulated_phi,
     tail_check,
     weighted_lorentz_g,
@@ -212,6 +216,18 @@ def lorentz_records():
     for label, f in others:
         for p, b in ((3.0, math.inf), (3.0, 1.5)):
             yield "lorentz_norm", f"{label} p={p} b={b}", attempt(lambda: lorentz_norm(f, p, b))
+
+
+def rational_derivative_records():
+    corpus = dict(build_corpus(7))
+    for n in range(1, 7):
+        label = f"rational-{n:02d}"
+        for r in range(1, 5):
+            d = derivative(corpus[label], r)
+            dom = d.natural_domain
+            yield "rational_derivative", f"{label} r={r} sup", attempt(lambda: sup_norm(d, dom))
+            yield "rational_derivative", f"{label} r={r} lorentz p=2 b=2", attempt(lambda: lorentz_norm(d, 2.0, 2.0))
+            yield "rational_derivative", f"{label} r={r} lp p=2", attempt(lambda: lp_quasinorm(d, 2.0, dom))
 
 
 def tail_fields(s, r):
@@ -348,6 +364,7 @@ def main(argv):
         knee_records,
         luxemburg_records,
         lorentz_records,
+        rational_derivative_records,
         singular_records,
         cli_records,
     ]
