@@ -328,6 +328,7 @@ def _run_norm(cfg: ExperimentConfig, phi, ctx: NormContext):
         "value": value,
         "inner_maximizer_p": p_star,
         "tolerance_met": bool(tolerance_met),
+        "p_cap": info.p_cap,
     }
     rows = [
         {

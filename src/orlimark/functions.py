@@ -247,7 +247,14 @@ class TrigPolynomialRep:
 
 
 class RationalRep:
-    """Quotient of two polynomials; callers must keep the denominator pole-free."""
+    """Quotient of two polynomials; callers must keep the denominator pole-free.
+
+    ``_den_base`` = (s, k), monomial coefficients of s and an integer k >= 1,
+    says that den = s^k: s = den and k = 1 unless ``derivative`` built it.
+    The critical points are the zeros of p' s - k p s', which is p'q - pq'
+    with its factor s^(k-1) removed: those multiple roots at the poles would
+    spread under the colleague matrix and move the others.
+    """
 
     kind = "rational"
 
@@ -260,6 +267,7 @@ class RationalRep:
             raise DegenerateInputError("denominator is the zero polynomial")
         self.num = num
         self.den = den
+        self._den_base = (np.asarray(den.coeffs), 1)
 
     @property
     def degree(self) -> int:
@@ -282,26 +290,30 @@ class RationalRep:
         return self.num(xs) / dv
 
     def derivative(self, order: int = 1) -> "RationalRep":
-        """The r-th derivative of p/q as N_r / q^(r+1), from N_0 = p and
-        (N / q^k)' = (N' q - k N q') / q^(k+1)."""
+        """The r-th derivative of p/s^j as N_r / s^(j+r), from N_0 = p and
+        (N / s^k)' = (N' s - k N s') / s^(k+1), s^j the denominator's base."""
         if order < 0:
             raise ValueError("derivative order must be nonnegative")
         num = np.asarray(self.num.coeffs) if self.num.coeffs else np.zeros(1)
-        q = den = np.asarray(self.den.coeffs)
-        dq = _poly.polyder(q) if q.size > 1 else np.zeros(1)
-        for k in range(1, order + 1):
+        den = np.asarray(self.den.coeffs)
+        s, j = self._den_base
+        ds = _poly.polyder(s) if s.size > 1 else np.zeros(1)
+        for k in range(j, j + order):
             dn = _poly.polyder(num) if num.size > 1 else np.zeros(1)
-            num = _poly.polysub(_poly.polymul(dn, q), k * _poly.polymul(num, dq))
-            den = _poly.polymul(den, q)
+            num = _poly.polysub(_poly.polymul(dn, s), k * _poly.polymul(num, ds))
+            den = _poly.polymul(den, s)
             _check_coeffs(num)
             _check_coeffs(den)
-        return RationalRep(PolynomialRep(num), PolynomialRep(den))
+        out = RationalRep(PolynomialRep(num), PolynomialRep(den))
+        out._den_base = (s, j + order)
+        return out
 
     @_kept_per_domain
     def break_points(self, domain: Domain) -> np.ndarray:
-        """Domain ends and the real zeros of p and of p'q - pq' inside, for f = p/q."""
-        p, q = np.polynomial.Polynomial(self.num.coeffs or (0.0,)), np.polynomial.Polynomial(self.den.coeffs)
-        return _breaks(domain, _real_zeros(p), _real_zeros(p.deriv() * q - p * q.deriv()))
+        """Domain ends and the real zeros of p and of p' s - k p s' inside,
+        for f = p / s^k."""
+        p, s, k = np.polynomial.Polynomial(self.num.coeffs or (0.0,)), np.polynomial.Polynomial(self._den_base[0]), self._den_base[1]
+        return _breaks(domain, _real_zeros(p), _real_zeros(p.deriv() * s - k * (p * s.deriv())))
 
     def __eq__(self, other):
         return (

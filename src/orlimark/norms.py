@@ -21,7 +21,13 @@ Three norm families ride on top:
   p -> p / (p r + 1) (r = 0 for the g-norm); an L_p member the adaptive
   integrator cannot settle makes either scan raise ``ScanDivergenceError``.
   Grids are geometric with 64 points per decade and start at the scan's
-  lower exponent p_lo; a maximizer at the right edge triggers two fourfold
+  lower exponent p_lo.  sup|f| caps each grid: the measure is a probability
+  measure, so every scanned norm is at most sup|f|, and the exact ratio at
+  p_lo, a lower bound on the best one, rules out each p whose bound
+  log sup|f| - psi_log(p) falls short of it.  The rows above the last one
+  that can win read -inf, and the scan's evaluator stops at the grid point
+  after it.  A grid that nothing caps (f singular, or its top row can win)
+  and whose maximizer sits at the right edge takes up to two fourfold
   extensions before the scan is declared divergent.  Each grid is evaluated
   in blocks: the log norm at every twelfth point first, then only the
   blocks between two of those whose bound, the larger end log norm less
@@ -30,8 +36,8 @@ Three norm families ride on top:
   (g-norm and ``sup_ratio_from``: power means rise, and the rule's
   weights sum to at most 1 up to rounding), so does ||f||_beta(p)
   (v-quasinorm: beta rises), and ||f||_(p,b) falls (finite-b Lorentz:
-  T^(p/b) falls termwise, as log T <= 0).  The winner, and so every
-  result, is the full grid's.  The winning grid point is polished by a
+  T^(p/b) falls termwise, as log T <= 0).  The winner is the one of every
+  row below the cap.  The winning grid point is polished by a
   root of the log ratio's slope, unless it is p_lo and the ratio does not
   rise off that edge; the scan reports the exact norm over an exact weight
   there.  The root is taken along y, the maximizer of
@@ -330,10 +336,16 @@ def luxemburg_norm(f, n: OrliczN, cfg: QuadratureConfig = DEFAULT_CONFIG) -> flo
 
 @dataclass
 class ScanResult:
+    """A scan's value and maximizer, whether the fast value agreed with the
+    exact one to 1e-6, the grid extensions it took, and ``p_cap``: the
+    largest grid p it evaluated when sup|f| capped the grid below its top,
+    None when nothing was capped (or the norm has no p scan)."""
+
     value: float
     p_star: float | None
     tolerance_met: bool
     extensions: int
+    p_cap: float | None = None
 
 
 # the stride of the coarse p grid, and the margin by which a block's bound
@@ -343,6 +355,13 @@ class ScanResult:
 _P_BLOCK = 12
 _P_MARGIN = 1e-9
 _P_MARGIN_ULPS = 16
+# a row is capped when its bound by sup|f| falls short of the exact ratio at
+# p_lo by the rounding margin above and this many rel_tol: the cached-node
+# and the exact log norm at p_lo each sit within about rel_tol / q of the
+# true one, q the power of the norm's root (q >= 0.8 but for the v-scan at
+# r > 1, where q = 4 / (4 r + 1)), and an adaptive integral's error can
+# exceed its estimate
+_CAP_REL_TOLS = 1000.0
 
 
 def _grid_ratio(log_norm, grid, psi_log):
@@ -373,27 +392,42 @@ def _grid_ratio(log_norm, grid, psi_log):
     return vals
 
 
-def _sup_over_p(make_log_norm, exact_norm, phi: PhiSpec, cache: ConjugateCache, p_lo: float) -> ScanResult:
+def _sup_over_p(make_log_norm, exact_norm, phi: PhiSpec, cache: ConjugateCache, p_lo: float, log_sup: float, cfg: QuadratureConfig) -> ScanResult:
     """sup over grid p >= p_lo of exp(log_norm(p) - psi_log(p)), certified.
 
     The cache grid must start at p_lo (to 1e-12 relative), or ValueError.
-    make_log_norm(p_hi) returns a cached-node log norm of an array of p and
-    its derivative in p, for a grid up to p_hi; it is called again after
+    make_log_norm(p_top) returns a cached-node log norm of an array of p and
+    its derivative in p, for a grid up to p_top; it is called again after
     each fourfold extension of the grid, so evaluators can re-panelize for
     the larger exponents.  A copy of the cache takes the extensions: the one
     passed in stays as built.
 
-    The grid is evaluated coarse to fine by ``_grid_ratio``: log_norm at
-    every _P_BLOCK-th point and the last, then only in the blocks between
-    them whose bound reaches the best of those points.  The bound needs
-    log_norm monotone in p, rising or falling, as it is in every scan: the
-    L_p scan of the g-norm and ``sup_ratio_from`` rises (power means rise
-    with p, and the rule's weights sum to 1 up to rounding, or to less
-    where a singular rest is left out, a rising factor), the v-quasinorm's
-    rises too (beta(p) = p / (p r + 1) rises), and the finite-b layer cake
-    falls (T^(p/b) falls with p term by term, log T <= 0).  The skipped
-    rows read -inf, and the winner is the one of the full grid, so the
-    results are those of evaluating every grid point.
+    sup|f| caps the grid.  The measure is a probability measure, so every
+    scanned norm is at most sup|f| (power means are bounded by the sup norm;
+    the layer cake because T <= 1), and log_sup - psi_log(p) bounds the log
+    ratio at p.  The exact ratio at p_lo is a lower bound L on the best one,
+    so a row whose bound falls short of L by the margin (rounding, and
+    _CAP_REL_TOLS cfg.rel_tol for the gap between the exact and the
+    cached-node log norm at p_lo) cannot win.  Each row is decided on its
+    own, so the cap needs no monotone psi_log: the rows above the last one
+    that can win are skipped and read -inf, as ``_grid_ratio``'s pruned rows
+    do, and make_log_norm gets the grid point after that row, which keeps
+    the polish bracket inside its panels.  Where log_sup is +inf (f
+    singular) or the grid's top row can win, nothing is capped, ``p_cap`` is
+    None, and a winner at the top extends the grid.  The exact norm at p_lo is the
+    scan's exact result when the winner stays there.
+
+    The rows below the cap are evaluated coarse to fine by ``_grid_ratio``:
+    log_norm at every _P_BLOCK-th point and the last, then only in the
+    blocks between them whose bound reaches the best of those points.  The
+    bound needs log_norm monotone in p, rising or falling, as it is in every
+    scan: the L_p scan of the g-norm and ``sup_ratio_from`` rises (power
+    means rise with p, and the rule's weights sum to 1 up to rounding, or to
+    less where a singular rest is left out, a rising factor), the
+    v-quasinorm's rises too (beta(p) = p / (p r + 1) rises), and the
+    finite-b layer cake falls (T^(p/b) falls with p term by term,
+    log T <= 0).  The winner is the one of the full grid, so the results
+    are those of evaluating every grid point below the cap.
 
     The grid winner p_k is polished by a root of minus the log ratio's
     slope, times p, along y: p = h'(y) and h*(p) = p y - h(y), the equality
@@ -413,13 +447,26 @@ def _sup_over_p(make_log_norm, exact_norm, phi: PhiSpec, cache: ConjugateCache, 
     """
     if not abs(cache.grid[0] - p_lo) <= 1e-12 * cache.grid[0]:
         raise ValueError(f"conjugate cache grid starts at p = {cache.grid[0]!r}, not at p_lo = {p_lo!r}")
-    log_norm, slope = make_log_norm(cache.p_hi)
+    p_0 = float(cache.grid[0])
+    # the floor L, the exact ratio at p_lo: -inf, and no row capped, where
+    # sup|f| is infinite or 0
+    exact_0 = exact_norm(p_0) if math.isfinite(log_sup) else None
+    floor, margin = -math.inf, 0.0
+    if exact_0:
+        floor = math.log(exact_0) - float(cache.psi_log_grid[0])
+        margin = _P_MARGIN + _P_MARGIN_ULPS * np.spacing(abs(log_sup) + abs(floor)) + _CAP_REL_TOLS * cfg.rel_tol
     extensions = 0
     while True:
-        grid = cache.grid
-        vals = _grid_ratio(log_norm, grid, cache.psi_log_grid)
+        grid, psi_log = cache.grid, cache.psi_log_grid
+        # the last row whose bound reaches the floor, and the grid point after it
+        last = int(np.max(np.flatnonzero(~(log_sup - psi_log < floor - margin)), initial=0))
+        top = min(last + 1, grid.size - 1)
+        log_norm, slope = make_log_norm(float(grid[top]))
+        vals = np.full(grid.size, -math.inf)
+        vals[: last + 1] = _grid_ratio(log_norm, grid[: last + 1], psi_log[: last + 1])
         k = int(np.nanargmax(vals))
-        if k < len(grid) - 2 or not math.isfinite(vals[k]):
+        capped = last < grid.size - 1
+        if capped or k < len(grid) - 2 or not math.isfinite(vals[k]):
             break
         if extensions >= 2:
             raise ScanDivergenceError(
@@ -428,7 +475,6 @@ def _sup_over_p(make_log_norm, exact_norm, phi: PhiSpec, cache: ConjugateCache, 
             )
         cache = copy.copy(cache)
         cache.extend()
-        log_norm, slope = make_log_norm(cache.p_hi)
         extensions += 1
 
     def falls(ys):
@@ -462,17 +508,21 @@ def _sup_over_p(make_log_norm, exact_norm, phi: PhiSpec, cache: ConjugateCache, 
         fast = float(log_norm(np.array([p]))[0]) - at_p
         if fast > best_log:
             best_log, p_star, weight = fast, p, at_p
-    value = exact_norm(p_star) * math.exp(-weight)
+    value = (exact_0 if p_star == p_0 and exact_0 is not None else exact_norm(p_star)) * math.exp(-weight)
     fast = math.exp(best_log)
     ok = abs(value - fast) <= 1e-6 * max(value, fast, 1e-300)
-    return ScanResult(value, p_star, ok, extensions)
+    return ScanResult(value, p_star, ok, extensions, float(grid[last]) if capped else None)
 
 
 def _g_scan(f, phi: PhiSpec, cfg: QuadratureConfig, cache: ConjugateCache | None, p_lo: float, r: float = 0.0) -> ScanResult:
     """sup over p >= p_lo of ||f||_beta / psi(p), beta = p / (p r + 1): the
     g-norm family at r = 0 (beta = p exactly), the v-quasinorm at r >= 1."""
     c = cache if cache is not None else ConjugateCache(phi, p_lo=p_lo)
-    nodes = _abs_nodes(f, _domain_of(f))
+    domain = _domain_of(f)
+    nodes = _abs_nodes(f, domain)
+    # +inf at a singular end, where nothing is capped
+    with np.errstate(divide="ignore"):
+        log_sup = float(np.log(np.max(_break_values(f, domain, bounded=False)[1])))
 
     def beta(p):
         return p / (p * r + 1.0)
@@ -496,7 +546,7 @@ def _g_scan(f, phi: PhiSpec, cfg: QuadratureConfig, cache: ConjugateCache | None
     # the scan collapses to value 0; this also keeps unbounded f (integrable
     # singularities) out of sup_norm, which rejects them.
     try:
-        return _sup_over_p(make_log_norm, lambda p: _power_norm(nodes, beta(p), beta(p), cfg), phi, c, p_lo)
+        return _sup_over_p(make_log_norm, lambda p: _power_norm(nodes, beta(p), beta(p), cfg), phi, c, p_lo, log_sup, cfg)
     except ConvergenceFailureError as err:
         # an L_p member that the adaptive integrator cannot settle means the
         # scanned ratio has no certified finite supremum
@@ -595,13 +645,13 @@ def _level_nodes(sampler: LevelSampler, b: float) -> _NodeStore:
     return _NodeStore(values, np.arange(8 * k + 1) / 8, weighted=True)
 
 
-def _layer_cake_scan(nodes: _NodeStore, b: float, cfg: QuadratureConfig, p_hi: float):
+def _layer_cake_scan(nodes: _NodeStore, b: float, cfg: QuadratureConfig, p_top: float):
     """log ||f||_(p,b) and its slope in p at each p of an array, for a scan
-    up to p_hi: one ``PowerNormEvaluator`` of T^(p/b) on the level store
-    ``nodes`` at b, on the panels of p = 1, 32 and p_hi, queried at e = p / b
-    and q = b.  The slope is E_pi[log T] / b^2, pi the normalised node
-    weights of T^(p/b) in the layer-cake measure."""
-    ev = PowerNormEvaluator(nodes, cfg, yardsticks=np.array([1.0, 32.0, p_hi]) / b)
+    up to p_top: one ``PowerNormEvaluator`` of T^(p/b) on the level store
+    ``nodes`` at b, on the panels of p = 1, sqrt(p_top) and p_top, queried at
+    e = p / b and q = b.  The slope is E_pi[log T] / b^2, pi the normalised
+    node weights of T^(p/b) in the layer-cake measure."""
+    ev = PowerNormEvaluator(nodes, cfg, yardsticks=np.array([1.0, math.sqrt(p_top), p_top]) / b)
     return (lambda ps: ev.log_norm(ps / b, b)), (lambda ps: ev.log_norm(ps / b, b, moment=True)[1] / b**2)
 
 
@@ -736,7 +786,8 @@ def weighted_lorentz_g(f, phi: PhiSpec, b: float, cfg: QuadratureConfig = DEFAUL
 
     # the evaluators and the exact layer cake share one store
     nodes = _level_nodes(sampler, b)
-    return _sup_over_p(lambda p_hi: _layer_cake_scan(nodes, b, cfg, p_hi), lambda p: _power_norm(nodes, p / b, b, cfg), phi, c, 1.0).value
+    log_sup = math.log(sampler.sup_estimate)
+    return _sup_over_p(lambda p_top: _layer_cake_scan(nodes, b, cfg, p_top), lambda p: _power_norm(nodes, p / b, b, cfg), phi, c, 1.0, log_sup, cfg).value
 
 
 # ---------------------------------------------------------------------------

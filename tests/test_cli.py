@@ -340,6 +340,22 @@ class TestMain:
         if results["norm_kind"] == "vnorm":
             assert results["inner_maximizer_p"] >= 4.0
 
+    def test_gnorm_reports_its_cap(self, tmp_path):
+        # x^8 under power_log(2): ||x^8||_p <= sup|x^8| = 1 and the ratio at
+        # p = 1 is (1/9) / psi(1), log psi(p) = (log(p/2) - 1)/2, so no p
+        # above 81 can win; p_cap is the last grid point at or below it (the
+        # next is 82.89)
+        cfg_file = tmp_path / "n.cfg"
+        cfg_file.write_text("[function]\ntext = poly:0,0,0,0,0,0,0,0,1\n\n[norm]\nkind = gnorm\n")
+        assert main(["norm", "--config", str(cfg_file), "--out", str(tmp_path / "n")]) == 0
+        results = json.loads((tmp_path / "n.json").read_text())["results"]
+        assert results["p_cap"] == 79.9620482965587
+        assert results["inner_maximizer_p"] == pytest.approx(5.7393, abs=1e-4)
+        assert results["value"] == pytest.approx(0.4977702551154894, rel=1e-12)
+        cfg_file.write_text("[function]\ntext = poly:0.3,-1.2,0.5\n\n[norm]\nkind = lp\np = 2\n")
+        assert main(["norm", "--config", str(cfg_file), "--out", str(tmp_path / "lp")]) == 0
+        assert json.loads((tmp_path / "lp.json").read_text())["results"]["p_cap"] is None
+
     def test_seed_flag_merges(self, tmp_path):
         cfg_file = tmp_path / "e.cfg"
         cfg_file.write_text(

@@ -195,6 +195,30 @@ class TestRational:
             assert lorentz_norm(d, 2.0, 2.0) == pytest.approx(lp_quasinorm(d, 2.0, dom), rel=1e-10)
             assert sup_norm(d, dom) >= float(np.max(np.abs(d(xs)))) * (1.0 - 1e-9), r
 
+    @pytest.mark.parametrize("r", [5, 6])
+    def test_high_order_critical_points(self, r):
+        # N_r / q^(r+1) has the critical points of N_r' q - (r+1) N_r q':
+        # p'q - pq' of it carries q^r besides, whose multiple roots at the
+        # poles spread and moved its real roots off the maxima of |f|
+        dom = Domain.interval()
+        xs = np.linspace(-1.0, 1.0, 2**16 + 1)
+        misses = []
+        for degree in range(2, 7):
+            for seed in range(40):
+                d = random_family("rational", degree, seed).derivative(r)
+                if sup_norm(d, dom) < float(np.max(np.abs(d(xs)))) * (1.0 - 1e-9):
+                    misses.append((degree, seed))
+        assert misses == []
+
+    def test_derivative_of_a_derivative_keeps_the_base(self):
+        # the derivative of N_2 / q^3 is N_3 / q^4, as q's third derivative
+        q = dict(build_corpus(7))["rational-10"]
+        d = q.derivative(1).derivative(2)
+        xs = np.linspace(-1.0, 1.0, 33)
+        assert np.allclose(d(xs), q.derivative(3)(xs), rtol=1e-12, atol=0.0)
+        assert d.den.degree == 4 * q.den.degree
+        assert sup_norm(d, Domain.interval()) == pytest.approx(sup_norm(q.derivative(3), Domain.interval()), rel=1e-12)
+
     def test_pole_proximity_raises_on_eval(self):
         q = RationalRep([1.0], [0.0, 1.0])
         with pytest.raises(PoleProximityError):

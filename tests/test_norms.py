@@ -1113,6 +1113,27 @@ class TestWeightedLorentzG:
         _x, best = golden_max(log_ratio, grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)], tol=1e-14)
         assert got == pytest.approx(math.exp(max(best, vals[k])), rel=1e-9)
 
+    @pytest.mark.parametrize("n", [8, 16, 24, 30, 40])
+    def test_high_order_zero_closed_form(self, n, ctx):
+        # ||x^n||_(p,2)^2 = 2n B(2n, p/2 + 1) and log psi(p) = (log(p/2) - 1)/2
+        # under power_log(2); the sup over p >= 1 of their ratio, with
+        # mpmath, is at p = 1 unless the log ratio rises there.  The scan's
+        # evaluator stops at the cap, where T^(p/2) = (1 - w^(1/n))^(p/2)
+        # still settles at w = 0 (a top yardstick at p = 1024 did not, for
+        # n >= 24)
+        phi = power_log(2.0)
+        got = weighted_lorentz_g(PolynomialRep([0.0] * n + [1.0]), phi, 2.0, cache=ctx.conjugates(phi))
+        with mp.workdps(40):
+
+            def log_ratio(p):
+                return 0.5 * mp.log(2 * n * mp.beta(2 * n, p / 2 + 1)) - (mp.log(p / 2) - 1) / 2
+
+            def slope(p):
+                return (mp.digamma(p / 2 + 1) - mp.digamma(2 * n + p / 2 + 1)) / 4 - 1 / (2 * p)
+
+            p_star = mp.mpf(1) if slope(mp.mpf(1)) <= 0 else mp.findroot(slope, (mp.mpf(1), mp.mpf(1e4)), solver="bisect")
+            expect = mp.exp(log_ratio(p_star))
+        assert abs(got / expect - 1) <= 1e-12
 
     @pytest.mark.parametrize("m", [2.0, 8.0, 50.0])
     def test_weak_eighth_power_closed_form(self, m, ctx):
@@ -1357,7 +1378,7 @@ class TestCoarseGrid:
 
             return at, lambda ps: np.full(np.shape(ps), math.nan)
 
-        return norms._sup_over_p(make_log_norm, lambda p: 1.0, phi, cache, 1.0)
+        return norms._sup_over_p(make_log_norm, lambda p: 1.0, phi, cache, 1.0, math.inf, DEFAULT_CONFIG)
 
     @pytest.mark.parametrize("kind", ["rising", "falling", "huge"])
     def test_synthetic_winner_inside_a_low_block(self, kind):
@@ -1403,6 +1424,77 @@ class TestCoarseGrid:
         for log_norm in rising + [-falling]:
             margin = norms._P_MARGIN + norms._P_MARGIN_ULPS * np.spacing(np.max(np.abs(log_norm)))
             assert np.all(np.diff(log_norm) >= -margin)
+
+
+class TestSupCap:
+    """sup|f| caps every scan: each scanned norm is at most sup|f|, so the
+    rows whose bound log sup|f| - psi_log(p) falls short of the exact ratio
+    at p_lo cannot win, are not evaluated, and the evaluator stops at the
+    grid point after the last row that can."""
+
+    @pytest.mark.parametrize("phi", TestCoarseGrid.PHIS, ids=lambda phi: phi.label)
+    def test_corpus_matches_the_uncapped_scan(self, phi, monkeypatch):
+        # the uncapped scan is the same scan with an infinite sup|f|
+        scan = norms._sup_over_p
+
+        def run(sup_over_p):
+            monkeypatch.setattr(norms, "_sup_over_p", sup_over_p)
+            return {name: call() for name, call in TestCoarseGrid._scans(phi)}
+
+        capped = run(scan)
+        uncapped = run(lambda *args: scan(*args[:5], math.inf, *args[6:]))
+        caps = 0
+        for name, result in capped.items():
+            want = uncapped[name]
+            if not hasattr(result, "p_star"):
+                assert result == pytest.approx(want, rel=1e-14, abs=0.0), name
+                continue
+            assert (result.tolerance_met, result.extensions, want.p_cap) == (want.tolerance_met, want.extensions, None), name
+            assert result.value == pytest.approx(want.value, rel=1e-14, abs=0.0), name
+            assert result.p_star == pytest.approx(want.p_star, rel=1e-12), name
+            if result.p_cap is not None:
+                caps += 1
+                assert want.p_star <= result.p_cap, name
+        # the cap is active on most g- and v-scans
+        assert caps >= len(capped) // 2
+
+    @pytest.mark.parametrize(
+        "phi",
+        [power_log(1.0), power_log(2.0), power_log(8.0, 2.0), power_log(2.0, 5.0), log_power(1.0), log_power(0.2), *EXCHANGE_PHIS[3:], tabulated_phi([1.0, 2.0, 4.0, 8.0], [1.0, 3.0, 9.0, 27.0])],
+        ids=lambda phi: phi.label,
+    )
+    def test_psi_log_does_not_fall_on_the_grid(self, phi):
+        # the premise that makes the cap sound row by row and lets it stop at
+        # one row: psi_log(p) = sup_y (y - h(y)/p) does not fall as h >= 0;
+        # a table is flat below its clamp, up to rounding, and +inf where h*
+        # diverges
+        for p_lo in (1.0, norms.V_SCAN_P_LO):
+            cache = ConjugateCache(phi, p_lo=p_lo)
+            cache.extend()
+            psi_log = cache.psi_log_grid
+            assert np.isfinite(psi_log[0])
+            with np.errstate(invalid="ignore"):
+                assert np.all((np.diff(psi_log) >= -4.0 * np.spacing(np.abs(psi_log[1:]))) | np.isposinf(psi_log[1:])), p_lo
+
+    def test_evaluator_stops_after_the_cap(self, monkeypatch):
+        # x^8 under power_log(2): sup|f| = 1 and the floor is ||x^8||_1 / psi(1)
+        # = (1/9) / e^((log(1/2) - 1)/2), so a row can win only where
+        # -(log(p/2) - 1)/2 reaches log of that, at p <= 2 * 81/2 = 81
+        tops = []
+        make = quadrature.PowerNormEvaluator.__init__
+
+        def recorded(self, nodes, cfg, yardsticks):
+            tops.append(float(yardsticks[-1]))
+            make(self, nodes, cfg, yardsticks)
+
+        monkeypatch.setattr(quadrature.PowerNormEvaluator, "__init__", recorded)
+        phi = power_log(2.0)
+        grid = ConjugateCache(phi).grid
+        info = g_norm_info(PolynomialRep([0.0] * 8 + [1.0]), phi)
+        last = int(np.flatnonzero(grid <= 81.0)[-1])
+        assert info.p_cap == grid[last]
+        assert tops == [grid[last + 1]]
+        assert info.p_star < info.p_cap
 
 
 class TestEquivalenceConstants:
