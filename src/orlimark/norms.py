@@ -13,13 +13,12 @@ Three norm families ride on top:
   solved as a root problem in log l from the Jensen bound to where |f| / l
   stays below the knee and the modular has a closed form, on a cached-node
   model of the log modular that exact integrals near the root correct.
-* ``g_norm`` / ``v_quasinorm`` / ``weighted_lorentz_g``: suprema over an
-  exponent grid of ||f||_p, ||f||_beta(p) or a Lorentz norm at finite b
-  divided by the conjugate weight psi(p), all computed by the one engine
-  ``_sup_over_p``; at b = inf the suprema over p and w exchange instead.
-  The two L_p scans share one body, ``_g_scan``, with the exponent map
-  p -> p / (p r + 1) (r = 0 for the g-norm); an L_p member the adaptive
-  integrator cannot settle makes either scan raise ``ScanDivergenceError``.
+* ``g_norm`` / ``sup_ratio_from`` / ``v_quasinorm``: suprema over an
+  exponent grid of ||f||_p or ||f||_beta(p) divided by the conjugate weight
+  psi(p), computed by the one engine ``_sup_over_p`` through one body,
+  ``_g_scan``, with the exponent map p -> beta = p / (p r + 1) (r = 0 for
+  the g-norm); an L_p member the adaptive integrator cannot settle makes
+  either scan raise ``ScanDivergenceError``.
   Grids are geometric with 64 points per decade and start at the scan's
   lower exponent p_lo.  sup|f| caps each grid: the measure is a probability
   measure, so every scanned norm is at most sup|f|, and the exact ratio at
@@ -32,26 +31,26 @@ Three norm families ride on top:
   in blocks: the log norm at every twelfth point first, then only the
   blocks between two of those whose bound, the larger end log norm less
   the block's smallest log weight, reaches the best of them.  The bound
-  needs the log norm monotone in p, which each scan's is: ||f||_p rises
+  needs the log norm monotone in p, and each scan's rises: ||f||_p
   (g-norm and ``sup_ratio_from``: power means rise, and the rule's
-  weights sum to at most 1 up to rounding), so does ||f||_beta(p)
-  (v-quasinorm: beta rises), and ||f||_(p,b) falls (finite-b Lorentz:
-  T^(p/b) falls termwise, as log T <= 0).  The winner is the one of every
-  row below the cap.  The winning grid point is polished by a
-  root of the log ratio's slope, unless it is p_lo and the ratio does not
-  rise off that edge; the scan reports the exact norm over an exact weight
-  there.  The root is taken along y, the maximizer of
-  the conjugate: p = h'(y) and h*(p) = p y - h(y), so the polish solves no
-  conjugate and the slope of the log weight h*(p)/p is h(y)/p^2 (Danskin's
-  envelope theorem), and each scan takes the slope of its log norm from
-  the node values its evaluator holds: the mean of log|f| under the
-  normalised weights of |f|^p, or of log T under those of T^(p/b).  Both
-  scans ask the one ``quadrature.PowerNormEvaluator`` one question,
-  ``log_norm(e, q)``, the finite-b Lorentz scan on a level store that
-  carries the layer-cake measure; it
-  and the model of the log modular are built on ``quadrature._NodeRule``,
-  and the integrals of one call read one ``quadrature._NodeStore``, which
-  computes each node's value once.
+  weights sum to at most 1 up to rounding) and ||f||_beta(p) (v-quasinorm:
+  beta rises).  The winner is the one of every row below the cap.  The
+  winning grid point is polished by a root of the log ratio's slope,
+  unless it is p_lo and the ratio does not rise off that edge; the scan
+  reports the exact norm over an exact weight there.  The root is taken
+  along y, the maximizer of the conjugate: p = h'(y) and
+  h*(p) = p y - h(y), so the polish solves no conjugate and the slope of
+  the log weight h*(p)/p is h(y)/p^2 (Danskin's envelope theorem), and the
+  scan takes the slope of its log norm from the node values its evaluator
+  holds: the mean of log|f| under the normalised weights of |f|^beta.
+  Both scans ask the one ``quadrature.PowerNormEvaluator`` one question,
+  ``log_norm(e)``; it and the model of the log modular are built on
+  ``quadrature._NodeRule``, and the integrals of one call read one
+  ``quadrature._NodeStore``, which computes each node's value once.
+* ``weighted_lorentz_g``: sup over p >= 1 of a Lorentz norm over psi(p),
+  with no scan.  At finite b the norm does not rise with p and psi does
+  not fall, so the supremum is the ratio at p = 1, one exact layer cake;
+  at b = inf the suprema over p and w exchange (``_dual_weight``).
 * ``lorentz_norm``: distribution-function based two-parameter norms,
   including the sup form at the second index equal to infinity.  At finite
   b its b-th power is the layer cake, the integral of T^(p/b) against the
@@ -357,10 +356,10 @@ _P_MARGIN = 1e-9
 _P_MARGIN_ULPS = 16
 # a row is capped when its bound by sup|f| falls short of the exact ratio at
 # p_lo by the rounding margin above and this many rel_tol: the cached-node
-# and the exact log norm at p_lo each sit within about rel_tol / q of the
-# true one, q the power of the norm's root (q >= 0.8 but for the v-scan at
-# r > 1, where q = 4 / (4 r + 1)), and an adaptive integral's error can
-# exceed its estimate
+# and the exact log norm at p_lo each sit within about rel_tol / beta of the
+# true one, beta = beta(p_lo) the power of the norm's root (beta >= 0.8 but
+# for the v-scan at r > 1, where beta = 4 / (4 r + 1)), and an adaptive
+# integral's error can exceed its estimate
 _CAP_REL_TOLS = 1000.0
 
 
@@ -368,12 +367,12 @@ def _grid_ratio(log_norm, grid, psi_log):
     """log_norm(p) - psi_log at each point p of the grid, coarse to fine.
 
     log_norm is evaluated first at every _P_BLOCK-th point and the last.
-    Between two consecutive ones, p_a < p_b, a monotone log_norm (in
-    either direction) puts every ratio below the larger of the two log
-    norms less the smallest psi_log on [p_a, p_b]; a block whose bound
-    falls short of the best coarse ratio by the margin is not evaluated,
-    and its rows read -inf, so the argmax is the one of the full grid.  A
-    NaN bound (an infinite end) evaluates its block.
+    Between two consecutive ones, p_a < p_b, a monotone log_norm, rising
+    as in every scan or falling, puts every ratio below the larger of the
+    two log norms less the smallest psi_log on [p_a, p_b]; a block whose
+    bound falls short of the best coarse ratio by the margin is not
+    evaluated, and its rows read -inf, so the argmax is the one of the full
+    grid.  A NaN bound (an infinite end) evaluates its block.
     """
     n = grid.size
     ends = np.unique(np.append(np.arange(0, n, _P_BLOCK), n - 1))
@@ -403,12 +402,12 @@ def _sup_over_p(make_log_norm, exact_norm, phi: PhiSpec, cache: ConjugateCache, 
     passed in stays as built.
 
     sup|f| caps the grid.  The measure is a probability measure, so every
-    scanned norm is at most sup|f| (power means are bounded by the sup norm;
-    the layer cake because T <= 1), and log_sup - psi_log(p) bounds the log
-    ratio at p.  The exact ratio at p_lo is a lower bound L on the best one,
-    so a row whose bound falls short of L by the margin (rounding, and
-    _CAP_REL_TOLS cfg.rel_tol for the gap between the exact and the
-    cached-node log norm at p_lo) cannot win.  Each row is decided on its
+    scanned norm is at most sup|f| (power means are bounded by the sup
+    norm), and log_sup - psi_log(p) bounds the log ratio at p.  The exact
+    ratio at p_lo is a lower bound L on the best one, so a row whose bound
+    falls short of L by the margin (rounding, and _CAP_REL_TOLS cfg.rel_tol
+    for the gap between the exact and the cached-node log norm at p_lo)
+    cannot win.  Each row is decided on its
     own, so the cap needs no monotone psi_log: the rows above the last one
     that can win are skipped and read -inf, as ``_grid_ratio``'s pruned rows
     do, and make_log_norm gets the grid point after that row, which keeps
@@ -420,14 +419,13 @@ def _sup_over_p(make_log_norm, exact_norm, phi: PhiSpec, cache: ConjugateCache, 
     The rows below the cap are evaluated coarse to fine by ``_grid_ratio``:
     log_norm at every _P_BLOCK-th point and the last, then only in the
     blocks between them whose bound reaches the best of those points.  The
-    bound needs log_norm monotone in p, rising or falling, as it is in every
-    scan: the L_p scan of the g-norm and ``sup_ratio_from`` rises (power
-    means rise with p, and the rule's weights sum to 1 up to rounding, or to
-    less where a singular rest is left out, a rising factor), the
-    v-quasinorm's rises too (beta(p) = p / (p r + 1) rises), and the
-    finite-b layer cake falls (T^(p/b) falls with p term by term,
-    log T <= 0).  The winner is the one of the full grid, so the results
-    are those of evaluating every grid point below the cap.
+    bound needs log_norm monotone in p, and it rises in every scan: the L_p
+    scan of the g-norm and ``sup_ratio_from`` (power means rise with p, and
+    the rule's weights sum to 1 up to rounding, or to less where a singular
+    rest is left out, a rising factor) and the v-quasinorm's
+    (beta(p) = p / (p r + 1) rises).  The winner is the one of the full
+    grid, so the results are those of evaluating every grid point below
+    the cap.
 
     The grid winner p_k is polished by a root of minus the log ratio's
     slope, times p, along y: p = h'(y) and h*(p) = p y - h(y), the equality
@@ -645,16 +643,6 @@ def _level_nodes(sampler: LevelSampler, b: float) -> _NodeStore:
     return _NodeStore(values, np.arange(8 * k + 1) / 8, weighted=True)
 
 
-def _layer_cake_scan(nodes: _NodeStore, b: float, cfg: QuadratureConfig, p_top: float):
-    """log ||f||_(p,b) and its slope in p at each p of an array, for a scan
-    up to p_top: one ``PowerNormEvaluator`` of T^(p/b) on the level store
-    ``nodes`` at b, on the panels of p = 1, sqrt(p_top) and p_top, queried at
-    e = p / b and q = b.  The slope is E_pi[log T] / b^2, pi the normalised
-    node weights of T^(p/b) in the layer-cake measure."""
-    ev = PowerNormEvaluator(nodes, cfg, yardsticks=np.array([1.0, math.sqrt(p_top), p_top]) / b)
-    return (lambda ps: ev.log_norm(ps / b, b)), (lambda ps: ev.log_norm(ps / b, b, moment=True)[1] / b**2)
-
-
 # probes per critical interval of the weak form, and the width in s to which
 # its roots are solved and by which its brackets keep off an interval's ends
 _WEAK_PROBES = 16
@@ -741,14 +729,12 @@ def _dual_weight(phi: PhiSpec, cache: ConjugateCache):
     """``_lorentz_sup``'s exponent for the weighted weak norm: -Y(x) and its
     slope Y'(x) dlog_t at x = -log_t, Y(x) = inf over p >= 1 of (x + h*(p)) / p.
     As h = h** (Fenchel-Moreau), Y = x + h*(1) up to x = h(y*(1)) and the
-    inverse of h beyond, with Y' = 1 / h'(Y); y*(1) and h*(1) come from
-    ``cache``, which must start at p = 1 (or ValueError).  The inverse is one
+    inverse of h beyond, with Y' = 1 / h'(Y); y*(1) and h*(1) come from the
+    first point of ``cache``, at p = 1.  The inverse is one
     lane-wise ``_bracketed_root`` of log h(y) - log x, linear in y for z^m,
     in [y*(1), y*(1) + x - h(y*(1))] (h' >= 1 right of y*(1), h convex),
     collapsed to four ulps of its larger end.
     """
-    if not abs(cache.grid[0] - 1.0) <= 1e-12:
-        raise ValueError(f"conjugate cache grid starts at p = {cache.grid[0]!r}, not at p = 1")
     y1, hstar1 = float(cache.ystar[0]), float(cache.hstar[0])
     h1 = float(phi.h(y1))
     log_h1 = float(np.log(h1)) if h1 > 0.0 else -math.inf  # 0 at a table's clamp
@@ -771,23 +757,31 @@ def _dual_weight(phi: PhiSpec, cache: ConjugateCache):
 
 
 def weighted_lorentz_g(f, phi: PhiSpec, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG, cache: ConjugateCache | None = None) -> float:
-    """sup over p >= 1 of ||f||_{p,b} / psi(p): at finite b a scan over the
-    cache's exponent grid; at b = inf, where the suprema over p and w
-    exchange, one maximization of the weak form (``_dual_weight``), the
-    supremum over every real p >= 1."""
+    """sup over p >= 1 of ||f||_{p,b} / psi(p).
+
+    At finite b the supremum is the ratio at p = 1, one exact layer cake:
+    ||f||_(p,b) does not rise with p, as T <= 1, and psi(p) = e^(h*(p)/p)
+    does not fall, as d(h*(p)/p)/dp = h(y*(p)) / p^2 and h >= 0 right of
+    y*(1).  At b = inf, where the suprema over p and w exchange, it is one
+    maximization of the weak form (``_dual_weight``), the supremum over
+    every real p >= 1.  Both read the cache at p = 1: one that starts
+    elsewhere raises ValueError, and a phi with h(y*(1)) < 0, outside the
+    admissible class, RejectedInputError.
+    """
     if not (b >= 1.0):
         raise ValueError("second index must be at least 1 (or inf)")
     c = cache if cache is not None else ConjugateCache(phi)
+    if not abs(c.grid[0] - 1.0) <= 1e-12:
+        raise ValueError(f"conjugate cache grid starts at p = {c.grid[0]!r}, not at p = 1")
+    h1 = float(phi.h(c.ystar[0]))
+    if not h1 >= 0.0:
+        raise RejectedInputError(f"{phi.label} is outside the admissible class: h(y*(1)) = {h1!r} < 0")
     sampler = LevelSampler(f, _domain_of(f))
     if sampler.sup_estimate == 0.0:
         return 0.0
     if math.isinf(b):
         return _lorentz_sup(sampler, _dual_weight(phi, c))
-
-    # the evaluators and the exact layer cake share one store
-    nodes = _level_nodes(sampler, b)
-    log_sup = math.log(sampler.sup_estimate)
-    return _sup_over_p(lambda p_top: _layer_cake_scan(nodes, b, cfg, p_top), lambda p: _power_norm(nodes, p / b, b, cfg), phi, c, 1.0, log_sup, cfg).value
+    return _power_norm(_level_nodes(sampler, b), 1.0 / b, b, cfg) * math.exp(-float(c.psi_log_grid[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -41,12 +41,11 @@ one call and carries the measure its integrals are taken against, as a
 column of log weights: the layer-cake measure on the level map of the
 Lorentz norms, log dx/ds at a singular end.  A call that integrates the
 same node values several times (the Luxemburg solve, a p scan with its
-re-validation, the finite-b Lorentz scan) shares one store, so each Gauss
-panel's values are computed once, as Gander & Gautschi (2000) reuse
-integrand values across refinements.  ``PowerNormEvaluator``, the one
-evaluator of both the L_p and the finite-b Lorentz scans, and the
-Luxemburg model rest on one cached-node rule, ``_NodeRule``, that reads the
-same store: one log-sum-exp per query.
+re-validation) shares one store, so each Gauss panel's values are computed
+once, as Gander & Gautschi (2000) reuse integrand values across
+refinements.  ``PowerNormEvaluator``, the evaluator of the L_p scans, and
+the Luxemburg model rest on one cached-node rule, ``_NodeRule``, that reads
+the same store: one log-sum-exp per query.
 
 The norms are taken against Lebesgue measure scaled to total mass one:
 ``_adaptive`` integrates against plain dx times the store's weights, and
@@ -441,16 +440,15 @@ class _NodeRule:
 
 
 class PowerNormEvaluator(_NodeRule):
-    """Evaluates e -> (integral of e^(e g))^(1/q) for many e from one cached
+    """Evaluates e -> (integral of e^(e g))^(1/e) for many e from one cached
     panelization of a node store of g.
 
     A node rule on the one panel set of exp(e g) for the e of
     ``yardsticks``, integrated together on the node store ``nodes``; each
     query is then a single vectorized log-sum-exp.  On a store of log|f|,
-    ``log_norm(p)`` is log ||f||_p; on the level store of the layer cake,
-    weighted by its measure, ``log_norm(p / b, b)`` is log ||f||_(p,b).
-    Intended for scan loops; the returned maximizer should be re-validated
-    with a fully adaptive integral on the same store (see norms module).
+    ``log_norm(p)`` is log ||f||_p.  Intended for scan loops; the returned
+    maximizer should be re-validated with a fully adaptive integral on the
+    same store (see norms module).
     """
 
     def __init__(self, nodes: _NodeStore, cfg: QuadratureConfig, yardsticks):
@@ -458,16 +456,15 @@ class PowerNormEvaluator(_NodeRule):
         super().__init__(nodes, _adaptive(nodes, lambda g: es * g, cfg)[2:])
         self.node_count = self.g.size
 
-    def log_norm(self, e, q=None, moment: bool = False):
-        """log (integral of e^(e g))^(1/q) at each e of an array, q = e by
-        default; with ``moment`` also E_pi[g], pi the normalised node weights
-        of e^(e g), from which the scans take their slopes in the exponent."""
+    def log_norm(self, e, moment: bool = False):
+        """log (integral of e^(e g))^(1/e) at each e of an array; with
+        ``moment`` also E_pi[g], pi the normalised node weights of e^(e g),
+        from which the scans take their slopes in the exponent."""
         e_arr = np.atleast_1d(np.asarray(e, dtype=float))
-        q_arr = e_arr if q is None else q
         if not moment:
-            return self.log_mean(lambda g: e_arr[:, None] * g) / q_arr
+            return self.log_mean(lambda g: e_arr[:, None] * g) / e_arr
         log_mean, mean_g = self.log_mean(lambda g: e_arr[:, None] * g, moment=True)
-        return log_mean / q_arr, mean_g
+        return log_mean / e_arr, mean_g
 
 
 def _power_norm(nodes: _NodeStore, e: float, q: float, cfg: QuadratureConfig) -> float:
