@@ -217,8 +217,8 @@ def parse_config(text: str, command: str | None = None, seed: int | None = None)
     if seed is not None:
         cfg.seed = seed
 
-    if not (cfg.rel_tol > 0.0):
-        problems.append(f"line 0: tolerance 'rel_tol' must be positive, got {cfg.rel_tol!r}")
+    if not (0.0 < cfg.rel_tol < math.inf):
+        problems.append(f"line {data['tolerances']['rel_tol'][1]}: tolerance 'rel_tol' must be positive and finite, got {cfg.rel_tol!r}")
     if cfg.phi_family == "tabulated":
         if cfg.phi_table is None:
             problems.append("line 0: phi family 'tabulated' needs a 'table' path")

@@ -27,17 +27,11 @@ Three norm families ride on top:
   that can win read -inf, and the scan's evaluator stops at the grid point
   after it.  A grid that nothing caps (f singular, or its top row can win)
   and whose maximizer sits at the right edge takes up to two fourfold
-  extensions before the scan is declared divergent.  Each grid is evaluated
-  in blocks: the log norm at every twelfth point first, then only the
-  blocks between two of those whose bound, the larger end log norm less
-  the block's smallest log weight, reaches the best of them.  The bound
-  needs the log norm monotone in p, and each scan's rises: ||f||_p
-  (g-norm and ``sup_ratio_from``: power means rise, and the rule's
-  weights sum to at most 1 up to rounding) and ||f||_beta(p) (v-quasinorm:
-  beta rises).  The winner is the one of every row below the cap.  The
-  winning grid point is polished by a root of the log ratio's slope,
-  unless it is p_lo and the ratio does not rise off that edge; the scan
-  reports the exact norm over an exact weight there.  The root is taken
+  extensions before the scan is declared divergent.  Every row below the
+  cap is evaluated, in one query of the evaluator.  The winning grid point
+  is polished by a root of the log ratio's slope, unless it is p_lo and
+  the ratio does not rise off that edge; the scan reports the exact norm
+  over an exact weight there.  The root is taken
   along y, the maximizer of the conjugate: p = h'(y) and
   h*(p) = p y - h(y), so the polish solves no conjugate and the slope of
   the log weight h*(p)/p is h(y)/p^2 (Danskin's envelope theorem), and the
@@ -347,48 +341,17 @@ class ScanResult:
     p_cap: float | None = None
 
 
-# the stride of the coarse p grid, and the margin by which a block's bound
-# must fall short of the best coarse ratio before the block is skipped: 1e-9
-# and some ulps of the largest |log_norm| at the coarse points, for the
-# rounding of log_norm, which 1e-9 alone falls below past |log_norm| ~ 1e7
-_P_BLOCK = 12
+# a row is capped when its bound by sup|f| falls short of the exact ratio at
+# p_lo by 1e-9 and some ulps of |log sup|f|| + |that ratio|, for rounding,
+# which 1e-9 alone falls below past a log scale of about 1e7, and this many
+# rel_tol: the cached-node and the exact log norm at p_lo each sit within
+# about rel_tol / beta of the true one, beta = beta(p_lo) the power of the
+# norm's root (beta >= 0.8 but for the v-scan at r > 1, where
+# beta = 4 / (4 r + 1)), and an adaptive integral's error can exceed its
+# estimate
 _P_MARGIN = 1e-9
 _P_MARGIN_ULPS = 16
-# a row is capped when its bound by sup|f| falls short of the exact ratio at
-# p_lo by the rounding margin above and this many rel_tol: the cached-node
-# and the exact log norm at p_lo each sit within about rel_tol / beta of the
-# true one, beta = beta(p_lo) the power of the norm's root (beta >= 0.8 but
-# for the v-scan at r > 1, where beta = 4 / (4 r + 1)), and an adaptive
-# integral's error can exceed its estimate
 _CAP_REL_TOLS = 1000.0
-
-
-def _grid_ratio(log_norm, grid, psi_log):
-    """log_norm(p) - psi_log at each point p of the grid, coarse to fine.
-
-    log_norm is evaluated first at every _P_BLOCK-th point and the last.
-    Between two consecutive ones, p_a < p_b, a monotone log_norm, rising
-    as in every scan or falling, puts every ratio below the larger of the
-    two log norms less the smallest psi_log on [p_a, p_b]; a block whose
-    bound falls short of the best coarse ratio by the margin is not
-    evaluated, and its rows read -inf, so the argmax is the one of the full
-    grid.  A NaN bound (an infinite end) evaluates its block.
-    """
-    n = grid.size
-    ends = np.unique(np.append(np.arange(0, n, _P_BLOCK), n - 1))
-    at_ends = log_norm(grid[ends])
-    vals = np.full(n, -math.inf)
-    vals[ends] = at_ends - psi_log[ends]
-    lo, hi = ends[:-1], ends[1:]
-    bound = np.maximum(at_ends[:-1], at_ends[1:]) - np.minimum(np.minimum.reduceat(psi_log, lo), psi_log[hi])
-    scale = np.max(np.abs(at_ends), where=np.isfinite(at_ends), initial=0.0)
-    margin = _P_MARGIN + _P_MARGIN_ULPS * np.spacing(scale)
-    # each block's flag on its rows, then its ends cleared: they are known
-    todo = np.append(np.repeat(~(bound < np.fmax.reduce(vals[ends]) - margin), np.diff(ends)), False)
-    todo[ends] = False
-    if todo.any():
-        vals[todo] = log_norm(grid[todo]) - psi_log[todo]
-    return vals
 
 
 def _sup_over_p(make_log_norm, exact_norm, phi: PhiSpec, cache: ConjugateCache, p_lo: float, log_sup: float, cfg: QuadratureConfig) -> ScanResult:
@@ -407,25 +370,15 @@ def _sup_over_p(make_log_norm, exact_norm, phi: PhiSpec, cache: ConjugateCache, 
     ratio at p_lo is a lower bound L on the best one, so a row whose bound
     falls short of L by the margin (rounding, and _CAP_REL_TOLS cfg.rel_tol
     for the gap between the exact and the cached-node log norm at p_lo)
-    cannot win.  Each row is decided on its
-    own, so the cap needs no monotone psi_log: the rows above the last one
-    that can win are skipped and read -inf, as ``_grid_ratio``'s pruned rows
-    do, and make_log_norm gets the grid point after that row, which keeps
-    the polish bracket inside its panels.  Where log_sup is +inf (f
-    singular) or the grid's top row can win, nothing is capped, ``p_cap`` is
-    None, and a winner at the top extends the grid.  The exact norm at p_lo is the
-    scan's exact result when the winner stays there.
-
-    The rows below the cap are evaluated coarse to fine by ``_grid_ratio``:
-    log_norm at every _P_BLOCK-th point and the last, then only in the
-    blocks between them whose bound reaches the best of those points.  The
-    bound needs log_norm monotone in p, and it rises in every scan: the L_p
-    scan of the g-norm and ``sup_ratio_from`` (power means rise with p, and
-    the rule's weights sum to 1 up to rounding, or to less where a singular
-    rest is left out, a rising factor) and the v-quasinorm's
-    (beta(p) = p / (p r + 1) rises).  The winner is the one of the full
-    grid, so the results are those of evaluating every grid point below
-    the cap.
+    cannot win.  Each row is decided on its own, so the cap needs neither a
+    monotone log norm nor a monotone psi_log: the rows above the last one
+    that can win are skipped and read -inf, every row up to it is
+    evaluated in one query of log_norm, and make_log_norm gets the grid
+    point after that row, which keeps the polish bracket inside its panels.
+    Where log_sup is +inf (f singular) or the grid's top row can win,
+    nothing is capped, ``p_cap`` is None, and a winner at the top extends
+    the grid.  The exact norm at p_lo is the scan's exact result when the
+    winner stays there.
 
     The grid winner p_k is polished by a root of minus the log ratio's
     slope, times p, along y: p = h'(y) and h*(p) = p y - h(y), the equality
@@ -461,7 +414,7 @@ def _sup_over_p(make_log_norm, exact_norm, phi: PhiSpec, cache: ConjugateCache, 
         top = min(last + 1, grid.size - 1)
         log_norm, slope = make_log_norm(float(grid[top]))
         vals = np.full(grid.size, -math.inf)
-        vals[: last + 1] = _grid_ratio(log_norm, grid[: last + 1], psi_log[: last + 1])
+        vals[: last + 1] = log_norm(grid[: last + 1]) - psi_log[: last + 1]
         k = int(np.nanargmax(vals))
         capped = last < grid.size - 1
         if capped or k < len(grid) - 2 or not math.isfinite(vals[k]):

@@ -415,8 +415,11 @@ class _NodeRule:
             a = log_integrand(g) + self.logw.ravel()[None, :]
         shift = a.max(axis=1)
         shift[~np.isfinite(shift)] = 0.0
+        # the shifted terms overwrite a unless the moment reads it, so a
+        # query of many rows holds two rows x nodes arrays at most, not three
+        terms = np.subtract(a, shift[:, None], out=None if moment else a)
         with np.errstate(divide="ignore"):
-            log_sum = np.log(np.exp(a - shift[:, None]) @ np.ones(a.shape[1])) + shift
+            log_sum = np.log(np.exp(terms, out=terms) @ np.ones(a.shape[1])) + shift
         if not moment:
             return log_sum + self._nodes.log_density
         with np.errstate(invalid="ignore"):

@@ -129,10 +129,13 @@ m = 2.0
         assert any("rational" in p for p in info.value.problems)
 
     def test_nonpositive_tolerance(self):
-        text = NORM_CFG + "\n[tolerances]\nrel_tol = -1.0\n"
-        with pytest.raises(ConfigError) as info:
-            parse_config(text)
-        assert any("rel_tol" in p for p in info.value.problems)
+        # a tolerance that is not a positive finite float, reported at its line
+        for value in ("-1.0", "inf", "nan"):
+            text = NORM_CFG + f"\n[tolerances]\nrel_tol = {value}\n"
+            line = text.splitlines().index(f"rel_tol = {value}") + 1
+            with pytest.raises(ConfigError) as info:
+                parse_config(text)
+            assert any(p.startswith(f"line {line}: tolerance 'rel_tol'") for p in info.value.problems), value
 
     @pytest.mark.parametrize("key", ["slack", "bound_scale"])
     def test_removed_tolerance_is_unknown(self, key):

@@ -1,6 +1,5 @@
 """Norm layer: N-splice, Luxemburg, grand-Lebesgue scans, Lorentz, V, constants."""
 
-import copy
 import functools
 import math
 import warnings
@@ -1314,34 +1313,11 @@ class TestEvaluatorSlopes:
         assert len(calls) == 1
 
 
-def _dense_grid_ratio(log_norm, grid, psi_log):
-    """The reference the coarse-to-fine grid must reproduce: every grid point."""
-    return log_norm(grid) - psi_log
-
-
-def _scan_winners(monkeypatch, grid_ratio):
-    """Route ``_sup_over_p``'s grid ratio through ``grid_ratio`` and return
-    the list the grid winner k of each of its calls is appended to."""
-    winners = []
-
-    def recorded(log_norm, grid, psi_log):
-        vals = grid_ratio(log_norm, grid, psi_log)
-        winners.append(int(np.nanargmax(vals)))
-        return vals
-
-    monkeypatch.setattr(norms, "_grid_ratio", recorded)
-    return winners
-
-
-# the huge log scale 2^33 (ulp 2^-19) and its ulp; C + j u is exact for small integers j
-_HUGE, _ULP = 2.0**33, 2.0**-19
-
-
-class TestCoarseGrid:
-    """The scans evaluate their p grid coarse to fine: every twelfth point
-    first, then only the blocks whose bound, the larger end log norm less
-    the block's smallest log weight, reaches the best coarse ratio.  The
-    bound holds for a log norm that is monotone in p in either direction."""
+class TestSupCap:
+    """sup|f| caps every scan: each scanned norm is at most sup|f|, so the
+    rows whose bound log sup|f| - psi_log(p) falls short of the exact ratio
+    at p_lo cannot win, are not evaluated, and the evaluator stops at the
+    grid point after the last row that can."""
 
     PHIS = [power_log(1.0), power_log(2.0), log_power(1.0)]
 
@@ -1353,132 +1329,13 @@ class TestCoarseGrid:
             yield f"v {label}", lambda f=f: v_quasinorm_info(derivative(f), phi, 1.0, cache=c4)
 
     @pytest.mark.parametrize("phi", PHIS, ids=lambda phi: phi.label)
-    def test_corpus_matches_the_dense_grid(self, phi, monkeypatch):
-        # the same winner k, p_star and value, to the bit, as a scan that
-        # evaluates every grid point
-        def run(grid_ratio):
-            winners = _scan_winners(monkeypatch, grid_ratio)
-            results = {}
-            for name, scan in self._scans(phi):
-                winners.clear()
-                results[name] = (scan(), tuple(winners))
-            return results
-
-        pruned, dense = run(norms._grid_ratio), run(_dense_grid_ratio)
-        for name, (result, winners) in pruned.items():
-            want, want_winners = dense[name]
-            assert winners == want_winners, name
-            assert (result.value, result.p_star, result.tolerance_met, result.extensions) == (
-                want.value,
-                want.p_star,
-                want.tolerance_met,
-                want.extensions,
-            ), name
-
-    @staticmethod
-    def _synthetic(kind):
-        """A log norm and log weights tabulated on the grid of a conjugate
-        cache from p = 1, and the index k of the dense grid's winner.
-
-        ``rising`` and ``falling``: a log ratio with two interior maxima, 1
-        on the coarse point 48 and 1.5 at 102, inside the block [96, 108],
-        whose ends read about 5e-4; the log norm is that ratio plus 40 log p
-        (rising) or minus it (falling), which is monotone, with the weights
-        40 log p or -40 log p.  ``huge``: at the log scale C = 2^33, a log
-        norm that is flat but for a blip of 2 ulps at 102, as rounding
-        leaves it, and weights of 64 ulps above C but one below it at the
-        coarse point 24 and C at 102: the winner at 102 reads 2 ulps, the
-        best coarse ratio 1 ulp, its block's bound 0.
-        """
-        grid = ConjugateCache(power_log(2.0)).grid
-        i, x = np.arange(grid.size), np.log(grid)
-        if kind == "huge":
-            log_norm = np.full(grid.size, _HUGE)
-            log_norm[102] += 2 * _ULP
-            psi_log = np.full(grid.size, _HUGE + 64 * _ULP)
-            psi_log[24], psi_log[102] = _HUGE - _ULP, _HUGE
-        else:
-            ratio = np.exp(-0.5 * ((i - 48) / 4.0) ** 2) + 1.5 * np.exp(-0.5 * ((i - 102) / 1.5) ** 2)
-            psi_log = 40.0 * x if kind == "rising" else -40.0 * x
-            log_norm = ratio + psi_log
-        return grid, log_norm, psi_log, int(np.nanargmax(log_norm - psi_log))
-
-    @staticmethod
-    def _synthetic_scan(grid, log_norm, psi_log):
-        """``_sup_over_p`` on the tabulated log norm; its slope is NaN, so the
-        grid winner is not polished and p_star is the winner's grid point."""
-        phi = power_log(2.0)
-        cache = copy.copy(ConjugateCache(phi))
-        cache.psi_log_grid = psi_log
-
-        def make_log_norm(_p_hi):
-            def at(ps):
-                k = np.searchsorted(grid, ps)
-                assert np.array_equal(grid[k], ps)
-                return log_norm[k]
-
-            return at, lambda ps: np.full(np.shape(ps), math.nan)
-
-        return norms._sup_over_p(make_log_norm, lambda p: 1.0, phi, cache, 1.0, math.inf, DEFAULT_CONFIG)
-
-    @pytest.mark.parametrize("kind", ["rising", "falling", "huge"])
-    def test_synthetic_winner_inside_a_low_block(self, kind):
-        grid, log_norm, psi_log, k = self._synthetic(kind)
-        assert k == 102
-        # the premise: the block's two ends are low, and its bound read from
-        # one end only (the end the log norm falls to) would skip it
-        ends = np.arange(0, grid.size, norms._P_BLOCK)
-        best = np.max(log_norm[ends] - psi_log[ends])
-        lower_end = log_norm[96] if kind == "rising" else log_norm[108]
-        assert max(log_norm[96] - psi_log[96], log_norm[108] - psi_log[108], lower_end - psi_log[96:109].min()) < best - 1e-9
-        assert self._synthetic_scan(grid, log_norm, psi_log).p_star == grid[k]
-
-    def test_nan_end_evaluates_its_blocks(self):
-        # a NaN log norm at the coarse point 96 leaves the bounds of both
-        # its blocks NaN, and those blocks are evaluated, not skipped
-        grid, log_norm, psi_log, k = self._synthetic("rising")
-        log_norm[96] = math.nan
-        assert self._synthetic_scan(grid, log_norm, psi_log).p_star == grid[k]
-
-    def test_huge_scale_needs_the_relative_margin(self, monkeypatch):
-        # 1e-9 alone is below one ulp of 2^33: the block of the winner
-        # would be skipped, and the coarse point 24 would win
-        grid, log_norm, psi_log, _k = self._synthetic("huge")
-        monkeypatch.setattr(norms, "_P_MARGIN_ULPS", 0)
-        assert self._synthetic_scan(grid, log_norm, psi_log).p_star == grid[24]
-
-    @pytest.mark.parametrize("label", ["poly-01", "poly-07", "poly-30", "gap-04", "rational-05", "trig-09"])
-    def test_log_norms_are_monotone(self, label):
-        # the premise of the bound on corpus members, to within the margin:
-        # ||f||_p rises with p (and with beta(p), e < 1, for the v-scan)
-        f = dict(build_corpus(7))[label]
-        grid, v_grid = ConjugateCache(power_log(2.0)).grid, ConjugateCache(power_log(2.0), p_lo=norms.V_SCAN_P_LO).grid
-        # the v-scan's exponents at r = 1, and its yardsticks
-        betas = v_grid / (v_grid + 1.0)
-        store = quadrature._abs_nodes(f, f.natural_domain)
-        rising = [
-            quadrature.PowerNormEvaluator(store, DEFAULT_CONFIG, yardsticks=(1.0, 32.0, 1024.0)).log_norm(grid),
-            quadrature.PowerNormEvaluator(store, DEFAULT_CONFIG, yardsticks=(betas[0], 0.5 * (betas[0] + betas[-1]), betas[-1])).log_norm(betas),
-        ]
-        for log_norm in rising:
-            margin = norms._P_MARGIN + norms._P_MARGIN_ULPS * np.spacing(np.max(np.abs(log_norm)))
-            assert np.all(np.diff(log_norm) >= -margin)
-
-
-class TestSupCap:
-    """sup|f| caps every scan: each scanned norm is at most sup|f|, so the
-    rows whose bound log sup|f| - psi_log(p) falls short of the exact ratio
-    at p_lo cannot win, are not evaluated, and the evaluator stops at the
-    grid point after the last row that can."""
-
-    @pytest.mark.parametrize("phi", TestCoarseGrid.PHIS, ids=lambda phi: phi.label)
     def test_corpus_matches_the_uncapped_scan(self, phi, monkeypatch):
         # the uncapped scan is the same scan with an infinite sup|f|
         scan = norms._sup_over_p
 
         def run(sup_over_p):
             monkeypatch.setattr(norms, "_sup_over_p", sup_over_p)
-            return {name: call() for name, call in TestCoarseGrid._scans(phi)}
+            return {name: call() for name, call in self._scans(phi)}
 
         capped = run(scan)
         uncapped = run(lambda *args: scan(*args[:5], math.inf, *args[6:]))
@@ -1516,14 +1373,20 @@ class TestSupCap:
         # x^8 under power_log(2): sup|f| = 1 and the floor is ||x^8||_1 / psi(1)
         # = (1/9) / e^((log(1/2) - 1)/2), so a row can win only where
         # -(log(p/2) - 1)/2 reaches log of that, at p <= 2 * 81/2 = 81
-        tops = []
-        make = quadrature.PowerNormEvaluator.__init__
+        tops, queries = [], []
+        make, log_norm = quadrature.PowerNormEvaluator.__init__, quadrature.PowerNormEvaluator.log_norm
 
         def recorded(self, nodes, cfg, yardsticks):
             tops.append(float(yardsticks[-1]))
             make(self, nodes, cfg, yardsticks)
 
+        def queried(self, e, moment=False):
+            if not moment:
+                queries.append(np.atleast_1d(np.array(e, dtype=float)))
+            return log_norm(self, e, moment)
+
         monkeypatch.setattr(quadrature.PowerNormEvaluator, "__init__", recorded)
+        monkeypatch.setattr(quadrature.PowerNormEvaluator, "log_norm", queried)
         phi = power_log(2.0)
         grid = ConjugateCache(phi).grid
         info = g_norm_info(PolynomialRep([0.0] * 8 + [1.0]), phi)
@@ -1531,6 +1394,9 @@ class TestSupCap:
         assert info.p_cap == grid[last]
         assert tops == [grid[last + 1]]
         assert info.p_star < info.p_cap
+        # every row below the cap in one query; the polish asks one point at a time
+        assert np.array_equal(queries[0], grid[: last + 1])
+        assert all(q.size == 1 for q in queries[1:])
 
 
 class TestEquivalenceConstants:
