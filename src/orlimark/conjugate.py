@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConjugateDivergenceError, SummabilityError
+from .errors import ConjugateDivergenceError, RejectedInputError, SummabilityError
 from .quadrature import _bracketed_root
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -143,15 +143,15 @@ class PhiSpec:
 
 def power_log(m: float, r: float = 0.0) -> PhiSpec:
     if not (0.0 < m < math.inf):
-        raise ValueError(f"m must be positive and finite, got {m!r}")
+        raise RejectedInputError(f"m must be positive and finite, got {m!r}")
     if not math.isfinite(r):
-        raise ValueError(f"r must be finite, got {r!r}")
+        raise RejectedInputError(f"r must be finite, got {r!r}")
     return PhiSpec("power-log", m=float(m), r=float(r))
 
 
 def log_power(nu: float) -> PhiSpec:
     if not (0.0 < nu < math.inf):
-        raise ValueError(f"nu must be positive and finite, got {nu!r}")
+        raise RejectedInputError(f"nu must be positive and finite, got {nu!r}")
     return PhiSpec("log-power", nu=float(nu))
 
 
@@ -168,19 +168,19 @@ def tabulated_phi(zs, phis) -> PhiSpec:
     zs = [float(v) for v in zs]
     phis = [float(v) for v in phis]
     if len(zs) != len(phis) or len(zs) < 2:
-        raise ValueError("need at least two (z, phi) pairs of equal length")
+        raise RejectedInputError("need at least two (z, phi) pairs of equal length")
     if any(z <= 0 for z in zs):
-        raise ValueError("tabulated z values must be positive")
+        raise RejectedInputError("tabulated z values must be positive")
     if any(zs[i + 1] <= zs[i] for i in range(len(zs) - 1)):
-        raise ValueError("tabulated z values must increase strictly")
+        raise RejectedInputError("tabulated z values must increase strictly")
     if any(phis[i + 1] <= phis[i] for i in range(len(phis) - 1)):
-        raise ValueError("tabulated phi values must increase strictly")
+        raise RejectedInputError("tabulated phi values must increase strictly")
     ty = [math.log(z) for z in zs]
     slopes = [
         (phis[i + 1] - phis[i]) / (ty[i + 1] - ty[i]) for i in range(len(ty) - 1)
     ]
     if any(slopes[i + 1] < slopes[i] - 1e-12 for i in range(len(slopes) - 1)):
-        raise ValueError("tabulated curve is not convex in log z")
+        raise RejectedInputError("tabulated curve is not convex in log z")
     return PhiSpec("tabulated", table=(tuple(ty), tuple(phis)))
 
 
@@ -302,9 +302,9 @@ def young_fenchel_lanes(phi: PhiSpec, ps, p_min: float = 0.5):
     ps = np.array(ps, dtype=float, ndmin=1)
     below = ps[~(ps >= p_min)]
     if below.size:
-        raise ValueError(f"p = {float(below[0])!r} below the allowed minimum {p_min!r}")
+        raise RejectedInputError(f"p = {float(below[0])!r} below the allowed minimum {p_min!r}")
     if np.isinf(ps).any():
-        raise ValueError("p must be finite, got inf")
+        raise RejectedInputError("p must be finite, got inf")
 
     def g(y, lanes):
         return phi.dh(y) - ps[lanes]
@@ -415,7 +415,7 @@ class ConjugateCache:
 
     def __post_init__(self):
         if not (0.0 < self.p_lo < math.inf):
-            raise ValueError(f"p_lo must be positive and finite, got {self.p_lo!r}")
+            raise RejectedInputError(f"p_lo must be positive and finite, got {self.p_lo!r}")
         self._build(self.p_lo, 1024.0)
 
     def _build(self, p_lo, p_hi):

@@ -40,8 +40,9 @@ class CoefficientOverflowError(OrlimarkError):
     """Coefficient growth left the representable floating-point range."""
 
 
-class RejectedInputError(OrlimarkError):
-    """Input is structurally outside what an operation can handle."""
+class RejectedInputError(OrlimarkError, ValueError):
+    """Input is structurally outside what an operation can handle, an
+    argument outside its allowed range among them; also a ValueError."""
 
 
 class ConstructionError(OrlimarkError):

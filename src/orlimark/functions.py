@@ -6,12 +6,13 @@ products of absolute powers |x - z_j|^(r_j) with complex nodes.  All evaluate
 vectorized over numpy arrays and serialize to a plain text form that round
 trips exactly ("repr" floats).
 
-Each of them (and ``GapDerivative``) reports its ``break_points``: the domain
-ends and the real zeros of f and f', found as polynomial roots, between which
-|f| is monotone.  The distribution function, the sup norm and the adaptive
-integrals of |f| use these.  A representation computes them once per domain
-(``_kept_per_domain``) and keeps them as a read-only array, so every call
-that needs them after the first reads the same array.
+A function carries its domain, ``natural_domain``: the circle for
+trigonometric polynomials, [-1, 1] otherwise.  Each representation (and
+``GapDerivative``) reports its ``break_points()`` there, taking no domain:
+the domain ends and the real zeros of f and f', found as polynomial roots,
+between which |f| is monotone.  The distribution function, the sup norm and
+the adaptive integrals of |f| use these.  A representation computes them
+once (``_kept``) and keeps them as a read-only array that every call reads.
 """
 
 from __future__ import annotations
@@ -83,26 +84,28 @@ def _circle_zeros(t) -> np.ndarray:
     return np.angle(z[np.abs(np.abs(z) - 1.0) <= _ROOT_SLACK])
 
 
-def _kept_per_domain(break_points):
-    """Decorates ``break_points(domain)``: the first call for a domain computes
-    them, and later calls with an equal domain return that array, read-only."""
+def _kept(break_points):
+    """Decorates ``break_points()``: the first call computes them, on the
+    natural domain, and later calls return that array, read-only.  Lazy, as
+    ``RationalRep.derivative`` sets ``_den_base`` after construction."""
 
     @functools.wraps(break_points)
-    def kept(self, domain: Domain) -> np.ndarray:
-        store = self.__dict__.setdefault("_break_points", {})
-        if domain not in store:
-            xs = break_points(self, domain)
+    def kept(self) -> np.ndarray:
+        if "_break_points" not in self.__dict__:
+            xs = break_points(self)
             xs.flags.writeable = False
-            store[domain] = xs
-        return store[domain]
+            self._break_points = xs
+        return self._break_points
 
     return kept
 
 
-def _breaks(domain: Domain, *zeros) -> np.ndarray:
-    """The domain ends and the given points inside, sorted and distinct."""
+def _breaks(f, *zeros) -> np.ndarray:
+    """The ends of f's natural domain and the given points inside, sorted
+    and distinct."""
+    lo, hi = f.natural_domain.lo, f.natural_domain.hi
     inner = np.concatenate([np.zeros(0), *zeros])
-    return np.unique(np.concatenate([[domain.lo, domain.hi], inner[(inner > domain.lo) & (inner < domain.hi)]]))
+    return np.unique(np.concatenate([[lo, hi], inner[(inner > lo) & (inner < hi)]]))
 
 
 class PolynomialRep:
@@ -147,7 +150,7 @@ class PolynomialRep:
 
     def derivative(self, order: int = 1) -> "PolynomialRep":
         if order < 0:
-            raise ValueError("derivative order must be nonnegative")
+            raise RejectedInputError("derivative order must be nonnegative")
         c = np.asarray(self.coeffs) if self.coeffs else np.zeros(1)
         cheb = self._cheb
         for _ in range(order):
@@ -156,12 +159,12 @@ class PolynomialRep:
                 cheb = np.polynomial.chebyshev.chebder(cheb) if cheb.size > 1 else np.zeros(1)
         return PolynomialRep(_check_coeffs(c), cheb=cheb)
 
-    @_kept_per_domain
-    def break_points(self, domain: Domain) -> np.ndarray:
+    @_kept
+    def break_points(self) -> np.ndarray:
         """Domain ends and the real zeros of f and f' inside; |f| is monotone between."""
         cheb = self._cheb if self._cheb is not None else np.polynomial.chebyshev.poly2cheb(self.coeffs or (0.0,))
         g = np.polynomial.Chebyshev(cheb)
-        return _breaks(domain, _real_zeros(g), _real_zeros(g.deriv()))
+        return _breaks(self, _real_zeros(g), _real_zeros(g.deriv()))
 
     def __eq__(self, other):
         return isinstance(other, PolynomialRep) and self.coeffs == other.coeffs
@@ -181,10 +184,7 @@ class TrigPolynomialRep:
         if not a:
             a = [0.0]
         if len(b) != len(a) - 1:
-            raise ValueError(
-                f"need one sine coefficient per k >= 1: got {len(a)} cosine "
-                f"and {len(b)} sine coefficients"
-            )
+            raise RejectedInputError(f"need one sine coefficient per k >= 1: got {len(a)} cosine and {len(b)} sine coefficients")
         _check_coeffs(a)
         _check_coeffs(b)
         n = len(a) - 1
@@ -219,7 +219,7 @@ class TrigPolynomialRep:
 
     def derivative(self, order: int = 1) -> "TrigPolynomialRep":
         if order < 0:
-            raise ValueError("derivative order must be nonnegative")
+            raise RejectedInputError("derivative order must be nonnegative")
         a = list(self.cos_coeffs)
         b = list(self.sin_coeffs)
         for _ in range(order):
@@ -229,11 +229,11 @@ class TrigPolynomialRep:
             a, b = new_a, new_b
         return TrigPolynomialRep(a, b)
 
-    @_kept_per_domain
-    def break_points(self, domain: Domain) -> np.ndarray:
+    @_kept
+    def break_points(self) -> np.ndarray:
         """Domain ends and the real zeros of f and f' inside; |f| is monotone between."""
         angles = np.concatenate([_circle_zeros(self), _circle_zeros(self.derivative())])
-        return _breaks(domain, domain.lo + np.mod(angles - domain.lo, 2.0 * np.pi))
+        return _breaks(self, np.mod(angles, 2.0 * np.pi))
 
     def __eq__(self, other):
         return (
@@ -293,7 +293,7 @@ class RationalRep:
         """The r-th derivative of p/s^j as N_r / s^(j+r), from N_0 = p and
         (N / s^k)' = (N' s - k N s') / s^(k+1), s^j the denominator's base."""
         if order < 0:
-            raise ValueError("derivative order must be nonnegative")
+            raise RejectedInputError("derivative order must be nonnegative")
         num = np.asarray(self.num.coeffs) if self.num.coeffs else np.zeros(1)
         den = np.asarray(self.den.coeffs)
         s, j = self._den_base
@@ -308,12 +308,12 @@ class RationalRep:
         out._den_base = (s, j + order)
         return out
 
-    @_kept_per_domain
-    def break_points(self, domain: Domain) -> np.ndarray:
+    @_kept
+    def break_points(self) -> np.ndarray:
         """Domain ends and the real zeros of p and of p' s - k p s' inside,
         for f = p / s^k."""
         p, s, k = np.polynomial.Polynomial(self.num.coeffs or (0.0,)), np.polynomial.Polynomial(self._den_base[0]), self._den_base[1]
-        return _breaks(domain, _real_zeros(p), _real_zeros(p.deriv() * s - k * (p * s.deriv())))
+        return _breaks(self, _real_zeros(p), _real_zeros(p.deriv() * s - k * (p * s.deriv())))
 
     def __eq__(self, other):
         return (
@@ -355,10 +355,10 @@ class GapRep:
         for a, b, r in factors:
             a, b, r = float(a), float(b), float(r)
             if not (r >= 1.0):
-                raise ValueError(f"factor exponent must be >= 1, got {r!r}")
+                raise RejectedInputError(f"factor exponent must be >= 1, got {r!r}")
             fs.append((a, b, r))
         if not fs:
-            raise ValueError("need at least one factor")
+            raise RejectedInputError("need at least one factor")
         self.factors = tuple(fs)
 
     @property
@@ -387,11 +387,11 @@ class GapRep:
             raise RejectedInputError("only first derivatives are available for gap products")
         return GapDerivative(self)
 
-    @_kept_per_domain
-    def break_points(self, domain: Domain) -> np.ndarray:
+    @_kept
+    def break_points(self) -> np.ndarray:
         """Domain ends, real nodes and the real zeros of the log-derivative inside."""
         nodes = [a for a, b, _r in self.factors if b == 0.0]
-        return _breaks(domain, nodes, _real_zeros(_log_derivative(self.factors)[0]))
+        return _breaks(self, nodes, _real_zeros(_log_derivative(self.factors)[0]))
 
     def __eq__(self, other):
         return isinstance(other, GapRep) and self.factors == other.factors
@@ -403,6 +403,8 @@ class GapRep:
 class InversePowerRep:
     """(1 - x)^(-q) on [-1, 1]: the model integrable singularity.
 
+    It carries its domain, [-1, 1]: ``break_points()``, ``singular_end()``
+    and the norms take none, and ``lp_quasinorm``'s ``domain`` must be it.
     Unbounded at the right endpoint, which it reports as its
     ``singular_end``: the integrals of |f| take the piece next to it in
     y = -log(1 - x).  ``sup_norm`` rejects it; its distribution function is
@@ -415,7 +417,7 @@ class InversePowerRep:
     def __init__(self, q: float):
         q = float(q)
         if not (0.0 < q < math.inf):
-            raise ValueError(f"exponent must be positive and finite, got {q!r}")
+            raise RejectedInputError(f"exponent must be positive and finite, got {q!r}")
         self.q = q
 
     @property
@@ -430,14 +432,14 @@ class InversePowerRep:
     def __call__(self, x):
         return np.exp(self.log_abs(x))
 
-    @_kept_per_domain
-    def break_points(self, domain: Domain) -> np.ndarray:
+    @_kept
+    def break_points(self) -> np.ndarray:
         """The domain ends: f increases on the whole interval."""
-        return _breaks(domain)
+        return _breaks(self)
 
-    def singular_end(self, domain: Domain):
-        """y -> log|f| at x = 1 - e^-y, or None on a domain not ending at 1."""
-        return (lambda y: self.q * y) if domain.hi == 1.0 else None
+    def singular_end(self):
+        """y -> log|f| at x = 1 - e^-y."""
+        return lambda y: self.q * y
 
     def __eq__(self, other):
         return isinstance(other, InversePowerRep) and self.q == other.q
@@ -478,8 +480,8 @@ class GapDerivative:
         # to 0 while the node's term of the sum is 0/0
         return np.where(q == 0.0, 0.0, q * s)
 
-    @_kept_per_domain
-    def break_points(self, domain: Domain) -> np.ndarray:
+    @_kept
+    def break_points(self) -> np.ndarray:
         """Domain ends, real nodes, and the real zeros of S and S^2 + S' inside.
 
         With S = N / D the log-derivative of Q, f = Q S and f' = Q (S^2 + S'),
@@ -488,7 +490,7 @@ class GapDerivative:
         num, den = _log_derivative(self.rep.factors)
         crit = num * num + num.deriv() * den - num * den.deriv()
         nodes = [a for a, b, _r in self.rep.factors if b == 0.0]
-        return _breaks(domain, nodes, _real_zeros(num), _real_zeros(crit))
+        return _breaks(self, nodes, _real_zeros(num), _real_zeros(crit))
 
     def derivative(self, order: int = 1):
         """Q'' = Q (S^2 + S') as a vectorized callable; only this order is available."""
@@ -538,9 +540,9 @@ def _jacobi22_next(pm1: np.ndarray, pm2: np.ndarray, n: int) -> np.ndarray:
 
 
 def _integer(n, name: str = "degree", lo: float = 0, hi: float = math.inf) -> int:
-    """n as an int; ValueError naming it unless it is an integer in [lo, hi]."""
+    """n as an int; RejectedInputError naming it unless it is an integer in [lo, hi]."""
     if not (math.isfinite(n) and int(n) == n and lo <= n <= hi):
-        raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {n!r}")
+        raise RejectedInputError(f"{name} must be an integer in [{lo}, {hi}], got {n!r}")
     return int(n)
 
 
@@ -585,7 +587,7 @@ def check_no_poles(rat: RationalRep) -> PoleCheck:
     """
     den = rat.den
     threshold = max(1e-9 * (1.0 + float(np.max(np.abs(den.coeffs)))), 1e-7)
-    xs = den.break_points(Domain.interval())
+    xs = den.break_points()
     vals = np.abs(den(xs))
     i = int(np.argmin(vals))
     ok = bool(vals[i] > threshold)
@@ -598,7 +600,7 @@ RANDOM_FAMILIES = ("polynomial", "trig", "rational", "gap")
 def random_family(kind: str, n: int, seed: int):
     """Deterministic random representative of the given family and degree."""
     if kind not in RANDOM_FAMILIES:
-        raise ValueError(f"unknown family {kind!r}; expected one of {RANDOM_FAMILIES}")
+        raise RejectedInputError(f"unknown family {kind!r}; expected one of {RANDOM_FAMILIES}")
     n = _integer(n, lo=1)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(RANDOM_FAMILIES.index(kind), n)))
     if kind == "polynomial":
@@ -664,7 +666,7 @@ def to_text(rep) -> str:
 def from_text(text: str):
     """Parse the text form produced by to_text."""
     if ":" not in text:
-        raise ValueError(f"malformed function text {text!r}: missing kind prefix")
+        raise RejectedInputError(f"malformed function text {text!r}: missing kind prefix")
     kind, _, body = text.partition(":")
     kind = kind.strip()
     body = body.strip()
@@ -684,5 +686,5 @@ def from_text(text: str):
                 factors.append((a, b, r))
             return GapRep(factors)
     except ValueError as exc:
-        raise ValueError(f"malformed {kind!r} function text: {exc}") from exc
-    raise ValueError(f"unknown function kind {kind!r}")
+        raise RejectedInputError(f"malformed {kind!r} function text: {exc}") from exc
+    raise RejectedInputError(f"unknown function kind {kind!r}")

@@ -65,7 +65,7 @@ def k_constant(p: float) -> float:
     """Sharp constant of the L_p polynomial derivative bound, p > 2."""
     p = float(p)
     if not (p > 2.0):
-        raise ValueError(f"constant defined only for p > 2, got {p!r}")
+        raise RejectedInputError(f"constant defined only for p > 2, got {p!r}")
     return (4.0 * math.pi * (p + 3.0) ** 2 / (p * math.sin(2.0 * math.pi / p))) ** (1.0 / p)
 
 
@@ -196,7 +196,7 @@ def _family_member(family: str, n: int, seed: int):
         return chebyshev_t(n)
     if family == "random-poly":
         return random_family("polynomial", n, seed)
-    raise ValueError(f"unknown sweep family {family!r}")
+    raise RejectedInputError(f"unknown sweep family {family!r}")
 
 
 def markov_factor_log(phi: PhiSpec, ctx: NormContext | None = None) -> float:
@@ -225,15 +225,15 @@ def markov_sweep(
     constant chain (``markov_factor_log``) for the spliced-Orlicz and
     sup-ratio norms alone; norms without a proven constant get +inf (ratio
     recorded, nothing asserted).  A norm
-    with a phi of its own must take it from ``phi``, or ValueError.
+    with a phi of its own must take it from ``phi``, or RejectedInputError.
     """
     ns = sorted(set(_integer(n) for n in n_range))
     if not ns:
-        raise ValueError("empty degree range")
+        raise RejectedInputError("empty degree range")
     context = ctx if ctx is not None else NormContext()
     spec = norm if norm is not None else orlicz_spec(phi)
     if spec.phi is not None and spec.phi != phi:
-        raise ValueError(f"the norm {spec.label} takes another phi than the sweep's {phi.label}")
+        raise RejectedInputError(f"the norm {spec.label} takes another phi than the sweep's {phi.label}")
     if spec.kind == "lp":
         factor_log = math.log(k_constant(spec.p)) if spec.p > 2.0 else math.inf
     elif spec.kind in ("orlicz", "gnorm"):
@@ -296,7 +296,7 @@ def lp_rational_check(q: RationalRep, p: float, r: int, ctx: NormContext | None 
     r = _integer(r, "derivative order", lo=1)
     p = float(p)
     if not (4.0 <= p < math.inf):
-        raise ValueError(f"the explicit constant needs a finite p >= 4, got {p!r}")
+        raise RejectedInputError(f"the explicit constant needs a finite p >= 4, got {p!r}")
     _require_pole_free(q)
     context = ctx if ctx is not None else NormContext()
     gamma = p / (p * r + 1.0)
@@ -368,7 +368,7 @@ def gap_check(base: GapRep, p: float, n_range, ctx: NormContext | None = None) -
     """
     _require_type(base, GapRep, "gap_check")
     if not (p > 0.0):
-        raise ValueError(f"exponent must be positive, got {p!r}")
+        raise RejectedInputError(f"exponent must be positive, got {p!r}")
     context = ctx if ctx is not None else NormContext()
     deg0 = base.degree
     rows = []
@@ -376,9 +376,7 @@ def gap_check(base: GapRep, p: float, n_range, ctx: NormContext | None = None) -
         scale = n / deg0
         factors = [(a, b, r * scale) for a, b, r in base.factors]
         if any(r < 1.0 for _a, _b, r in factors):
-            raise ValueError(
-                f"degree {n:g} would push an exponent below 1; start the range at {deg0:g}"
-            )
+            raise RejectedInputError(f"degree {n:g} would push an exponent below 1; start the range at {deg0:g}")
         ratio = markov_ratio(GapRep(factors), lp_spec(p), context)
         rows.append(GapRow(n, ratio, ratio / n**2))
     slope = _loglog_slope([r.n for r in rows], [max(r.scaled, 1e-300) for r in rows])[0]
@@ -422,16 +420,16 @@ def tail_check(
     """
     r = _integer(r, "derivative order", lo=1)
     if not (m > 0.0):
-        raise ValueError(f"growth index must be positive, got {m!r}")
+        raise RejectedInputError(f"growth index must be positive, got {m!r}")
     if not (math.isfinite(u_max) and u_max > 3.0):
-        raise ValueError(f"u_max must be finite and above 3, got {u_max!r}")
+        raise RejectedInputError(f"u_max must be finite and above 3, got {u_max!r}")
     points = _integer(points, "points", lo=2)
     context = ctx if ctx is not None else NormContext()
     v = evaluate_norm(f, vnorm_spec(power_log(m, 0.0), r), context)
     if v == 0.0:
         raise DegenerateInputError("function is zero; tail analysis is undefined")
     us = np.geomspace(3.0, u_max, points)
-    t = LevelSampler(f, f.natural_domain).measure_above_batch(us * v)
+    t = LevelSampler(f).measure_above_batch(us * v)
     model = us ** (-1.0 / r) * np.log(us) ** (1.0 / (m * r))
     ratios = t / model
     prefactor = float(np.max(ratios))

@@ -54,8 +54,9 @@ Three norm families ride on top:
   sup form is maximized on each, one lane per interval, at a root of its
   log-derivative, which the crossings of T give along with T.
 
-Every norm of f is taken on ``f.natural_domain``, [-1, 1] or the circle,
-against its normalized measure; an object without one raises
+A function carries its domain: every norm of f is taken on
+``f.natural_domain``, [-1, 1] or the circle, against its normalized
+measure, and takes no domain argument; an object without one raises
 ``RejectedInputError``.  ``evaluate_norm_info`` is the one dispatch from a
 ``NormSpec`` to these norms, for the harness and the command line alike.
 
@@ -86,7 +87,6 @@ from .errors import (
 )
 from .quadrature import (
     DEFAULT_CONFIG,
-    Domain,
     LevelSampler,
     PowerNormEvaluator,
     QuadratureConfig,
@@ -94,6 +94,7 @@ from .quadrature import (
     _adaptive,
     _break_values,
     _bracketed_root,
+    _carrier,
     _NodeRule,
     _NodeStore,
     _power_norm,
@@ -108,15 +109,6 @@ def _root(fn, x_neg: float, x_pos: float, f_neg: float, f_pos: float, xtol: floa
     )
     x_neg, x_pos, f_neg, f_pos = (float(v[0]) for v in ends)
     return (x_neg, f_neg) if -f_neg < f_pos else (x_pos, f_pos)
-
-
-def _domain_of(f) -> Domain:
-    """The carrier every norm of f is taken on, its natural domain: [-1, 1]
-    or the circle, with normalized measure."""
-    domain = getattr(f, "natural_domain", None)
-    if domain is None:
-        raise RejectedInputError(f"{type(f).__name__} reports no natural domain; pass a function representation")
-    return domain
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +154,7 @@ class OrliczN:
         """N(u) for u >= 0; may overflow to inf for very large arguments."""
         us = np.asarray(u, dtype=float)
         if np.any(us < 0.0):
-            raise ValueError("argument must be nonnegative")
+            raise RejectedInputError("argument must be nonnegative")
         with np.errstate(divide="ignore", over="ignore"):
             out = np.exp(self.n_log_from_log_u(np.log(us)))
         return np.where(us == 0.0, 0.0, out)
@@ -229,12 +221,11 @@ def _luxemburg_detail(f, n: OrliczN, cfg: QuadratureConfig):
     lower end comes from steps down from the upper one, doubling, so an exact
     integral is taken at the Jensen end only when the steps reach it.
     """
-    domain = _domain_of(f)
-    xs, vals = _break_values(f, domain, bounded=True)
+    xs, vals = _break_values(f, bounded=True)
     sup = float(np.max(vals))
     if sup == 0.0:
         return 0.0, 0.0, True
-    nodes = _abs_nodes(f, domain)
+    nodes = _abs_nodes(f)
     log_l1, _err, p_lo, p_hi = _adaptive(nodes, lambda g: g, cfg)
     lo = n.linear_slope * math.exp(log_l1 + nodes.log_density)
     t_lo, t_k = math.log(lo), math.log(sup / n.splice_point)
@@ -357,7 +348,8 @@ _CAP_REL_TOLS = 1000.0
 def _sup_over_p(make_log_norm, exact_norm, phi: PhiSpec, cache: ConjugateCache, p_lo: float, log_sup: float, cfg: QuadratureConfig) -> ScanResult:
     """sup over grid p >= p_lo of exp(log_norm(p) - psi_log(p)), certified.
 
-    The cache grid must start at p_lo (to 1e-12 relative), or ValueError.
+    The cache grid must start at p_lo (to 1e-12 relative), or
+    RejectedInputError.
     make_log_norm(p_top) returns a cached-node log norm of an array of p and
     its derivative in p, for a grid up to p_top; it is called again after
     each fourfold extension of the grid, so evaluators can re-panelize for
@@ -397,7 +389,7 @@ def _sup_over_p(make_log_norm, exact_norm, phi: PhiSpec, cache: ConjugateCache, 
     h*, a chord slope of the table, where a tabulated ratio peaks.
     """
     if not abs(cache.grid[0] - p_lo) <= 1e-12 * cache.grid[0]:
-        raise ValueError(f"conjugate cache grid starts at p = {cache.grid[0]!r}, not at p_lo = {p_lo!r}")
+        raise RejectedInputError(f"conjugate cache grid starts at p = {cache.grid[0]!r}, not at p_lo = {p_lo!r}")
     p_0 = float(cache.grid[0])
     # the floor L, the exact ratio at p_lo: -inf, and no row capped, where
     # sup|f| is infinite or 0
@@ -469,11 +461,10 @@ def _g_scan(f, phi: PhiSpec, cfg: QuadratureConfig, cache: ConjugateCache | None
     """sup over p >= p_lo of ||f||_beta / psi(p), beta = p / (p r + 1): the
     g-norm family at r = 0 (beta = p exactly), the v-quasinorm at r >= 1."""
     c = cache if cache is not None else ConjugateCache(phi, p_lo=p_lo)
-    domain = _domain_of(f)
-    nodes = _abs_nodes(f, domain)
+    nodes = _abs_nodes(f)
     # +inf at a singular end, where nothing is capped
     with np.errstate(divide="ignore"):
-        log_sup = float(np.log(np.max(_break_values(f, domain, bounded=False)[1])))
+        log_sup = float(np.log(np.max(_break_values(f, bounded=False)[1])))
 
     def beta(p):
         return p / (p * r + 1.0)
@@ -540,7 +531,7 @@ def v_quasinorm(f, phi: PhiSpec, r: float, cfg: QuadratureConfig = DEFAULT_CONFI
 
 def v_quasinorm_info(f, phi: PhiSpec, r: float, cfg: QuadratureConfig = DEFAULT_CONFIG, cache: ConjugateCache | None = None) -> ScanResult:
     if not (1.0 <= r < math.inf):
-        raise ValueError(f"derivative order r must be at least 1 and finite, got {r!r}")
+        raise RejectedInputError(f"derivative order r must be at least 1 and finite, got {r!r}")
     return _g_scan(f, phi, cfg, cache, p_lo=V_SCAN_P_LO, r=r)
 
 
@@ -669,10 +660,10 @@ def lorentz_norm(f, p: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG) 
     to the weak form.  b = math.inf gives the weak form sup_w w T(w)^(1/p).
     """
     if not (1.0 <= p < math.inf):
-        raise ValueError(f"first index must be at least 1 and finite, got {p!r}")
+        raise RejectedInputError(f"first index must be at least 1 and finite, got {p!r}")
     if not (b >= 1.0):
-        raise ValueError("second index must be at least 1 (or inf)")
-    s = LevelSampler(f, _domain_of(f))
+        raise RejectedInputError("second index must be at least 1 (or inf)")
+    s = LevelSampler(f)
     if s.sup_estimate == 0.0:
         return 0.0
     return _lorentz_sup(s, lambda log_t, dlog_t: (log_t / p, dlog_t / p)) if math.isinf(b) else _power_norm(_level_nodes(s, b), p / b, b, cfg)
@@ -718,18 +709,18 @@ def weighted_lorentz_g(f, phi: PhiSpec, b: float, cfg: QuadratureConfig = DEFAUL
     y*(1).  At b = inf, where the suprema over p and w exchange, it is one
     maximization of the weak form (``_dual_weight``), the supremum over
     every real p >= 1.  Both read the cache at p = 1: one that starts
-    elsewhere raises ValueError, and a phi with h(y*(1)) < 0, outside the
-    admissible class, RejectedInputError.
+    elsewhere, or a phi with h(y*(1)) < 0, outside the admissible class,
+    raises RejectedInputError.
     """
     if not (b >= 1.0):
-        raise ValueError("second index must be at least 1 (or inf)")
+        raise RejectedInputError("second index must be at least 1 (or inf)")
     c = cache if cache is not None else ConjugateCache(phi)
     if not abs(c.grid[0] - 1.0) <= 1e-12:
-        raise ValueError(f"conjugate cache grid starts at p = {c.grid[0]!r}, not at p = 1")
+        raise RejectedInputError(f"conjugate cache grid starts at p = {c.grid[0]!r}, not at p = 1")
     h1 = float(phi.h(c.ystar[0]))
     if not h1 >= 0.0:
         raise RejectedInputError(f"{phi.label} is outside the admissible class: h(y*(1)) = {h1!r} < 0")
-    sampler = LevelSampler(f, _domain_of(f))
+    sampler = LevelSampler(f)
     if sampler.sup_estimate == 0.0:
         return 0.0
     if math.isinf(b):
@@ -879,13 +870,13 @@ def evaluate_norm_info(f, spec: NormSpec, ctx: NormContext | None = None) -> Sca
     if spec.kind == "vnorm":
         return v_quasinorm_info(f, spec.phi, spec.r, cfg, cache=context.conjugates(spec.phi, p_lo=V_SCAN_P_LO))
     if spec.kind == "lp":
-        value = lp_quasinorm(f, spec.p, _domain_of(f), cfg)
+        value = lp_quasinorm(f, spec.p, _carrier(f)[0], cfg)
     elif spec.kind == "orlicz":
         value = luxemburg_norm(f, context.orlicz(spec.phi), cfg)
     elif spec.kind == "lorentz":
         value = lorentz_norm(f, spec.p, spec.b, cfg)
     else:
-        raise ValueError(f"unknown norm kind {spec.kind!r}")
+        raise RejectedInputError(f"unknown norm kind {spec.kind!r}")
     return ScanResult(value, None, True, 0)
 
 

@@ -51,9 +51,11 @@ The norms are taken against Lebesgue measure scaled to total mass one:
 ``_adaptive`` integrates against plain dx times the store's weights, and
 its callers add the store's ``log_density``.
 
-Every entry point (``lp_quasinorm``, ``LevelSampler``, ``sup_norm``,
-``distribution``) takes a function representation and a ``Domain``; an
-object that reports no break points raises RejectedInputError.
+A function carries its domain, ``f.natural_domain``: the entry points
+(``LevelSampler``, ``sup_norm``, ``distribution``), like the norms and
+``break_points()``, take none, and ``lp_quasinorm``'s ``domain`` must be
+f's own.  An object that reports no natural domain or no break points
+raises RejectedInputError.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ class QuadratureConfig:
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < math.inf):
-            raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
+            raise RejectedInputError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -134,13 +136,14 @@ def log_abs_of(f):
     return call
 
 
-def break_points_of(f, domain: Domain):
-    """The break points f reports on the domain, the kinks of |f| among
-    them; an object that reports none raises RejectedInputError."""
-    report = getattr(f, "break_points", None)
-    if report is None:
-        raise RejectedInputError(f"{type(f).__name__} reports no break points; pass a function representation")
-    return report(domain)
+def _carrier(f):
+    """f's own domain, where its norms are taken, and the break points f
+    reports there, the kinks of |f| among them; an object that reports
+    either not raises RejectedInputError."""
+    domain, report = getattr(f, "natural_domain", None), getattr(f, "break_points", None)
+    if domain is None or report is None:
+        raise RejectedInputError(f"{type(f).__name__} reports no natural domain or no break points; pass a function representation")
+    return domain, report()
 
 
 def _check_finite(values: np.ndarray, p_lo, p_hi) -> None:
@@ -259,14 +262,13 @@ class _NodeStore:
         return g[..., 0] - np.log(-slope)
 
 
-def _abs_nodes(f, domain: Domain) -> _NodeStore:
-    """A node store of log|f| on the domain, whose integrals start at the
+def _abs_nodes(f) -> _NodeStore:
+    """A node store of log|f| on its domain, whose integrals start at the
     break points of f, take its singular end in distance, if it reports one,
     and are taken against the normalized measure."""
-    log_f = log_abs_of(f)
-    edges = _initial_edges(domain.lo, domain.hi, break_points_of(f, domain))
-    end = getattr(f, "singular_end", lambda _domain: None)(domain)
-    return _NodeStore(log_f, edges, math.log(domain.density), end)
+    domain, xs = _carrier(f)
+    end = getattr(f, "singular_end", lambda: None)()
+    return _NodeStore(log_abs_of(f), _initial_edges(domain.lo, domain.hi, xs), math.log(domain.density), end)
 
 
 def _adaptive(nodes: _NodeStore, transform, cfg, breaks=None):
@@ -481,20 +483,23 @@ def _power_norm(nodes: _NodeStore, e: float, q: float, cfg: QuadratureConfig) ->
 def lp_quasinorm(f, p: float, domain: Domain, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """(integral |f|^p dmu)^(1/p); a norm for p >= 1, quasinorm below.
 
-    The integral starts with the break points of f as panel edges.
+    The integral is on f's own domain, which ``domain`` must be, or
+    RejectedInputError, and starts with the break points of f as panel edges.
     """
     if not (0.0 < p < math.inf):
-        raise ValueError(f"exponent must be positive and finite, got {p!r}")
-    return _power_norm(_abs_nodes(f, domain), p, p, cfg)
+        raise RejectedInputError(f"exponent must be positive and finite, got {p!r}")
+    if domain != _carrier(f)[0]:
+        raise RejectedInputError(f"{type(f).__name__} is taken on its own domain {f.natural_domain}, not on {domain}")
+    return _power_norm(_abs_nodes(f), p, p, cfg)
 
 
-def _break_values(f, domain: Domain, bounded: bool):
-    """Break points of f on the domain and |f| at them.
+def _break_values(f, bounded: bool):
+    """Break points of f on its domain and |f| at them.
 
     An undefined value raises DomainEvaluationError, and so does an
     infinite one when ``bounded``.
     """
-    xs = break_points_of(f, domain)
+    xs = _carrier(f)[1]
     vals = np.abs(f(xs))
     bad = ~np.isfinite(vals) if bounded else np.isnan(vals)
     if bad.any():
@@ -503,10 +508,10 @@ def _break_values(f, domain: Domain, bounded: bool):
     return xs, vals
 
 
-def sup_norm(f, domain: Domain) -> float:
+def sup_norm(f) -> float:
     """Sup of |f|: its largest value over the break points of f, between
     which |f| is monotone.  Unbounded f raises DomainEvaluationError."""
-    return float(np.max(_break_values(f, domain, bounded=True)[1]))
+    return float(np.max(_break_values(f, bounded=True)[1]))
 
 
 # a crossing's first bracket is one of this many cells of its piece
@@ -618,10 +623,10 @@ class LevelSampler:
     ``sup_estimate`` is then inf.
     """
 
-    def __init__(self, f, domain: Domain):
-        self.domain = domain
+    def __init__(self, f):
         self._f = f
-        xs, vals = _break_values(f, domain, bounded=False)
+        domain = _carrier(f)[0]
+        xs, vals = _break_values(f, bounded=False)
         self.sup_estimate = float(np.max(vals))
         # a value below 1e-12 sup|f| is a computed zero of f and merges into
         # 0, and a value within 1e-12 of the next one merges into it: equal
@@ -641,6 +646,7 @@ class LevelSampler:
         self._v_max = np.maximum(vals[:-1], vals[1:])
         # the widest bracket a crossing may end with
         self._tol = 2.0 * np.finfo(float).eps * max(1.0, abs(domain.lo), abs(domain.hi))
+        self._density = domain.density
 
     @functools.cached_property
     def _df(self):
@@ -659,7 +665,7 @@ class LevelSampler:
         size = max(1, 2**18 // self._length.size)
         parts = [self._measure(flat_ws[i : i + size], slope) for i in range(0, flat_ws.size, size)]
         out = np.concatenate(parts, axis=-1) if parts else np.zeros((2, 0) if slope else 0)
-        out = out * self.domain.density
+        out = out * self._density
         return (out[0].reshape(ws.shape), out[1].reshape(ws.shape)) if slope else out.reshape(ws.shape)
 
     @functools.cached_property
@@ -711,8 +717,8 @@ class LevelSampler:
         return np.stack([out, -rate])
 
 
-def distribution(f, w: float, domain: Domain) -> float:
+def distribution(f, w: float) -> float:
     """mu{ x : |f(x)| > w } for w >= 0."""
     if not (w >= 0.0):
-        raise ValueError(f"threshold must be nonnegative, got {w!r}")
-    return float(LevelSampler(f, domain).measure_above_batch(np.array([w]))[0])
+        raise RejectedInputError(f"threshold must be nonnegative, got {w!r}")
+    return float(LevelSampler(f).measure_above_batch(np.array([w]))[0])

@@ -202,7 +202,7 @@ def test_criterion_9_property_suite(actx):
     from orlimark.quadrature import distribution
 
     cheb = all(
-        distribution(f, w, dom) <= (lp_quasinorm(f, 2.0, dom) / w) ** 2 + 1e-12
+        distribution(f, w) <= (lp_quasinorm(f, 2.0, dom) / w) ** 2 + 1e-12
         for w in (0.2, 0.5, 1.0)
     )
     checks.append(("chebyshev", cheb))

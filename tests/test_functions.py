@@ -193,20 +193,19 @@ class TestRational:
             assert d.den.degree == (r + 1) * q.den.degree
             # Lorentz at p = b = 2 is L2, through the level sets' break points
             assert lorentz_norm(d, 2.0, 2.0) == pytest.approx(lp_quasinorm(d, 2.0, dom), rel=1e-10)
-            assert sup_norm(d, dom) >= float(np.max(np.abs(d(xs)))) * (1.0 - 1e-9), r
+            assert sup_norm(d) >= float(np.max(np.abs(d(xs)))) * (1.0 - 1e-9), r
 
     @pytest.mark.parametrize("r", [5, 6])
     def test_high_order_critical_points(self, r):
         # N_r / q^(r+1) has the critical points of N_r' q - (r+1) N_r q':
         # p'q - pq' of it carries q^r besides, whose multiple roots at the
         # poles spread and moved its real roots off the maxima of |f|
-        dom = Domain.interval()
         xs = np.linspace(-1.0, 1.0, 2**16 + 1)
         misses = []
         for degree in range(2, 7):
             for seed in range(40):
                 d = random_family("rational", degree, seed).derivative(r)
-                if sup_norm(d, dom) < float(np.max(np.abs(d(xs)))) * (1.0 - 1e-9):
+                if sup_norm(d) < float(np.max(np.abs(d(xs)))) * (1.0 - 1e-9):
                     misses.append((degree, seed))
         assert misses == []
 
@@ -217,7 +216,7 @@ class TestRational:
         xs = np.linspace(-1.0, 1.0, 33)
         assert np.allclose(d(xs), q.derivative(3)(xs), rtol=1e-12, atol=0.0)
         assert d.den.degree == 4 * q.den.degree
-        assert sup_norm(d, Domain.interval()) == pytest.approx(sup_norm(q.derivative(3), Domain.interval()), rel=1e-12)
+        assert sup_norm(d) == pytest.approx(sup_norm(q.derivative(3)), rel=1e-12)
 
     def test_pole_proximity_raises_on_eval(self):
         q = RationalRep([1.0], [0.0, 1.0])
@@ -234,7 +233,9 @@ class TestRational:
     [PolynomialRep([0.3, -1.2, 0.5, 0.9, -0.4]), RationalRep([0.2, 1.0, -0.5], [1.5, 0.0, 1.0])],
     ids=["polynomial", "rational"],
 )
-def test_break_points_computed_once_per_domain(f, monkeypatch, ctx):
+def test_break_points_computed_once_per_representation(f, monkeypatch, ctx):
+    # every norm, the quadrature entry points and f.break_points() itself
+    # read one array, computed on f's natural domain by the first of them
     solves = []
     real_zeros = functions._real_zeros
 
@@ -250,17 +251,14 @@ def test_break_points_computed_once_per_domain(f, monkeypatch, ctx):
     assert once > 0
     g_norm_info(f, phi, cache=ctx.conjugates(phi))
     lp_quasinorm(f, 3.0, dom)
-    LevelSampler(f, dom)
-    xs = f.break_points(dom)
+    LevelSampler(f)
+    xs = f.break_points()
     assert len(solves) == once
+    assert f.break_points() is xs
+    assert (xs[0], xs[-1]) == (dom.lo, dom.hi)
     assert not xs.flags.writeable
     with pytest.raises(ValueError):
         xs[0] = 0.0
-    half = Domain("interval", -0.5, 0.5)
-    inner = f.break_points(half)
-    assert len(solves) == 2 * once
-    assert (inner[0], inner[-1]) == (-0.5, 0.5)
-    assert f.break_points(half) is inner and f.break_points(dom) is xs
 
 
 class TestPoleCertificate:
@@ -323,7 +321,7 @@ class TestGap:
         # r (x - a) / (x - a)^2 it left near-double roots of N^2 + N'D - ND'
         # 3e-8 either side of the node, where neither f nor f' vanishes
         dg = derivative(GapRep([(0.1, 0.0, 2.0), (-0.5, 0.4, 1.5)]), 1)
-        assert np.array_equal(dg.break_points(Domain.interval()), [-1.0, 0.1, 1.0])
+        assert np.array_equal(dg.break_points(), [-1.0, 0.1, 1.0])
 
 
 def test_negative_derivative_order_rejected():

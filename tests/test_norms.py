@@ -715,7 +715,7 @@ def test_weak_maximum_between_two_probes():
     # sharply inside the critical interval below 1.87: d log h / ds changes
     # sign twice between two probes, around a maximum 4% above the best probe
     f = random_family("polynomial", 30, 3)
-    sampler = quadrature.LevelSampler(f, INTERVAL)
+    sampler = quadrature.LevelSampler(f)
     ws = np.linspace(0.0, sampler.sup_estimate, 4001)[1:-1]
     k = int(np.argmax(ws * sampler.measure_above_batch(ws)))
     _w, expect = golden_max(lambda w: w * sampler.measure_above_batch(np.array([w]))[0], ws[k - 1], ws[k + 1], tol=1e-14)
@@ -734,7 +734,7 @@ def _mp_gap_derivative_weak(gap, p, w_lo, w_hi):
             du = [r * (x - a) * ((x - a) ** 2 + b * b) ** (mp.mpf(r) / 2 - 1) for a, b, r in gap.factors]
             return mp.fsum(du[j] * mp.fprod(u[:j] + u[j + 1 :]) for j in range(len(u)))
 
-        xs = [mp.mpf(float(x)) for x in GapDerivative(gap).break_points(INTERVAL)]
+        xs = [mp.mpf(float(x)) for x in GapDerivative(gap).break_points()]
         inner = [mp.findroot(lambda x: mp.diff(df, x), x) if abs(df(x)) > 1e-6 else mp.findroot(df, x) for x in xs[1:-1]]
         xs = [xs[0]] + inner + [xs[-1]]
 
@@ -774,8 +774,8 @@ def test_weak_gap_derivative_matches_mpmath():
     gap = GapRep([(0.1, 0.0, 2.0), (-0.5, 0.4, 1.5)])
     f = derivative(gap, 1)
     p = 2.0
-    ws = np.linspace(0.0, sup_norm(f, INTERVAL), 401)[1:-1]
-    sampler = quadrature.LevelSampler(f, INTERVAL)
+    ws = np.linspace(0.0, sup_norm(f), 401)[1:-1]
+    sampler = quadrature.LevelSampler(f)
     k = int(np.argmax(ws * sampler.measure_above_batch(ws) ** (1.0 / p)))
     expect = _mp_gap_derivative_weak(gap, p, ws[k - 1], ws[k + 1])
     assert lorentz_norm(f, p, math.inf) == pytest.approx(expect, rel=1e-12, abs=0.0)
@@ -830,7 +830,7 @@ def test_lorentz_diagonal_off_polynomials_matches_mpmath():
     with mp.workdps(20):
         gap_ref = mp.quad(lambda x: mp.fprod(((x - a) ** 2 + b * b) ** (mp.mpf(r) / 2) for a, b, r in gap.factors), [-1, 1])
         trig_mp = _mp_function(trig)
-        trig_ref = mp.quad(lambda x: abs(trig_mp(x)), [float(x) for x in trig.break_points(trig.natural_domain)])
+        trig_ref = mp.quad(lambda x: abs(trig_mp(x)), [float(x) for x in trig.break_points()])
     assert lorentz_norm(gap, 1.0, 1.0) == pytest.approx(float(gap_ref / 2), rel=1e-10)
     assert lorentz_norm(trig, 1.0, 1.0) == pytest.approx(float(trig_ref / (2 * mp.pi)), rel=1e-10)
 
@@ -873,7 +873,7 @@ def _mp_function(f):
 
 
 def _mp_cuts(f):
-    return [mp.mpf(float(x)) for x in f.break_points(f.natural_domain)]
+    return [mp.mpf(float(x)) for x in f.break_points()]
 
 
 def test_lp_quasinorm_matches_mpmath():
@@ -948,7 +948,7 @@ def _gauss_legendre_luxemburg(f, n, start):
     points of f (the zeros of f and f') and the points where |f| / l crosses
     the knee, each bisected to rounding, and its root l by mpmath."""
     dom = f.natural_domain
-    cuts = f.break_points(dom)
+    cuts = f.break_points()
     vals = np.abs(f(cuts))
     nodes, weights = np.polynomial.legendre.leggauss(64)
 
@@ -1229,7 +1229,7 @@ def _double_sup(f, phi, zooms=6, starts=3):
     critical interval), then, from the best point of each of the ``starts``
     best intervals, ``zooms`` rounds of a 201 x 201 grid on the cells around
     the best point of the round before."""
-    k, at = norms._level_map(quadrature.LevelSampler(f, f.natural_domain))
+    k, at = norms._level_map(quadrature.LevelSampler(f))
 
     def log_ratio(log_p, s):
         w, _dw, log_t = at(s)
@@ -1293,7 +1293,7 @@ class TestEvaluatorSlopes:
     @pytest.mark.parametrize("label", ["poly-03", "poly-30", "gap-01", "rational-02", "trig-02"])
     def test_power_norm(self, label):
         f = dict(build_corpus(7))[label]
-        ev = quadrature.PowerNormEvaluator(quadrature._abs_nodes(f, f.natural_domain), DEFAULT_CONFIG, yardsticks=(1.0, 32.0, 1024.0))
+        ev = quadrature.PowerNormEvaluator(quadrature._abs_nodes(f), DEFAULT_CONFIG, yardsticks=(1.0, 32.0, 1024.0))
         log_norm, mean_log_f = ev.log_norm(self.PS, moment=True)
         # d log ||f||_p / dp = (E_pi[log|f|] - log ||f||_p) / p
         assert (mean_log_f - log_norm) / self.PS == pytest.approx(_central_difference(ev.log_norm, self.PS), rel=1e-8)
@@ -1309,7 +1309,7 @@ class TestEvaluatorSlopes:
 
         monkeypatch.setattr(quadrature, "_adaptive", counted)
         f = dict(build_corpus(7))["poly-30"]
-        quadrature.PowerNormEvaluator(quadrature._abs_nodes(f, f.natural_domain), DEFAULT_CONFIG, yardsticks=(1.0, 32.0, 1024.0))
+        quadrature.PowerNormEvaluator(quadrature._abs_nodes(f), DEFAULT_CONFIG, yardsticks=(1.0, 32.0, 1024.0))
         assert len(calls) == 1
 
 

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from orlimark.conjugate import log_power, power_log, psi
-from orlimark.errors import OrlimarkError
+from orlimark.conjugate import log_power, power_log, psi, tabulated_phi
+from orlimark.errors import OrlimarkError, RejectedInputError
 from orlimark.functions import InversePowerRep, PolynomialRep, RationalRep, chebyshev_t, jacobi22, random_family
 from orlimark.harness import (
     d_constant,
@@ -24,7 +24,7 @@ from orlimark.harness import (
     rational_orlicz_check,
     tail_check,
 )
-from orlimark.norms import NormContext, g_norm, lorentz_norm, lp_spec, luxemburg_norm, orlicz_spec, v_quasinorm
+from orlimark.norms import NormContext, g_norm, lorentz_norm, lp_spec, luxemburg_norm, orlicz_spec, v_quasinorm, weighted_lorentz_g
 from orlimark.quadrature import Domain, LevelSampler, QuadratureConfig, distribution, lp_quasinorm
 
 INTERVAL = Domain.interval()
@@ -89,11 +89,11 @@ def test_lyapunov_monotone_in_p(f):
 @settings(max_examples=15, deadline=None)
 @given(f=poly_strategy, frac=st.floats(min_value=0.05, max_value=0.95), p=st.sampled_from([1.0, 2.0]))
 def test_chebyshev_inequality(f, frac, p):
-    sampler = LevelSampler(f, INTERVAL)
+    sampler = LevelSampler(f)
     if sampler.sup_estimate <= 0.0:
         return
     w = frac * sampler.sup_estimate
-    t = distribution(f, w, INTERVAL)
+    t = distribution(f, w)
     bound = (lp_quasinorm(f, p, INTERVAL) / w) ** p
     assert t <= bound * (1.0 + 1e-9) + 1e-12
 
@@ -141,7 +141,7 @@ BAD_ARGUMENTS = [
     ("chebyshev_t(n)", lambda n: float(chebyshev_t(n)(0.3)), (NAN, INF, -INF, 2.5, -1.0)),
     ("jacobi22(n)", lambda n: float(jacobi22(n)(0.3)), (NAN, INF, -INF, 2.5, -1.0, 201.0)),
     ("lp_quasinorm(p)", lambda p: lp_quasinorm(F, p, INTERVAL), (NAN, INF, -INF, 0.0, -1.0)),
-    ("distribution(w)", lambda w: distribution(F, w, INTERVAL), (NAN, INF, -INF, -1.0)),
+    ("distribution(w)", lambda w: distribution(F, w), (NAN, INF, -INF, -1.0)),
     ("lorentz_norm(p)", lambda p: lorentz_norm(F, p, 2.0), (NAN, INF, -INF, 0.5)),
     ("lorentz_norm(b)", lambda b: lorentz_norm(F, 2.0, b), (NAN, INF, -INF, 0.5)),
     ("v_quasinorm(r)", lambda r: v_quasinorm(F, PHI2, r, cache=CTX.conjugates(PHI2, p_lo=4.0)), (NAN, INF, -INF, 0.5)),
@@ -177,3 +177,28 @@ def test_bad_arguments_return_finite_values_or_raise_typed_errors(case):
     except (ValueError, OrlimarkError):
         return
     assert math.isfinite(value)
+
+
+# one invalid argument per check: each raises RejectedInputError, which is
+# an OrlimarkError and a ValueError both
+ARGUMENT_CHECKS = {
+    "lp_quasinorm(p=-1)": lambda: lp_quasinorm(F, -1.0, INTERVAL),
+    "lp_quasinorm(p=nan)": lambda: lp_quasinorm(F, NAN, INTERVAL),
+    "lorentz_norm(p=0.5)": lambda: lorentz_norm(F, 0.5, 2.0),
+    "lorentz_norm(b=0.5)": lambda: lorentz_norm(F, 2.0, 0.5),
+    "v_quasinorm(r=0)": lambda: v_quasinorm(F, PHI2, 0.0),
+    "weighted_lorentz_g(b=0)": lambda: weighted_lorentz_g(F, PHI2, 0.0),
+    "power_log(m=-1)": lambda: power_log(-1.0),
+    "QuadratureConfig(rel_tol=0)": lambda: QuadratureConfig(rel_tol=0.0),
+    "extremal_search(n=0)": lambda: extremal_search(PHI2, 0, restarts=1, ctx=CTX),
+    "distribution(w=-1)": lambda: distribution(F, -1.0),
+    "tabulated_phi(one point)": lambda: tabulated_phi([1.0], [1.0]),
+    "markov_sweep(unknown family)": lambda: markov_sweep(PHI2, "legendre", [2], norm=lp_spec(4.0), ctx=CTX),
+}
+
+
+@pytest.mark.parametrize("check", sorted(ARGUMENT_CHECKS))
+def test_argument_checks_raise_typed_errors(check):
+    with pytest.raises(OrlimarkError) as info:
+        ARGUMENT_CHECKS[check]()
+    assert isinstance(info.value, RejectedInputError) and isinstance(info.value, ValueError)

@@ -169,30 +169,30 @@ def test_lp_quasinorm_zero():
 
 def test_sup_norm_interior_and_endpoint():
     f = PolynomialRep([1.0, 0.0, -1.0])  # 1 - x^2, max at 0
-    assert sup_norm(f, INTERVAL) == pytest.approx(1.0, rel=1e-9)
+    assert sup_norm(f) == pytest.approx(1.0, rel=1e-9)
     g = PolynomialRep([0.0, 0.0, 1.0])  # x^2, max at the closed endpoints
-    assert sup_norm(g, INTERVAL) == pytest.approx(1.0, rel=1e-12)
+    assert sup_norm(g) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_sup_norm_rejects_unbounded():
     with pytest.raises(DomainEvaluationError):
-        sup_norm(InversePowerRep(0.5), INTERVAL)
+        sup_norm(InversePowerRep(0.5))
 
 
 def test_distribution_of_identity():
     # m{ |x| > u } under dx/2 is 1-u on [0,1]
     f = PolynomialRep([0.0, 1.0])
     for u in (0.0, 0.25, 0.5, 0.99):
-        assert distribution(f, u, INTERVAL) == pytest.approx(1.0 - u, abs=1e-10)
-    assert distribution(f, 1.5, INTERVAL) == 0.0
+        assert distribution(f, u) == pytest.approx(1.0 - u, abs=1e-10)
+    assert distribution(f, 1.5) == 0.0
 
 
 def test_level_sampler_batch_matches_scalar():
     f = PolynomialRep([0.1, 0.3, 1.0, -0.5])
-    sampler = LevelSampler(f, INTERVAL)
+    sampler = LevelSampler(f)
     ws = np.linspace(0.0, sampler.sup_estimate * 1.1, 17)
     batch = sampler.measure_above_batch(ws)
-    singles = np.array([distribution(f, float(w), INTERVAL) for w in ws])
+    singles = np.array([distribution(f, float(w)) for w in ws])
     assert np.allclose(batch, singles, atol=1e-12)
 
 
@@ -206,7 +206,7 @@ def test_level_sampler_chebyshev_closed_form():
     # arccos(w)/n around k*pi/n; 2n monotone runs, one crossing in each
     n = 25
     f = chebyshev_t(n)
-    sampler = LevelSampler(f, INTERVAL)
+    sampler = LevelSampler(f)
     sup = sampler.sup_estimate
 
     def exact(w):
@@ -231,11 +231,11 @@ def test_level_sampler_chebyshev_closed_form():
 
 
 def test_level_sampler_plateaus():
-    const = LevelSampler(PolynomialRep([0.7]), INTERVAL)
+    const = LevelSampler(PolynomialRep([0.7]))
     assert list(const.measure_above_batch([0.0, 0.69, 0.7, 1.0])) == [1.0, 1.0, 0.0, 0.0]
     # (1 - x)^(-1/2) is one increasing piece with an infinite end value:
     # T(w) = min(1, w^(-2)/2) at every level
-    singular = LevelSampler(InversePowerRep(0.5), INTERVAL)
+    singular = LevelSampler(InversePowerRep(0.5))
     ws = np.array([0.5, 1.5, 3.0, 10.0, 50.0, 99.0, 1e6])
     expect = np.minimum(1.0, ws**-2 / 2.0)
     assert np.allclose(singular.measure_above_batch(ws), expect, rtol=1e-12, atol=1e-15)
@@ -245,7 +245,7 @@ def test_level_sampler_plateaus():
 def test_level_sampler_cosine_on_circle():
     # |cos(n t)| > w on arcs of total normalized measure (2/pi) arccos(w)
     n = 7
-    sampler = LevelSampler(TrigPolynomialRep([0.0] * n + [1.0], [0.0] * n), CIRCLE)
+    sampler = LevelSampler(TrigPolynomialRep([0.0] * n + [1.0], [0.0] * n))
     ws = np.linspace(0.0, 0.99, 34)
     expect = 2.0 / math.pi * np.arccos(ws)
     assert np.allclose(sampler.measure_above_batch(ws), expect, rtol=0.0, atol=1e-12)
@@ -255,17 +255,17 @@ def test_level_sampler_slope_closed_forms():
     # |x| on [-1, 1]: T(w) = 1 - w; |cos(7t)| on the circle:
     # T(w) = (2/pi) arccos(w), T'(w) = -(2/pi) / sqrt(1 - w^2)
     ws = np.linspace(0.05, 0.95, 19)
-    t, dt = LevelSampler(PolynomialRep([0.0, 1.0]), INTERVAL).measure_above_batch(ws, slope=True)
+    t, dt = LevelSampler(PolynomialRep([0.0, 1.0])).measure_above_batch(ws, slope=True)
     assert np.allclose(t, 1.0 - ws, rtol=0.0, atol=1e-15)
     assert np.allclose(dt, -1.0, rtol=1e-14, atol=0.0)
-    t, dt = LevelSampler(TrigPolynomialRep([0.0] * 7 + [1.0], [0.0] * 7), CIRCLE).measure_above_batch(ws, slope=True)
+    t, dt = LevelSampler(TrigPolynomialRep([0.0] * 7 + [1.0], [0.0] * 7)).measure_above_batch(ws, slope=True)
     assert np.allclose(t, 2.0 / math.pi * np.arccos(ws), rtol=0.0, atol=1e-12)
     assert np.allclose(dt, -2.0 / math.pi / np.sqrt(1.0 - ws**2), rtol=1e-12, atol=0.0)
 
 
 def test_rounding_level_values_merge_into_zero():
     # |sin(40x)| at its 80 computed zeros is rounding noise, not 80 levels
-    sampler = LevelSampler(TrigPolynomialRep([0.0] * 41, [0.0] * 39 + [1.0]), CIRCLE)
+    sampler = LevelSampler(TrigPolynomialRep([0.0] * 41, [0.0] * 39 + [1.0]))
     assert sampler.critical_values.tolist() == [0.0, pytest.approx(1.0, rel=1e-14)]
 
 
@@ -274,8 +274,8 @@ def test_crossing_by_a_flat_minimum_is_bounded(monkeypatch):
     # 1.4e-8 from it, where regula falsi creeps; 53 halvings collapse any
     # double bracket, and the solve stays within twice that
     f = dict(build_corpus(7))["gap-01"]
-    sampler = LevelSampler(f, INTERVAL)
-    xs = f.break_points(INTERVAL)
+    sampler = LevelSampler(f)
+    xs = f.break_points()
     x_min = float(xs[np.argmin(np.abs(xs - 0.9434))])
     steps, solve = [], quadrature._bracketed_root
 
@@ -301,7 +301,7 @@ def test_crossings_start_from_a_table_cell(monkeypatch):
     # with the table's 50 x 63 evaluations included it takes fewer than 6
     # evaluations of f a lane (7.6 from the whole piece)
     f = chebyshev_t(25)
-    assert f.break_points(INTERVAL).size == 51
+    assert f.break_points().size == 51
     points, call = [0], PolynomialRep.__call__
 
     def counted(self, x):
@@ -309,7 +309,7 @@ def test_crossings_start_from_a_table_cell(monkeypatch):
         return call(self, x)
 
     monkeypatch.setattr(PolynomialRep, "__call__", counted)
-    sampler = LevelSampler(f, INTERVAL)
+    sampler = LevelSampler(f)
     points[0] = 0
     sampler.measure_above_batch(THRESHOLDS_25)
     assert points[0] <= 6 * 50 * THRESHOLDS_25.size
@@ -319,6 +319,8 @@ class _Blip:
     """|x| on [-1, 1], raised at the point ``x_top`` to |x_high|: a stand-in
     for the rounding that can make a table of |f| decrease on a flat stretch."""
 
+    natural_domain = INTERVAL
+
     def __init__(self, x_top, x_high):
         self.x_top, self.x_high = x_top, x_high
 
@@ -326,7 +328,7 @@ class _Blip:
         x = np.asarray(x, dtype=float)
         return np.where(x == self.x_top, self.x_high, np.abs(x))
 
-    def break_points(self, domain):
+    def break_points(self):
         return np.array([-1.0, 0.0, 1.0])
 
 
@@ -342,10 +344,10 @@ def test_table_cell_matches_whole_piece(monkeypatch, f):
         # the values of points 10 and 11 decrease: at the value of point 11
         # and one ulp above, the cell after the count of values <= w, [10,
         # 11], holds no sign change, and the lane solves on the whole piece
-        xs = LevelSampler(PolynomialRep([0.0, 1.0]), INTERVAL)._table[0][1]
+        xs = LevelSampler(PolynomialRep([0.0, 1.0]))._table[0][1]
         f = _Blip(xs[10], xs[12])
         ws = np.array([xs[11], np.nextafter(xs[11], np.inf)])
-    sampler = LevelSampler(f, INTERVAL)
+    sampler = LevelSampler(f)
     if not blip:
         ws = np.unique(sampler._table[1])
         ws = ws[(ws >= THRESHOLDS_25[0]) & (ws <= THRESHOLDS_25[-1])]
@@ -362,12 +364,12 @@ def test_table_cell_matches_whole_piece(monkeypatch, f):
     whole = np.count_nonzero((x_neg == 0.0) & (x_pos == 1.0))
     assert whole == (2 if blip else 0)
     monkeypatch.setattr(quadrature, "_CELLS", 1)
-    assert np.max(np.abs(got - LevelSampler(f, INTERVAL).measure_above_batch(ws))) <= 1e-14
+    assert np.max(np.abs(got - LevelSampler(f).measure_above_batch(ws))) <= 1e-14
 
 
 def test_distribution_rejects_nan_threshold():
     with pytest.raises(ValueError, match="threshold"):
-        distribution(PolynomialRep([0.3, 1.0, -0.7]), math.nan, INTERVAL)
+        distribution(PolynomialRep([0.3, 1.0, -0.7]), math.nan)
 
 
 def test_config_rejects_infinite_tolerance():
@@ -411,10 +413,10 @@ SAMPLED_IDS = ["trig", "rational", "gap", "gap-derivative", "gap-derivative-real
 @pytest.mark.parametrize("f", SAMPLED, ids=SAMPLED_IDS)
 def test_level_sampler_matches_dense_reference(f):
     dom = f.natural_domain
-    sampler = LevelSampler(f, dom)
+    sampler = LevelSampler(f)
     dense_max = float(np.max(np.abs(f(np.linspace(dom.lo, dom.hi, 2**16 + 1)))))
     assert dense_max <= sampler.sup_estimate <= dense_max * (1.0 + 1e-6)
-    assert sup_norm(f, dom) == sampler.sup_estimate
+    assert sup_norm(f) == sampler.sup_estimate
     ws = np.linspace(0.0, sampler.sup_estimate, 25)[1:-1]
     got = sampler.measure_above_batch(ws)
     assert np.allclose(got, _dense_distribution(f, dom, ws), rtol=0.0, atol=1e-6)
@@ -424,7 +426,7 @@ def test_level_sampler_matches_dense_reference(f):
 def test_level_sampler_slope_matches_central_difference(f):
     # at the middle of each critical interval, where T is smooth, that is
     # wide enough for a difference quotient
-    sampler = LevelSampler(f, f.natural_domain)
+    sampler = LevelSampler(f)
     levels = sampler.critical_values
     wide = np.diff(levels) > 1e-3 * levels[-1]
     ws, hs = 0.5 * (levels[1:] + levels[:-1])[wide], 1e-4 * np.diff(levels)[wide]
@@ -434,15 +436,32 @@ def test_level_sampler_slope_matches_central_difference(f):
 
 
 def test_plain_callable_rejected():
-    # every entry point starts from break points, which a bare callable cannot report
+    # every entry point starts from f's domain and break points, which a bare
+    # callable cannot report
     for call in (
-        lambda: LevelSampler(np.sin, INTERVAL),
-        lambda: sup_norm(np.sin, INTERVAL),
+        lambda: LevelSampler(np.sin),
+        lambda: sup_norm(np.sin),
         lambda: lp_quasinorm(np.sin, 2.0, INTERVAL),
-        lambda: distribution(np.sin, 0.5, INTERVAL),
+        lambda: distribution(np.sin, 0.5),
     ):
-        with pytest.raises(RejectedInputError, match="reports no break points"):
+        with pytest.raises(RejectedInputError, match="reports no natural domain or no break points"):
             call()
+
+
+@pytest.mark.parametrize(
+    "f, domain",
+    [
+        (dict(build_corpus(7))["trig-03"], INTERVAL),
+        (PolynomialRep([0.3, 1.0, -0.7]), Domain("interval", -0.5, 0.5)),
+    ],
+    ids=["trig-on-interval", "polynomial-on-half-interval"],
+)
+def test_lp_quasinorm_rejects_another_domain(f, domain):
+    # a function carries its domain: L_p on another one is not a norm of f,
+    # and trig-03's L_2 over [-1, 1] is 1.0294 against 0.93181 on the circle
+    with pytest.raises(RejectedInputError, match="its own domain"):
+        lp_quasinorm(f, 2.0, domain)
+    assert lp_quasinorm(f, 2.0, f.natural_domain) > 0.0
 
 
 def test_convergence_failure_carries_estimate():
@@ -474,7 +493,7 @@ def test_log_mean_matches_mpmath():
     # ties at the maximum and a constant near 1e15; a row of zeros gives
     # -inf, and +inf and NaN propagate
     f = chebyshev_t(12)
-    nodes = _NodeStore(log_abs_of(f), _initial_edges(-1.0, 1.0, f.break_points(INTERVAL)))
+    nodes = _NodeStore(log_abs_of(f), _initial_edges(-1.0, 1.0, f.break_points()))
     rule = _NodeRule(nodes, _adaptive(nodes, lambda g: 60.0 * g, DEFAULT_CONFIG)[2:])
     size = rule.g.size
     rng = np.random.default_rng(5)
@@ -505,7 +524,7 @@ def test_log_mean_matches_mpmath():
 def test_break_point_next_to_an_edge_is_merged():
     # T_12's extremum at x = 0.5 rounds 1e-15 off the uniform edge there; a
     # panel that narrow would round its Gauss nodes onto a few abscissae
-    edges = _initial_edges(-1.0, 1.0, chebyshev_t(12).break_points(INTERVAL))
+    edges = _initial_edges(-1.0, 1.0, chebyshev_t(12).break_points())
     assert np.min(np.diff(edges)) > np.finfo(float).eps * 2.0 / np.min(np.diff(quadrature._NODES))
     xs = quadrature._panel_nodes(edges[:-1], edges[1:])[0]
     assert all(np.unique(row).size == 16 for row in xs)
@@ -516,7 +535,7 @@ def test_lanes_share_one_pass():
     # rel_tol of a 50-digit mpmath value of |T_12|^e on [-1, 1], split at
     # the break points cos(k pi / 24), twice the even integrand's on [0, 1]
     f, es = chebyshev_t(12), np.array([1.0, 32.0, 1024.0])
-    values, errors, _lo, _hi = _adaptive(_abs_nodes(f, INTERVAL), lambda g: es[:, None, None] * g, DEFAULT_CONFIG)
+    values, errors, _lo, _hi = _adaptive(_abs_nodes(f), lambda g: es[:, None, None] * g, DEFAULT_CONFIG)
     assert values.shape == errors.shape == es.shape
     coeffs = [int(c) for c in np.polynomial.chebyshev.cheb2poly([0] * 12 + [1])[::-1]]
     with mp.workdps(50):
@@ -531,7 +550,7 @@ def test_node_store_evaluates_each_panel_once():
     # integrals and the rule on their union read one store, which evaluates
     # every node once, and each integral keeps its one-shot bits
     f = chebyshev_t(12)
-    log_f, breaks, points = log_abs_of(f), f.break_points(INTERVAL), []
+    log_f, breaks, points = log_abs_of(f), f.break_points(), []
 
     def counted(xs):
         points.append(xs.copy())
@@ -548,5 +567,5 @@ def test_node_store_evaluates_each_panel_once():
     # every node is evaluated once, and no two nodes round onto one abscissa
     nodes_seen = np.concatenate(points)
     assert np.unique(nodes_seen).size == nodes_seen.size
-    fresh = _NodeRule(_abs_nodes(f, INTERVAL), first[2:] + second[2:])
+    fresh = _NodeRule(_abs_nodes(f), first[2:] + second[2:])
     assert rule.g.tobytes() == fresh.g.tobytes() and rule.logw.tobytes() == fresh.logw.tobytes()

@@ -1,8 +1,8 @@
 """Print orlimark outputs to one file so two source trees can be compared bit for bit.
 
-Run it once per tree and compare the two files with ``cmp``:
+Run each tree's own copy once and compare the two files with ``cmp``:
 
-    PYTHONPATH=<tree>/src python3 tools/bit_identity.py out.txt [--quick]
+    PYTHONPATH=<tree>/src python3 <tree>/tools/bit_identity.py out.txt [--quick]
 
 When they differ, ``--compare`` says where and by how much:
 
@@ -225,7 +225,7 @@ def rational_derivative_records():
         for r in range(1, 5):
             d = derivative(corpus[label], r)
             dom = d.natural_domain
-            yield "rational_derivative", f"{label} r={r} sup", attempt(lambda: sup_norm(d, dom))
+            yield "rational_derivative", f"{label} r={r} sup", attempt(lambda: sup_norm(d))
             yield "rational_derivative", f"{label} r={r} lorentz p=2 b=2", attempt(lambda: lorentz_norm(d, 2.0, 2.0))
             yield "rational_derivative", f"{label} r={r} lp p=2", attempt(lambda: lp_quasinorm(d, 2.0, dom))
 
