@@ -28,7 +28,7 @@ from .errors import (
     PoleProximityError,
     RejectedInputError,
 )
-from .quadrature import Domain
+from .quadrature import Domain, _sorted_distinct
 
 _poly = np.polynomial.polynomial
 
@@ -41,7 +41,17 @@ def _trim(coeffs) -> tuple[float, ...]:
 
 
 def _check_coeffs(coeffs):
+    """Given coefficients as a float array: a NaN among them is rejected
+    input, and an infinite or too large one an overflow."""
     arr = np.asarray(coeffs, dtype=float)
+    if np.isnan(arr).any():
+        raise RejectedInputError("NaN coefficient")
+    return _check_overflow(arr)
+
+
+def _check_overflow(arr: np.ndarray) -> np.ndarray:
+    """Computed coefficients: any not finite (inf - inf gives NaN) or above
+    1e300 in magnitude raise CoefficientOverflowError."""
     if arr.size and not np.isfinite(arr).all():
         raise CoefficientOverflowError("non-finite coefficient")
     if arr.size and np.max(np.abs(arr)) > 1e300:
@@ -105,7 +115,35 @@ def _breaks(f, *zeros) -> np.ndarray:
     and distinct."""
     lo, hi = f.natural_domain.lo, f.natural_domain.hi
     inner = np.concatenate([np.zeros(0), *zeros])
-    return np.unique(np.concatenate([[lo, hi], inner[(inner > lo) & (inner < hi)]]))
+    return _sorted_distinct(np.concatenate([[lo, hi], inner[(inner > lo) & (inner < hi)]]))
+
+
+def _horner(xs: np.ndarray, c) -> np.ndarray:
+    """``polyval(xs, c)``, operation for operation, in place on one array:
+    x * 0 + c[-1], then for each lower coefficient a product with x and a
+    sum.  A 0-d xs runs on numpy floats and gives one, as ``polyval``."""
+    out = xs * 0.0
+    out += c[-1]
+    for ck in c[-2::-1]:
+        out *= xs
+        out += ck
+    return out[()]
+
+
+def _clenshaw(xs: np.ndarray, c) -> np.ndarray:
+    """``chebval(xs, c)``, operation for operation and operand for operand,
+    in place on three arrays: from c0, c1 = c[-2], c[-1] (c[0], 0 for one
+    term), each lower coefficient makes c0, c1 = c[k] - c1, c0 + c1 (2x),
+    and the value is c0 + c1 x."""
+    c0, c1 = np.full(xs.shape, c[0] if len(c) == 1 else c[-2]), np.full(xs.shape, 0.0 if len(c) == 1 else c[-1])
+    t = np.empty(xs.shape)
+    x2 = 2.0 * xs
+    for ck in c[-3::-1]:
+        np.add(c0, np.multiply(c1, x2, out=t), out=t)
+        np.subtract(ck, c1, out=c0)
+        c1, t = t, c1
+    c1 *= xs
+    return np.add(c0, c1, out=c1)[()]
 
 
 class PolynomialRep:
@@ -116,9 +154,11 @@ class PolynomialRep:
     coefficient magnitude.  Constructors that build an accurate Chebyshev
     expansion (``jacobi22``, ``chebyshev_t``) pass it as ``cheb`` and derive
     the monomial ``coeffs`` from it with ``cheb2poly``; evaluation then runs
-    through Clenshaw (``chebval``), which is backward stable on the
-    interval.  Monomial input without ``cheb`` evaluates by Horner
-    (``polyval``) at every degree.
+    through Clenshaw, which is backward stable on the interval.  Monomial
+    input without ``cheb`` evaluates by Horner at every degree.  Both run in
+    place on a few arrays of x's shape, ``_horner`` and ``_clenshaw``, in
+    the order of numpy's ``polyval`` and ``chebval``: a value's bits are
+    theirs, at every x, inf and NaN among them.
     """
 
     kind = "polynomial"
@@ -145,8 +185,8 @@ class PolynomialRep:
         if not self.coeffs:
             return np.zeros(xs.shape)
         if self._cheb is not None:
-            return np.polynomial.chebyshev.chebval(xs, self._cheb)
-        return _poly.polyval(xs, np.asarray(self.coeffs))
+            return _clenshaw(xs, self._cheb)
+        return _horner(xs, self.coeffs)
 
     def derivative(self, order: int = 1) -> "PolynomialRep":
         if order < 0:
@@ -157,7 +197,7 @@ class PolynomialRep:
             c = _poly.polyder(c)
             if cheb is not None:
                 cheb = np.polynomial.chebyshev.chebder(cheb) if cheb.size > 1 else np.zeros(1)
-        return PolynomialRep(_check_coeffs(c), cheb=cheb)
+        return PolynomialRep(_check_overflow(c), cheb=cheb)
 
     @_kept
     def break_points(self) -> np.ndarray:
@@ -302,8 +342,8 @@ class RationalRep:
             dn = _poly.polyder(num) if num.size > 1 else np.zeros(1)
             num = _poly.polysub(_poly.polymul(dn, s), k * _poly.polymul(num, ds))
             den = _poly.polymul(den, s)
-            _check_coeffs(num)
-            _check_coeffs(den)
+            _check_overflow(num)
+            _check_overflow(den)
         out = RationalRep(PolynomialRep(num), PolynomialRep(den))
         out._den_base = (s, j + order)
         return out

@@ -95,6 +95,7 @@ from .quadrature import (
     _break_values,
     _bracketed_root,
     _carrier,
+    _check_lp_exponent,
     _NodeRule,
     _NodeStore,
     _power_norm,
@@ -529,9 +530,15 @@ def v_quasinorm(f, phi: PhiSpec, r: float, cfg: QuadratureConfig = DEFAULT_CONFI
     return v_quasinorm_info(f, phi, r, cfg, cache).value
 
 
-def v_quasinorm_info(f, phi: PhiSpec, r: float, cfg: QuadratureConfig = DEFAULT_CONFIG, cache: ConjugateCache | None = None) -> ScanResult:
+def _check_v_order(r: float) -> None:
+    """RejectedInputError unless 1 <= r < inf: the range of ``v_quasinorm``
+    and of ``vnorm_spec``."""
     if not (1.0 <= r < math.inf):
         raise RejectedInputError(f"derivative order r must be at least 1 and finite, got {r!r}")
+
+
+def v_quasinorm_info(f, phi: PhiSpec, r: float, cfg: QuadratureConfig = DEFAULT_CONFIG, cache: ConjugateCache | None = None) -> ScanResult:
+    _check_v_order(r)
     return _g_scan(f, phi, cfg, cache, p_lo=V_SCAN_P_LO, r=r)
 
 
@@ -651,6 +658,15 @@ def _lorentz_sup(sampler: LevelSampler, exponent) -> float:
     return max(best)
 
 
+def _check_lorentz_indices(p: float, b: float) -> None:
+    """RejectedInputError unless 1 <= p < inf and b >= 1: the range of
+    ``lorentz_norm`` and of ``lorentz_spec``."""
+    if not (1.0 <= p < math.inf):
+        raise RejectedInputError(f"first index must be at least 1 and finite, got {p!r}")
+    if not (b >= 1.0):
+        raise RejectedInputError("second index must be at least 1 (or inf)")
+
+
 def lorentz_norm(f, p: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Two-parameter distribution norm of f, from T(w) = mu{|f| > w}.
 
@@ -659,10 +675,7 @@ def lorentz_norm(f, p: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG) 
     c has norm |c| for every p and b.  As b grows this tends to sup |f|, not
     to the weak form.  b = math.inf gives the weak form sup_w w T(w)^(1/p).
     """
-    if not (1.0 <= p < math.inf):
-        raise RejectedInputError(f"first index must be at least 1 and finite, got {p!r}")
-    if not (b >= 1.0):
-        raise RejectedInputError("second index must be at least 1 (or inf)")
+    _check_lorentz_indices(p, b)
     s = LevelSampler(f)
     if s.sup_estimate == 0.0:
         return 0.0
@@ -822,6 +835,8 @@ class NormSpec:
 
 
 def lp_spec(p: float) -> NormSpec:
+    """Selects ``lp_quasinorm``; p is checked here, by its range check."""
+    _check_lp_exponent(float(p))
     return NormSpec("lp", p=float(p))
 
 
@@ -834,10 +849,14 @@ def gnorm_spec(phi: PhiSpec) -> NormSpec:
 
 
 def lorentz_spec(p: float, b: float) -> NormSpec:
+    """Selects ``lorentz_norm``; p and b are checked here, by its range check."""
+    _check_lorentz_indices(float(p), float(b))
     return NormSpec("lorentz", p=float(p), b=float(b))
 
 
 def vnorm_spec(phi: PhiSpec, r: float) -> NormSpec:
+    """Selects ``v_quasinorm``; r is checked here, by its range check."""
+    _check_v_order(float(r))
     return NormSpec("vnorm", phi=phi, r=float(r))
 
 

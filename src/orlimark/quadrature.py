@@ -164,13 +164,23 @@ def _panel_nodes(lo, hi):
     return mid[:, None] + half[:, None] * _NODES[None, :], half
 
 
+def _sorted_distinct(values) -> np.ndarray:
+    """np.unique of a float array, by its own sort path: flattened, sorted,
+    each value once, NaNs collapsed to one at the end.  np.unique itself is
+    not used in the library, as its first call imports numpy.ma."""
+    a = np.sort(values, axis=None)
+    first = np.ones(a.shape, dtype=bool)
+    first[1:] = (a[1:] != a[:-1]) & ~np.isnan(a[:-1])
+    return a[first]
+
+
 def _inner_points(edges, points):
     """The distinct points of ``points`` strictly inside the sorted
     ``edges``, sorted; a point closer to an edge or to a point already taken
     than _MERGE_ULPS (about 45) ulps is dropped."""
     lo, hi = edges[0], edges[-1]
     tol = np.finfo(float).eps * max(1.0, abs(lo), abs(hi)) * _MERGE_ULPS
-    inner = np.unique(np.asarray(points, dtype=float))
+    inner = _sorted_distinct(np.asarray(points, dtype=float))
     inner = inner[(inner > lo + tol) & (inner < hi - tol)]
     i = np.searchsorted(edges, inner)
     inner = inner[(inner - edges[i - 1] > tol) & (edges[i] - inner > tol)]
@@ -377,7 +387,7 @@ def _adaptive(nodes: _NodeStore, transform, cfg, breaks=None):
 
 class _NodeRule:
     """Composite Gauss rule on the union of adaptive panelizations of the
-    interval of a node store, the np.unique of their panel ends ``ends``.
+    interval of a node store, the sorted distinct panel ends ``ends``.
 
     Its node values ``g`` and their log weights ``logw``, a row per panel,
     are the store's rows and the log of the Gauss weights times the panels'
@@ -393,7 +403,7 @@ class _NodeRule:
     def join(self, *ends):
         """Refine the rule with the panels of further integrals, given as
         arrays of panel ends."""
-        self._edges = np.unique(np.concatenate([self._edges, *ends]))
+        self._edges = _sorted_distinct(np.concatenate([self._edges, *ends]))
         lo, hi = self._edges[:-1], self._edges[1:]
         self.g, log_w = self._nodes.rows(lo, hi)
         with np.errstate(divide="ignore"):
@@ -480,14 +490,20 @@ def _power_norm(nodes: _NodeStore, e: float, q: float, cfg: QuadratureConfig) ->
     return math.exp((_adaptive(nodes, lambda g: e * g, cfg)[0] + nodes.log_density) / q)
 
 
+def _check_lp_exponent(p: float) -> None:
+    """RejectedInputError unless 0 < p < inf: the range of ``lp_quasinorm``
+    and of ``norms.lp_spec``."""
+    if not (0.0 < p < math.inf):
+        raise RejectedInputError(f"exponent must be positive and finite, got {p!r}")
+
+
 def lp_quasinorm(f, p: float, domain: Domain, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """(integral |f|^p dmu)^(1/p); a norm for p >= 1, quasinorm below.
 
     The integral is on f's own domain, which ``domain`` must be, or
     RejectedInputError, and starts with the break points of f as panel edges.
     """
-    if not (0.0 < p < math.inf):
-        raise RejectedInputError(f"exponent must be positive and finite, got {p!r}")
+    _check_lp_exponent(p)
     if domain != _carrier(f)[0]:
         raise RejectedInputError(f"{type(f).__name__} is taken on its own domain {f.natural_domain}, not on {domain}")
     return _power_norm(_abs_nodes(f), p, p, cfg)
@@ -539,6 +555,16 @@ def _bracketed_root(g, x_neg, x_pos, g_neg, g_pos, tol, stop=None):
     bisected, so at least every fourth step halves it.  Returns the
     collapsed (x_neg, x_pos, g_neg, g_pos), both ends on a zero of g where
     one is found.
+
+    A step follows numpy's operation order throughout: the bracket
+    difference xp - xn is taken once a step and read by the width, the
+    regula-falsi point and the stop test, tol / 2 once a lane, and the clip
+    is a maximum, then a minimum, as ``np.clip`` takes them.  So a lane's
+    iterates have the bits of a loop that recomputes xp - xn at each use
+    and calls ``np.clip``, alone or among other lanes.  A step that
+    finishes lanes drops them from every array of the state by the integer
+    positions of the rest, found once, which numpy gathers faster than a
+    boolean mask.
     """
     if not np.all((g_neg <= 0.0) & (g_pos >= 0.0)):
         raise RejectedInputError("root solve: g must be <= 0 at x_neg and >= 0 at x_pos in every lane")
@@ -551,7 +577,9 @@ def _bracketed_root(g, x_neg, x_pos, g_neg, g_pos, tol, stop=None):
     sn, sp = gn, gp  # the end values regula falsi reads, scaled
     pos_moved = neg_moved = np.zeros(live.size, dtype=bool)  # which end moved last
     last = np.where(-gn < gp, xn, xp)
-    step = older = np.abs(xp - xn)
+    d = xp - xn
+    width = step = older = np.abs(d)
+    half = 0.5 * tol
     # the bracket widths before each of the last three steps, oldest first
     w3 = w2 = w1 = np.full(live.size, np.inf)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -559,8 +587,7 @@ def _bracketed_root(g, x_neg, x_pos, g_neg, g_pos, tol, stop=None):
             if not live.size:
                 break
             span = sn - sp
-            width = np.abs(xp - xn)
-            x = np.clip(xn + (sn / span) * (xp - xn), np.minimum(xn, xp) + 0.5 * tol, np.maximum(xn, xp) - 0.5 * tol)
+            x = np.minimum(np.maximum(xn + (sn / span) * d, np.minimum(xn, xp) + half), np.maximum(xn, xp) - half)
             # an infinite end value (a singular end) would pin regula falsi to the other end
             falsi = (np.abs(x - last) <= 0.5 * older) & np.isfinite(span) & (width <= 0.5 * w3)
             x = np.where(falsi, x, 0.5 * (xn + xp))
@@ -579,17 +606,20 @@ def _bracketed_root(g, x_neg, x_pos, g_neg, g_pos, tol, stop=None):
             pos_moved, neg_moved = up, ~up
             xn, xp, gn, gp = np.where(up, xn, x), np.where(up, x, xp), np.where(up, gn, gx), np.where(up, gx, gp)
             zero = gx == 0.0
-            done = (np.abs(xp - xn) <= tol) | zero
+            d = xp - xn
+            width = np.abs(d)
+            done = (width <= tol) | zero
             if stop is not None:
                 done |= stop(xn, xp)
-            if done.any():
+            fin = done.nonzero()[0]
+            if fin.size:
                 # a zero of g moves both ends onto it
-                idx = live[done]
-                x_neg[idx], x_pos[idx] = xn[done], np.where(zero, x, xp)[done]
-                g_neg[idx], g_pos[idx] = gn[done], np.where(zero, 0.0, gp)[done]
-                keep = ~done
-                live, xn, xp, gn, gp, sn, sp, step, older, last, pos_moved, neg_moved, w3, w2, w1, tol = (
-                    v[keep] for v in (live, xn, xp, gn, gp, sn, sp, step, older, last, pos_moved, neg_moved, w3, w2, w1, tol)
+                idx = live[fin]
+                x_neg[idx], x_pos[idx] = xn[fin], np.where(zero, x, xp)[fin]
+                g_neg[idx], g_pos[idx] = gn[fin], np.where(zero, 0.0, gp)[fin]
+                keep = (~done).nonzero()[0]
+                live, xn, xp, gn, gp, sn, sp, step, older, last, pos_moved, neg_moved, w3, w2, w1, tol, half, d, width = (
+                    v[keep] for v in (live, xn, xp, gn, gp, sn, sp, step, older, last, pos_moved, neg_moved, w3, w2, w1, tol, half, d, width)
                 )
     if live.size:
         best = float(np.where(-gn < gp, xn, xp)[0])
@@ -632,7 +662,7 @@ class LevelSampler:
         # 0, and a value within 1e-12 of the next one merges into it: equal
         # extrema (|T_n| = 1) round apart, and every interval costs panels
         # and crossings downstream
-        levels = np.unique(np.append(np.where(vals < 1e-12 * self.sup_estimate, 0.0, vals), 0.0))
+        levels = _sorted_distinct(np.append(np.where(vals < 1e-12 * self.sup_estimate, 0.0, vals), 0.0))
         top = np.append(np.diff(levels) > 1e-12 * levels[1:], True)
         self.critical_values = levels[top]
         self.critical_floors = levels[np.append(True, top[:-1])]

@@ -8,7 +8,7 @@ import pytest
 
 from orlimark import functions
 from orlimark.conjugate import power_log
-from orlimark.errors import DegenerateInputError, PoleProximityError, RejectedInputError
+from orlimark.errors import CoefficientOverflowError, DegenerateInputError, PoleProximityError, RejectedInputError
 from orlimark.functions import (
     GapRep,
     InversePowerRep,
@@ -82,6 +82,35 @@ class TestPolynomial:
     def test_rejects_nonfinite_coeffs(self):
         with pytest.raises(Exception):
             PolynomialRep([1.0, math.inf])
+
+    def test_coefficient_errors_name_their_cause(self):
+        with pytest.raises(RejectedInputError, match="NaN coefficient"):
+            PolynomialRep([1.0, math.nan])
+        for c in (math.inf, -math.inf, 1e301):
+            with pytest.raises(CoefficientOverflowError):
+                PolynomialRep([1.0, c])
+        # a computed NaN is an overflow: here inf - inf in both numerator coefficients
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(CoefficientOverflowError):
+            RationalRep([1e200, 1e200], [1e200, 1e200]).derivative()
+
+    @pytest.mark.parametrize("basis", ["monomial", "chebyshev"])
+    def test_evaluation_is_numpys_bit_for_bit(self, basis):
+        # Horner and Clenshaw run in place in polyval's and chebval's order:
+        # every value, its type and shape are numpy's, at signed zeros,
+        # overflow, inf and NaN too, for 0-d and n-d x
+        rng = np.random.default_rng(23)
+        special = [0.0, -0.0, 1.0, -1.0, 1e300, math.inf, -math.inf, math.nan]
+        for degree in range(41):
+            c = rng.uniform(-1.0, 1.0, degree + 1)
+            if basis == "monomial":
+                f, ref = PolynomialRep(c), lambda x: np.polynomial.polynomial.polyval(x, c)
+            else:
+                f, ref = PolynomialRep(np.polynomial.chebyshev.cheb2poly(c), cheb=c), lambda x: np.polynomial.chebyshev.chebval(x, c)
+            for x in [*special, np.array(special), rng.uniform(-1.5, 1.5, (3, 5)), rng.uniform(-1.0, 1.0, 1)]:
+                with np.errstate(all="ignore"):
+                    got, want = f(x), ref(np.asarray(x, dtype=float))
+                assert type(got) is type(want) and np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (degree, x)
 
 
 class TestJacobi:

@@ -115,6 +115,48 @@ class TestBrentq:
                 assert abs(x - root) <= xtol + rtol * abs(root), (a, b)
         assert single > 800
 
+    def test_lanes_are_independent(self):
+        # lanes that finish at different steps return, lane by lane, the bits
+        # of solving each alone: 40 seeded problems with their own tol, a
+        # first step onto an exact zero, a lane that the stop test ends
+        # uncollapsed, an infinite end value, a decreasing bracket and a zero
+        # at an end
+        problems = _bracketed_problems(seed=11, count=40)
+        fs = [f for f, _a, _b in problems] + [
+            lambda x: x - 0.5,
+            lambda x: math.log(x) - math.log(13.3),
+            lambda x: 1.0 - 1.0 / x if x else -math.inf,
+            lambda x: math.exp(-x) - 0.3,
+            lambda x: x - 2.0,
+        ]
+        ends = [(a, b) if f(a) < 0.0 else (b, a) for f, a, b in problems] + [(0.0, 1.0), (10.0, 20.0), (0.0, 2.0), (3.0, 0.0), (1.0, 2.0)]
+        x_neg, x_pos = (np.array(v) for v in zip(*ends))
+        g_neg, g_pos = (np.array([float(f(x)) for f, x in zip(fs, xs)]) for xs in (x_neg, x_pos))
+        # the library's tolerances, xtol + rtol max(|a|, |b|), one a lane
+        xtol, rtol = np.array(ROOT_TOLERANCES)[np.arange(len(fs)) % 2].T
+        tol = xtol + rtol * np.maximum(np.abs(x_neg), np.abs(x_pos))
+        calls = np.zeros(len(fs), dtype=int)
+
+        def g(x, lanes, at=None):
+            lanes = lanes if at is None else np.full(lanes.shape, at)
+            np.add.at(calls, lanes, 1)
+            return np.array([float(fs[i](v)) for v, i in zip(x, lanes)])
+
+        def stop(x_neg, x_pos):
+            return (np.abs(x_pos - x_neg) <= 1e-3) & (np.minimum(x_neg, x_pos) >= 10.0)
+
+        together = np.stack(_bracketed_root(g, x_neg.copy(), x_pos.copy(), g_neg.copy(), g_pos.copy(), tol, stop))
+        steps = calls.copy()
+        for i in range(len(fs)):
+            alone = np.stack(_bracketed_root(lambda x, lanes: g(x, lanes, at=i), *(v[i : i + 1].copy() for v in (x_neg, x_pos, g_neg, g_pos)), tol[i], stop))
+            assert together[:, i].tobytes() == alone[:, 0].tobytes(), i
+        assert steps[-5] == 1 and tuple(together[:, -5]) == (0.5, 0.5, 0.0, 0.0)
+        assert 1e-12 < abs(together[1, -4] - together[0, -4]) <= 1e-3
+        assert steps[-1] == 0 and tuple(together[:, -1]) == (2.0, 2.0, 0.0, 0.0)
+        collapsed = np.arange(len(fs)) != len(fs) - 4
+        assert np.all(np.abs(together[1] - together[0])[collapsed] <= tol[collapsed])
+        assert len(set(steps[:-1])) > 5
+
     @pytest.mark.parametrize("xtol,rtol", ROOT_TOLERANCES)
     def test_zero_at_an_endpoint_is_returned(self, xtol, rtol):
         assert _solve(lambda x: x - 1.0, 1.0, 3.0, xtol + 3.0 * rtol) == (1.0, 1.0, 0.0, 0.0)

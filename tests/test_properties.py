@@ -24,7 +24,18 @@ from orlimark.harness import (
     rational_orlicz_check,
     tail_check,
 )
-from orlimark.norms import NormContext, g_norm, lorentz_norm, lp_spec, luxemburg_norm, orlicz_spec, v_quasinorm, weighted_lorentz_g
+from orlimark.norms import (
+    NormContext,
+    g_norm,
+    lorentz_norm,
+    lorentz_spec,
+    lp_spec,
+    luxemburg_norm,
+    orlicz_spec,
+    v_quasinorm,
+    vnorm_spec,
+    weighted_lorentz_g,
+)
 from orlimark.quadrature import Domain, LevelSampler, QuadratureConfig, distribution, lp_quasinorm
 
 INTERVAL = Domain.interval()
@@ -194,6 +205,10 @@ ARGUMENT_CHECKS = {
     "distribution(w=-1)": lambda: distribution(F, -1.0),
     "tabulated_phi(one point)": lambda: tabulated_phi([1.0], [1.0]),
     "markov_sweep(unknown family)": lambda: markov_sweep(PHI2, "legendre", [2], norm=lp_spec(4.0), ctx=CTX),
+    "PolynomialRep([nan])": lambda: PolynomialRep([NAN]),
+    "lp_spec(p=0)": lambda: lp_spec(0.0),
+    "lorentz_spec(p=0.5, b=1)": lambda: lorentz_spec(0.5, 1.0),
+    "vnorm_spec(r=0)": lambda: vnorm_spec(PHI2, 0.0),
 }
 
 
@@ -202,3 +217,22 @@ def test_argument_checks_raise_typed_errors(check):
     with pytest.raises(OrlimarkError) as info:
         ARGUMENT_CHECKS[check]()
     assert isinstance(info.value, RejectedInputError) and isinstance(info.value, ValueError)
+
+
+# a spec raises when it is built, with the range check of the norm it names
+SPEC_CHECKS = {
+    "lp_spec(p=0)": (lambda: lp_spec(0.0), lambda: lp_quasinorm(F, 0.0, INTERVAL)),
+    "lorentz_spec(p=0.5, b=1)": (lambda: lorentz_spec(0.5, 1.0), lambda: lorentz_norm(F, 0.5, 1.0)),
+    "lorentz_spec(p=2, b=0.5)": (lambda: lorentz_spec(2.0, 0.5), lambda: lorentz_norm(F, 2.0, 0.5)),
+    "vnorm_spec(r=0)": (lambda: vnorm_spec(PHI2, 0.0), lambda: v_quasinorm(F, PHI2, 0.0)),
+}
+
+
+@pytest.mark.parametrize("check", sorted(SPEC_CHECKS))
+def test_specs_check_their_norms_range(check):
+    messages = []
+    for build in SPEC_CHECKS[check]:
+        with pytest.raises(RejectedInputError) as info:
+            build()
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
