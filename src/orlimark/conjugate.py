@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConjugateDivergenceError, RejectedInputError, SummabilityError
+from .errors import ConjugateDivergenceError, DomainEvaluationError, RejectedInputError, SummabilityError
 from .quadrature import _bracketed_root
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -162,13 +162,16 @@ def custom_phi(fn) -> PhiSpec:
 def tabulated_phi(zs, phis) -> PhiSpec:
     """Tabulated curve (z_i, phi_i); piecewise linear in y = log z.
 
-    Validation requires strictly increasing z and phi and nondecreasing chord
-    slopes in y, which preserves convexity of h on the table span.
+    Validation requires finite, strictly increasing z and phi and
+    nondecreasing chord slopes in y, which preserves convexity of h on the
+    table span.
     """
     zs = [float(v) for v in zs]
     phis = [float(v) for v in phis]
     if len(zs) != len(phis) or len(zs) < 2:
         raise RejectedInputError("need at least two (z, phi) pairs of equal length")
+    if not all(map(math.isfinite, zs + phis)):
+        raise RejectedInputError("tabulated z and phi values must be finite")
     if any(z <= 0 for z in zs):
         raise RejectedInputError("tabulated z values must be positive")
     if any(zs[i + 1] <= zs[i] for i in range(len(zs) - 1)):
@@ -297,7 +300,8 @@ def young_fenchel_lanes(phi: PhiSpec, ps, p_min: float = 0.5):
     the bracket holds one kink, and y* is that kink, where the maximum
     lies.  Every lane takes its own steps, so a lane's bits do
     not depend on the other exponents of the call.  An h' that falls where
-    it should rise means h is not convex: SummabilityError.
+    it should rise means h is not convex: SummabilityError.  An h' that is
+    NaN at a y where z = e^y is finite raises DomainEvaluationError.
     """
     ps = np.array(ps, dtype=float, ndmin=1)
     below = ps[~(ps >= p_min)]
@@ -307,7 +311,16 @@ def young_fenchel_lanes(phi: PhiSpec, ps, p_min: float = 0.5):
         raise RejectedInputError("p must be finite, got inf")
 
     def g(y, lanes):
-        return phi.dh(y) - ps[lanes]
+        dh = phi.dh(y)
+        nan = np.isnan(dh)
+        if nan.any():
+            # past y = 709.78 z = e^y overflows, and a NaN there is not phi's
+            with np.errstate(over="ignore"):
+                z = np.exp(y[nan])
+            if (z < math.inf).any():
+                bad = float(z[np.argmax(z < math.inf)])
+                raise DomainEvaluationError(f"h' of {phi.label} is NaN at z = {bad!r}", abscissa=bad)
+        return dh - ps[lanes]
 
     margin = 1e-6 * ps  # the rounding of a differenced h'
 

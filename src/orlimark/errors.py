@@ -62,7 +62,9 @@ class LuxemburgBracketError(OrlimarkError):
 
 
 class ScanDivergenceError(OrlimarkError):
-    """A sup-over-p scan kept growing after all grid extensions."""
+    """A sup-over-p scan has no certified supremum: an L_p member diverges,
+    or the ratio still rises at a grid top that sup|f| does not cap, where
+    f is unbounded or the grid may extend no further."""
 
 
 class DegenerateInputError(OrlimarkError):

@@ -623,8 +623,11 @@ def check_no_poles(rat: RationalRep) -> PoleCheck:
 
     |den| is monotone between its break points, so its minimum over the
     interval is its least value at one of them.  The threshold combines the
-    coefficient-scaled floor with an absolute floor of 1e-7.
+    coefficient-scaled floor with an absolute floor of 1e-7.  Anything but
+    a RationalRep raises RejectedInputError.
     """
+    if not isinstance(rat, RationalRep):
+        raise RejectedInputError(f"check_no_poles takes a RationalRep, got {type(rat).__name__}")
     den = rat.den
     threshold = max(1e-9 * (1.0 + float(np.max(np.abs(den.coeffs)))), 1e-7)
     xs = den.break_points()
@@ -642,7 +645,7 @@ def random_family(kind: str, n: int, seed: int):
     if kind not in RANDOM_FAMILIES:
         raise RejectedInputError(f"unknown family {kind!r}; expected one of {RANDOM_FAMILIES}")
     n = _integer(n, lo=1)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(RANDOM_FAMILIES.index(kind), n)))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=_integer(seed, "seed"), spawn_key=(RANDOM_FAMILIES.index(kind), n)))
     if kind == "polynomial":
         c = rng.uniform(-1.0, 1.0, size=n + 1)
         if abs(c[n]) < 0.1:

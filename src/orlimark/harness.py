@@ -586,6 +586,9 @@ def equivalence_band(
     An upper miss that fits under e^2 * C4 is recorded as a fallback, not
     a violation.
     """
+    corpus = list(corpus)
+    if not corpus:
+        raise RejectedInputError("empty corpus")
     context = ctx if ctx is not None else NormContext()
     consts = equivalence_constants(context.orlicz(phi))
     b_spec, g_spec = orlicz_spec(phi), gnorm_spec(phi)
@@ -675,6 +678,9 @@ class ThreeWayReport:
 
 
 def three_way_report(corpus, phi: PhiSpec, bs=(1.0, 2.0, math.inf), ctx: NormContext | None = None) -> ThreeWayReport:
+    corpus = list(corpus)
+    if not corpus:
+        raise RejectedInputError("empty corpus")
     context = ctx if ctx is not None else NormContext()
     cache = context.conjugates(phi)
     cols = ["orlicz", "gnorm"] + [f"lorentz-g(b={b:g})" for b in bs]

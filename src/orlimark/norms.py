@@ -15,20 +15,22 @@ Three norm families ride on top:
   model of the log modular that exact integrals near the root correct.
 * ``g_norm`` / ``sup_ratio_from`` / ``v_quasinorm``: suprema over an
   exponent grid of ||f||_p or ||f||_beta(p) divided by the conjugate weight
-  psi(p), computed by the one engine ``_sup_over_p`` through one body,
-  ``_g_scan``, with the exponent map p -> beta = p / (p r + 1) (r = 0 for
-  the g-norm); an L_p member the adaptive integrator cannot settle makes
-  either scan raise ``ScanDivergenceError``.
+  psi(p), computed by one scan, ``_g_scan``, with the exponent map
+  p -> beta = p / (p r + 1) (r = 0 for the g-norm); an L_p member the
+  adaptive integrator cannot settle makes it raise ``ScanDivergenceError``.
   Grids are geometric with 64 points per decade and start at the scan's
   lower exponent p_lo.  sup|f| caps each grid: the measure is a probability
-  measure, so every scanned norm is at most sup|f|, and the exact ratio at
-  p_lo, a lower bound on the best one, rules out each p whose bound
+  measure, so every scanned norm is at most sup|f|, and a lower bound on the
+  best ratio, first the exact ratio at p_lo, rules out each p whose bound
   log sup|f| - psi_log(p) falls short of it.  The rows above the last one
   that can win read -inf, and the scan's evaluator stops at the grid point
-  after it.  A grid that nothing caps (f singular, or its top row can win)
-  and whose maximizer sits at the right edge takes up to two fourfold
-  extensions before the scan is declared divergent.  Every row below the
-  cap is evaluated, in one query of the evaluator.  The winning grid point
+  after it.  The cap is the scan's one stopping rule: while the top row can
+  win and the maximizer sits at the right edge, the bound rises to the best
+  grid ratio and the grid extends fourfold, and psi_log, which grows
+  without bound, brings the cap below the top for a bounded f.  A singular
+  f, which nothing caps, raises when its top row wins, and so does a grid
+  whose top reaches ``_P_CEILING`` uncapped.  Every row below the cap is
+  evaluated, in one query of the evaluator.  The winning grid point
   is polished by a root of the log ratio's slope, unless it is p_lo and
   the ratio does not rise off that edge; the scan reports the exact norm
   over an exact weight there.  The root is taken
@@ -333,93 +335,82 @@ class ScanResult:
     p_cap: float | None = None
 
 
-# a row is capped when its bound by sup|f| falls short of the exact ratio at
-# p_lo by 1e-9 and some ulps of |log sup|f|| + |that ratio|, for rounding,
-# which 1e-9 alone falls below past a log scale of about 1e7, and this many
-# rel_tol: the cached-node and the exact log norm at p_lo each sit within
-# about rel_tol / beta of the true one, beta = beta(p_lo) the power of the
+# a row is capped when its bound by sup|f| falls short of the floor (the
+# exact ratio at p_lo, or the best grid ratio once the grid extends) by 1e-9
+# and some ulps of |log sup|f|| + |the floor|, for rounding, which 1e-9
+# alone falls below past a log scale of about 1e7, and this many rel_tol:
+# the cached-node and the exact log norm each sit within about
+# rel_tol / beta of the true one, beta = beta(p_lo) the power of the
 # norm's root (beta >= 0.8 but for the v-scan at r > 1, where
 # beta = 4 / (4 r + 1)), and an adaptive integral's error can exceed its
 # estimate
 _P_MARGIN = 1e-9
 _P_MARGIN_ULPS = 16
 _CAP_REL_TOLS = 1000.0
+# a scan whose top row still wins extends its grid fourfold while the top
+# lies below this p (2^24, about 1.7e7), and raises past it: the evaluator's
+# nodes and its rows-by-nodes query grow fast beyond (x^30 takes 1,632 nodes
+# at a top of 2^22, 9,312 at 2^24 and 31,136 at 2^26, and a scan of it to
+# 2^28 peaks at 1.5 GB)
+_P_CEILING = 2.0**24
 
 
-def _sup_over_p(make_log_norm, exact_norm, phi: PhiSpec, cache: ConjugateCache, p_lo: float, log_sup: float, cfg: QuadratureConfig) -> ScanResult:
-    """sup over grid p >= p_lo of exp(log_norm(p) - psi_log(p)), certified.
+def _g_scan(f, phi: PhiSpec, cfg: QuadratureConfig, cache: ConjugateCache | None, p_lo: float, r: float = 0.0) -> ScanResult:
+    """sup over grid p >= p_lo of ||f||_beta / psi(p), beta = p / (p r + 1):
+    the g-norm family at r = 0 (beta = p exactly), the v-quasinorm at r >= 1.
 
-    The cache grid must start at p_lo (to 1e-12 relative), or
-    RejectedInputError.
-    make_log_norm(p_top) returns a cached-node log norm of an array of p and
-    its derivative in p, for a grid up to p_top; it is called again after
-    each fourfold extension of the grid, so evaluators can re-panelize for
-    the larger exponents.  A copy of the cache takes the extensions: the one
-    passed in stays as built.
+    A cache passed in must start at p_lo (to 1e-12 relative), or
+    RejectedInputError; a copy of it takes the fourfold grid extensions.
+    Each pass asks one ``PowerNormEvaluator`` for the cached-node log norm
+    of every row that can win; an L_p member that the adaptive integrator
+    cannot settle raises ScanDivergenceError.
 
-    sup|f| caps the grid.  The measure is a probability measure, so every
-    scanned norm is at most sup|f| (power means are bounded by the sup
-    norm), and log_sup - psi_log(p) bounds the log ratio at p.  The exact
-    ratio at p_lo is a lower bound L on the best one, so a row whose bound
-    falls short of L by the margin (rounding, and _CAP_REL_TOLS cfg.rel_tol
-    for the gap between the exact and the cached-node log norm at p_lo)
-    cannot win.  Each row is decided on its own, so the cap needs neither a
-    monotone log norm nor a monotone psi_log: the rows above the last one
-    that can win are skipped and read -inf, every row up to it is
-    evaluated in one query of log_norm, and make_log_norm gets the grid
-    point after that row, which keeps the polish bracket inside its panels.
-    Where log_sup is +inf (f singular) or the grid's top row can win,
-    nothing is capped, ``p_cap`` is None, and a winner at the top extends
-    the grid.  The exact norm at p_lo is the scan's exact result when the
-    winner stays there.
+    sup|f| caps the grid: every scanned norm is at most sup|f| (power means
+    are bounded by the sup norm), so log sup|f| - psi_log(p) bounds the log
+    ratio at p, and a row whose bound falls short of the floor L, a lower
+    bound on the best ratio, by the margin (rounding, and _CAP_REL_TOLS
+    rel_tol for the cached-node error) cannot win.  Such rows read -inf, and
+    the evaluator is built up to the grid point after the last row that can
+    win, so that the polish bracket stays inside its panels.  L is first the
+    exact ratio at p_lo, the scan's exact result when the winner stays
+    there.  The cap is the scan's one stopping rule: while nothing caps the
+    grid and the winner sits at its top, L rises to the best grid ratio and
+    the grid extends.  psi_log(p) = sup_y (y - h(y) / p) grows without
+    bound, so for a bounded f the cap falls below the top.  An unbounded f
+    (log sup|f| = +inf) caps nothing and raises ScanDivergenceError there,
+    and so does a grid whose top reaches _P_CEILING.
 
     The grid winner p_k is polished by a root of minus the log ratio's
-    slope, times p, along y: p = h'(y) and h*(p) = p y - h(y), the equality
-    case of the Fenchel-Young inequality, so that the slope is
-    h(y) / p - p d log_norm / dp and no conjugate is solved.  The bracket is
-    [y*(p_(k-1)), y*(p_(k+1))] from the cache, clamped to the grid, with its
-    end values from the cache's h* and y*; where the conjugate diverges at
-    p_(k+1), the upper end steps up from y*(p_k), doubling, until the
-    ratio falls.  The root is taken to 1e-11 in log p, mapped onto y by the
-    bracket, at the end of smaller residual.  The polish runs only when the slope rises at the lower end
-    and falls at the upper: a winner at p_lo whose ratio does not rise off
-    the edge keeps its grid value, and so does a log ratio of -inf (f = 0).
-    The result is exact_norm(p) over the weight there, from the cache or
-    the identity; ``tolerance_met`` says whether the fast value agrees with
-    it to 1e-6.  On a table h' is a step function, so p lands on a kink of
-    h*, a chord slope of the table, where a tabulated ratio peaks.
+    slope, times p, along y: p = h'(y) and h*(p) = p y - h(y) (the
+    Fenchel-Young equality), so the slope is h(y) / p - p d log_norm / dp
+    and no conjugate is solved.  The bracket is [y*(p_(k-1)), y*(p_(k+1))]
+    from the cache, clamped to the grid; where the conjugate diverges at
+    p_(k+1), its upper end steps up from y*(p_k), doubling, until the ratio
+    falls.  The root is taken to 1e-11 in log p, at the end of smaller
+    residual, and only when the slope rises at the lower end and falls at
+    the upper: a winner at p_lo whose ratio does not rise off the edge, and
+    a log ratio of -inf (f = 0), keep their grid value.  The result is the
+    exact norm at p over the weight there; ``tolerance_met`` says whether
+    the fast value agrees with it to 1e-6.  On a table p lands on a kink of
+    h*, a chord slope, where a tabulated ratio peaks.
     """
+    cache = cache if cache is not None else ConjugateCache(phi, p_lo=p_lo)
     if not abs(cache.grid[0] - p_lo) <= 1e-12 * cache.grid[0]:
         raise RejectedInputError(f"conjugate cache grid starts at p = {cache.grid[0]!r}, not at p_lo = {p_lo!r}")
-    p_0 = float(cache.grid[0])
-    # the floor L, the exact ratio at p_lo: -inf, and no row capped, where
-    # sup|f| is infinite or 0
-    exact_0 = exact_norm(p_0) if math.isfinite(log_sup) else None
-    floor, margin = -math.inf, 0.0
-    if exact_0:
-        floor = math.log(exact_0) - float(cache.psi_log_grid[0])
-        margin = _P_MARGIN + _P_MARGIN_ULPS * np.spacing(abs(log_sup) + abs(floor)) + _CAP_REL_TOLS * cfg.rel_tol
-    extensions = 0
-    while True:
-        grid, psi_log = cache.grid, cache.psi_log_grid
-        # the last row whose bound reaches the floor, and the grid point after it
-        last = int(np.max(np.flatnonzero(~(log_sup - psi_log < floor - margin)), initial=0))
-        top = min(last + 1, grid.size - 1)
-        log_norm, slope = make_log_norm(float(grid[top]))
-        vals = np.full(grid.size, -math.inf)
-        vals[: last + 1] = log_norm(grid[: last + 1]) - psi_log[: last + 1]
-        k = int(np.nanargmax(vals))
-        capped = last < grid.size - 1
-        if capped or k < len(grid) - 2 or not math.isfinite(vals[k]):
-            break
-        if extensions >= 2:
-            raise ScanDivergenceError(
-                "sup scan still rising after two grid extensions; "
-                "the ratio appears unbounded in p"
-            )
-        cache = copy.copy(cache)
-        cache.extend()
-        extensions += 1
+    nodes = _abs_nodes(f)
+    # +inf at a singular end, where nothing is capped
+    with np.errstate(divide="ignore"):
+        log_sup = float(np.log(np.max(_break_values(f, bounded=False)[1])))
+
+    def beta(p):
+        return p / (p * r + 1.0)
+
+    def slope(p):
+        # d log ||f||_beta / d beta = (E_pi[log|f|] - log ||f||_beta) / beta,
+        # and d beta / dp = 1 / (p r + 1)^2
+        e = beta(p)
+        log_norm, mean_log_f = ev.log_norm(e, moment=True)
+        return (mean_log_f - log_norm) / e / (p * r + 1.0) ** 2
 
     def falls(ys):
         """minus the slope of the log ratio in p, times p, at p = h'(y)."""
@@ -431,65 +422,59 @@ def _sup_over_p(make_log_norm, exact_norm, phi: PhiSpec, cache: ConjugateCache, 
         p = grid[i : i + 1]
         return float((cache.ystar[i] - cache.psi_log_grid[i]) - p[0] * slope(p)[0])
 
-    best_log, p_star, weight = float(vals[k]), float(grid[k]), float(cache.psi_log_grid[k])
-    i, j = max(k - 1, 0), k + 1
-    a, b = float(cache.ystar[i]), float(cache.ystar[j])
-    # polish only a ratio that rises at a and falls at b
-    g_a = falls_at(i) if math.isfinite(best_log) else math.nan
-    g_b = math.nan
-    if g_a < 0.0 and math.isfinite(b):
-        g_b = falls_at(j)
-    elif g_a < 0.0:
-        b, step = float(cache.ystar[k]), 1.0
-        while not g_b >= 0.0 and abs(b) <= 1e9:
-            b, step = b + step, 2.0 * step
-            g_b = float(falls(np.array([b]))[0])
-    if g_b >= 0.0:
-        ytol = 1e-11 * (b - a) / math.log(grid[j] / grid[i])
-        y, _g = _root(falls, a, b, g_a, g_b, ytol)
-        p = float(phi.dh(np.array([y]))[0])
-        at_p = y - float(phi.h(np.array([y]))[0]) / p
-        fast = float(log_norm(np.array([p]))[0]) - at_p
-        if fast > best_log:
-            best_log, p_star, weight = fast, p, at_p
-    value = (exact_0 if p_star == p_0 and exact_0 is not None else exact_norm(p_star)) * math.exp(-weight)
-    fast = math.exp(best_log)
-    ok = abs(value - fast) <= 1e-6 * max(value, fast, 1e-300)
-    return ScanResult(value, p_star, ok, extensions, float(grid[last]) if capped else None)
-
-
-def _g_scan(f, phi: PhiSpec, cfg: QuadratureConfig, cache: ConjugateCache | None, p_lo: float, r: float = 0.0) -> ScanResult:
-    """sup over p >= p_lo of ||f||_beta / psi(p), beta = p / (p r + 1): the
-    g-norm family at r = 0 (beta = p exactly), the v-quasinorm at r >= 1."""
-    c = cache if cache is not None else ConjugateCache(phi, p_lo=p_lo)
-    nodes = _abs_nodes(f)
-    # +inf at a singular end, where nothing is capped
-    with np.errstate(divide="ignore"):
-        log_sup = float(np.log(np.max(_break_values(f, bounded=False)[1])))
-
-    def beta(p):
-        return p / (p * r + 1.0)
-
-    def make_log_norm(p_hi):
-        lo, hi = beta(p_lo), beta(p_hi)
-        # beta = p spans decades, beta < 1 / r does not
-        mid = math.sqrt(lo * hi) if r == 0.0 else 0.5 * (lo + hi)
-        ev = PowerNormEvaluator(nodes, cfg, yardsticks=(lo, mid, hi))
-
-        def slope(p):
-            # d log ||f||_beta / d beta = (E_pi[log|f|] - log ||f||_beta) / beta,
-            # and d beta / dp = 1 / (p r + 1)^2
-            e = beta(p)
-            log_norm, mean_log_f = ev.log_norm(e, moment=True)
-            return (mean_log_f - log_norm) / e / (p * r + 1.0) ** 2
-
-        return (lambda p: ev.log_norm(beta(p))), slope
-
-    # f identically zero needs no special case: every log ratio is -inf and
-    # the scan collapses to value 0; this also keeps unbounded f (integrable
-    # singularities) out of sup_norm, which rejects them.
     try:
-        return _sup_over_p(make_log_norm, lambda p: _power_norm(nodes, beta(p), beta(p), cfg), phi, c, p_lo, log_sup, cfg)
+        p_0 = float(cache.grid[0])
+        # the floor L: -inf, and no row capped, where sup|f| is infinite or 0
+        exact_0 = _power_norm(nodes, beta(p_0), beta(p_0), cfg) if math.isfinite(log_sup) else None
+        floor = math.log(exact_0) - float(cache.psi_log_grid[0]) if exact_0 else -math.inf
+        extensions = 0
+        while True:
+            grid, psi_log = cache.grid, cache.psi_log_grid
+            margin = _P_MARGIN + _P_MARGIN_ULPS * np.spacing(abs(log_sup) + abs(floor)) + _CAP_REL_TOLS * cfg.rel_tol if math.isfinite(floor) else 0.0
+            # the last row whose bound reaches the floor, and the grid point after it
+            last = int(np.max(np.flatnonzero(~(log_sup - psi_log < floor - margin)), initial=0))
+            top = min(last + 1, grid.size - 1)
+            lo, hi = beta(p_lo), beta(float(grid[top]))
+            # beta = p spans decades, beta < 1 / r does not
+            ev = PowerNormEvaluator(nodes, cfg, yardsticks=(lo, math.sqrt(lo * hi) if r == 0.0 else 0.5 * (lo + hi), hi))
+            vals = np.full(grid.size, -math.inf)
+            vals[: last + 1] = ev.log_norm(beta(grid[: last + 1])) - psi_log[: last + 1]
+            k = int(np.nanargmax(vals))
+            capped = last < grid.size - 1
+            if capped or k < grid.size - 2 or not math.isfinite(vals[k]):
+                break
+            if math.isinf(log_sup):
+                raise ScanDivergenceError(f"f is unbounded and its scan against {phi.label} still rises at the grid top p = {cache.p_hi:g}: nothing caps it")
+            if cache.p_hi >= _P_CEILING:
+                raise ScanDivergenceError(f"the scan against {phi.label} still rises at p = {_P_CEILING:g}, the top of its last grid extension: psi grows too slowly for sup|f| to cap it")
+            # the best grid ratio is a lower bound too, within the margin
+            floor = max(floor, float(vals[k]))
+            cache = copy.copy(cache)
+            cache.extend()
+            extensions += 1
+
+        best_log, p_star, weight = float(vals[k]), float(grid[k]), float(cache.psi_log_grid[k])
+        i, j = max(k - 1, 0), k + 1
+        a, b = float(cache.ystar[i]), float(cache.ystar[j])
+        # polish only a ratio that rises at a and falls at b
+        g_a = falls_at(i) if math.isfinite(best_log) else math.nan
+        g_b = math.nan
+        if g_a < 0.0 and math.isfinite(b):
+            g_b = falls_at(j)
+        elif g_a < 0.0:
+            b, step = float(cache.ystar[k]), 1.0
+            while not g_b >= 0.0 and abs(b) <= 1e9:
+                b, step = b + step, 2.0 * step
+                g_b = float(falls(np.array([b]))[0])
+        if g_b >= 0.0:
+            ytol = 1e-11 * (b - a) / math.log(grid[j] / grid[i])
+            y, _g = _root(falls, a, b, g_a, g_b, ytol)
+            p = float(phi.dh(np.array([y]))[0])
+            at_p = y - float(phi.h(np.array([y]))[0]) / p
+            fast = float(ev.log_norm(beta(np.array([p])))[0]) - at_p
+            if fast > best_log:
+                best_log, p_star, weight = fast, p, at_p
+        exact = exact_0 if p_star == p_0 and exact_0 is not None else _power_norm(nodes, beta(p_star), beta(p_star), cfg)
     except ConvergenceFailureError as err:
         # an L_p member that the adaptive integrator cannot settle means the
         # scanned ratio has no certified finite supremum
@@ -497,6 +482,10 @@ def _g_scan(f, phi: PhiSpec, cfg: QuadratureConfig, cache: ConjugateCache | None
             f"an L_p member diverges while scanning against {phi.label}; "
             "the function sits outside this grand space"
         ) from err
+    value = exact * math.exp(-weight)
+    fast = math.exp(best_log)
+    ok = abs(value - fast) <= 1e-6 * max(value, fast, 1e-300)
+    return ScanResult(value, p_star, ok, extensions, float(grid[last]) if capped else None)
 
 
 def g_norm(f, phi: PhiSpec, cfg: QuadratureConfig = DEFAULT_CONFIG, cache: ConjugateCache | None = None) -> float:
@@ -716,7 +705,8 @@ def _dual_weight(phi: PhiSpec, cache: ConjugateCache):
 def weighted_lorentz_g(f, phi: PhiSpec, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG, cache: ConjugateCache | None = None) -> float:
     """sup over p >= 1 of ||f||_{p,b} / psi(p).
 
-    At finite b the supremum is the ratio at p = 1, one exact layer cake:
+    At finite b the supremum is the ratio at p = 1, ``lorentz_norm`` at
+    p = 1 over psi(1), one exact layer cake:
     ||f||_(p,b) does not rise with p, as T <= 1, and psi(p) = e^(h*(p)/p)
     does not fall, as d(h*(p)/p)/dp = h(y*(p)) / p^2 and h >= 0 right of
     y*(1).  At b = inf, where the suprema over p and w exchange, it is one
@@ -725,20 +715,19 @@ def weighted_lorentz_g(f, phi: PhiSpec, b: float, cfg: QuadratureConfig = DEFAUL
     elsewhere, or a phi with h(y*(1)) < 0, outside the admissible class,
     raises RejectedInputError.
     """
-    if not (b >= 1.0):
-        raise RejectedInputError("second index must be at least 1 (or inf)")
+    _check_lorentz_indices(1.0, b)
     c = cache if cache is not None else ConjugateCache(phi)
     if not abs(c.grid[0] - 1.0) <= 1e-12:
         raise RejectedInputError(f"conjugate cache grid starts at p = {c.grid[0]!r}, not at p = 1")
     h1 = float(phi.h(c.ystar[0]))
     if not h1 >= 0.0:
         raise RejectedInputError(f"{phi.label} is outside the admissible class: h(y*(1)) = {h1!r} < 0")
+    if not math.isinf(b):
+        return lorentz_norm(f, 1.0, b, cfg) * math.exp(-float(c.psi_log_grid[0]))
     sampler = LevelSampler(f)
     if sampler.sup_estimate == 0.0:
         return 0.0
-    if math.isinf(b):
-        return _lorentz_sup(sampler, _dual_weight(phi, c))
-    return _power_norm(_level_nodes(sampler, b), 1.0 / b, b, cfg) * math.exp(-float(c.psi_log_grid[0]))
+    return _lorentz_sup(sampler, _dual_weight(phi, c))
 
 
 # ---------------------------------------------------------------------------
@@ -813,13 +802,28 @@ NORM_KINDS = ("lp", "orlicz", "gnorm", "lorentz", "vnorm")
 
 @dataclass(frozen=True)
 class NormSpec:
-    """Tagged selection of a norm, of one of the NORM_KINDS."""
+    """Tagged selection of a norm, of one of the NORM_KINDS.  It checks
+    itself when built: an unknown kind, a missing phi for the kinds that
+    take one, or an index outside the range of the norm it selects (that
+    norm's own check and message) raises RejectedInputError."""
 
     kind: str
     p: float = math.nan
     b: float = math.nan
     r: float = math.nan
     phi: PhiSpec | None = None
+
+    def __post_init__(self):
+        if self.kind not in NORM_KINDS:
+            raise RejectedInputError(f"unknown norm kind {self.kind!r}; expected one of {NORM_KINDS}")
+        if self.kind in ("orlicz", "gnorm", "vnorm") and not isinstance(self.phi, PhiSpec):
+            raise RejectedInputError(f"the {self.kind} norm needs a phi, got {self.phi!r}")
+        if self.kind == "lp":
+            _check_lp_exponent(self.p)
+        elif self.kind == "lorentz":
+            _check_lorentz_indices(self.p, self.b)
+        elif self.kind == "vnorm":
+            _check_v_order(self.r)
 
     @property
     def label(self) -> str:
@@ -835,8 +839,7 @@ class NormSpec:
 
 
 def lp_spec(p: float) -> NormSpec:
-    """Selects ``lp_quasinorm``; p is checked here, by its range check."""
-    _check_lp_exponent(float(p))
+    """Selects ``lp_quasinorm``."""
     return NormSpec("lp", p=float(p))
 
 
@@ -849,14 +852,12 @@ def gnorm_spec(phi: PhiSpec) -> NormSpec:
 
 
 def lorentz_spec(p: float, b: float) -> NormSpec:
-    """Selects ``lorentz_norm``; p and b are checked here, by its range check."""
-    _check_lorentz_indices(float(p), float(b))
+    """Selects ``lorentz_norm``."""
     return NormSpec("lorentz", p=float(p), b=float(b))
 
 
 def vnorm_spec(phi: PhiSpec, r: float) -> NormSpec:
-    """Selects ``v_quasinorm``; r is checked here, by its range check."""
-    _check_v_order(float(r))
+    """Selects ``v_quasinorm``."""
     return NormSpec("vnorm", phi=phi, r=float(r))
 
 
@@ -892,10 +893,8 @@ def evaluate_norm_info(f, spec: NormSpec, ctx: NormContext | None = None) -> Sca
         value = lp_quasinorm(f, spec.p, _carrier(f)[0], cfg)
     elif spec.kind == "orlicz":
         value = luxemburg_norm(f, context.orlicz(spec.phi), cfg)
-    elif spec.kind == "lorentz":
-        value = lorentz_norm(f, spec.p, spec.b, cfg)
     else:
-        raise RejectedInputError(f"unknown norm kind {spec.kind!r}")
+        value = lorentz_norm(f, spec.p, spec.b, cfg)
     return ScanResult(value, None, True, 0)
 
 

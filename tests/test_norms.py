@@ -556,18 +556,48 @@ class TestGNorm:
             p_star = mp.findroot(lambda p: mp.log(30 * p + 1) / p - 30 / (30 * p + 1) - 1 / mp.mpf(m), p_near)
         assert abs(info.p_star / p_star - 1) <= 1e-8
 
-    def test_third_extension_raises(self):
+    def test_third_extension_finds_the_peak(self):
         # log(||x||_p / psi(p)) = -log(p + 1)/p - (log(p/m) - 1)/m peaks where
         # log(p + 1)/p - 1/(p + 1) = 1/m: at m = 1000 inside the twice
-        # extended grid, whose top is 16,384; at m = 5000 near p = 49,000,
-        # beyond it, so the scan is declared divergent
-        info = g_norm_info(PolynomialRep([0.0, 1.0]), power_log(1000.0))
-        assert info.extensions == 2
+        # extended grid, whose top is 16,384; at m = 5000 near p = 48,997.86,
+        # beyond it, which a third extension reaches before sup|x| = 1 caps
+        # the scan
+        for m, p_near, extensions in ((1000.0, 8000.0, 2), (5000.0, 48997.86, 3)):
+            info = g_norm_info(PolynomialRep([0.0, 1.0]), power_log(m))
+            assert info.extensions == extensions
+            with mp.workdps(40):
+                mm = mp.mpf(m)
+                p_star = mp.findroot(lambda p: mp.log(p + 1) / p - 1 / (p + 1) - 1 / mm, p_near)
+                value = mp.exp(-mp.log(p_star + 1) / p_star - (mp.log(p_star / mm) - 1) / mm)
+            assert abs(info.p_star / p_star - 1) <= 1e-8
+            assert abs(info.value / value - 1) <= 1e-12
+
+    @pytest.mark.parametrize("m", [200.0, 1000.0, 5000.0, 2e4, 1e5])
+    @pytest.mark.parametrize("n", [1, 8, 30])
+    def test_cap_ends_a_rising_scan(self, n, m):
+        # log(||x^n||_p / psi(p)) = -log(np + 1)/p - (log(p/m) - 1)/m peaks
+        # where log(np + 1)/p - n/(np + 1) = 1/m, up to p = 1.7e6 here: the
+        # grid extends until sup|x^n| = 1 caps it, however far that takes it
+        info = g_norm_info(PolynomialRep([0.0] * n + [1.0]), power_log(m))
+        assert info.tolerance_met
         with mp.workdps(40):
-            p_star = mp.findroot(lambda p: mp.log(p + 1) / p - 1 / (p + 1) - 1 / mp.mpf(1000), 8000)
+            mm = mp.mpf(m)
+            p_star = mp.findroot(lambda p: mp.log(n * p + 1) / p - n / (n * p + 1) - 1 / mm, info.p_star)
+            value = mp.exp(-mp.log(n * p_star + 1) / p_star - (mp.log(p_star / mm) - 1) / mm)
         assert abs(info.p_star / p_star - 1) <= 1e-8
-        with pytest.raises(ScanDivergenceError, match="two grid extensions"):
-            g_norm_info(PolynomialRep([0.0, 1.0]), power_log(5000.0))
+        assert abs(info.value / value - 1) <= 1e-12
+        assert info.p_cap is None or info.p_star <= info.p_cap
+
+    def test_uncapped_rise_raises(self):
+        # ||(1 - x)^(-1/1200)||_p is finite below p = 1200 and rises on the
+        # first grid, while psi of power_log(1e6) barely does: the top row
+        # wins, and an unbounded f caps nothing
+        with pytest.raises(ScanDivergenceError, match="f is unbounded"):
+            g_norm_info(InversePowerRep(1.0 / 1200.0), power_log(1e6))
+        # psi of power_log(1e9) is too flat for sup|x| = 1 to cap the scan
+        # before the grid's top reaches the ceiling
+        with pytest.raises(ScanDivergenceError, match="top of its last grid extension"):
+            g_norm_info(PolynomialRep([0.0, 1.0]), power_log(1e9))
 
     @pytest.mark.parametrize(
         "zs, phis", [([0.5, 1.0, 2.0, 4.0, 8.0], [0.05, 0.2, 0.9, 4.0, 20.0]), ([1.0, 2.0, 4.0, 8.0], [1.0, 3.0, 9.0, 27.0])]
@@ -1236,7 +1266,7 @@ class TestWeightedLorentzG:
     def test_finite_b_scans_nothing(self, phi2, ctx, monkeypatch):
         # one exact layer cake: no p scan and no cached-node evaluator
         calls = []
-        scan, build = norms._sup_over_p, quadrature.PowerNormEvaluator.__init__
+        scan, build = norms._g_scan, quadrature.PowerNormEvaluator.__init__
 
         def counted_scan(*args, **kw):
             calls.append("scan")
@@ -1246,7 +1276,7 @@ class TestWeightedLorentzG:
             calls.append("evaluator")
             return build(*args, **kw)
 
-        monkeypatch.setattr(norms, "_sup_over_p", counted_scan)
+        monkeypatch.setattr(norms, "_g_scan", counted_scan)
         monkeypatch.setattr(quadrature.PowerNormEvaluator, "__init__", counted_build)
         for b in (1.0, 2.0, 4.0):
             assert weighted_lorentz_g(dict(build_corpus(7))["poly-03"], phi2, b, cache=ctx.conjugates(phi2)) > 0.0
@@ -1373,14 +1403,10 @@ class TestSupCap:
     @pytest.mark.parametrize("phi", PHIS, ids=lambda phi: phi.label)
     def test_corpus_matches_the_uncapped_scan(self, phi, monkeypatch):
         # the uncapped scan is the same scan with an infinite sup|f|
-        scan = norms._sup_over_p
-
-        def run(sup_over_p):
-            monkeypatch.setattr(norms, "_sup_over_p", sup_over_p)
-            return {name: call() for name, call in self._scans(phi)}
-
-        capped = run(scan)
-        uncapped = run(lambda *args: scan(*args[:5], math.inf, *args[6:]))
+        capped = {name: call() for name, call in self._scans(phi)}
+        break_values = norms._break_values
+        monkeypatch.setattr(norms, "_break_values", lambda f, bounded: (break_values(f, bounded)[0], np.array([math.inf])))
+        uncapped = {name: call() for name, call in self._scans(phi)}
         caps = 0
         for name, result in capped.items():
             want = uncapped[name]

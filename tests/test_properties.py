@@ -11,21 +11,24 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from orlimark.conjugate import log_power, power_log, psi, tabulated_phi
-from orlimark.errors import OrlimarkError, RejectedInputError
-from orlimark.functions import InversePowerRep, PolynomialRep, RationalRep, chebyshev_t, jacobi22, random_family
+from orlimark.conjugate import custom_phi, log_power, power_log, psi, tabulated_phi
+from orlimark.errors import DomainEvaluationError, OrlimarkError, RejectedInputError
+from orlimark.functions import InversePowerRep, PolynomialRep, RationalRep, check_no_poles, chebyshev_t, jacobi22, random_family
 from orlimark.harness import (
     d_constant,
     d_constant_log,
+    equivalence_band,
     extremal_search,
     lp_rational_check,
     markov_ratio,
     markov_sweep,
     rational_orlicz_check,
     tail_check,
+    three_way_report,
 )
 from orlimark.norms import (
     NormContext,
+    NormSpec,
     g_norm,
     lorentz_norm,
     lorentz_spec,
@@ -209,6 +212,18 @@ ARGUMENT_CHECKS = {
     "lp_spec(p=0)": lambda: lp_spec(0.0),
     "lorentz_spec(p=0.5, b=1)": lambda: lorentz_spec(0.5, 1.0),
     "vnorm_spec(r=0)": lambda: vnorm_spec(PHI2, 0.0),
+    "NormSpec(gnorm, no phi)": lambda: NormSpec("gnorm"),
+    "NormSpec(orlicz, no phi)": lambda: NormSpec("orlicz"),
+    "NormSpec(vnorm, r=1, no phi)": lambda: NormSpec("vnorm", r=1.0),
+    "NormSpec(bogus)": lambda: NormSpec("bogus"),
+    "tabulated_phi(nan z)": lambda: tabulated_phi([1.0, NAN, 4.0, 8.0], [1.0, 2.0, 9.0, 27.0]),
+    "tabulated_phi(nan phi)": lambda: tabulated_phi([1.0, 2.0, 4.0, 8.0], [1.0, NAN, 9.0, 27.0]),
+    "equivalence_band(empty corpus)": lambda: equivalence_band([], PHI2, ctx=CTX),
+    "three_way_report(empty corpus)": lambda: three_way_report([], PHI2, ctx=CTX),
+    "random_family(seed=nan)": lambda: random_family("polynomial", 3, NAN),
+    "random_family(seed=-1)": lambda: random_family("polynomial", 3, -1),
+    "random_family(seed=1.5)": lambda: random_family("polynomial", 3, 1.5),
+    "check_no_poles(polynomial)": lambda: check_no_poles(PolynomialRep([1.0, 2.0])),
 }
 
 
@@ -217,6 +232,13 @@ def test_argument_checks_raise_typed_errors(check):
     with pytest.raises(OrlimarkError) as info:
         ARGUMENT_CHECKS[check]()
     assert isinstance(info.value, RejectedInputError) and isinstance(info.value, ValueError)
+
+
+def test_nan_slope_raises_where_z_is_finite():
+    # phi(z) = z NaN has h' = NaN at z = 1, where the conjugate solve starts:
+    # a typed error, not a g-norm of 0
+    with pytest.raises(DomainEvaluationError, match="NaN at z = 1.0"):
+        g_norm(F, custom_phi(lambda z: z * NAN))
 
 
 # a spec raises when it is built, with the range check of the norm it names
