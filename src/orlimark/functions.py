@@ -13,6 +13,13 @@ the domain ends and the real zeros of f and f', found as polynomial roots,
 between which |f| is monotone.  The distribution function, the sup norm and
 the adaptive integrals of |f| use these.  A representation computes them
 once (``_kept``) and keeps them as a read-only array that every call reads.
+
+Break points, derivatives and the Jacobi and Chebyshev constructors work on
+plain coefficient arrays with small kernels (``_poly2cheb``, ``_chebder``,
+``_chebroots``, ``_polymul`` and the like), each taking numpy.polynomial's
+operations in its order, so that every result has numpy's bits without its
+Python layer: no series object, no ``as_series`` copy, and no import of
+numpy.polynomial, which the tests keep as the kernels' oracle.
 """
 
 from __future__ import annotations
@@ -28,10 +35,7 @@ from .errors import (
     PoleProximityError,
     RejectedInputError,
 )
-from .quadrature import Domain, _sorted_distinct
-
-_poly = np.polynomial.polynomial
-
+from .quadrature import _EPS, Domain, _sorted_distinct
 
 def _trim(coeffs) -> tuple[float, ...]:
     c = [float(v) for v in coeffs]
@@ -63,23 +67,176 @@ def _check_overflow(arr: np.ndarray) -> np.ndarray:
 # trigonometric polynomials) counts as a real zero: an extra break point only
 # splits a monotone piece, while a missed one leaves a piece not monotone.
 _ROOT_SLACK = 1e-4
+_SQRT_HALF = math.sqrt(0.5)
+
+# The kernels below take coefficient arrays, low degree first, and give the
+# bits of the numpy.polynomial function each names; each trims trailing zeros
+# where that function does, keeping at least one entry.
+
+
+def _trimseq(c: np.ndarray) -> np.ndarray:
+    """c without its trailing zeros, keeping its first entry (``trimseq``)."""
+    n = c.size
+    while n > 1 and c[n - 1] == 0.0:
+        n -= 1
+    return c[:n]
+
+
+def _polymul(c1, c2) -> np.ndarray:
+    """``polymul``: the convolution of the trimmed factors, trimmed."""
+    return _trimseq(np.convolve(_trimseq(c1), _trimseq(c2)))
+
+
+def _polyadd(c1, c2) -> np.ndarray:
+    """``polyadd``: the shorter trimmed term added into a copy of the longer."""
+    c1, c2 = _trimseq(c1), _trimseq(c2)
+    if c1.size > c2.size:
+        out = c1.copy()
+        out[: c2.size] += c2
+    else:
+        out = c2.copy()
+        out[: c1.size] += c1
+    return _trimseq(out)
+
+
+def _polysub(c1, c2) -> np.ndarray:
+    """``polysub``: as ``polyadd``, into -c2 where c2 is not the shorter."""
+    c1, c2 = _trimseq(c1), _trimseq(c2)
+    if c1.size > c2.size:
+        out = c1.copy()
+        out[: c2.size] -= c2
+    else:
+        out = -c2
+        out[: c1.size] += c1
+    return _trimseq(out)
+
+
+def _polyder(c: np.ndarray) -> np.ndarray:
+    """``polyder(c)``: k c[k] at index k - 1, untrimmed; c[:1] * 0 for a constant."""
+    if c.size <= 1:
+        return c[:1] * 0.0
+    return np.arange(1, c.size) * c[1:]
+
+
+def _chebder(c: np.ndarray) -> np.ndarray:
+    """``chebder(c)``: its downward recurrence, one coefficient at a time on
+    Python floats (the same IEEE doubles); c[:1] * 0 for a constant."""
+    if c.size <= 1:
+        return c[:1] * 0.0
+    c, n = c.tolist(), c.size - 1
+    der = [0.0] * n
+    for j in range(n, 2, -1):
+        der[j - 1] = (2 * j) * c[j]
+        c[j - 2] += (j * c[j]) / (j - 2)
+    if n > 1:
+        der[1] = 4 * c[2]
+    der[0] = c[1]
+    return np.array(der)
+
+
+def _polymulx(c) -> np.ndarray:
+    """``polymulx``: x times the trimmed c; the zero series is itself."""
+    c = _trimseq(c)
+    if c.size == 1 and c[0] == 0.0:
+        return c.copy()
+    out = np.empty(c.size + 1)
+    out[0] = c[0] * 0
+    out[1:] = c
+    return out
+
+
+def _chebmulx(res: np.ndarray, n: int) -> None:
+    """``chebmulx``: x times the Chebyshev series res[:n], in place in
+    res[: n + 1], as T_0 x = T_1 and T_k x = (T_(k-1) + T_(k+1)) / 2."""
+    c0, half = res[0], res[1:n] / 2
+    res[1] = c0
+    res[2 : n + 1] = half
+    res[0] = c0 * 0
+    res[: n - 1] += half
+
+
+def _poly2cheb(pol) -> np.ndarray:
+    """``poly2cheb``: Horner's rule in the Chebyshev basis on one array, from
+    the top coefficient down: each step multiplies the series by x, adds the
+    next coefficient and trims."""
+    pol = _trimseq(np.asarray(pol, dtype=float))
+    res, n = np.zeros(pol.size + 1), 1
+    for v in pol[::-1]:
+        _chebmulx(res, n)
+        res[0] += v
+        n = _trimseq(res[: n + 1]).size
+    return res[:n]
+
+
+def _cheb2poly(c) -> np.ndarray:
+    """``cheb2poly``: the monomial coefficients of the Chebyshev series c,
+    by its downward recurrence on the two highest terms."""
+    c = _trimseq(np.asarray(c, dtype=float))
+    if c.size < 3:
+        return c.copy()
+    c0, c1 = c[-2:-1], c[-1:]
+    for i in range(c.size - 1, 1, -1):
+        c0, c1 = _polysub(c[i - 2 : i - 1], c1), _polyadd(c0, _polymulx(c1) * 2)
+    return _polyadd(c0, _polymulx(c1))
+
+
+def _eigvals_sorted(mat: np.ndarray) -> np.ndarray:
+    """mat's eigenvalues, sorted in place as numpy's root finders sort them."""
+    r = np.linalg.eigvals(mat)
+    r.sort()
+    return r
+
+
+def _chebroots(c: np.ndarray) -> np.ndarray:
+    """``chebroots(c)``: the eigenvalues of the colleague matrix of
+    ``chebcompanion``, taken rotated a half turn, sorted."""
+    c = _trimseq(c)
+    if c.size < 2:
+        return np.zeros(0)
+    if c.size == 2:
+        return np.array([-c[0] / c[1]])
+    n = c.size - 1
+    mat = np.zeros((n, n))
+    scl = np.full(n, _SQRT_HALF)
+    scl[0] = 1.0
+    top, bot = mat.reshape(-1)[1 :: n + 1], mat.reshape(-1)[n :: n + 1]
+    top[0] = _SQRT_HALF
+    top[1:] = 1 / 2
+    bot[...] = top
+    mat[:, -1] -= (c[:-1] / c[-1]) * (scl / scl[-1]) * 0.5
+    return _eigvals_sorted(mat[::-1, ::-1])
+
+
+def _polyroots(c: np.ndarray) -> np.ndarray:
+    """``polyroots(c)``, real or complex c: the eigenvalues of its companion
+    matrix, sorted."""
+    c = _trimseq(c)
+    if c.size < 2:
+        return np.zeros(0, dtype=c.dtype)
+    if c.size == 2:
+        return np.array([-c[0] / c[1]])
+    n = c.size - 1
+    mat = np.zeros((n, n), dtype=c.dtype)
+    mat.reshape(-1)[n :: n + 1] = 1
+    mat[:, -1] -= c[:-1] / c[-1]
+    return _eigvals_sorted(mat)
 
 
 def _top(c: np.ndarray) -> int:
     """Index of the last entry above rounding of the largest, or 0.  Terms past
     it move f by less than its evaluation error on the domain, yet a tiny
     leading coefficient would ruin the companion matrix and its roots."""
-    keep = np.flatnonzero(np.abs(c) > np.finfo(float).eps * np.max(np.abs(c), initial=0.0))
+    a = np.abs(c)
+    keep = (a > _EPS * a.max(initial=0.0)).nonzero()[0]
     return int(keep[-1]) if keep.size else 0
 
 
-def _real_zeros(series) -> np.ndarray:
-    """Real zeros of a numpy Polynomial or Chebyshev series, from the
-    colleague matrix of its Chebyshev form."""
-    c = series.coef
-    if isinstance(series, np.polynomial.Polynomial):
-        c = np.polynomial.chebyshev.poly2cheb(c)
-    roots = np.polynomial.chebyshev.chebroots(c[: _top(c) + 1]) if _top(c) else np.zeros(0)
+def _real_zeros(cheb: np.ndarray) -> np.ndarray:
+    """Real zeros of the Chebyshev series with coefficients ``cheb``, from
+    its colleague matrix (``_chebroots``) after the terms below rounding
+    are dropped (``_top``)."""
+    top = _top(cheb)
+    roots = _chebroots(cheb[: top + 1]) if top else np.zeros(0)
     return roots.real[np.abs(roots.imag) <= _ROOT_SLACK]
 
 
@@ -90,7 +247,7 @@ def _circle_zeros(t) -> np.ndarray:
     b = np.concatenate([[0.0], t.sin_coeffs])
     n = _top(np.maximum(np.abs(a), np.abs(b)))
     half = (a[1 : n + 1] - 1j * b[1 : n + 1]) / 2.0
-    z = _poly.polyroots(np.concatenate([np.conj(half)[::-1], a[:1], half])) if n else np.zeros(0)
+    z = _polyroots(np.concatenate([np.conj(half)[::-1], a[:1], half])) if n else np.zeros(0)
     return np.angle(z[np.abs(np.abs(z) - 1.0) <= _ROOT_SLACK])
 
 
@@ -194,17 +351,16 @@ class PolynomialRep:
         c = np.asarray(self.coeffs) if self.coeffs else np.zeros(1)
         cheb = self._cheb
         for _ in range(order):
-            c = _poly.polyder(c)
+            c = _polyder(c)
             if cheb is not None:
-                cheb = np.polynomial.chebyshev.chebder(cheb) if cheb.size > 1 else np.zeros(1)
+                cheb = _chebder(cheb) if cheb.size > 1 else np.zeros(1)
         return PolynomialRep(_check_overflow(c), cheb=cheb)
 
     @_kept
     def break_points(self) -> np.ndarray:
         """Domain ends and the real zeros of f and f' inside; |f| is monotone between."""
-        cheb = self._cheb if self._cheb is not None else np.polynomial.chebyshev.poly2cheb(self.coeffs or (0.0,))
-        g = np.polynomial.Chebyshev(cheb)
-        return _breaks(self, _real_zeros(g), _real_zeros(g.deriv()))
+        cheb = self._cheb if self._cheb is not None else _poly2cheb(self.coeffs or (0.0,))
+        return _breaks(self, _real_zeros(cheb), _real_zeros(_chebder(cheb)))
 
     def __eq__(self, other):
         return isinstance(other, PolynomialRep) and self.coeffs == other.coeffs
@@ -337,11 +493,11 @@ class RationalRep:
         num = np.asarray(self.num.coeffs) if self.num.coeffs else np.zeros(1)
         den = np.asarray(self.den.coeffs)
         s, j = self._den_base
-        ds = _poly.polyder(s) if s.size > 1 else np.zeros(1)
+        ds = _polyder(s) if s.size > 1 else np.zeros(1)
         for k in range(j, j + order):
-            dn = _poly.polyder(num) if num.size > 1 else np.zeros(1)
-            num = _poly.polysub(_poly.polymul(dn, s), k * _poly.polymul(num, ds))
-            den = _poly.polymul(den, s)
+            dn = _polyder(num) if num.size > 1 else np.zeros(1)
+            num = _polysub(_polymul(dn, s), k * _polymul(num, ds))
+            den = _polymul(den, s)
             _check_overflow(num)
             _check_overflow(den)
         out = RationalRep(PolynomialRep(num), PolynomialRep(den))
@@ -352,8 +508,9 @@ class RationalRep:
     def break_points(self) -> np.ndarray:
         """Domain ends and the real zeros of p and of p' s - k p s' inside,
         for f = p / s^k."""
-        p, s, k = np.polynomial.Polynomial(self.num.coeffs or (0.0,)), np.polynomial.Polynomial(self._den_base[0]), self._den_base[1]
-        return _breaks(self, _real_zeros(p), _real_zeros(p.deriv() * s - k * (p * s.deriv())))
+        p, (s, k) = np.array(self.num.coeffs or (0.0,)), self._den_base
+        crit = _polysub(_polymul(_polyder(p), s), _polymul(np.array([float(k)]), _polymul(p, _polyder(s))))
+        return _breaks(self, _real_zeros(_poly2cheb(p)), _real_zeros(_poly2cheb(crit)))
 
     def __eq__(self, other):
         return (
@@ -366,23 +523,35 @@ class RationalRep:
         return f"RationalRep({self.num!r}, {self.den!r})"
 
 
+def _product(cs) -> np.ndarray:
+    """The product of the coefficient arrays cs, from 1, left to right."""
+    out = np.ones(1)
+    for c in cs:
+        out = _polymul(out, c)
+    return out
+
+
 def _log_derivative(factors):
-    """Polynomials N and D with sum_j r_j (x - a_j) / |x - z_j|^2 = N / D.
+    """Monomial coefficients of N and D with
+    sum_j r_j (x - a_j) / |x - z_j|^2 = N / D.
 
     A real node (b = 0) gives its term as r / (x - a): the linear factor
-    x - a in D and r in N, so that N and D share no factor there.
+    x - a in D and r in N, so that N and D share no factor there.  N sums,
+    from 0, each term's r_j (x - a_j) times the other terms' factors.
     """
     nums, dens = [], []
     for a, b, r in factors:
-        line = np.polynomial.Polynomial([-a, 1.0])
+        line = np.array([-a, 1.0])
         if b == 0.0:
-            nums.append(np.polynomial.Polynomial([r]))
+            nums.append(np.array([r]))
             dens.append(line)
         else:
-            nums.append(r * line)
-            dens.append(np.polynomial.Polynomial([a * a + b * b, -2.0 * a, 1.0]))
-    num = sum(n * math.prod(dens[:j] + dens[j + 1 :]) for j, n in enumerate(nums))
-    return num, math.prod(dens)
+            nums.append(_polymul(np.array([r]), line))
+            dens.append(np.array([a * a + b * b, -2.0 * a, 1.0]))
+    num = np.zeros(1)
+    for j, n in enumerate(nums):
+        num = _polyadd(num, _polymul(n, _product(dens[:j] + dens[j + 1 :])))
+    return num, _product(dens)
 
 
 class GapRep:
@@ -431,7 +600,7 @@ class GapRep:
     def break_points(self) -> np.ndarray:
         """Domain ends, real nodes and the real zeros of the log-derivative inside."""
         nodes = [a for a, b, _r in self.factors if b == 0.0]
-        return _breaks(self, nodes, _real_zeros(_log_derivative(self.factors)[0]))
+        return _breaks(self, nodes, _real_zeros(_poly2cheb(_log_derivative(self.factors)[0])))
 
     def __eq__(self, other):
         return isinstance(other, GapRep) and self.factors == other.factors
@@ -528,9 +697,9 @@ class GapDerivative:
         and S^2 + S' = (N^2 + N'D - N D') / D^2.
         """
         num, den = _log_derivative(self.rep.factors)
-        crit = num * num + num.deriv() * den - num * den.deriv()
+        crit = _polysub(_polyadd(_polymul(num, num), _polymul(_polyder(num), den)), _polymul(num, _polyder(den)))
         nodes = [a for a, b, _r in self.rep.factors if b == 0.0]
-        return _breaks(self, nodes, _real_zeros(num), _real_zeros(crit))
+        return _breaks(self, nodes, _real_zeros(_poly2cheb(num)), _real_zeros(_poly2cheb(crit)))
 
     def derivative(self, order: int = 1):
         """Q'' = Q (S^2 + S') as a vectorized callable; only this order is available."""
@@ -574,7 +743,9 @@ def _jacobi22_next(pm1: np.ndarray, pm2: np.ndarray, n: int) -> np.ndarray:
     a = 2.0 * n * (n + 4) * (2 * n + 2)
     b = (2 * n + 3) * (2 * n + 4) * (2 * n + 2)
     c = 2.0 * (n + 1) * (n + 1) * (2 * n + 4)
-    out = b * np.polynomial.chebyshev.chebmulx(pm1)
+    out = np.concatenate([pm1, [0.0]])
+    _chebmulx(out, pm1.size)
+    out = b * out
     out[: len(pm2)] -= c * pm2
     return out / a
 
@@ -597,7 +768,7 @@ def jacobi22(n: int) -> PolynomialRep:
     pm2, pm1 = np.zeros(0), np.array([1.0])
     for k in range(1, _integer(n, hi=200) + 1):
         pm2, pm1 = pm1, _jacobi22_next(pm1, pm2, k)
-    return PolynomialRep(np.polynomial.chebyshev.cheb2poly(pm1), cheb=pm1)
+    return PolynomialRep(_cheb2poly(pm1), cheb=pm1)
 
 
 def chebyshev_t(n: int) -> PolynomialRep:
@@ -605,7 +776,7 @@ def chebyshev_t(n: int) -> PolynomialRep:
     n = _integer(n)
     c = np.zeros(n + 1)
     c[n] = 1.0
-    return PolynomialRep(np.polynomial.chebyshev.cheb2poly(c), cheb=c)
+    return PolynomialRep(_cheb2poly(c), cheb=c)
 
 
 class PoleCheck:
@@ -665,11 +836,11 @@ def random_family(kind: str, n: int, seed: int):
         deg_left = n
         while deg_left >= 2:
             c = rng.uniform(0.3, 2.0)
-            den = _poly.polymul(den, np.array([c, 0.0, 1.0]))
+            den = _polymul(den, np.array([c, 0.0, 1.0]))
             deg_left -= 2
         if deg_left == 1:
             d = rng.uniform(1.5, 3.0) * rng.choice([-1.0, 1.0])
-            den = _poly.polymul(den, np.array([-d, 1.0]))
+            den = _polymul(den, np.array([-d, 1.0]))
         return RationalRep(PolynomialRep(num), PolynomialRep(den))
     count = min(3, n)
     base = [1.0] * count

@@ -35,6 +35,7 @@ from .functions import (
     derivative,
     _integer,
     jacobi22,
+    _polymul,
     random_family,
 )
 from .norms import (
@@ -336,7 +337,7 @@ def scaled_rational_family(base_num: PolynomialRep, den: PolynomialRep, n: int) 
     while num.degree < n:
         step = min(n - num.degree, 4)
         extra = chebyshev_t(step)
-        num = PolynomialRep(np.polynomial.polynomial.polymul(np.asarray(num.coeffs), np.asarray(extra.coeffs)))
+        num = PolynomialRep(_polymul(np.asarray(num.coeffs), np.asarray(extra.coeffs)))
     return RationalRep(num, den)
 
 

@@ -28,8 +28,9 @@ Three norm families ride on top:
   win and the maximizer sits at the right edge, the bound rises to the best
   grid ratio and the grid extends fourfold, and psi_log, which grows
   without bound, brings the cap below the top for a bounded f.  A singular
-  f, which nothing caps, raises when its top row wins, and so does a grid
-  whose top reaches ``_P_CEILING`` uncapped.  Every row below the cap is
+  f, which nothing caps, raises before any row where beta reaches the 1/q
+  of its end's growth q, and otherwise when its top row wins, and so does
+  a grid whose top reaches ``_P_CEILING`` uncapped.  Every row below the cap is
   evaluated, in one query of the evaluator.  The winning grid point
   is polished by a root of the log ratio's slope, unless it is p_lo and
   the ratio does not rise off that edge; the scan reports the exact norm
@@ -146,12 +147,19 @@ class OrliczN:
         return 4.0 + max(self.log_splice, 1.0)
 
     def n_log_from_log_u(self, log_u):
-        """log N(u) given log u; stable for |log u| far beyond float overflow."""
+        """log N(u) given log u, an array of log u's shape; stable for |log u|
+        far beyond float overflow.  The linear branch log slope + log u fills
+        the array, and phi's h is evaluated only where log u is above the
+        knee's log (or NaN), which a custom phi's ``fn`` allows: it must act
+        elementwise, as h' already needs."""
         lu = np.asarray(log_u, dtype=float)
+        out = np.empty(lu.shape)
+        up = ~(lu <= self.log_splice)
         with np.errstate(invalid="ignore", over="ignore"):
-            linear = self.log_slope + lu
-            upper = self.phi.h(lu)
-        return np.where(lu <= self.log_splice, linear, upper)
+            np.add(self.log_slope, lu, out=out)
+            if up.any():
+                out[up] = self.phi.h(lu[up])
+        return out
 
     def n_eval(self, u):
         """N(u) for u >= 0; may overflow to inf for very large arguments."""
@@ -182,10 +190,12 @@ def construct_N(phi: PhiSpec) -> OrliczN:
     if not math.isfinite(slope) or slope <= 0.0:
         raise ConstructionError(f"degenerate slope at knee for {phi.label}")
     n = OrliczN(phi, knee, slope)
-    # monotonicity spot check across both branches
+    # monotonicity spot check across both branches: no value falls below
+    # the one before by more than 1e-12; a steep phi's log N overflows to
+    # +inf at the top, and inf after inf is no fall
     sample = np.geomspace(max(knee * 1e-3, 1e-12), knee * 1e3, 257)
     vals = n.n_log_from_log_u(np.log(sample))
-    if np.any(np.diff(vals) < -1e-12):
+    if (vals[1:] < vals[:-1] - 1e-12).any():
         raise ConstructionError(f"spliced function for {phi.label} is not monotone")
     return n
 
@@ -378,7 +388,10 @@ def _g_scan(f, phi: PhiSpec, cfg: QuadratureConfig, cache: ConjugateCache | None
     the grid extends.  psi_log(p) = sup_y (y - h(y) / p) grows without
     bound, so for a bounded f the cap falls below the top.  An unbounded f
     (log sup|f| = +inf) caps nothing and raises ScanDivergenceError there,
-    and so does a grid whose top reaches _P_CEILING.
+    and so does a grid whose top reaches _P_CEILING.  Before any row, an f
+    whose log|f| grows at rate q in -log(distance) at a singular end
+    (``_NodeStore.growth``) raises it when q > r: ||f||_beta is infinite
+    from beta = 1 / q on, and beta, which rises to 1 / r, reaches it.
 
     The grid winner p_k is polished by a root of minus the log ratio's
     slope, times p, along y: p = h'(y) and h*(p) = p y - h(y) (the
@@ -398,6 +411,15 @@ def _g_scan(f, phi: PhiSpec, cfg: QuadratureConfig, cache: ConjugateCache | None
     if not abs(cache.grid[0] - p_lo) <= 1e-12 * cache.grid[0]:
         raise RejectedInputError(f"conjugate cache grid starts at p = {cache.grid[0]!r}, not at p_lo = {p_lo!r}")
     nodes = _abs_nodes(f)
+    # ||f||_beta is infinite from beta = 1 / q on, q the growth of log|f| at
+    # a singular end; beta rises to 1 / r (without bound at r = 0)
+    q = nodes.growth()
+    if q > r:
+        raise ScanDivergenceError(
+            f"f is unbounded: ||f||_beta is infinite from beta = 1/q = {1.0 / q:g} on "
+            f"(q = {q:g}, the growth of log|f| in -log(distance) at its singular end), "
+            f"and the scan against {phi.label} reaches it"
+        )
     # +inf at a singular end, where nothing is capped
     with np.errstate(divide="ignore"):
         log_sup = float(np.log(np.max(_break_values(f, bounded=False)[1])))

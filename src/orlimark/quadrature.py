@@ -108,8 +108,19 @@ class QuadratureConfig:
 
 DEFAULT_CONFIG = QuadratureConfig()
 
-# every panel carries the 16-point Gauss-Legendre rule
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
+_EPS = float(np.finfo(float).eps)
+# every panel carries the 16-point Gauss-Legendre rule, numpy's
+# ``leggauss(16)`` to the bit: its nodes and weights in (0, 1), mirrored
+_HALF_NODES = np.array(
+    [0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+     0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499]
+)
+_HALF_WEIGHTS = np.array(
+    [0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+     0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176]
+)
+_NODES, _WEIGHTS = np.concatenate([-_HALF_NODES[::-1], _HALF_NODES]), np.concatenate([_HALF_WEIGHTS[::-1], _HALF_WEIGHTS])
+_LOG_WEIGHTS = np.log(_WEIGHTS)
 # two adjacent Gauss nodes of a panel narrower than this many ulps of its
 # abscissae may fall within one ulp
 _MERGE_ULPS = 2.0 / float(np.min(np.diff(_NODES)))
@@ -148,8 +159,11 @@ def _carrier(f):
 
 def _check_finite(values: np.ndarray, p_lo, p_hi) -> None:
     """Raise DomainEvaluationError at the first NaN or +inf of values, rows
-    of one lane or several at the nodes of the panels [p_lo, p_hi]; -inf is 0."""
-    bad = ~np.isfinite(values) & ~np.isneginf(values)
+    of one lane or several at the nodes of the panels [p_lo, p_hi]; -inf is 0.
+    One reduction passes values without either: their largest is below +inf."""
+    if np.maximum.reduce(values, axis=None, initial=-math.inf) < math.inf:
+        return
+    bad = ~np.isfinite(values) & (values != -math.inf)
     if bad.any():
         xs = _panel_nodes(p_lo, p_hi)[0].ravel()
         x = float(xs[np.argmax(bad) % xs.size])
@@ -168,7 +182,8 @@ def _sorted_distinct(values) -> np.ndarray:
     """np.unique of a float array, by its own sort path: flattened, sorted,
     each value once, NaNs collapsed to one at the end.  np.unique itself is
     not used in the library, as its first call imports numpy.ma."""
-    a = np.sort(values, axis=None)
+    a = values.flatten()
+    a.sort()
     first = np.ones(a.shape, dtype=bool)
     first[1:] = (a[1:] != a[:-1]) & ~np.isnan(a[:-1])
     return a[first]
@@ -179,19 +194,37 @@ def _inner_points(edges, points):
     ``edges``, sorted; a point closer to an edge or to a point already taken
     than _MERGE_ULPS (about 45) ulps is dropped."""
     lo, hi = edges[0], edges[-1]
-    tol = np.finfo(float).eps * max(1.0, abs(lo), abs(hi)) * _MERGE_ULPS
+    tol = _EPS * max(1.0, abs(lo), abs(hi)) * _MERGE_ULPS
     inner = _sorted_distinct(np.asarray(points, dtype=float))
     inner = inner[(inner > lo + tol) & (inner < hi - tol)]
-    i = np.searchsorted(edges, inner)
+    i = edges.searchsorted(inner)
     inner = inner[(inner - edges[i - 1] > tol) & (edges[i] - inner > tol)]
-    return inner[np.diff(inner, prepend=-np.inf) > tol]
+    apart = np.ones(inner.size, dtype=bool)
+    apart[1:] = inner[1:] - inner[:-1] > tol
+    return inner[apart]
+
+
+@functools.lru_cache(maxsize=16)
+def _uniform_edges(lo, hi) -> np.ndarray:
+    """The _INITIAL_PANELS uniform panel edges of [lo, hi], computed once for
+    each interval (a domain's, in the library), read-only."""
+    edges = np.linspace(lo, hi, _INITIAL_PANELS + 1)
+    edges.flags.writeable = False
+    return edges
+
+
+def _merged(edges, points) -> np.ndarray:
+    """The sorted edges and the points of ``points`` that ``_inner_points``
+    keeps inside them, sorted together."""
+    out = np.concatenate([edges, _inner_points(edges, points)])
+    out.sort()
+    return out
 
 
 def _initial_edges(lo, hi, breaks):
     """The _INITIAL_PANELS uniform panel edges of [lo, hi] and the points of
     ``breaks`` inside, merged by ``_inner_points``."""
-    edges = np.linspace(lo, hi, _INITIAL_PANELS + 1)
-    return np.sort(np.concatenate([edges, _inner_points(edges, breaks)]))
+    return _merged(_uniform_edges(lo, hi), breaks)
 
 
 class _NodeStore:
@@ -245,17 +278,32 @@ class _NodeStore:
         """g at the nodes of the distinct panels [p_lo, p_hi], a (panels, 16)
         array, and the log weights there, None in a store without them."""
         keys = p_lo + 1j * p_hi
-        at = np.minimum(np.searchsorted(self._keys, keys), self._keys.size - 1)
+        at = np.minimum(self._keys.searchsorted(keys), self._keys.size - 1)
         new = self._keys[at] != keys
         at = self._index[at]
         if new.any():
             at[new] = self._cols[0].shape[0] + np.arange(np.count_nonzero(new))
             self._cols = [np.concatenate([c, v]) for c, v in zip(self._cols, self._evaluate(p_lo[new], p_hi[new]))]
             keys = np.concatenate([self._keys, keys[new]])
-            order = np.argsort(keys, kind="stable")
+            order = keys.argsort(kind="stable")
             self._keys, self._index = keys[order], np.concatenate([self._index, at[new]])[order]
         cols = [c[at] for c in self._cols]
         return cols[0], cols[1] if len(cols) > 1 else None
+
+    def _far(self):
+        """y_1 and 2 y_1, y_1 the singular piece's end in y, as one row of two
+        points, as the panel rows that a transform with lanes broadcasts over."""
+        return self._y(self.hi) * np.array([[1.0, 2.0]])
+
+    def growth(self) -> float:
+        """The growth rate of g at the singular end in y = -log(distance): its
+        secant on [y_1, 2 y_1], as ``rest`` takes it; q for (1 - x)^-q, and 0
+        without a singular end."""
+        if self._end is None:
+            return 0.0
+        y = self._far()
+        g = self._end(y)
+        return float((g[0, 1] - g[0, 0]) / y[0, 0])
 
     def rest(self, transform):
         """log of the integral of e^G, G(y) = transform(end(y)) - y, past the
@@ -263,12 +311,11 @@ class _NodeStore:
         as G is linear for a power singularity, G' its secant on [y_1, 2 y_1]."""
         if self._end is None:
             return -math.inf
-        # one row of two points, as the panel rows that a transform with lanes broadcasts over
-        y = self._y(self.hi) * np.array([[1.0, 2.0]])
+        y = self._far()
         g = (transform(self._end(y)) - y)[..., 0, :]
         slope = (g[..., 1] - g[..., 0]) / y[0, 0]
-        if not np.all(slope < 0.0):
-            raise ConvergenceFailureError(f"the integrand does not decay at the singular end: slope {float(np.max(slope))!r} in -log(distance)")
+        if not (slope < 0.0).all():
+            raise ConvergenceFailureError(f"the integrand does not decay at the singular end: slope {float(slope.max())!r} in -log(distance)")
         return g[..., 0] - np.log(-slope)
 
 
@@ -322,15 +369,15 @@ def _adaptive(nodes: _NodeStore, transform, cfg, breaks=None):
     def result(*per_lane):
         return per_lane if lanes else tuple(float(v[0]) for v in per_lane)
 
-    edges = nodes.edges if breaks is None else np.sort(np.concatenate([nodes.edges, _inner_points(nodes.edges, breaks)]))
+    edges = nodes.edges if breaks is None else _merged(nodes.edges, breaks)
     p_lo, p_hi = edges[:-1].copy(), edges[1:].copy()
     t = terms(p_lo, p_hi)
     lanes = t.ndim == 3
     t = t.reshape(-1, p_lo.size, _NODES.size)
     rest = nodes.rest(transform)
-    c = np.maximum(np.max(t, axis=(1, 2)), rest)
+    c = np.maximum(t.max(axis=(1, 2)), rest)
     # a lane that vanishes at every node of the first wave is zero
-    live = np.repeat(np.isfinite(c)[:, None], p_lo.size, axis=1)
+    live = np.isfinite(c)[:, None].repeat(p_lo.size, axis=1)
     if not live.any():
         return *result(c, np.zeros(c.shape)), np.array([nodes.lo]), np.array([nodes.hi])
     c[~live[:, 0]] = 0.0
@@ -354,14 +401,14 @@ def _adaptive(nodes: _NodeStore, transform, cfg, breaks=None):
         s_pair = s_child[:, :k] + s_child[:, k:]
         err = np.abs(s_pair - p_val)
 
-        scale_ref = np.maximum(acc_sum + np.sum(s_pair, axis=1, where=live), 1e-300)[:, None]
+        scale_ref = np.maximum(acc_sum + np.add.reduce(s_pair, axis=1, where=live), 1e-300)[:, None]
         budget = cfg.rel_tol * scale_ref * ((p_hi - p_lo) / (nodes.hi - nodes.lo))
         done = live & ((err <= budget) | (err <= 1e-16 * scale_ref))
-        retire = np.sum(err, axis=1, where=live & ~done) + acc_err <= cfg.rel_tol * scale_ref[:, 0]
+        retire = np.add.reduce(err, axis=1, where=live & ~done) + acc_err <= cfg.rel_tol * scale_ref[:, 0]
         done[retire] = live[retire]
 
-        acc_sum += np.sum(s_pair, axis=1, where=done)
-        acc_err += np.sum(err, axis=1, where=done)
+        acc_sum += np.add.reduce(s_pair, axis=1, where=done)
+        acc_err += np.add.reduce(err, axis=1, where=done)
         live &= ~done
         keep = live.any(axis=0)
         done_lo += [c_lo[:k][~keep], c_lo[k:][~keep]]
@@ -377,7 +424,7 @@ def _adaptive(nodes: _NodeStore, transform, cfg, breaks=None):
         if p_lo.size > _MAX_PANELS:
             break
 
-    live_mass = np.sum(p_val, axis=1, where=live)
+    live_mass = np.add.reduce(p_val, axis=1, where=live)
     total = acc_sum + live_mass
     with np.errstate(divide="ignore", invalid="ignore"):
         # crude bound: the full live mass, relative to the estimate
@@ -407,7 +454,7 @@ class _NodeRule:
         lo, hi = self._edges[:-1], self._edges[1:]
         self.g, log_w = self._nodes.rows(lo, hi)
         with np.errstate(divide="ignore"):
-            self.logw = np.log(_WEIGHTS)[None, :] + np.log(0.5 * (hi - lo))[:, None]
+            self.logw = _LOG_WEIGHTS[None, :] + np.log(0.5 * (hi - lo))[:, None]
         self.logw = self.logw if log_w is None else self.logw + log_w
         _check_finite(self.g, lo, hi)
 
@@ -436,7 +483,7 @@ class _NodeRule:
             return log_sum + self._nodes.log_density
         with np.errstate(invalid="ignore"):
             pi = np.exp(a - log_sum[:, None])
-        return log_sum + self._nodes.log_density, np.sum(pi * np.where(pi > 0.0, g, 0.0), axis=1)
+        return log_sum + self._nodes.log_density, np.add.reduce(pi * np.where(pi > 0.0, g, 0.0), axis=1)
 
     def crossings(self, level, points, values):
         """Where log|f|, the node values of this rule, crosses ``level``: at
@@ -445,12 +492,12 @@ class _NodeRule:
         points (in |f| next to a zero of f), as ``_inner_points`` keeps them
         inside the rule's edges."""
         xs = np.concatenate([_panel_nodes(self._edges[:-1], self._edges[1:])[0].ravel(), points])
-        order = np.argsort(xs, kind="stable")
+        order = xs.argsort(kind="stable")
         xs, d = xs[order], np.concatenate([self.g.ravel(), values])[order] - level
-        i = np.flatnonzero((d[:-1] > 0.0) != (d[1:] > 0.0))
+        i = ((d[:-1] > 0.0) != (d[1:] > 0.0)).nonzero()[0]
         d0, d1 = d[i], d[i + 1]
         with np.errstate(invalid="ignore", over="ignore"):
-            frac = np.where(np.isneginf(d0), np.exp(-d1), np.where(np.isneginf(d1), -np.expm1(-d0), d0 / (d0 - d1)))
+            frac = np.where(d0 == -math.inf, np.exp(-d1), np.where(d1 == -math.inf, -np.expm1(-d0), d0 / (d0 - d1)))
         return _inner_points(self._edges, xs[i] + frac * (xs[i + 1] - xs[i]))
 
 
@@ -527,7 +574,7 @@ def _break_values(f, bounded: bool):
 def sup_norm(f) -> float:
     """Sup of |f|: its largest value over the break points of f, between
     which |f| is monotone.  Unbounded f raises DomainEvaluationError."""
-    return float(np.max(_break_values(f, bounded=True)[1]))
+    return float(_break_values(f, bounded=True)[1].max())
 
 
 # a crossing's first bracket is one of this many cells of its piece
@@ -566,13 +613,13 @@ def _bracketed_root(g, x_neg, x_pos, g_neg, g_pos, tol, stop=None):
     positions of the rest, found once, which numpy gathers faster than a
     boolean mask.
     """
-    if not np.all((g_neg <= 0.0) & (g_pos >= 0.0)):
+    if not ((g_neg <= 0.0) & (g_pos >= 0.0)).all():
         raise RejectedInputError("root solve: g must be <= 0 at x_neg and >= 0 at x_pos in every lane")
     x_pos, g_pos = np.where(g_neg == 0.0, x_neg, x_pos), np.where(g_neg == 0.0, 0.0, g_pos)
     x_neg, g_neg = np.where(g_pos == 0.0, x_pos, x_neg), np.where(g_pos == 0.0, 0.0, g_neg)
 
-    live = np.flatnonzero(g_neg < 0.0)
-    tol = np.broadcast_to(tol, x_neg.shape)[live]
+    live = (g_neg < 0.0).nonzero()[0]
+    tol = tol[live] if isinstance(tol, np.ndarray) and tol.ndim else np.full(live.size, tol)
     xn, xp, gn, gp = x_neg[live], x_pos[live], g_neg[live], g_pos[live]
     sn, sp = gn, gp  # the end values regula falsi reads, scaled
     pos_moved = neg_moved = np.zeros(live.size, dtype=bool)  # which end moved last
@@ -595,7 +642,7 @@ def _bracketed_root(g, x_neg, x_pos, g_neg, g_pos, tol, stop=None):
             w3, w2, w1 = w2, w1, width
             gx = g(x, live)
             # one reduction a step; the sum is also NaN on inf - inf
-            if math.isnan(gx.sum()) and np.isnan(gx).any():
+            if math.isnan(np.add.reduce(gx)) and np.isnan(gx).any():
                 at = float(x[np.argmax(np.isnan(gx))])
                 raise DomainEvaluationError(f"root solve: g is NaN at x = {at!r}", abscissa=at)
             up = gx > 0.0
@@ -657,25 +704,25 @@ class LevelSampler:
         self._f = f
         domain = _carrier(f)[0]
         xs, vals = _break_values(f, bounded=False)
-        self.sup_estimate = float(np.max(vals))
+        self.sup_estimate = float(vals.max())
         # a value below 1e-12 sup|f| is a computed zero of f and merges into
         # 0, and a value within 1e-12 of the next one merges into it: equal
         # extrema (|T_n| = 1) round apart, and every interval costs panels
         # and crossings downstream
-        levels = _sorted_distinct(np.append(np.where(vals < 1e-12 * self.sup_estimate, 0.0, vals), 0.0))
-        top = np.append(np.diff(levels) > 1e-12 * levels[1:], True)
-        self.critical_values = levels[top]
-        self.critical_floors = levels[np.append(True, top[:-1])]
+        levels = _sorted_distinct(np.concatenate([np.where(vals < 1e-12 * self.sup_estimate, 0.0, vals), [0.0]]))
+        apart = levels[1:] - levels[:-1] > 1e-12 * levels[1:]
+        self.critical_values = levels[np.concatenate([apart, [True]])]
+        self.critical_floors = levels[np.concatenate([[True], apart])]
         # per piece: its length, its ends where |f| is smaller and larger,
         # and the values there
-        self._length = np.diff(xs)
+        self._length = xs[1:] - xs[:-1]
         rising = vals[1:] > vals[:-1]
         self._below = np.where(rising, xs[:-1], xs[1:])
         self._above = np.where(rising, xs[1:], xs[:-1])
         self._v_min = np.minimum(vals[:-1], vals[1:])
         self._v_max = np.maximum(vals[:-1], vals[1:])
         # the widest bracket a crossing may end with
-        self._tol = 2.0 * np.finfo(float).eps * max(1.0, abs(domain.lo), abs(domain.hi))
+        self._tol = 2.0 * _EPS * max(1.0, abs(domain.lo), abs(domain.hi))
         self._density = domain.density
 
     @functools.cached_property
@@ -707,25 +754,26 @@ class LevelSampler:
         one cell: its other points sit on its larger end."""
         xs = self._below[:, None] + np.sin(np.linspace(0.0, 0.5 * math.pi, _CELLS + 1)) ** 2 * (self._above - self._below)[:, None]
         xs[:, -1] = self._above
-        vals = np.repeat(self._v_max[:, None], _CELLS + 1, axis=1)
+        vals = self._v_max[:, None].repeat(_CELLS + 1, axis=1)
         vals[:, 0] = self._v_min
         bounded = np.isfinite(self._v_max)
         xs[~bounded, 1:] = self._above[~bounded, None]
         inner = xs[bounded, 1:-1]
         vals[bounded, 1:-1] = np.abs(self._f(inner.ravel())).reshape(inner.shape)
         keys = np.empty(vals.shape, dtype=complex)  # 1j * inf would be nan + inf j
-        keys.real, keys.imag = np.arange(vals.shape[0])[:, None], np.sort(vals, axis=1)
+        keys.real, keys.imag = np.arange(vals.shape[0])[:, None], vals
+        keys.imag.sort(axis=1)
         return xs, vals, keys.ravel()
 
     def _measure(self, ws, slope):
         whole = ws[None, :] < self._v_min[:, None]
         out = self._length @ whole
-        piece, j = np.nonzero(~whole & (ws[None, :] < self._v_max[:, None]))
+        piece, j = (~whole & (ws[None, :] < self._v_max[:, None])).nonzero()
         w = ws[j]
         # the cell after the row's count of values <= w, or the whole piece
         # where rounding leaves that cell without a sign change of |f| - w
         xs, vals, keys = self._table
-        k = np.searchsorted(keys, piece + 1j * w, side="right") - piece * (_CELLS + 1) - 1
+        k = keys.searchsorted(piece + 1j * w, side="right") - piece * (_CELLS + 1) - 1
         cell = (vals[piece, k] <= w) & (vals[piece, k + 1] >= w)
         k_neg, k_pos = np.where(cell, k, 0), np.where(cell, k + 1, _CELLS)
         x_neg, x_pos, _g_neg, _g_pos = _bracketed_root(

@@ -470,3 +470,31 @@ def test_runtime_needs_no_scipy(tmp_path):
     results = json.loads((tmp_path / "sweep.json").read_text())["results"]
     lo, hi = results["slope_ci"]
     assert lo < results["slope"] < hi
+
+
+def test_runtime_loads_no_numpy_polynomial(tmp_path):
+    # break points, derivatives, the Jacobi and Chebyshev constructors and
+    # the Gauss rule take numpy.polynomial's operations without the module:
+    # the subcommands of the benchmark's cli workload never import it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(orlimark.__file__)))
+    norm = tmp_path / "norm.cfg"
+    norm.write_text(NORM_CFG)
+    rational = tmp_path / "rational.cfg"
+    rational.write_text("[function]\nfamily = rational\ndegree = 4\n")
+    sweep = tmp_path / "sweep.cfg"
+    sweep.write_text(SWEEP_CFG)
+    runs = [
+        ["norm", "--config", str(norm)],
+        ["transform"],
+        ["rational", "--config", str(rational), "--seed", "7"],
+        ["tail"],
+        ["markov-sweep", "--config", str(sweep)],
+    ]
+    child = (
+        f"import sys; sys.path.insert(0, {src!r}); from orlimark import cli; "
+        f"codes = [cli.main(argv + ['--out', {str(tmp_path / 'out')!r} + str(i), '--format', 'json']) for i, argv in enumerate({runs!r})]; "
+        "print('codes', codes, 'numpy.polynomial' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "codes [0, 0, 0, 0, 0] False", done.stdout + done.stderr

@@ -290,6 +290,140 @@ def test_break_points_computed_once_per_representation(f, monkeypatch, ctx):
         xs[0] = 0.0
 
 
+_cheb = np.polynomial.chebyshev
+_mono = np.polynomial.polynomial
+
+
+def _kernel_inputs():
+    """Random coefficient vectors of degree 0 to 40, each also with trailing
+    zeros (a signed one among them), with signed zeros inside and scaled by
+    1e200 and 1e-200."""
+    rng = np.random.default_rng(39)
+    out = []
+    for n in range(41):
+        c = rng.standard_normal(n + 1)
+        holes = c.copy()
+        holes[rng.random(n + 1) < 0.3] = -0.0 if n % 2 else 0.0
+        out += [c, np.concatenate([c, [0.0, -0.0][: 1 + n % 2]]), holes, 1e200 * c, 1e-200 * c]
+    return out + [np.zeros(1), np.array([-0.0]), np.array([0.0, -0.0])]
+
+
+def _same(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestKernels:
+    """The break points' kernels give numpy.polynomial's results bit for bit:
+    value bytes, dtype and shape (numpy.polynomial is their oracle here)."""
+
+    @pytest.mark.parametrize(
+        "kernel, oracle",
+        [
+            (functions._poly2cheb, _cheb.poly2cheb),
+            (functions._chebder, _cheb.chebder),
+            (functions._polyder, _mono.polyder),
+            (functions._chebroots, _cheb.chebroots),
+            (functions._polyroots, _mono.polyroots),
+            (functions._cheb2poly, _cheb.cheb2poly),
+            (functions._polymulx, _mono.polymulx),
+        ],
+        ids=["poly2cheb", "chebder", "polyder", "chebroots", "polyroots", "cheb2poly", "polymulx"],
+    )
+    def test_unary(self, kernel, oracle):
+        for c in _kernel_inputs():
+            with np.errstate(all="ignore"):
+                assert _same(kernel(c), oracle(c)), c
+
+    def test_chebmulx_in_place(self):
+        # x times a nonzero trimmed series, in place in one more entry
+        for c in _kernel_inputs():
+            t = functions._trimseq(c)
+            if not t.any():
+                continue
+            res = np.append(t, 0.0)
+            with np.errstate(all="ignore"):
+                functions._chebmulx(res, t.size)
+                assert _same(res, _cheb.chebmulx(c)), c
+
+    def test_complex_polyroots(self):
+        rng = np.random.default_rng(40)
+        for n in range(1, 41):
+            c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+            for z in (c, np.concatenate([c, [0j]])):
+                assert _same(functions._polyroots(z), _mono.polyroots(z)), z
+
+    @pytest.mark.parametrize(
+        "kernel, oracle",
+        [(functions._polymul, _mono.polymul), (functions._polyadd, _mono.polyadd), (functions._polysub, _mono.polysub)],
+        ids=["polymul", "polyadd", "polysub"],
+    )
+    def test_binary(self, kernel, oracle):
+        cs = _kernel_inputs()
+        for i, c1 in enumerate(cs):
+            for c2 in (cs[(7 * i + 3) % len(cs)], cs[(11 * i + 5) % len(cs)]):
+                with np.errstate(all="ignore"):
+                    assert _same(kernel(c1, c2), oracle(c1, c2)), (c1, c2)
+
+
+def _reference_break_points(f):
+    """f's break points by numpy.polynomial's series objects and functions,
+    as the library took them before its kernels: their oracle."""
+    P, C = np.polynomial.Polynomial, np.polynomial.Chebyshev
+
+    def top(c):
+        keep = np.flatnonzero(np.abs(c) > np.finfo(float).eps * np.max(np.abs(c), initial=0.0))
+        return int(keep[-1]) if keep.size else 0
+
+    def real_zeros(series):
+        c = _cheb.poly2cheb(series.coef) if isinstance(series, P) else series.coef
+        roots = _cheb.chebroots(c[: top(c) + 1]) if top(c) else np.zeros(0)
+        return roots.real[np.abs(roots.imag) <= 1e-4]
+
+    def circle_zeros(t):
+        a, b = np.asarray(t.cos_coeffs), np.concatenate([[0.0], t.sin_coeffs])
+        n = top(np.maximum(np.abs(a), np.abs(b)))
+        half = (a[1 : n + 1] - 1j * b[1 : n + 1]) / 2.0
+        z = _mono.polyroots(np.concatenate([np.conj(half)[::-1], a[:1], half])) if n else np.zeros(0)
+        return np.angle(z[np.abs(np.abs(z) - 1.0) <= 1e-4])
+
+    def log_derivative(factors):
+        nums, dens = [], []
+        for a, b, r in factors:
+            line = P([-a, 1.0])
+            nums.append(P([r]) if b == 0.0 else r * line)
+            dens.append(line if b == 0.0 else P([a * a + b * b, -2.0 * a, 1.0]))
+        return sum(n * math.prod(dens[:j] + dens[j + 1 :]) for j, n in enumerate(nums)), math.prod(dens)
+
+    if isinstance(f, PolynomialRep):
+        g = C(f._cheb if f._cheb is not None else _cheb.poly2cheb(f.coeffs or (0.0,)))
+        return functions._breaks(f, real_zeros(g), real_zeros(g.deriv()))
+    if isinstance(f, TrigPolynomialRep):
+        return functions._breaks(f, np.mod(np.concatenate([circle_zeros(f), circle_zeros(f.derivative())]), 2.0 * np.pi))
+    if isinstance(f, RationalRep):
+        p, s, k = P(f.num.coeffs or (0.0,)), P(f._den_base[0]), f._den_base[1]
+        return functions._breaks(f, real_zeros(p), real_zeros(p.deriv() * s - k * (p * s.deriv())))
+    if isinstance(f, GapRep):
+        return functions._breaks(f, [a for a, b, _r in f.factors if b == 0.0], real_zeros(log_derivative(f.factors)[0]))
+    num, den = log_derivative(f.rep.factors)
+    crit = num * num + num.deriv() * den - num * den.deriv()
+    return functions._breaks(f, [a for a, b, _r in f.rep.factors if b == 0.0], real_zeros(num), real_zeros(crit))
+
+
+def test_break_points_are_numpys_bit_for_bit():
+    # the kernels replace numpy.polynomial's series objects without moving a
+    # bit: the corpus, its derivatives up to r = 4 and random members
+    fs = []
+    for label, f in build_corpus(7):
+        top = 1 if isinstance(f, GapRep) else 4  # a GapDerivative is the last
+        for r in range(top + 1):
+            fs.append((f"{label}^({r})", f))
+            f = f.derivative() if r < top else None
+    fs += [(f"{kind}-{n}-{seed}", random_family(kind, n, seed)) for kind in functions.RANDOM_FAMILIES for n in range(1, 11) for seed in (0, 1)]
+    fs += [("jacobi22(60)'", jacobi22(60).derivative()), ("T_30", chebyshev_t(30))]
+    differ = [label for label, f in fs if not _same(f.break_points(), _reference_break_points(f))]
+    assert not differ
+
+
 class TestPoleCertificate:
     def test_pole_free(self):
         q = RationalRep([1.0], [0.5, 0.0, 1.0])

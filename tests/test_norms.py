@@ -281,6 +281,48 @@ class TestSplice:
         with pytest.raises(ConstructionError, match=r"no knee .*: y\*\(1\) = 12\.5"):
             construct_N(power_log(2.0, 5.0))
 
+    @pytest.mark.parametrize("m", [200.0, 5000.0])
+    def test_steep_phi_passes_the_spot_check_quietly(self, m):
+        # log N overflows to +inf at the top of the monotonicity sample of
+        # power_log(m >= 200): an inf after an inf is no fall, where a
+        # difference of neighbours took inf - inf = NaN with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            n = construct_N(power_log(m))
+        assert 0.0 < n.splice_point < 1.0
+
+    def test_nonmonotone_phi_raises(self):
+        # z^2 up to z = 10, falling beyond: N falls past the knee
+        with pytest.raises(ConstructionError, match="is not monotone"):
+            construct_N(custom_phi(lambda z: np.where(np.real(z) < 10.0, z**2, 100.0 - (z - 10.0))))
+
+    @pytest.mark.parametrize(
+        "phi",
+        [
+            power_log(2.0),
+            log_power(1.0),
+            custom_phi(lambda z: np.asarray(z) ** 2.5),
+            tabulated_phi([0.25, 0.5, 1.0, 2.0, 4.0, 8.0], [0.0625, 0.25, 1.0, 4.0, 16.0, 1000.0]),
+        ],
+        ids=["power-log", "log-power", "custom", "tabulated"],
+    )
+    def test_n_log_takes_h_above_the_knee_only(self, phi, monkeypatch):
+        # the linear branch fills log N and h is evaluated only above the
+        # knee and at NaN, with the values of evaluating both everywhere
+        n = construct_N(phi)
+        knee = n.log_splice
+        lu = np.concatenate([np.linspace(knee - 3.0, knee + 3.0, 61), [knee, np.nextafter(knee, math.inf), 1e6, -1e6, math.inf, -math.inf, math.nan]])
+        with np.errstate(all="ignore"):
+            want = np.where(lu <= knee, n.log_slope + lu, phi.h(lu))
+        sizes, h = [], conjugate.PhiSpec.h
+        monkeypatch.setattr(conjugate.PhiSpec, "h", lambda self, y: sizes.append(np.size(y)) or h(self, y))
+        got = n.n_log_from_log_u(lu)
+        assert got.tobytes() == want.tobytes()
+        assert sizes == [np.count_nonzero(~(lu <= knee))]
+        for v, w in zip(lu, want):
+            one = n.n_log_from_log_u(np.float64(v))
+            assert isinstance(one, np.ndarray) and one.shape == () and one.tobytes() == w.tobytes()
+
     def test_table_knee_at_the_clamp(self):
         # h' steps from 0 to 2 / log 2 at the start of the clamp at zero,
         # y = -log(2) / 2, where h = 0
@@ -469,6 +511,14 @@ class TestGNorm:
         # every scanned beta = p / (p + 1) is at least 0.8
         with pytest.raises(ScanDivergenceError):
             v_quasinorm(InversePowerRep(1.5), phi2, 1.0, cache=ctx.conjugates(phi2, p_lo=4.0))
+
+    @pytest.mark.parametrize("q, m", [(3e-4, 2.0), (1e-4, 1e6)])
+    def test_singular_end_past_the_grid_raises(self, q, m):
+        # ||(1 - x)^-q||_p is infinite from p = 1/q on, beyond the first
+        # grid's top 1024: the grid maximum below (2.3319 at q = 3e-4,
+        # 1.0000455 at q = 1e-4) certified nothing
+        with pytest.raises(ScanDivergenceError, match="f is unbounded"):
+            g_norm_info(InversePowerRep(q), power_log(m))
 
     @staticmethod
     def _edge_case(p_peak):

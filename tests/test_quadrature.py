@@ -153,6 +153,13 @@ def test_lp_quasinorm_of_identity():
     assert lp_quasinorm(PolynomialRep([0.0, 1.0]), 2, INTERVAL) == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-13)
 
 
+def test_gauss_rule_is_leggauss():
+    # the rule's tabulated half, mirrored, is numpy's leggauss(16) to the bit
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert quadrature._NODES.tobytes() == nodes.tobytes()
+    assert quadrature._WEIGHTS.tobytes() == weights.tobytes()
+
+
 def test_initial_edges_take_the_break_points():
     # interior break points join the eight uniform edges; the ends, points
     # outside and points within rounding of an edge taken already add nothing
