@@ -63,9 +63,9 @@ class LuxemburgBracketError(OrlimarkError):
 
 class ScanDivergenceError(OrlimarkError):
     """A sup-over-p scan has no certified supremum: an L_p member diverges,
-    the scanned exponent reaches one where a singular f's norm is infinite,
-    or the ratio still rises at a grid top that sup|f| does not cap, where
-    f is unbounded or the grid may extend no further."""
+    the scanned exponent reaches or approaches one where a singular f's
+    norm is infinite, or the ratio still rises at a grid top that sup|f|
+    does not cap, where f is unbounded or the grid may extend no further."""
 
 
 class DegenerateInputError(OrlimarkError):

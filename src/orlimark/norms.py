@@ -363,6 +363,10 @@ _CAP_REL_TOLS = 1000.0
 # at a top of 2^22, 9,312 at 2^24 and 31,136 at 2^26, and a scan of it to
 # 2^28 peaks at 1.5 GB)
 _P_CEILING = 2.0**24
+# the secant of ``_NodeStore.growth`` reads the growth q of a power
+# singularity to an ulp or so (one above for q = 1.5 and 3): a q within
+# this many ulps of r is the boundary q = r
+_GROWTH_ULPS = 4.0
 
 
 def _g_scan(f, phi: PhiSpec, cfg: QuadratureConfig, cache: ConjugateCache | None, p_lo: float, r: float = 0.0) -> ScanResult:
@@ -391,7 +395,10 @@ def _g_scan(f, phi: PhiSpec, cfg: QuadratureConfig, cache: ConjugateCache | None
     and so does a grid whose top reaches _P_CEILING.  Before any row, an f
     whose log|f| grows at rate q in -log(distance) at a singular end
     (``_NodeStore.growth``) raises it when q > r: ||f||_beta is infinite
-    from beta = 1 / q on, and beta, which rises to 1 / r, reaches it.
+    from beta = 1 / q on, and beta, which rises to 1 / r, reaches it.  At
+    q = r, to _GROWTH_ULPS ulps, it raises too: ||f||_beta is finite for
+    every beta < 1 / r but grows without bound as beta rises to it, as
+    2^-q (p q + 1)^(q + 1/p) for (1 - x)^-q, which no grid certifies.
 
     The grid winner p_k is polished by a root of minus the log ratio's
     slope, times p, along y: p = h'(y) and h*(p) = p y - h(y) (the
@@ -412,11 +419,13 @@ def _g_scan(f, phi: PhiSpec, cfg: QuadratureConfig, cache: ConjugateCache | None
         raise RejectedInputError(f"conjugate cache grid starts at p = {cache.grid[0]!r}, not at p_lo = {p_lo!r}")
     nodes = _abs_nodes(f)
     # ||f||_beta is infinite from beta = 1 / q on, q the growth of log|f| at
-    # a singular end; beta rises to 1 / r (without bound at r = 0)
-    q = nodes.growth()
-    if q > r:
+    # a singular end, and grows without bound as beta rises to it; beta
+    # rises to 1 / r (without bound at r = 0)
+    q, slack = nodes.growth(), _GROWTH_ULPS * math.ulp(r)
+    if q > 0.0 and q >= r - slack:
+        reach = f"is infinite from beta = 1/q = {1.0 / q:g} on" if q > r + slack else "grows without bound as beta rises to 1/q = 1/r"
         raise ScanDivergenceError(
-            f"f is unbounded: ||f||_beta is infinite from beta = 1/q = {1.0 / q:g} on "
+            f"f is unbounded: ||f||_beta {reach} "
             f"(q = {q:g}, the growth of log|f| in -log(distance) at its singular end), "
             f"and the scan against {phi.label} reaches it"
         )

@@ -18,9 +18,12 @@ reduces to three primitives implemented here:
   to a collapsed bracket by ``_bracketed_root``, the one root solver, which
   also finds the maximum of the weak Lorentz form, the polish of the
   sup-over-p scans, the splice knee and the Luxemburg root in the norms
-  module.  A crossing starts from one cell of a fixed table of |f| at the
-  Chebyshev-Lobatto points of its piece, looked up for every lane at once,
-  as Boyd (2002) isolates roots on Chebyshev points.  The same crossings
+  module.  Its one step function runs many lanes on arrays and a lone lane
+  (the one lane of a call, or the last one live) on Python floats, with
+  float selections that give numpy's bits, in the same steps.  A crossing
+  starts from one cell of a fixed table of |f| at the Chebyshev-Lobatto
+  points of its piece, looked up for every lane at once, as Boyd (2002)
+  isolates roots on Chebyshev points.  The same crossings
   give the slope T'(w), from the derivative each bounded representation
   reports.
   ``sup_norm`` is the largest |f| over the same break points.
@@ -470,18 +473,17 @@ class _NodeRule:
         (g = -inf, say) has weight 0 and adds 0.
         """
         g = self.g.ravel()[None, :]
-        with np.errstate(invalid="ignore"):
+        # -inf + inf and -inf - -inf are NaN terms, and a row of zeros has log 0
+        with np.errstate(divide="ignore", invalid="ignore"):
             a = log_integrand(g) + self.logw.ravel()[None, :]
-        shift = a.max(axis=1)
-        shift[~np.isfinite(shift)] = 0.0
-        # the shifted terms overwrite a unless the moment reads it, so a
-        # query of many rows holds two rows x nodes arrays at most, not three
-        terms = np.subtract(a, shift[:, None], out=None if moment else a)
-        with np.errstate(divide="ignore"):
+            shift = a.max(axis=1)
+            shift[~np.isfinite(shift)] = 0.0
+            # the shifted terms overwrite a unless the moment reads it, so a
+            # query of many rows holds two rows x nodes arrays at most, not three
+            terms = np.subtract(a, shift[:, None], out=None if moment else a)
             log_sum = np.log(np.exp(terms, out=terms) @ np.ones(a.shape[1])) + shift
-        if not moment:
-            return log_sum + self._nodes.log_density
-        with np.errstate(invalid="ignore"):
+            if not moment:
+                return log_sum + self._nodes.log_density
             pi = np.exp(a - log_sum[:, None])
         return log_sum + self._nodes.log_density, np.add.reduce(pi * np.where(pi > 0.0, g, 0.0), axis=1)
 
@@ -585,6 +587,85 @@ _CELLS = 64
 _MAX_ROOT_STEPS = 200
 
 
+def _where(c, a, b):
+    """np.where of one lane."""
+    return a if c else b
+
+
+def _minimum(a, b):
+    """np.minimum of two floats: NaN if either is, and b on a tie, as of two
+    zeros of either sign."""
+    return a if a < b or a != a else b
+
+
+def _maximum(a, b):
+    """np.maximum of two floats: NaN if either is, and b on a tie."""
+    return a if a > b or a != a else b
+
+
+def _divide(a, b):
+    """a / b of two floats, numpy's signed inf or NaN where b is zero."""
+    try:
+        return a / b
+    except ZeroDivisionError:
+        return math.nan if a == 0.0 or a != a else math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+# the selections a root step takes from numpy on arrays of lanes, and the
+# same selections on one lane of Python floats
+_ON_ARRAYS = (np.where, np.minimum, np.maximum, np.isfinite, np.true_divide)
+_ON_FLOATS = (_where, _minimum, _maximum, math.isfinite, _divide)
+
+
+def _nan_at(x: float) -> DomainEvaluationError:
+    return DomainEvaluationError(f"root solve: g is NaN at x = {x!r}", abscissa=x)
+
+
+def _first_state(where, xn, xp, gn, gp, tol, unmoved, unbounded):
+    """The state of live lanes before their first step, a list: the bracket
+    and g at its ends; the end values regula falsi reads, scaled; which end
+    moved last; the last point and the last two step lengths; the bracket
+    widths before each of the last three steps, oldest first; xp - xn and
+    its width; tol and tol / 2.  ``unmoved`` and ``unbounded`` are False and
+    inf in every lane."""
+    d = xp - xn
+    width = abs(d)
+    return [xn, xp, gn, gp, gn, gp, unmoved, unmoved, where(-gn < gp, xn, xp), width, width, unbounded, unbounded, unbounded, d, width, tol, 0.5 * tol]
+
+
+def _root_step(ops, evaluate, state):
+    """One step of ``_bracketed_root`` on the lanes of ``state``, with the
+    selections ``ops``: the point x, whether g is zero there and which lanes
+    are done.  ``evaluate(x)`` is g at x, which raises on a NaN.  The step
+    empties the list ``state`` and refills it with the state after the step,
+    so that, as in a loop that rebinds its variables, each array of the old
+    state is freed once the step has replaced it."""
+    where, minimum, maximum, isfinite, divide = ops
+    xn, xp, gn, gp, sn, sp, pos_moved, neg_moved, last, step, older, w3, w2, w1, d, width, tol, half = state
+    state.clear()
+    span = sn - sp
+    x = minimum(maximum(xn + divide(sn, span) * d, minimum(xn, xp) + half), maximum(xn, xp) - half)
+    # an infinite end value (a singular end) would pin regula falsi to the other end
+    falsi = (abs(x - last) <= 0.5 * older) & isfinite(span) & (width <= 0.5 * w3)
+    x = where(falsi, x, 0.5 * (xn + xp))
+    step, older, last = abs(x - last), step, x
+    w3, w2, w1 = w2, w1, width
+    gx = evaluate(x)
+    up = gx > 0.0
+    scale = 1.0 - divide(gx, where(up, sp, sn))
+    scale = where(scale > 0.0, scale, 0.5)
+    sn = where(up, where(pos_moved, scale * sn, sn), gx)
+    sp = where(up, gx, where(neg_moved, scale * sp, sp))
+    # gx is not NaN, so the negative end moved where it is not up
+    pos_moved, neg_moved = up, gx <= 0.0
+    xn, xp, gn, gp = where(up, xn, x), where(up, x, xp), where(up, gn, gx), where(up, gx, gp)
+    zero = gx == 0.0
+    d = xp - xn
+    width = abs(d)
+    state += (xn, xp, gn, gp, sn, sp, pos_moved, neg_moved, last, step, older, w3, w2, w1, d, width, tol, half)
+    return x, zero, (width <= tol) | zero
+
+
 def _bracketed_root(g, x_neg, x_pos, g_neg, g_pos, tol, stop=None):
     """Collapse brackets around roots of g, lane by lane, to width tol.
 
@@ -603,73 +684,91 @@ def _bracketed_root(g, x_neg, x_pos, g_neg, g_pos, tol, stop=None):
     collapsed (x_neg, x_pos, g_neg, g_pos), both ends on a zero of g where
     one is found.
 
-    A step follows numpy's operation order throughout: the bracket
-    difference xp - xn is taken once a step and read by the width, the
-    regula-falsi point and the stop test, tol / 2 once a lane, and the clip
-    is a maximum, then a minimum, as ``np.clip`` takes them.  So a lane's
-    iterates have the bits of a loop that recomputes xp - xn at each use
-    and calls ``np.clip``, alone or among other lanes.  A step that
+    A step, ``_root_step``, follows numpy's operation order throughout: the
+    bracket difference xp - xn is taken once a step and read by the width,
+    the regula-falsi point and the stop test, tol / 2 once a lane, and the
+    clip is a maximum, then a minimum, as ``np.clip`` takes them.  So a
+    lane's iterates have the bits of a loop that recomputes xp - xn at each
+    use and calls ``np.clip``, alone or among other lanes.  While two or
+    more lanes are live, a step runs on arrays of them, and one that
     finishes lanes drops them from every array of the state by the integer
     positions of the rest, found once, which numpy gathers faster than a
-    boolean mask.
+    boolean mask.  A lane that is alone, the only lane of the call or the
+    last one live, runs on Python floats, through the same step with float
+    selections that give numpy's NaN and signed-zero results, and so with
+    the same bits and steps: g and ``stop`` still get one-element arrays,
+    and the float of g's one value is read.
     """
-    if not ((g_neg <= 0.0) & (g_pos >= 0.0)).all():
+    lone = x_neg.size == 1
+    if lone:
+        x_neg, x_pos, g_neg, g_pos = (v.item() for v in (x_neg, x_pos, g_neg, g_pos))
+    valid = (g_neg <= 0.0) & (g_pos >= 0.0)
+    if not (valid if lone else valid.all()):
         raise RejectedInputError("root solve: g must be <= 0 at x_neg and >= 0 at x_pos in every lane")
-    x_pos, g_pos = np.where(g_neg == 0.0, x_neg, x_pos), np.where(g_neg == 0.0, 0.0, g_pos)
-    x_neg, g_neg = np.where(g_pos == 0.0, x_pos, x_neg), np.where(g_pos == 0.0, 0.0, g_neg)
+    where = _where if lone else np.where
+    # a zero of g at either end moves both ends onto it
+    x_pos, g_pos = where(g_neg == 0.0, x_neg, x_pos), where(g_neg == 0.0, 0.0, g_pos)
+    x_neg, g_neg = where(g_pos == 0.0, x_pos, x_neg), where(g_pos == 0.0, 0.0, g_neg)
 
-    live = (g_neg < 0.0).nonzero()[0]
-    tol = tol[live] if isinstance(tol, np.ndarray) and tol.ndim else np.full(live.size, tol)
-    xn, xp, gn, gp = x_neg[live], x_pos[live], g_neg[live], g_pos[live]
-    sn, sp = gn, gp  # the end values regula falsi reads, scaled
-    pos_moved = neg_moved = np.zeros(live.size, dtype=bool)  # which end moved last
-    last = np.where(-gn < gp, xn, xp)
-    d = xp - xn
-    width = step = older = np.abs(d)
-    half = 0.5 * tol
-    # the bracket widths before each of the last three steps, oldest first
-    w3 = w2 = w1 = np.full(live.size, np.inf)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(_MAX_ROOT_STEPS):
-            if not live.size:
+    if lone:
+        live = np.arange(int(g_neg < 0.0))
+        state = _first_state(where, x_neg, x_pos, g_neg, g_pos, tol.item() if isinstance(tol, np.ndarray) else float(tol), False, math.inf)
+        x_neg, x_pos, g_neg, g_pos = (np.array([v]) for v in (x_neg, x_pos, g_neg, g_pos))
+    else:
+        live = (g_neg < 0.0).nonzero()[0]
+        state = _first_state(
+            where,
+            *(v[live] for v in (x_neg, x_pos, g_neg, g_pos)),
+            tol[live] if isinstance(tol, np.ndarray) and tol.ndim else np.full(live.size, tol),
+            np.zeros(live.size, dtype=bool),
+            np.full(live.size, np.inf),
+        )
+
+    def evaluate(x):
+        gx = g(x, live)
+        # one reduction a step; the sum is also NaN on inf - inf
+        if math.isnan(np.add.reduce(gx)) and np.isnan(gx).any():
+            raise _nan_at(float(x[np.argmax(np.isnan(gx))]))
+        return gx
+
+    def evaluate_lone(x):
+        gx = float(g(np.array([x]), live)[0])
+        if math.isnan(gx):
+            raise _nan_at(x)
+        return gx
+
+    steps = 0
+    if live.size > 1:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            while live.size > 1 and steps < _MAX_ROOT_STEPS:
+                steps += 1
+                x, zero, done = _root_step(_ON_ARRAYS, evaluate, state)
+                if stop is not None:
+                    done |= stop(state[0], state[1])
+                fin = done.nonzero()[0]
+                if fin.size:
+                    # a zero of g moves both ends onto it
+                    idx = live[fin]
+                    x_neg[idx], x_pos[idx] = state[0][fin], np.where(zero, x, state[1])[fin]
+                    g_neg[idx], g_pos[idx] = state[2][fin], np.where(zero, 0.0, state[3])[fin]
+                    keep = (~done).nonzero()[0]
+                    live, state[:] = live[keep], [v[keep] for v in state]
+    if live.size == 1:
+        if not lone:
+            state[:] = [v.item() for v in state]
+        while steps < _MAX_ROOT_STEPS:
+            steps += 1
+            x, zero, done = _root_step(_ON_FLOATS, evaluate_lone, state)
+            xn, xp, gn, gp = state[:4]
+            if done or (stop is not None and stop(np.array([xn]), np.array([xp]))[0]):
+                x_neg[live], x_pos[live] = xn, x if zero else xp
+                g_neg[live], g_pos[live] = gn, 0.0 if zero else gp
+                live = live[:0]
                 break
-            span = sn - sp
-            x = np.minimum(np.maximum(xn + (sn / span) * d, np.minimum(xn, xp) + half), np.maximum(xn, xp) - half)
-            # an infinite end value (a singular end) would pin regula falsi to the other end
-            falsi = (np.abs(x - last) <= 0.5 * older) & np.isfinite(span) & (width <= 0.5 * w3)
-            x = np.where(falsi, x, 0.5 * (xn + xp))
-            step, older, last = np.abs(x - last), step, x
-            w3, w2, w1 = w2, w1, width
-            gx = g(x, live)
-            # one reduction a step; the sum is also NaN on inf - inf
-            if math.isnan(np.add.reduce(gx)) and np.isnan(gx).any():
-                at = float(x[np.argmax(np.isnan(gx))])
-                raise DomainEvaluationError(f"root solve: g is NaN at x = {at!r}", abscissa=at)
-            up = gx > 0.0
-            scale = 1.0 - gx / np.where(up, sp, sn)
-            scale = np.where(scale > 0.0, scale, 0.5)
-            sn = np.where(up, np.where(pos_moved, scale * sn, sn), gx)
-            sp = np.where(up, gx, np.where(neg_moved, scale * sp, sp))
-            pos_moved, neg_moved = up, ~up
-            xn, xp, gn, gp = np.where(up, xn, x), np.where(up, x, xp), np.where(up, gn, gx), np.where(up, gx, gp)
-            zero = gx == 0.0
-            d = xp - xn
-            width = np.abs(d)
-            done = (width <= tol) | zero
-            if stop is not None:
-                done |= stop(xn, xp)
-            fin = done.nonzero()[0]
-            if fin.size:
-                # a zero of g moves both ends onto it
-                idx = live[fin]
-                x_neg[idx], x_pos[idx] = xn[fin], np.where(zero, x, xp)[fin]
-                g_neg[idx], g_pos[idx] = gn[fin], np.where(zero, 0.0, gp)[fin]
-                keep = (~done).nonzero()[0]
-                live, xn, xp, gn, gp, sn, sp, step, older, last, pos_moved, neg_moved, w3, w2, w1, tol, half, d, width = (
-                    v[keep] for v in (live, xn, xp, gn, gp, sn, sp, step, older, last, pos_moved, neg_moved, w3, w2, w1, tol, half, d, width)
-                )
     if live.size:
-        best = float(np.where(-gn < gp, xn, xp)[0])
+        # the first live lane's end of smaller |g|
+        xn, xp, gn, gp = (np.ravel(v)[0] for v in state[:4])
+        best = float(xn if -gn < gp else xp)
         raise ConvergenceFailureError(f"root solve did not converge within {_MAX_ROOT_STEPS} steps", best_estimate=best)
     return x_neg, x_pos, g_neg, g_pos
 

@@ -84,6 +84,21 @@ def _bracketed_problems(seed, count):
     return problems
 
 
+def _recorded_steps(monkeypatch):
+    """A list that records each step of ``_bracketed_root`` from now on:
+    whether it runs on floats, and whether an end value that regula falsi
+    reads has been scaled to +-0 in a lane whose g there is not 0."""
+    steps, step = [], quadrature._root_step
+
+    def recorded(ops, evaluate, state):
+        gn, gp, sn, sp = (np.asarray(v) for v in state[2:6])
+        steps.append((ops is quadrature._ON_FLOATS, bool(np.any(((sn == 0.0) & (gn != 0.0)) | ((sp == 0.0) & (gp != 0.0))))))
+        return step(ops, evaluate, state)
+
+    monkeypatch.setattr(quadrature, "_root_step", recorded)
+    return steps
+
+
 def _solve(f, a, b, tol):
     """The bracket [a, b] collapsed around a root of the scalar f, one lane:
     (x_neg, x_pos, f(x_neg), f(x_pos))."""
@@ -115,27 +130,41 @@ class TestBrentq:
                 assert abs(x - root) <= xtol + rtol * abs(root), (a, b)
         assert single > 800
 
-    def test_lanes_are_independent(self):
+    def test_lanes_are_independent(self, monkeypatch):
         # lanes that finish at different steps return, lane by lane, the bits
-        # of solving each alone: 40 seeded problems with their own tol, a
-        # first step onto an exact zero, a lane that the stop test ends
-        # uncollapsed, an infinite end value, a decreasing bracket and a zero
-        # at an end
+        # of solving each alone, after as many calls of g: 40 seeded problems
+        # with their own tol, a first step onto an exact zero, a lane that
+        # the stop test ends uncollapsed, an infinite end value at the
+        # negative end, at the positive end and at both, a decreasing
+        # bracket, a zero at an end, values of the smallest subnormal, whose
+        # Anderson-Bjorck scale underflows an end value to +-0 that a later
+        # step divides by, and a bracket of zero width, from 0 to -0 at tol
+        # 0 around a jump of g through 0 there, whose first point, a zero
+        # of g, is the clip of zeros of both signs.  Alone, a lane runs on
+        # floats; among the others, on arrays until it is the last one live
         problems = _bracketed_problems(seed=11, count=40)
         fs = [f for f, _a, _b in problems] + [
             lambda x: x - 0.5,
             lambda x: math.log(x) - math.log(13.3),
             lambda x: 1.0 - 1.0 / x if x else -math.inf,
+            lambda x: 1.0 / (1.0 - x) - 3.0 if x < 1.0 else math.inf,
+            lambda x: math.log(x / (1.0 - x)) - 0.7 if 0.0 < x < 1.0 else math.copysign(math.inf, x - 0.5),
             lambda x: math.exp(-x) - 0.3,
+            lambda x: math.copysign(5e-324, x - 0.3),
+            lambda x: -math.copysign(1.0, x) if x else 0.0,
             lambda x: x - 2.0,
         ]
-        ends = [(a, b) if f(a) < 0.0 else (b, a) for f, a, b in problems] + [(0.0, 1.0), (10.0, 20.0), (0.0, 2.0), (3.0, 0.0), (1.0, 2.0)]
+        ends = [(a, b) if f(a) < 0.0 else (b, a) for f, a, b in problems]
+        ends += [(0.0, 1.0), (10.0, 20.0), (0.0, 2.0), (0.0, 1.0), (0.0, 1.0), (3.0, 0.0), (0.0, 1.0), (0.0, -0.0), (1.0, 2.0)]
         x_neg, x_pos = (np.array(v) for v in zip(*ends))
         g_neg, g_pos = (np.array([float(f(x)) for f, x in zip(fs, xs)]) for xs in (x_neg, x_pos))
         # the library's tolerances, xtol + rtol max(|a|, |b|), one a lane
         xtol, rtol = np.array(ROOT_TOLERANCES)[np.arange(len(fs)) % 2].T
         tol = xtol + rtol * np.maximum(np.abs(x_neg), np.abs(x_pos))
+        # the zero-width bracket: g's limits at its ends, and tol 0
+        g_neg[-2], g_pos[-2], tol[-2] = -1.0, 1.0, 0.0
         calls = np.zeros(len(fs), dtype=int)
+        steps = _recorded_steps(monkeypatch)
 
         def g(x, lanes, at=None):
             lanes = lanes if at is None else np.full(lanes.shape, at)
@@ -146,16 +175,28 @@ class TestBrentq:
             return (np.abs(x_pos - x_neg) <= 1e-3) & (np.minimum(x_neg, x_pos) >= 10.0)
 
         together = np.stack(_bracketed_root(g, x_neg.copy(), x_pos.copy(), g_neg.copy(), g_pos.copy(), tol, stop))
-        steps = calls.copy()
+        together_calls, together_steps = calls.copy(), steps.copy()
         for i in range(len(fs)):
+            calls[:], steps[:] = 0, []
             alone = np.stack(_bracketed_root(lambda x, lanes: g(x, lanes, at=i), *(v[i : i + 1].copy() for v in (x_neg, x_pos, g_neg, g_pos)), tol[i], stop))
             assert together[:, i].tobytes() == alone[:, 0].tobytes(), i
-        assert steps[-5] == 1 and tuple(together[:, -5]) == (0.5, 0.5, 0.0, 0.0)
-        assert 1e-12 < abs(together[1, -4] - together[0, -4]) <= 1e-3
-        assert steps[-1] == 0 and tuple(together[:, -1]) == (2.0, 2.0, 0.0, 0.0)
-        collapsed = np.arange(len(fs)) != len(fs) - 4
+            assert calls[i] == together_calls[i], i
+            assert all(on_floats for on_floats, _scaled in steps), i
+            if i == len(fs) - 3:
+                # the subnormal lane alone
+                assert any(scaled for _on_floats, scaled in steps)
+        assert together_calls[-9] == 1 and tuple(together[:, -9]) == (0.5, 0.5, 0.0, 0.0)
+        assert 1e-12 < abs(together[1, -8] - together[0, -8]) <= 1e-3
+        assert together_calls[-1] == 0 and tuple(together[:, -1]) == (2.0, 2.0, 0.0, 0.0)
+        # np.minimum(0, -0) and np.maximum(0, -0) are both -0
+        assert together_calls[-2] == 1 and together[:, -2].tobytes() == np.array([-0.0, -0.0, 0.0, 0.0]).tobytes()
+        collapsed = np.arange(len(fs)) != len(fs) - 8
         assert np.all(np.abs(together[1] - together[0])[collapsed] <= tol[collapsed])
-        assert len(set(steps[:-1])) > 5
+        assert len(set(together_calls[:-1])) > 5
+        # the subnormal lane underflows among the others, on arrays, and the
+        # call ends with one lane on floats for several steps
+        assert any(scaled for on_floats, scaled in together_steps if not on_floats)
+        assert sum(on_floats for on_floats, _scaled in together_steps) >= 5
 
     @pytest.mark.parametrize("xtol,rtol", ROOT_TOLERANCES)
     def test_zero_at_an_endpoint_is_returned(self, xtol, rtol):
@@ -184,6 +225,65 @@ class TestBrentq:
         with pytest.raises(DomainEvaluationError) as info:
             _solve(f, 0.0, 2.0, 1e-12)
         assert info.value.abscissa == 1.0
+
+    def test_float_selections_are_numpys(self):
+        # a lone lane's where, minimum, maximum, isfinite and division give
+        # numpy's values on every pair of special and ordinary floats: NaN
+        # where numpy's is, and otherwise the same bits, signed zeros and
+        # infinities included
+        values = [0.0, -0.0, 1.0, -1.0, 2.5, -5e-324, 5e-324, 1e308, math.inf, -math.inf, math.nan]
+        pairs = [(a, b) for a in values for b in values]
+        arguments = {"where": [(a > b, a, b) for a, b in pairs], "isfinite": [(a,) for a in values]}
+        for lone, lanes in zip(quadrature._ON_FLOATS, quadrature._ON_ARRAYS):
+            for args in arguments.get(lanes.__name__, pairs):
+                with np.errstate(all="ignore"):
+                    want = lanes(*(np.array([v]) for v in args))[0].item()
+                got = lone(*args)
+                assert type(got) is type(want), (lanes.__name__, args)
+                if got != got:
+                    assert want != want, (lanes.__name__, args)
+                else:
+                    assert np.array([got]).tobytes() == np.array([want]).tobytes(), (lanes.__name__, args)
+
+    def test_nan_raises_alike_alone_and_among_others(self):
+        # the sixth step of [0, 2] lands in the NaN region: alone, on floats,
+        # and beside a lane still live then, on arrays, the solve raises at
+        # the same abscissa after the same calls of g
+        fs = [lambda x: math.nan if 0.79 < x < 0.8 else x**3 - 0.5, lambda x: math.copysign(5e-324, x - 0.3)]
+        for lanes in ([0], [0, 1]):
+            probes = []
+
+            def g(x, live, lanes=lanes):
+                probes.extend(float(v) for v, i in zip(x, live) if lanes[i] == 0)
+                return np.array([fs[lanes[i]](float(v)) for v, i in zip(x, live)])
+
+            ends = (np.array(v)[lanes] for v in ([0.0, 0.0], [2.0, 1.0], [-0.5, -5e-324], [7.5, 5e-324]))
+            with pytest.raises(DomainEvaluationError) as info:
+                _bracketed_root(g, *ends, 1e-15)
+            assert info.value.abscissa == 0.7950596479768969 == probes[-1]
+            assert len(probes) == 6
+
+    def test_step_cap_gives_the_same_best_estimate_alone_and_among_others(self):
+        # a jump without a zero never collapses to zero width: alone (on
+        # floats), first of two such lanes (on arrays) and last live after a
+        # lane that converges (on arrays, then floats), it reaches the step
+        # cap after as many calls of g, with the same best estimate
+        fs = [lambda x: 1.0 if x > 1.0 / 3.0 else -1.0, lambda x: 1.0 if x > 0.6 else -1.0, lambda x: x - 0.25]
+        estimates = []
+        for lanes in ([0], [0, 1], [2, 0]):
+            calls = [0]
+
+            def g(x, live, lanes=lanes):
+                calls[0] += sum(lanes[i] == 0 for i in live)
+                return np.array([fs[lanes[i]](float(v)) for v, i in zip(x, live)])
+
+            ends = (np.array(v)[lanes] for v in ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [-1.0, -1.0, -0.25], [1.0, 1.0, 0.75]))
+            with pytest.raises(ConvergenceFailureError) as info:
+                _bracketed_root(g, *ends, 0.0)
+            assert calls[0] == quadrature._MAX_ROOT_STEPS
+            estimates.append(info.value.best_estimate)
+        assert estimates[0] in (1.0 / 3.0, np.nextafter(1.0 / 3.0, 1.0))
+        assert estimates[1] == estimates[0] == estimates[2]
 
     def test_same_sign_bracket_rejected(self):
         with pytest.raises(RejectedInputError):
@@ -511,6 +611,16 @@ class TestGNorm:
         # every scanned beta = p / (p + 1) is at least 0.8
         with pytest.raises(ScanDivergenceError):
             v_quasinorm(InversePowerRep(1.5), phi2, 1.0, cache=ctx.conjugates(phi2, p_lo=4.0))
+
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
+    def test_v_scan_at_q_equal_r_raises(self, phi2, ctx, q):
+        # at r = q, ||(1 - x)^-q||_beta = 2^-q (p q + 1)^(q + 1/p) is finite
+        # for every scanned beta = p / (p q + 1) < 1/q but grows like p^q,
+        # and psi of power_log(2) like p^(1/2): the supremum is infinite.
+        # The growth secant reads q exactly at 1 and 2, an ulp above at 1.5
+        # and 3, and the scan raises on the boundary at all four
+        with pytest.raises(ScanDivergenceError, match="grows without bound as beta rises to 1/q = 1/r"):
+            v_quasinorm_info(InversePowerRep(q), phi2, q, cache=ctx.conjugates(phi2, p_lo=4.0))
 
     @pytest.mark.parametrize("q, m", [(3e-4, 2.0), (1e-4, 1e6)])
     def test_singular_end_past_the_grid_raises(self, q, m):
