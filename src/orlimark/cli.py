@@ -320,14 +320,13 @@ def _run_norm(cfg: ExperimentConfig, phi, ctx: NormContext):
     f = _build_function(cfg)
     spec = _norm_spec(cfg, phi)
     info = evaluate_norm_info(f, spec, ctx=ctx)
-    value, p_star, tolerance_met = info.value, info.p_star, info.tolerance_met
+    value, p_star = info.value, info.p_star
     result = {
         "norm_kind": spec.kind,
         "label": spec.label,
         "function": to_text(f),
         "value": value,
         "inner_maximizer_p": p_star,
-        "tolerance_met": bool(tolerance_met),
         "p_cap": info.p_cap,
     }
     rows = [
@@ -336,7 +335,6 @@ def _run_norm(cfg: ExperimentConfig, phi, ctx: NormContext):
             "label": spec.label,
             "value": value,
             "p_star": math.nan if p_star is None else p_star,
-            "tolerance_met": int(tolerance_met),
         }
     ]
     return result, rows, 0

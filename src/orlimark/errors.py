@@ -14,12 +14,19 @@ class DomainEvaluationError(OrlimarkError):
 
 
 class ConvergenceFailureError(OrlimarkError):
-    """Adaptive refinement exhausted its depth or panel budget.
+    """A computation could not certify its result: adaptive refinement
+    exhausted its depth or panel budget, a root solve its step cap, a
+    Luxemburg root left its log modular more than 1e-8 from zero, or a
+    sup-over-p scan's cached-node and exact ratios at its maximizer differ
+    by more than 1e-6 relative.
 
     Carries the best available estimate and an error bound so callers can
     decide whether the partial answer is still usable.  From an adaptive
     integral, ``best_estimate`` is the log of the integral and
     ``error_bound`` the bound on its error relative to exp(best_estimate).
+    From a scan, ``best_estimate`` is the exact ratio and ``error_bound``
+    the relative gap to the cached-node one; from a Luxemburg root,
+    ``best_estimate`` is the root l.
     """
 
     def __init__(self, message, best_estimate=None, error_bound=None):

@@ -35,7 +35,6 @@ from .functions import (
     derivative,
     _integer,
     jacobi22,
-    _polymul,
     random_family,
 )
 from .norms import (
@@ -48,7 +47,6 @@ from .norms import (
     orlicz_spec,
     sup_ratio_from,
     vnorm_spec,
-    weighted_lorentz_g,
 )
 from .quadrature import LevelSampler, QuadratureConfig, _bracketed_root
 
@@ -331,16 +329,6 @@ def rational_orlicz_check(
     return RationalCheck(rhs - lhs, lhs, rhs, rhs_log, gamma, r, deg)
 
 
-def scaled_rational_family(base_num: PolynomialRep, den: PolynomialRep, n: int) -> RationalRep:
-    """Degree-n member: numerator multiplied by Chebyshev factors, fixed denominator."""
-    num = base_num
-    while num.degree < n:
-        step = min(n - num.degree, 4)
-        extra = chebyshev_t(step)
-        num = PolynomialRep(_polymul(np.asarray(num.coeffs), np.asarray(extra.coeffs)))
-    return RationalRep(num, den)
-
-
 # ---------------------------------------------------------------------------
 # products of absolute powers
 
@@ -539,16 +527,6 @@ def build_corpus(seed: int = 7) -> list[tuple[str, object]]:
     return corpus
 
 
-def small_corpus(seed: int = 7) -> list[tuple[str, object]]:
-    """Eight-member slice used by fast module tests."""
-    picks = [("polynomial", (1, 3, 7)), ("gap", (2, 4)), ("rational", (2, 5)), ("trig", (3,))]
-    out = []
-    for kind, degrees in picks:
-        for n in degrees:
-            out.append((f"{kind}-{n:02d}", random_family(kind, n, seed)))
-    return out
-
-
 @dataclass(frozen=True)
 class BandRow:
     label: str
@@ -667,36 +645,3 @@ def lyapunov_sandwich(f, phi: PhiSpec, ctx: NormContext | None = None, label: st
     psi4 = psi(phi, 4.0)
     corrected = max(1.0, psi4 / _min_psi(cache, 1.0, 4.0))
     return SandwichRow(label, restricted, full, max(1.0, psi4), corrected)
-
-
-@dataclass
-class ThreeWayReport:
-    """Pairwise ratio ranges between the Orlicz, sup-ratio, and Lorentz-sup norms."""
-
-    columns: tuple[str, ...]
-    values: dict[str, dict[str, float]]
-    ranges: dict[str, tuple[float, float]]
-
-
-def three_way_report(corpus, phi: PhiSpec, bs=(1.0, 2.0, math.inf), ctx: NormContext | None = None) -> ThreeWayReport:
-    corpus = list(corpus)
-    if not corpus:
-        raise RejectedInputError("empty corpus")
-    context = ctx if ctx is not None else NormContext()
-    cache = context.conjugates(phi)
-    cols = ["orlicz", "gnorm"] + [f"lorentz-g(b={b:g})" for b in bs]
-    values: dict[str, dict[str, float]] = {}
-    for label, f in corpus:
-        row = {
-            "orlicz": evaluate_norm(f, orlicz_spec(phi), context),
-            "gnorm": evaluate_norm(f, gnorm_spec(phi), context),
-        }
-        for b in bs:
-            row[f"lorentz-g(b={b:g})"] = weighted_lorentz_g(f, phi, b, cfg=context.cfg, cache=cache)
-        values[label] = row
-    ranges = {}
-    for i, ci in enumerate(cols):
-        for cj in cols[i + 1 :]:
-            rs = [values[lb][ci] / values[lb][cj] for lb in values]
-            ranges[f"{ci}/{cj}"] = (min(rs), max(rs))
-    return ThreeWayReport(tuple(cols), values, ranges)

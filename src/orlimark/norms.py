@@ -18,6 +18,9 @@ Three norm families ride on top:
   psi(p), computed by one scan, ``_g_scan``, with the exponent map
   p -> beta = p / (p r + 1) (r = 0 for the g-norm); an L_p member the
   adaptive integrator cannot settle makes it raise ``ScanDivergenceError``.
+  A scan returns a certified value or raises: where the cached-node ratio
+  at the maximizer and the exact one differ by more than 1e-6 relative, it
+  raises ``ConvergenceFailureError``.
   Grids are geometric with 64 points per decade and start at the scan's
   lower exponent p_lo.  sup|f| caps each grid: the measure is a probability
   measure, so every scanned norm is at most sup|f|, and a lower bound on the
@@ -160,15 +163,6 @@ class OrliczN:
             if up.any():
                 out[up] = self.phi.h(lu[up])
         return out
-
-    def n_eval(self, u):
-        """N(u) for u >= 0; may overflow to inf for very large arguments."""
-        us = np.asarray(u, dtype=float)
-        if np.any(us < 0.0):
-            raise RejectedInputError("argument must be nonnegative")
-        with np.errstate(divide="ignore", over="ignore"):
-            out = np.exp(self.n_log_from_log_u(np.log(us)))
-        return np.where(us == 0.0, 0.0, out)
 
 
 def construct_N(phi: PhiSpec) -> OrliczN:
@@ -333,14 +327,14 @@ def luxemburg_norm(f, n: OrliczN, cfg: QuadratureConfig = DEFAULT_CONFIG) -> flo
 
 @dataclass
 class ScanResult:
-    """A scan's value and maximizer, whether the fast value agreed with the
-    exact one to 1e-6, the grid extensions it took, and ``p_cap``: the
-    largest grid p it evaluated when sup|f| capped the grid below its top,
-    None when nothing was capped (or the norm has no p scan)."""
+    """A scan's certified value and maximizer, the grid extensions it took,
+    and ``p_cap``: the largest grid p it evaluated when sup|f| capped the
+    grid below its top, None when nothing was capped (or the norm has no p
+    scan).  A scan whose cached-node and exact values differ by more than
+    1e-6 relative raises instead of returning one."""
 
     value: float
     p_star: float | None
-    tolerance_met: bool
     extensions: int
     p_cap: float | None = None
 
@@ -410,9 +404,12 @@ def _g_scan(f, phi: PhiSpec, cfg: QuadratureConfig, cache: ConjugateCache | None
     residual, and only when the slope rises at the lower end and falls at
     the upper: a winner at p_lo whose ratio does not rise off the edge, and
     a log ratio of -inf (f = 0), keep their grid value.  The result is the
-    exact norm at p over the weight there; ``tolerance_met`` says whether
-    the fast value agrees with it to 1e-6.  On a table p lands on a kink of
-    h*, a chord slope, where a tabulated ratio peaks.
+    exact norm at p over the weight there.  It is certified when the
+    cached-node value agrees with it to 1e-6 relative; otherwise the scan
+    raises ConvergenceFailureError with the exact value as its
+    ``best_estimate`` and the relative gap as its ``error_bound``.  On a
+    table p lands on a kink of h*, a chord slope, where a tabulated ratio
+    peaks.
     """
     cache = cache if cache is not None else ConjugateCache(phi, p_lo=p_lo)
     if not abs(cache.grid[0] - p_lo) <= 1e-12 * cache.grid[0]:
@@ -515,12 +512,22 @@ def _g_scan(f, phi: PhiSpec, cfg: QuadratureConfig, cache: ConjugateCache | None
         ) from err
     value = exact * math.exp(-weight)
     fast = math.exp(best_log)
-    ok = abs(value - fast) <= 1e-6 * max(value, fast, 1e-300)
-    return ScanResult(value, p_star, ok, extensions, float(grid[last]) if capped else None)
+    scale = max(value, fast, 1e-300)
+    if not abs(value - fast) <= 1e-6 * scale:
+        gap = abs(value - fast) / scale
+        raise ConvergenceFailureError(
+            f"the scan against {phi.label} is not certified at p_star = {p_star!r}: "
+            f"the exact ratio {value!r} and the cached-node ratio {fast!r} differ by {gap:.3g} relative",
+            best_estimate=value,
+            error_bound=gap,
+        )
+    return ScanResult(value, p_star, extensions, float(grid[last]) if capped else None)
 
 
 def g_norm(f, phi: PhiSpec, cfg: QuadratureConfig = DEFAULT_CONFIG, cache: ConjugateCache | None = None) -> float:
-    """sup over p >= 1 of ||f||_p / psi(p)."""
+    """sup over p >= 1 of ||f||_p / psi(p), certified to 1e-6 relative
+    between the cached-node and the exact ratio, or ConvergenceFailureError
+    (see ``_g_scan``)."""
     return _g_scan(f, phi, cfg, cache, p_lo=1.0).value
 
 
@@ -532,6 +539,8 @@ def sup_ratio_from(f, phi: PhiSpec, p_lo: float, cfg: QuadratureConfig = DEFAULT
     """sup over p >= p_lo of ||f||_p / psi(p); used by comparison checks.
 
     A cache passed in must start at p_lo; by default one is built there.
+    Like ``g_norm``, it returns a certified value or raises
+    ConvergenceFailureError.
     """
     return _g_scan(f, phi, cfg, cache, p_lo=p_lo).value
 
@@ -545,7 +554,9 @@ def v_quasinorm(f, phi: PhiSpec, r: float, cfg: QuadratureConfig = DEFAULT_CONFI
 
     Parametrized by p in [4, inf): the integrability exponent is
     beta = p / (p r + 1), which sweeps (4/(4r+1), 1/r), and the ratio
-    ||f||_beta / psi(p) is maximized over the standard grid.
+    ||f||_beta / psi(p) is maximized over the standard grid.  Like
+    ``g_norm``, it returns a certified value or raises
+    ConvergenceFailureError.
     """
     return v_quasinorm_info(f, phi, r, cfg, cache).value
 
@@ -926,7 +937,7 @@ def evaluate_norm_info(f, spec: NormSpec, ctx: NormContext | None = None) -> Sca
         value = luxemburg_norm(f, context.orlicz(spec.phi), cfg)
     else:
         value = lorentz_norm(f, spec.p, spec.b, cfg)
-    return ScanResult(value, None, True, 0)
+    return ScanResult(value, None, 0)
 
 
 def evaluate_norm(f, spec: NormSpec, ctx: NormContext | None = None) -> float:

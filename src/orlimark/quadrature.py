@@ -473,8 +473,10 @@ class _NodeRule:
         (g = -inf, say) has weight 0 and adds 0.
         """
         g = self.g.ravel()[None, :]
-        # -inf + inf and -inf - -inf are NaN terms, and a row of zeros has log 0
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # -inf + inf and -inf - -inf are NaN terms, and a row of zeros has log 0;
+        # only a row whose largest term is +inf (its shift reset to 0) can
+        # overflow exp, and its sum is +inf either way
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             a = log_integrand(g) + self.logw.ravel()[None, :]
             shift = a.max(axis=1)
             shift[~np.isfinite(shift)] = 0.0

@@ -1,6 +1,7 @@
 import pytest
 
 from orlimark.conjugate import log_power, power_log
+from orlimark.functions import random_family
 from orlimark.norms import NormContext
 
 
@@ -23,3 +24,10 @@ def phi2():
 @pytest.fixture(scope="session")
 def phi_nu1():
     return log_power(1.0)
+
+
+@pytest.fixture(scope="session")
+def small_corpus():
+    """An eight-member slice of the seed-7 families for fast module tests."""
+    picks = [("polynomial", (1, 3, 7)), ("gap", (2, 4)), ("rational", (2, 5)), ("trig", (3,))]
+    return [(f"{kind}-{n:02d}", random_family(kind, n, 7)) for kind, degrees in picks for n in degrees]

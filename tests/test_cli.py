@@ -241,6 +241,16 @@ class TestMain:
         assert code == 1
         assert any(line.startswith("error:") and "u_max" in line for line in capsys.readouterr().err.splitlines())
 
+    def test_tail_uncertified_scan_exit_one(self, tmp_path, capsys):
+        # just below q = r the converse v-scan's cached-node ratio at its
+        # maximizer misses the exact one by 10%, and the exact one (17.3018)
+        # misses the closed-form supremum 18.5813: the scan raises
+        cfg_file = tmp_path / "t.cfg"
+        cfg_file.write_text("[tail]\ns = 0.999\norder = 1\n")
+        code = main(["tail", "--config", str(cfg_file), "--out", str(tmp_path / "t")])
+        assert code == 1
+        assert any(line.startswith("error:") and "scan" in line for line in capsys.readouterr().err.splitlines())
+
     def test_table_without_c4_reports_it_absent(self, tmp_path, capsys):
         # past its last point a table's h continues linearly, so its gap
         # series diverges: C4 is written as null, C3 and the knee stay, and

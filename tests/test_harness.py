@@ -16,6 +16,7 @@ from orlimark.functions import (
     PolynomialRep,
     RationalRep,
     TrigPolynomialRep,
+    chebyshev_t,
     derivative,
     jacobi22,
     random_family,
@@ -34,11 +35,8 @@ from orlimark.harness import (
     markov_ratio,
     markov_sweep,
     rational_orlicz_check,
-    scaled_rational_family,
-    small_corpus,
     tail_check,
     markov_factor_log,
-    three_way_report,
 )
 from orlimark.harness import _loglog_slope, _t_quantile
 from orlimark.norms import NormContext, evaluate_norm, gnorm_spec, lorentz_spec, lp_spec, orlicz_spec, v_quasinorm
@@ -262,9 +260,8 @@ class TestRationalChecks:
         assert math.isfinite(chk.lhs)
 
     def test_degree_scaling_grows_margin(self, phi2, ctx):
-        base_num = PolynomialRep([1.0])
         den = PolynomialRep([2.0, 0.0, 1.0])
-        fam = [scaled_rational_family(base_num, den, n) for n in (1, 2, 3)]
+        fam = [RationalRep(PolynomialRep(chebyshev_t(n).coeffs), den) for n in (1, 2, 3)]
         margins = [rational_orlicz_check(q, phi2, 1, ctx=ctx).margin for q in fam]
         assert margins == sorted(margins)
 
@@ -401,28 +398,28 @@ class TestCorpus:
         b = build_corpus(seed=7)
         assert all(fa == fb for (_la, fa), (_lb, fb) in zip(a, b))
 
-    def test_small_corpus(self):
-        assert len(small_corpus(seed=7)) == 8
+    def test_small_corpus(self, small_corpus):
+        assert len(small_corpus) == 8
 
 
 class TestEquivalenceBand:
-    def test_small_corpus_clean(self, phi2, ctx):
-        band = equivalence_band(small_corpus(seed=7), phi2, ctx=ctx)
+    def test_small_corpus_clean(self, phi2, ctx, small_corpus):
+        band = equivalence_band(small_corpus, phi2, ctx=ctx)
         assert band.clean
         assert band.violations == 0
         assert band.empirical_lo >= 1.0 / band.c3 - 1e-6
 
-    def test_rows_report_both_edges(self, phi2, ctx):
-        band = equivalence_band(small_corpus(seed=7), phi2, ctx=ctx)
+    def test_rows_report_both_edges(self, phi2, ctx, small_corpus):
+        band = equivalence_band(small_corpus, phi2, ctx=ctx)
         for row in band.rows:
             assert row.lower_ok and row.upper_ok
             assert row.b_norm > 0.0 and row.g_norm > 0.0
 
-    def test_verdicts_follow_the_edges(self, phi2, ctx, monkeypatch):
+    def test_verdicts_follow_the_edges(self, phi2, ctx, monkeypatch, small_corpus):
         # edges moved into the corpus's own spread of log B/G put members in
         # every class: under C3^-1 (a violation), over C4 but under e^2 C4
         # (a fallback), and over e^2 C4 (a violation)
-        corpus = small_corpus(seed=7)
+        corpus = small_corpus
         logs = [row.log_ratio for row in equivalence_band(corpus, phi2, ctx=ctx).rows]
         real = harness.equivalence_constants
 
@@ -461,10 +458,3 @@ class TestSandwich:
     def test_generic_member_within_corrected(self, phi2, ctx):
         row = lyapunov_sandwich(PolynomialRep([0.1, 1.0, -0.4]), phi2, ctx=ctx)
         assert row.lower_ok and row.corrected_ok
-
-
-def test_three_way_report_shape(phi2, ctx):
-    rep = three_way_report(small_corpus(seed=7)[:4], phi2, bs=(1.0, math.inf), ctx=ctx)
-    assert "orlicz" in rep.columns and "gnorm" in rep.columns
-    for _pair, (lo, hi) in rep.ranges.items():
-        assert 0.0 < lo <= hi < math.inf

@@ -326,11 +326,11 @@ class TestSplice:
     def test_n_properties(self, phi2):
         n = construct_N(phi2)
         us = np.linspace(1e-6, 5.0, 200)
-        vals = n.n_eval(us)
+        vals = np.exp(n.n_log_from_log_u(np.log(us)))
         # N(u)/u nondecreasing and midpoint convexity on the sample grid
         slopes = vals / us
         assert np.all(np.diff(slopes) >= -1e-9)
-        mid = n.n_eval((us[:-1] + us[1:]) / 2.0)
+        mid = np.exp(n.n_log_from_log_u(np.log((us[:-1] + us[1:]) / 2.0)))
         assert np.all(mid <= (vals[:-1] + vals[1:]) / 2.0 + 1e-9)
 
     def test_no_overflow_for_huge_arguments(self, phi2):
@@ -588,7 +588,6 @@ class TestGNorm:
         info = g_norm_info(PolynomialRep([0.0, 1.0]), phi2, cache=ctx.conjugates(phi2))
         assert info.value > 0.0
         assert info.p_star >= 1.0
-        assert info.tolerance_met
 
     def test_scan_winner_is_consistent(self, phi2, ctx):
         f = PolynomialRep([0.5, 0.0, 1.0])
@@ -621,6 +620,42 @@ class TestGNorm:
         # and 3, and the scan raises on the boundary at all four
         with pytest.raises(ScanDivergenceError, match="grows without bound as beta rises to 1/q = 1/r"):
             v_quasinorm_info(InversePowerRep(q), phi2, q, cache=ctx.conjugates(phi2, p_lo=4.0))
+
+    @pytest.mark.parametrize("r", [1.0, 2.0])
+    @pytest.mark.parametrize("s", [0.9, 0.99, 0.999, 0.9999])
+    def test_v_scan_below_q_equal_r_is_certified_or_raises(self, phi2, ctx, r, s):
+        # ||(1 - x)^-q||_beta = 2^-q (1 - q beta)^(-1/beta), beta = p / (p r + 1),
+        # and psi(p) = (p/2)^(1/2) e^(-1/2) for power_log(2) at p >= 1; below
+        # q = r the supremum over p >= 4 is finite, at a p that rises without
+        # bound as q / r = s rises to 1. The scan returns it to 1e-8, or raises
+        # with an exact ratio below it and a fast-exact gap over the 1e-6 it
+        # certifies
+        q = r * s
+
+        def log_ratio(p):
+            beta = p / (p * r + 1.0)
+            return -q * math.log(2.0) - math.log1p(-q * beta) / beta - 0.5 * (math.log(p / 2.0) - 1.0)
+
+        def slope(p):
+            # d log_ratio / dp, through d beta / dp = 1 / (p r + 1)^2
+            beta = p / (p * r + 1.0)
+            d_beta = math.log1p(-q * beta) / beta**2 + q / (beta * (1.0 - q * beta))
+            return d_beta / (p * r + 1.0) ** 2 - 0.5 / p
+
+        ps = np.geomspace(4.0, 1e9, 4001)
+        k = int(np.argmax([log_ratio(p) for p in ps]))
+        a, b = ps[max(k - 1, 0)], ps[k + 1]  # slope > 0 at a unless a = 4, < 0 at b
+        for _ in range(200):
+            mid = math.sqrt(a * b)
+            a, b = (mid, b) if slope(mid) > 0.0 else (a, mid)
+        want = math.exp(log_ratio(a))
+        try:
+            got = v_quasinorm_info(InversePowerRep(q), phi2, r, cache=ctx.conjugates(phi2, p_lo=4.0)).value
+        except ConvergenceFailureError as err:
+            assert math.isfinite(err.best_estimate) and err.best_estimate < want
+            assert err.error_bound > 1e-6
+        else:
+            assert abs(got / want - 1.0) <= 1e-8
 
     @pytest.mark.parametrize("q, m", [(3e-4, 2.0), (1e-4, 1e6)])
     def test_singular_end_past_the_grid_raises(self, q, m):
@@ -656,7 +691,6 @@ class TestGNorm:
         # stays exactly on the edge
         f, phi, p_star, value = self._edge_case(p_peak)
         info = g_norm_info(f, phi)
-        assert info.tolerance_met
         assert abs(info.value / value - 1) <= 1e-12
         assert abs(info.p_star / p_star - 1) <= 1e-7
         if p_star == 1:
@@ -710,7 +744,6 @@ class TestGNorm:
         # digits from p_near
         info = g_norm_info(PolynomialRep([0.0] * 30 + [1.0]), power_log(m))
         assert info.extensions == extensions
-        assert info.tolerance_met
         assert info.value == pytest.approx(value, rel=1e-12)
         with mp.workdps(40):
             p_star = mp.findroot(lambda p: mp.log(30 * p + 1) / p - 30 / (30 * p + 1) - 1 / mp.mpf(m), p_near)
@@ -739,7 +772,6 @@ class TestGNorm:
         # where log(np + 1)/p - n/(np + 1) = 1/m, up to p = 1.7e6 here: the
         # grid extends until sup|x^n| = 1 caps it, however far that takes it
         info = g_norm_info(PolynomialRep([0.0] * n + [1.0]), power_log(m))
-        assert info.tolerance_met
         with mp.workdps(40):
             mm = mp.mpf(m)
             p_star = mp.findroot(lambda p: mp.log(n * p + 1) / p - n / (n * p + 1) - 1 / mm, info.p_star)
@@ -774,7 +806,6 @@ class TestGNorm:
         monomials = [PolynomialRep([0.0] * d + [1.0]) for d in (1, 8, 30)]
         for f in monomials + [corpus["poly-02"], corpus["poly-04"]]:
             info = g_norm_info(f, phi)
-            assert info.tolerance_met
             if info.p_star != 1.0:
                 interior += 1
                 assert np.min(np.abs(chords - info.p_star)) <= 4 * np.spacing(info.p_star)
@@ -854,7 +885,6 @@ class TestVQuasinorm:
         )
         assert info.value > 0.0
         assert info.p_star >= 4.0
-        assert info.tolerance_met
 
     @pytest.mark.parametrize("scan", [v_quasinorm, v_quasinorm_info])
     def test_infinite_order_rejected(self, scan, phi2, ctx):
@@ -1214,6 +1244,30 @@ def test_luxemburg_at_high_degree_matches_gauss_legendre(phi2, ctx):
         assert got == pytest.approx(_gauss_legendre_luxemburg(f, n, got), rel=2e-12)
 
 
+@pytest.mark.parametrize("m", [1e3, 1e4])
+@pytest.mark.parametrize("degree", [1, 8])
+def test_luxemburg_under_steep_phi_matches_mpmath(degree, m):
+    # for x^n on [-1, 1], with u = x^n / l and t = u^m above the knee
+    # m^(-1/m), the modular is l^(1/n) / n times
+    #   slope knee^(1 + 1/n) / (1 + 1/n) + (1/m) int_{1/m}^{l^-m} e^t t^(1/(n m) - 1) dt,
+    # slope = e^(1/m) / knee. log N overflows to +inf at the top of the
+    # model's first bracket, and tier-1's warning filter fails any overflow
+    # warning that row's terms raise
+    got = luxemburg_norm(PolynomialRep([0.0] * degree + [1.0]), construct_N(power_log(m)))
+    with mp.workdps(30):
+        n, mm = mp.mpf(degree), mp.mpf(m)
+        knee = mm ** (-1 / mm)
+        linear = mp.e ** (1 / mm) / knee * knee ** (1 + 1 / n) / (1 + 1 / n)
+
+        def modular(l):
+            tail = mp.quad(lambda t: mp.e**t * t ** (1 / (n * mm) - 1), [1 / mm, 1, l**-mm]) / mm
+            return l ** (1 / n) / n * (linear + tail)
+
+        start = (mp.mpf(got), mp.mpf(got) * (1 + mp.mpf(1e-9)))
+        ref = float(mp.findroot(lambda l: modular(l) - 1, start, solver="secant"))
+    assert got == pytest.approx(ref, rel=2e-12)
+
+
 LUXEMBURG_PHIS = [power_log(1.0), power_log(2.0), log_power(1.0)]
 
 
@@ -1570,7 +1624,7 @@ class TestSupCap:
         caps = 0
         for name, result in capped.items():
             want = uncapped[name]
-            assert (result.tolerance_met, result.extensions, want.p_cap) == (want.tolerance_met, want.extensions, None), name
+            assert (result.extensions, want.p_cap) == (want.extensions, None), name
             assert result.value == pytest.approx(want.value, rel=1e-14, abs=0.0), name
             assert result.p_star == pytest.approx(want.p_star, rel=1e-12), name
             if result.p_cap is not None:
@@ -1687,7 +1741,6 @@ class TestDispatch:
         for spec in (lp_spec(2.0), orlicz_spec(phi2), lorentz_spec(2.0, 2.0)):
             info = evaluate_norm_info(f, spec, ctx=ctx)
             assert info.p_star is None
-            assert info.tolerance_met
             assert info.extensions == 0
         scans = [
             (gnorm_spec(phi2), g_norm_info(f, phi2, cache=ctx.conjugates(phi2))),

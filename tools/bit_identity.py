@@ -25,7 +25,7 @@ slowest group.  Covered:
   (``perfbench/workloads.py``) on seeds 1 and 11, in workload order;
 * ``lp``: ``lp_quasinorm`` of the members of ``build_corpus(7)`` at p in
   {1, 2, 7, 64}, plain adaptive integrals, in ``--quick`` too;
-* ``g_norm_info`` (value, p_star, tolerance_met, extensions and p_cap) of the
+* ``g_norm_info`` (value, p_star, extensions and p_cap) of the
   members of ``build_corpus(7)`` under three phi, scans from p_lo = 1 that
   take the left-edge skip and the polish, in ``--quick`` too;
 * on the members of ``build_corpus(7)``: ``v_quasinorm_info`` of the first
