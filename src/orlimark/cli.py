@@ -413,6 +413,7 @@ def _run_equivalence(cfg: ExperimentConfig, phi, ctx: NormContext):
             "lower_ok": int(row.lower_ok),
             "upper_ok": int(row.upper_ok),
             "used_fallback": int(row.used_fallback),
+            **{key: getattr(row, key) for key in ("restricted_sup", "sandwich_lower_margin", "displayed_margin", "corrected_margin")},
         }
         for row in report.rows
     ]
@@ -424,9 +425,11 @@ def _run_equivalence(cfg: ExperimentConfig, phi, ctx: NormContext):
         "empirical_hi": report.empirical_hi,
         "c3": report.c3,
         "c4_log": report.c4_log,
+        **{key: getattr(report, key) for key in ("factor_displayed", "factor_corrected", "displayed_misses", "corrected_misses")},
         "rows": rows,
     }
-    return result, rows, 0 if report.violations == 0 else 2
+    # a displayed miss is the report's finding, not a failed check
+    return result, rows, 0 if report.violations == 0 and report.corrected_misses == 0 else 2
 
 
 def _run_rational(cfg: ExperimentConfig, phi, ctx: NormContext):

@@ -71,8 +71,8 @@ class LuxemburgBracketError(OrlimarkError):
 class ScanDivergenceError(OrlimarkError):
     """A sup-over-p scan has no certified supremum: an L_p member diverges,
     the scanned exponent reaches or approaches one where a singular f's
-    norm is infinite, or the ratio still rises at a grid top that sup|f|
-    does not cap, where f is unbounded or the grid may extend no further."""
+    norm is infinite, or the ratio still rises, uncapped by sup|f|, at the
+    top of a grid that may extend no further."""
 
 
 class DegenerateInputError(OrlimarkError):

@@ -11,6 +11,8 @@ The polynomial Markov bound chain:
     ratio in the spliced-Orlicz norm <= n^2 * K(4) * max(1, psi(4)) * C4 * C3
 
 carries C4 in log form since it overflows floats for fast-growing weights.
+Its factor max(1, psi(4)) moves the sup-ratio norm from p >= 1 to p >= 4,
+a step ``equivalence_band`` measures, and it fails on constants.
 Every constant carried in log form (C4, D(r), psi, the bounds and right-hand
 sides built from them) is read through ``exp_or_inf``: where it overflows
 it is +inf, which is correct and sorts last.
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import ConjugateCache, PhiSpec, exp_or_inf, golden_max, power_log, psi
+from .conjugate import PhiSpec, exp_or_inf, golden_max, power_log, psi
 from .errors import DegenerateInputError, RejectedInputError
 from .functions import (
     GapRep,
@@ -529,6 +531,9 @@ def build_corpus(seed: int = 7) -> list[tuple[str, object]]:
 
 @dataclass(frozen=True)
 class BandRow:
+    """A member's band verdicts, and its sandwich R <= G <= factor * R
+    (``equivalence_band``): R = ``restricted_sup`` and the three margins."""
+
     label: str
     b_norm: float
     g_norm: float
@@ -536,6 +541,10 @@ class BandRow:
     lower_ok: bool
     upper_ok: bool
     used_fallback: bool
+    restricted_sup: float
+    sandwich_lower_margin: float
+    displayed_margin: float
+    corrected_margin: float
 
 
 @dataclass
@@ -548,10 +557,22 @@ class BandReport:
     empirical_hi: float
     c3: float
     c4_log: float
+    factor_displayed: float
+    factor_corrected: float
 
     @property
     def clean(self) -> bool:
         return self.violations == 0
+
+    @property
+    def displayed_misses(self) -> int:
+        """Members whose full sup exceeds the displayed factor times the restricted one."""
+        return sum(row.displayed_margin < 0.0 for row in self.rows)
+
+    @property
+    def corrected_misses(self) -> int:
+        """Members outside the corrected sandwich, on either side."""
+        return sum(min(row.sandwich_lower_margin, row.corrected_margin) < 0.0 for row in self.rows)
 
 
 def equivalence_band(
@@ -564,6 +585,14 @@ def equivalence_band(
     A member passes when C3^-1 <= B/G <= C4 up to relative ``BAND_SLACK``.
     An upper miss that fits under e^2 * C4 is recorded as a fallback, not
     a violation.
+
+    The sandwich R <= G <= factor * R relates G to R, its supremum over
+    p >= 4 (``sup_ratio_from``), with margins (bound minus measured) at
+    slack 1e-9 and 1e-6.  The Markov chain's factor max(1, psi(4)) fails on
+    constants, where G / R = psi(4) / psi(1) for a rising psi; moment
+    monotonicity (||f||_p <= ||f||_4 for p <= 4) gives the corrected
+    max(1, psi(4) / min psi), min over the grid points of [1, 4].  A
+    displayed miss is a finding about the chain, not a violation.
     """
     corpus = list(corpus)
     if not corpus:
@@ -571,6 +600,8 @@ def equivalence_band(
     context = ctx if ctx is not None else NormContext()
     consts = equivalence_constants(context.orlicz(phi))
     b_spec, g_spec = orlicz_spec(phi), gnorm_spec(phi)
+    psi4, cache = psi(phi, 4.0), context.conjugates(phi)
+    displayed, corrected = max(1.0, psi4), max(1.0, psi4 / exp_or_inf(float(np.min(cache.psi_log_grid[cache.grid <= 4.0]))))
     log_slack = math.log1p(BAND_SLACK)
     lo_edge = -math.log(consts.g_over_b)
     rows = []
@@ -590,7 +621,10 @@ def equivalence_band(
             fallback += 1
         if not lower_ok or not fallback_ok:
             violations += 1
-        rows.append(BandRow(label, b, g, log_ratio, lower_ok, upper_ok, used_fallback))
+        restricted = sup_ratio_from(f, phi, 4.0, cfg=context.cfg, cache=context.conjugates(phi, p_lo=4.0))
+        lower_margin = g * (1.0 + 1e-9) - restricted
+        displayed_margin, corrected_margin = (factor * restricted * (1.0 + 1e-6) - g for factor in (displayed, corrected))
+        rows.append(BandRow(label, b, g, log_ratio, lower_ok, upper_ok, used_fallback, restricted, lower_margin, displayed_margin, corrected_margin))
     return BandReport(
         phi_label=phi.label,
         rows=rows,
@@ -600,48 +634,6 @@ def equivalence_band(
         empirical_hi=max(ratios),
         c3=consts.g_over_b,
         c4_log=consts.b_over_g_log,
+        factor_displayed=displayed,
+        factor_corrected=corrected,
     )
-
-
-@dataclass(frozen=True)
-class SandwichRow:
-    label: str
-    restricted_sup: float
-    full_sup: float
-    factor_displayed: float
-    factor_corrected: float
-
-    @property
-    def lower_ok(self) -> bool:
-        return self.restricted_sup <= self.full_sup * (1.0 + 1e-9)
-
-    @property
-    def corrected_ok(self) -> bool:
-        return self.full_sup <= self.factor_corrected * self.restricted_sup * (1.0 + 1e-6)
-
-    @property
-    def displayed_ok(self) -> bool:
-        return self.full_sup <= self.factor_displayed * self.restricted_sup * (1.0 + 1e-6)
-
-
-def _min_psi(cache: ConjugateCache, p_lo: float, p_hi: float) -> float:
-    mask = (cache.grid >= p_lo) & (cache.grid <= p_hi)
-    vals = cache.psi_log_grid[mask]
-    return exp_or_inf(float(np.min(vals)))
-
-
-def lyapunov_sandwich(f, phi: PhiSpec, ctx: NormContext | None = None, label: str = "") -> SandwichRow:
-    """Relates the full sup-ratio norm to its restriction to exponents >= 4.
-
-    The factor as printed in the source material, max(1, psi(4)), fails on
-    constants; the factor max(1, psi(4)/min psi over [1,4]) follows from the
-    same moment monotonicity argument and is reported alongside.
-    """
-    context = ctx if ctx is not None else NormContext()
-    cache = context.conjugates(phi)
-    cache4 = context.conjugates(phi, p_lo=4.0)
-    restricted = sup_ratio_from(f, phi, 4.0, cfg=context.cfg, cache=cache4)
-    full = evaluate_norm(f, gnorm_spec(phi), context)
-    psi4 = psi(phi, 4.0)
-    corrected = max(1.0, psi4 / _min_psi(cache, 1.0, 4.0))
-    return SandwichRow(label, restricted, full, max(1.0, psi4), corrected)

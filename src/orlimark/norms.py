@@ -32,7 +32,7 @@ Three norm families ride on top:
   grid ratio and the grid extends fourfold, and psi_log, which grows
   without bound, brings the cap below the top for a bounded f.  A singular
   f, which nothing caps, raises before any row where beta reaches the 1/q
-  of its end's growth q, and otherwise when its top row wins, and so does
+  of its end's growth q, and otherwise extends like any other; so does
   a grid whose top reaches ``_P_CEILING`` uncapped.  Every row below the cap is
   evaluated, in one query of the evaluator.  The winning grid point
   is polished by a root of the log ratio's slope, unless it is p_lo and
@@ -385,8 +385,9 @@ def _g_scan(f, phi: PhiSpec, cfg: QuadratureConfig, cache: ConjugateCache | None
     grid and the winner sits at its top, L rises to the best grid ratio and
     the grid extends.  psi_log(p) = sup_y (y - h(y) / p) grows without
     bound, so for a bounded f the cap falls below the top.  An unbounded f
-    (log sup|f| = +inf) caps nothing and raises ScanDivergenceError there,
-    and so does a grid whose top reaches _P_CEILING.  Before any row, an f
+    (log sup|f| = +inf) caps nothing, and the evaluator adds its singular
+    end's rest; a grid whose top reaches _P_CEILING raises
+    ScanDivergenceError.  Before any row, an f
     whose log|f| grows at rate q in -log(distance) at a singular end
     (``_NodeStore.growth``) raises it when q > r: ||f||_beta is infinite
     from beta = 1 / q on, and beta, which rises to 1 / r, reaches it.  At
@@ -471,8 +472,6 @@ def _g_scan(f, phi: PhiSpec, cfg: QuadratureConfig, cache: ConjugateCache | None
             capped = last < grid.size - 1
             if capped or k < grid.size - 2 or not math.isfinite(vals[k]):
                 break
-            if math.isinf(log_sup):
-                raise ScanDivergenceError(f"f is unbounded and its scan against {phi.label} still rises at the grid top p = {cache.p_hi:g}: nothing caps it")
             if cache.p_hi >= _P_CEILING:
                 raise ScanDivergenceError(f"the scan against {phi.label} still rises at p = {_P_CEILING:g}, the top of its last grid extension: psi grows too slowly for sup|f| to cap it")
             # the best grid ratio is a lower bound too, within the margin

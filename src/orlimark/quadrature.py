@@ -294,32 +294,31 @@ class _NodeStore:
         return cols[0], cols[1] if len(cols) > 1 else None
 
     def _far(self):
-        """y_1 and 2 y_1, y_1 the singular piece's end in y, as one row of two
-        points, as the panel rows that a transform with lanes broadcasts over."""
-        return self._y(self.hi) * np.array([[1.0, 2.0]])
+        """y_1 and 2 y_1 (y_1 the singular piece's end in y) as one panel row,
+        which a transform with lanes broadcasts over; g there, and its secant."""
+        y = self._y(self.hi) * np.array([[1.0, 2.0]])
+        g = self._end(y)
+        return y, g, (g[0, 1] - g[0, 0]) / y[0, 0]
 
     def growth(self) -> float:
         """The growth rate of g at the singular end in y = -log(distance): its
         secant on [y_1, 2 y_1], as ``rest`` takes it; q for (1 - x)^-q, and 0
         without a singular end."""
-        if self._end is None:
-            return 0.0
-        y = self._far()
-        g = self._end(y)
-        return float((g[0, 1] - g[0, 0]) / y[0, 0])
+        return 0.0 if self._end is None else float(self._far()[2])
 
     def rest(self, transform):
         """log of the integral of e^G, G(y) = transform(end(y)) - y, past the
         singular piece's end y_1, one a lane (-inf without one): e^G(y_1) / -G',
-        as G is linear for a power singularity, G' its secant on [y_1, 2 y_1]."""
+        as G is linear for a power singularity, G' its secant on [y_1, 2 y_1];
+        and the mean of g under e^G there, g(y_1) + q / -G', q = ``growth``."""
         if self._end is None:
-            return -math.inf
-        y = self._far()
-        g = (transform(self._end(y)) - y)[..., 0, :]
+            return -math.inf, 0.0
+        y, end, q = self._far()
+        g = (transform(end) - y)[..., 0, :]
         slope = (g[..., 1] - g[..., 0]) / y[0, 0]
         if not (slope < 0.0).all():
             raise ConvergenceFailureError(f"the integrand does not decay at the singular end: slope {float(slope.max())!r} in -log(distance)")
-        return g[..., 0] - np.log(-slope)
+        return g[..., 0] - np.log(-slope), end[0, 0] + q / -slope
 
 
 def _abs_nodes(f) -> _NodeStore:
@@ -377,7 +376,7 @@ def _adaptive(nodes: _NodeStore, transform, cfg, breaks=None):
     t = terms(p_lo, p_hi)
     lanes = t.ndim == 3
     t = t.reshape(-1, p_lo.size, _NODES.size)
-    rest = nodes.rest(transform)
+    rest = nodes.rest(transform)[0]
     c = np.maximum(t.max(axis=(1, 2)), rest)
     # a lane that vanishes at every node of the first wave is zero
     live = np.isfinite(c)[:, None].repeat(p_lo.size, axis=1)
@@ -441,8 +440,9 @@ class _NodeRule:
 
     Its node values ``g`` and their log weights ``logw``, a row per panel,
     are the store's rows and the log of the Gauss weights times the panels'
-    half widths, plus the store's log weights; a singular end's rest is left
-    out.  The store evaluates each node once, for every integral alike.
+    half widths, plus the store's log weights; each query adds a singular
+    end's ``rest``, as ``_adaptive`` does.  The store evaluates each node
+    once, for every integral alike.
     """
 
     def __init__(self, nodes: _NodeStore, ends):
@@ -470,7 +470,8 @@ class _NodeRule:
 
         With ``moment`` it also returns, per row, the mean of g under the
         normalised weights pi of the rule's terms; a node whose term is 0
-        (g = -inf, say) has weight 0 and adds 0.
+        (g = -inf, say) has weight 0 and adds 0.  A singular end's ``rest``
+        joins each sum, and its weight times its own mean of g each mean.
         """
         g = self.g.ravel()[None, :]
         # -inf + inf and -inf - -inf are NaN terms, and a row of zeros has log 0;
@@ -478,6 +479,10 @@ class _NodeRule:
         # overflow exp, and its sum is +inf either way
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             a = log_integrand(g) + self.logw.ravel()[None, :]
+            if self._nodes._end is not None:
+                # the rest is one more term a row, with its own mean of g
+                rest, rest_mean = self._nodes.rest(lambda g: log_integrand(g)[:, None, :])
+                a, g = np.column_stack([a, rest]), np.column_stack([np.broadcast_to(g, a.shape), rest_mean])
             shift = a.max(axis=1)
             shift[~np.isfinite(shift)] = 0.0
             # the shifted terms overwrite a unless the moment reads it, so a
@@ -511,10 +516,10 @@ class PowerNormEvaluator(_NodeRule):
 
     A node rule on the one panel set of exp(e g) for the e of
     ``yardsticks``, integrated together on the node store ``nodes``; each
-    query is then a single vectorized log-sum-exp.  On a store of log|f|,
-    ``log_norm(p)`` is log ||f||_p.  Intended for scan loops; the returned
-    maximizer should be re-validated with a fully adaptive integral on the
-    same store (see norms module).
+    query is then a single vectorized log-sum-exp, a singular end's rest
+    included.  On a store of log|f|, ``log_norm(p)`` is log ||f||_p.
+    Intended for scan loops; the returned maximizer should be re-validated
+    with a fully adaptive integral on the same store (see norms module).
     """
 
     def __init__(self, nodes: _NodeStore, cfg: QuadratureConfig, yardsticks):

@@ -241,15 +241,15 @@ class TestMain:
         assert code == 1
         assert any(line.startswith("error:") and "u_max" in line for line in capsys.readouterr().err.splitlines())
 
-    def test_tail_uncertified_scan_exit_one(self, tmp_path, capsys):
-        # just below q = r the converse v-scan's cached-node ratio at its
-        # maximizer misses the exact one by 10%, and the exact one (17.3018)
-        # misses the closed-form supremum 18.5813: the scan raises
+    def test_tail_just_below_q_equal_r(self, tmp_path):
+        # just below q = r the v-scan's peak, near p = 973, lies past the
+        # first grid; the normalizer is the closed-form supremum over p >= 4
+        # of 2^-q (1 - q beta)^(-1/beta) / psi(p), beta = p / (p + 1)
         cfg_file = tmp_path / "t.cfg"
         cfg_file.write_text("[tail]\ns = 0.999\norder = 1\n")
-        code = main(["tail", "--config", str(cfg_file), "--out", str(tmp_path / "t")])
-        assert code == 1
-        assert any(line.startswith("error:") and "scan" in line for line in capsys.readouterr().err.splitlines())
+        assert main(["tail", "--config", str(cfg_file), "--out", str(tmp_path / "t")]) == 0
+        normalizer = json.loads((tmp_path / "t.json").read_text())["results"]["normalizer"]
+        assert abs(normalizer / 18.5813343679 - 1.0) <= 1e-10
 
     def test_table_without_c4_reports_it_absent(self, tmp_path, capsys):
         # past its last point a table's h continues linearly, so its gap

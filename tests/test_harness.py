@@ -31,7 +31,6 @@ from orlimark.harness import (
     gap_check,
     k_constant,
     lp_rational_check,
-    lyapunov_sandwich,
     markov_ratio,
     markov_sweep,
     rational_orlicz_check,
@@ -39,7 +38,7 @@ from orlimark.harness import (
     markov_factor_log,
 )
 from orlimark.harness import _loglog_slope, _t_quantile
-from orlimark.norms import NormContext, evaluate_norm, gnorm_spec, lorentz_spec, lp_spec, orlicz_spec, v_quasinorm
+from orlimark.norms import NormContext, evaluate_norm, gnorm_spec, lorentz_spec, lp_spec, orlicz_spec, sup_ratio_from, v_quasinorm
 from orlimark.quadrature import QuadratureConfig, lp_quasinorm
 
 
@@ -445,16 +444,24 @@ class TestEquivalenceBand:
 
 
 class TestSandwich:
+    """The band's sandwich R <= G <= factor * R, R the sup over p >= 4,
+    on its rows."""
+
     def test_displayed_factor_fails_on_constants(self, phi2, ctx):
-        # the constant function is the equality case that breaks the
-        # displayed factor max(1, psi(4)) < 1/psi(1); the corrected factor
-        # max(1, psi(4)/min psi) holds with near equality
-        row = lyapunov_sandwich(PolynomialRep([1.0]), phi2, ctx=ctx, label="one")
-        assert row.lower_ok
-        assert not row.displayed_ok
-        assert row.corrected_ok
-        assert row.factor_corrected == pytest.approx(2.0, rel=1e-6)
+        # the constant function is the equality case: G / R = psi(4) / psi(1)
+        # = 4^(1/2) for z^2, above the displayed factor max(1, psi(4)) = 1;
+        # the corrected factor max(1, psi(4) / min psi) is that ratio, and
+        # holds with near equality
+        f = PolynomialRep([1.0])
+        band = equivalence_band([("one", f)], phi2, ctx=ctx)
+        (row,) = band.rows
+        assert row.sandwich_lower_margin >= 0.0
+        assert row.displayed_margin < 0.0
+        assert row.corrected_margin >= 0.0
+        assert (band.displayed_misses, band.corrected_misses) == (1, 0)
+        assert band.factor_corrected == pytest.approx(2.0, rel=1e-12)
+        assert row.restricted_sup == sup_ratio_from(f, phi2, 4.0, cache=ctx.conjugates(phi2, p_lo=4.0))
 
     def test_generic_member_within_corrected(self, phi2, ctx):
-        row = lyapunov_sandwich(PolynomialRep([0.1, 1.0, -0.4]), phi2, ctx=ctx)
-        assert row.lower_ok and row.corrected_ok
+        (row,) = equivalence_band([("quad", PolynomialRep([0.1, 1.0, -0.4]))], phi2, ctx=ctx).rows
+        assert row.sandwich_lower_margin >= 0.0 and row.corrected_margin >= 0.0

@@ -627,9 +627,9 @@ class TestGNorm:
         # ||(1 - x)^-q||_beta = 2^-q (1 - q beta)^(-1/beta), beta = p / (p r + 1),
         # and psi(p) = (p/2)^(1/2) e^(-1/2) for power_log(2) at p >= 1; below
         # q = r the supremum over p >= 4 is finite, at a p that rises without
-        # bound as q / r = s rises to 1. The scan returns it to 1e-8, or raises
-        # with an exact ratio below it and a fast-exact gap over the 1e-6 it
-        # certifies
+        # bound as q / r = s rises to 1 (near p = 1e4 at s = 0.9999, past the
+        # first grid). The evaluator's rows take the singular end's rest, so
+        # the scan returns the supremum to 1e-8
         q = r * s
 
         def log_ratio(p):
@@ -649,13 +649,8 @@ class TestGNorm:
             mid = math.sqrt(a * b)
             a, b = (mid, b) if slope(mid) > 0.0 else (a, mid)
         want = math.exp(log_ratio(a))
-        try:
-            got = v_quasinorm_info(InversePowerRep(q), phi2, r, cache=ctx.conjugates(phi2, p_lo=4.0)).value
-        except ConvergenceFailureError as err:
-            assert math.isfinite(err.best_estimate) and err.best_estimate < want
-            assert err.error_bound > 1e-6
-        else:
-            assert abs(got / want - 1.0) <= 1e-8
+        got = v_quasinorm_info(InversePowerRep(q), phi2, r, cache=ctx.conjugates(phi2, p_lo=4.0)).value
+        assert abs(got / want - 1.0) <= 1e-8
 
     @pytest.mark.parametrize("q, m", [(3e-4, 2.0), (1e-4, 1e6)])
     def test_singular_end_past_the_grid_raises(self, q, m):
@@ -1583,6 +1578,24 @@ class TestEvaluatorSlopes:
         log_norm, mean_log_f = ev.log_norm(self.PS, moment=True)
         # d log ||f||_p / dp = (E_pi[log|f|] - log ||f||_p) / p
         assert (mean_log_f - log_norm) / self.PS == pytest.approx(_central_difference(ev.log_norm, self.PS), rel=1e-8)
+
+    @pytest.mark.parametrize("q, r", [(0.9, 1.0), (0.999, 1.0), (1.998, 2.0)])
+    def test_singular_end(self, q, r):
+        # on (1 - x)^-q the evaluator's rule ends at the singular piece's last
+        # node, and each query adds the closed-form rest past it:
+        # ||f||_beta = 2^-q (1 - q beta)^(-1/beta), and under the weights of
+        # |f|^beta, E[log|f|] = q / (1 - q beta) - q log 2. Built as the
+        # v-scan builds it to grid p = 4096, at beta = p / (p r + 1)
+        nodes = quadrature._abs_nodes(InversePowerRep(q))
+        lo, hi = 4.0 / (4.0 * r + 1.0), 4096.0 / (4096.0 * r + 1.0)
+        ev = quadrature.PowerNormEvaluator(nodes, DEFAULT_CONFIG, yardsticks=(lo, 0.5 * (lo + hi), hi))
+        ps = np.array([4.0, 100.0, 447.0, 974.0, 3000.0])
+        betas = ps / (ps * r + 1.0)
+        log_norm, mean_log_f = ev.log_norm(betas, moment=True)
+        exact = [math.log(quadrature._power_norm(nodes, b, b, DEFAULT_CONFIG)) for b in betas]
+        assert log_norm == pytest.approx(exact, rel=0.0, abs=1e-12)
+        assert log_norm == pytest.approx(-q * math.log(2.0) - np.log1p(-q * betas) / betas, rel=0.0, abs=1e-11)
+        assert mean_log_f == pytest.approx(q / (1.0 - q * betas) - q * math.log(2.0), rel=1e-11)
 
     def test_one_adaptive_pass_per_build(self, monkeypatch):
         # the three yardsticks of the power norms share one panel set from

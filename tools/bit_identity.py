@@ -49,7 +49,10 @@ slowest group.  Covered:
 * ``singular``: ``lp_quasinorm`` of ``InversePowerRep(q)`` at (q, beta) =
   (0.5, 0.8), (0.8, 0.9), (0.9, 0.95), (0.9, 64/65) and (0.99, 1), and
   every field of ``tail_check(InversePowerRep(r s), 2, r)`` at s in
-  {0.5, 0.9} and r in {1, 2};
+  {0.5, 0.9} and r in {1, 2}, and ``v_quasinorm_info`` (every field) of
+  ``InversePowerRep(r s)`` under power_log(2) at r in {1, 2} and s in
+  {0.9, 0.99, 0.999, 0.9999}, scans just below q = r whose peak leaves the
+  first grid as s rises to 1;
 * ``fenchel_moreau_check``, ``phi_membership_check`` and
   ``equivalence_constants`` for the eight families;
 * ``young_fenchel_or_inf``: one-lane ``young_fenchel_lanes`` solves, +inf
@@ -243,6 +246,13 @@ def singular_records():
     for s in (0.5, 0.9):
         for r in (1, 2):
             yield "singular", f"tail_check s={s!r} r={r}", attempt(lambda: tail_fields(s, r))
+    # just below q = r, where the v-scan's peak leaves the first grid as s rises to 1
+    phi2, cache4 = PHIS[1], ConjugateCache(PHIS[1], p_lo=4.0)
+    for r in (1.0, 2.0):
+        for s in (0.9, 0.99, 0.999, 0.9999):
+            yield "singular", f"v_quasinorm_info s={s!r} r={r!r}", attempt(
+                lambda: v_quasinorm_info(InversePowerRep(r * s), phi2, r, cache=cache4)
+            )
 
 
 def conjugate_records():
