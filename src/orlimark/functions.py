@@ -614,11 +614,12 @@ class InversePowerRep:
 
     It carries its domain, [-1, 1]: ``break_points()``, ``singular_end()``
     and the norms take none, and ``lp_quasinorm``'s ``domain`` must be it.
-    Unbounded at the right endpoint, which it reports as its
+    Unbounded at the right endpoint, whose power q it reports as its
     ``singular_end``: the integrals of |f| take the piece next to it in
-    y = -log(1 - x).  ``sup_norm`` rejects it; its distribution function is
-    finite at every level.  ||f||_beta is finite exactly when q * beta < 1;
-    an integral at q * beta >= 1 raises ConvergenceFailureError.
+    y = -log(1 - x), where log|f| = q y, and the part of that piece where
+    |f| > w is w^(-1/q) long.  ``sup_norm`` rejects it; its distribution
+    function is finite at every level.  ||f||_beta is finite exactly when
+    q * beta < 1; an integral at q * beta >= 1 raises ConvergenceFailureError.
     """
 
     kind = "inverse-power"
@@ -646,9 +647,9 @@ class InversePowerRep:
         """The domain ends: f increases on the whole interval."""
         return _breaks(self)
 
-    def singular_end(self):
-        """y -> log|f| at x = 1 - e^-y."""
-        return lambda y: self.q * y
+    def singular_end(self) -> float:
+        """The power q of |f| = distance^-q to the right endpoint."""
+        return self.q
 
     def __eq__(self, other):
         return isinstance(other, InversePowerRep) and self.q == other.q

@@ -561,10 +561,6 @@ class BandReport:
     factor_corrected: float
 
     @property
-    def clean(self) -> bool:
-        return self.violations == 0
-
-    @property
     def displayed_misses(self) -> int:
         """Members whose full sup exceeds the displayed factor times the restricted one."""
         return sum(row.displayed_margin < 0.0 for row in self.rows)

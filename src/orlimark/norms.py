@@ -81,7 +81,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import ConjugateCache, PhiSpec, exp_or_inf, gap_terms, young_fenchel_lanes
+from .conjugate import ConjugateCache, PhiSpec, gap_terms, young_fenchel_lanes
 from .errors import (
     ConstructionError,
     ConvergenceFailureError,
@@ -357,10 +357,6 @@ _CAP_REL_TOLS = 1000.0
 # at a top of 2^22, 9,312 at 2^24 and 31,136 at 2^26, and a scan of it to
 # 2^28 peaks at 1.5 GB)
 _P_CEILING = 2.0**24
-# the secant of ``_NodeStore.growth`` reads the growth q of a power
-# singularity to an ulp or so (one above for q = 1.5 and 3): a q within
-# this many ulps of r is the boundary q = r
-_GROWTH_ULPS = 4.0
 
 
 def _g_scan(f, phi: PhiSpec, cfg: QuadratureConfig, cache: ConjugateCache | None, p_lo: float, r: float = 0.0) -> ScanResult:
@@ -388,10 +384,10 @@ def _g_scan(f, phi: PhiSpec, cfg: QuadratureConfig, cache: ConjugateCache | None
     (log sup|f| = +inf) caps nothing, and the evaluator adds its singular
     end's rest; a grid whose top reaches _P_CEILING raises
     ScanDivergenceError.  Before any row, an f
-    whose log|f| grows at rate q in -log(distance) at a singular end
-    (``_NodeStore.growth``) raises it when q > r: ||f||_beta is infinite
-    from beta = 1 / q on, and beta, which rises to 1 / r, reaches it.  At
-    q = r, to _GROWTH_ULPS ulps, it raises too: ||f||_beta is finite for
+    whose log|f| grows at rate q in -log(distance) at a singular end, the
+    power that f states (``_NodeStore.growth``), raises it when q > r:
+    ||f||_beta is infinite from beta = 1 / q on, and beta, which rises to
+    1 / r, reaches it.  At q = r it raises too: ||f||_beta is finite for
     every beta < 1 / r but grows without bound as beta rises to it, as
     2^-q (p q + 1)^(q + 1/p) for (1 - x)^-q, which no grid certifies.
 
@@ -419,9 +415,9 @@ def _g_scan(f, phi: PhiSpec, cfg: QuadratureConfig, cache: ConjugateCache | None
     # ||f||_beta is infinite from beta = 1 / q on, q the growth of log|f| at
     # a singular end, and grows without bound as beta rises to it; beta
     # rises to 1 / r (without bound at r = 0)
-    q, slack = nodes.growth(), _GROWTH_ULPS * math.ulp(r)
-    if q > 0.0 and q >= r - slack:
-        reach = f"is infinite from beta = 1/q = {1.0 / q:g} on" if q > r + slack else "grows without bound as beta rises to 1/q = 1/r"
+    q = nodes.growth()
+    if q > 0.0 and q >= r:
+        reach = f"is infinite from beta = 1/q = {1.0 / q:g} on" if q > r else "grows without bound as beta rises to 1/q = 1/r"
         raise ScanDivergenceError(
             f"f is unbounded: ||f||_beta {reach} "
             f"(q = {q:g}, the growth of log|f| in -log(distance) at its singular end), "
@@ -791,10 +787,6 @@ class EquivalenceConstants:
     split_index: float
     series_sum: float
     series_sum_alt: float
-
-    @property
-    def b_over_g(self) -> float:
-        return exp_or_inf(self.b_over_g_log)
 
 
 def _gap_series(phi: PhiSpec, k_start: int, shift: int) -> float:

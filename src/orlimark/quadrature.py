@@ -25,7 +25,8 @@ reduces to three primitives implemented here:
   points of its piece, looked up for every lane at once, as Boyd (2002)
   isolates roots on Chebyshev points.  The same crossings
   give the slope T'(w), from the derivative each bounded representation
-  reports.
+  reports.  Beside a singular end, whose power q f states, the part of its
+  piece above w is w^(-1/q) long, in closed form.
   ``sup_norm`` is the largest |f| over the same break points.
 
 Adaptive integrals of functions of |f| (``lp_quasinorm``, the panels of
@@ -34,10 +35,11 @@ with the break points of f as panel edges besides the uniform ones, as
 QUADPACK's QAGP takes known singular points: |f| has a kink at every zero
 of f.  An integral may add break points of its own to those edges: the
 Luxemburg modular adds its splice crossings, where N(|f| / l) has a kink.
-An integrable singular end that f reports (``InversePowerRep``) is integrated
-in y = -log(distance to it), as QUADPACK's QAWS and Takahasi & Mori (1974)
-give such an end a coordinate of its own: by the rule up to the smallest
-normal distance, and beyond it in closed form.
+An integrable singular end that f reports (``InversePowerRep``) states its
+power q, as QUADPACK's QAWS takes an algebraic end's exponent, and is
+integrated in y = -log(distance to it), where log|f| = q y, as QAWS and
+Takahasi & Mori (1974) give such an end a coordinate of its own: by the
+rule up to the smallest normal distance, and beyond it in closed form.
 
 Every integral reads its node values from a ``_NodeStore`` that lives for
 one call and carries the measure its integrals are taken against, as a
@@ -247,16 +249,17 @@ class _NodeStore:
     panels they fall in, whose pieces are new keys.  Integrals against the
     normalized measure add ``log_density``.
 
-    With a singular ``end`` (on an unweighted store), y -> g at distance
-    e^-y below hi, the last initial panel maps affinely onto y up to _Y_END,
-    where each panel takes its Gauss nodes, and the log weight is log dx/ds.
+    With the power ``q`` of a singular end at hi (on an unweighted store),
+    where g = log|f| = q y at distance e^-y below hi, the last initial panel
+    maps affinely onto y up to _Y_END, where each panel takes its Gauss
+    nodes, and the log weight is log dx/ds.
     """
 
-    def __init__(self, values, edges, log_density: float = 0.0, end=None, weighted: bool = False):
-        self._values, self._end, self._weighted = values, end, weighted
+    def __init__(self, values, edges, log_density: float = 0.0, q=None, weighted: bool = False):
+        self._values, self._q, self._weighted = values, q, weighted
         self.edges, self.log_density = edges, log_density
         self.lo, self.hi = float(edges[0]), float(edges[-1])
-        if end is not None:
+        if q is not None:
             x_a = self._cut = float(edges[-2])
             y_a = -math.log(self.hi - x_a)
             self._y = lambda s: y_a + (s - x_a) * ((_Y_END - y_a) / (self.hi - x_a))
@@ -266,13 +269,13 @@ class _NodeStore:
 
     def _evaluate(self, p_lo, p_hi):
         xs = _panel_nodes(p_lo, p_hi)[0]
-        if self._end is None:
+        if self._q is None:
             cols = self._values(xs.ravel()) if self._weighted else (self._values(xs.ravel()),)
             return [v.reshape(xs.shape) for v in cols]
         on = p_lo >= self._cut
         ys, half_y = _panel_nodes(self._y(p_lo[on]), self._y(p_hi[on]))
         g, log_dx = np.empty(xs.shape), np.zeros(xs.shape)
-        g[~on], g[on] = self._values(xs[~on].ravel()).reshape(-1, _NODES.size), self._end(ys)
+        g[~on], g[on] = self._values(xs[~on].ravel()).reshape(-1, _NODES.size), self._q * ys
         # dx/ds = e^-y dy/ds on the singular piece
         log_dx[on] = np.log(half_y / (0.5 * (p_hi[on] - p_lo[on])))[:, None] - ys
         return [g, log_dx]
@@ -293,41 +296,34 @@ class _NodeStore:
         cols = [c[at] for c in self._cols]
         return cols[0], cols[1] if len(cols) > 1 else None
 
-    def _far(self):
-        """y_1 and 2 y_1 (y_1 the singular piece's end in y) as one panel row,
-        which a transform with lanes broadcasts over; g there, and its secant."""
-        y = self._y(self.hi) * np.array([[1.0, 2.0]])
-        g = self._end(y)
-        return y, g, (g[0, 1] - g[0, 0]) / y[0, 0]
-
     def growth(self) -> float:
-        """The growth rate of g at the singular end in y = -log(distance): its
-        secant on [y_1, 2 y_1], as ``rest`` takes it; q for (1 - x)^-q, and 0
-        without a singular end."""
-        return 0.0 if self._end is None else float(self._far()[2])
+        """The growth rate of g at the singular end in y = -log(distance), the
+        power q it states, and 0 without a singular end."""
+        return 0.0 if self._q is None else self._q
 
     def rest(self, transform):
-        """log of the integral of e^G, G(y) = transform(end(y)) - y, past the
+        """log of the integral of e^G, G(y) = transform(q y) - y, past the
         singular piece's end y_1, one a lane (-inf without one): e^G(y_1) / -G',
-        as G is linear for a power singularity, G' its secant on [y_1, 2 y_1];
-        and the mean of g under e^G there, g(y_1) + q / -G', q = ``growth``."""
-        if self._end is None:
+        as G is linear for a power singularity, G' its secant on [y_1, 2 y_1]
+        (one panel row, which a transform with lanes broadcasts over); and the
+        mean of g under e^G there, q y_1 + q / -G'."""
+        if self._q is None:
             return -math.inf, 0.0
-        y, end, q = self._far()
-        g = (transform(end) - y)[..., 0, :]
+        y = self._y(self.hi) * np.array([[1.0, 2.0]])
+        g = (transform(self._q * y) - y)[..., 0, :]
         slope = (g[..., 1] - g[..., 0]) / y[0, 0]
         if not (slope < 0.0).all():
             raise ConvergenceFailureError(f"the integrand does not decay at the singular end: slope {float(slope.max())!r} in -log(distance)")
-        return g[..., 0] - np.log(-slope), end[0, 0] + q / -slope
+        return g[..., 0] - np.log(-slope), self._q * y[0, 0] + self._q / -slope
 
 
 def _abs_nodes(f) -> _NodeStore:
     """A node store of log|f| on its domain, whose integrals start at the
-    break points of f, take its singular end in distance, if it reports one,
-    and are taken against the normalized measure."""
+    break points of f, take its singular end in distance, if it states the
+    end's power, and are taken against the normalized measure."""
     domain, xs = _carrier(f)
-    end = getattr(f, "singular_end", lambda: None)()
-    return _NodeStore(log_abs_of(f), _initial_edges(domain.lo, domain.hi, xs), math.log(domain.density), end)
+    q = getattr(f, "singular_end", lambda: None)()
+    return _NodeStore(log_abs_of(f), _initial_edges(domain.lo, domain.hi, xs), math.log(domain.density), q)
 
 
 def _adaptive(nodes: _NodeStore, transform, cfg, breaks=None):
@@ -479,7 +475,7 @@ class _NodeRule:
         # overflow exp, and its sum is +inf either way
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             a = log_integrand(g) + self.logw.ravel()[None, :]
-            if self._nodes._end is not None:
+            if self._nodes._q is not None:
                 # the rest is one more term a row, with its own mean of g
                 rest, rest_mean = self._nodes.rest(lambda g: log_integrand(g)[:, None, :])
                 a, g = np.column_stack([a, rest]), np.column_stack([np.broadcast_to(g, a.shape), rest_mean])
@@ -652,7 +648,9 @@ def _root_step(ops, evaluate, state):
     state.clear()
     span = sn - sp
     x = minimum(maximum(xn + divide(sn, span) * d, minimum(xn, xp) + half), maximum(xn, xp) - half)
-    # an infinite end value (a singular end) would pin regula falsi to the other end
+    # an infinite end value would pin regula falsi to the other end: the
+    # upper end of ``_dual_weight``'s bracket is +inf where h overflows there,
+    # as h = e^(2y) of power_log(2) has at an end near y = 745
     falsi = (abs(x - last) <= 0.5 * older) & isfinite(span) & (width <= 0.5 * w3)
     x = where(falsi, x, 0.5 * (xn + xp))
     step, older, last = abs(x - last), step, x
@@ -794,22 +792,27 @@ class LevelSampler:
     cell after the count of table values <= w, found for all lanes by one
     ``searchsorted``.  The whole piece is the bracket instead where that
     cell holds no sign change of |f| - w (rounding can make the table
-    decrease on a flat stretch) and on a piece with an infinite end value,
-    a one-cell table.  A crossing's bits so depend only on the sampler and
-    its threshold.  The same crossings give the slope of T, by the coarea
-    formula on the pieces: T'(w) is minus the density times the sum of 1 / |f'| over
-    them, with f' from the derivative f reports.  ``critical_values`` are 0
-    and the values of |f| at the break points, sorted: T is smooth between
-    consecutive ones, and each of ``critical_floors`` is the smallest value
-    merged into the critical value of its index, the same value where none
-    is.  An end value may be infinite (an integrable singularity);
-    ``sup_estimate`` is then inf.
+    decrease on a flat stretch).  A crossing's bits so depend only on the
+    sampler and its threshold.  The same crossings give the slope of T, by
+    the coarea formula on the pieces: T'(w) is minus the density times the
+    sum of 1 / |f'| over them, with f' from the derivative f reports.
+    ``critical_values`` are 0 and the values of |f| at the break points,
+    sorted: T is smooth between consecutive ones, and each of
+    ``critical_floors`` is the smallest value merged into the critical value
+    of its index, the same value where none is.
+
+    An end value may be infinite at a singular end whose power q f states
+    (``singular_end``), and ``sup_estimate`` is then inf: next to that end
+    |f| = distance^-q, so the part of the piece above w is w^(-1/q) long, in
+    closed form, with no crossing solved in x, where 1 - x cancels.  An
+    infinite value without a stated power raises DomainEvaluationError.
     """
 
     def __init__(self, f):
         self._f = f
         domain = _carrier(f)[0]
-        xs, vals = _break_values(f, bounded=False)
+        self._q = getattr(f, "singular_end", lambda: None)()
+        xs, vals = _break_values(f, bounded=self._q is None)
         self.sup_estimate = float(vals.max())
         # a value below 1e-12 sup|f| is a computed zero of f and merges into
         # 0, and a value within 1e-12 of the next one merges into it: equal
@@ -856,16 +859,13 @@ class LevelSampler:
         """A row per piece: the ends of its _CELLS cells, from its end of
         smaller |f| to the other, and |f| there, the break values at the
         ends; and the lookup's keys piece + 1j |f|, each row's values
-        sorted, in one sorted array.  A piece with an infinite end value is
-        one cell: its other points sit on its larger end."""
+        sorted, in one sorted array."""
         xs = self._below[:, None] + np.sin(np.linspace(0.0, 0.5 * math.pi, _CELLS + 1)) ** 2 * (self._above - self._below)[:, None]
         xs[:, -1] = self._above
         vals = self._v_max[:, None].repeat(_CELLS + 1, axis=1)
         vals[:, 0] = self._v_min
-        bounded = np.isfinite(self._v_max)
-        xs[~bounded, 1:] = self._above[~bounded, None]
-        inner = xs[bounded, 1:-1]
-        vals[bounded, 1:-1] = np.abs(self._f(inner.ravel())).reshape(inner.shape)
+        inner = xs[:, 1:-1]
+        vals[:, 1:-1] = np.abs(self._f(inner.ravel())).reshape(inner.shape)
         keys = np.empty(vals.shape, dtype=complex)  # 1j * inf would be nan + inf j
         keys.real, keys.imag = np.arange(vals.shape[0])[:, None], vals
         keys.imag.sort(axis=1)
@@ -875,6 +875,11 @@ class LevelSampler:
         whole = ws[None, :] < self._v_min[:, None]
         out = self._length @ whole
         piece, j = (~whole & (ws[None, :] < self._v_max[:, None])).nonzero()
+        if self._q is not None:
+            # next to the stated end, |f| = distance^-q is above w on the last w^(-1/q)
+            end = self._v_max[piece] == math.inf
+            out = out + np.bincount(j[end], weights=ws[j[end]] ** (-1.0 / self._q), minlength=ws.size)
+            piece, j = piece[~end], j[~end]
         w = ws[j]
         # the cell after the row's count of values <= w, or the whole piece
         # where rounding leaves that cell without a sign change of |f| - w

@@ -404,7 +404,6 @@ class TestCorpus:
 class TestEquivalenceBand:
     def test_small_corpus_clean(self, phi2, ctx, small_corpus):
         band = equivalence_band(small_corpus, phi2, ctx=ctx)
-        assert band.clean
         assert band.violations == 0
         assert band.empirical_lo >= 1.0 / band.c3 - 1e-6
 
@@ -434,12 +433,12 @@ class TestEquivalenceBand:
         band = band_at(1e-5, 0.1)
         low, high = sum(x < 1e-5 for x in logs), sum(x > 0.1 for x in logs)
         assert low == 2 and high == 1
-        assert (band.violations, band.fallback_count, band.clean) == (low, high, False)
+        assert (band.violations, band.fallback_count, band.violations == 0) == (low, high, False)
         assert [not row.lower_ok for row in band.rows] == [x < 1e-5 for x in logs]
         assert [row.used_fallback for row in band.rows] == [x > 0.1 for x in logs]
         # e^2 C4 at 0.1: every member is over C4, and the one past 0.1 is a violation
         band = band_at(0.0, 0.1 - 2.0)
-        assert (band.violations, band.fallback_count, band.clean) == (high, len(logs) - high, False)
+        assert (band.violations, band.fallback_count, band.violations == 0) == (high, len(logs) - high, False)
         assert not any(row.upper_ok for row in band.rows)
 
 

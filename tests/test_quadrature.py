@@ -132,6 +132,37 @@ def test_non_integrable_singular_end_raises(q, beta):
         lp_quasinorm(InversePowerRep(q), beta, INTERVAL)
 
 
+@pytest.mark.parametrize("q", [0.5, 0.9])
+@pytest.mark.parametrize("w", [10.0, 1e3, 1e5, 1e8, 1e12])
+def test_distribution_beside_a_singular_end(q, w):
+    # |(1 - x)^-q| > w on the last w^(-1/q) of [-1, 1], against dx/2; a
+    # crossing solved in x loses 1 - w^(-1/q) to rounding as w grows
+    with mp.workdps(30):
+        want = float(mp.mpf(w) ** (-1 / mp.mpf(q)) / 2)
+    assert distribution(InversePowerRep(q), w) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("q", [k / 10 for k in range(1, 40)])
+def test_node_store_growth_is_the_stated_power(q):
+    # a secant of g on [y_1, 2 y_1] read q an ulp off at 0.9, 1.5 and 3.0
+    assert _abs_nodes(InversePowerRep(q)).growth() == q
+
+
+def test_infinite_break_value_without_a_stated_power_raises():
+    class Unstated:
+        natural_domain = INTERVAL
+
+        def break_points(self):
+            return np.array([-1.0, 1.0])
+
+        def __call__(self, x):
+            with np.errstate(divide="ignore"):
+                return 1.0 / np.sqrt(1.0 - np.asarray(x, dtype=float))
+
+    with pytest.raises(DomainEvaluationError, match="not finite"):
+        distribution(Unstated(), 10.0)
+
+
 def test_lp_quasinorm_closed_form():
     f = PolynomialRep([0.0, 1.0])
     for p in (0.5, 1.0, 2.0, 4.0):

@@ -52,10 +52,11 @@ slowest group.  Covered:
   {0.5, 0.9} and r in {1, 2}, and ``v_quasinorm_info`` (every field) of
   ``InversePowerRep(r s)`` under power_log(2) at r in {1, 2} and s in
   {0.9, 0.99, 0.999, 0.9999}, scans just below q = r whose peak leaves the
-  first grid as s rises to 1;
+  first grid as s rises to 1, and ``distribution(InversePowerRep(q), w)``
+  at q in {0.5, 0.9} and w in {10, 1e3, 1e5, 1e8, 1e12};
 * ``fenchel_moreau_check``, ``phi_membership_check`` and
   ``equivalence_constants`` for the eight families;
-* ``young_fenchel_or_inf``: one-lane ``young_fenchel_lanes`` solves, +inf
+* ``young_fenchel_lanes``: one-lane ``young_fenchel_lanes`` solves, +inf
   where h* diverges, over 400 exponents for the eight families;
 * ``ConjugateCache.hstar`` for the eight families at p_lo 1 and 4, as
   built and after one ``extend``;
@@ -89,6 +90,7 @@ from orlimark import (  # noqa: E402
     TrigPolynomialRep,
     build_corpus,
     custom_phi,
+    distribution,
     equivalence_constants,
     fenchel_moreau_check,
     log_power,
@@ -253,6 +255,9 @@ def singular_records():
             yield "singular", f"v_quasinorm_info s={s!r} r={r!r}", attempt(
                 lambda: v_quasinorm_info(InversePowerRep(r * s), phi2, r, cache=cache4)
             )
+    for q in (0.5, 0.9):
+        for w in (10.0, 1e3, 1e5, 1e8, 1e12):
+            yield "singular", f"distribution q={q!r} w={w!r}", attempt(lambda: distribution(InversePowerRep(q), w))
 
 
 def conjugate_records():
@@ -264,7 +269,7 @@ def conjugate_records():
     ps = np.concatenate([np.geomspace(0.5, 2e4, 394), [0.5, 1.0, 3.7, 64.0, 1000.0, 2e4]])
     for phi in FAMILIES:
         for p in ps:
-            yield "young_fenchel_or_inf", f"{phi.label} {p!r}", attempt(lambda: float(young_fenchel_lanes(phi, [float(p)])[0][0]))
+            yield "young_fenchel_lanes", f"{phi.label} {p!r}", attempt(lambda: float(young_fenchel_lanes(phi, [float(p)])[0][0]))
 
 
 def cache_hstar(phi, p_lo):
