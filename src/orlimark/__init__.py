@@ -28,7 +28,6 @@ from .errors import (
     ConvergenceFailureError,
     DegenerateInputError,
     DomainEvaluationError,
-    LuxemburgBracketError,
     OrlimarkError,
     PoleProximityError,
     RejectedInputError,

@@ -370,8 +370,6 @@ def young_fenchel_lanes(phi: PhiSpec, ps, p_min: float = 0.5):
     x_neg, x_pos, g_neg, g_pos = _bracketed_root(g_checked, *ends, *seen.copy(), tol, one_kink if kinks.size else None)
     y = np.where(-g_neg < g_pos, x_neg, x_pos)
     if kinks.size:
-        nearest = kinks[np.argmin(np.abs(y[:, None] - kinks[None, :]), axis=1)]
-        y = np.where(np.abs(nearest - y) <= tol, nearest, y)
         # h' - p < 0 < h' - p at the ends of a bracket around one jump: y* is that kink
         y = np.where(one_kink(x_neg, x_pos), kinks[np.searchsorted(kinks, x_pos, side="right") - 1], y)
     hstar[solved] = ps[solved] * y - phi.h(y)

@@ -14,19 +14,22 @@ class DomainEvaluationError(OrlimarkError):
 
 
 class ConvergenceFailureError(OrlimarkError):
-    """A computation could not certify its result: adaptive refinement
-    exhausted its depth or panel budget, a root solve its step cap, a
-    Luxemburg root left its log modular more than 1e-8 from zero, or a
-    sup-over-p scan's cached-node and exact ratios at its maximizer differ
-    by more than 1e-6 relative.
+    """A computation ran out of budget or could not certify its result:
+    adaptive refinement exhausted its depth or panel budget, an integrand
+    did not decay at a singular end, a root solve hit its step cap, a
+    Luxemburg root left its log modular more than 1e-8 from zero (or the
+    Jensen end left it below -1e-8), a sup-over-p scan still rose at the
+    top of its last grid extension, or a scan's cached-node and exact
+    ratios at its maximizer differ by more than 1e-6 relative.
 
     Carries the best available estimate and an error bound so callers can
     decide whether the partial answer is still usable.  From an adaptive
     integral, ``best_estimate`` is the log of the integral and
     ``error_bound`` the bound on its error relative to exp(best_estimate).
-    From a scan, ``best_estimate`` is the exact ratio and ``error_bound``
-    the relative gap to the cached-node one; from a Luxemburg root,
-    ``best_estimate`` is the root l.
+    From a scan's certification, ``best_estimate`` is the exact ratio and
+    ``error_bound`` the relative gap to the cached-node one; from a
+    Luxemburg root, ``best_estimate`` is the root l (the Jensen bound at
+    the Jensen end) and ``error_bound`` |log I| there.
     """
 
     def __init__(self, message, best_estimate=None, error_bound=None):
@@ -64,15 +67,11 @@ class SummabilityError(OrlimarkError):
     """A series required by a constant did not certifiably converge."""
 
 
-class LuxemburgBracketError(OrlimarkError):
-    """The Jensen end of the Luxemburg bracket failed its sign check."""
-
-
 class ScanDivergenceError(OrlimarkError):
-    """A sup-over-p scan has no certified supremum: an L_p member diverges,
-    the scanned exponent reaches or approaches one where a singular f's
-    norm is infinite, or the ratio still rises, uncapped by sup|f|, at the
-    top of a grid that may extend no further."""
+    """A sup-over-p scan's supremum is infinite: f's singular end, of power
+    q, makes ||f||_beta infinite from beta = 1/q on, and the scanned
+    exponents reach it (q > r), or grow without bound as they approach it
+    (q = r).  Raised by the scan's growth check, before any row."""
 
 
 class DegenerateInputError(OrlimarkError):

@@ -396,17 +396,15 @@ def tail_check(
     m: float,
     r: int,
     u_max: float = 1e3,
-    points: int = 49,
     ctx: NormContext | None = None,
 ) -> TailReport:
     """Distribution-tail bound and its converse for the weighted quasinorm.
 
     Forward: normalizes f by its derivative-weighted quasinorm, then fits the
     smallest prefactor making T(|f|,u) <= prefactor * u^(-1/r) (log u)^(1/(mr))
-    hold at ``points`` geometric steps of [3, u_max], for a finite u_max above
-    3 and an integer ``points`` >= 2.  Converse: re-scans the quasinorm with
-    the tail-adapted weight family and fits how ||f||_beta blows up as beta
-    approaches 1/r.
+    hold at 49 geometric steps of [3, u_max], for a finite u_max above 3.
+    Converse: re-scans the quasinorm with the tail-adapted weight family and
+    fits how ||f||_beta blows up as beta approaches 1/r.
     Every integral runs at ``ctx.cfg``; a singular end of f is taken in distance.
     """
     r = _integer(r, "derivative order", lo=1)
@@ -414,12 +412,11 @@ def tail_check(
         raise RejectedInputError(f"growth index must be positive, got {m!r}")
     if not (math.isfinite(u_max) and u_max > 3.0):
         raise RejectedInputError(f"u_max must be finite and above 3, got {u_max!r}")
-    points = _integer(points, "points", lo=2)
     context = ctx if ctx is not None else NormContext()
     v = evaluate_norm(f, vnorm_spec(power_log(m, 0.0), r), context)
     if v == 0.0:
         raise DegenerateInputError("function is zero; tail analysis is undefined")
-    us = np.geomspace(3.0, u_max, points)
+    us = np.geomspace(3.0, u_max, 49)
     t = LevelSampler(f).measure_above_batch(us * v)
     model = us ** (-1.0 / r) * np.log(us) ** (1.0 / (m * r))
     ratios = t / model

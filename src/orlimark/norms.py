@@ -16,11 +16,12 @@ Three norm families ride on top:
 * ``g_norm`` / ``sup_ratio_from`` / ``v_quasinorm``: suprema over an
   exponent grid of ||f||_p or ||f||_beta(p) divided by the conjugate weight
   psi(p), computed by one scan, ``_g_scan``, with the exponent map
-  p -> beta = p / (p r + 1) (r = 0 for the g-norm); an L_p member the
-  adaptive integrator cannot settle makes it raise ``ScanDivergenceError``.
-  A scan returns a certified value or raises: where the cached-node ratio
-  at the maximizer and the exact one differ by more than 1e-6 relative, it
-  raises ``ConvergenceFailureError``.
+  p -> beta = p / (p r + 1) (r = 0 for the g-norm).  A scan returns a
+  certified value or raises: ``ScanDivergenceError`` only where the
+  supremum is infinite, at a singular end too strong for the scanned
+  exponents, and ``ConvergenceFailureError`` where an integral or the grid
+  runs out of budget, or where the cached-node ratio at the maximizer and
+  the exact one differ by more than 1e-6 relative.
   Grids are geometric with 64 points per decade and start at the scan's
   lower exponent p_lo.  sup|f| caps each grid: the measure is a probability
   measure, so every scanned norm is at most sup|f|, and a lower bound on the
@@ -31,10 +32,11 @@ Three norm families ride on top:
   win and the maximizer sits at the right edge, the bound rises to the best
   grid ratio and the grid extends fourfold, and psi_log, which grows
   without bound, brings the cap below the top for a bounded f.  A singular
-  f, which nothing caps, raises before any row where beta reaches the 1/q
-  of its end's growth q, and otherwise extends like any other; so does
-  a grid whose top reaches ``_P_CEILING`` uncapped.  Every row below the cap is
-  evaluated, in one query of the evaluator.  The winning grid point
+  f, which nothing caps, raises ``ScanDivergenceError`` before any row
+  where beta reaches the 1/q of its end's growth q, and otherwise extends
+  like any other; a grid whose top reaches ``_P_CEILING`` uncapped raises
+  ``ConvergenceFailureError``.  Every row below the cap is evaluated, in
+  one query of the evaluator.  The winning grid point
   is polished by a root of the log ratio's slope, unless it is p_lo and
   the ratio does not rise off that edge; the scan reports the exact norm
   over an exact weight there.  The root is taken
@@ -86,7 +88,6 @@ from .errors import (
     ConstructionError,
     ConvergenceFailureError,
     DomainEvaluationError,
-    LuxemburgBracketError,
     RejectedInputError,
     ScanDivergenceError,
     SummabilityError,
@@ -202,9 +203,9 @@ def construct_N(phi: PhiSpec) -> OrliczN:
 _MODEL_ROUNDS = 4
 
 
-def _luxemburg_detail(f, n: OrliczN, cfg: QuadratureConfig):
-    """l = e^t, the log modular log I(t) at it, and whether that is within
-    1e-8 of zero.  By Jensen I(t) >= slope ||f||_1 e^-t = e^(t_lo - t), with
+def luxemburg_norm(f, n: OrliczN, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+    """Smallest l = e^t with the N-modular I(t) of f / l at most one.  By
+    Jensen I(t) >= slope ||f||_1 e^-t = e^(t_lo - t), with
     equality from t_k = log(sup |f| / knee) on, where |f| e^-t stays on the
     linear branch of N: the root lies in [t_lo, t_k].
 
@@ -227,17 +228,22 @@ def _luxemburg_detail(f, n: OrliczN, cfg: QuadratureConfig):
     _MODEL_ROUNDS rounds, hands the narrowed bracket to the exact solve.  Its
     lower end comes from steps down from the upper one, doubling, so an exact
     integral is taken at the Jensen end only when the steps reach it.
+
+    A root whose exact log modular is farther than 1e-8 from zero raises
+    ConvergenceFailureError, with the root as its ``best_estimate`` and
+    |log I| there as its ``error_bound``; so does a log modular below -1e-8
+    at the Jensen end, where the integral is off.
     """
     xs, vals = _break_values(f, bounded=True)
     sup = float(np.max(vals))
     if sup == 0.0:
-        return 0.0, 0.0, True
+        return 0.0
     nodes = _abs_nodes(f)
     log_l1, _err, p_lo, p_hi = _adaptive(nodes, lambda g: g, cfg)
     lo = n.linear_slope * math.exp(log_l1 + nodes.log_density)
     t_lo, t_k = math.log(lo), math.log(sup / n.splice_point)
     if t_lo >= t_k:
-        return lo, 0.0, True
+        return lo
     rule = _NodeRule(nodes, (p_lo, p_hi))
     log_vals = np.log(vals, out=np.full(vals.shape, -np.inf), where=vals > 0.0)
 
@@ -268,8 +274,8 @@ def _luxemburg_detail(f, n: OrliczN, cfg: QuadratureConfig):
         # quadrature noise can put the root at or below t_lo when f is (near)
         # constant and lo is already the answer
         if v < -1e-8:
-            raise LuxemburgBracketError(f"log modular {v!r} at the Jensen bound l = {lo!r}; its integral is off")
-        return lo, v, True
+            raise ConvergenceFailureError(f"log modular {v!r} at the Jensen bound l = {lo!r}; its integral is off", best_estimate=lo, error_bound=abs(v))
+        return lo
 
     tol = 1e-12 + 8.9e-16 * max(abs(t_lo), abs(t_k))
     # log I >= 0 at a (v_a once integrated), log I = v_b < 0 at b
@@ -290,7 +296,7 @@ def _luxemburg_detail(f, n: OrliczN, cfg: QuadratureConfig):
         if t == t_lo and v <= 0.0:
             return at_jensen_end(v)
         if abs(v) <= tol:
-            return math.exp(t), v, True
+            return math.exp(t)
         if v > 0.0:
             a, v_a = t, v
         else:
@@ -309,15 +315,9 @@ def _luxemburg_detail(f, n: OrliczN, cfg: QuadratureConfig):
         else:
             b, v_b, step = t, v, 2.0 * step
     t_star, residual = _root(lambda ts: np.array([log_i(float(ts[0]))]), b, a, v_b, v_a, 1e-12)
-    return math.exp(t_star), residual, abs(residual) <= 1e-8
-
-
-def luxemburg_norm(f, n: OrliczN, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Smallest l with the N-modular of f / l at most one; a root whose log
-    modular is farther than 1e-8 from zero raises ConvergenceFailureError."""
-    value, residual, ok = _luxemburg_detail(f, n, cfg)
-    if not ok:
-        raise ConvergenceFailureError(f"Luxemburg root l = {value!r} leaves the log modular at {residual!r}", best_estimate=value)
+    value = math.exp(t_star)
+    if not abs(residual) <= 1e-8:
+        raise ConvergenceFailureError(f"Luxemburg root l = {value!r} leaves the log modular at {residual!r}", best_estimate=value, error_bound=abs(residual))
     return value
 
 
@@ -367,7 +367,8 @@ def _g_scan(f, phi: PhiSpec, cfg: QuadratureConfig, cache: ConjugateCache | None
     RejectedInputError; a copy of it takes the fourfold grid extensions.
     Each pass asks one ``PowerNormEvaluator`` for the cached-node log norm
     of every row that can win; an L_p member that the adaptive integrator
-    cannot settle raises ScanDivergenceError.
+    cannot settle raises its ConvergenceFailureError: past the growth check
+    below, every scanned norm is finite, so that is a budget run out.
 
     sup|f| caps the grid: every scanned norm is at most sup|f| (power means
     are bounded by the sup norm), so log sup|f| - psi_log(p) bounds the log
@@ -383,9 +384,11 @@ def _g_scan(f, phi: PhiSpec, cfg: QuadratureConfig, cache: ConjugateCache | None
     bound, so for a bounded f the cap falls below the top.  An unbounded f
     (log sup|f| = +inf) caps nothing, and the evaluator adds its singular
     end's rest; a grid whose top reaches _P_CEILING raises
-    ScanDivergenceError.  Before any row, an f
-    whose log|f| grows at rate q in -log(distance) at a singular end, the
-    power that f states (``_NodeStore.growth``), raises it when q > r:
+    ConvergenceFailureError, a budget too: the supremum there is at most
+    sup|f| / psi(p_lo), or ||f||_(1/r) / psi(p_lo) for a singular end with
+    q < r.  Before any row, an f whose log|f| grows at rate q in
+    -log(distance) at a singular end, the power that f states
+    (``_NodeStore.growth``), raises ScanDivergenceError when q > r:
     ||f||_beta is infinite from beta = 1 / q on, and beta, which rises to
     1 / r, reaches it.  At q = r it raises too: ||f||_beta is finite for
     every beta < 1 / r but grows without bound as beta rises to it, as
@@ -447,64 +450,56 @@ def _g_scan(f, phi: PhiSpec, cfg: QuadratureConfig, cache: ConjugateCache | None
         p = grid[i : i + 1]
         return float((cache.ystar[i] - cache.psi_log_grid[i]) - p[0] * slope(p)[0])
 
-    try:
-        p_0 = float(cache.grid[0])
-        # the floor L: -inf, and no row capped, where sup|f| is infinite or 0
-        exact_0 = _power_norm(nodes, beta(p_0), beta(p_0), cfg) if math.isfinite(log_sup) else None
-        floor = math.log(exact_0) - float(cache.psi_log_grid[0]) if exact_0 else -math.inf
-        extensions = 0
-        while True:
-            grid, psi_log = cache.grid, cache.psi_log_grid
-            margin = _P_MARGIN + _P_MARGIN_ULPS * np.spacing(abs(log_sup) + abs(floor)) + _CAP_REL_TOLS * cfg.rel_tol if math.isfinite(floor) else 0.0
-            # the last row whose bound reaches the floor, and the grid point after it
-            last = int(np.max(np.flatnonzero(~(log_sup - psi_log < floor - margin)), initial=0))
-            top = min(last + 1, grid.size - 1)
-            lo, hi = beta(p_lo), beta(float(grid[top]))
-            # beta = p spans decades, beta < 1 / r does not
-            ev = PowerNormEvaluator(nodes, cfg, yardsticks=(lo, math.sqrt(lo * hi) if r == 0.0 else 0.5 * (lo + hi), hi))
-            vals = np.full(grid.size, -math.inf)
-            vals[: last + 1] = ev.log_norm(beta(grid[: last + 1])) - psi_log[: last + 1]
-            k = int(np.nanargmax(vals))
-            capped = last < grid.size - 1
-            if capped or k < grid.size - 2 or not math.isfinite(vals[k]):
-                break
-            if cache.p_hi >= _P_CEILING:
-                raise ScanDivergenceError(f"the scan against {phi.label} still rises at p = {_P_CEILING:g}, the top of its last grid extension: psi grows too slowly for sup|f| to cap it")
-            # the best grid ratio is a lower bound too, within the margin
-            floor = max(floor, float(vals[k]))
-            cache = copy.copy(cache)
-            cache.extend()
-            extensions += 1
+    p_0 = float(cache.grid[0])
+    # the floor L: -inf, and no row capped, where sup|f| is infinite or 0
+    exact_0 = _power_norm(nodes, beta(p_0), beta(p_0), cfg) if math.isfinite(log_sup) else None
+    floor = math.log(exact_0) - float(cache.psi_log_grid[0]) if exact_0 else -math.inf
+    extensions = 0
+    while True:
+        grid, psi_log = cache.grid, cache.psi_log_grid
+        margin = _P_MARGIN + _P_MARGIN_ULPS * np.spacing(abs(log_sup) + abs(floor)) + _CAP_REL_TOLS * cfg.rel_tol if math.isfinite(floor) else 0.0
+        # the last row whose bound reaches the floor, and the grid point after it
+        last = int(np.max(np.flatnonzero(~(log_sup - psi_log < floor - margin)), initial=0))
+        top = min(last + 1, grid.size - 1)
+        lo, hi = beta(p_lo), beta(float(grid[top]))
+        # beta = p spans decades, beta < 1 / r does not
+        ev = PowerNormEvaluator(nodes, cfg, yardsticks=(lo, math.sqrt(lo * hi) if r == 0.0 else 0.5 * (lo + hi), hi))
+        vals = np.full(grid.size, -math.inf)
+        vals[: last + 1] = ev.log_norm(beta(grid[: last + 1])) - psi_log[: last + 1]
+        k = int(np.nanargmax(vals))
+        capped = last < grid.size - 1
+        if capped or k < grid.size - 2 or not math.isfinite(vals[k]):
+            break
+        if cache.p_hi >= _P_CEILING:
+            raise ConvergenceFailureError(f"the scan against {phi.label} still rises at p = {_P_CEILING:g}, the top of its last grid extension: psi grows too slowly for sup|f| to cap it")
+        # the best grid ratio is a lower bound too, within the margin
+        floor = max(floor, float(vals[k]))
+        cache = copy.copy(cache)
+        cache.extend()
+        extensions += 1
 
-        best_log, p_star, weight = float(vals[k]), float(grid[k]), float(cache.psi_log_grid[k])
-        i, j = max(k - 1, 0), k + 1
-        a, b = float(cache.ystar[i]), float(cache.ystar[j])
-        # polish only a ratio that rises at a and falls at b
-        g_a = falls_at(i) if math.isfinite(best_log) else math.nan
-        g_b = math.nan
-        if g_a < 0.0 and math.isfinite(b):
-            g_b = falls_at(j)
-        elif g_a < 0.0:
-            b, step = float(cache.ystar[k]), 1.0
-            while not g_b >= 0.0 and abs(b) <= 1e9:
-                b, step = b + step, 2.0 * step
-                g_b = float(falls(np.array([b]))[0])
-        if g_b >= 0.0:
-            ytol = 1e-11 * (b - a) / math.log(grid[j] / grid[i])
-            y, _g = _root(falls, a, b, g_a, g_b, ytol)
-            p = float(phi.dh(np.array([y]))[0])
-            at_p = y - float(phi.h(np.array([y]))[0]) / p
-            fast = float(ev.log_norm(beta(np.array([p])))[0]) - at_p
-            if fast > best_log:
-                best_log, p_star, weight = fast, p, at_p
-        exact = exact_0 if p_star == p_0 and exact_0 is not None else _power_norm(nodes, beta(p_star), beta(p_star), cfg)
-    except ConvergenceFailureError as err:
-        # an L_p member that the adaptive integrator cannot settle means the
-        # scanned ratio has no certified finite supremum
-        raise ScanDivergenceError(
-            f"an L_p member diverges while scanning against {phi.label}; "
-            "the function sits outside this grand space"
-        ) from err
+    best_log, p_star, weight = float(vals[k]), float(grid[k]), float(cache.psi_log_grid[k])
+    i, j = max(k - 1, 0), k + 1
+    a, b = float(cache.ystar[i]), float(cache.ystar[j])
+    # polish only a ratio that rises at a and falls at b
+    g_a = falls_at(i) if math.isfinite(best_log) else math.nan
+    g_b = math.nan
+    if g_a < 0.0 and math.isfinite(b):
+        g_b = falls_at(j)
+    elif g_a < 0.0:
+        b, step = float(cache.ystar[k]), 1.0
+        while not g_b >= 0.0 and abs(b) <= 1e9:
+            b, step = b + step, 2.0 * step
+            g_b = float(falls(np.array([b]))[0])
+    if g_b >= 0.0:
+        ytol = 1e-11 * (b - a) / math.log(grid[j] / grid[i])
+        y, _g = _root(falls, a, b, g_a, g_b, ytol)
+        p = float(phi.dh(np.array([y]))[0])
+        at_p = y - float(phi.h(np.array([y]))[0]) / p
+        fast = float(ev.log_norm(beta(np.array([p])))[0]) - at_p
+        if fast > best_log:
+            best_log, p_star, weight = fast, p, at_p
+    exact = exact_0 if p_star == p_0 and exact_0 is not None else _power_norm(nodes, beta(p_star), beta(p_star), cfg)
     value = exact * math.exp(-weight)
     fast = math.exp(best_log)
     scale = max(value, fast, 1e-300)

@@ -321,7 +321,7 @@ class TestGapCheck:
 
 class TestTail:
     def test_forward_and_converse(self, ctx):
-        rep = tail_check(InversePowerRep(0.5), m=2.0, r=1, u_max=200.0, points=25, ctx=ctx)
+        rep = tail_check(InversePowerRep(0.5), m=2.0, r=1, u_max=200.0, ctx=ctx)
         assert math.isfinite(rep.prefactor) and rep.prefactor > 0.0
         assert rep.max_violation <= 1e-12
         assert math.isfinite(rep.converse_norm) and rep.converse_norm > 0.0
@@ -348,7 +348,7 @@ class TestTail:
         assert value == pytest.approx((2.0**-0.4 / 0.6) ** 1.25 / math.sqrt(2.0 / math.e), rel=1e-12)
 
     def test_bounded_function_trivial_tail(self, ctx):
-        rep = tail_check(PolynomialRep([0.0, 1.0]), m=2.0, r=1, u_max=50.0, points=13, ctx=ctx)
+        rep = tail_check(PolynomialRep([0.0, 1.0]), m=2.0, r=1, u_max=50.0, ctx=ctx)
         # T vanishes past the (normalized) sup, so any prefactor works
         assert rep.max_violation <= 1e-12
 

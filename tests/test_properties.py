@@ -164,7 +164,6 @@ BAD_ARGUMENTS = [
     ("log_power(nu)", lambda nu: psi(log_power(nu), 2.0), (NAN, INF, -INF, 0.0)),
     ("rel_tol", lambda tol: lp_quasinorm(F, 2.0, INTERVAL, QuadratureConfig(rel_tol=tol)), (NAN, INF, -INF, 0.0)),
     ("tail_check(u_max)", lambda u: tail_check(InversePowerRep(0.5), 2.0, 1, u_max=u).prefactor, (NAN, INF, -INF, 2.0)),
-    ("tail_check(points)", lambda n: tail_check(InversePowerRep(0.5), 2.0, 1, points=n).prefactor, (0, 1, 2.5)),
     ("tail_check(r)", lambda r: tail_check(InversePowerRep(0.5), 2.0, r).prefactor, (NAN, INF, -INF, 0, 2.5)),
     ("d_constant(r)", d_constant, (NAN, INF, -INF, 0, 2.5)),
     ("d_constant_log(r)", d_constant_log, (NAN, INF, -INF, 0, 2.5)),

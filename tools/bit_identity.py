@@ -27,7 +27,10 @@ slowest group.  Covered:
   {1, 2, 7, 64}, plain adaptive integrals, in ``--quick`` too;
 * ``g_norm_info`` (value, p_star, extensions and p_cap) of the
   members of ``build_corpus(7)`` under three phi, scans from p_lo = 1 that
-  take the left-edge skip and the polish, in ``--quick`` too;
+  take the left-edge skip and the polish, and of two scans that run out of
+  budget, 1 / (x - 1 - 1e-9) under power_log(2) and x under
+  power_log(1e9), whose records show the error's class, in ``--quick``
+  too;
 * on the members of ``build_corpus(7)``: ``v_quasinorm_info`` of the first
   derivative (r = 1) and ``sup_ratio_from(p_lo=4)`` for three phi, and
   ``weighted_lorentz_g`` with power_log(2) at b = 2 and b = inf, and at
@@ -64,8 +67,8 @@ slowest group.  Covered:
   five kinds), ``markov-sweep``, ``equivalence``, ``transform``, ``tail``
   (at the default s = 0.5 and at s = 0.9), ``rational`` (a generated degree-4 rational function) and ``extremal``,
   and the exit code, stdout and stderr of each run, among them a config
-  with an unknown key, a non-numeric float and an invalid choice, which
-  exits 1.
+  with an unknown key, a non-numeric float and an invalid choice, and the
+  g-norm of 1 / (x - 1 - 1e-9), each of which exits 1.
 """
 
 from __future__ import annotations
@@ -87,6 +90,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from orlimark import (  # noqa: E402
     InversePowerRep,
     NormContext,
+    PolynomialRep,
+    RationalRep,
     TrigPolynomialRep,
     build_corpus,
     custom_phi,
@@ -121,6 +126,7 @@ CLI_RUNS = {
     "norm-lp": ("norm", "[norm]\nkind = lp\np = 3\n"),
     "norm-orlicz": ("norm", "[norm]\nkind = orlicz\n"),
     "norm-gnorm": ("norm", "[norm]\nkind = gnorm\n"),
+    "norm-gnorm-near-pole": ("norm", "[function]\ntext = rational:1|-1.000000001,1\n\n[norm]\nkind = gnorm\n"),
     "norm-vnorm": ("norm", "[norm]\nkind = vnorm\n"),
     "norm-lorentz": ("norm", "[norm]\nkind = lorentz\np = 2\nb = 3\n"),
     "markov-sweep": ("markov-sweep", "[sweep]\nfamily = chebyshev\nn_lo = 2\nn_hi = 6\n"),
@@ -163,6 +169,11 @@ def g_norm_records():
     for label, f in build_corpus(7):
         for phi in PHIS:
             yield "g_norm_info", f"{label} {phi.label}", attempt(lambda: g_norm_info(f, phi, cache=ctx.conjugates(phi)))
+    # every L_p norm of these is finite: the integrator runs out of depth
+    # beside the pole at 1 + 1e-9, and the grid reaches its ceiling still rising
+    near_pole = RationalRep(PolynomialRep([1.0]), PolynomialRep([-(1.0 + 1e-9), 1.0]))
+    for label, f, phi in (("1/(x-1-1e-9)", near_pole, PHIS[1]), ("x", PolynomialRep([0.0, 1.0]), power_log(1e9))):
+        yield "g_norm_info", f"{label} {phi.label}", attempt(lambda: g_norm_info(f, phi))
 
 
 def corpus_records():
@@ -290,7 +301,7 @@ def cli_records():
     with tempfile.TemporaryDirectory() as tmp:
         for name, (command, body) in CLI_RUNS.items():
             cfg = Path(tmp) / f"{name}.cfg"
-            cfg.write_text((FUNCTION if command == "norm" else "") + body)
+            cfg.write_text((FUNCTION if command == "norm" and "[function]" not in body else "") + body)
             base = Path(tmp) / name
             argv = [command, "--config", str(cfg), "--seed", "7", "--out", str(base), "--format", "both"]
             code = "import sys; from orlimark.cli import main; sys.exit(main(sys.argv[1:]))"
