@@ -22,14 +22,15 @@ class ConvergenceFailureError(OrlimarkError):
     top of its last grid extension, or a scan's cached-node and exact
     ratios at its maximizer differ by more than 1e-6 relative.
 
-    Carries the best available estimate and an error bound so callers can
-    decide whether the partial answer is still usable.  From an adaptive
-    integral, ``best_estimate`` is the log of the integral and
-    ``error_bound`` the bound on its error relative to exp(best_estimate).
-    From a scan's certification, ``best_estimate`` is the exact ratio and
-    ``error_bound`` the relative gap to the cached-node one; from a
-    Luxemburg root, ``best_estimate`` is the root l (the Jensen bound at
-    the Jensen end) and ``error_bound`` |log I| there.
+    Carries the best available estimate and an error bound, floats (or
+    None), so callers can decide whether the partial answer is still
+    usable.  From an adaptive integral, ``best_estimate`` is the log of the
+    integral and ``error_bound`` the bound on its error relative to
+    exp(best_estimate), of its worst lane if it has several.  From a scan's
+    certification, ``best_estimate`` is the exact ratio and ``error_bound``
+    the relative gap to the cached-node one; from a scan still rising at
+    its last grid, the best grid ratio and None; from a Luxemburg root, the
+    root l (the Jensen bound at the Jensen end) and |log I| there.
     """
 
     def __init__(self, message, best_estimate=None, error_bound=None):

@@ -47,8 +47,10 @@ Three norm families ride on top:
   holds: the mean of log|f| under the normalised weights of |f|^beta.
   Both scans ask the one ``quadrature.PowerNormEvaluator`` one question,
   ``log_norm(e)``; it and the model of the log modular are built on
-  ``quadrature._NodeRule``, and the integrals of one call read one
-  ``quadrature._NodeStore``, which computes each node's value once.
+  ``quadrature._NodeRule``, and the integrals of f read one
+  ``quadrature._NodeStore``, which computes each node's value and each
+  exact L_p integral once and serves the next norm of the same f too: the
+  L1 integral of a Luxemburg solve is the floor of the g-scan after it.
 * ``weighted_lorentz_g``: sup over p >= 1 of a Lorentz norm over psi(p),
   with no scan.  At finite b the norm does not rise with p and psi does
   not fall, so the supremum is the ratio at p = 1, one exact layer cake;
@@ -101,7 +103,6 @@ from .quadrature import (
     _adaptive,
     _break_values,
     _bracketed_root,
-    _carrier,
     _check_lp_exponent,
     _NodeRule,
     _NodeStore,
@@ -239,7 +240,7 @@ def luxemburg_norm(f, n: OrliczN, cfg: QuadratureConfig = DEFAULT_CONFIG) -> flo
     if sup == 0.0:
         return 0.0
     nodes = _abs_nodes(f)
-    log_l1, _err, p_lo, p_hi = _adaptive(nodes, lambda g: g, cfg)
+    log_l1, _err, p_lo, p_hi = nodes.power_integral(1.0, cfg)
     lo = n.linear_slope * math.exp(log_l1 + nodes.log_density)
     t_lo, t_k = math.log(lo), math.log(sup / n.splice_point)
     if t_lo >= t_k:
@@ -471,7 +472,7 @@ def _g_scan(f, phi: PhiSpec, cfg: QuadratureConfig, cache: ConjugateCache | None
         if capped or k < grid.size - 2 or not math.isfinite(vals[k]):
             break
         if cache.p_hi >= _P_CEILING:
-            raise ConvergenceFailureError(f"the scan against {phi.label} still rises at p = {_P_CEILING:g}, the top of its last grid extension: psi grows too slowly for sup|f| to cap it")
+            raise ConvergenceFailureError(f"the scan against {phi.label} still rises at p = {_P_CEILING:g}, the top of its last grid extension: psi grows too slowly for sup|f| to cap it", best_estimate=math.exp(vals[k]))
         # the best grid ratio is a lower bound too, within the margin
         floor = max(floor, float(vals[k]))
         cache = copy.copy(cache)
@@ -499,7 +500,7 @@ def _g_scan(f, phi: PhiSpec, cfg: QuadratureConfig, cache: ConjugateCache | None
         fast = float(ev.log_norm(beta(np.array([p])))[0]) - at_p
         if fast > best_log:
             best_log, p_star, weight = fast, p, at_p
-    exact = exact_0 if p_star == p_0 and exact_0 is not None else _power_norm(nodes, beta(p_star), beta(p_star), cfg)
+    exact = _power_norm(nodes, beta(p_star), beta(p_star), cfg)
     value = exact * math.exp(-weight)
     fast = math.exp(best_log)
     scale = max(value, fast, 1e-300)
@@ -918,7 +919,7 @@ def evaluate_norm_info(f, spec: NormSpec, ctx: NormContext | None = None) -> Sca
     if spec.kind == "vnorm":
         return v_quasinorm_info(f, spec.phi, spec.r, cfg, cache=context.conjugates(spec.phi, p_lo=V_SCAN_P_LO))
     if spec.kind == "lp":
-        value = lp_quasinorm(f, spec.p, _carrier(f)[0], cfg)
+        value = lp_quasinorm(f, spec.p, cfg=cfg)
     elif spec.kind == "orlicz":
         value = luxemburg_norm(f, context.orlicz(spec.phi), cfg)
     else:

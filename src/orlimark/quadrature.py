@@ -41,16 +41,18 @@ integrated in y = -log(distance to it), where log|f| = q y, as QAWS and
 Takahasi & Mori (1974) give such an end a coordinate of its own: by the
 rule up to the smallest normal distance, and beyond it in closed form.
 
-Every integral reads its node values from a ``_NodeStore`` that lives for
-one call and carries the measure its integrals are taken against, as a
-column of log weights: the layer-cake measure on the level map of the
-Lorentz norms, log dx/ds at a singular end.  A call that integrates the
-same node values several times (the Luxemburg solve, a p scan with its
-re-validation) shares one store, so each Gauss panel's values are computed
-once, as Gander & Gautschi (2000) reuse integrand values across
-refinements.  ``PowerNormEvaluator``, the evaluator of the L_p scans, and
-the Luxemburg model rest on one cached-node rule, ``_NodeRule``, that reads
-the same store: one log-sum-exp per query.
+Every integral reads its node values from a ``_NodeStore``, which carries
+the measure its integrals are taken against, as a column of log weights:
+the layer-cake measure on the level map of the Lorentz norms, log dx/ds at
+a singular end.  Integrals of the same node values (the Luxemburg solve, a
+p scan with its re-validation) share one store, so each Gauss panel's
+values are computed once, as Gander & Gautschi (2000) reuse integrand
+values across refinements, and a store takes each exact power integral
+once.  The store of log|f| outlives its call until a norm of another
+function asks for one: consecutive norms of one f (a harness row's B, G
+and R) continue it.  ``PowerNormEvaluator``, the evaluator of the L_p
+scans, and the Luxemburg model rest on one cached-node rule,
+``_NodeRule``, that reads the same store: one log-sum-exp per query.
 
 The norms are taken against Lebesgue measure scaled to total mass one:
 ``_adaptive`` integrates against plain dx times the store's weights, and
@@ -233,8 +235,8 @@ def _initial_edges(lo, hi, breaks):
 
 
 class _NodeStore:
-    """The node values of one call's integrals over [lo, hi], each computed
-    once, with the log weights of the measure they are integrated against.
+    """The node values of integrals over [lo, hi], each computed once, with
+    the log weights of the measure they are integrated against.
 
     ``values`` maps a flat array of abscissae to the node value g of its
     shape: log|f| for the integrals of a function of |f|, log T on the level
@@ -247,7 +249,8 @@ class _NodeStore:
     span [lo, hi], and halves its panels, so panels recur bit for bit; an
     integral that adds break points of its own to the edges splits the
     panels they fall in, whose pieces are new keys.  Integrals against the
-    normalized measure add ``log_density``.
+    normalized measure add ``log_density``.  ``power_integral`` takes each
+    exact integral of e^(e g) once.
 
     With the power ``q`` of a singular end at hi (on an unweighted store),
     where g = log|f| = q y at distance e^-y below hi, the last initial panel
@@ -266,6 +269,7 @@ class _NodeStore:
         # the sorted keys, and the row of each in the columns: g, and the log weight if any
         self._keys, self._index = self.edges[:-1] + 1j * self.edges[1:], np.arange(self.edges.size - 1)
         self._cols = self._evaluate(self.edges[:-1], self.edges[1:])
+        self._powers = {}
 
     def _evaluate(self, p_lo, p_hi):
         xs = _panel_nodes(p_lo, p_hi)[0]
@@ -296,6 +300,15 @@ class _NodeStore:
         cols = [c[at] for c in self._cols]
         return cols[0], cols[1] if len(cols) > 1 else None
 
+    def power_integral(self, e: float, cfg):
+        """``_adaptive`` of e^(e g) on this store, taken once for each
+        (e, cfg): the log integral, its error and its panels' read-only ends."""
+        if (e, cfg) not in self._powers:
+            out = self._powers[e, cfg] = _adaptive(self, lambda g: e * g, cfg)
+            for ends in out[2:]:
+                ends.flags.writeable = False
+        return self._powers[e, cfg]
+
     def growth(self) -> float:
         """The growth rate of g at the singular end in y = -log(distance), the
         power q it states, and 0 without a singular end."""
@@ -317,13 +330,22 @@ class _NodeStore:
         return g[..., 0] - np.log(-slope), self._q * y[0, 0] + self._q / -slope
 
 
+# the last function given to ``_abs_nodes`` and its store; the library is single-threaded
+_held = None
+
+
 def _abs_nodes(f) -> _NodeStore:
     """A node store of log|f| on its domain, whose integrals start at the
     break points of f, take its singular end in distance, if it states the
-    end's power, and are taken against the normalized measure."""
-    domain, xs = _carrier(f)
-    q = getattr(f, "singular_end", lambda: None)()
-    return _NodeStore(log_abs_of(f), _initial_edges(domain.lo, domain.hi, xs), math.log(domain.density), q)
+    end's power, and are taken against the normalized measure.  The same
+    object as the last call's (``is``: == ignores a ``PolynomialRep``'s
+    ``cheb``, which changes its bits) continues that call's store."""
+    global _held
+    if _held is None or _held[0] is not f:
+        domain, xs = _carrier(f)
+        q = getattr(f, "singular_end", lambda: None)()
+        _held = f, _NodeStore(log_abs_of(f), _initial_edges(domain.lo, domain.hi, xs), math.log(domain.density), q)
+    return _held[1]
 
 
 def _adaptive(nodes: _NodeStore, transform, cfg, breaks=None):
@@ -355,7 +377,8 @@ def _adaptive(nodes: _NodeStore, transform, cfg, breaks=None):
     Past the depth or panel budget it raises ConvergenceFailureError whose
     ``best_estimate`` is the log of the accepted sum plus the mass of the
     live panels and whose ``error_bound`` is the accepted error plus that
-    live mass, relative to exp(best_estimate); one value a lane each.
+    live mass, relative to exp(best_estimate): floats, of the lane whose
+    bound is largest.
     """
 
     def terms(p_lo, p_hi):
@@ -426,8 +449,9 @@ def _adaptive(nodes: _NodeStore, transform, cfg, breaks=None):
     total = acc_sum + live_mass
     with np.errstate(divide="ignore", invalid="ignore"):
         # crude bound: the full live mass, relative to the estimate
-        best, bound = result(c + np.log(total), (acc_err + live_mass) / total)
-    raise ConvergenceFailureError(f"quadrature did not converge within depth {_MAX_DEPTH}", best_estimate=best, error_bound=bound)
+        best, bound = c + np.log(total), (acc_err + live_mass) / total
+    worst = int(np.argmax(bound))
+    raise ConvergenceFailureError(f"quadrature did not converge within depth {_MAX_DEPTH}", best_estimate=float(best[worst]), error_bound=float(bound[worst]))
 
 
 class _NodeRule:
@@ -539,7 +563,7 @@ def _power_norm(nodes: _NodeStore, e: float, q: float, cfg: QuadratureConfig) ->
     g: ||f||_p at e = q = p on a store of log|f|, ||f||_(p,b) at e = p / b,
     q = b on the level store of the layer cake."""
     # exp(-inf) is 0 where the integrand vanishes on every node
-    return math.exp((_adaptive(nodes, lambda g: e * g, cfg)[0] + nodes.log_density) / q)
+    return math.exp((nodes.power_integral(e, cfg)[0] + nodes.log_density) / q)
 
 
 def _check_lp_exponent(p: float) -> None:
@@ -549,14 +573,15 @@ def _check_lp_exponent(p: float) -> None:
         raise RejectedInputError(f"exponent must be positive and finite, got {p!r}")
 
 
-def lp_quasinorm(f, p: float, domain: Domain, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def lp_quasinorm(f, p: float, domain: Domain | None = None, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """(integral |f|^p dmu)^(1/p); a norm for p >= 1, quasinorm below.
 
-    The integral is on f's own domain, which ``domain`` must be, or
-    RejectedInputError, and starts with the break points of f as panel edges.
+    The integral is on f's own domain, which ``domain``, if given, must be,
+    or RejectedInputError, and starts with the break points of f as panel
+    edges.
     """
     _check_lp_exponent(p)
-    if domain != _carrier(f)[0]:
+    if domain is not None and domain != _carrier(f)[0]:
         raise RejectedInputError(f"{type(f).__name__} is taken on its own domain {f.natural_domain}, not on {domain}")
     return _power_norm(_abs_nodes(f), p, p, cfg)
 

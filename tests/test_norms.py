@@ -1,5 +1,6 @@
 """Norm layer: N-splice, Luxemburg, grand-Lebesgue scans, Lorentz, V, constants."""
 
+import copy
 import functools
 import math
 import warnings
@@ -29,7 +30,7 @@ from orlimark.functions import (
     jacobi22,
     random_family,
 )
-from orlimark.harness import build_corpus, markov_ratio
+from orlimark.harness import build_corpus, equivalence_band, markov_ratio
 from orlimark.norms import (
     EquivalenceConstants,
     NormContext,
@@ -468,7 +469,8 @@ class TestLuxemburg:
     def test_constant_takes_no_modular_integral(self, c, phi2, ctx, monkeypatch):
         # |c| / l stays on the linear branch of N, where the modular is
         # slope ||f||_1 / l in closed form: the norm is slope ||f||_1, from
-        # the one integral a solve starts with, the L1 one
+        # the one integral a solve starts with, the L1 one, which the node
+        # store takes and the modulars of norms do not
         adaptive, calls = norms._adaptive, []
 
         def l1_only(*args):
@@ -478,9 +480,11 @@ class TestLuxemburg:
             return adaptive(*args)
 
         n = ctx.orlicz(phi2)
+        # a copy of f of its own, whose store takes its L1 integral afresh
+        l1 = lp_quasinorm(PolynomialRep([c]), 1.0, INTERVAL)
         f = PolynomialRep([c])
-        l1 = lp_quasinorm(f, 1.0, INTERVAL)
-        monkeypatch.setattr(norms, "_adaptive", l1_only)
+        for module in (quadrature, norms):
+            monkeypatch.setattr(module, "_adaptive", l1_only)
         value = luxemburg_norm(f, n)
         assert len(calls) == 1
         assert value == n.linear_slope * l1
@@ -496,7 +500,9 @@ class TestLuxemburg:
             value, *rest = adaptive(*args)
             return (value + math.log(1.1) if len(calls) == 1 else value), *rest
 
-        monkeypatch.setattr(norms, "_adaptive", l1_high)
+        # the node store takes the L1 integral, norms the modulars
+        for module in (quadrature, norms):
+            monkeypatch.setattr(module, "_adaptive", l1_high)
         with pytest.raises(ConvergenceFailureError, match="at the Jensen bound") as info:
             luxemburg_norm(PolynomialRep([0.3, 1.0, -0.7]), ctx.orlicz(phi2))
         assert info.value.error_bound >= 1e-8
@@ -514,7 +520,9 @@ class TestLuxemburg:
                 value += 0.01 if value > math.log(INTERVAL.length) else -0.01
             return value, *rest
 
-        monkeypatch.setattr(norms, "_adaptive", jumping)
+        # the node store takes the L1 integral, norms the modulars
+        for module in (quadrature, norms):
+            monkeypatch.setattr(module, "_adaptive", jumping)
         with pytest.raises(ConvergenceFailureError, match="leaves the log modular") as info:
             luxemburg_norm(PolynomialRep([0.3, 1.0, -0.7]), ctx.orlicz(phi2))
         assert info.value.error_bound == pytest.approx(0.01, rel=1e-6)
@@ -546,10 +554,72 @@ class TestLuxemburg:
         assert len(exact_solves) == 1
         assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
 
+    @staticmethod
+    def _patched_solve(monkeypatch, offset, shift=0.0, scale=1.0):
+        """Patch the model of log I up by ``offset`` and every exact log I to
+        scale * log I + shift; returns the list that collects the t of each
+        exact integral, up to a constant: minus the integrand's log at a node
+        value of -1000, on the linear branch of N, is t + 1000 - log slope."""
+        log_mean, adaptive, ts = quadrature._NodeRule.log_mean, norms._adaptive, []
+        log_density = math.log(INTERVAL.density)
+
+        def model_off(self, log_integrand):
+            return log_mean(self, log_integrand) + offset
+
+        def exact(nodes, transform, *args):
+            ts.append(-float(transform(np.array([-1000.0]))[0]))
+            value, *rest = adaptive(nodes, transform, *args)
+            return (value + log_density) * scale + shift - log_density, *rest
+
+        monkeypatch.setattr(quadrature._NodeRule, "log_mean", model_off)
+        monkeypatch.setattr(norms, "_adaptive", exact)
+        return ts
+
+    @staticmethod
+    def _near_jensen(n, k=50, excess=1e-4):
+        """1 + A x^(2k), whose sup over its mean exceeds knee * slope by
+        ``excess`` relative: |f| / l crosses the knee only within about
+        1e-4 / k of the ends, so the root lies within 1e-13 of the Jensen
+        end, and t_lo < t_k."""
+        ratio = n.splice_point * n.linear_slope * (1.0 + excess)
+        a = (ratio - 1.0) / (1.0 - ratio / (2 * k + 1))
+        return [1.0] + [0.0] * (2 * k - 1) + [a]
+
+    @pytest.mark.parametrize("offset", [-0.5, 0.5])
+    def test_jensen_end_returns_the_bound(self, offset, phi2, ctx, monkeypatch):
+        # exact log I 1e-9 low reads below zero at the Jensen end, within the
+        # 1e-8 that quadrature noise is allowed: the Jensen bound is the norm.
+        # A model 0.5 low puts the root at the Jensen end in the first round;
+        # one 0.5 high reads above zero on the whole bracket, so no round
+        # integrates, and the first step down, -v_b = t_k - t_lo, reaches it
+        n = ctx.orlicz(phi2)
+        coeffs = self._near_jensen(n)
+        expected = luxemburg_norm(PolynomialRep(coeffs), n)
+        jensen = n.linear_slope * lp_quasinorm(PolynomialRep(coeffs), 1.0)
+        ts = self._patched_solve(monkeypatch, offset, shift=-1e-9)
+        value = luxemburg_norm(PolynomialRep(coeffs), n)
+        assert len(ts) == 1
+        assert value == jensen
+        assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_step_down_doubles_its_step(self, phi2, ctx, monkeypatch):
+        # exact log I scaled by 0.3 keeps its root but falls more slowly than
+        # d log I / dt <= -1 promises: a model 0.1 high leaves every round's
+        # integral above the root, and from there each step down of -v_b
+        # stays above it too, so the step doubles until one crosses
+        f, n = PolynomialRep([0.3, 1.0, -0.7]), ctx.orlicz(phi2)
+        expected = luxemburg_norm(PolynomialRep([0.3, 1.0, -0.7]), n)
+        ts = self._patched_solve(monkeypatch, 0.1, scale=0.3)
+        value = luxemburg_norm(f, n)
+        steps = np.diff(ts)
+        assert any(second == pytest.approx(2.0 * first, rel=1e-9) and first < 0.0 for first, second in zip(steps, steps[1:]))
+        assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("degree", [120, 200])
     def test_high_degree_takes_few_exact_integrals(self, degree, phi2, ctx, monkeypatch):
         # at the Jensen end the modular of a high-degree polynomial explodes;
-        # the model keeps the exact integrals near the root, where they converge
+        # the model keeps the exact integrals near the root, where they
+        # converge; the node store takes the L1 integral, norms the modulars
         adaptive, calls, failures = norms._adaptive, [], []
 
         def counted(*args):
@@ -564,7 +634,7 @@ class TestLuxemburg:
         for f in (jacobi22(degree), derivative(jacobi22(degree), 1)):
             calls.clear()
             assert luxemburg_norm(f, ctx.orlicz(phi2)) > 0.0
-            assert len(calls) - 1 <= 4
+            assert len(calls) <= 4
         assert not failures
 
     def test_fast_orlicz_function(self, ctx):
@@ -574,6 +644,54 @@ class TestLuxemburg:
         n = ctx.orlicz(phi4)
         value = luxemburg_norm(PolynomialRep([0.0, 0.0, 3.0]), n)
         assert value > 0.0
+
+
+class TestNodeStoreRow:
+    """Consecutive norms of one function continue its node store, matched
+    by identity, and take each exact L_p integral once, with the bits of
+    the same norms taken cold."""
+
+    @pytest.mark.parametrize("phi", [power_log(2.0), log_power(1.0)], ids=lambda phi: phi.label)
+    def test_row_matches_cold_norms(self, phi, ctx):
+        row = {
+            "B": lambda f: luxemburg_norm(f, ctx.orlicz(phi)),
+            "G": lambda f: g_norm_info(f, phi, cache=ctx.conjugates(phi)).value,
+            "R": lambda f: sup_ratio_from(f, phi, 4.0, cache=ctx.conjugates(phi, p_lo=4.0)),
+        }
+        for label, f in build_corpus(7):
+            cold = {name: norm(copy.deepcopy(f)) for name, norm in row.items()}
+            for order in ("BGR", "RGB"):
+                g = copy.deepcopy(f)
+                assert {name: row[name](g) for name in order} == cold, (label, order)
+
+    def test_band_takes_one_l1_integral_per_member(self, phi2, ctx, monkeypatch):
+        # the L1 integral is B's Jensen bound and G's floor at p = 1: the
+        # node store takes it once for both
+        adaptive, l1 = quadrature._adaptive, []
+        probe = np.array([-2.0, 0.5])
+
+        def counted(nodes, transform, cfg, *breaks):
+            if not breaks and np.array_equal(transform(probe), probe):
+                l1.append(nodes)
+            return adaptive(nodes, transform, cfg, *breaks)
+
+        for module in (quadrature, norms):
+            monkeypatch.setattr(module, "_adaptive", counted)
+        corpus = build_corpus(7)
+        equivalence_band(corpus, phi2, ctx)
+        assert len(l1) == len(corpus)
+
+    def test_equal_functions_keep_stores_of_their_own(self):
+        # == ignores cheb, which Clenshaw evaluates to other bits than Horner
+        # evaluates the monomial coefficients
+        with_cheb = jacobi22(10)
+        plain = PolynomialRep(with_cheb.coeffs)
+        assert plain == with_cheb
+        assert lp_quasinorm(plain, 2.0) != lp_quasinorm(with_cheb, 2.0)
+        assert quadrature._abs_nodes(plain) is not quadrature._abs_nodes(with_cheb)
+        assert quadrature._abs_nodes(with_cheb) is quadrature._abs_nodes(with_cheb)
+        assert lp_quasinorm(with_cheb, 2.0) == lp_quasinorm(jacobi22(10), 2.0)
+        assert lp_quasinorm(plain, 2.0) == lp_quasinorm(PolynomialRep(with_cheb.coeffs), 2.0)
 
 
 class TestGNorm:
@@ -784,6 +902,23 @@ class TestGNorm:
         # the supremum is at most sup|x| / psi(1), finite
         with pytest.raises(ConvergenceFailureError, match="top of its last grid extension"):
             g_norm_info(PolynomialRep([0.0, 1.0]), power_log(1e9))
+
+    def test_ceiling_reports_the_best_grid_ratio(self):
+        with pytest.raises(ConvergenceFailureError, match="top of its last grid extension") as info:
+            g_norm_info(PolynomialRep([0.0, 1.0]), power_log(1e9))
+        assert type(info.value.best_estimate) is float
+        assert math.isfinite(info.value.best_estimate) and info.value.best_estimate > 0.0
+        assert info.value.error_bound is None
+
+    def test_failed_evaluator_reports_its_worst_lane(self, phi2):
+        # the evaluator integrates its three yardsticks as lanes of one
+        # integral; only the top one fails to settle beside the pole, and
+        # the error reports that lane's floats
+        f = RationalRep(PolynomialRep([1.0]), PolynomialRep([-1.000000001, 1.0]))
+        with pytest.raises(ConvergenceFailureError, match="quadrature did not converge") as info:
+            g_norm_info(f, phi2)
+        assert type(info.value.best_estimate) is float and type(info.value.error_bound) is float
+        assert info.value.error_bound == pytest.approx(0.99996, abs=1e-5)
 
     def test_quadrature_budget_is_not_divergence(self, phi2):
         # 1 / (x - 1 - 1e-9) is bounded by 1e9 on [-1, 1], so every L_p norm
@@ -1332,8 +1467,8 @@ def test_modular_integrals_take_two_waves(ctx, monkeypatch):
         for _label, f in build_corpus(7):
             waves.clear()
             luxemburg_norm(f, n)
-            # the first integral of a solve is the L1 one
-            modular += waves[1:]
+            # the node store takes the L1 integral, norms the modulars
+            modular += waves
     assert max(modular) <= 2
     assert len(modular) <= 169
 

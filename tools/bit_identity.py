@@ -42,6 +42,11 @@ slowest group.  Covered:
   point of the table, one whose knee is the start of its clamp at zero);
 * ``luxemburg_norm`` of the members of ``build_corpus(7)`` under three phi,
   and of ``jacobi22(120)`` and its derivative under power_log(2);
+* ``row``: ``g_norm_info``, then ``luxemburg_norm``, then
+  ``sup_ratio_from(p_lo=4)`` of each member of ``build_corpus(7)`` under
+  power_log(2), one object for all three, the reverse of the ``band``
+  order: the Luxemburg solve reads the node store and the L1 integral that
+  the scan left;
 * ``lorentz_norm`` of the 30 polynomials of ``build_corpus(7)`` at
   (p, b) = (1, 1), (2, 2), (3, 3), (2, 3) and (3, inf), and of its trig,
   gap and rational members, of the derivative of gap-01 (a
@@ -161,7 +166,7 @@ def band_records():
 def lp_records():
     for label, f in build_corpus(7):
         for p in (1.0, 2.0, 7.0, 64.0):
-            yield "lp", f"{label} p={p}", attempt(lambda: lp_quasinorm(f, p, f.natural_domain))
+            yield "lp", f"{label} p={p}", attempt(lambda: lp_quasinorm(f, p))
 
 
 def g_norm_records():
@@ -221,6 +226,15 @@ def luxemburg_records():
         yield "luxemburg", f"{label} {phi2.label}", attempt(lambda: luxemburg_norm(f, ctx.orlicz(phi2)))
 
 
+def row_records():
+    ctx = NormContext()
+    phi = PHIS[1]
+    for label, f in build_corpus(7):
+        yield "row", f"{label} g_norm_info", attempt(lambda: g_norm_info(f, phi, cache=ctx.conjugates(phi)))
+        yield "row", f"{label} luxemburg", attempt(lambda: luxemburg_norm(f, ctx.orlicz(phi)))
+        yield "row", f"{label} sup_ratio_from", attempt(lambda: sup_ratio_from(f, phi, 4.0, cache=ctx.conjugates(phi, p_lo=4.0)))
+
+
 def lorentz_records():
     corpus = build_corpus(7)
     for label, f in corpus:
@@ -240,10 +254,9 @@ def rational_derivative_records():
         label = f"rational-{n:02d}"
         for r in range(1, 5):
             d = derivative(corpus[label], r)
-            dom = d.natural_domain
             yield "rational_derivative", f"{label} r={r} sup", attempt(lambda: sup_norm(d))
             yield "rational_derivative", f"{label} r={r} lorentz p=2 b=2", attempt(lambda: lorentz_norm(d, 2.0, 2.0))
-            yield "rational_derivative", f"{label} r={r} lp p=2", attempt(lambda: lp_quasinorm(d, 2.0, dom))
+            yield "rational_derivative", f"{label} r={r} lp p=2", attempt(lambda: lp_quasinorm(d, 2.0))
 
 
 def tail_fields(s, r):
@@ -254,7 +267,7 @@ def tail_fields(s, r):
 def singular_records():
     for q, beta in ((0.5, 0.8), (0.8, 0.9), (0.9, 0.95), (0.9, 64.0 / 65.0), (0.99, 1.0)):
         yield "singular", f"lp_quasinorm q={q!r} beta={beta!r}", attempt(
-            lambda: lp_quasinorm(InversePowerRep(q), beta, InversePowerRep(q).natural_domain)
+            lambda: lp_quasinorm(InversePowerRep(q), beta)
         )
     for s in (0.5, 0.9):
         for r in (1, 2):
@@ -389,6 +402,7 @@ def main(argv):
         corpus_records,
         knee_records,
         luxemburg_records,
+        row_records,
         lorentz_records,
         rational_derivative_records,
         singular_records,
