@@ -39,7 +39,7 @@ from .conjugate import (
     tabulated_phi,
     young_fenchel_lanes,
 )
-from .errors import ConfigError, ConjugateDivergenceError, ConstructionError, OrlimarkError, SummabilityError
+from .errors import ConfigError, ConjugateDivergenceError, ConstructionError, OrlimarkError, RejectedInputError, SummabilityError
 from .functions import RANDOM_FAMILIES, InversePowerRep, RationalRep, from_text, random_family, to_text
 from .harness import (
     SWEEP_FAMILIES,
@@ -54,7 +54,6 @@ from .harness import (
     tail_check,
 )
 from .norms import NORM_KINDS, NormContext, NormSpec, equivalence_constants, evaluate_norm_info
-from .norms import gnorm_spec, lorentz_spec, lp_spec, orlicz_spec, vnorm_spec
 from .quadrature import QuadratureConfig
 
 COMMANDS = ("norm", "transform", "markov-sweep", "equivalence", "rational", "tail", "extremal")
@@ -263,11 +262,15 @@ def _build_phi(cfg: ExperimentConfig):
         return log_power(cfg.phi_nu)
     zs, vals = [], []
     with open(cfg.phi_table, "r", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].lstrip().startswith("#"):
                 continue
-            zs.append(float(row[0]))
-            vals.append(float(row[1]))
+            try:
+                zs.append(float(row[0]))
+                vals.append(float(row[1]))
+            except (IndexError, ValueError) as exc:
+                raise RejectedInputError(f"phi table {cfg.phi_table}: line {reader.line_num}: expected two numbers z,value, got {','.join(row)!r}") from exc
     return tabulated_phi(zs, vals)
 
 
@@ -275,19 +278,6 @@ def _build_function(cfg: ExperimentConfig):
     if cfg.fn_text is not None:
         return from_text(cfg.fn_text)
     return random_family(cfg.fn_family, cfg.fn_degree, cfg.seed)
-
-
-def _norm_spec(cfg: ExperimentConfig, phi) -> NormSpec:
-    kind = cfg.norm_kind
-    if kind == "lp":
-        return lp_spec(cfg.norm_p)
-    if kind == "lorentz":
-        return lorentz_spec(cfg.norm_p, cfg.norm_b)
-    if kind == "vnorm":
-        return vnorm_spec(phi, cfg.norm_order)
-    if kind == "orlicz":
-        return orlicz_spec(phi)
-    return gnorm_spec(phi)
 
 
 def _or_null(solve, *args):
@@ -318,7 +308,7 @@ def _constants_block(phi, ctx: NormContext) -> dict:
 
 def _run_norm(cfg: ExperimentConfig, phi, ctx: NormContext):
     f = _build_function(cfg)
-    spec = _norm_spec(cfg, phi)
+    spec = NormSpec(cfg.norm_kind, p=cfg.norm_p, b=cfg.norm_b, r=float(cfg.norm_order), phi=phi)
     info = evaluate_norm_info(f, spec, ctx=ctx)
     value, p_star = info.value, info.p_star
     result = {
@@ -366,7 +356,7 @@ def _run_transform(cfg: ExperimentConfig, phi, ctx: NormContext):
 
 
 def _run_markov_sweep(cfg: ExperimentConfig, phi, ctx: NormContext):
-    spec = _norm_spec(cfg, phi)
+    spec = NormSpec(cfg.norm_kind, p=cfg.norm_p, b=cfg.norm_b, r=float(cfg.norm_order), phi=phi)
     report = markov_sweep(
         phi,
         cfg.sweep_family,

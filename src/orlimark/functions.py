@@ -99,18 +99,6 @@ def _polyadd(c1, c2) -> np.ndarray:
     return _trimseq(out)
 
 
-def _polysub(c1, c2) -> np.ndarray:
-    """``polysub``: as ``polyadd``, into -c2 where c2 is not the shorter."""
-    c1, c2 = _trimseq(c1), _trimseq(c2)
-    if c1.size > c2.size:
-        out = c1.copy()
-        out[: c2.size] -= c2
-    else:
-        out = -c2
-        out[: c1.size] += c1
-    return _trimseq(out)
-
-
 def _polyder(c: np.ndarray) -> np.ndarray:
     """``polyder(c)``: k c[k] at index k - 1, untrimmed; c[:1] * 0 for a constant."""
     if c.size <= 1:
@@ -176,7 +164,7 @@ def _cheb2poly(c) -> np.ndarray:
         return c.copy()
     c0, c1 = c[-2:-1], c[-1:]
     for i in range(c.size - 1, 1, -1):
-        c0, c1 = _polysub(c[i - 2 : i - 1], c1), _polyadd(c0, _polymulx(c1) * 2)
+        c0, c1 = _polyadd(c[i - 2 : i - 1], -c1), _polyadd(c0, _polymulx(c1) * 2)
     return _polyadd(c0, _polymulx(c1))
 
 
@@ -496,7 +484,7 @@ class RationalRep:
         ds = _polyder(s) if s.size > 1 else np.zeros(1)
         for k in range(j, j + order):
             dn = _polyder(num) if num.size > 1 else np.zeros(1)
-            num = _polysub(_polymul(dn, s), k * _polymul(num, ds))
+            num = _polyadd(_polymul(dn, s), -(k * _polymul(num, ds)))
             den = _polymul(den, s)
             _check_overflow(num)
             _check_overflow(den)
@@ -509,7 +497,7 @@ class RationalRep:
         """Domain ends and the real zeros of p and of p' s - k p s' inside,
         for f = p / s^k."""
         p, (s, k) = np.array(self.num.coeffs or (0.0,)), self._den_base
-        crit = _polysub(_polymul(_polyder(p), s), _polymul(np.array([float(k)]), _polymul(p, _polyder(s))))
+        crit = _polyadd(_polymul(_polyder(p), s), -_polymul(np.array([float(k)]), _polymul(p, _polyder(s))))
         return _breaks(self, _real_zeros(_poly2cheb(p)), _real_zeros(_poly2cheb(crit)))
 
     def __eq__(self, other):
@@ -698,7 +686,7 @@ class GapDerivative:
         and S^2 + S' = (N^2 + N'D - N D') / D^2.
         """
         num, den = _log_derivative(self.rep.factors)
-        crit = _polysub(_polyadd(_polymul(num, num), _polymul(_polyder(num), den)), _polymul(num, _polyder(den)))
+        crit = _polyadd(_polyadd(_polymul(num, num), _polymul(_polyder(num), den)), -_polymul(num, _polyder(den)))
         nodes = [a for a, b, _r in self.rep.factors if b == 0.0]
         return _breaks(self, nodes, _real_zeros(_poly2cheb(num)), _real_zeros(_poly2cheb(crit)))
 

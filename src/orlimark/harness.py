@@ -585,7 +585,8 @@ def equivalence_band(
     constants, where G / R = psi(4) / psi(1) for a rising psi; moment
     monotonicity (||f||_p <= ||f||_4 for p <= 4) gives the corrected
     max(1, psi(4) / min psi), min over the grid points of [1, 4].  A
-    displayed miss is a finding about the chain, not a violation.
+    displayed miss is a finding about the chain, not a violation.  A zero
+    member raises DegenerateInputError, which names it.
     """
     corpus = list(corpus)
     if not corpus:
@@ -603,6 +604,8 @@ def equivalence_band(
     ratios = []
     for label, f in corpus:
         b = evaluate_norm(f, b_spec, context)
+        if b == 0.0:
+            raise DegenerateInputError(f"corpus member {label!r} is zero; its norm ratio is undefined")
         g = evaluate_norm(f, g_spec, context)
         log_ratio = math.log(b) - math.log(g)
         ratios.append(math.exp(log_ratio))

@@ -95,6 +95,7 @@ from .errors import (
     SummabilityError,
 )
 from .quadrature import (
+    _INITIAL_PANELS,
     DEFAULT_CONFIG,
     LevelSampler,
     PowerNormEvaluator,
@@ -389,7 +390,7 @@ def _g_scan(f, phi: PhiSpec, cfg: QuadratureConfig, cache: ConjugateCache | None
     sup|f| / psi(p_lo), or ||f||_(1/r) / psi(p_lo) for a singular end with
     q < r.  Before any row, an f whose log|f| grows at rate q in
     -log(distance) at a singular end, the power that f states
-    (``_NodeStore.growth``), raises ScanDivergenceError when q > r:
+    (``_NodeStore.q``), raises ScanDivergenceError when q > r:
     ||f||_beta is infinite from beta = 1 / q on, and beta, which rises to
     1 / r, reaches it.  At q = r it raises too: ||f||_beta is finite for
     every beta < 1 / r but grows without bound as beta rises to it, as
@@ -419,7 +420,7 @@ def _g_scan(f, phi: PhiSpec, cfg: QuadratureConfig, cache: ConjugateCache | None
     # ||f||_beta is infinite from beta = 1 / q on, q the growth of log|f| at
     # a singular end, and grows without bound as beta rises to it; beta
     # rises to 1 / r (without bound at r = 0)
-    q = nodes.growth()
+    q = nodes.q or 0.0
     if q > 0.0 and q >= r:
         reach = f"is infinite from beta = 1/q = {1.0 / q:g} on" if q > r else "grows without bound as beta rises to 1/q = 1/r"
         raise ScanDivergenceError(
@@ -603,7 +604,9 @@ def _level_nodes(sampler: LevelSampler, b: float) -> _NodeStore:
     """A node store of log T on the level map of the sampler, s in [0, K],
     weighted by the layer-cake measure b w^(b-1) dw/ds, so that its integral
     of T^(p/b) is ||f||_(p,b)^b; each critical interval (a unit interval of
-    s) starts as eight panels.  The weight is summed in log space, so it
+    s) starts as _INITIAL_PANELS panels, as a whole domain does elsewhere
+    (one panel an interval leaves the layer cake of a gap function off by
+    far more than its estimate).  The weight is summed in log space, so it
     holds for every scale of f, where w^(b-1) alone over- or underflows, and
     w^(b-1) is 1 at b = 1 even where w underflows to 0."""
     k, at = _level_map(sampler)
@@ -613,7 +616,7 @@ def _level_nodes(sampler: LevelSampler, b: float) -> _NodeStore:
         with np.errstate(divide="ignore"):
             return log_t, math.log(b) + (0.0 if b == 1.0 else (b - 1.0) * np.log(w)) + np.log(dw)
 
-    return _NodeStore(values, np.arange(8 * k + 1) / 8, weighted=True)
+    return _NodeStore(values, np.arange(_INITIAL_PANELS * k + 1) / _INITIAL_PANELS, weighted=True)
 
 
 # probes per critical interval of the weak form, and the width in s to which

@@ -155,13 +155,15 @@ def log_abs_of(f):
 
 
 def _carrier(f):
-    """f's own domain, where its norms are taken, and the break points f
-    reports there, the kinks of |f| among them; an object that reports
-    either not raises RejectedInputError."""
+    """f's own domain, where its norms are taken, the break points f reports
+    there, the kinks of |f| among them, and the power q of the singular end
+    that f states (``singular_end``), |f| = distance^-q next to the domain's
+    upper end, or None without one; an object that reports no domain or no
+    break points raises RejectedInputError."""
     domain, report = getattr(f, "natural_domain", None), getattr(f, "break_points", None)
     if domain is None or report is None:
         raise RejectedInputError(f"{type(f).__name__} reports no natural domain or no break points; pass a function representation")
-    return domain, report()
+    return domain, report(), getattr(f, "singular_end", lambda: None)()
 
 
 def _check_finite(values: np.ndarray, p_lo, p_hi) -> None:
@@ -252,14 +254,15 @@ class _NodeStore:
     normalized measure add ``log_density``.  ``power_integral`` takes each
     exact integral of e^(e g) once.
 
-    With the power ``q`` of a singular end at hi (on an unweighted store),
-    where g = log|f| = q y at distance e^-y below hi, the last initial panel
-    maps affinely onto y up to _Y_END, where each panel takes its Gauss
-    nodes, and the log weight is log dx/ds.
+    ``q`` is the power of a singular end at hi that f states (on an
+    unweighted store), the growth of g = log|f| = q y at distance e^-y below
+    hi, or None without one.  With it, the last initial panel maps affinely
+    onto y up to _Y_END, where each panel takes its Gauss nodes, and the log
+    weight is log dx/ds.
     """
 
     def __init__(self, values, edges, log_density: float = 0.0, q=None, weighted: bool = False):
-        self._values, self._q, self._weighted = values, q, weighted
+        self._values, self.q, self._weighted = values, q, weighted
         self.edges, self.log_density = edges, log_density
         self.lo, self.hi = float(edges[0]), float(edges[-1])
         if q is not None:
@@ -273,13 +276,13 @@ class _NodeStore:
 
     def _evaluate(self, p_lo, p_hi):
         xs = _panel_nodes(p_lo, p_hi)[0]
-        if self._q is None:
+        if self.q is None:
             cols = self._values(xs.ravel()) if self._weighted else (self._values(xs.ravel()),)
             return [v.reshape(xs.shape) for v in cols]
         on = p_lo >= self._cut
         ys, half_y = _panel_nodes(self._y(p_lo[on]), self._y(p_hi[on]))
         g, log_dx = np.empty(xs.shape), np.zeros(xs.shape)
-        g[~on], g[on] = self._values(xs[~on].ravel()).reshape(-1, _NODES.size), self._q * ys
+        g[~on], g[on] = self._values(xs[~on].ravel()).reshape(-1, _NODES.size), self.q * ys
         # dx/ds = e^-y dy/ds on the singular piece
         log_dx[on] = np.log(half_y / (0.5 * (p_hi[on] - p_lo[on])))[:, None] - ys
         return [g, log_dx]
@@ -309,25 +312,20 @@ class _NodeStore:
                 ends.flags.writeable = False
         return self._powers[e, cfg]
 
-    def growth(self) -> float:
-        """The growth rate of g at the singular end in y = -log(distance), the
-        power q it states, and 0 without a singular end."""
-        return 0.0 if self._q is None else self._q
-
     def rest(self, transform):
         """log of the integral of e^G, G(y) = transform(q y) - y, past the
         singular piece's end y_1, one a lane (-inf without one): e^G(y_1) / -G',
         as G is linear for a power singularity, G' its secant on [y_1, 2 y_1]
         (one panel row, which a transform with lanes broadcasts over); and the
         mean of g under e^G there, q y_1 + q / -G'."""
-        if self._q is None:
+        if self.q is None:
             return -math.inf, 0.0
         y = self._y(self.hi) * np.array([[1.0, 2.0]])
-        g = (transform(self._q * y) - y)[..., 0, :]
+        g = (transform(self.q * y) - y)[..., 0, :]
         slope = (g[..., 1] - g[..., 0]) / y[0, 0]
         if not (slope < 0.0).all():
             raise ConvergenceFailureError(f"the integrand does not decay at the singular end: slope {float(slope.max())!r} in -log(distance)")
-        return g[..., 0] - np.log(-slope), self._q * y[0, 0] + self._q / -slope
+        return g[..., 0] - np.log(-slope), self.q * y[0, 0] + self.q / -slope
 
 
 # the last function given to ``_abs_nodes`` and its store; the library is single-threaded
@@ -342,8 +340,7 @@ def _abs_nodes(f) -> _NodeStore:
     ``cheb``, which changes its bits) continues that call's store."""
     global _held
     if _held is None or _held[0] is not f:
-        domain, xs = _carrier(f)
-        q = getattr(f, "singular_end", lambda: None)()
+        domain, xs, q = _carrier(f)
         _held = f, _NodeStore(log_abs_of(f), _initial_edges(domain.lo, domain.hi, xs), math.log(domain.density), q)
     return _held[1]
 
@@ -499,7 +496,7 @@ class _NodeRule:
         # overflow exp, and its sum is +inf either way
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             a = log_integrand(g) + self.logw.ravel()[None, :]
-            if self._nodes._q is not None:
+            if self._nodes.q is not None:
                 # the rest is one more term a row, with its own mean of g
                 rest, rest_mean = self._nodes.rest(lambda g: log_integrand(g)[:, None, :])
                 a, g = np.column_stack([a, rest]), np.column_stack([np.broadcast_to(g, a.shape), rest_mean])
@@ -835,8 +832,7 @@ class LevelSampler:
 
     def __init__(self, f):
         self._f = f
-        domain = _carrier(f)[0]
-        self._q = getattr(f, "singular_end", lambda: None)()
+        domain, _xs, self._q = _carrier(f)
         xs, vals = _break_values(f, bounded=self._q is None)
         self.sup_estimate = float(vals.max())
         # a value below 1e-12 sup|f| is a computed zero of f and merges into

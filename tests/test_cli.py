@@ -268,6 +268,16 @@ class TestMain:
         assert main(["equivalence", "--config", str(cfg_file), "--seed", "7", "--out", str(tmp_path / "e")]) == 1
         assert "gap series" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", ["0.5", "0.5,abc"])
+    def test_malformed_table_row_is_an_error_at_its_line(self, row, tmp_path, capsys):
+        (tmp_path / "phi.csv").write_text(f"0.25,0.0625\n{row}\n1,1\n")
+        cfg_file = tmp_path / "t.cfg"
+        cfg_file.write_text(f"[phi]\nfamily = tabulated\ntable = {tmp_path / 'phi.csv'}\n")
+        assert main(["transform", "--config", str(cfg_file), "--out", str(tmp_path / "t")]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert any(line.startswith("error:") and "phi.csv" in line and "line 2" in line for line in err.splitlines()), err
+
     def test_constants_phi_lacks_are_null(self, tmp_path, capsys):
         # log(1 + z)^1.05 has a knee but no C4 and no psi(4); the knee of
         # z^2 log(e^7 + z)^-10 lies at y*(1) = 12.56, outside [1e-3, 1e3]

@@ -441,6 +441,12 @@ class TestEquivalenceBand:
         assert (band.violations, band.fallback_count, band.violations == 0) == (high, len(logs) - high, False)
         assert not any(row.upper_ok for row in band.rows)
 
+    def test_zero_member_raises_naming_it(self, phi2, ctx):
+        # B = G = 0, so log B/G is undefined: a typed error, not math.log's
+        corpus = [("one", PolynomialRep([1.0])), ("zero", PolynomialRep([0.0]))]
+        with pytest.raises(DegenerateInputError, match="'zero'"):
+            equivalence_band(corpus, phi2, ctx=ctx)
+
 
 class TestSandwich:
     """The band's sandwich R <= G <= factor * R, R the sup over p >= 4,

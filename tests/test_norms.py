@@ -554,6 +554,35 @@ class TestLuxemburg:
         assert len(exact_solves) == 1
         assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
 
+    def test_resolved_keeps_its_root_without_a_bracket(self, phi2, ctx, monkeypatch):
+        # from the rule's second join on, which joins the crossings at the
+        # model's first root, the model is raised by 1 + |log I|: it is
+        # positive at all four ends of resolved's two brackets, neither
+        # changes sign, and resolved returns that root; the exact solve then
+        # finishes the norm of a copy of f with a store of its own
+        n = ctx.orlicz(phi2)
+        expected = luxemburg_norm(PolynomialRep([0.3, -1.2, 0.5]), n)
+        join, log_mean, joins, raised = quadrature._NodeRule.join, quadrature._NodeRule.log_mean, [], []
+
+        def counted(self, *ends):
+            joins.append(len(ends))
+            join(self, *ends)
+
+        def model_raised(self, log_integrand):
+            m = log_mean(self, log_integrand)
+            if len(joins) < 2:
+                return m
+            raised.append(m + 1.0 + np.abs(m))
+            return raised[-1]
+
+        monkeypatch.setattr(quadrature._NodeRule, "join", counted)
+        monkeypatch.setattr(quadrature._NodeRule, "log_mean", model_raised)
+        value = luxemburg_norm(PolynomialRep([0.3, -1.2, 0.5]), n)
+        # resolved's queries: the model at its root, then at the four ends
+        assert joins[1] == 1 and [m.size for m in raised[:2]] == [1, 4]
+        assert (raised[1] > 0.0).all()
+        assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     @staticmethod
     def _patched_solve(monkeypatch, offset, shift=0.0, scale=1.0):
         """Patch the model of log I up by ``offset`` and every exact log I to

@@ -145,7 +145,7 @@ def test_distribution_beside_a_singular_end(q, w):
 @pytest.mark.parametrize("q", [k / 10 for k in range(1, 40)])
 def test_node_store_growth_is_the_stated_power(q):
     # a secant of g on [y_1, 2 y_1] read q an ulp off at 0.9, 1.5 and 3.0
-    assert _abs_nodes(InversePowerRep(q)).growth() == q
+    assert _abs_nodes(InversePowerRep(q)).q == q
 
 
 def test_infinite_break_value_without_a_stated_power_raises():
