@@ -22,6 +22,7 @@ from .conjugate import (
     young_fenchel,
 )
 from .errors import (
+    CoefficientOverflowError,
     ConfigError,
     ConjugateDivergenceError,
     ConstructionError,

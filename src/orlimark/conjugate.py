@@ -4,8 +4,8 @@ A growth function is described once, in y = log z: by h(y) = phi(e^y), its
 derivative h'(y) and its kinks, the y where h' jumps (``PhiSpec``).  The
 admissible class consists of phi with phi(0) = 0 whose h is strictly
 increasing and convex and whose consecutive gaps h(k+1) - h(k) grow fast
-enough that sum_k exp(h(k) - h(k+1)) converges; ``gap_terms`` gives the
-terms of that series.  Two built-in families cover the use cases:
+enough that sum_k exp(h(k) - h(k+1)) converges (``gap_series``).  Two
+built-in families cover the use cases:
 
 * power_log(m, r):  phi(z) = z^m * log(exp(m + |r|) + z)^(-m r).  With r = 0
   this is exactly z^m, for which every conjugate quantity has a closed form
@@ -20,8 +20,8 @@ exponent of a grid is one lane of one solve.  The norm scans read h* and y*
 on a grid and, between grid points, parametrize p by y: p = h'(y) and
 h*(p) = p y - h(y) exactly, with no further solve.  y*(1) is the log of the
 knee of the spliced Orlicz function (``norms.construct_N``).
-psi(p) = exp(h*(p) / p) is the weight the sup-based norms divide by; it is
-nondecreasing for admissible phi because h*(0) = 0 and h* is convex.
+psi(p) = exp(h*(p) / p) is the weight the sup-based norms divide by; it
+rises from p = 1 on where h(y*(1)) >= 0 (``ConjugateCache.psi_log_floor``).
 """
 
 from __future__ import annotations
@@ -208,53 +208,50 @@ def phi_membership_check(
 
     Monotonicity and convexity are checked on 601 points of y in [-30, 30]
     (second differences above -1e-9 after scaling).  Summability is
-    certified when the series terms up to k = 200 either underflow outright
-    or the last 20 term ratios all fall at or below one half, which bounds
-    the tail by a geometric series.
+    ``gap_series`` from k = 3, the certificate of C4's series too.
     """
-    ys = np.linspace(-30.0, 30.0, 601)
-    hv = phi.h(ys)
-    finite = np.isfinite(hv)
-    ys = ys[finite]
-    hv = hv[finite]
-    if ys.size < 8:
+    hv = phi.h(np.linspace(-30.0, 30.0, 601))
+    hv = hv[np.isfinite(hv)]
+    if hv.size < 8:
         return MembershipReport(False, False, False, math.nan, math.nan, "h not finite on window")
     d1 = np.diff(hv)
     monotone = bool(np.all(d1 > 0.0))
     scale = np.maximum.accumulate(np.maximum(np.abs(hv[:-2]), 1.0))
     d2 = hv[2:] - 2.0 * hv[1:-1] + hv[:-2]
     convex = bool(np.all(d2 >= -1e-9 * scale))
-
-    terms = np.array(gap_terms(phi, 3, 198))  # k = 3, ..., 200
-    partials = np.cumsum(terms)
-    vanish = np.flatnonzero(terms < 1e-300)
-    if vanish.size:
-        k = vanish[0]
-        return MembershipReport(monotone, convex, True, float(partials[k]), 0.0, f"terms vanish beyond k = {3 + k}")
-    last = terms[-20:]
-    ratios = last[1:] / last[:-1]
-    if np.all(ratios <= 0.5):
-        # geometric with ratio <= 1/2: the tail is at most the last term
-        tail_bound = float(terms[-1])
-        return MembershipReport(monotone, convex, True, float(partials[-1]) + tail_bound, tail_bound, "geometric tail certified at horizon")
-    detail = f"term ratios near horizon reach {float(np.max(ratios)):.3f}"
-    return MembershipReport(monotone, convex, False, float(partials[-1]), math.inf, detail)
+    partial, tail, detail = gap_series(phi, 3)
+    return MembershipReport(monotone, convex, tail < math.inf, partial, tail, detail)
 
 
-def gap_terms(phi: PhiSpec, k0: int, count: int) -> list:
-    """exp(h(k) - h(k+1)) for k = k0, ..., k0 + count - 1, as floats.
+def gap_series(phi: PhiSpec, k0: int) -> tuple[float, float, str]:
+    """sum_k exp(h(k) - h(k+1)) from k = k0 as (partial sum, tail bound,
+    detail), the one certificate of the series, for admissibility and C4.
 
-    h is evaluated once, on the integers k0, ..., k0 + count.  A gap where
-    h is not finite (h overflowed: gaps this deep dwarf the float range),
-    or a gap below -745, gives 0.
+    The sum runs to the first term that is 0, or at most 1e-12 and at most
+    half the one before.  That term bounds the rest if every later term to
+    the horizon is 0 or at most half the one before; otherwise the tail
+    bound is +inf and the sum runs to the horizon.  The horizon is 500
+    terms, and a table's reaches two terms past its last kink: beyond its
+    last point a table's h is linear and its terms stop shrinking.  A gap
+    where h is not finite (h overflowed), or below -745, gives a term of 0.
     """
+    kinks = phi._kinks()
+    count = max(500, math.ceil(kinks[-1]) + 2 - k0) if kinks.size else 500
     hv = phi.h(np.arange(k0, k0 + count + 1, dtype=float))
     finite = np.isfinite(hv[:-1]) & np.isfinite(hv[1:])
     with np.errstate(invalid="ignore"):
         gaps = np.where(finite, hv[:-1] - hv[1:], -math.inf)
     # math.exp, not numpy's exp, which differs from it in the last bit for
     # some arguments: the series sums keep the bits they always had
-    return [math.exp(gap) if gap > -745.0 else 0.0 for gap in gaps.tolist()]
+    terms = np.array([math.exp(gap) if gap > -745.0 else 0.0 for gap in gaps.tolist()])
+    halves = np.zeros(count, dtype=bool)
+    halves[1:] = terms[1:] <= 0.5 * terms[:-1]
+    stops = np.flatnonzero((terms == 0.0) | (halves & (terms <= 1e-12)))
+    partials = np.cumsum(terms)
+    if not stops.size or not halves[stops[0] + 1 :].all():
+        return float(partials[-1]), math.inf, f"did not certify convergence in {count} terms"
+    k = stops[0]
+    return float(partials[k]), float(terms[k]), f"the term at k = {k0 + k} bounds the rest to k = {k0 + count - 1}"
 
 
 def golden_max(obj, a, b, tol=1e-12, iters=200):
@@ -283,7 +280,8 @@ def golden_max(obj, a, b, tol=1e-12, iters=200):
     return x2, f2
 
 
-# a doubling step stops past this |y|: the conjugate is then taken as +inf
+# a doubling step in y, of a conjugate lane or of a scan's polish, stops past
+# this |y|: the conjugate is then taken as +inf
 _Y_CAP = 1e9
 
 
@@ -458,6 +456,23 @@ class ConjugateCache:
 
     def extend(self):
         self._build(self.p_lo, self.p_hi * 4.0)
+
+    def check_start(self, p_lo: float) -> None:
+        """RejectedInputError unless the grid starts at p_lo (1e-12 relative)."""
+        if not abs(self.grid[0] - p_lo) <= 1e-12 * self.grid[0]:
+            raise RejectedInputError(f"conjugate cache grid starts at p = {self.grid[0]!r}, not at p = {p_lo!r}, the p_lo it is read at")
+
+    def psi_log_floor(self) -> float:
+        """psi_log(1) from the grid's first point, the least psi_log over
+        p >= 1 once h(y*(1)) >= 0 is checked: d(h*(p)/p)/dp = h(y*(p)) / p^2
+        (Rockafellar, Convex Analysis, 1970, section 26) and h rises right of
+        y*(1).  A grid that does not start at p = 1, or h(y*(1)) < 0,
+        outside the admissible class, raises RejectedInputError."""
+        self.check_start(1.0)
+        h1 = float(self.phi.h(self.ystar[0]))
+        if not h1 >= 0.0:
+            raise RejectedInputError(f"{self.phi.label} is outside the admissible class: h(y*(1)) = {h1!r} < 0")
+        return float(self.psi_log_grid[0])
 
 
 def fenchel_moreau_check(phi: PhiSpec, ys) -> float:

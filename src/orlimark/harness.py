@@ -40,6 +40,7 @@ from .functions import (
     random_family,
 )
 from .norms import (
+    V_SCAN_P_LO,
     NormContext,
     NormSpec,
     equivalence_constants,
@@ -327,7 +328,7 @@ def rational_orlicz_check(
     else:
         rhs_log = consts.b_over_g_log + d_constant_log(r) + r * math.log(deg) + math.log(b)
     rhs = exp_or_inf(rhs_log)
-    gamma = 4.0 / (4.0 * r + 1.0)
+    gamma = V_SCAN_P_LO / (V_SCAN_P_LO * r + 1.0)
     return RationalCheck(rhs - lhs, lhs, rhs, rhs_log, gamma, r, deg)
 
 
@@ -582,11 +583,12 @@ def equivalence_band(
     The sandwich R <= G <= factor * R relates G to R, its supremum over
     p >= 4 (``sup_ratio_from``), with margins (bound minus measured) at
     slack 1e-9 and 1e-6.  The Markov chain's factor max(1, psi(4)) fails on
-    constants, where G / R = psi(4) / psi(1) for a rising psi; moment
-    monotonicity (||f||_p <= ||f||_4 for p <= 4) gives the corrected
-    max(1, psi(4) / min psi), min over the grid points of [1, 4].  A
-    displayed miss is a finding about the chain, not a violation.  A zero
-    member raises DegenerateInputError, which names it.
+    constants, where G / R = psi(4) / psi(1).  Moment monotonicity
+    (||f||_p <= ||f||_4 for p <= 4) gives the corrected max(1, psi(4) /
+    psi(1)), as psi rises from p = 1 on where h(y*(1)) >= 0, which
+    ``ConjugateCache.psi_log_floor`` checks.  A displayed miss is a finding
+    about the chain, not a violation.  A zero member raises
+    DegenerateInputError, which names it.
     """
     corpus = list(corpus)
     if not corpus:
@@ -595,7 +597,7 @@ def equivalence_band(
     consts = equivalence_constants(context.orlicz(phi))
     b_spec, g_spec = orlicz_spec(phi), gnorm_spec(phi)
     psi4, cache = psi(phi, 4.0), context.conjugates(phi)
-    displayed, corrected = max(1.0, psi4), max(1.0, psi4 / exp_or_inf(float(np.min(cache.psi_log_grid[cache.grid <= 4.0]))))
+    displayed, corrected = max(1.0, psi4), max(1.0, psi4 / exp_or_inf(cache.psi_log_floor()))
     log_slack = math.log1p(BAND_SLACK)
     lo_edge = -math.log(consts.g_over_b)
     rows = []

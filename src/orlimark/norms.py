@@ -85,7 +85,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import ConjugateCache, PhiSpec, gap_terms, young_fenchel_lanes
+from .conjugate import _Y_CAP, ConjugateCache, PhiSpec, gap_series, young_fenchel_lanes
 from .errors import (
     ConstructionError,
     ConvergenceFailureError,
@@ -365,8 +365,8 @@ def _g_scan(f, phi: PhiSpec, cfg: QuadratureConfig, cache: ConjugateCache | None
     """sup over grid p >= p_lo of ||f||_beta / psi(p), beta = p / (p r + 1):
     the g-norm family at r = 0 (beta = p exactly), the v-quasinorm at r >= 1.
 
-    A cache passed in must start at p_lo (to 1e-12 relative), or
-    RejectedInputError; a copy of it takes the fourfold grid extensions.
+    A cache passed in must start at p_lo (``ConjugateCache.check_start``);
+    a copy of it takes the fourfold grid extensions.
     Each pass asks one ``PowerNormEvaluator`` for the cached-node log norm
     of every row that can win; an L_p member that the adaptive integrator
     cannot settle raises its ConvergenceFailureError: past the growth check
@@ -414,8 +414,7 @@ def _g_scan(f, phi: PhiSpec, cfg: QuadratureConfig, cache: ConjugateCache | None
     peaks.
     """
     cache = cache if cache is not None else ConjugateCache(phi, p_lo=p_lo)
-    if not abs(cache.grid[0] - p_lo) <= 1e-12 * cache.grid[0]:
-        raise RejectedInputError(f"conjugate cache grid starts at p = {cache.grid[0]!r}, not at p_lo = {p_lo!r}")
+    cache.check_start(p_lo)
     nodes = _abs_nodes(f)
     # ||f||_beta is infinite from beta = 1 / q on, q the growth of log|f| at
     # a singular end, and grows without bound as beta rises to it; beta
@@ -490,7 +489,7 @@ def _g_scan(f, phi: PhiSpec, cfg: QuadratureConfig, cache: ConjugateCache | None
         g_b = falls_at(j)
     elif g_a < 0.0:
         b, step = float(cache.ystar[k]), 1.0
-        while not g_b >= 0.0 and abs(b) <= 1e9:
+        while not g_b >= 0.0 and abs(b) <= _Y_CAP:
             b, step = b + step, 2.0 * step
             g_b = float(falls(np.array([b]))[0])
     if g_b >= 0.0:
@@ -743,23 +742,17 @@ def weighted_lorentz_g(f, phi: PhiSpec, b: float, cfg: QuadratureConfig = DEFAUL
 
     At finite b the supremum is the ratio at p = 1, ``lorentz_norm`` at
     p = 1 over psi(1), one exact layer cake:
-    ||f||_(p,b) does not rise with p, as T <= 1, and psi(p) = e^(h*(p)/p)
-    does not fall, as d(h*(p)/p)/dp = h(y*(p)) / p^2 and h >= 0 right of
-    y*(1).  At b = inf, where the suprema over p and w exchange, it is one
-    maximization of the weak form (``_dual_weight``), the supremum over
-    every real p >= 1.  Both read the cache at p = 1: one that starts
-    elsewhere, or a phi with h(y*(1)) < 0, outside the admissible class,
-    raises RejectedInputError.
+    ||f||_(p,b) does not rise with p, as T <= 1, and psi does not fall from
+    p = 1 on, which ``ConjugateCache.psi_log_floor`` checks.  At b = inf,
+    where the suprema over p and w exchange, it is one maximization of the
+    weak form (``_dual_weight``), the supremum over every real p >= 1.
+    Both read the cache at p = 1, after that check.
     """
     _check_lorentz_indices(1.0, b)
     c = cache if cache is not None else ConjugateCache(phi)
-    if not abs(c.grid[0] - 1.0) <= 1e-12:
-        raise RejectedInputError(f"conjugate cache grid starts at p = {c.grid[0]!r}, not at p = 1")
-    h1 = float(phi.h(c.ystar[0]))
-    if not h1 >= 0.0:
-        raise RejectedInputError(f"{phi.label} is outside the admissible class: h(y*(1)) = {h1!r} < 0")
+    psi_log_1 = c.psi_log_floor()
     if not math.isinf(b):
-        return lorentz_norm(f, 1.0, b, cfg) * math.exp(-float(c.psi_log_grid[0]))
+        return lorentz_norm(f, 1.0, b, cfg) * math.exp(-psi_log_1)
     sampler = LevelSampler(f)
     if sampler.sup_estimate == 0.0:
         return 0.0
@@ -777,7 +770,8 @@ class EquivalenceConstants:
     ``g_over_b`` bounds the sup-ratio norm by the Orlicz norm;
     ``b_over_g_log`` is the log of the reverse bound, kept in log form
     because it can exceed float range for fast-growing phi.  The alternate
-    series shifts the gap index by one; both sums are reported.
+    series shifts the gap index by one; both sums, certified by
+    ``conjugate.gap_series`` or SummabilityError, are reported.
     """
 
     g_over_b: float
@@ -788,28 +782,15 @@ class EquivalenceConstants:
     series_sum_alt: float
 
 
-def _gap_series(phi: PhiSpec, k_start: int, shift: int) -> float:
-    """sum_k exp(h(k - shift) - h(k + 1 - shift)) from k = k_start, up to
-    a zero term or a term at most half the last and at most 1e-12, whose
-    ratio bounds the tail by that term; 500 terms at most."""
-    terms = np.array(gap_terms(phi, k_start - shift, 500))
-    geometric = np.zeros(terms.size, dtype=bool)
-    geometric[1:] = (terms[1:] <= 0.5 * terms[:-1]) & (terms[1:] <= 1e-12)
-    stop = np.flatnonzero((terms == 0.0) | geometric)
-    if not stop.size:
-        raise SummabilityError(
-            f"gap series for {phi.label} did not certify convergence in 500 terms"
-        )
-    k = stop[0]
-    return float(np.cumsum(terms)[k] + terms[k])  # a zero term adds nothing
-
-
 def equivalence_constants(n: OrliczN) -> EquivalenceConstants:
     phi = n.phi
     split = n.split_index
     k_start = math.ceil(split - 1e-12)
-    series = _gap_series(phi, k_start, shift=0)
-    series_alt = _gap_series(phi, k_start, shift=1)
+    sums = [gap_series(phi, k0) for k0 in (k_start, k_start - 1)]
+    for _partial, tail, detail in sums:
+        if tail == math.inf:
+            raise SummabilityError(f"gap series for {phi.label} {detail}")
+    series, series_alt = (partial + tail for partial, tail, _detail in sums)
     head_log = float(n.n_log_from_log_u(np.array([split - 2.0]))[0])
     b_over_g_log, b_over_g_alt_log = (
         float(2.0 + np.logaddexp(head_log, math.log(s) if s > 0 else -math.inf)) for s in (series, series_alt)

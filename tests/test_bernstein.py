@@ -5,8 +5,14 @@ Arestov proved the integral form: the integral of phi(|T'|) is at most that
 of phi(n |T|) for every phi(u) = psi(log u) with psi convex and
 nondecreasing (V. V. Arestov, Izv. Akad. Nauk SSSR Ser. Mat. 45 (1981)).
 That covers L_p for every p > 0, the Luxemburg norm under the spliced N,
-and the g-norm and v-quasinorm, suprema over p of weighted L_p norms; the
-library's lorentz(3, 3) is L_3.  So ``bernstein_trig_check``, the margin
+and the g-norm and v-quasinorm, suprema over p of weighted L_p norms.
+With phi(u) = (u - w)_+ it gives submajorization of |T'| by n |T|, which
+covers every rearrangement-invariant norm.  The library's ||f||_(p,b),
+whose b-th power integrates T^(p/b) against b w^(b-1) dw, is (p/b)^(1/b)
+times the textbook L^(b^2/p, b) norm, a rearrangement-invariant norm when
+b <= b^2/p, that is when p <= b: so lorentz(3, 3), which is L_3,
+lorentz(1.5, 3) and lorentz(2, 4).  lorentz(3, 1.5) is not a norm and is
+not asserted.  So ``bernstein_trig_check``, the margin
 n ||T|| - ||T'||, may fall below 0 only by the norm's stated accuracy times
 n ||T||: 1e-6 relative for the scans, which certify their value to that,
 and rel_tol for the integrals.  sin(nx), whose derivative over n is
@@ -30,6 +36,8 @@ KINDS = {
     "gnorm": (gnorm_spec(PHI), True),
     "vnorm(r=1)": (vnorm_spec(PHI, 1.0), True),
     "lorentz(3,3)": (lorentz_spec(3.0, 3.0), False),
+    "lorentz(1.5,3)": (lorentz_spec(1.5, 3.0), False),
+    "lorentz(2,4)": (lorentz_spec(2.0, 4.0), False),
 }
 
 

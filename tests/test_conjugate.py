@@ -1,7 +1,10 @@
 """Convex transform layer: h, Young-Fenchel conjugate, psi, admissibility."""
 
+import importlib.util
 import math
+import sys
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -12,6 +15,7 @@ from orlimark.conjugate import (
     PhiSpec,
     custom_phi,
     fenchel_moreau_check,
+    gap_series,
     log_power,
     phi_membership_check,
     power_log,
@@ -21,7 +25,8 @@ from orlimark.conjugate import (
     young_fenchel,
     young_fenchel_lanes,
 )
-from orlimark.errors import ConjugateDivergenceError, SummabilityError
+from orlimark.errors import ConjugateDivergenceError, ConstructionError, SummabilityError
+from orlimark.norms import construct_N, equivalence_constants
 
 
 def hstar_power_closed_form(m: float, p: float) -> float:
@@ -135,6 +140,66 @@ class TestMembership:
         phi = custom_phi(lambda z: np.log1p(np.asarray(z)))
         rep = phi_membership_check(phi)
         assert not rep.summable
+
+
+def _tool_families():
+    """``FAMILIES`` of tools/bit_identity.py, loaded without the sys.path
+    entry the tool adds for itself."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "bit_identity.py"
+    spec = importlib.util.spec_from_file_location("bit_identity", path)
+    module = importlib.util.module_from_spec(spec)
+    saved = list(sys.path)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
+    return module.FAMILIES
+
+
+# chord slopes 1, 2, 3, 5, 8, 12, 20, 40, 40 in y on y = -1, ..., 8: from
+# k = 6 every gap term is e^-40, at most 1e-12 and half the first one before
+# it, but past its last point h is linear and the terms stop shrinking
+STEEP = tabulated_phi(np.exp(np.arange(-1.0, 9.0)), 0.1 + np.array([0, 1, 3, 6, 11, 19, 31, 51, 91, 131]))
+CERTIFICATE_PHIS = (
+    _tool_families()
+    + [power_log(m) for m in (0.5, 1.0, 2.0, 20.0, 5000.0)]
+    + [power_log(3.0, 1.0)]
+    + [log_power(nu) for nu in (0.05, 0.3, 1.0, 2.0, 5.0)]
+    + [custom_phi(lambda z: np.log1p(np.asarray(z)))]
+)
+
+
+class TestGapCertificate:
+    """One certificate of the gap series decides admissibility's
+    summability and whether C4 exists."""
+
+    def test_steep_table_is_not_certified(self):
+        assert not phi_membership_check(STEEP).summable
+        with pytest.raises(SummabilityError, match="did not certify"):
+            equivalence_constants(construct_N(STEEP))
+
+    @pytest.mark.parametrize("phi", CERTIFICATE_PHIS, ids=lambda phi: phi.label)
+    def test_summable_exactly_where_c4_exists(self, phi):
+        try:
+            equivalence_constants(construct_N(phi))
+        except (ConstructionError, SummabilityError):
+            exists = False
+        else:
+            exists = True
+        assert phi_membership_check(phi).summable == exists
+
+    def test_c4_and_membership_read_one_certificate(self):
+        # log(1 + z)^2: each series stops at a term that is not 0, which
+        # bounds the rest; C4's sums are partial sum plus that bound
+        phi = log_power(1.0)
+        n = construct_N(phi)
+        k = math.ceil(n.split_index - 1e-12)
+        consts = equivalence_constants(n)
+        for k0, total in ((k, consts.series_sum), (k - 1, consts.series_sum_alt)):
+            partial, tail, _detail = gap_series(phi, k0)
+            assert total == partial + tail and 0.0 < tail <= 1e-12
+        rep = phi_membership_check(phi)
+        assert (rep.partial_sum, rep.tail_bound) == gap_series(phi, 3)[:2]
 
 
 def test_fenchel_moreau_round_trip(phi1, phi2, phi_nu1):

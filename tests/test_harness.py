@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from orlimark import harness
-from orlimark.conjugate import log_power, power_log
+from orlimark.conjugate import custom_phi, log_power, power_log
 from orlimark.errors import DegenerateInputError, RejectedInputError
 from orlimark.functions import (
     GapRep,
@@ -455,7 +455,7 @@ class TestSandwich:
     def test_displayed_factor_fails_on_constants(self, phi2, ctx):
         # the constant function is the equality case: G / R = psi(4) / psi(1)
         # = 4^(1/2) for z^2, above the displayed factor max(1, psi(4)) = 1;
-        # the corrected factor max(1, psi(4) / min psi) is that ratio, and
+        # the corrected factor max(1, psi(4) / psi(1)) is that ratio, and
         # holds with near equality
         f = PolynomialRep([1.0])
         band = equivalence_band([("one", f)], phi2, ctx=ctx)
@@ -470,3 +470,10 @@ class TestSandwich:
     def test_generic_member_within_corrected(self, phi2, ctx):
         (row,) = equivalence_band([("quad", PolynomialRep([0.1, 1.0, -0.4]))], phi2, ctx=ctx).rows
         assert row.sandwich_lower_margin >= 0.0 and row.corrected_margin >= 0.0
+
+    def test_psi_falling_off_one_is_rejected(self, ctx):
+        # h(y*(1)) = -1/2 for z^2 - 1: psi falls off p = 1, so psi(1) is not
+        # its least value on [1, 4] and the corrected factor has no premise
+        phi = custom_phi(lambda z: np.asarray(z) ** 2 - 1.0)
+        with pytest.raises(RejectedInputError, match="admissible class"):
+            equivalence_band([("one", PolynomialRep([1.0]))], phi, ctx=ctx)

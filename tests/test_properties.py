@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import orlimark
+from orlimark import errors
 from orlimark.conjugate import custom_phi, log_power, power_log, psi, tabulated_phi
 from orlimark.errors import DomainEvaluationError, OrlimarkError, RejectedInputError
 from orlimark.functions import InversePowerRep, PolynomialRep, RationalRep, check_no_poles, chebyshev_t, jacobi22, random_family
@@ -255,3 +257,10 @@ def test_specs_check_their_norms_range(check):
             build()
         messages.append(str(info.value))
     assert messages[0] == messages[1]
+
+
+def test_every_typed_error_is_exported():
+    # each OrlimarkError subclass can be caught by its name from the package
+    typed = [name for name, cls in vars(errors).items() if isinstance(cls, type) and issubclass(cls, OrlimarkError)]
+    assert "CoefficientOverflowError" in typed
+    assert [name for name in typed if getattr(orlimark, name, None) is not getattr(errors, name)] == []

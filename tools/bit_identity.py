@@ -4,9 +4,10 @@ Run each tree's own copy once and compare the two files with ``cmp``:
 
     PYTHONPATH=<tree>/src python3 <tree>/tools/bit_identity.py out.txt [--quick]
 
-When they differ, ``--compare`` says where and by how much:
+When they differ, ``--compare`` says where and by how much; it reads the
+two files only, and imports neither orlimark nor numpy:
 
-    PYTHONPATH=src python3 tools/bit_identity.py --compare a.txt b.txt
+    python3 tools/bit_identity.py --compare a.txt b.txt
 
 It prints, for each record group, how many records differ and the largest
 relative difference among the numbers in them, and that largest difference
@@ -87,7 +88,73 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
+# a number and the name of the field it is written after (``p_star=``), if any
+FIELD_NUMBER = re.compile(rf"(?:(\w+)=)?({NUMBER.pattern})")
+
+
+def read_records(path):
+    """{(kind, key, n): value}, n counting earlier records with the same key."""
+    records, seen = {}, Counter()
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.startswith("counts "):
+                continue
+            kind, key, value = line.rstrip("\n").split(" | ", 2)
+            records[(kind, key, seen[(kind, key)])] = value
+            seen[(kind, key)] += 1
+    return records
+
+
+def rel_diff(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    scale = max(abs(a), abs(b))
+    return abs(a - b) / scale if math.isfinite(scale) else math.inf
+
+
+def compare(path_a, path_b):
+    """Per group: records, how many differ, the largest relative difference."""
+    a, b = read_records(path_a), read_records(path_b)
+    groups = {}
+    for rec in list(a) + [k for k in b if k not in a]:
+        g = groups.setdefault(rec[0], Counter(records=0, differ=0, form=0, only=0))
+        g["records"] += 1
+        if rec not in a or rec not in b:
+            g["only"] += 1
+            continue
+        va, vb = a[rec], b[rec]
+        if va == vb:
+            continue
+        g["differ"] += 1
+        if NUMBER.sub("#", va) != NUMBER.sub("#", vb):
+            g["form"] += 1
+            continue
+        worst = max(rel_diff(float(x), float(y)) for x, y in zip(NUMBER.findall(va), NUMBER.findall(vb)))
+        g["max_rel"] = max(g.get("max_rel", 0.0), worst)
+        fields = g.setdefault("fields", {})
+        for (name, x), (_name, y) in zip(FIELD_NUMBER.findall(va), FIELD_NUMBER.findall(vb)):
+            if name:
+                fields[name] = max(fields.get(name, 0.0), rel_diff(float(x), float(y)))
+    for kind, g in groups.items():
+        line = f"{kind}: {g['differ']} of {g['records']} records differ"
+        if g["differ"] > g["form"]:
+            line += f", max rel diff {g['max_rel']:.3g}"
+            if g.get("fields"):
+                line += " (" + ", ".join(f"{name}= {diff:.3g}" for name, diff in g["fields"].items()) + ")"
+        if g["form"]:
+            line += f", {g['form']} changed in form"
+        if g["only"]:
+            line += f", {g['only']} in one file only"
+        print(line)
+
+
+if __name__ == "__main__" and sys.argv[1:2] == ["--compare"]:
+    # comparing two record files needs no library: done before it is imported
+    compare(*sys.argv[2:4])
+    sys.exit()
+
+import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -328,71 +395,7 @@ def cli_records():
             yield "cli", f"{name} csv", repr(base.with_suffix(".csv").read_text()).replace(tmp, "<tmp>")
 
 
-NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
-# a number and the name of the field it is written after (``p_star=``), if any
-FIELD_NUMBER = re.compile(rf"(?:(\w+)=)?({NUMBER.pattern})")
-
-
-def read_records(path):
-    """{(kind, key, n): value}, n counting earlier records with the same key."""
-    records, seen = {}, Counter()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.startswith("counts "):
-                continue
-            kind, key, value = line.rstrip("\n").split(" | ", 2)
-            records[(kind, key, seen[(kind, key)])] = value
-            seen[(kind, key)] += 1
-    return records
-
-
-def rel_diff(a: float, b: float) -> float:
-    if a == b or (math.isnan(a) and math.isnan(b)):
-        return 0.0
-    scale = max(abs(a), abs(b))
-    return abs(a - b) / scale if math.isfinite(scale) else math.inf
-
-
-def compare(path_a, path_b):
-    """Per group: records, how many differ, the largest relative difference."""
-    a, b = read_records(path_a), read_records(path_b)
-    groups = {}
-    for rec in list(a) + [k for k in b if k not in a]:
-        g = groups.setdefault(rec[0], Counter(records=0, differ=0, form=0, only=0))
-        g["records"] += 1
-        if rec not in a or rec not in b:
-            g["only"] += 1
-            continue
-        va, vb = a[rec], b[rec]
-        if va == vb:
-            continue
-        g["differ"] += 1
-        if NUMBER.sub("#", va) != NUMBER.sub("#", vb):
-            g["form"] += 1
-            continue
-        worst = max(rel_diff(float(x), float(y)) for x, y in zip(NUMBER.findall(va), NUMBER.findall(vb)))
-        g["max_rel"] = max(g.get("max_rel", 0.0), worst)
-        fields = g.setdefault("fields", {})
-        for (name, x), (_name, y) in zip(FIELD_NUMBER.findall(va), FIELD_NUMBER.findall(vb)):
-            if name:
-                fields[name] = max(fields.get(name, 0.0), rel_diff(float(x), float(y)))
-    for kind, g in groups.items():
-        line = f"{kind}: {g['differ']} of {g['records']} records differ"
-        if g["differ"] > g["form"]:
-            line += f", max rel diff {g['max_rel']:.3g}"
-            if g.get("fields"):
-                line += " (" + ", ".join(f"{name}= {diff:.3g}" for name, diff in g["fields"].items()) + ")"
-        if g["form"]:
-            line += f", {g['form']} changed in form"
-        if g["only"]:
-            line += f", {g['only']} in one file only"
-        print(line)
-
-
 def main(argv):
-    if argv and argv[0] == "--compare":
-        compare(argv[1], argv[2])
-        return
     out_path = argv[0]
     groups = [
         conjugate_records,
