@@ -457,18 +457,24 @@ class ConjugateCache:
     def extend(self):
         self._build(self.p_lo, self.p_hi * 4.0)
 
-    def check_start(self, p_lo: float) -> None:
-        """RejectedInputError unless the grid starts at p_lo (1e-12 relative)."""
+    def check_start(self, phi: PhiSpec, p_lo: float) -> None:
+        """RejectedInputError unless the cache is phi's and its grid starts at
+        p_lo (1e-12 relative); ConjugateDivergenceError where h*(p_lo) = +inf,
+        a weight that diverges from p_lo on."""
+        if self.phi != phi:
+            raise RejectedInputError(f"conjugate cache built for {self.phi.label} is read for {phi.label}")
         if not abs(self.grid[0] - p_lo) <= 1e-12 * self.grid[0]:
             raise RejectedInputError(f"conjugate cache grid starts at p = {self.grid[0]!r}, not at p = {p_lo!r}, the p_lo it is read at")
+        if self.hstar[0] == math.inf:
+            raise ConjugateDivergenceError(f"the weight psi of {phi.label} diverges at p_lo = {p_lo!r}: its conjugate supremum is +inf there")
 
-    def psi_log_floor(self) -> float:
+    def psi_log_floor(self, phi: PhiSpec) -> float:
         """psi_log(1) from the grid's first point, the least psi_log over
         p >= 1 once h(y*(1)) >= 0 is checked: d(h*(p)/p)/dp = h(y*(p)) / p^2
         (Rockafellar, Convex Analysis, 1970, section 26) and h rises right of
-        y*(1).  A grid that does not start at p = 1, or h(y*(1)) < 0,
-        outside the admissible class, raises RejectedInputError."""
-        self.check_start(1.0)
+        y*(1).  ``check_start(phi, 1)`` runs first; h(y*(1)) < 0, outside
+        the admissible class, raises RejectedInputError."""
+        self.check_start(phi, 1.0)
         h1 = float(self.phi.h(self.ystar[0]))
         if not h1 >= 0.0:
             raise RejectedInputError(f"{self.phi.label} is outside the admissible class: h(y*(1)) = {h1!r} < 0")

@@ -850,7 +850,8 @@ def _floats(parts):
 
 
 def to_text(rep) -> str:
-    """Serialize a representation; floats use repr so parsing is exact."""
+    """Serialize a representation; floats use repr so parsing is exact.  A
+    type without a text form raises RejectedInputError."""
     if isinstance(rep, PolynomialRep):
         return "poly:" + ",".join(repr(c) for c in (rep.coeffs or (0.0,)))
     if isinstance(rep, TrigPolynomialRep):
@@ -863,7 +864,7 @@ def to_text(rep) -> str:
         return f"rational:{num}|{den}"
     if isinstance(rep, GapRep):
         return "gap:" + ";".join(f"{a!r},{b!r},{r!r}" for a, b, r in rep.factors)
-    raise TypeError(f"cannot serialize {type(rep).__name__}")
+    raise RejectedInputError(f"cannot serialize {type(rep).__name__}")
 
 
 def from_text(text: str):

@@ -361,10 +361,13 @@ def gap_check(base: GapRep, p: float, n_range, ctx: NormContext | None = None) -
     _require_type(base, GapRep, "gap_check")
     if not (p > 0.0):
         raise RejectedInputError(f"exponent must be positive, got {p!r}")
+    ns = sorted(set(float(n) for n in n_range))
+    if not ns:
+        raise RejectedInputError("empty degree range")
     context = ctx if ctx is not None else NormContext()
     deg0 = base.degree
     rows = []
-    for n in sorted(set(float(n) for n in n_range)):
+    for n in ns:
         scale = n / deg0
         factors = [(a, b, r * scale) for a, b, r in base.factors]
         if any(r < 1.0 for _a, _b, r in factors):
@@ -597,7 +600,7 @@ def equivalence_band(
     consts = equivalence_constants(context.orlicz(phi))
     b_spec, g_spec = orlicz_spec(phi), gnorm_spec(phi)
     psi4, cache = psi(phi, 4.0), context.conjugates(phi)
-    displayed, corrected = max(1.0, psi4), max(1.0, psi4 / exp_or_inf(cache.psi_log_floor()))
+    displayed, corrected = max(1.0, psi4), max(1.0, psi4 / exp_or_inf(cache.psi_log_floor(phi)))
     log_slack = math.log1p(BAND_SLACK)
     lo_edge = -math.log(consts.g_over_b)
     rows = []

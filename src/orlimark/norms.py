@@ -22,29 +22,12 @@ Three norm families ride on top:
   exponents, and ``ConvergenceFailureError`` where an integral or the grid
   runs out of budget, or where the cached-node ratio at the maximizer and
   the exact one differ by more than 1e-6 relative.
-  Grids are geometric with 64 points per decade and start at the scan's
-  lower exponent p_lo.  sup|f| caps each grid: the measure is a probability
-  measure, so every scanned norm is at most sup|f|, and a lower bound on the
-  best ratio, first the exact ratio at p_lo, rules out each p whose bound
-  log sup|f| - psi_log(p) falls short of it.  The rows above the last one
-  that can win read -inf, and the scan's evaluator stops at the grid point
-  after it.  The cap is the scan's one stopping rule: while the top row can
-  win and the maximizer sits at the right edge, the bound rises to the best
-  grid ratio and the grid extends fourfold, and psi_log, which grows
-  without bound, brings the cap below the top for a bounded f.  A singular
-  f, which nothing caps, raises ``ScanDivergenceError`` before any row
-  where beta reaches the 1/q of its end's growth q, and otherwise extends
-  like any other; a grid whose top reaches ``_P_CEILING`` uncapped raises
-  ``ConvergenceFailureError``.  Every row below the cap is evaluated, in
-  one query of the evaluator.  The winning grid point
-  is polished by a root of the log ratio's slope, unless it is p_lo and
-  the ratio does not rise off that edge; the scan reports the exact norm
-  over an exact weight there.  The root is taken
-  along y, the maximizer of the conjugate: p = h'(y) and
-  h*(p) = p y - h(y), so the polish solves no conjugate and the slope of
-  the log weight h*(p)/p is h(y)/p^2 (Danskin's envelope theorem), and the
-  scan takes the slope of its log norm from the node values its evaluator
-  holds: the mean of log|f| under the normalised weights of |f|^beta.
+  A scan reads a conjugate cache built for its phi that starts at p_lo,
+  where the weight must be finite (``ConjugateCache.check_start``).  Its
+  grid, its one stopping rule, the cap by sup|f|, and the polish of its
+  winner along y, the maximizer of the conjugate, where the slope of the
+  log weight h*(p)/p is h(y)/p^2 (Danskin's envelope theorem), are set out
+  at ``_g_scan``.
   Both scans ask the one ``quadrature.PowerNormEvaluator`` one question,
   ``log_norm(e)``; it and the model of the log modular are built on
   ``quadrature._NodeRule``, and the integrals of f read one
@@ -241,8 +224,8 @@ def luxemburg_norm(f, n: OrliczN, cfg: QuadratureConfig = DEFAULT_CONFIG) -> flo
     if sup == 0.0:
         return 0.0
     nodes = _abs_nodes(f)
-    log_l1, _err, p_lo, p_hi = nodes.power_integral(1.0, cfg)
-    lo = n.linear_slope * math.exp(log_l1 + nodes.log_density)
+    log_l1, p_lo, p_hi = nodes.power_integral(1.0, cfg)
+    lo = n.linear_slope * math.exp(log_l1)
     t_lo, t_k = math.log(lo), math.log(sup / n.splice_point)
     if t_lo >= t_k:
         return lo
@@ -255,9 +238,9 @@ def luxemburg_norm(f, n: OrliczN, cfg: QuadratureConfig = DEFAULT_CONFIG) -> flo
 
     def log_i(t: float) -> float:
         """The exact log modular at t; its panels join the model."""
-        value, _err, p_lo, p_hi = _adaptive(nodes, lambda g: n.n_log_from_log_u(g - t), cfg, rule.crossings(t + n.log_splice, xs, log_vals))
+        value, p_lo, p_hi = _adaptive(nodes, lambda g: n.n_log_from_log_u(g - t), cfg, rule.crossings(t + n.log_splice, xs, log_vals))
         rule.join(p_lo, p_hi)
-        return value + nodes.log_density
+        return value
 
     def resolved(t: float) -> float:
         """The model's root once the crossings at its root t join it: in
@@ -365,8 +348,9 @@ def _g_scan(f, phi: PhiSpec, cfg: QuadratureConfig, cache: ConjugateCache | None
     """sup over grid p >= p_lo of ||f||_beta / psi(p), beta = p / (p r + 1):
     the g-norm family at r = 0 (beta = p exactly), the v-quasinorm at r >= 1.
 
-    A cache passed in must start at p_lo (``ConjugateCache.check_start``);
-    a copy of it takes the fourfold grid extensions.
+    A cache passed in must be phi's and start at p_lo, where h* must be
+    finite (``ConjugateCache.check_start``); a copy of it takes the
+    fourfold grid extensions.
     Each pass asks one ``PowerNormEvaluator`` for the cached-node log norm
     of every row that can win; an L_p member that the adaptive integrator
     cannot settle raises its ConvergenceFailureError: past the growth check
@@ -414,7 +398,7 @@ def _g_scan(f, phi: PhiSpec, cfg: QuadratureConfig, cache: ConjugateCache | None
     peaks.
     """
     cache = cache if cache is not None else ConjugateCache(phi, p_lo=p_lo)
-    cache.check_start(p_lo)
+    cache.check_start(phi, p_lo)
     nodes = _abs_nodes(f)
     # ||f||_beta is infinite from beta = 1 / q on, q the growth of log|f| at
     # a singular end, and grows without bound as beta rises to it; beta
@@ -615,7 +599,7 @@ def _level_nodes(sampler: LevelSampler, b: float) -> _NodeStore:
         with np.errstate(divide="ignore"):
             return log_t, math.log(b) + (0.0 if b == 1.0 else (b - 1.0) * np.log(w)) + np.log(dw)
 
-    return _NodeStore(values, np.arange(_INITIAL_PANELS * k + 1) / _INITIAL_PANELS, weighted=True)
+    return _NodeStore(values, np.arange(_INITIAL_PANELS * k + 1) / _INITIAL_PANELS)
 
 
 # probes per critical interval of the weak form, and the width in s to which
@@ -750,7 +734,7 @@ def weighted_lorentz_g(f, phi: PhiSpec, b: float, cfg: QuadratureConfig = DEFAUL
     """
     _check_lorentz_indices(1.0, b)
     c = cache if cache is not None else ConjugateCache(phi)
-    psi_log_1 = c.psi_log_floor()
+    psi_log_1 = c.psi_log_floor(phi)
     if not math.isinf(b):
         return lorentz_norm(f, 1.0, b, cfg) * math.exp(-psi_log_1)
     sampler = LevelSampler(f)

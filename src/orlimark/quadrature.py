@@ -41,10 +41,10 @@ integrated in y = -log(distance to it), where log|f| = q y, as QAWS and
 Takahasi & Mori (1974) give such an end a coordinate of its own: by the
 rule up to the smallest normal distance, and beyond it in closed form.
 
-Every integral reads its node values from a ``_NodeStore``, which carries
-the measure its integrals are taken against, as a column of log weights:
-the layer-cake measure on the level map of the Lorentz norms, log dx/ds at
-a singular end.  Integrals of the same node values (the Luxemburg solve, a
+Every integral reads its node values from a ``_NodeStore`` and is taken
+against the store's measure, a constant density and log weights where it
+varies: the layer-cake measure on the level map of the Lorentz norms, log
+dx/ds at a singular end.  Integrals of the same node values (the Luxemburg solve, a
 p scan with its re-validation) share one store, so each Gauss panel's
 values are computed once, as Gander & Gautschi (2000) reuse integrand
 values across refinements, and a store takes each exact power integral
@@ -54,9 +54,9 @@ and R) continue it.  ``PowerNormEvaluator``, the evaluator of the L_p
 scans, and the Luxemburg model rest on one cached-node rule,
 ``_NodeRule``, that reads the same store: one log-sum-exp per query.
 
-The norms are taken against Lebesgue measure scaled to total mass one:
-``_adaptive`` integrates against plain dx times the store's weights, and
-its callers add the store's ``log_density``.
+The norms are taken against Lebesgue measure scaled to total mass one,
+whose density the store of log|f| carries, so ``_adaptive`` and
+``_NodeRule.log_mean`` return them with no density for callers to add.
 
 A function carries its domain, ``f.natural_domain``: the entry points
 (``LevelSampler``, ``sup_norm``, ``distribution``), like the norms and
@@ -241,18 +241,18 @@ class _NodeStore:
     the log weights of the measure they are integrated against.
 
     ``values`` maps a flat array of abscissae to the node value g of its
-    shape: log|f| for the integrals of a function of |f|, log T on the level
-    map of the Lorentz layer cake.  A ``weighted`` store's ``values`` gives
-    the pair (g, log weight) instead, the weight being the density of the
-    measure with respect to the abscissa: b w^(b-1) dw/ds on the level map.
+    shape: log|f| for the integrals of a function of |f|, or a tuple
+    (g, log weight), the weight being the measure's density with respect to
+    the abscissa: (log T, log b w^(b-1) dw/ds) on the level map of the
+    Lorentz layer cake.
     A panel's rows at its 16 Gauss nodes are computed on its first request
     and found again by its exact ends, lo + 1j hi, in one sorted array.
     Every integral of a call starts from the same sorted ``edges``, which
     span [lo, hi], and halves its panels, so panels recur bit for bit; an
     integral that adds break points of its own to the edges splits the
-    panels they fall in, whose pieces are new keys.  Integrals against the
-    normalized measure add ``log_density``.  ``power_integral`` takes each
-    exact integral of e^(e g) once.
+    panels they fall in, whose pieces are new keys.  Every integral is
+    against the store's measure, its log weights plus ``log_density``.
+    ``power_integral`` takes each exact integral of e^(e g) once.
 
     ``q`` is the power of a singular end at hi that f states (on an
     unweighted store), the growth of g = log|f| = q y at distance e^-y below
@@ -261,8 +261,8 @@ class _NodeStore:
     weight is log dx/ds.
     """
 
-    def __init__(self, values, edges, log_density: float = 0.0, q=None, weighted: bool = False):
-        self._values, self.q, self._weighted = values, q, weighted
+    def __init__(self, values, edges, log_density: float = 0.0, q=None):
+        self._values, self.q = values, q
         self.edges, self.log_density = edges, log_density
         self.lo, self.hi = float(edges[0]), float(edges[-1])
         if q is not None:
@@ -277,8 +277,8 @@ class _NodeStore:
     def _evaluate(self, p_lo, p_hi):
         xs = _panel_nodes(p_lo, p_hi)[0]
         if self.q is None:
-            cols = self._values(xs.ravel()) if self._weighted else (self._values(xs.ravel()),)
-            return [v.reshape(xs.shape) for v in cols]
+            cols = self._values(xs.ravel())
+            return [v.reshape(xs.shape) for v in (cols if isinstance(cols, tuple) else (cols,))]
         on = p_lo >= self._cut
         ys, half_y = _panel_nodes(self._y(p_lo[on]), self._y(p_hi[on]))
         g, log_dx = np.empty(xs.shape), np.zeros(xs.shape)
@@ -305,10 +305,10 @@ class _NodeStore:
 
     def power_integral(self, e: float, cfg):
         """``_adaptive`` of e^(e g) on this store, taken once for each
-        (e, cfg): the log integral, its error and its panels' read-only ends."""
+        (e, cfg): the log integral and its panels' read-only ends."""
         if (e, cfg) not in self._powers:
             out = self._powers[e, cfg] = _adaptive(self, lambda g: e * g, cfg)
-            for ends in out[2:]:
+            for ends in out[1:]:
                 ends.flags.writeable = False
         return self._powers[e, cfg]
 
@@ -369,9 +369,10 @@ def _adaptive(nodes: _NodeStore, transform, cfg, breaks=None):
     subdivides once for a vector integrand: each lane keeps its own shift,
     sums and early retirement, and a panel splits while any lane needs it.
 
-    Returns the log of the integral, the error estimate in units of e^c (an
-    array of one a lane each, with lanes) and the accepted panels' ends.
-    Past the depth or panel budget it raises ConvergenceFailureError whose
+    Returns the log of the integral against the store's measure (an array
+    of one a lane each, with lanes) and the accepted panels' ends; the
+    error estimate, in units of e^c, only decides acceptance.  Past the
+    depth or panel budget it raises ConvergenceFailureError whose
     ``best_estimate`` is the log of the accepted sum plus the mass of the
     live panels and whose ``error_bound`` is the accepted error plus that
     live mass, relative to exp(best_estimate): floats, of the lane whose
@@ -384,8 +385,8 @@ def _adaptive(nodes: _NodeStore, transform, cfg, breaks=None):
         _check_finite(t, p_lo, p_hi)
         return t
 
-    def result(*per_lane):
-        return per_lane if lanes else tuple(float(v[0]) for v in per_lane)
+    def result(log_sum):
+        return log_sum + nodes.log_density if lanes else float(log_sum[0] + nodes.log_density)
 
     edges = nodes.edges if breaks is None else _merged(nodes.edges, breaks)
     p_lo, p_hi = edges[:-1].copy(), edges[1:].copy()
@@ -397,7 +398,7 @@ def _adaptive(nodes: _NodeStore, transform, cfg, breaks=None):
     # a lane that vanishes at every node of the first wave is zero
     live = np.isfinite(c)[:, None].repeat(p_lo.size, axis=1)
     if not live.any():
-        return *result(c, np.zeros(c.shape)), np.array([nodes.lo]), np.array([nodes.hi])
+        return result(c), np.array([nodes.lo]), np.array([nodes.hi])
     c[~live[:, 0]] = 0.0
     p_val = (np.exp(t - c[:, None, None]) @ _WEIGHTS) * (0.5 * (p_hi - p_lo))
     acc_sum, acc_err = np.exp(rest - c), np.zeros(c.shape)
@@ -433,7 +434,7 @@ def _adaptive(nodes: _NodeStore, transform, cfg, breaks=None):
         done_hi += [c_hi[:k][~keep], c_hi[k:][~keep]]
         if not keep.any():
             with np.errstate(divide="ignore"):
-                return *result(c + np.log(acc_sum), acc_err), np.concatenate(done_lo), np.concatenate(done_hi)
+                return result(c + np.log(acc_sum)), np.concatenate(done_lo), np.concatenate(done_hi)
 
         p_lo = np.concatenate([c_lo[:k][keep], c_lo[k:][keep]])
         p_hi = np.concatenate([c_hi[:k][keep], c_hi[k:][keep]])
@@ -446,7 +447,7 @@ def _adaptive(nodes: _NodeStore, transform, cfg, breaks=None):
     total = acc_sum + live_mass
     with np.errstate(divide="ignore", invalid="ignore"):
         # crude bound: the full live mass, relative to the estimate
-        best, bound = c + np.log(total), (acc_err + live_mass) / total
+        best, bound = c + np.log(total) + nodes.log_density, (acc_err + live_mass) / total
     worst = int(np.argmax(bound))
     raise ConvergenceFailureError(f"quadrature did not converge within depth {_MAX_DEPTH}", best_estimate=float(best[worst]), error_bound=float(bound[worst]))
 
@@ -541,7 +542,7 @@ class PowerNormEvaluator(_NodeRule):
 
     def __init__(self, nodes: _NodeStore, cfg: QuadratureConfig, yardsticks):
         es = np.asarray(yardsticks, dtype=float)[:, None, None]
-        super().__init__(nodes, _adaptive(nodes, lambda g: es * g, cfg)[2:])
+        super().__init__(nodes, _adaptive(nodes, lambda g: es * g, cfg)[1:])
         self.node_count = self.g.size
 
     def log_norm(self, e, moment: bool = False):
@@ -560,7 +561,7 @@ def _power_norm(nodes: _NodeStore, e: float, q: float, cfg: QuadratureConfig) ->
     g: ||f||_p at e = q = p on a store of log|f|, ||f||_(p,b) at e = p / b,
     q = b on the level store of the layer cake."""
     # exp(-inf) is 0 where the integrand vanishes on every node
-    return math.exp((nodes.power_integral(e, cfg)[0] + nodes.log_density) / q)
+    return math.exp(nodes.power_integral(e, cfg)[0] / q)
 
 
 def _check_lp_exponent(p: float) -> None:

@@ -307,6 +307,14 @@ class TestMain:
         assert main(["norm", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 1
         assert "no knee" in capsys.readouterr().err
 
+    def test_vnorm_whose_weight_diverges_exits_one(self, tmp_path, capsys):
+        # h*(4) of log(1 + z)^1.05 is +inf, so psi diverges at the v-scan's
+        # lowest exponent and no ratio is a number: exit 1, not a value of 0
+        cfg_file = tmp_path / "v.cfg"
+        cfg_file.write_text("[phi]\nfamily = log-power\nnu = 0.05\n\n[function]\ntext = poly:0.3,-1.2,0.5\n\n[norm]\nkind = vnorm\n")
+        assert main(["norm", "--config", str(cfg_file), "--out", str(tmp_path / "v")]) == 1
+        assert any(line.startswith("error:") and "diverges at p_lo = 4.0" in line for line in capsys.readouterr().err.splitlines())
+
     def test_log_power_norm_is_the_library_value(self, tmp_path):
         cfg_file = tmp_path / "n.cfg"
         cfg_file.write_text("[phi]\nfamily = log-power\nnu = 1\n\n[function]\ntext = poly:0.3,-1.2,0.5\n\n[norm]\nkind = orlicz\n")

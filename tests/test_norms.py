@@ -13,6 +13,7 @@ from scipy.optimize import brentq
 from orlimark import conjugate, norms, quadrature
 from orlimark.conjugate import ConjugateCache, custom_phi, exp_or_inf, golden_max, log_power, power_log, psi_log, tabulated_phi
 from orlimark.errors import (
+    ConjugateDivergenceError,
     ConstructionError,
     ConvergenceFailureError,
     DomainEvaluationError,
@@ -448,8 +449,8 @@ class TestLuxemburg:
             with np.errstate(divide="ignore"):
                 return n.n_log_from_log_u(np.log(np.abs(f(x)) / value))
 
-        nodes = quadrature._NodeStore(log_integrand, quadrature._initial_edges(INTERVAL.lo, INTERVAL.hi, ()))
-        return quadrature._adaptive(nodes, lambda g: g, DEFAULT_CONFIG)[0] + math.log(INTERVAL.density)
+        nodes = quadrature._NodeStore(log_integrand, quadrature._initial_edges(INTERVAL.lo, INTERVAL.hi, ()), math.log(INTERVAL.density))
+        return quadrature._adaptive(nodes, lambda g: g, DEFAULT_CONFIG)[0]
 
     def test_defining_property(self, phi2, ctx):
         # at the returned l*, the modular must sit within 1e-6 of one
@@ -517,7 +518,7 @@ class TestLuxemburg:
             calls.append(args)
             value, *rest = adaptive(*args)
             if len(calls) > 1:
-                value += 0.01 if value > math.log(INTERVAL.length) else -0.01
+                value += 0.01 if value > 0.0 else -0.01
             return value, *rest
 
         # the node store takes the L1 integral, norms the modulars
@@ -590,7 +591,6 @@ class TestLuxemburg:
         exact integral, up to a constant: minus the integrand's log at a node
         value of -1000, on the linear branch of N, is t + 1000 - log slope."""
         log_mean, adaptive, ts = quadrature._NodeRule.log_mean, norms._adaptive, []
-        log_density = math.log(INTERVAL.density)
 
         def model_off(self, log_integrand):
             return log_mean(self, log_integrand) + offset
@@ -598,7 +598,7 @@ class TestLuxemburg:
         def exact(nodes, transform, *args):
             ts.append(-float(transform(np.array([-1000.0]))[0]))
             value, *rest = adaptive(nodes, transform, *args)
-            return (value + log_density) * scale + shift - log_density, *rest
+            return value * scale + shift, *rest
 
         monkeypatch.setattr(quadrature._NodeRule, "log_mean", model_off)
         monkeypatch.setattr(norms, "_adaptive", exact)
@@ -1056,6 +1056,49 @@ class TestSupRatioFrom:
         cache = ctx.conjugates(phi2) if cached else None
         with pytest.raises(ValueError, match="p_lo"):
             sup_ratio_from(PolynomialRep([0.5, 0.0, 1.0]), phi2, p_lo, cache=cache)
+
+
+class TestCacheCheck:
+    """A weighted norm checks the conjugate cache it reads, once
+    (``ConjugateCache.check_start``): built for the phi the norm was asked
+    for, and with a finite weight at its lowest exponent."""
+
+    F = PolynomialRep([0.3, 1.0, -0.7])
+    # chord slopes 0.3 and 0.6 in y: h grows more slowly than y, so
+    # h*(p) = +inf for every p >= 1
+    TABLE = tabulated_phi([1.0, math.e, math.e**2], [1.0, 1.3, 1.9])
+
+    @pytest.mark.parametrize("norm", ["g_norm_info", "weighted_lorentz_g"])
+    def test_cache_for_another_phi_rejected(self, norm):
+        # read as it is, power_log(1)'s cache gave its own g-norm, 1.468,
+        # for power_log(2) (1.259), and mixed the two phi at b = inf
+        call = {
+            "g_norm_info": lambda cache: g_norm_info(self.F, power_log(2.0), cache=cache),
+            "weighted_lorentz_g": lambda cache: weighted_lorentz_g(self.F, power_log(2.0), math.inf, cache=cache),
+        }[norm]
+        with pytest.raises(RejectedInputError, match=r"built for power-log\(m=1,r=0\) is read for power-log\(m=2,r=0\)"):
+            call(ConjugateCache(power_log(1.0)))
+
+    @pytest.mark.parametrize("norm", ["v_quasinorm_info", "sup_ratio_from"])
+    def test_weight_diverging_at_p_lo_raises(self, norm):
+        # h*(4) of log(1 + z)^1.05 is +inf, as psi(phi, 4) reports; the
+        # scans from p = 4 returned 0.0
+        phi = log_power(0.05)
+        call = {"v_quasinorm_info": lambda: v_quasinorm_info(self.F, phi, 1.0), "sup_ratio_from": lambda: sup_ratio_from(self.F, phi, 4.0)}[norm]
+        with pytest.raises(ConjugateDivergenceError, match="diverges at p_lo = 4.0"):
+            call()
+
+    @pytest.mark.parametrize("norm", ["g_norm_info", "weighted_lorentz_g(b=2)", "weighted_lorentz_g(b=inf)"])
+    def test_table_whose_weight_diverges_raises(self, norm):
+        # every psi(p) of the table is +inf: the g-norm and both weighted
+        # Lorentz forms returned 0.0
+        call = {
+            "g_norm_info": lambda: g_norm_info(self.F, self.TABLE),
+            "weighted_lorentz_g(b=2)": lambda: weighted_lorentz_g(self.F, self.TABLE, 2.0),
+            "weighted_lorentz_g(b=inf)": lambda: weighted_lorentz_g(self.F, self.TABLE, math.inf),
+        }[norm]
+        with pytest.raises(ConjugateDivergenceError, match="diverges at p_lo = 1.0"):
+            call()
 
 
 class TestVQuasinorm:

@@ -15,12 +15,13 @@ import orlimark
 from orlimark import errors
 from orlimark.conjugate import custom_phi, log_power, power_log, psi, tabulated_phi
 from orlimark.errors import DomainEvaluationError, OrlimarkError, RejectedInputError
-from orlimark.functions import InversePowerRep, PolynomialRep, RationalRep, check_no_poles, chebyshev_t, jacobi22, random_family
+from orlimark.functions import GapRep, InversePowerRep, PolynomialRep, RationalRep, check_no_poles, chebyshev_t, derivative, jacobi22, random_family, to_text
 from orlimark.harness import (
     d_constant,
     d_constant_log,
     equivalence_band,
     extremal_search,
+    gap_check,
     lp_rational_check,
     markov_ratio,
     markov_sweep,
@@ -223,6 +224,9 @@ ARGUMENT_CHECKS = {
     "random_family(seed=-1)": lambda: random_family("polynomial", 3, -1),
     "random_family(seed=1.5)": lambda: random_family("polynomial", 3, 1.5),
     "check_no_poles(polynomial)": lambda: check_no_poles(PolynomialRep([1.0, 2.0])),
+    "to_text(InversePowerRep)": lambda: to_text(InversePowerRep(0.5)),
+    "to_text(GapDerivative)": lambda: to_text(derivative(GapRep([(0.1, 0.5, 2.0)]), 1)),
+    "gap_check(empty range)": lambda: gap_check(GapRep([(0.1, 0.5, 2.0)]), 2.0, []),
 }
 
 

@@ -532,7 +532,7 @@ def test_log_mean_matches_mpmath():
     # -inf, and +inf and NaN propagate
     f = chebyshev_t(12)
     nodes = _NodeStore(log_abs_of(f), _initial_edges(-1.0, 1.0, f.break_points()))
-    rule = _NodeRule(nodes, _adaptive(nodes, lambda g: 60.0 * g, DEFAULT_CONFIG)[2:])
+    rule = _NodeRule(nodes, _adaptive(nodes, lambda g: 60.0 * g, DEFAULT_CONFIG)[1:])
     size = rule.g.size
     rng = np.random.default_rng(5)
     rows = np.stack(
@@ -570,16 +570,17 @@ def test_break_point_next_to_an_edge_is_merged():
 
 def test_lanes_share_one_pass():
     # three transforms of one store integrated together: each lane within
-    # rel_tol of a 50-digit mpmath value of |T_12|^e on [-1, 1], split at
-    # the break points cos(k pi / 24), twice the even integrand's on [0, 1]
+    # rel_tol of a 50-digit mpmath value of the mean of |T_12|^e on [-1, 1],
+    # the store's normalized measure, split at the break points
+    # cos(k pi / 24): the even integrand's integral on [0, 1]
     f, es = chebyshev_t(12), np.array([1.0, 32.0, 1024.0])
-    values, errors, _lo, _hi = _adaptive(_abs_nodes(f), lambda g: es[:, None, None] * g, DEFAULT_CONFIG)
-    assert values.shape == errors.shape == es.shape
+    values, _lo, _hi = _adaptive(_abs_nodes(f), lambda g: es[:, None, None] * g, DEFAULT_CONFIG)
+    assert values.shape == es.shape
     coeffs = [int(c) for c in np.polynomial.chebyshev.cheb2poly([0] * 12 + [1])[::-1]]
     with mp.workdps(50):
         points = [mp.cos(mp.pi * k / 24) for k in range(12, -1, -1)]
         for e, value in zip(es, values):
-            ref = 2 * mp.quad(lambda x, e=int(e): abs(mp.polyval(coeffs, x)) ** e, points)
+            ref = mp.quad(lambda x, e=int(e): abs(mp.polyval(coeffs, x)) ** e, points)
             assert math.exp(value) == pytest.approx(float(ref), rel=DEFAULT_CONFIG.rel_tol)
 
 
@@ -598,12 +599,12 @@ def test_node_store_evaluates_each_panel_once():
     first, second = (_adaptive(nodes, lambda g, e=e: e * g, DEFAULT_CONFIG) for e in (1.0, 60.0))
     for e, result in ((1.0, first), (60.0, second)):
         assert result[0] == integrate(lambda xs, e=e: e * log_f(xs), -1.0, 1.0, DEFAULT_CONFIG, breaks)
-    rule = _NodeRule(nodes, first[2:])
+    rule = _NodeRule(nodes, first[1:])
     held = len(points)
-    rule.join(*second[2:])
+    rule.join(*second[1:])
     assert len(points) == held
     # every node is evaluated once, and no two nodes round onto one abscissa
     nodes_seen = np.concatenate(points)
     assert np.unique(nodes_seen).size == nodes_seen.size
-    fresh = _NodeRule(_abs_nodes(f), first[2:] + second[2:])
+    fresh = _NodeRule(_abs_nodes(f), first[1:] + second[1:])
     assert rule.g.tobytes() == fresh.g.tobytes() and rule.logw.tobytes() == fresh.logw.tobytes()
