@@ -156,6 +156,9 @@ def log_power(nu: float) -> PhiSpec:
 
 
 def custom_phi(fn) -> PhiSpec:
+    """phi = fn, a callable z -> phi(z) on arrays of z > 0."""
+    if not callable(fn):
+        raise RejectedInputError(f"custom phi must be callable, got {type(fn).__name__}")
     return PhiSpec("custom", fn=fn)
 
 

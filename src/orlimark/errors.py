@@ -69,10 +69,11 @@ class SummabilityError(OrlimarkError):
 
 
 class ScanDivergenceError(OrlimarkError):
-    """A sup-over-p scan's supremum is infinite: f's singular end, of power
-    q, makes ||f||_beta infinite from beta = 1/q on, and the scanned
-    exponents reach it (q > r), or grow without bound as they approach it
-    (q = r).  Raised by the scan's growth check, before any row."""
+    """A norm or a sup-over-p scan's supremum is infinite: f's singular end,
+    of power q, makes ||f||_beta infinite from beta = 1/q on.  Raised before
+    any integral by ``lp_quasinorm`` at q beta >= 1, and before any row by a
+    scan's growth check, where the scanned exponents reach 1/q (q > r) or
+    grow without bound as they approach it (q = r)."""
 
 
 class DegenerateInputError(OrlimarkError):

@@ -543,7 +543,8 @@ def _log_derivative(factors):
 
 
 class GapRep:
-    """Product of |x - z_j|^(r_j) with z_j = a_j + i b_j and real r_j >= 1."""
+    """Product of |x - z_j|^(r_j) with finite z_j = a_j + i b_j and finite
+    real r_j >= 1."""
 
     kind = "gap"
 
@@ -551,6 +552,8 @@ class GapRep:
         fs = []
         for a, b, r in factors:
             a, b, r = float(a), float(b), float(r)
+            if not all(map(math.isfinite, (a, b, r))):
+                raise RejectedInputError(f"factor node and exponent must be finite, got {(a, b, r)!r}")
             if not (r >= 1.0):
                 raise RejectedInputError(f"factor exponent must be >= 1, got {r!r}")
             fs.append((a, b, r))
@@ -607,7 +610,8 @@ class InversePowerRep:
     y = -log(1 - x), where log|f| = q y, and the part of that piece where
     |f| > w is w^(-1/q) long.  ``sup_norm`` rejects it; its distribution
     function is finite at every level.  ||f||_beta is finite exactly when
-    q * beta < 1; an integral at q * beta >= 1 raises ConvergenceFailureError.
+    q * beta < 1; ``lp_quasinorm`` at q * beta >= 1 raises
+    ScanDivergenceError before integrating.
     """
 
     kind = "inverse-power"

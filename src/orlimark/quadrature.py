@@ -73,7 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailureError, DomainEvaluationError, RejectedInputError
+from .errors import ConvergenceFailureError, DomainEvaluationError, RejectedInputError, ScanDivergenceError
 
 _TWO_PI = 2.0 * math.pi
 
@@ -213,15 +213,6 @@ def _inner_points(edges, points):
     return inner[apart]
 
 
-@functools.lru_cache(maxsize=16)
-def _uniform_edges(lo, hi) -> np.ndarray:
-    """The _INITIAL_PANELS uniform panel edges of [lo, hi], computed once for
-    each interval (a domain's, in the library), read-only."""
-    edges = np.linspace(lo, hi, _INITIAL_PANELS + 1)
-    edges.flags.writeable = False
-    return edges
-
-
 def _merged(edges, points) -> np.ndarray:
     """The sorted edges and the points of ``points`` that ``_inner_points``
     keeps inside them, sorted together."""
@@ -233,7 +224,7 @@ def _merged(edges, points) -> np.ndarray:
 def _initial_edges(lo, hi, breaks):
     """The _INITIAL_PANELS uniform panel edges of [lo, hi] and the points of
     ``breaks`` inside, merged by ``_inner_points``."""
-    return _merged(_uniform_edges(lo, hi), breaks)
+    return _merged(np.linspace(lo, hi, _INITIAL_PANELS + 1), breaks)
 
 
 class _NodeStore:
@@ -576,12 +567,19 @@ def lp_quasinorm(f, p: float, domain: Domain | None = None, cfg: QuadratureConfi
 
     The integral is on f's own domain, which ``domain``, if given, must be,
     or RejectedInputError, and starts with the break points of f as panel
-    edges.
+    edges.  A singular end of power q that f states makes the norm infinite
+    at q p >= 1, which raises ScanDivergenceError before any integral.
     """
     _check_lp_exponent(p)
     if domain is not None and domain != _carrier(f)[0]:
         raise RejectedInputError(f"{type(f).__name__} is taken on its own domain {f.natural_domain}, not on {domain}")
-    return _power_norm(_abs_nodes(f), p, p, cfg)
+    nodes = _abs_nodes(f)
+    if nodes.q is not None and nodes.q * p >= 1.0:
+        raise ScanDivergenceError(
+            f"||f||_p is infinite: q p = {nodes.q * p:g} >= 1, so p = {p:g} reaches 1/q = {1.0 / nodes.q:g} "
+            f"(q = {nodes.q:g}, the power of f's singular end)"
+        )
+    return _power_norm(nodes, p, p, cfg)
 
 
 def _break_values(f, bounded: bool):

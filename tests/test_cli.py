@@ -339,9 +339,12 @@ class TestMain:
         assert "needs a rational function" in capsys.readouterr().err
 
     def test_equivalence_report(self, tmp_path):
+        # the corrected sandwich factor max(1, psi(4) / psi(1)) is 4^(1/2)
+        # for z^2, and no member of the seed-7 corpus misses it
         assert main(["equivalence", "--seed", "7", "--out", str(tmp_path / "e")]) == 0
         results = json.loads((tmp_path / "e.json").read_text())["results"]
         assert results["violations"] == 0 and len(results["rows"]) == 60
+        assert results["factor_corrected"] == pytest.approx(2.0, rel=1e-12) and results["corrected_misses"] == 0
 
     def test_equivalence_violation_exits_two(self, tmp_path, monkeypatch):
         # a lower edge above B/G = 1 fails the constant members
@@ -354,8 +357,20 @@ class TestMain:
         assert results["violations"] == sum(not row["lower_ok"] for row in results["rows"]) > 0
 
     def test_tail_report(self, tmp_path):
-        assert main(["tail", "--out", str(tmp_path / "t")]) == 0
-        assert math.isfinite(json.loads((tmp_path / "t.json").read_text())["results"]["normalizer"])
+        # T(w) of (1 - x)^-1/2 is w^-2 / 2 against dx/2, in closed form
+        # beside the singular end: every row's t at order 1 and s = 0.5 is
+        # (u * normalizer)^-2 / 2, out to u_max = 1e8, where a crossing
+        # solved in x was 4.4 off
+        cfg_file = tmp_path / "t.cfg"
+        for name, tail in (("default", ""), ("order-2", "s = 0.9\norder = 2\n"), ("u_max", "u_max = 1e8\n")):
+            cfg_file.write_text("[tail]\n" + tail)
+            assert main(["tail", "--config", str(cfg_file), "--out", str(tmp_path / name)]) == 0, name
+            results = json.loads((tmp_path / f"{name}.json").read_text())["results"]
+            v = results["normalizer"]
+            assert math.isfinite(v), name
+            if name != "order-2":
+                off = max(abs(row["t"] / ((row["u"] * v) ** -2 / 2) - 1) for row in results["rows"])
+                assert off <= 1e-12, name
 
     @pytest.mark.parametrize(
         "norm, label",
@@ -367,7 +382,7 @@ class TestMain:
         cfg_file.write_text(f"[function]\ntext = poly:0.3,-1.2,0.5\n\n[norm]\n{norm}\n")
         assert main(["norm", "--config", str(cfg_file), "--out", str(tmp_path / "n")]) == 0
         results = json.loads((tmp_path / "n.json").read_text())["results"]
-        assert results["label"] == label and results["value"] > 0.0
+        assert results["label"] == label and math.isfinite(results["value"]) and results["value"] > 0.0
         if results["norm_kind"] == "vnorm":
             assert results["inner_maximizer_p"] >= 4.0
 
@@ -497,13 +512,14 @@ def test_runtime_needs_no_scipy(tmp_path):
     assert "code 0 False" in swept.stdout, swept.stdout + swept.stderr
     results = json.loads((tmp_path / "sweep.json").read_text())["results"]
     lo, hi = results["slope_ci"]
-    assert lo < results["slope"] < hi
+    assert math.isfinite(lo) and math.isfinite(hi) and lo < results["slope"] < hi
 
 
 def test_runtime_loads_no_numpy_polynomial(tmp_path):
     # break points, derivatives, the Jacobi and Chebyshev constructors and
     # the Gauss rule take numpy.polynomial's operations without the module:
-    # the subcommands of the benchmark's cli workload never import it
+    # the subcommands of the benchmark's cli workload never import it; nor
+    # numpy.ma, which np.unique's first call imports and the library avoids
     src = os.path.dirname(os.path.dirname(os.path.abspath(orlimark.__file__)))
     norm = tmp_path / "norm.cfg"
     norm.write_text(NORM_CFG)
@@ -517,12 +533,13 @@ def test_runtime_loads_no_numpy_polynomial(tmp_path):
         ["rational", "--config", str(rational), "--seed", "7"],
         ["tail"],
         ["markov-sweep", "--config", str(sweep)],
+        ["equivalence", "--seed", "7"],
     ]
     child = (
         f"import sys; sys.path.insert(0, {src!r}); from orlimark import cli; "
         f"codes = [cli.main(argv + ['--out', {str(tmp_path / 'out')!r} + str(i), '--format', 'json']) for i, argv in enumerate({runs!r})]; "
-        "print('codes', codes, 'numpy.polynomial' in sys.modules)"
+        "print('codes', codes, 'numpy.polynomial' in sys.modules, 'numpy.ma' in sys.modules)"
     )
     done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "codes [0, 0, 0, 0, 0] False", done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == "codes [0, 0, 0, 0, 0, 0] False False", done.stdout + done.stderr

@@ -26,7 +26,8 @@ from orlimark.conjugate import (
     young_fenchel_lanes,
 )
 from orlimark.errors import ConjugateDivergenceError, ConstructionError, SummabilityError
-from orlimark.norms import construct_N, equivalence_constants
+from orlimark.harness import markov_sweep
+from orlimark.norms import construct_N, equivalence_constants, orlicz_spec
 
 
 def hstar_power_closed_form(m: float, p: float) -> float:
@@ -174,9 +175,12 @@ class TestGapCertificate:
     summability and whether C4 exists."""
 
     def test_steep_table_is_not_certified(self):
+        # and an orlicz sweep, whose bounds need C4, fails on it
         assert not phi_membership_check(STEEP).summable
         with pytest.raises(SummabilityError, match="did not certify"):
             equivalence_constants(construct_N(STEEP))
+        with pytest.raises(SummabilityError, match="did not certify"):
+            markov_sweep(STEEP, "jacobi22", range(2, 7), norm=orlicz_spec(STEEP))
 
     @pytest.mark.parametrize("phi", CERTIFICATE_PHIS, ids=lambda phi: phi.label)
     def test_summable_exactly_where_c4_exists(self, phi):
@@ -242,6 +246,8 @@ TABLES = [
     ([0.5, 1.0, 2.0, 4.0, 8.0], [0.05, 0.2, 0.9, 4.0, 20.0]),
     # linear continuation with slope 18/log 2 = 25.97: h* is +inf above it
     ([1.0, 2.0, 4.0, 8.0], [1.0, 3.0, 9.0, 27.0]),
+    # flat below the start of its clamp at zero, so not admissible
+    ([0.25, 0.5, 1.0, 2.0, 4.0, 8.0], [0.0625, 0.25, 1.0, 4.0, 16.0, 1000.0]),
 ]
 
 
@@ -316,7 +322,7 @@ def test_power_conjugates_match_closed_form():
         assert np.all(np.abs(ystar - np.log(ps / m) / m) <= 1e-13 * (1.0 + np.abs(ystar))), m
 
 
-@pytest.mark.parametrize("zs, phis", TABLES, ids=["5 points", "4 points"])
+@pytest.mark.parametrize("zs, phis", TABLES, ids=["5 points", "4 points", "6 points"])
 def test_table_conjugate_is_lucet(zs, phis):
     # the solve lands on the kinks, where h* is p y_i - h_i exactly; the
     # start of the clamp at zero may differ from the oracle's by rounding

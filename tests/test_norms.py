@@ -1134,6 +1134,8 @@ class TestLorentz:
         for p in (1.0, 2.0, 3.0):
             expect = (1.0 / (p + 1.0)) ** (1.0 / p)
             assert lorentz_norm(f, p, p) == pytest.approx(expect, rel=1e-6)
+        # ||0.3 - 1.2 x + 0.5 x^2||_2 = sqrt(0.72) against dx/2
+        assert lorentz_norm(PolynomialRep([0.3, -1.2, 0.5]), 2.0, 2.0) == pytest.approx(math.sqrt(0.72), rel=1e-12)
 
     def test_constant_all_parameters(self):
         f = PolynomialRep([2.0])

