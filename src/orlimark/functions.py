@@ -263,23 +263,62 @@ def _breaks(f, *zeros) -> np.ndarray:
     return _sorted_distinct(np.concatenate([[lo, hi], inner[(inner > lo) & (inner < hi)]]))
 
 
+# a batch of at most this many points is evaluated on Python floats: a numpy
+# operation costs about 0.5 us whatever its length, and floats were faster
+# below 20 to 30 points at degrees 6 to 26 (a degree-26 Horner took 2.7 us
+# on one point and 16 us on 16 on floats, 26 us or more in numpy, on a
+# 2-vCPU x86 machine)
+_FLOAT_POINTS = 16
+
+
+def _on_floats(xs: np.ndarray, value) -> np.ndarray:
+    """``value(x)`` at each point of xs, each on Python floats, in xs's
+    shape; one numpy float for a 0-d xs."""
+    return np.array([value(x) for x in xs.ravel().tolist()]).reshape(xs.shape)[()]
+
+
 def _horner(xs: np.ndarray, c) -> np.ndarray:
-    """``polyval(xs, c)``, operation for operation, in place on one array:
-    x * 0 + c[-1], then for each lower coefficient a product with x and a
-    sum.  A 0-d xs runs on numpy floats and gives one, as ``polyval``."""
+    """``polyval(xs, c)``, operation for operation: x * 0 + c[-1], then for
+    each lower coefficient a product with x and a sum.  A batch of at most
+    _FLOAT_POINTS points runs on Python floats, the same IEEE operations in
+    the same order, and a larger one in place on one array.  A 0-d xs gives
+    a numpy float, as ``polyval``."""
+    if xs.size <= _FLOAT_POINTS:
+        top, lower = c[-1], tuple(c[-2::-1])
+
+        def value(x):
+            v = x * 0.0 + top
+            for ck in lower:
+                v = v * x + ck
+            return v
+
+        return _on_floats(xs, value)
     out = xs * 0.0
     out += c[-1]
     for ck in c[-2::-1]:
         out *= xs
         out += ck
-    return out[()]
+    return out
 
 
 def _clenshaw(xs: np.ndarray, c) -> np.ndarray:
-    """``chebval(xs, c)``, operation for operation and operand for operand,
-    in place on three arrays: from c0, c1 = c[-2], c[-1] (c[0], 0 for one
-    term), each lower coefficient makes c0, c1 = c[k] - c1, c0 + c1 (2x),
-    and the value is c0 + c1 x."""
+    """``chebval(xs, c)``, operation for operation and operand for operand:
+    from c0, c1 = c[-2], c[-1] (c[0], 0 for one term), each lower
+    coefficient makes c0, c1 = c[k] - c1, c0 + c1 (2x), and the value is
+    c0 + c1 x.  A batch of at most _FLOAT_POINTS points runs on Python
+    floats, and a larger one in place on three arrays.  A 0-d xs gives a
+    numpy float, as ``chebval``."""
+    if xs.size <= _FLOAT_POINTS:
+        c = c.tolist()
+        first, top, lower = (c[0], 0.0, ()) if len(c) == 1 else (c[-2], c[-1], c[-3::-1])
+
+        def value(x):
+            c0, c1, x2 = first, top, 2.0 * x
+            for ck in lower:
+                c0, c1 = ck - c1, c0 + c1 * x2
+            return c0 + c1 * x
+
+        return _on_floats(xs, value)
     c0, c1 = np.full(xs.shape, c[0] if len(c) == 1 else c[-2]), np.full(xs.shape, 0.0 if len(c) == 1 else c[-1])
     t = np.empty(xs.shape)
     x2 = 2.0 * xs
@@ -288,7 +327,7 @@ def _clenshaw(xs: np.ndarray, c) -> np.ndarray:
         np.subtract(ck, c1, out=c0)
         c1, t = t, c1
     c1 *= xs
-    return np.add(c0, c1, out=c1)[()]
+    return np.add(c0, c1, out=c1)
 
 
 class PolynomialRep:
@@ -300,9 +339,10 @@ class PolynomialRep:
     expansion (``jacobi22``, ``chebyshev_t``) pass it as ``cheb`` and derive
     the monomial ``coeffs`` from it with ``cheb2poly``; evaluation then runs
     through Clenshaw, which is backward stable on the interval.  Monomial
-    input without ``cheb`` evaluates by Horner at every degree.  Both run in
-    place on a few arrays of x's shape, ``_horner`` and ``_clenshaw``, in
-    the order of numpy's ``polyval`` and ``chebval``: a value's bits are
+    input without ``cheb`` evaluates by Horner at every degree.  Both,
+    ``_horner`` and ``_clenshaw``, run in the order of numpy's ``polyval``
+    and ``chebval``, on Python floats for at most _FLOAT_POINTS points and
+    in place on a few arrays of x's shape for more: a value's bits are
     theirs, at every x, inf and NaN among them.
     """
 

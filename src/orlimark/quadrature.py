@@ -18,15 +18,16 @@ reduces to three primitives implemented here:
   to a collapsed bracket by ``_bracketed_root``, the one root solver, which
   also finds the maximum of the weak Lorentz form, the polish of the
   sup-over-p scans, the splice knee and the Luxemburg root in the norms
-  module.  Its one step function runs many lanes on arrays and a lone lane
-  (the one lane of a call, or the last one live) on Python floats, with
-  float selections that give numpy's bits, in the same steps.  A crossing
-  starts from one cell of a fixed table of |f| at the Chebyshev-Lobatto
-  points of its piece, looked up for every lane at once, as Boyd (2002)
-  isolates roots on Chebyshev points.  The same crossings
-  give the slope T'(w), from the derivative each bounded representation
-  reports.  Beside a singular end, whose power q f states, the part of its
-  piece above w is w^(-1/q) long, in closed form.
+  module.  One step, in two halves around one call of g, runs many lanes
+  on arrays and the last few live (up to _FLOAT_LANES, the one lane of a
+  call among them) on Python floats, in lockstep, with float selections
+  that give numpy's bits, in the same steps.  A crossing starts from one
+  cell of a fixed table of |f| at the Chebyshev-Lobatto points of its
+  piece, looked up for every lane at once, as Boyd (2002) isolates roots
+  on Chebyshev points.  The same crossings give the slope T'(w), from the
+  derivative each bounded representation reports.  Beside a singular end,
+  whose power q f states, the part of its piece above w is w^(-1/q) long,
+  in closed form.
   ``sup_norm`` is the largest |f| over the same break points.
 
 Adaptive integrals of functions of |f| (``lp_quasinorm``, the panels of
@@ -603,7 +604,10 @@ def sup_norm(f) -> float:
     return float(_break_values(f, bounded=True)[1].max())
 
 
-# a crossing's first bracket is one of this many cells of its piece
+# a crossing's first bracket is one of this many cells of its piece.  A warm
+# seed-7 ``lorentz`` pass took 368 solver steps at 64 cells and 296 at 512,
+# but a finer table moves crossings within their collapsed brackets, and so
+# T by up to 2.5e-13 relative where T < 0.011
 _CELLS = 64
 # steps before a bracketed root solve gives up with its end of smaller |g|;
 # from a table cell, a crossing within 1e-6 relative of a critical value of
@@ -657,13 +661,12 @@ def _first_state(where, xn, xp, gn, gp, tol, unmoved, unbounded):
     return [xn, xp, gn, gp, gn, gp, unmoved, unmoved, where(-gn < gp, xn, xp), width, width, unbounded, unbounded, unbounded, d, width, tol, 0.5 * tol]
 
 
-def _root_step(ops, evaluate, state):
-    """One step of ``_bracketed_root`` on the lanes of ``state``, with the
-    selections ``ops``: the point x, whether g is zero there and which lanes
-    are done.  ``evaluate(x)`` is g at x, which raises on a NaN.  The step
-    empties the list ``state`` and refills it with the state after the step,
-    so that, as in a loop that rebinds its variables, each array of the old
-    state is freed once the step has replaced it."""
+def _step_point(ops, state):
+    """The half of a step of ``_bracketed_root`` before g, on the lanes of
+    ``state``, with the selections ``ops``: the point x where g is taken
+    next.  Each half empties the list ``state`` and refills it with the
+    state after it, so that, as in a loop that rebinds its variables, each
+    array of the old state is freed once the step has replaced it."""
     where, minimum, maximum, isfinite, divide = ops
     xn, xp, gn, gp, sn, sp, pos_moved, neg_moved, last, step, older, w3, w2, w1, d, width, tol, half = state
     state.clear()
@@ -676,7 +679,16 @@ def _root_step(ops, evaluate, state):
     x = where(falsi, x, 0.5 * (xn + xp))
     step, older, last = abs(x - last), step, x
     w3, w2, w1 = w2, w1, width
-    gx = evaluate(x)
+    state += (xn, xp, gn, gp, sn, sp, pos_moved, neg_moved, last, step, older, w3, w2, w1, d, width, tol, half)
+    return x
+
+
+def _step_update(ops, state, x, gx):
+    """The half of a step after g, once g(x) = gx, which is not NaN: which
+    lanes are done, collapsed or on a zero of g, which g_neg is then."""
+    where, _minimum, _maximum, _isfinite, divide = ops
+    xn, xp, gn, gp, sn, sp, pos_moved, neg_moved, last, step, older, w3, w2, w1, d, width, tol, half = state
+    state.clear()
     up = gx > 0.0
     scale = 1.0 - divide(gx, where(up, sp, sn))
     scale = where(scale > 0.0, scale, 0.5)
@@ -685,11 +697,20 @@ def _root_step(ops, evaluate, state):
     # gx is not NaN, so the negative end moved where it is not up
     pos_moved, neg_moved = up, gx <= 0.0
     xn, xp, gn, gp = where(up, xn, x), where(up, x, xp), where(up, gn, gx), where(up, gx, gp)
-    zero = gx == 0.0
     d = xp - xn
     width = abs(d)
     state += (xn, xp, gn, gp, sn, sp, pos_moved, neg_moved, last, step, older, w3, w2, w1, d, width, tol, half)
-    return x, zero, (width <= tol) | zero
+    return (width <= tol) | (gx == 0.0)
+
+
+# at most this many live lanes step on Python floats, in lockstep, with one
+# call of g a step: a numpy operation costs about 0.5 us whatever its length,
+# and a solve of x^3 = c on 2, 4 and 8 lanes took 98, 123 and 200 us so,
+# against 320, 283 and 347 us on arrays, on a 2-vCPU x86 machine; in three
+# sweeps a warm seed-7 ``lorentz`` pass took at best 43.2 to 43.7 ms at 8
+# lanes, 42.2 to 45.1 at 16 and 42.1 to 44.5 at 32, and 46.6 to 53.8 ms with
+# one lane on floats
+_FLOAT_LANES = 8
 
 
 def _bracketed_root(g, x_neg, x_pos, g_neg, g_pos, tol, stop=None):
@@ -710,20 +731,25 @@ def _bracketed_root(g, x_neg, x_pos, g_neg, g_pos, tol, stop=None):
     collapsed (x_neg, x_pos, g_neg, g_pos), both ends on a zero of g where
     one is found.
 
-    A step, ``_root_step``, follows numpy's operation order throughout: the
-    bracket difference xp - xn is taken once a step and read by the width,
-    the regula-falsi point and the stop test, tol / 2 once a lane, and the
-    clip is a maximum, then a minimum, as ``np.clip`` takes them.  So a
-    lane's iterates have the bits of a loop that recomputes xp - xn at each
-    use and calls ``np.clip``, alone or among other lanes.  While two or
-    more lanes are live, a step runs on arrays of them, and one that
-    finishes lanes drops them from every array of the state by the integer
-    positions of the rest, found once, which numpy gathers faster than a
-    boolean mask.  A lane that is alone, the only lane of the call or the
-    last one live, runs on Python floats, through the same step with float
+    A step, ``_step_point`` and then ``_step_update`` around one call of g,
+    follows numpy's operation order throughout: the bracket difference
+    xp - xn is taken once a step and read by the width, the regula-falsi
+    point and the stop test, tol / 2 once a lane, and the clip is a maximum,
+    then a minimum, as ``np.clip`` takes them.  So a lane's iterates have
+    the bits of a loop that recomputes xp - xn at each use and calls
+    ``np.clip``, alone or among other lanes.  While more than _FLOAT_LANES
+    lanes are live, a step runs on arrays of them, and one that finishes
+    lanes drops them from every array of the state by the integer positions
+    of the rest, found once, which numpy gathers faster than a boolean
+    mask.  The last _FLOAT_LANES or fewer, as the lone lane of a call, run
+    on Python floats, each through the same two halves with float
     selections that give numpy's NaN and signed-zero results, and so with
-    the same bits and steps: g and ``stop`` still get one-element arrays,
-    and the float of g's one value is read.
+    the same bits and steps.  They step in lockstep: g gets the points of
+    all of them in one array a step, ``stop`` their brackets, and the floats
+    of g's values are read.  While two or more lanes are live, g runs with
+    numpy's divide, overflow and invalid warnings off; a lane alone, the
+    one lane of a call or the last one live, calls g under the caller's
+    error state.
     """
     lone = x_neg.size == 1
     if lone:
@@ -738,7 +764,7 @@ def _bracketed_root(g, x_neg, x_pos, g_neg, g_pos, tol, stop=None):
 
     if lone:
         live = np.arange(int(g_neg < 0.0))
-        state = _first_state(where, x_neg, x_pos, g_neg, g_pos, tol.item() if isinstance(tol, np.ndarray) else float(tol), False, math.inf)
+        lanes = [_first_state(where, x_neg, x_pos, g_neg, g_pos, tol.item() if isinstance(tol, np.ndarray) else float(tol), False, math.inf)][: live.size]
         x_neg, x_pos, g_neg, g_pos = (np.array([v]) for v in (x_neg, x_pos, g_neg, g_pos))
     else:
         live = (g_neg < 0.0).nonzero()[0]
@@ -757,45 +783,57 @@ def _bracketed_root(g, x_neg, x_pos, g_neg, g_pos, tol, stop=None):
             raise _nan_at(float(x[np.argmax(np.isnan(gx))]))
         return gx
 
-    def evaluate_lone(x):
-        gx = float(g(np.array([x]), live)[0])
-        if math.isnan(gx):
-            raise _nan_at(x)
-        return gx
+    def float_step():
+        nonlocal live, lanes
+        xs = [_step_point(_ON_FLOATS, lane) for lane in lanes]
+        gxs = g(np.array(xs), live).tolist()
+        # one sum a step, as on arrays
+        if math.isnan(sum(gxs)):
+            raise _nan_at(next(x for x, gx in zip(xs, gxs) if math.isnan(gx)))
+        done = [_step_update(_ON_FLOATS, lane, x, gx) for lane, x, gx in zip(lanes, xs, gxs)]
+        if stop is not None:
+            done = [a or b for a, b in zip(done, stop(*(np.array([lane[i] for lane in lanes]) for i in (0, 1))).tolist())]
+        if True in done:
+            for i in [i for i, lane_done in enumerate(done) if lane_done]:
+                xn, xp, gn, gp = lanes[i][:4]
+                zero = gn == 0.0
+                x_neg[live[i]], x_pos[live[i]] = xn, xn if zero else xp
+                g_neg[live[i]], g_pos[live[i]] = gn, 0.0 if zero else gp
+            keep = [i for i, lane_done in enumerate(done) if not lane_done]
+            live, lanes = live[keep], [lanes[i] for i in keep]
 
     steps = 0
-    if live.size > 1:
+    if not lone:
+        # while two or more lanes are live, g and the array steps run quiet
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            while live.size > 1 and steps < _MAX_ROOT_STEPS:
+            while live.size > _FLOAT_LANES and steps < _MAX_ROOT_STEPS:
                 steps += 1
-                x, zero, done = _root_step(_ON_ARRAYS, evaluate, state)
+                x = _step_point(_ON_ARRAYS, state)
+                done = _step_update(_ON_ARRAYS, state, x, evaluate(x))
                 if stop is not None:
                     done |= stop(state[0], state[1])
                 fin = done.nonzero()[0]
                 if fin.size:
-                    # a zero of g moves both ends onto it
                     idx = live[fin]
-                    x_neg[idx], x_pos[idx] = state[0][fin], np.where(zero, x, state[1])[fin]
-                    g_neg[idx], g_pos[idx] = state[2][fin], np.where(zero, 0.0, state[3])[fin]
+                    xn, xp, gn, gp = (v[fin] for v in state[:4])
+                    # a zero of g, which only a finished lane's g_neg is, moves both ends onto it
+                    zero = gn == 0.0
+                    x_neg[idx], x_pos[idx] = xn, np.where(zero, xn, xp)
+                    g_neg[idx], g_pos[idx] = gn, np.where(zero, 0.0, gp)
                     keep = (~done).nonzero()[0]
                     live, state[:] = live[keep], [v[keep] for v in state]
-    if live.size == 1:
-        if not lone:
-            state[:] = [v.item() for v in state]
-        while steps < _MAX_ROOT_STEPS:
-            steps += 1
-            x, zero, done = _root_step(_ON_FLOATS, evaluate_lone, state)
-            xn, xp, gn, gp = state[:4]
-            if done or (stop is not None and stop(np.array([xn]), np.array([xp]))[0]):
-                x_neg[live], x_pos[live] = xn, x if zero else xp
-                g_neg[live], g_pos[live] = gn, 0.0 if zero else gp
-                live = live[:0]
-                break
-    if live.size:
+            # the state of each live lane, on Python floats
+            lanes = [list(lane) for lane in zip(*(v.tolist() for v in state))]
+            while len(lanes) > 1 and steps < _MAX_ROOT_STEPS:
+                steps += 1
+                float_step()
+    while lanes and steps < _MAX_ROOT_STEPS:
+        steps += 1
+        float_step()
+    if lanes:
         # the first live lane's end of smaller |g|
-        xn, xp, gn, gp = (np.ravel(v)[0] for v in state[:4])
-        best = float(xn if -gn < gp else xp)
-        raise ConvergenceFailureError(f"root solve did not converge within {_MAX_ROOT_STEPS} steps", best_estimate=best)
+        xn, xp, gn, gp = lanes[0][:4]
+        raise ConvergenceFailureError(f"root solve did not converge within {_MAX_ROOT_STEPS} steps", best_estimate=float(xn if -gn < gp else xp))
     return x_neg, x_pos, g_neg, g_pos
 
 
@@ -864,9 +902,12 @@ class LevelSampler:
 
     def measure_above_batch(self, ws, slope: bool = False):
         """T(w) = mu{|f| > w} at each threshold of ``ws``, in its shape; with
-        ``slope``, the pair (T, T') from the same crossings."""
+        ``slope``, the pair (T, T') from the same crossings.  T is 1 below
+        the smallest |f|, and a NaN threshold raises RejectedInputError."""
         ws = np.asarray(ws, dtype=float)
         flat_ws = ws.ravel()
+        if np.isnan(flat_ws).any():
+            raise RejectedInputError("threshold must not be NaN")
         # thresholds go in chunks of about 2^18 (piece, threshold) pairs at most
         size = max(1, 2**18 // self._length.size)
         parts = [self._measure(flat_ws[i : i + size], slope) for i in range(0, flat_ws.size, size)]

@@ -95,22 +95,46 @@ class TestPolynomial:
 
     @pytest.mark.parametrize("basis", ["monomial", "chebyshev"])
     def test_evaluation_is_numpys_bit_for_bit(self, basis):
-        # Horner and Clenshaw run in place in polyval's and chebval's order:
+        # Horner and Clenshaw run in polyval's and chebval's order, on Python
+        # floats up to _FLOAT_POINTS points and in place on arrays above:
         # every value, its type and shape are numpy's, at signed zeros,
-        # overflow, inf and NaN too, for 0-d and n-d x
+        # subnormals, overflow, inf and NaN too, for 0-d x and for 1-d and
+        # n-d x of every size up to twice the cut-over and one more
         rng = np.random.default_rng(23)
-        special = [0.0, -0.0, 1.0, -1.0, 1e300, math.inf, -math.inf, math.nan]
+        special = [0.0, -0.0, 1.0, -1.0, 5e-324, -2.5e-310, 1e300, math.inf, -math.inf, math.nan]
+        if basis == "monomial":
+            kernel, ref = lambda x, c: functions._horner(x, tuple(c.tolist())), np.polynomial.polynomial.polyval
+        else:
+            kernel, ref = functions._clenshaw, np.polynomial.chebyshev.chebval
+
+        def check(got, want, *where):
+            assert type(got) is type(want) and np.shape(got) == np.shape(want), where
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), where
+
         for degree in range(41):
             c = rng.uniform(-1.0, 1.0, degree + 1)
-            if basis == "monomial":
-                f, ref = PolynomialRep(c), lambda x: np.polynomial.polynomial.polyval(x, c)
-            else:
-                f, ref = PolynomialRep(np.polynomial.chebyshev.cheb2poly(c), cheb=c), lambda x: np.polynomial.chebyshev.chebval(x, c)
+            f = PolynomialRep(c) if basis == "monomial" else PolynomialRep(np.polynomial.chebyshev.cheb2poly(c), cheb=c)
             for x in [*special, np.array(special), rng.uniform(-1.5, 1.5, (3, 5)), rng.uniform(-1.0, 1.0, 1)]:
                 with np.errstate(all="ignore"):
-                    got, want = f(x), ref(np.asarray(x, dtype=float))
-                assert type(got) is type(want) and np.shape(got) == np.shape(want)
-                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (degree, x)
+                    check(f(x), ref(np.asarray(x, dtype=float), c), degree, x)
+        # coefficients of 1e300 overflow part-way at x = 3 or -10, and in
+        # Clenshaw the overflow's inf - inf is NaN
+        big = [np.full(9, 1e300), 1e300 * rng.choice([-1.0, 1.0], 21)]
+        pool = np.concatenate([special, [3.0, -10.0], rng.uniform(-1.5, 1.5, 2 * functions._FLOAT_POINTS)])
+        # what the float path gave at |x| <= 10 from finite coefficients
+        overflowed = set()
+        for c in [rng.uniform(-1.0, 1.0, degree + 1) for degree in (0, 1, 2, 7, 26)] + big:
+            for n in range(1, 2 * functions._FLOAT_POINTS + 2):
+                xs = rng.permutation(pool)[:n]
+                for shape in ((n,), (n, 1), (2, n)):
+                    x = np.resize(xs, shape)
+                    with np.errstate(all="ignore"):
+                        got, want = kernel(x, c), ref(x, c)
+                    check(got, want, c.size, shape)
+                    if x.size <= functions._FLOAT_POINTS:
+                        at = np.abs(x) <= 10.0
+                        overflowed |= {kind for kind, hit in (("inf", np.isinf(got[at])), ("nan", np.isnan(got[at]))) if hit.any()}
+        assert overflowed == ({"inf"} if basis == "monomial" else {"inf", "nan"})
 
 
 class TestJacobi:

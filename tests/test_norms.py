@@ -86,17 +86,31 @@ def _bracketed_problems(seed, count):
 
 
 def _recorded_steps(monkeypatch):
-    """A list that records each step of ``_bracketed_root`` from now on:
-    whether it runs on floats, and whether an end value that regula falsi
-    reads has been scaled to +-0 in a lane whose g there is not 0."""
-    steps, step = [], quadrature._root_step
+    """A list that records each step of ``_bracketed_root`` from now on: the
+    number of live lanes it runs on Python floats, 0 for a step on arrays,
+    and whether an end value that regula falsi reads has been scaled to +-0
+    in a lane whose g there is not 0.  A step on floats takes the point of
+    each lane before it calls g, so a run of float ``_step_point`` calls
+    with no ``_step_update`` between them is one step."""
+    steps, point, update = [], quadrature._step_point, quadrature._step_update
+    updated = [True]
 
-    def recorded(ops, evaluate, state):
+    def recorded_point(ops, state):
         gn, gp, sn, sp = (np.asarray(v) for v in state[2:6])
-        steps.append((ops is quadrature._ON_FLOATS, bool(np.any(((sn == 0.0) & (gn != 0.0)) | ((sp == 0.0) & (gp != 0.0))))))
-        return step(ops, evaluate, state)
+        scaled = bool(np.any(((sn == 0.0) & (gn != 0.0)) | ((sp == 0.0) & (gp != 0.0))))
+        if ops is quadrature._ON_FLOATS and not updated[0]:
+            steps[-1] = (steps[-1][0] + 1, steps[-1][1] or scaled)
+        else:
+            steps.append((int(ops is quadrature._ON_FLOATS), scaled))
+        updated[0] = False
+        return point(ops, state)
 
-    monkeypatch.setattr(quadrature, "_root_step", recorded)
+    def recorded_update(*args):
+        updated[0] = True
+        return update(*args)
+
+    monkeypatch.setattr(quadrature, "_step_point", recorded_point)
+    monkeypatch.setattr(quadrature, "_step_update", recorded_update)
     return steps
 
 
@@ -247,31 +261,36 @@ class TestBrentq:
                     assert np.array([got]).tobytes() == np.array([want]).tobytes(), (lanes.__name__, args)
 
     def test_nan_raises_alike_alone_and_among_others(self):
-        # the sixth step of [0, 2] lands in the NaN region: alone, on floats,
-        # and beside a lane still live then, on arrays, the solve raises at
-        # the same abscissa after the same calls of g
-        fs = [lambda x: math.nan if 0.79 < x < 0.8 else x**3 - 0.5, lambda x: math.copysign(5e-324, x - 0.3)]
-        for lanes in ([0], [0, 1]):
-            probes = []
+        # the sixth step of [0, 2] lands in the NaN region: alone, beside one
+        # or two lanes still live then (all on floats, in lockstep), and
+        # among _FLOAT_LANES more (on arrays), the solve raises at the same
+        # abscissa after the same calls of g
+        fs = [lambda x: math.nan if 0.79 < x < 0.8 else x**3 - 0.5, lambda x: math.copysign(5e-324, x - 0.3), lambda x: x**9 - 0.1]
+        for lanes in ([0], [0, 1], [0, 1, 2], [0] + [1, 2] * (quadrature._FLOAT_LANES // 2)):
+            probes, sizes = [], set()
 
             def g(x, live, lanes=lanes):
+                sizes.add(x.size)
                 probes.extend(float(v) for v, i in zip(x, live) if lanes[i] == 0)
                 return np.array([fs[lanes[i]](float(v)) for v, i in zip(x, live)])
 
-            ends = (np.array(v)[lanes] for v in ([0.0, 0.0], [2.0, 1.0], [-0.5, -5e-324], [7.5, 5e-324]))
+            ends = (np.array(v)[lanes] for v in ([0.0, 0.0, 0.0], [2.0, 1.0, 1.0], [-0.5, -5e-324, -0.1], [7.5, 5e-324, 0.9]))
             with pytest.raises(DomainEvaluationError) as info:
                 _bracketed_root(g, *ends, 1e-15)
             assert info.value.abscissa == 0.7950596479768969 == probes[-1]
-            assert len(probes) == 6
+            assert len(probes) == 6 and sizes == {len(lanes)}
 
     def test_step_cap_gives_the_same_best_estimate_alone_and_among_others(self):
-        # a jump without a zero never collapses to zero width: alone (on
-        # floats), first of two such lanes (on arrays) and last live after a
-        # lane that converges (on arrays, then floats), it reaches the step
-        # cap after as many calls of g, with the same best estimate
+        # a jump without a zero never collapses to zero width: alone, first
+        # of two such lanes or of three lanes, and last live after a lane
+        # that converges (all on floats, in lockstep), first of _FLOAT_LANES
+        # + 1 such lanes (on arrays) and last live after _FLOAT_LANES lanes
+        # that converge (on arrays, then floats), it reaches the step cap
+        # after as many calls of g, with the same best estimate
         fs = [lambda x: 1.0 if x > 1.0 / 3.0 else -1.0, lambda x: 1.0 if x > 0.6 else -1.0, lambda x: x - 0.25]
         estimates = []
-        for lanes in ([0], [0, 1], [2, 0]):
+        many = quadrature._FLOAT_LANES
+        for lanes in ([0], [0, 1], [2, 0], [0, 1, 2], [0] + [1] * many, [2] * many + [0]):
             calls = [0]
 
             def g(x, live, lanes=lanes):
@@ -284,7 +303,45 @@ class TestBrentq:
             assert calls[0] == quadrature._MAX_ROOT_STEPS
             estimates.append(info.value.best_estimate)
         assert estimates[0] in (1.0 / 3.0, np.nextafter(1.0 / 3.0, 1.0))
-        assert estimates[1] == estimates[0] == estimates[2]
+        assert estimates == [estimates[0]] * len(estimates)
+
+    def test_few_live_lanes_step_on_floats_in_lockstep(self, monkeypatch):
+        # 40 lanes step on arrays until at most _FLOAT_LANES are live; then
+        # those step on floats, one call of g a step on all of them, down
+        # to the last one
+        problems = _bracketed_problems(seed=11, count=40)
+        ends = [(a, b) if f(a) < 0.0 else (b, a) for f, a, b in problems]
+        x_neg, x_pos = (np.array(v) for v in zip(*ends))
+        g_neg, g_pos = (np.array([float(f(x)) for (f, _a, _b), x in zip(problems, xs)]) for xs in (x_neg, x_pos))
+        sizes = []
+
+        def g(x, lanes):
+            sizes.append(x.size)
+            return np.array([float(problems[i][0](v)) for v, i in zip(x, lanes)])
+
+        steps = _recorded_steps(monkeypatch)
+        _bracketed_root(g, x_neg, x_pos, g_neg, g_pos, 1e-12)
+        on_floats = [lanes for lanes, _scaled in steps]
+        first = next(i for i, lanes in enumerate(on_floats) if lanes)
+        assert len(sizes) == len(steps) and sizes[first:] == on_floats[first:]
+        assert min(sizes[:first]) > quadrature._FLOAT_LANES
+        assert 0 not in on_floats[first:] and 2 <= on_floats[first] <= quadrature._FLOAT_LANES
+        assert on_floats[first:] == sorted(on_floats[first:], reverse=True) and on_floats[-1] == 1
+
+    def test_g_runs_quiet_while_two_or_more_lanes_are_live(self):
+        # g overflows at the first point, x = 1: a lone lane's g warns as the
+        # caller's error state says, and two lanes that finish together step
+        # under the solver's quiet one throughout, on floats
+        def g(x, lanes):
+            return np.exp(1000.0 * x) - 2.0
+
+        ends = (0.0, 2.0, -1.0, math.inf)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            _bracketed_root(g, *(np.array([v]) for v in ends), 1e-15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x_neg, x_pos, _g_neg, _g_pos = _bracketed_root(g, *(np.array([v, v]) for v in ends), 1e-15)
+        assert x_neg[0] == x_neg[1] and x_pos[0] == x_pos[1] and x_neg[0] <= math.log(2.0) / 1000.0 <= x_pos[0]
 
     def test_same_sign_bracket_rejected(self):
         with pytest.raises(RejectedInputError):

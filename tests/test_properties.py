@@ -224,6 +224,7 @@ ARGUMENT_CHECKS = {
     "QuadratureConfig(rel_tol=0)": lambda: QuadratureConfig(rel_tol=0.0),
     "extremal_search(n=0)": lambda: extremal_search(PHI2, 0, restarts=1, ctx=CTX),
     "distribution(w=-1)": lambda: distribution(F, -1.0),
+    "LevelSampler.measure_above_batch(w=nan)": lambda: LevelSampler(F).measure_above_batch(np.array([0.5, NAN])),
     "tabulated_phi(one point)": lambda: tabulated_phi([1.0], [1.0]),
     "markov_sweep(unknown family)": lambda: markov_sweep(PHI2, "legendre", [2], norm=lp_spec(4.0), ctx=CTX),
     "PolynomialRep([nan])": lambda: PolynomialRep([NAN]),

@@ -52,6 +52,12 @@ slowest group.  Covered:
   (p, b) = (1, 1), (2, 2), (3, 3), (2, 3) and (3, inf), and of its trig,
   gap and rational members, of the derivative of gap-01 (a
   ``GapDerivative``) and of sin(40x) at (3, inf) and (3, 1.5);
+* ``distribution``: T(w) = mu{|f| > w}, one ``LevelSampler`` batch a
+  function, at the points 1/10, 1/2 and 9/10 of the way through each
+  interval between consecutive ``critical_values``, a record an interval,
+  of the polynomial and trigonometric members and rational-01 of
+  ``build_corpus(7)``: a move of a crossing shows here, not only through
+  an integrated norm;
 * ``rational_derivative``: ``sup_norm``, ``lorentz_norm`` at p = b = 2 and
   ``lp_quasinorm`` at p = 2 of the derivatives of orders 1 to 4 of
   rational-01 to rational-06 of ``build_corpus(7)``;
@@ -161,6 +167,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from orlimark import (  # noqa: E402
     InversePowerRep,
+    LevelSampler,
     NormContext,
     PolynomialRep,
     RationalRep,
@@ -315,6 +322,22 @@ def lorentz_records():
             yield "lorentz_norm", f"{label} p={p} b={b}", attempt(lambda: lorentz_norm(f, p, b))
 
 
+def distribution_records():
+    for label, f in build_corpus(7):
+        if not label.startswith(("poly-", "trig-")) and label != "rational-01":
+            continue
+        try:
+            sampler = LevelSampler(f)
+            levels = sampler.critical_values
+            ws = levels[:-1, None] + np.array([0.1, 0.5, 0.9]) * (levels[1:] - levels[:-1])[:, None]
+            rows = sampler.measure_above_batch(ws).tolist()
+        except Exception as exc:  # a failure is an output too
+            yield "distribution", label, f"{type(exc).__name__}: {exc}"
+            continue
+        for i, row in enumerate(rows):
+            yield "distribution", f"{label} interval {i}", repr(row)
+
+
 def rational_derivative_records():
     corpus = dict(build_corpus(7))
     for n in range(1, 7):
@@ -407,6 +430,7 @@ def main(argv):
         luxemburg_records,
         row_records,
         lorentz_records,
+        distribution_records,
         rational_derivative_records,
         singular_records,
         cli_records,
