@@ -26,11 +26,11 @@ class ConvergenceFailureError(OrlimarkError):
     None), so callers can decide whether the partial answer is still
     usable.  From an adaptive integral, ``best_estimate`` is the log of the
     integral and ``error_bound`` the bound on its error relative to
-    exp(best_estimate), of its worst lane if it has several.  From a scan's
-    certification, ``best_estimate`` is the exact ratio and ``error_bound``
-    the relative gap to the cached-node one; from a scan still rising at
-    its last grid, the best grid ratio and None; from a Luxemburg root, the
-    root l (the Jensen bound at the Jensen end) and |log I| there.
+    exp(best_estimate).  From a scan's certification, ``best_estimate`` is
+    the exact ratio and ``error_bound`` the relative gap to the cached-node
+    one; from a scan still rising at its last grid, the best grid ratio and
+    None; from a Luxemburg root, the root l (the Jensen bound at the Jensen
+    end) and |log I| there.
     """
 
     def __init__(self, message, best_estimate=None, error_bound=None):

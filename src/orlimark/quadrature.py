@@ -8,7 +8,7 @@ reduces to three primitives implemented here:
   one adaptive integrator.  It integrates ``exp(transform(g))`` over the
   interval of a node store of g, summed in units of e^c, one shift c per
   integral, which keeps integrands far outside double range
-  representable; several integrands of one node store share its panels.
+  representable.
 * ``lp_quasinorm``: ``(integral of |f|^p dmu)^(1/p)`` for any finite
   p > 0, valid below p = 1 as a quasinorm.
 * ``LevelSampler`` / ``distribution``: the distribution function
@@ -168,15 +168,15 @@ def _carrier(f):
 
 
 def _check_finite(values: np.ndarray, p_lo, p_hi) -> None:
-    """Raise DomainEvaluationError at the first NaN or +inf of values, rows
-    of one lane or several at the nodes of the panels [p_lo, p_hi]; -inf is 0.
-    One reduction passes values without either: their largest is below +inf."""
+    """Raise DomainEvaluationError at the first NaN or +inf of values, a row
+    at the nodes of each panel of [p_lo, p_hi]; -inf is 0.  One reduction
+    passes values without either: their largest is below +inf."""
     if np.maximum.reduce(values, axis=None, initial=-math.inf) < math.inf:
         return
     bad = ~np.isfinite(values) & (values != -math.inf)
     if bad.any():
         xs = _panel_nodes(p_lo, p_hi)[0].ravel()
-        x = float(xs[np.argmax(bad) % xs.size])
+        x = float(xs[np.argmax(bad)])
         raise DomainEvaluationError(f"integrand is not finite at x = {x!r}", abscissa=x)
 
 
@@ -306,10 +306,11 @@ class _NodeStore:
 
     def rest(self, transform):
         """log of the integral of e^G, G(y) = transform(q y) - y, past the
-        singular piece's end y_1, one a lane (-inf without one): e^G(y_1) / -G',
-        as G is linear for a power singularity, G' its secant on [y_1, 2 y_1]
-        (one panel row, which a transform with lanes broadcasts over); and the
-        mean of g under e^G there, q y_1 + q / -G'."""
+        singular piece's end y_1 (-inf without one): e^G(y_1) / -G', as G is
+        linear for a power singularity, G' its secant on [y_1, 2 y_1]; and
+        the mean of g under e^G there, q y_1 + q / -G'.  transform is given
+        one panel row and may return a row for each of several integrands,
+        as ``_NodeRule.log_mean`` asks for them at once: a rest each."""
         if self.q is None:
             return -math.inf, 0.0
         y = self._y(self.hi) * np.array([[1.0, 2.0]])
@@ -356,19 +357,15 @@ def _adaptive(nodes: _NodeStore, transform, cfg, breaks=None):
     transform plus the store's log weight) at the nodes, raised, with the sums
     rescaled, by a wave that exceeds it.  t - c is formed before anything is
     exponentiated, so a huge constant t sums exactly, and a panel's value is
-    exp(t - c) @ weights times its half width.  A transform may return a
-    leading axis of K lanes, integrated in one pass as scipy's ``quad_vec``
-    subdivides once for a vector integrand: each lane keeps its own shift,
-    sums and early retirement, and a panel splits while any lane needs it.
+    exp(t - c) @ weights times its half width.
 
-    Returns the log of the integral against the store's measure (an array
-    of one a lane each, with lanes) and the accepted panels' ends; the
-    error estimate, in units of e^c, only decides acceptance.  Past the
-    depth or panel budget it raises ConvergenceFailureError whose
-    ``best_estimate`` is the log of the accepted sum plus the mass of the
-    live panels and whose ``error_bound`` is the accepted error plus that
-    live mass, relative to exp(best_estimate): floats, of the lane whose
-    bound is largest.
+    Returns the log of the integral against the store's measure, a float,
+    and the accepted panels' ends; the error estimate, in units of e^c, only
+    decides acceptance.  Past the depth or panel budget it raises
+    ConvergenceFailureError whose ``best_estimate`` is the log of the
+    accepted sum plus the mass of the live panels and whose ``error_bound``
+    is the accepted error plus that live mass, relative to
+    exp(best_estimate), both floats.
     """
 
     def terms(p_lo, p_hi):
@@ -377,23 +374,16 @@ def _adaptive(nodes: _NodeStore, transform, cfg, breaks=None):
         _check_finite(t, p_lo, p_hi)
         return t
 
-    def result(log_sum):
-        return log_sum + nodes.log_density if lanes else float(log_sum[0] + nodes.log_density)
-
     edges = nodes.edges if breaks is None else _merged(nodes.edges, breaks)
     p_lo, p_hi = edges[:-1].copy(), edges[1:].copy()
     t = terms(p_lo, p_hi)
-    lanes = t.ndim == 3
-    t = t.reshape(-1, p_lo.size, _NODES.size)
     rest = nodes.rest(transform)[0]
-    c = np.maximum(t.max(axis=(1, 2)), rest)
-    # a lane that vanishes at every node of the first wave is zero
-    live = np.isfinite(c)[:, None].repeat(p_lo.size, axis=1)
-    if not live.any():
-        return result(c), np.array([nodes.lo]), np.array([nodes.hi])
-    c[~live[:, 0]] = 0.0
-    p_val = (np.exp(t - c[:, None, None]) @ _WEIGHTS) * (0.5 * (p_hi - p_lo))
-    acc_sum, acc_err = np.exp(rest - c), np.zeros(c.shape)
+    c = np.maximum(t.max(), rest)
+    # an integrand that vanishes at every node of the first wave is zero
+    if not np.isfinite(c):
+        return float(c + nodes.log_density), np.array([nodes.lo]), np.array([nodes.hi])
+    p_val = (np.exp(t - c) @ _WEIGHTS) * (0.5 * (p_hi - p_lo))
+    acc_sum, acc_err = np.exp(rest - c), 0.0
     done_lo, done_hi = [], []
 
     for _depth in range(_MAX_DEPTH):
@@ -401,47 +391,45 @@ def _adaptive(nodes: _NodeStore, transform, cfg, breaks=None):
         mid = 0.5 * (p_lo + p_hi)
         c_lo = np.concatenate([p_lo, mid])
         c_hi = np.concatenate([mid, p_hi])
-        t = terms(c_lo, c_hi).reshape(c.size, 2 * k, _NODES.size)
+        t = terms(c_lo, c_hi)
 
-        new_c = np.maximum(c, t.max(axis=(1, 2)))
-        if (new_c > c).any():
+        new_c = t.max()
+        if new_c > c:
             shift = np.exp(c - new_c)
-            acc_sum, acc_err, p_val, c = acc_sum * shift, acc_err * shift, p_val * shift[:, None], new_c
+            acc_sum, acc_err, p_val, c = acc_sum * shift, acc_err * shift, p_val * shift, new_c
 
-        s_child = (np.exp(t - c[:, None, None]) @ _WEIGHTS) * (0.5 * (c_hi - c_lo))
-        s_pair = s_child[:, :k] + s_child[:, k:]
+        s_child = (np.exp(t - c) @ _WEIGHTS) * (0.5 * (c_hi - c_lo))
+        s_pair = s_child[:k] + s_child[k:]
         err = np.abs(s_pair - p_val)
 
-        scale_ref = np.maximum(acc_sum + np.add.reduce(s_pair, axis=1, where=live), 1e-300)[:, None]
+        # every panel of a wave is live: a done one leaves the queue
+        scale_ref = np.maximum(acc_sum + np.add.reduce(s_pair), 1e-300)
         budget = cfg.rel_tol * scale_ref * ((p_hi - p_lo) / (nodes.hi - nodes.lo))
-        done = live & ((err <= budget) | (err <= 1e-16 * scale_ref))
-        retire = np.add.reduce(err, axis=1, where=live & ~done) + acc_err <= cfg.rel_tol * scale_ref[:, 0]
-        done[retire] = live[retire]
+        done = (err <= budget) | (err <= 1e-16 * scale_ref)
+        if np.add.reduce(err, where=~done) + acc_err <= cfg.rel_tol * scale_ref:
+            done[:] = True
 
-        acc_sum += np.add.reduce(s_pair, axis=1, where=done)
-        acc_err += np.add.reduce(err, axis=1, where=done)
-        live &= ~done
-        keep = live.any(axis=0)
-        done_lo += [c_lo[:k][~keep], c_lo[k:][~keep]]
-        done_hi += [c_hi[:k][~keep], c_hi[k:][~keep]]
-        if not keep.any():
-            with np.errstate(divide="ignore"):
-                return result(c + np.log(acc_sum)), np.concatenate(done_lo), np.concatenate(done_hi)
+        acc_sum += np.add.reduce(s_pair, where=done)
+        acc_err += np.add.reduce(err, where=done)
+        done_lo += [c_lo[:k][done], c_lo[k:][done]]
+        done_hi += [c_hi[:k][done], c_hi[k:][done]]
+        if done.all():
+            log_sum = float(c + np.log(acc_sum) + nodes.log_density) if acc_sum > 0.0 else -math.inf
+            return log_sum, np.concatenate(done_lo), np.concatenate(done_hi)
 
+        keep = ~done
         p_lo = np.concatenate([c_lo[:k][keep], c_lo[k:][keep]])
         p_hi = np.concatenate([c_hi[:k][keep], c_hi[k:][keep]])
-        p_val = np.concatenate([s_child[:, :k][:, keep], s_child[:, k:][:, keep]], axis=1)
-        live = np.concatenate([live[:, keep]] * 2, axis=1)
+        p_val = np.concatenate([s_child[:k][keep], s_child[k:][keep]])
         if p_lo.size > _MAX_PANELS:
             break
 
-    live_mass = np.add.reduce(p_val, axis=1, where=live)
+    live_mass = np.add.reduce(p_val)
     total = acc_sum + live_mass
     with np.errstate(divide="ignore", invalid="ignore"):
         # crude bound: the full live mass, relative to the estimate
         best, bound = c + np.log(total) + nodes.log_density, (acc_err + live_mass) / total
-    worst = int(np.argmax(bound))
-    raise ConvergenceFailureError(f"quadrature did not converge within depth {_MAX_DEPTH}", best_estimate=float(best[worst]), error_bound=float(bound[worst]))
+    raise ConvergenceFailureError(f"quadrature did not converge within depth {_MAX_DEPTH}", best_estimate=float(best), error_bound=float(bound))
 
 
 class _NodeRule:
@@ -524,17 +512,17 @@ class PowerNormEvaluator(_NodeRule):
     """Evaluates e -> (integral of e^(e g))^(1/e) for many e from one cached
     panelization of a node store of g.
 
-    A node rule on the one panel set of exp(e g) for the e of
-    ``yardsticks``, integrated together on the node store ``nodes``; each
-    query is then a single vectorized log-sum-exp, a singular end's rest
-    included.  On a store of log|f|, ``log_norm(p)`` is log ||f||_p.
-    Intended for scan loops; the returned maximizer should be re-validated
-    with a fully adaptive integral on the same store (see norms module).
+    A node rule on the union of the panels of the store's exact integrals
+    of exp(e g), ``power_integral``, at the e of ``yardsticks``: the store
+    integrates only those it does not hold yet.  Each query is then a
+    single vectorized log-sum-exp, a singular end's rest included.  On a
+    store of log|f|, ``log_norm(p)`` is log ||f||_p.  Intended for scan
+    loops; the returned maximizer should be re-validated with a fully
+    adaptive integral on the same store (see norms module).
     """
 
     def __init__(self, nodes: _NodeStore, cfg: QuadratureConfig, yardsticks):
-        es = np.asarray(yardsticks, dtype=float)[:, None, None]
-        super().__init__(nodes, _adaptive(nodes, lambda g: es * g, cfg)[1:])
+        super().__init__(nodes, [ends for e in yardsticks for ends in nodes.power_integral(float(e), cfg)[1:]])
         self.node_count = self.g.size
 
     def log_norm(self, e, moment: bool = False):

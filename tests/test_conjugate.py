@@ -215,14 +215,22 @@ def test_fenchel_moreau_round_trip(phi1, phi2, phi_nu1):
 
 def test_cache_rejects_nonconvex(phi2):
     # a table cannot smuggle non-convexity past its constructor, but a
-    # callable can; the cache detects it through kinks in the computed
-    # conjugate grid
+    # callable can.  A wavy h' is caught by the solver's probes, which see
+    # it fall inside a bracket
     def wavy(z):
         t = np.log1p(np.asarray(z, dtype=float))
         return t ** 2 + 2.0 * np.sin(2.0 * np.where(np.isfinite(t), t, 0.0))
 
-    with pytest.raises(SummabilityError):
+    with pytest.raises(SummabilityError, match="not monotone"):
         ConjugateCache(custom_phi(wavy))
+    # phi = sqrt(z) gains z^3 past z = e^2, so h = log phi(e^y) jumps up at
+    # y = 2: not convex, yet its slope h' rises.  Every solve of the cache's
+    # grid, 1 to 1024 at 64 points a decade, succeeds, and the cache finds
+    # the kinks of the computed conjugate grid
+    phi = custom_phi(lambda z: np.sqrt(z) + z**3 * (np.log(z) > 2))
+    assert np.isfinite(young_fenchel_lanes(phi, np.geomspace(1.0, 1024.0, 193))[0]).all()
+    with pytest.raises(SummabilityError, match="not convex on the grid"):
+        ConjugateCache(phi)
 
 
 def test_solver_rejects_nonmonotone_slope():

@@ -996,10 +996,10 @@ class TestGNorm:
         assert math.isfinite(info.value.best_estimate) and info.value.best_estimate > 0.0
         assert info.value.error_bound is None
 
-    def test_failed_evaluator_reports_its_worst_lane(self, phi2):
-        # the evaluator integrates its three yardsticks as lanes of one
-        # integral; only the top one fails to settle beside the pole, and
-        # the error reports that lane's floats
+    def test_failed_evaluator_reports_its_failing_integral(self, phi2):
+        # the evaluator takes the store's exact integral at each of its
+        # three yardsticks; only the top one fails to settle beside the
+        # pole, and that integral's own error reports its floats
         f = RationalRep(PolynomialRep([1.0]), PolynomialRep([-1.000000001, 1.0]))
         with pytest.raises(ConvergenceFailureError, match="quadrature did not converge") as info:
             g_norm_info(f, phi2)
@@ -1894,9 +1894,10 @@ class TestEvaluatorSlopes:
         assert log_norm == pytest.approx(-q * math.log(2.0) - np.log1p(-q * betas) / betas, rel=0.0, abs=1e-11)
         assert mean_log_f == pytest.approx(q / (1.0 - q * betas) - q * math.log(2.0), rel=1e-11)
 
-    def test_one_adaptive_pass_per_build(self, monkeypatch):
-        # the three yardsticks of the power norms share one panel set from
-        # one adaptive call
+    def test_evaluator_integrates_only_what_its_store_lacks(self, monkeypatch):
+        # the evaluator's panels are the union of the store's exact integrals
+        # at its yardsticks: on a store that holds the L1 integral, it takes
+        # the other two, and its rule is the one built on all three's ends
         adaptive, calls = quadrature._adaptive, []
 
         def counted(*args):
@@ -1904,9 +1905,15 @@ class TestEvaluatorSlopes:
             return adaptive(*args)
 
         monkeypatch.setattr(quadrature, "_adaptive", counted)
-        f = dict(build_corpus(7))["poly-30"]
-        quadrature.PowerNormEvaluator(quadrature._abs_nodes(f), DEFAULT_CONFIG, yardsticks=(1.0, 32.0, 1024.0))
-        assert len(calls) == 1
+        # a new function object: a fresh store
+        nodes = quadrature._abs_nodes(dict(build_corpus(7))["poly-30"])
+        nodes.power_integral(1.0, DEFAULT_CONFIG)
+        del calls[:]
+        ev = quadrature.PowerNormEvaluator(nodes, DEFAULT_CONFIG, yardsticks=(1.0, 32.0, 1024.0))
+        assert len(calls) == 2
+        rule = quadrature._NodeRule(nodes, [ends for e in (1.0, 32.0, 1024.0) for ends in nodes.power_integral(e, DEFAULT_CONFIG)[1:]])
+        assert len(calls) == 2
+        assert ev.g.tobytes() == rule.g.tobytes() and ev.logw.tobytes() == rule.logw.tobytes()
 
 
 class TestSupCap:

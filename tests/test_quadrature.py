@@ -569,20 +569,19 @@ def test_break_point_next_to_an_edge_is_merged():
     assert all(np.unique(row).size == 16 for row in xs)
 
 
-def test_lanes_share_one_pass():
-    # three transforms of one store integrated together: each lane within
-    # rel_tol of a 50-digit mpmath value of the mean of |T_12|^e on [-1, 1],
-    # the store's normalized measure, split at the break points
-    # cos(k pi / 24): the even integrand's integral on [0, 1]
-    f, es = chebyshev_t(12), np.array([1.0, 32.0, 1024.0])
-    values, _lo, _hi = _adaptive(_abs_nodes(f), lambda g: es[:, None, None] * g, DEFAULT_CONFIG)
-    assert values.shape == es.shape
+@pytest.mark.parametrize("e", [1.0, 32.0, 1024.0])
+def test_power_integral_matches_mpmath(e):
+    # the store's exact integral of |T_12|^e, a float within rel_tol of a
+    # 50-digit mpmath value of its mean on [-1, 1], the store's normalized
+    # measure, split at the break points cos(k pi / 24): the even
+    # integrand's integral on [0, 1]
+    value, _lo, _hi = _abs_nodes(chebyshev_t(12)).power_integral(e, DEFAULT_CONFIG)
+    assert type(value) is float
     coeffs = [int(c) for c in np.polynomial.chebyshev.cheb2poly([0] * 12 + [1])[::-1]]
     with mp.workdps(50):
         points = [mp.cos(mp.pi * k / 24) for k in range(12, -1, -1)]
-        for e, value in zip(es, values):
-            ref = mp.quad(lambda x, e=int(e): abs(mp.polyval(coeffs, x)) ** e, points)
-            assert math.exp(value) == pytest.approx(float(ref), rel=DEFAULT_CONFIG.rel_tol)
+        ref = mp.quad(lambda x: abs(mp.polyval(coeffs, x)) ** int(e), points)
+    assert math.exp(value) == pytest.approx(float(ref), rel=DEFAULT_CONFIG.rel_tol)
 
 
 def test_node_store_evaluates_each_panel_once():

@@ -52,6 +52,10 @@ slowest group.  Covered:
   (p, b) = (1, 1), (2, 2), (3, 3), (2, 3) and (3, inf), and of its trig,
   gap and rational members, of the derivative of gap-01 (a
   ``GapDerivative``) and of sin(40x) at (3, inf) and (3, 1.5);
+* ``evaluator``: ``node_count`` and ``log_norm`` at 16 fixed exponents of
+  ``PowerNormEvaluator`` at yardsticks (1, 32, 1024) on each member of
+  ``build_corpus(7)``: a move of its panel set shows here, not only
+  through the scan results;
 * ``distribution``: T(w) = mu{|f| > w}, one ``LevelSampler`` batch a
   function, at the points 1/10, 1/2 and 9/10 of the way through each
   interval between consecutive ``critical_values``, a record an interval,
@@ -190,6 +194,7 @@ from orlimark import (  # noqa: E402
 from orlimark.conjugate import ConjugateCache, young_fenchel_lanes  # noqa: E402
 from orlimark.functions import derivative, jacobi22  # noqa: E402
 from orlimark.norms import construct_N, g_norm_info, luxemburg_norm, sup_ratio_from, v_quasinorm_info  # noqa: E402
+from orlimark.quadrature import DEFAULT_CONFIG, PowerNormEvaluator, _abs_nodes  # noqa: E402
 
 PHIS = [power_log(1.0), power_log(2.0), log_power(1.0)]
 FAMILIES = PHIS + [
@@ -217,6 +222,8 @@ CLI_RUNS = {
     "extremal": ("extremal", "[extremal]\ndegree = 2\nrestarts = 1\n"),
     "config-error": ("norm", "[norm]\nkind = lorenz\np = four\nordre = 2\n"),
 }
+# the exponents at which the ``evaluator`` group queries each evaluator
+EVALUATOR_PS = np.array([0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 7.0, 10.0, 16.0, 32.0, 50.0, 100.0, 256.0, 500.0, 1024.0, 2000.0])
 FUNCTION = "[function]\ntext = poly:0.3,-1.2,0.5,0.9,-0.4\n"
 
 
@@ -320,6 +327,16 @@ def lorentz_records():
     for label, f in others:
         for p, b in ((3.0, math.inf), (3.0, 1.5)):
             yield "lorentz_norm", f"{label} p={p} b={b}", attempt(lambda: lorentz_norm(f, p, b))
+
+
+def evaluator_fields(f):
+    ev = PowerNormEvaluator(_abs_nodes(f), DEFAULT_CONFIG, (1.0, 32.0, 1024.0))
+    return f"node_count={ev.node_count} log_norm={ev.log_norm(EVALUATOR_PS).tolist()!r}"
+
+
+def evaluator_records():
+    for label, f in build_corpus(7):
+        yield "evaluator", label, attempt(lambda: evaluator_fields(f))
 
 
 def distribution_records():
@@ -430,6 +447,7 @@ def main(argv):
         luxemburg_records,
         row_records,
         lorentz_records,
+        evaluator_records,
         distribution_records,
         rational_derivative_records,
         singular_records,
